@@ -22,6 +22,10 @@ from .operators import (
 )
 from .dynamics import (
     DephasingRates,
+    JumpFlow,
+    NetworkFlow,
+    OperatorFlow,
+    QuasiclassicalFlow,
     TransitionNetwork,
     build_relaxation_operators,
     combined_relaxation_operator,

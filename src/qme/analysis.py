@@ -10,6 +10,7 @@ import numpy as np
 
 from .dynamics import (
     DephasingRates,
+    NetworkFlow,
     Statistics,
     TransitionNetwork,
     rhs_markoff,
@@ -167,16 +168,15 @@ def dephasing_limit_spectrum(coupling: float = 10.0 / 27.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AppendixDScenario:
-    """Initial state plus the pure-dephasing flow parameters."""
+    """Initial state, the pure-dephasing flow parameters and the flow built
+    from them (``rhs``, the Markoff equation with dephasing)."""
 
     initial: DensityMatrix
     h: np.ndarray
     network: TransitionNetwork
     dephasing: DephasingRates
     gamma: float
-
-    def rhs(self, t: float, rho: np.ndarray) -> np.ndarray:
-        return rhs_markoff(self.h, self.network, self.dephasing, rho)
+    rhs: NetworkFlow
 
 
 def appendix_d_scenario(gamma: float = 1.0, h_diag=None,
@@ -196,4 +196,5 @@ def appendix_d_scenario(gamma: float = 1.0, h_diag=None,
     h = np.zeros((3, 3), dtype=complex) if h_diag is None else np.diag(np.asarray(h_diag, dtype=complex))
     net = TransitionNetwork.computational(3, {})
     deph = DephasingRates({(1, 2): float(gamma)})
-    return AppendixDScenario(initial=initial, h=h, network=net, dephasing=deph, gamma=float(gamma))
+    return AppendixDScenario(initial=initial, h=h, network=net, dephasing=deph, gamma=float(gamma),
+                             rhs=NetworkFlow(h, net, None, deph))

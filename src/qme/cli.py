@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -28,21 +29,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import dephasing_counterexample_matrix, first_crossing_time
+from .analysis import (
+    _duality_residuals,
+    bounds_monitor,
+    dephasing_counterexample_matrix,
+    first_crossing_time,
+)
 from .dynamics import (
     DephasingRates,
+    JumpFlow,
+    NetworkFlow,
+    OperatorFlow,
+    QuasiclassicalFlow,
     Statistics,
     TransitionNetwork,
-    build_relaxation_operators,
-    rhs_general,
-    rhs_generalized_jumps,
-    rhs_hole_form,
-    rhs_lindblad,
-    rhs_markoff,
-    rhs_meanfield_nonhermitian,
-    rhs_nonlinear_master,
-    rhs_quasiclassical,
 )
+# Not called here: the benchmark's tracer (perfbench/tracing.py) wraps this
+# name in this module and fails if it is missing.  Keep it until the
+# benchmark's list of traced names drops it.
+from .dynamics import build_relaxation_operators  # noqa: F401
 from .fock_oracle import (
     FockModel,
     closure_residual_at_t0,
@@ -51,7 +56,7 @@ from .fock_oracle import (
     reduce_one_particle,
     rhs_fock_lindblad,
 )
-from .integrator import EvolutionSpec, IntegrationDivergedError, evolve
+from .integrator import EvolutionSpec, IntegrationDivergedError, Trajectory, evolve
 from .operators import DensityMatrix, hermiticity_defect, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
@@ -87,14 +92,35 @@ class ScenarioError(ValueError):
     """A scenario file violates the schema; the message names the field."""
 
 
+def _scalar(value, where: str, integer: bool = False):
+    """A finite number (a float), or with ``integer`` an int, from scenario
+    JSON; bools and strings are rejected, integers are never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a finite number"
+        raise ScenarioError(f"{where}: expected {kind}, got {value!r}")
+    if integer:
+        return value
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
+def _real_list(values, n: int, where: str) -> list[float]:
+    if not isinstance(values, list) or len(values) != n:
+        raise ScenarioError(f"{where}: expected {n} real entries")
+    return [_scalar(v, f"{where}[{k}]") for k, v in enumerate(values)]
+
+
 def _entry_to_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        return complex(value[0], value[1])
-    raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_scalar(value[0], where), _scalar(value[1], where))
+    if isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    return complex(_scalar(value, where))
 
 
 def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
@@ -175,28 +201,32 @@ def _parse_network(group, dim: int) -> TransitionNetwork:
     unknown = set(group) - {"rates", "basis"}
     if unknown:
         raise ScenarioError(f"network: unknown keys {sorted(unknown)}")
+    items = group.get("rates", [])
+    if not isinstance(items, list):
+        raise ScenarioError("network.rates: expected a list")
     rates: dict[tuple[int, int], float] = {}
-    for k, item in enumerate(group.get("rates", [])):
+    for k, item in enumerate(items):
         if not isinstance(item, dict) or set(item) != {"from", "to", "rate"}:
             raise ScenarioError(
                 f"network.rates[{k}]: expected an object with keys from, to, rate"
             )
-        src, dest, w = item["from"], item["to"], item["rate"]
-        if not isinstance(src, int) or not isinstance(dest, int):
-            raise ScenarioError(f"network.rates[{k}]: orbital indices must be integers")
+        src = _scalar(item["from"], f"network.rates[{k}].from", integer=True)
+        dest = _scalar(item["to"], f"network.rates[{k}].to", integer=True)
         if (dest, src) in rates:
             raise ScenarioError(f"network.rates[{k}]: duplicate transition {src} -> {dest}")
-        rates[(dest, src)] = float(w)
+        rates[(dest, src)] = _scalar(item["rate"], f"network.rates[{k}].rate")
     if "basis" in group:
+        basis = group["basis"]
+        if not isinstance(basis, list) or not basis:
+            raise ScenarioError("network.basis: expected a nonempty list of kets")
+        for i, col in enumerate(basis):
+            if not isinstance(col, list) or len(col) != dim:
+                raise ScenarioError(f"network.basis[{i}]: expected a ket of {dim} entries")
         kets = np.array(
             [[_entry_to_complex(v, f"network.basis[{i}][{j}]") for j, v in enumerate(col)]
-             for i, col in enumerate(group["basis"])],
+             for i, col in enumerate(basis)],
             dtype=complex,
         ).T
-        if kets.shape[0] != dim:
-            raise ScenarioError(
-                f"network.basis: ket length {kets.shape[0]} does not match dimension {dim}"
-            )
         try:
             return TransitionNetwork(kets=kets, rates=rates)
         except ValueError as exc:
@@ -208,6 +238,8 @@ def _parse_network(group, dim: int) -> TransitionNetwork:
 
 
 def _parse_dephasing(items) -> DephasingRates:
+    if not isinstance(items, list):
+        raise ScenarioError("dephasing: expected a list")
     gamma: dict[tuple[int, int], float] = {}
     for k, item in enumerate(items):
         if not isinstance(item, dict) or set(item) != {"pair", "rate"}:
@@ -216,10 +248,10 @@ def _parse_dephasing(items) -> DephasingRates:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(p, int) for p in pair)
+            or not all(isinstance(p, int) and not isinstance(p, bool) for p in pair)
         ):
             raise ScenarioError(f"dephasing[{k}].pair: expected two integer orbital indices")
-        gamma[(pair[0], pair[1])] = float(item["rate"])
+        gamma[(pair[0], pair[1])] = _scalar(item["rate"], f"dephasing[{k}].rate")
     try:
         return DephasingRates(gamma)
     except ValueError as exc:
@@ -260,12 +292,14 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     name = raw["name"]
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: expected a nonempty string")
+    if not isinstance(raw["statistics"], str):
+        raise ScenarioError(f"statistics: expected a string, got {raw['statistics']!r}")
     try:
         statistics = Statistics.parse(raw["statistics"])
     except ValueError as exc:
         raise ScenarioError(f"statistics: {exc}") from None
-    dimension = raw["dimension"]
-    if not isinstance(dimension, int) or dimension < 1:
+    dimension = _scalar(raw["dimension"], "dimension", integer=True)
+    if dimension < 1:
         raise ScenarioError(f"dimension: expected a positive integer, got {dimension!r}")
 
     # initial state
@@ -279,10 +313,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     if ikind == "matrix" and not vector_initial:
         initial_kind, initial_value = "matrix", _parse_matrix(ivalue, dimension, "initial.matrix")
     elif ikind == "diagonal" and not vector_initial:
-        if not isinstance(ivalue, list) or len(ivalue) != dimension:
-            raise ScenarioError(f"initial.diagonal: expected {dimension} real entries")
         initial_kind = "matrix"
-        initial_value = np.diag(np.asarray(ivalue, dtype=float)).astype(complex)
+        initial_value = np.diag(_real_list(ivalue, dimension, "initial.diagonal")).astype(complex)
     elif ikind == "preset" and not vector_initial:
         if ivalue == "appendix_d" and dimension != 3:
             raise ScenarioError("initial.preset: preset 'appendix_d' requires dimension 3")
@@ -290,9 +322,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError(f"initial.preset: unknown preset {ivalue!r}")
         initial_kind, initial_value = "preset", ivalue
     elif ikind == "occupations" and vector_initial:
-        if not isinstance(ivalue, list) or len(ivalue) != dimension:
-            raise ScenarioError(f"initial.occupations: expected {dimension} entries")
-        initial_kind, initial_value = "occupations", tuple(float(v) for v in ivalue)
+        initial_kind = "occupations"
+        initial_value = tuple(_real_list(ivalue, dimension, "initial.occupations"))
     else:
         raise ScenarioError(
             f"initial.{ikind}: not a valid initial-state form for equation {equation!r}"
@@ -305,9 +336,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         if h_raw == "zero":
             hamiltonian = np.zeros((dimension, dimension), dtype=complex)
         elif isinstance(h_raw, dict) and set(h_raw) == {"diagonal"}:
-            if len(h_raw["diagonal"]) != dimension:
-                raise ScenarioError(f"hamiltonian.diagonal: expected {dimension} entries")
-            hamiltonian = np.diag(np.asarray(h_raw["diagonal"], dtype=float)).astype(complex)
+            diagonal = _real_list(h_raw["diagonal"], dimension, "hamiltonian.diagonal")
+            hamiltonian = np.diag(diagonal).astype(complex)
         elif isinstance(h_raw, dict) and set(h_raw) == {"matrix"}:
             hamiltonian = _parse_operator(h_raw["matrix"], dimension, "hamiltonian.matrix", True)
         else:
@@ -349,20 +379,16 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         fock = raw["fock"]
         if not isinstance(fock, dict) or not {"energies"} <= set(fock) <= {"energies", "boson_cutoff"}:
             raise ScenarioError("fock: expected an object with key energies (and optional boson_cutoff)")
-        if len(fock["energies"]) != dimension:
-            raise ScenarioError(
-                f"fock.energies: expected {dimension} entries (dimension counts modes)"
-            )
-        fock_energies = tuple(float(e) for e in fock["energies"])
-        boson_cutoff = int(fock.get("boson_cutoff", 4))
+        fock_energies = tuple(_real_list(fock["energies"], dimension, "fock.energies"))
+        boson_cutoff = _scalar(fock.get("boson_cutoff", 4), "fock.boson_cutoff", integer=True)
 
     integ = raw["integrator"]
     if not isinstance(integ, dict) or not {"t1"} <= set(integ) <= {"t0", "t1", "dt", "record_every"}:
         raise ScenarioError("integrator: expected an object with keys t0, t1, dt, record_every")
-    t0 = float(integ.get("t0", 0.0))
-    t1 = float(integ["t1"])
-    dt = float(integ.get("dt", 1e-3))
-    record_every = int(integ.get("record_every", 1))
+    t0 = _scalar(integ.get("t0", 0.0), "integrator.t0")
+    t1 = _scalar(integ["t1"], "integrator.t1")
+    dt = _scalar(integ.get("dt", 1e-3), "integrator.dt")
+    record_every = _scalar(integ.get("record_every", 1), "integrator.record_every", integer=True)
     if dt <= 0:
         raise ScenarioError(f"integrator.dt: must be positive, got {dt}")
     if t1 <= t0:
@@ -377,6 +403,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         if not isinstance(output, dict) or not set(output) <= {"dir", "duality"}:
             raise ScenarioError("output: expected an object with optional keys dir, duality")
         out_dir = output.get("dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ScenarioError("output.dir: expected a string")
         duality = output.get("duality")
         if duality is not None and not isinstance(duality, bool):
             raise ScenarioError("output.duality: expected a boolean")
@@ -525,71 +553,24 @@ def _quasiclassical_initial(s: Scenario) -> np.ndarray:
 
 
 def _build_rhs(s: Scenario):
-    """RHS closure for the scenario's equation (matrix-valued states)."""
+    """The scenario's flow (matrix-valued states), built and validated once."""
     h = s.hamiltonian
     stats = s.statistics
     if s.equation == "meanfield_nonhermitian":
-        a = s.a_operator
-        return lambda t, rho: rhs_meanfield_nonhermitian(h, a, rho)
+        return OperatorFlow(h, s.a_operator, np.zeros_like(s.a_operator), None)
     if s.equation == "general":
-        loss, gain = s.loss_operator, s.gain_operator
-        return lambda t, rho: rhs_general(h, loss, gain, rho, stats)
+        return OperatorFlow(h, s.loss_operator, s.gain_operator, stats)
     if s.equation == "nonlinear_master":
-        net = s.network
-        return lambda t, rho: rhs_nonlinear_master(h, net, rho, stats)
+        return NetworkFlow(h, s.network, stats)
     if s.equation == "generalized_jumps":
-        jumps = s.jump_operators
-        return lambda t, rho: rhs_generalized_jumps(h, jumps, rho, stats)
+        return JumpFlow(h, s.jump_operators, stats)
     if s.equation == "markoff":
-        net, deph = s.network, s.dephasing
-        return lambda t, rho: rhs_markoff(h, net, deph, rho)
+        return NetworkFlow(h, s.network, None, s.dephasing)
     if s.equation == "lindblad":
-        jumps = s.jump_operators
-        return lambda t, rho: rhs_lindblad(h, jumps, rho)
+        return JumpFlow(h, s.jump_operators, None)
     if s.equation == "quasiclassical":
-        w = s.network.rate_matrix()
-        cap = 1.0 if stats is Statistics.FERMION else None
-
-        def rhs(t, rho):
-            f = np.clip(rho.diagonal().real, 0.0, cap)
-            return np.diag(rhs_quasiclassical(f, w, stats)).astype(complex)
-
-        return rhs
+        return QuasiclassicalFlow(s.network, stats)
     raise ScenarioError(f"equation: no runner for {s.equation!r}")
-
-
-def _build_hole_rhs(s: Scenario):
-    """Complementary flow for the fermionic particle/hole-symmetric equations."""
-    h = s.hamiltonian
-    stats = s.statistics
-    eye = np.eye(s.dimension, dtype=complex)
-    if s.equation == "general":
-        loss, gain = s.loss_operator, s.gain_operator
-        return lambda t, rho_h: rhs_hole_form(h, loss, gain, rho_h)
-    if s.equation == "nonlinear_master":
-        net = s.network
-
-        def rhs(t, rho_h):
-            loss, gain = build_relaxation_operators(net, eye - rho_h, stats)
-            return rhs_hole_form(h, loss, gain, rho_h)
-
-        return rhs
-    if s.equation == "generalized_jumps":
-        jumps = s.jump_operators
-
-        def rhs(t, rho_h):
-            rho = eye - rho_h
-            loss = np.zeros_like(rho)
-            gain = np.zeros_like(rho)
-            blocked = eye + stats.sign * rho
-            for w in jumps:
-                wd = w.conj().T
-                loss += -0.5 * (w @ blocked @ wd)
-                gain += -0.5 * (wd @ rho @ w)
-            return rhs_hole_form(h, loss, gain, rho_h)
-
-        return rhs
-    return None
 
 
 _DUALITY_EQUATIONS = {"general", "nonlinear_master", "generalized_jumps"}
@@ -599,14 +580,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_states_csv(path: Path, times, matrices) -> None:
-    dim = matrices[0].shape[0]
+def _write_states_csv(path: Path, traj: Trajectory) -> None:
+    dim = traj.states[0].shape[0]
     header = ["t"]
     for i in range(dim):
         for j in range(dim):
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
     lines = [",".join(header)]
-    for t, m in zip(times, matrices):
+    for t, m in zip(traj.times, traj.states):
         row = [_fmt(t)]
         for i in range(dim):
             for j in range(dim):
@@ -615,19 +596,18 @@ def _write_states_csv(path: Path, times, matrices) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_diagnostics_csv(path: Path, times, trace, min_eig, max_eig, herm_defect,
-                           duality=None) -> None:
+def _write_diagnostics_csv(path: Path, traj: Trajectory, duality=None) -> None:
     header = "t,trace,min_eig,max_eig,herm_defect"
     if duality is not None:
         header += ",duality_residual"
     lines = [header]
-    for k in range(len(times)):
+    for k in range(len(traj)):
         row = [
-            _fmt(times[k]),
-            _fmt(trace[k]),
-            _fmt(min_eig[k]),
-            _fmt(max_eig[k]),
-            _fmt(herm_defect[k]),
+            _fmt(traj.times[k]),
+            _fmt(traj.trace[k]),
+            _fmt(traj.min_eig[k]),
+            _fmt(traj.max_eig[k]),
+            _fmt(traj.herm_defect[k]),
         ]
         if duality is not None:
             row.append(_fmt(duality[k]))
@@ -649,6 +629,8 @@ def apply_overrides(raw: dict, overrides) -> dict:
     (``integrator.dt``); the bare integrator fields t0, t1, dt, record_every
     are accepted as shorthand.  Values parse as JSON, falling back to string.
     """
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario must be a JSON object")
     for item in overrides:
         if "=" not in item:
             raise ScenarioError(f"override {item!r}: expected key=value")
@@ -698,7 +680,7 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         raw = json.loads(file.read_text(encoding="utf-8"))
         raw = apply_overrides(raw, overrides)
         scenario = scenario_from_dict(raw, source=str(file))
-    except (ScenarioError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ScenarioError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -717,34 +699,25 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    times, matrices, trace, min_eig, max_eig, herm_defect, duality, extra = result
-    _write_states_csv(folder / "states.csv", times, matrices)
-    _write_diagnostics_csv(
-        folder / "diagnostics.csv", times, trace, min_eig, max_eig, herm_defect, duality
-    )
+    traj, duality, extra = result
+    _write_states_csv(folder / "states.csv", traj)
+    _write_diagnostics_csv(folder / "diagnostics.csv", traj, duality)
 
-    violations = []
-    for k in range(len(times)):
-        if min_eig[k] < -1e-8:
-            violations.append([float(times[k]), float(min_eig[k])])
-        if scenario.statistics is Statistics.FERMION and max_eig[k] > 1 + 1e-8:
-            violations.append([float(times[k]), float(max_eig[k])])
-
-    final_spectrum = np.linalg.eigvalsh(
-        0.5 * (matrices[-1] + matrices[-1].conj().T)
-    )
+    violations = bounds_monitor(traj, scenario.statistics)
+    final = traj.final_state
+    final_spectrum = np.linalg.eigvalsh(0.5 * (final + final.conj().T))
     summary = {
         "name": scenario.name,
         "equation": scenario.equation,
         "statistics": scenario.statistics.value,
-        "t_final": float(times[-1]),
+        "t_final": float(traj.times[-1]),
         "final_spectrum": [float(v) for v in final_spectrum],
-        "min_eig_final": float(min_eig[-1]),
-        "max_eig_final": float(max_eig[-1]),
-        "trace_drift_max": float(np.abs(np.asarray(trace) - trace[0]).max()),
-        "herm_defect_max": float(np.max(herm_defect)),
+        "min_eig_final": float(traj.min_eig[-1]),
+        "max_eig_final": float(traj.max_eig[-1]),
+        "trace_drift_max": float(np.abs(traj.trace - traj.trace[0]).max()),
+        "herm_defect_max": float(np.max(traj.herm_defect)),
         "violations": violations,
-        "min_eig_crossing_time": first_crossing_time(times, min_eig, 0.0),
+        "min_eig_crossing_time": first_crossing_time(traj.times, traj.min_eig, 0.0),
         "wall_time_s": time.perf_counter() - wall_start,
     }
     if duality is not None:
@@ -758,26 +731,25 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
     if not quiet:
         status = "violations" if violations else "ok"
         print(
-            f"{scenario.name}: {scenario.equation}, t in [{scenario.t0:g}, {times[-1]:g}], "
-            f"{len(times)} snapshots, {status} -> {folder}"
+            f"{scenario.name}: {scenario.equation}, t in [{scenario.t0:g}, {traj.times[-1]:g}], "
+            f"{len(traj)} snapshots, {status} -> {folder}"
         )
     return 2 if unexpected else 0
 
 
+def _spec(s: Scenario, rhs) -> EvolutionSpec:
+    return EvolutionSpec(rhs=rhs, t0=s.t0, t1=s.t1, dt=s.dt, record_every=s.record_every)
+
+
 def _run_matrix(scenario: Scenario):
+    """(trajectory, duality residuals or None, extra summary fields)."""
     if scenario.equation == "quasiclassical":
         occ = _quasiclassical_initial(scenario)
         initial = DensityMatrix(np.diag(occ).astype(complex), scenario.statistics)
     else:
         initial = scenario.initial_state()
-    spec = EvolutionSpec(
-        rhs=_build_rhs(scenario),
-        t0=scenario.t0,
-        t1=scenario.t1,
-        dt=scenario.dt,
-        record_every=scenario.record_every,
-    )
-    traj = evolve(spec, initial)
+    flow = _build_rhs(scenario)
+    traj = evolve(_spec(scenario, flow), initial)
 
     duality = None
     wants_duality = scenario.duality if scenario.duality is not None else True
@@ -786,47 +758,20 @@ def _run_matrix(scenario: Scenario):
         and scenario.statistics is Statistics.FERMION
         and scenario.equation in _DUALITY_EQUATIONS
     ):
-        hole_rhs = _build_hole_rhs(scenario)
         eye = np.eye(scenario.dimension, dtype=complex)
         hole_initial = DensityMatrix(eye - initial.matrix, Statistics.FERMION)
-        hole_spec = EvolutionSpec(
-            rhs=hole_rhs,
-            t0=scenario.t0,
-            t1=scenario.t1,
-            dt=scenario.dt,
-            record_every=scenario.record_every,
-        )
-        hole_traj = evolve(hole_spec, hole_initial)
-        duality = [
-            float(np.abs(a + b - eye).max())
-            for a, b in zip(traj.states, hole_traj.states)
-        ]
-
-    return (
-        traj.times,
-        traj.states,
-        traj.trace,
-        traj.min_eig,
-        traj.max_eig,
-        traj.herm_defect,
-        duality,
-        {},
-    )
+        hole_traj = evolve(_spec(scenario, flow.hole()), hole_initial)
+        duality = list(_duality_residuals(traj, hole_traj))
+    return traj, duality, {}
 
 
 def _run_fock(scenario: Scenario):
+    """(reduced one-particle trajectory, None, extra summary fields)."""
     model = _fock_model(scenario)
     rho_s0 = _fock_initial(scenario)
     closure = closure_residual_at_t0(model, rho_s0)
     initial = DensityMatrix(rho_s0, scenario.statistics)
-    spec = EvolutionSpec(
-        rhs=lambda t, rho: rhs_fock_lindblad(model, rho),
-        t0=scenario.t0,
-        t1=scenario.t1,
-        dt=scenario.dt,
-        record_every=scenario.record_every,
-    )
-    traj = evolve(spec, initial)
+    traj = evolve(_spec(scenario, lambda t, rho: rhs_fock_lindblad(model, rho)), initial)
 
     reduced = [reduce_one_particle(model, m) for m in traj.states]
     eigs = [np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in reduced]
@@ -835,16 +780,16 @@ def _run_fock(scenario: Scenario):
         "many_body_trace_drift": float(np.abs(traj.trace - traj.trace[0]).max()),
         "cutoff_contamination_final": cutoff_contamination(model, traj.states[-1]),
     }
-    return (
-        traj.times,
-        reduced,
-        np.array([float(np.trace(m).real) for m in reduced]),
-        np.array([e[0] for e in eigs]),
-        np.array([e[-1] for e in eigs]),
-        np.array([hermiticity_defect(m) for m in reduced]),
-        None,
-        extra,
+    reduced_traj = Trajectory(
+        times=traj.times,
+        states=reduced,
+        trace=np.array([float(np.trace(m).real) for m in reduced]),
+        min_eig=np.array([e[0] for e in eigs]),
+        max_eig=np.array([e[-1] for e in eigs]),
+        herm_defect=np.array([hermiticity_defect(m) for m in reduced]),
+        statistics=scenario.statistics,
     )
+    return reduced_traj, None, extra
 
 
 def main(argv=None) -> int:

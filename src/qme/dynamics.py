@@ -6,15 +6,19 @@ relaxation operators,
 
     drho/dt = (1/i)[H, rho] + {rho, A_loss} - {I + s*rho, A_gain},
 
-with s = -1 for fermions (Pauli blocking, factor 1 - n) and s = +1 for bosons
-(enhancement, factor 1 + n).  The loss operator acts on particles; the gain
-operator is the loss operator of holes.  Transition networks, jump-operator
-sets and the linear (Markoff/Lindblad) and quasiclassical limits are all
-expressed through the same builders.
+with s = -1 for fermions (Pauli blocking, factor 1 - n), s = +1 for bosons
+(enhancement, factor 1 + n) and s = 0 for the linear, low-density limit.  The
+loss operator acts on particles; the gain operator is the loss operator of
+holes.  Transition networks, jump-operator sets and the linear
+(Markoff/Lindblad) limits differ only in how the relaxation operators follow
+from the state.
 
-Every function here is pure: plain ndarrays in, a new ndarray out.  Rates are
-constant during a run; time dependence enters by rebuilding the RHS closure at
-each integrator stage time.
+Each equation is a *flow*: an object built once from validated parts, whose
+``__call__(t, rho)`` does arithmetic only, so it can sit in an integrator's
+inner loop.  The state a flow receives is not checked; the integrator checks
+every stage state for NaN/Inf.  The ``rhs_*`` functions are the library entry
+points: each validates all its arguments, builds the flow and evaluates it
+once.  Rates are constant during a run.
 """
 
 from __future__ import annotations
@@ -34,6 +38,12 @@ __all__ = [
     "Statistics",
     "TransitionNetwork",
     "DephasingRates",
+    "Flow",
+    "OperatorFlow",
+    "NetworkFlow",
+    "JumpFlow",
+    "HoleFlow",
+    "QuasiclassicalFlow",
     "rank_one_jumps",
     "rhs_meanfield_nonhermitian",
     "rhs_general",
@@ -54,9 +64,9 @@ class TransitionNetwork:
     """Orthonormal orbital set with directed jump rates.
 
     ``kets`` holds the orbital kets as columns (defaults to the computational
-    basis).  ``rates`` maps an ordered pair ``(dest, src)`` to the nonnegative
-    rate for particles to jump src -> dest; the two directions are independent
-    entries.
+    basis).  ``rates`` maps an ordered pair ``(dest, src)`` to the finite,
+    nonnegative rate for particles to jump src -> dest; the two directions are
+    independent entries.
     """
 
     kets: np.ndarray
@@ -77,18 +87,10 @@ class TransitionNetwork:
                 raise ValueError(f"rates[({dest},{src})]: self-transitions are not allowed")
             if not (0 <= dest < n and 0 <= src < n):
                 raise ValueError(f"rates[({dest},{src})]: orbital index out of range for {n} orbitals")
+            if not np.isfinite(w):
+                raise ValueError(f"rates[({dest},{src})]: rate must be finite, got {w}")
             if w < 0:
                 raise ValueError(f"rates[({dest},{src})]: rate must be nonnegative, got {w}")
-        # hot-path caches: the RHS builders run once per RK stage
-        object.__setattr__(
-            self, "_projectors",
-            tuple(np.outer(kets[:, k], kets[:, k].conj()) for k in range(n)),
-        )
-        object.__setattr__(self, "_rate_items", tuple(self.rates.items()))
-        object.__setattr__(
-            self, "_computational",
-            kets.shape[0] == n and bool(np.array_equal(kets, np.eye(n))),
-        )
 
     @classmethod
     def computational(cls, dim: int, rates: dict[tuple[int, int], float]) -> "TransitionNetwork":
@@ -105,15 +107,6 @@ class TransitionNetwork:
 
     def ket(self, n: int) -> np.ndarray:
         return self.kets[:, n]
-
-    def projector(self, n: int) -> np.ndarray:
-        return self._projectors[n]
-
-    def occupation(self, n: int, rho: np.ndarray) -> float:
-        if self._computational:
-            return rho[n, n].real
-        v = self.kets[:, n]
-        return (v.conj() @ rho @ v).real
 
     def rate_matrix(self) -> np.ndarray:
         """Dense w[dest, src] array (zeros where no transition)."""
@@ -134,6 +127,8 @@ class DephasingRates:
         for (a, b), g in self.gamma.items():
             if a == b:
                 raise ValueError(f"dephasing[({a},{b})]: diagonal entries are not allowed")
+            if not np.isfinite(g):
+                raise ValueError(f"dephasing[({a},{b})]: rate must be finite, got {g}")
             if g < 0:
                 raise ValueError(f"dephasing[({a},{b})]: rate must be nonnegative, got {g}")
             for key in ((a, b), (b, a)):
@@ -148,10 +143,190 @@ class DephasingRates:
         return bool(self.gamma)
 
 
-def _as_state(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return as_square_matrix(rho, "rho")
+class Flow:
+    """The general flow
+
+        drho/dt = (1/i)[H, rho] + {rho, A_loss} - {I + s*rho, A_gain}
+
+    with s from ``statistics`` (None is the linear limit s = 0).  Subclasses
+    supply :meth:`relaxation_operators`; everything they use is validated and
+    cached at construction.
+    """
+
+    def __init__(self, h, statistics: Statistics | None):
+        h = as_square_matrix(h, "H")
+        self.dim = h.shape[0]
+        self.sign = 0 if statistics is None else statistics.sign
+        self._minus_ih = -1j * h
+        self._plus_ih = 1j * h
+
+    def relaxation_operators(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(A_loss, A_gain)`` at the state ``rho``."""
+        raise NotImplementedError
+
+    def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
+        # {rho, A_loss} - {I + s*rho, A_gain} = {rho, M} - 2*A_gain with
+        # M = A_loss - s*A_gain, so the flow is (M - iH) rho + rho (M + iH) - 2*A_gain
+        loss, gain = self.relaxation_operators(rho)
+        merged = loss - self.sign * gain
+        return (merged + self._minus_ih) @ rho + rho @ (merged + self._plus_ih) - 2.0 * gain
+
+    def hole(self) -> "HoleFlow":
+        """The same fermionic flow, written for the hole state I - rho."""
+        return HoleFlow(self)
+
+
+def _checked_state(flow: Flow, rho) -> np.ndarray:
+    """A state argument (an array or a DensityMatrix) of a library entry
+    point, validated against the flow's dimension."""
+    rho = rho.matrix if isinstance(rho, DensityMatrix) else as_square_matrix(rho, "rho")
+    if rho.shape[0] != flow.dim:
+        raise ValueError(f"dimension mismatch: flow dimension {flow.dim} vs rho {rho.shape}")
+    return rho
+
+
+def _evaluate(flow: Flow, rho) -> np.ndarray:
+    """One checked evaluation, as the library entry points make it."""
+    return flow(0.0, _checked_state(flow, rho))
+
+
+class OperatorFlow(Flow):
+    """Fixed loss and gain operators.  With A_gain = 0 and ``statistics``
+    None this is the mean-field flow (1/i)[H, rho] + {rho, A_loss}."""
+
+    def __init__(self, h, loss_op, gain_op, statistics: Statistics | None):
+        super().__init__(h, statistics)
+        self._loss = as_square_matrix(loss_op, "loss operator")
+        self._gain = as_square_matrix(gain_op, "gain operator")
+        if self._loss.shape[0] != self.dim or self._gain.shape[0] != self.dim:
+            raise ValueError(
+                f"dimension mismatch: H {(self.dim, self.dim)}, loss {self._loss.shape}, "
+                f"gain {self._gain.shape}"
+            )
+
+    def relaxation_operators(self, rho):
+        return self._loss, self._gain
+
+
+class NetworkFlow(Flow):
+    """Relaxation operators rebuilt from the state through a transition
+    network.  With n = diag(K^dag rho K) the orbital occupations, W[dest, src]
+    the rates and K the kets,
+
+        A_gain = K diag(-1/2 W n) K^dag,
+        A_loss = K diag(-1/2 W^T (1 + s*n)) K^dag,
+
+    so each transition src -> dest moves occupation at rate
+    w * n_src * (1 + s*n_dest).  With ``statistics`` None this is the linear
+    Markoff equation, the only one that accepts pure dephasing
+    -sum_{a != b} Gamma[a,b] <b|rho|a> |b><a|.
+    """
+
+    def __init__(self, h, net: TransitionNetwork, statistics: Statistics | None,
+                 dephasing: DephasingRates | None = None):
+        super().__init__(h, statistics)
+        if net.dim != self.dim:
+            raise ValueError(f"dimension mismatch: network dim {net.dim} vs H dim {self.dim}")
+        n = net.n_orbitals
+        self._half_w = -0.5 * net.rate_matrix()
+        self._eye = np.eye(n)
+        # None marks the computational basis, where K diag(a) K^dag is diag(a)
+        computational = net.dim == n and np.array_equal(net.kets, np.eye(n))
+        self._kets = None if computational else net.kets
+        self._kets_dag = None if computational else net.kets.conj().T
+        self._gamma = None
+        if dephasing:
+            if statistics is not None:
+                raise ValueError("dephasing: only the linear equation (no statistics) accepts it")
+            self._gamma = np.zeros((n, n))
+            for (a, b), g in dephasing.gamma.items():
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"dephasing[({a},{b})]: orbital index out of range for {n} orbitals")
+                self._gamma[a, b] = g
+
+    def _to_kets(self, m: np.ndarray) -> np.ndarray:
+        return m if self._kets is None else self._kets_dag @ m @ self._kets
+
+    def _from_kets(self, m: np.ndarray) -> np.ndarray:
+        return m if self._kets is None else self._kets @ m @ self._kets_dag
+
+    def relaxation_operators(self, rho):
+        n = self._to_kets(rho).diagonal().real
+        gain = self._eye * (self._half_w @ n)
+        loss = self._eye * (self._half_w.T @ (1.0 + self.sign * n))
+        return self._from_kets(loss), self._from_kets(gain)
+
+    def __call__(self, t, rho):
+        out = super().__call__(t, rho)
+        if self._gamma is not None:
+            out -= self._from_kets(self._gamma * self._to_kets(rho))
+        return out
+
+
+class JumpFlow(Flow):
+    """Relaxation operators of a set of jump operators W_l:
+
+        A_loss = -1/2 sum_l W_l (I + s*rho) W_l^dag,
+        A_gain = -1/2 sum_l W_l^dag rho W_l.
+
+    With ``statistics`` None this is the linear Lindblad equation.
+    """
+
+    def __init__(self, h, jumps, statistics: Statistics | None):
+        super().__init__(h, statistics)
+        ops = _check_jumps(jumps, self.dim)
+        self._jumps = np.array(ops, dtype=complex).reshape(len(ops), self.dim, self.dim)
+        self._jumps_dag = np.ascontiguousarray(self._jumps.conj().transpose(0, 2, 1))
+        self._drain = -0.5 * (self._jumps @ self._jumps_dag).sum(axis=0)
+
+    def relaxation_operators(self, rho):
+        gain = -0.5 * (self._jumps_dag @ rho @ self._jumps).sum(axis=0)
+        loss = self._drain - (0.5 * self.sign) * (self._jumps @ rho @ self._jumps_dag).sum(axis=0)
+        return loss, gain
+
+
+class HoleFlow(Flow):
+    """A fermionic flow written for the hole state x = I - rho: the particle
+    relaxation operators, taken at I - x, with loss and gain swapped,
+
+        dx/dt = (1/i)[H, x] + {x, A_gain(I - x)} - {I - x, A_loss(I - x)}.
+
+    For complementary states the particle and hole flows cancel entrywise.
+    The arrays of the particle flow are shared, not copied.
+    """
+
+    def __init__(self, particle: Flow):
+        if particle.sign != Statistics.FERMION.sign:
+            raise ValueError("hole flow: defined for fermions only")
+        self.dim, self.sign = particle.dim, particle.sign
+        self._minus_ih, self._plus_ih = particle._minus_ih, particle._plus_ih
+        self._particle = particle
+        self._eye = np.eye(particle.dim, dtype=complex)
+
+    def relaxation_operators(self, x):
+        loss, gain = self._particle.relaxation_operators(self._eye - x)
+        return gain, loss
+
+
+def _kinetics(f: np.ndarray, w: np.ndarray, sign: int) -> np.ndarray:
+    blocked = 1 + sign * f
+    return blocked * (w @ f) - f * (w.T @ blocked)
+
+
+class QuasiclassicalFlow:
+    """Occupation kinetics (:func:`rhs_quasiclassical`) of a network's rates
+    on the diagonal of a matrix state.  The occupations are clipped to the
+    physical range (at most 1 for fermions) before each evaluation; the
+    result is a diagonal matrix."""
+
+    def __init__(self, net: TransitionNetwork, statistics: Statistics):
+        self._w = net.rate_matrix()
+        self.sign = statistics.sign
+        self._cap = 1.0 if statistics is Statistics.FERMION else None
+
+    def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
+        f = np.clip(rho.diagonal().real, 0.0, self._cap)
+        return np.diag(_kinetics(f, self._w, self.sign)).astype(complex)
 
 
 def rhs_meanfield_nonhermitian(h, a_op, rho) -> np.ndarray:
@@ -162,12 +337,8 @@ def rhs_meanfield_nonhermitian(h, a_op, rho) -> np.ndarray:
     A negative-definite A drains occupation; no choice of H, A can feed an
     empty orbital (the gain rate from an unoccupied orbital is exactly zero).
     """
-    h = as_square_matrix(h, "H")
     a_op = as_square_matrix(a_op, "A")
-    rho = _as_state(rho)
-    if h.shape != rho.shape or a_op.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: H {h.shape}, A {a_op.shape}, rho {rho.shape}")
-    return -1j * (h @ rho - rho @ h) + (rho @ a_op + a_op @ rho)
+    return _evaluate(OperatorFlow(h, a_op, np.zeros_like(a_op), None), rho)
 
 
 def rhs_general(h, loss_op, gain_op, rho, statistics: Statistics) -> np.ndarray:
@@ -178,22 +349,7 @@ def rhs_general(h, loss_op, gain_op, rho, statistics: Statistics) -> np.ndarray:
     s = -1 (fermions) or +1 (bosons).  Gain through a negative-definite
     A_gain is blocked by 1 - n for fermions and enhanced by 1 + n for bosons.
     """
-    h = as_square_matrix(h, "H")
-    loss_op = as_square_matrix(loss_op, "loss operator")
-    gain_op = as_square_matrix(gain_op, "gain operator")
-    rho = _as_state(rho)
-    if h.shape != rho.shape or loss_op.shape != rho.shape or gain_op.shape != rho.shape:
-        raise ValueError(
-            f"dimension mismatch: H {h.shape}, loss {loss_op.shape}, "
-            f"gain {gain_op.shape}, rho {rho.shape}"
-        )
-    s = statistics.sign
-    blocked = np.eye(rho.shape[0], dtype=complex) + s * rho
-    return (
-        -1j * (h @ rho - rho @ h)
-        + (rho @ loss_op + loss_op @ rho)
-        - (blocked @ gain_op + gain_op @ blocked)
-    )
+    return _evaluate(OperatorFlow(h, loss_op, gain_op, statistics), rho)
 
 
 def hole_transform(rho: DensityMatrix) -> DensityMatrix:
@@ -211,25 +367,12 @@ def rhs_hole_form(h, loss_op, gain_op, rho_hole) -> np.ndarray:
     and vice versa:
 
         drho_hole/dt = (1/i)[H, rho_hole] + {rho_hole, A_gain}
-                       - {I - rho_hole, A_loss}.
+                       - {I - rho_hole, A_loss},
 
-    For complementary states the two flows cancel entrywise.
+    which is :func:`rhs_general` with the operators swapped.  For
+    complementary states the two flows cancel entrywise.
     """
-    h = as_square_matrix(h, "H")
-    loss_op = as_square_matrix(loss_op, "loss operator")
-    gain_op = as_square_matrix(gain_op, "gain operator")
-    rho_hole = _as_state(rho_hole)
-    if h.shape != rho_hole.shape or loss_op.shape != rho_hole.shape or gain_op.shape != rho_hole.shape:
-        raise ValueError(
-            f"dimension mismatch: H {h.shape}, loss {loss_op.shape}, "
-            f"gain {gain_op.shape}, rho {rho_hole.shape}"
-        )
-    vacancies = np.eye(rho_hole.shape[0], dtype=complex) - rho_hole
-    return (
-        -1j * (h @ rho_hole - rho_hole @ h)
-        + (rho_hole @ gain_op + gain_op @ rho_hole)
-        - (vacancies @ loss_op + loss_op @ vacancies)
-    )
+    return rhs_general(h, gain_op, loss_op, rho_hole, Statistics.FERMION)
 
 
 def build_relaxation_operators(
@@ -247,25 +390,15 @@ def build_relaxation_operators(
     Returns ``(loss_op, gain_op)``; both are hermitian and, for admissible
     occupations, negative semidefinite.
     """
-    rho = _as_state(rho)
-    if net.dim != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: network dim {net.dim} vs state dim {rho.shape[0]}")
-    s = statistics.sign
-    dim = rho.shape[0]
-    loss_op = np.zeros((dim, dim), dtype=complex)
-    gain_op = np.zeros((dim, dim), dtype=complex)
-    for (dest, src), w in net._rate_items:
-        gain_op += (-0.5 * w * net.occupation(src, rho)) * net.projector(dest)
-        loss_op += (-0.5 * w * (1 + s * net.occupation(dest, rho))) * net.projector(src)
-    return loss_op, gain_op
+    flow = NetworkFlow(np.zeros((net.dim, net.dim)), net, statistics)
+    return flow.relaxation_operators(_checked_state(flow, rho))
 
 
 def rhs_nonlinear_master(h, net: TransitionNetwork, rho, statistics: Statistics) -> np.ndarray:
     """Nonlinear master equation of a transition network: :func:`rhs_general`
     with the relaxation operators rebuilt from the current state.  Traceless;
     fermionic transitions into a full orbital are exactly forbidden."""
-    loss_op, gain_op = build_relaxation_operators(net, rho, statistics)
-    return rhs_general(h, loss_op, gain_op, rho, statistics)
+    return _evaluate(NetworkFlow(h, net, statistics), rho)
 
 
 def rank_one_jumps(net: TransitionNetwork) -> list[np.ndarray]:
@@ -306,21 +439,7 @@ def rhs_generalized_jumps(h, jumps, rho, statistics: Statistics) -> np.ndarray:
     :func:`rhs_nonlinear_master`; in the low-density limit it reduces to
     :func:`rhs_lindblad`.
     """
-    h = as_square_matrix(h, "H")
-    rho = _as_state(rho)
-    if h.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: H {h.shape} vs rho {rho.shape}")
-    ops = _check_jumps(jumps, rho.shape[0])
-    s = statistics.sign
-    blocked = np.eye(rho.shape[0], dtype=complex) + s * rho
-    out = -1j * (h @ rho - rho @ h)
-    for w in ops:
-        wd = w.conj().T
-        drain = w @ blocked @ wd
-        feed = wd @ rho @ w
-        out -= 0.5 * (rho @ drain + drain @ rho)
-        out += 0.5 * (blocked @ feed + feed @ blocked)
-    return out
+    return _evaluate(JumpFlow(h, jumps, statistics), rho)
 
 
 def rhs_markoff(h, net: TransitionNetwork, dephasing: DephasingRates | None, rho) -> np.ndarray:
@@ -335,27 +454,7 @@ def rhs_markoff(h, net: TransitionNetwork, dephasing: DephasingRates | None, rho
     occupation-dependent equations here because it can push states out of the
     positive cone.
     """
-    h = as_square_matrix(h, "H")
-    rho = _as_state(rho)
-    if h.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: H {h.shape} vs rho {rho.shape}")
-    if net.dim != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: network dim {net.dim} vs state dim {rho.shape[0]}")
-    out = -1j * (h @ rho - rho @ h)
-    for (dest, src), w in net._rate_items:
-        proj_src = net.projector(src)
-        out -= (0.5 * w) * (rho @ proj_src + proj_src @ rho)
-        out += (w * net.occupation(src, rho)) * net.projector(dest)
-    if dephasing:
-        if net._computational:
-            for (a, b), g in dephasing.gamma.items():
-                out[b, a] -= g * rho[b, a]
-        else:
-            for (a, b), g in dephasing.gamma.items():
-                ket_a, ket_b = net.ket(a), net.ket(b)
-                elem = ket_b.conj() @ rho @ ket_a
-                out -= g * elem * np.outer(ket_b, ket_a.conj())
-    return out
+    return _evaluate(NetworkFlow(h, net, None, dephasing), rho)
 
 
 def rhs_lindblad(h, jumps, rho) -> np.ndarray:
@@ -367,18 +466,7 @@ def rhs_lindblad(h, jumps, rho) -> np.ndarray:
     Traceless.  With rank-one jumps this is :func:`rhs_markoff` without
     dephasing.
     """
-    h = as_square_matrix(h, "H")
-    rho = _as_state(rho)
-    if h.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: H {h.shape} vs rho {rho.shape}")
-    ops = _check_jumps(jumps, rho.shape[0])
-    out = -1j * (h @ rho - rho @ h)
-    for w in ops:
-        wd = w.conj().T
-        drain = w @ wd
-        out -= 0.5 * (rho @ drain + drain @ rho)
-        out += wd @ rho @ w
-    return out
+    return _evaluate(JumpFlow(h, jumps, None), rho)
 
 
 def rhs_quasiclassical(f, w, statistics: Statistics) -> np.ndarray:
@@ -400,10 +488,7 @@ def rhs_quasiclassical(f, w, statistics: Statistics) -> np.ndarray:
         raise ValueError("occupations: negative occupation")
     if statistics is Statistics.FERMION and np.any(f > 1):
         raise ValueError("occupations: fermion occupation exceeds 1")
-    s = statistics.sign
-    gain = (1 + s * f) * (w @ f)
-    loss = f * (w.T @ (1 + s * f))
-    return gain - loss
+    return _kinetics(f, w, statistics.sign)
 
 
 def combined_relaxation_operator(loss_op, gain_op, statistics: Statistics) -> np.ndarray:

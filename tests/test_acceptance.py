@@ -16,7 +16,6 @@ from qme.analysis import (
     low_density_slope,
 )
 from qme.cli import (
-    _build_hole_rhs,
     _build_rhs,
     parse_scenario,
     resolve_scenario_path,
@@ -343,7 +342,7 @@ def test_criterion_6_bundled_trajectory_invariants():
             worst["min_eig"] = min(worst["min_eig"], traj.min_eig.min())
             if scenario.statistics is FERMION:
                 worst["max_eig"] = max(worst["max_eig"], traj.max_eig.max() - 1.0)
-                hole_rhs = _build_hole_rhs(scenario)
+                hole_rhs = _build_rhs(scenario).hole()
                 eye = np.eye(scenario.dimension, dtype=complex)
                 hole_traj = evolve(
                     EvolutionSpec(rhs=hole_rhs, t0=scenario.t0, t1=scenario.t1,

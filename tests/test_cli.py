@@ -166,6 +166,10 @@ class TestOverrides:
         with pytest.raises(ScenarioError, match="key=value"):
             apply_overrides(minimal_scenario(), ["dt0.005"])
 
+    def test_override_needs_a_scenario_object(self):
+        with pytest.raises(ScenarioError, match="JSON object"):
+            apply_overrides([minimal_scenario()], ["t1=0.2"])
+
 
 class TestRun:
     def test_two_state_fermion_matches_closed_form(self, tmp_path):
@@ -209,6 +213,19 @@ class TestRun:
         assert run("two_state_fermion", overrides=overrides, out_dir=str(b), quiet=True) == 0
         for name in ("states.csv", "diagnostics.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_reruns_are_deterministic(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run("homogeneous_chain", overrides=["t1=0.2"], out_dir=str(out), quiet=True) == 0
+        for name in ("states.csv", "diagnostics.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        summaries = [json.loads((out / "summary.json").read_text(encoding="utf-8"))
+                     for out in (a, b)]
+        for summary in summaries:
+            del summary["wall_time_s"]
+        assert summaries[0] == summaries[1]
+        assert "duality_residual_max" in summaries[0]
 
     def test_override_changes_grid(self, tmp_path):
         out = tmp_path / "fine"
@@ -315,6 +332,50 @@ class TestRun:
         )
         assert code == 0
         assert (tmp_path / "m" / "states.csv").exists()
+
+
+def _rate(value):
+    return {"network": {"rates": [{"from": 0, "to": 1, "rate": value}]}}
+
+
+class TestMalformedInput:
+    """Each malformed value exits 1 with one `error:` line naming the field."""
+
+    @pytest.mark.parametrize(
+        "updates, overrides, field",
+        [
+            (_rate(float("nan")), [], "network.rates[0].rate"),
+            (_rate("x"), [], "network.rates[0].rate"),
+            ({}, ["t1=abc"], "integrator.t1"),
+            ({}, ["t1=Infinity"], "integrator.t1"),
+            ({}, ["record_every=2.7"], "integrator.record_every"),
+            ({}, ["dimension=true"], "dimension"),
+            ({}, ["statistics=5"], "statistics"),
+            ({}, ["network.rates=5"], "network.rates"),
+            ({}, ["network.basis=[[1, 0], [0]]"], "network.basis[1]"),
+            ({}, ["output.dir=5"], "output.dir"),
+        ],
+        ids=["nan_rate", "string_rate", "t1_abc", "t1_infinity", "record_every_fraction",
+             "dimension_bool", "statistics_number", "rates_not_a_list", "basis_ragged",
+             "out_dir_number"],
+    )
+    def test_exits_one_naming_the_field(self, tmp_path, capsys, updates, overrides, field):
+        path = write_scenario(tmp_path, minimal_scenario(**updates))
+        argv = ["run", str(path), "--out-dir", str(tmp_path / "o"), "--quiet"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unreadable_scenario_file_exits_one(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"name": "\xe9"}')
+        for path in (tmp_path, latin1):  # a directory, then a file that is not UTF-8
+            assert run(path, quiet=True) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestScenarioEquality:

@@ -508,6 +508,13 @@ class TestNetworkAndDephasingValidation:
         with pytest.raises(ValueError, match="diagonal"):
             DephasingRates({(1, 1): 0.5})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rates_rejected(self, value):
+        with pytest.raises(ValueError, match=r"rates\[\(1,0\)\]: rate must be finite"):
+            TransitionNetwork.computational(2, {(1, 0): value})
+        with pytest.raises(ValueError, match="dephasing.*finite"):
+            DephasingRates({(0, 1): value})
+
     def test_dephasing_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DephasingRates({(0, 1): -0.5})

@@ -1,0 +1,252 @@
+"""Flow objects against the loop-over-rates formulas they replace.
+
+The references below evaluate every equation term by term: one projector
+outer product per rate, one sandwich per jump operator, and the hole flows
+with hand-derived relaxation operators.  Each flow must agree with them to
+1e-14 on random admissible states, for both statistics, in the computational
+basis and in a random unitary basis.
+"""
+
+import numpy as np
+import pytest
+
+import qme.dynamics
+import qme.operators
+from qme.cli import run
+from qme.dynamics import (
+    DephasingRates,
+    JumpFlow,
+    NetworkFlow,
+    OperatorFlow,
+    Statistics,
+    TransitionNetwork,
+    rank_one_jumps,
+)
+
+FERMION = Statistics.FERMION
+BOSON = Statistics.BOSON
+TOL = 1e-14
+TRIALS = 12
+
+
+# -- references: the per-rate and per-jump loops -----------------------------
+
+
+def ref_general(h, loss, gain, rho, s):
+    blocked = np.eye(rho.shape[0]) + s * rho
+    return (-1j * (h @ rho - rho @ h) + (rho @ loss + loss @ rho)
+            - (blocked @ gain + gain @ blocked))
+
+
+def ref_relaxation(kets, rates, rho, s):
+    def proj(k):
+        return np.outer(kets[:, k], kets[:, k].conj())
+
+    def occ(k):
+        return (kets[:, k].conj() @ rho @ kets[:, k]).real
+
+    loss = np.zeros(rho.shape, dtype=complex)
+    gain = np.zeros(rho.shape, dtype=complex)
+    for (dest, src), w in rates.items():
+        gain += (-0.5 * w * occ(src)) * proj(dest)
+        loss += (-0.5 * w * (1 + s * occ(dest))) * proj(src)
+    return loss, gain
+
+
+def ref_jump_relaxation(jumps, rho, s):
+    blocked = np.eye(rho.shape[0]) + s * rho
+    loss = np.zeros(rho.shape, dtype=complex)
+    gain = np.zeros(rho.shape, dtype=complex)
+    for w in jumps:
+        wd = w.conj().T
+        loss += -0.5 * (w @ blocked @ wd)
+        gain += -0.5 * (wd @ rho @ w)
+    return loss, gain
+
+
+def ref_generalized_jumps(h, jumps, rho, s):
+    blocked = np.eye(rho.shape[0]) + s * rho
+    out = -1j * (h @ rho - rho @ h)
+    for w in jumps:
+        wd = w.conj().T
+        drain = w @ blocked @ wd
+        feed = wd @ rho @ w
+        out -= 0.5 * (rho @ drain + drain @ rho)
+        out += 0.5 * (blocked @ feed + feed @ blocked)
+    return out
+
+
+def ref_markoff(h, kets, rates, gamma, rho):
+    out = -1j * (h @ rho - rho @ h)
+    for (dest, src), w in rates.items():
+        p_src = np.outer(kets[:, src], kets[:, src].conj())
+        n_src = (kets[:, src].conj() @ rho @ kets[:, src]).real
+        out -= (0.5 * w) * (rho @ p_src + p_src @ rho)
+        out += (w * n_src) * np.outer(kets[:, dest], kets[:, dest].conj())
+    for (a, b), g in gamma.items():
+        elem = kets[:, b].conj() @ rho @ kets[:, a]
+        out -= g * elem * np.outer(kets[:, b], kets[:, a].conj())
+    return out
+
+
+def ref_lindblad(h, jumps, rho):
+    out = -1j * (h @ rho - rho @ h)
+    for w in jumps:
+        wd = w.conj().T
+        out -= 0.5 * (rho @ (w @ wd) + (w @ wd) @ rho)
+        out += wd @ rho @ w
+    return out
+
+
+# -- random admissible instances ---------------------------------------------
+
+
+def rand_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def rand_hermitian(rng, n, scale=0.5):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * scale * (g + g.conj().T)
+
+
+def rand_state(rng, n, stats):
+    """PSD; fermion eigenvalues in [0, 1], boson eigenvalues in [0, 2]."""
+    q = rand_unitary(rng, n)
+    top = 1.0 if stats is FERMION else 2.0
+    return (q * rng.uniform(0.0, top, n)) @ q.conj().T
+
+
+def rand_instance(rng, n, stats, basis):
+    kets = np.eye(n, dtype=complex) if basis == "computational" else rand_unitary(rng, n)
+    rates = {(d, s): float(rng.uniform(0.1, 1.0))
+             for d in range(n) for s in range(n) if d != s and rng.uniform() < 0.6}
+    net = TransitionNetwork(kets=kets, rates=rates)
+    dense = [0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+             for _ in range(2)]
+    a, b = sorted(rng.choice(n, 2, replace=False))
+    return {
+        "h": rand_hermitian(rng, n),
+        "net": net,
+        "jumps": rank_one_jumps(net) + dense,
+        "loss": rand_hermitian(rng, n),
+        "gain": rand_hermitian(rng, n),
+        "dephasing": DephasingRates({(int(a), int(b)): float(rng.uniform(0.1, 1.0))}),
+        "rho": rand_state(rng, n, stats),
+    }
+
+
+def build_flow(equation, stats, inst):
+    h, net, jumps = inst["h"], inst["net"], inst["jumps"]
+    if equation == "meanfield_nonhermitian":
+        return OperatorFlow(h, inst["loss"], np.zeros_like(inst["loss"]), None)
+    if equation == "general":
+        return OperatorFlow(h, inst["loss"], inst["gain"], stats)
+    if equation == "nonlinear_master":
+        return NetworkFlow(h, net, stats)
+    if equation == "generalized_jumps":
+        return JumpFlow(h, jumps, stats)
+    if equation == "markoff":
+        return NetworkFlow(h, net, None, inst["dephasing"])
+    if equation == "lindblad":
+        return JumpFlow(h, jumps, None)
+    raise AssertionError(equation)
+
+
+def reference(equation, stats, inst, rho):
+    """(reference RHS, reference (A_loss, A_gain)) at ``rho``."""
+    h, net, jumps = inst["h"], inst["net"], inst["jumps"]
+    s = stats.sign
+    if equation == "meanfield_nonhermitian":
+        a = inst["loss"]
+        return -1j * (h @ rho - rho @ h) + (rho @ a + a @ rho), (a, np.zeros_like(a))
+    if equation == "general":
+        ops = inst["loss"], inst["gain"]
+        return ref_general(h, *ops, rho, s), ops
+    if equation == "nonlinear_master":
+        ops = ref_relaxation(net.kets, net.rates, rho, s)
+        return ref_general(h, *ops, rho, s), ops
+    if equation == "generalized_jumps":
+        return ref_generalized_jumps(h, jumps, rho, s), ref_jump_relaxation(jumps, rho, s)
+    if equation == "markoff":
+        gamma = inst["dephasing"].gamma
+        return (ref_markoff(h, net.kets, net.rates, gamma, rho),
+                ref_relaxation(net.kets, net.rates, rho, 0))
+    if equation == "lindblad":
+        return ref_lindblad(h, jumps, rho), ref_jump_relaxation(jumps, rho, 0)
+    raise AssertionError(equation)
+
+
+EQUATIONS = ["meanfield_nonhermitian", "general", "nonlinear_master",
+             "generalized_jumps", "markoff", "lindblad"]
+#: Equations with a particle/hole-symmetric fermionic form.
+HOLE_EQUATIONS = ["general", "nonlinear_master", "generalized_jumps"]
+
+
+@pytest.mark.parametrize("basis", ["computational", "unitary"])
+@pytest.mark.parametrize("stats", [FERMION, BOSON], ids=["fermion", "boson"])
+@pytest.mark.parametrize("equation", EQUATIONS)
+def test_particle_flow_matches_loop_reference(equation, stats, basis):
+    rng = np.random.default_rng([EQUATIONS.index(equation), stats.sign + 1, len(basis)])
+    worst = worst_ops = 0.0
+    for trial in range(TRIALS):
+        inst = rand_instance(rng, 2 + trial % 5, stats, basis)
+        flow, rho = build_flow(equation, stats, inst), inst["rho"]
+        ref, (ref_loss, ref_gain) = reference(equation, stats, inst, rho)
+        worst = max(worst, np.abs(flow(0.0, rho) - ref).max())
+        loss, gain = flow.relaxation_operators(rho)
+        worst_ops = max(worst_ops, np.abs(loss - ref_loss).max(), np.abs(gain - ref_gain).max())
+    assert worst <= TOL
+    assert worst_ops <= TOL
+
+
+@pytest.mark.parametrize("basis", ["computational", "unitary"])
+@pytest.mark.parametrize("equation", HOLE_EQUATIONS)
+def test_hole_flow_matches_hand_derived_reference(equation, basis):
+    # the hole flow of the old runner: particle relaxation operators built at
+    # I - x, then (1/i)[H, x] + {x, A_gain} - {I - x, A_loss}
+    rng = np.random.default_rng([HOLE_EQUATIONS.index(equation), len(basis)])
+    worst = 0.0
+    for trial in range(TRIALS):
+        n = 2 + trial % 5
+        inst = rand_instance(rng, n, FERMION, basis)
+        x = np.eye(n) - inst["rho"]  # the hole state
+        vacancies = np.eye(n) - x
+        _, (loss, gain) = reference(equation, FERMION, inst, vacancies)
+        h = inst["h"]
+        ref = (-1j * (h @ x - x @ h) + (x @ gain + gain @ x)
+               - (vacancies @ loss + loss @ vacancies))
+        worst = max(worst, np.abs(build_flow(equation, FERMION, inst).hole()(0.0, x) - ref).max())
+    assert worst <= TOL
+
+
+def test_hole_flow_rejects_bosons():
+    with pytest.raises(ValueError, match="fermions only"):
+        OperatorFlow(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), BOSON).hole()
+
+
+def test_dephasing_needs_the_linear_equation():
+    net = TransitionNetwork.computational(2, {})
+    with pytest.raises(ValueError, match="dephasing"):
+        NetworkFlow(np.zeros((2, 2)), net, FERMION, DephasingRates({(0, 1): 1.0}))
+
+
+def test_validation_does_not_scale_with_steps(tmp_path, monkeypatch):
+    """A CLI run validates its inputs when it builds the flows, not per stage."""
+    calls = []
+    original = qme.operators.as_square_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qme.dynamics, "as_square_matrix", counting)
+    monkeypatch.setattr(qme.operators, "as_square_matrix", counting)
+    counts = []
+    for t1 in ("0.01", "0.1"):
+        calls.clear()
+        out = tmp_path / t1
+        assert run("two_state_fermion", overrides=[f"t1={t1}"], out_dir=str(out), quiet=True) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
