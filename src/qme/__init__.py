@@ -56,10 +56,8 @@ from .fock_oracle import (
     rhs_fock_lindblad,
 )
 from .analysis import (
-    DiagnosticSeries,
     appendix_d_scenario,
     bounds_monitor,
-    diagnostic_series,
     duality_check,
     first_crossing_time,
     low_density_slope,

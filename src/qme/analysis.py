@@ -24,34 +24,6 @@ from .operators import DensityMatrix
 VIOLATION_TOL = 1e-8
 
 
-@dataclass
-class DiagnosticSeries:
-    """Per-snapshot health data of a trajectory, ready for CSV export."""
-
-    times: np.ndarray
-    trace_drift: np.ndarray
-    min_eig: np.ndarray
-    max_eig: np.ndarray
-    herm_defect: np.ndarray
-    duality_residual: np.ndarray | None = None
-
-
-def diagnostic_series(traj: Trajectory, hole_traj: Trajectory | None = None) -> DiagnosticSeries:
-    """Assemble the diagnostic rows of a trajectory; when a matching hole
-    trajectory is given, also the per-snapshot residual of rho + rho_hole - I."""
-    duality = None
-    if hole_traj is not None:
-        duality = np.array(list(_duality_residuals(traj, hole_traj)))
-    return DiagnosticSeries(
-        times=traj.times.copy(),
-        trace_drift=traj.trace - traj.trace[0],
-        min_eig=traj.min_eig.copy(),
-        max_eig=traj.max_eig.copy(),
-        herm_defect=traj.herm_defect.copy(),
-        duality_residual=duality,
-    )
-
-
 def _duality_residuals(traj_p: Trajectory, traj_hole: Trajectory):
     if len(traj_p.times) != len(traj_hole.times) or np.abs(
         traj_p.times - traj_hole.times

@@ -43,6 +43,7 @@ from .dynamics import (
     QuasiclassicalFlow,
     Statistics,
     TransitionNetwork,
+    hole_transform,
 )
 # Not called here: the benchmark's tracer (perfbench/tracing.py) wraps this
 # name in this module and fails if it is missing.  Keep it until the
@@ -758,9 +759,7 @@ def _run_matrix(scenario: Scenario):
         and scenario.statistics is Statistics.FERMION
         and scenario.equation in _DUALITY_EQUATIONS
     ):
-        eye = np.eye(scenario.dimension, dtype=complex)
-        hole_initial = DensityMatrix(eye - initial.matrix, Statistics.FERMION)
-        hole_traj = evolve(_spec(scenario, flow.hole()), hole_initial)
+        hole_traj = evolve(_spec(scenario, flow.hole()), hole_transform(initial))
         duality = list(_duality_residuals(traj, hole_traj))
     return traj, duality, {}
 
@@ -774,20 +773,13 @@ def _run_fock(scenario: Scenario):
     traj = evolve(_spec(scenario, lambda t, rho: rhs_fock_lindblad(model, rho)), initial)
 
     reduced = [reduce_one_particle(model, m) for m in traj.states]
-    eigs = [np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in reduced]
     extra = {
         "closure_residual_t0": closure,
         "many_body_trace_drift": float(np.abs(traj.trace - traj.trace[0]).max()),
         "cutoff_contamination_final": cutoff_contamination(model, traj.states[-1]),
     }
-    reduced_traj = Trajectory(
-        times=traj.times,
-        states=reduced,
-        trace=np.array([float(np.trace(m).real) for m in reduced]),
-        min_eig=np.array([e[0] for e in eigs]),
-        max_eig=np.array([e[-1] for e in eigs]),
-        herm_defect=np.array([hermiticity_defect(m) for m in reduced]),
-        statistics=scenario.statistics,
+    reduced_traj = Trajectory.from_states(
+        traj.times, reduced, [hermiticity_defect(m) for m in reduced], scenario.statistics
     )
     return reduced_traj, None, extra
 

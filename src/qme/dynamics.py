@@ -281,6 +281,8 @@ class JumpFlow(Flow):
 
     def relaxation_operators(self, rho):
         gain = -0.5 * (self._jumps_dag @ rho @ self._jumps).sum(axis=0)
+        if self.sign == 0:
+            return self._drain, gain
         loss = self._drain - (0.5 * self.sign) * (self._jumps @ rho @ self._jumps_dag).sum(axis=0)
         return loss, gain
 

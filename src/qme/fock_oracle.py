@@ -20,11 +20,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
 from .operators import Statistics, as_square_matrix
-from .dynamics import rhs_quasiclassical
+from .dynamics import TransitionNetwork, rhs_quasiclassical
 
 MAX_MODES = 4
 MAX_BOSON_DIM = 10_000
@@ -48,25 +49,23 @@ class FockModel:
     energies: tuple[float, ...]
     rates: dict[tuple[int, int], float] = field(default_factory=dict)
     boson_cutoff: int = 4
+    #: the rates as a validated network on the computational basis of the modes
+    network: TransitionNetwork = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         if not 1 <= self.modes <= MAX_MODES:
             raise ValueError(f"fock model supports 1..{MAX_MODES} modes, got {self.modes}")
+        if isinstance(self.boson_cutoff, bool) or not isinstance(self.boson_cutoff, Integral):
+            raise ValueError(f"boson_cutoff: expected an integer, got {self.boson_cutoff!r}")
         if self.statistics is Statistics.BOSON:
             if self.boson_cutoff < 1:
-                raise ValueError(f"boson cutoff must be >= 1, got {self.boson_cutoff}")
+                raise ValueError(f"boson_cutoff: must be >= 1, got {self.boson_cutoff}")
             if self.fock_dim > MAX_BOSON_DIM:
                 raise ValueError(
                     f"boson Fock dimension {self.fock_dim} exceeds limit {MAX_BOSON_DIM}"
                 )
-        for (dest, src), w in self.rates.items():
-            if dest == src:
-                raise ValueError(f"rates[({dest},{src})]: self-transitions are not allowed")
-            if not (0 <= dest < self.modes and 0 <= src < self.modes):
-                raise ValueError(f"rates[({dest},{src})]: mode index out of range")
-            if w < 0:
-                raise ValueError(f"rates[({dest},{src})]: rate must be nonnegative, got {w}")
+        object.__setattr__(self, "network", TransitionNetwork.computational(self.modes, self.rates))
 
     @property
     def modes(self) -> int:
@@ -275,8 +274,5 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
     occ = np.diag(reduce_one_particle(model, rho_s)).real
     # clip rounding spill (~1e-16) so the closure's domain checks stay quiet
     occ = np.clip(occ, 0.0, 1.0 if model.statistics is Statistics.FERMION else None)
-    w = np.zeros((model.modes, model.modes))
-    for (dest, src), value in model.rates.items():
-        w[dest, src] = value
-    closed = rhs_quasiclassical(occ, w, model.statistics)
+    closed = rhs_quasiclassical(occ, model.network.rate_matrix(), model.statistics)
     return float(np.abs(exact - closed).max())

@@ -40,7 +40,6 @@ class EvolutionSpec:
     t0: float
     t1: float
     dt: float = 1e-3
-    hermitize_each_step: bool = True
     record_every: int = 1
     error_tol: float | None = None
 
@@ -64,6 +63,21 @@ class Trajectory:
     max_eig: np.ndarray
     herm_defect: np.ndarray
     statistics: Statistics | None = None
+
+    @classmethod
+    def from_states(cls, times, states, herm_defect, statistics: Statistics | None) -> "Trajectory":
+        """Snapshots with their trace and extremal eigenvalues computed here,
+        the one place a trajectory's diagnostics are derived from its states."""
+        eigs = [np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in states]
+        return cls(
+            times=np.array(times),
+            states=list(states),
+            trace=np.array([float(np.trace(m).real) for m in states]),
+            min_eig=np.array([e[0] for e in eigs]),
+            max_eig=np.array([e[-1] for e in eigs]),
+            herm_defect=np.array(herm_defect),
+            statistics=statistics,
+        )
 
     def __len__(self) -> int:
         return len(self.times)
@@ -92,16 +106,14 @@ def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarr
     return out
 
 
-def step_rk4(state: np.ndarray, rhs: RHSCallable, t: float, dt: float,
-             hermitize: bool = True) -> np.ndarray:
-    """One classical 4-stage Runge-Kutta update of ``state`` from t to t+dt."""
+def step_rk4(state: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarray:
+    """One classical 4-stage Runge-Kutta update of ``state`` from t to t+dt,
+    hermitized."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
     out = _rk4_raw(rho, rhs, t, dt)
-    if hermitize:
-        out = 0.5 * (out + out.conj().T)
-    return out
+    return 0.5 * (out + out.conj().T)
 
 
 def _controlled_step(rho, rhs, t, dt, error_tol, min_dt):
@@ -136,53 +148,35 @@ def evolve(spec: EvolutionSpec, initial: DensityMatrix) -> Trajectory:
 
     span = spec.t1 - spec.t0
     if spec.error_tol is None:
+        # full steps land on t0 + k*dt; a partial step of at least 1e-12*dt
+        # closes the window on t1
         n_full = int(np.floor(span / spec.dt + 1e-9))
         remainder = span - n_full * spec.dt
-        if remainder < 1e-12 * spec.dt:
-            remainder = 0.0
-        steps = 0
-        t = spec.t0
-        for i in range(n_full):
-            raw = _rk4_raw(rho, spec.rhs, t, spec.dt)
+        n_steps = n_full + (remainder >= 1e-12 * spec.dt)
+        more = n_steps > 0
+    else:
+        end = spec.t1 - 1e-12 * max(1.0, abs(spec.t1))
+        min_dt = 1e-12 * span
+        more = spec.t0 < end
+    t = spec.t0
+    steps = 0
+    while more:
+        steps += 1
+        if spec.error_tol is None:
+            full = steps <= n_full
+            raw = _rk4_raw(rho, spec.rhs, t, spec.dt if full else remainder)
             defect = hermiticity_defect(raw)
-            rho = 0.5 * (raw + raw.conj().T) if spec.hermitize_each_step else raw
-            steps += 1
-            t = spec.t0 + (i + 1) * spec.dt
-            last = i == n_full - 1 and remainder == 0.0
-            if steps % spec.record_every == 0 or last:
-                times.append(t)
-                states.append(rho.copy())
-                defects.append(defect)
-        if remainder > 0.0:
-            raw = _rk4_raw(rho, spec.rhs, t, remainder)
-            defect = hermiticity_defect(raw)
-            rho = 0.5 * (raw + raw.conj().T) if spec.hermitize_each_step else raw
-            times.append(spec.t1)
+            t = spec.t0 + steps * spec.dt if full else spec.t1
+            more = steps < n_steps
+        else:
+            raw, used, defect = _controlled_step(rho, spec.rhs, t, min(spec.dt, spec.t1 - t),
+                                                 spec.error_tol, min_dt)
+            # t stays below t1 while steps remain, so clipping only touches the last
+            t = min(t + used, spec.t1)
+            more = t < end
+        rho = 0.5 * (raw + raw.conj().T)
+        if steps % spec.record_every == 0 or not more:
+            times.append(t)
             states.append(rho.copy())
             defects.append(defect)
-    else:
-        min_dt = 1e-12 * span
-        t = spec.t0
-        steps = 0
-        while t < spec.t1 - 1e-12 * max(1.0, abs(spec.t1)):
-            dt = min(spec.dt, spec.t1 - t)
-            raw, used, defect = _controlled_step(rho, spec.rhs, t, dt, spec.error_tol, min_dt)
-            rho = 0.5 * (raw + raw.conj().T) if spec.hermitize_each_step else raw
-            t += used
-            steps += 1
-            if steps % spec.record_every == 0 or t >= spec.t1 - 1e-12 * max(1.0, abs(spec.t1)):
-                times.append(min(t, spec.t1))
-                states.append(rho.copy())
-                defects.append(defect)
-
-    trace = np.array([float(np.trace(m).real) for m in states])
-    eigs = [np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in states]
-    return Trajectory(
-        times=np.array(times),
-        states=states,
-        trace=trace,
-        min_eig=np.array([e[0] for e in eigs]),
-        max_eig=np.array([e[-1] for e in eigs]),
-        herm_defect=np.array(defects),
-        statistics=initial.statistics,
-    )
+    return Trajectory.from_states(times, states, defects, initial.statistics)

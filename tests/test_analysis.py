@@ -6,7 +6,6 @@ from qme.analysis import (
     bounds_monitor,
     dephasing_counterexample_matrix,
     dephasing_limit_spectrum,
-    diagnostic_series,
     duality_check,
     first_crossing_time,
     low_density_slope,
@@ -208,17 +207,9 @@ class TestCrossingDetection:
         assert first_crossing_time([0.0, 2.0], [1.0, 0.0], level=0.5) == pytest.approx(1.0)
 
 
-class TestDiagnosticSeries:
-    def test_columns_align_with_trajectory(self):
+class TestTrajectoryDiagnostics:
+    def test_trace_drift_and_duality_on_the_snapshot_grid(self):
         traj, hole_traj = two_state_pair(t1=1.0, record_every=100)
-        series = diagnostic_series(traj, hole_traj)
-        assert len(series.times) == len(traj.times)
-        assert series.trace_drift[0] == 0.0
-        assert np.abs(series.trace_drift).max() <= 1e-12
-        assert series.duality_residual is not None
-        assert series.duality_residual.max() <= 1e-10
-
-    def test_duality_column_optional(self):
-        traj, _ = two_state_pair(t1=1.0, record_every=100)
-        series = diagnostic_series(traj)
-        assert series.duality_residual is None
+        assert len(traj.trace) == len(traj.times)
+        assert np.abs(traj.trace - traj.trace[0]).max() <= 1e-12
+        assert duality_check(traj, hole_traj) <= 1e-10

@@ -78,6 +78,19 @@ class TestModeOperators:
         with pytest.raises(ValueError, match="exceeds limit"):
             FockModel(BOSON, (0.0,) * 4, boson_cutoff=10)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"rates": {(1, 0): float("nan")}}, r"rates\[\(1,0\)\]"),
+            ({"rates": {(1, 0): float("inf")}}, r"rates\[\(1,0\)\]"),
+            ({"boson_cutoff": True}, "boson_cutoff"),
+        ],
+        ids=["nan_rate", "inf_rate", "bool_cutoff"],
+    )
+    def test_malformed_model_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            FockModel(FERMION, (0.0, 1.0), **kwargs)
+
     def test_occupancy_indexing_little_endian(self):
         model = fermion_model(3)
         assert model.occupancy_of_index(0b101) == (1, 0, 1)

@@ -11,6 +11,7 @@ from qme.dynamics import (
 from qme.integrator import (
     EvolutionSpec,
     IntegrationDivergedError,
+    Trajectory,
     evolve,
     step_rk4,
 )
@@ -215,3 +216,34 @@ class TestEvolve:
             EvolutionSpec(rhs=lambda t, r: r, t0=1.0, t1=0.5)
         with pytest.raises(ValueError, match="record_every"):
             EvolutionSpec(rhs=lambda t, r: r, t0=0.0, t1=1.0, record_every=0)
+
+    @pytest.mark.parametrize(
+        "error_tol,expected",
+        [
+            (None, [0.0, 0.01, 0.02, 0.0255]),
+            # controlled steps accumulate t += dt, so the grid carries roundoff
+            (1e-10, [0.0, 0.010000000000000002, 0.02000000000000001, 0.0255]),
+        ],
+    )
+    def test_snapshot_grid(self, error_tol, expected):
+        initial = DensityMatrix(np.diag([1.0, 0.0]), FERMION)
+        spec = EvolutionSpec(rhs=loss_rhs(1.0), t0=0.0, t1=0.0255, dt=1e-3, record_every=10,
+                             error_tol=error_tol)
+        traj = evolve(spec, initial)
+        assert traj.times.tolist() == expected
+        for column in (traj.trace, traj.min_eig, traj.max_eig, traj.herm_defect, traj.states):
+            assert len(column) == len(traj.times)
+
+    def test_from_states_reproduces_evolve_diagnostics(self):
+        net = TransitionNetwork.computational(3, {(1, 0): 1.0, (2, 1): 0.5, (0, 2): 0.25})
+        h = np.array([[0.0, 0.2, 0.0], [0.2, 0.3, 0.1], [0.0, 0.1, 0.7]], dtype=complex)
+        initial = DensityMatrix(np.diag([0.9, 0.4, 0.1]), FERMION)
+        spec = EvolutionSpec(
+            rhs=lambda t, r: rhs_nonlinear_master(h, net, r, FERMION),
+            t0=0.0, t1=0.5, dt=1e-3, record_every=50,
+        )
+        traj = evolve(spec, initial)
+        rebuilt = Trajectory.from_states(traj.times, traj.states, traj.herm_defect, FERMION)
+        for column in ("times", "trace", "min_eig", "max_eig", "herm_defect"):
+            assert np.array_equal(getattr(rebuilt, column), getattr(traj, column)), column
+        assert rebuilt.statistics is traj.statistics is FERMION
