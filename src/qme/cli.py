@@ -61,6 +61,9 @@ from .integrator import EvolutionSpec, IntegrationDivergedError, Trajectory, evo
 from .operators import DensityMatrix, hermiticity_defect, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
+#: Most steps (t1 - t0)/dt a window may take: 1000x the largest bundled run
+#: (appendix_d, 10^4 steps), so a tiny dt cannot hang a run.
+MAX_STEPS = 10**7
 
 _COMMON_KEYS = {
     "name",
@@ -396,6 +399,11 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         raise ScenarioError(f"integrator.t1: must exceed t0, got t0={t0}, t1={t1}")
     if record_every < 1:
         raise ScenarioError(f"integrator.record_every: must be a positive integer, got {record_every}")
+    steps = (t1 - t0) / dt
+    if not steps <= MAX_STEPS:
+        raise ScenarioError(
+            f"integrator.dt: the window takes {steps:.3g} steps of dt={dt}, more than {MAX_STEPS}"
+        )
 
     out_dir = None
     duality = None

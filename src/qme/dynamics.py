@@ -269,22 +269,31 @@ class JumpFlow(Flow):
         A_loss = -1/2 sum_l W_l (I + s*rho) W_l^dag,
         A_gain = -1/2 sum_l W_l^dag rho W_l.
 
-    With ``statistics`` None this is the linear Lindblad equation.
+    With ``statistics`` None this is the linear Lindblad equation.  The jumps
+    are stored side by side, [W_1 ... W_R] and [W_1^dag ... W_R^dag] (D x RD),
+    so each sum over them is one matrix product (:func:`_sandwich`).
     """
 
     def __init__(self, h, jumps, statistics: Statistics | None):
         super().__init__(h, statistics)
         ops = _check_jumps(jumps, self.dim)
-        self._jumps = np.array(ops, dtype=complex).reshape(len(ops), self.dim, self.dim)
-        self._jumps_dag = np.ascontiguousarray(self._jumps.conj().transpose(0, 2, 1))
-        self._drain = -0.5 * (self._jumps @ self._jumps_dag).sum(axis=0)
+        d, r = self.dim, len(ops)
+        self._wide = wide = np.hstack([np.empty((d, 0), dtype=complex), *ops])
+        self._wide_dag = np.conjugate(wide.reshape(d, r, d).transpose(2, 1, 0), order="C").reshape(d, -1)
+        self._drain = -0.5 * _sandwich(self._wide, self._wide_dag, np.eye(d))
 
     def relaxation_operators(self, rho):
-        gain = -0.5 * (self._jumps_dag @ rho @ self._jumps).sum(axis=0)
+        gain = -0.5 * _sandwich(self._wide_dag, self._wide, rho)
         if self.sign == 0:
             return self._drain, gain
-        loss = self._drain - (0.5 * self.sign) * (self._jumps @ rho @ self._jumps_dag).sum(axis=0)
-        return loss, gain
+        return self._drain - (0.5 * self.sign) * _sandwich(self._wide, self._wide_dag, rho), gain
+
+
+def _sandwich(left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_l L_l rho R_l over the D x D blocks of ``left`` = [L_1 ... L_R] and
+    ``right`` = [R_1 ... R_R]: one D x RD by RD x D product, one R x D x D temporary."""
+    d = rho.shape[0]
+    return left @ (rho @ right.reshape(d, -1, d).transpose(1, 0, 2)).reshape(-1, d)
 
 
 class HoleFlow(Flow):

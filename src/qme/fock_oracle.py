@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral
 
 import numpy as np
 
 from .operators import Statistics, as_square_matrix
-from .dynamics import TransitionNetwork, rhs_quasiclassical
+from .dynamics import JumpFlow, TransitionNetwork, rhs_quasiclassical
 
 MAX_MODES = 4
 MAX_BOSON_DIM = 10_000
@@ -79,14 +79,25 @@ class FockModel:
     def fock_dim(self) -> int:
         return self.level_dim ** self.modes
 
+    @cached_property
+    def occupancies(self) -> np.ndarray:
+        """(fock_dim, modes) table of per-mode occupations, row = basis index
+        (little-endian: index = sum_k occ_k * level_dim**k)."""
+        d = self.level_dim
+        table = np.arange(self.fock_dim)[:, None] // d ** np.arange(self.modes) % d
+        table.flags.writeable = False
+        return table
+
     def occupancy_of_index(self, index: int) -> tuple[int, ...]:
         """Per-mode occupations of a Fock basis index (little-endian)."""
-        d = self.level_dim
-        occ = []
-        for _ in range(self.modes):
-            occ.append(index % d)
-            index //= d
-        return tuple(occ)
+        return tuple(self.occupancies[index].tolist())
+
+    @cached_property
+    def flow(self) -> JumpFlow:
+        """The flow of :func:`rhs_fock_lindblad`.  ``JumpFlow`` feeds W^dag rho W,
+        the many-body gain is A rho A^dag, so the jumps go in as adjoints."""
+        adjoints = [a.conj().T for a in fock_jump_operators(self)]
+        return JumpFlow(fock_hamiltonian(self), adjoints, None)
 
 
 @lru_cache(maxsize=32)
@@ -167,25 +178,14 @@ def product_diagonal_state(model: FockModel, occupations) -> np.ndarray:
     return rho
 
 
-def _static_parts(model: FockModel):
-    """Hamiltonian and jump-operator products, memoized on the frozen model."""
-    cached = getattr(model, "_rhs_cache", None)
-    if cached is None:
-        h = fock_hamiltonian(model)
-        parts = [(a, a.conj().T) for a in fock_jump_operators(model)]
-        parts = [(a, ad, ad @ a) for a, ad in parts]
-        cached = (h, parts)
-        object.__setattr__(model, "_rhs_cache", cached)
-    return cached
-
-
 def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
     """Exact many-body master equation:
 
         drho_s/dt = (1/i)[H, rho_s]
                     - (1/2) sum {A^dag A, rho_s} + sum A rho_s A^dag,
 
-    with the jump operators of :func:`fock_jump_operators`.  Hermitian and
+    with the jump operators of :func:`fock_jump_operators`: the linear
+    :class:`~qme.dynamics.JumpFlow` of ``model.flow``.  Hermitian and
     traceless; the jumps conserve total particle number.
     """
     rho_s = as_square_matrix(rho_s, "rho_s")
@@ -193,12 +193,7 @@ def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: state dim {rho_s.shape[0]} vs Fock dim {model.fock_dim}"
         )
-    h, parts = _static_parts(model)
-    out = -1j * (h @ rho_s - rho_s @ h)
-    for a, ad, ada in parts:
-        out -= 0.5 * (ada @ rho_s + rho_s @ ada)
-        out += a @ rho_s @ ad
-    return out
+    return model.flow(0.0, rho_s)
 
 
 def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
@@ -226,18 +221,10 @@ def is_product_diagonal(model: FockModel, rho_s, tol: float = 1e-12) -> bool:
     if np.abs(off).max() > tol:
         return False
     probs = np.diag(rho_s).real
-    d = model.level_dim
-    marginals = np.zeros((model.modes, d))
-    for idx, p in enumerate(probs):
-        for k, occ in enumerate(model.occupancy_of_index(idx)):
-            marginals[k, occ] += p
-    for idx, p in enumerate(probs):
-        expected = 1.0
-        for k, occ in enumerate(model.occupancy_of_index(idx)):
-            expected *= marginals[k, occ]
-        if abs(p - expected) > tol:
-            return False
-    return True
+    occ = model.occupancies
+    marginals = [np.bincount(column, weights=probs, minlength=model.level_dim) for column in occ.T]
+    expected = np.prod([m[column] for m, column in zip(marginals, occ.T)], axis=0)
+    return not (np.abs(probs - expected) > tol).any()
 
 
 def cutoff_contamination(model: FockModel, rho_s) -> float:
@@ -246,11 +233,8 @@ def cutoff_contamination(model: FockModel, rho_s) -> float:
     if model.statistics is Statistics.FERMION:
         return 0.0
     probs = np.diag(np.asarray(rho_s)).real
-    top = 0.0
-    for idx, p in enumerate(probs):
-        if max(model.occupancy_of_index(idx)) >= model.boson_cutoff:
-            top += max(p, 0.0)
-    return float(top)
+    at_cutoff = (model.occupancies >= model.boson_cutoff).any(axis=1)
+    return float(np.sum(np.maximum(probs, 0.0), where=at_cutoff))
 
 
 def closure_residual_at_t0(model: FockModel, rho_s) -> float:
@@ -263,6 +247,7 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
     issued and the residual quantifies the closure error.
     """
     rho_s = as_square_matrix(rho_s, "rho_s")
+    exact = np.diag(reduce_one_particle(model, rhs_fock_lindblad(model, rho_s))).real
     if not is_product_diagonal(model, rho_s, tol=1e-10):
         warnings.warn(
             "state is not a mode-uncorrelated diagonal state; the residual "
@@ -270,7 +255,6 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
             NonProductStateWarning,
             stacklevel=2,
         )
-    exact = np.diag(reduce_one_particle(model, rhs_fock_lindblad(model, rho_s))).real
     occ = np.diag(reduce_one_particle(model, rho_s)).real
     # clip rounding spill (~1e-16) so the closure's domain checks stay quiet
     occ = np.clip(occ, 0.0, 1.0 if model.statistics is Statistics.FERMION else None)

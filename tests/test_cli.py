@@ -354,10 +354,12 @@ class TestMalformedInput:
             ({}, ["network.rates=5"], "network.rates"),
             ({}, ["network.basis=[[1, 0], [0]]"], "network.basis[1]"),
             ({}, ["output.dir=5"], "output.dir"),
+            ({}, ["dt=1e-300"], "integrator.dt"),
+            ({}, ["t1=1e300", "dt=1e-10"], "integrator.dt"),
         ],
         ids=["nan_rate", "string_rate", "t1_abc", "t1_infinity", "record_every_fraction",
              "dimension_bool", "statistics_number", "rates_not_a_list", "basis_ragged",
-             "out_dir_number"],
+             "out_dir_number", "steps_over_limit", "steps_infinite"],
     )
     def test_exits_one_naming_the_field(self, tmp_path, capsys, updates, overrides, field):
         path = write_scenario(tmp_path, minimal_scenario(**updates))

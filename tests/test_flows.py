@@ -221,6 +221,16 @@ def test_hole_flow_matches_hand_derived_reference(equation, basis):
     assert worst <= TOL
 
 
+@pytest.mark.parametrize("stats", [None, FERMION], ids=["linear", "fermion"])
+def test_jump_flow_without_jumps_is_the_liouville_term(stats):
+    rng = np.random.default_rng(7)
+    h, rho = rand_hermitian(rng, 4), rand_state(rng, 4, FERMION)
+    flow = JumpFlow(h, [], stats)
+    assert np.abs(flow(0.0, rho) - (-1j) * (h @ rho - rho @ h)).max() <= TOL
+    loss, gain = flow.relaxation_operators(rho)
+    assert not loss.any() and not gain.any()
+
+
 def test_hole_flow_rejects_bosons():
     with pytest.raises(ValueError, match="fermions only"):
         OperatorFlow(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), BOSON).hole()

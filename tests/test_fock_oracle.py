@@ -133,6 +133,39 @@ class TestFockLindblad:
         assert abs(np.trace(out)) <= 1e-12
         assert hermiticity_defect(out) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            fermion_model(3, rates={(1, 0): 0.7, (2, 1): 0.4, (0, 2): 0.2}, energies=(0.0, 0.5, 1.3)),
+            fermion_model(4, rates={(1, 0): 0.9, (2, 1): 0.4, (3, 2): 0.6, (0, 3): 0.2, (2, 0): 0.3},
+                          energies=(0.0, 0.4, 0.9, 1.7)),
+            FockModel(BOSON, (0.0, 0.6, 1.1), {(1, 0): 0.7, (0, 1): 0.3, (2, 1): 0.5, (1, 2): 0.2,
+                                               (0, 2): 0.4, (2, 0): 0.1}, boson_cutoff=3),
+        ],
+        ids=["fermion_3", "fermion_4", "boson_3_cutoff_3"],
+    )
+    def test_matches_per_jump_reference(self, model):
+        # the oracle's former hand-written kernel, one sandwich per jump
+        h = fock_hamiltonian(model)
+        rng = np.random.default_rng(model.fock_dim)
+        d = model.fock_dim
+        for _ in range(4):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            ref = -1j * (h @ rho - rho @ h)
+            for a in fock_jump_operators(model):
+                ad = a.conj().T
+                ref -= 0.5 * (ad @ a @ rho + rho @ ad @ a)
+                ref += a @ rho @ ad
+            assert np.abs(rhs_fock_lindblad(model, rho) - ref).max() <= 1e-14
+
+    def test_flow_is_built_once_and_leaves_equality_alone(self):
+        model = fermion_model(2, rates={(1, 0): 1.0})
+        assert model.flow is model.flow
+        assert model == fermion_model(2, rates={(1, 0): 1.0})
+        assert "flow" not in repr(model)
+
     def test_jump_operator_shapes(self):
         model = fermion_model(2, rates={(1, 0): 2.0})
         (a,) = fock_jump_operators(model)
@@ -192,11 +225,30 @@ class TestProductStates:
         with pytest.raises(ValueError, match="integer"):
             product_diagonal_state(model, [3])
 
+    def test_diagonal_correlated_state_is_not_a_product(self):
+        # equal weights on |01> and |10>: both marginals are (1/2, 1/2), yet
+        # the joint weight of |00> is 0, not 1/4
+        model = fermion_model(2)
+        rho = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+        assert not is_product_diagonal(model, rho)
+        assert is_product_diagonal(model, np.diag([0.25] * 4))
+
+    def test_occupancy_table_rows(self):
+        model = FockModel(BOSON, (0.0, 1.0, 2.0), boson_cutoff=2)
+        d = model.level_dim
+        assert model.occupancies.shape == (model.fock_dim, model.modes)
+        for idx in range(model.fock_dim):
+            occ = model.occupancy_of_index(idx)
+            assert sum(o * d**k for k, o in enumerate(occ)) == idx
+
     def test_cutoff_contamination(self):
         model = FockModel(BOSON, (0.0,), boson_cutoff=2)
         rho = product_diagonal_state(model, [2])
         assert cutoff_contamination(model, rho) == pytest.approx(1.0)
         assert cutoff_contamination(model, product_diagonal_state(model, [0])) == 0.0
+        two = FockModel(BOSON, (0.0, 1.0), boson_cutoff=2)
+        assert cutoff_contamination(two, product_diagonal_state(two, [0, 2])) == pytest.approx(1.0)
+        assert cutoff_contamination(two, product_diagonal_state(two, [1, 1])) == 0.0
 
 
 class TestClosure:
