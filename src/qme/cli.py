@@ -448,8 +448,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     )
     # fail fast on an invalid initial state (dimension/PSD/occupation bounds)
     if equation == "fock_oracle":
-        _fock_model(scenario)  # validates modes/rates/cutoff
-        _fock_initial(scenario)
+        _fock_initial(scenario, _fock_model(scenario))  # validates modes/rates/cutoff, then the state
     elif equation == "quasiclassical":
         _quasiclassical_initial(scenario)
     else:
@@ -545,9 +544,9 @@ def _fock_model(s: Scenario) -> FockModel:
         raise ScenarioError(str(exc)) from None
 
 
-def _fock_initial(s: Scenario) -> np.ndarray:
+def _fock_initial(s: Scenario, model: FockModel) -> np.ndarray:
     try:
-        return product_diagonal_state(_fock_model(s), s.initial_value)
+        return product_diagonal_state(model, s.initial_value)
     except ValueError as exc:
         raise ScenarioError(f"initial: {exc}") from None
 
@@ -775,7 +774,7 @@ def _run_matrix(scenario: Scenario):
 def _run_fock(scenario: Scenario):
     """(reduced one-particle trajectory, None, extra summary fields)."""
     model = _fock_model(scenario)
-    rho_s0 = _fock_initial(scenario)
+    rho_s0 = _fock_initial(scenario, model)
     closure = closure_residual_at_t0(model, rho_s0)
     initial = DensityMatrix(rho_s0, scenario.statistics)
     traj = evolve(_spec(scenario, lambda t, rho: rhs_fock_lindblad(model, rho)), initial)

@@ -25,7 +25,7 @@ from numbers import Integral
 import numpy as np
 
 from .operators import Statistics, as_square_matrix
-from .dynamics import JumpFlow, TransitionNetwork, rhs_quasiclassical
+from .dynamics import TransitionNetwork, _check_jumps, rhs_quasiclassical
 
 MAX_MODES = 4
 MAX_BOSON_DIM = 10_000
@@ -90,14 +90,31 @@ class FockModel:
 
     def occupancy_of_index(self, index: int) -> tuple[int, ...]:
         """Per-mode occupations of a Fock basis index (little-endian)."""
+        if not 0 <= index < self.fock_dim:
+            raise IndexError(f"Fock index {index} is out of range [0, {self.fock_dim})")
         return tuple(self.occupancies[index].tolist())
 
     @cached_property
-    def flow(self) -> JumpFlow:
-        """The flow of :func:`rhs_fock_lindblad`.  ``JumpFlow`` feeds W^dag rho W,
-        the many-body gain is A rho A^dag, so the jumps go in as adjoints."""
-        adjoints = [a.conj().T for a in fock_jump_operators(self)]
-        return JumpFlow(fock_hamiltonian(self), adjoints, None)
+    def flow(self) -> "FockFlow":
+        """The flow of :func:`rhs_fock_lindblad`."""
+        return FockFlow(fock_hamiltonian(self), fock_jump_operators(self))
+
+    @cached_property
+    def one_particle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(slots, index, value)`` over the nonzeros a_k = X[r_k, k] of every
+        X = c_n^dag c_n', with slot n * modes + n' (interleaved for
+        :func:`_scatter`) and index k * fock_dim + r_k into ``rho_s.ravel()``:
+        Tr(X rho_s) is the sum of a_k rho_s[k, r_k] over its slot
+        (:func:`reduce_one_particle`)."""
+        cs = build_mode_operators(self)
+        slots, index, values = [], [], []
+        for n, cn in enumerate(cs):
+            for n2, cn2 in enumerate(cs):
+                rows, cols, vals = _monomial_entries(cn.conj().T @ cn2, f"c_{n}^dag c_{n2}")
+                slots.append(np.full(len(vals), n * self.modes + n2))
+                index.append(cols * self.fock_dim + rows)
+                values.append(vals)
+        return _interleave(np.concatenate(slots)), np.concatenate(index), np.concatenate(values)
 
 
 @lru_cache(maxsize=32)
@@ -148,6 +165,77 @@ def fock_jump_operators(model: FockModel) -> list[np.ndarray]:
     return [np.sqrt(w) * cs[dest].conj().T @ cs[src] for (dest, src), w in model.rates.items()]
 
 
+def _monomial_entries(op: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, values)`` of the nonzeros of a matrix that maps each basis
+    state to at most one basis state: at most one nonzero in each column, and
+    in each row, so that op^dag op is diagonal.  Ordered by column."""
+    cols, rows = np.nonzero(op.T)
+    for axis, found in (("column", cols), ("row", rows)):
+        counts = np.bincount(found, minlength=1)
+        if counts.max() > 1:
+            raise ValueError(
+                f"{name}: {axis} {counts.argmax()} holds {counts.max()} nonzeros; "
+                "expected at most one per row and column"
+            )
+    return rows, cols, op[rows, cols]
+
+
+class FockFlow:
+    """The linear many-body flow
+
+        drho/dt = (1/i)[H, rho] - (1/2) sum_l {A_l^dag A_l, rho} + sum_l A_l rho A_l^dag
+
+    for a diagonal H and jumps that map each basis state to at most one basis
+    state, as every A = sqrt(w) c_dest^dag c_src does in the occupation basis.
+    Then sum_l A_l^dag A_l is diagonal too, with diagonal d, and the
+    commutator and the drain act entrywise:
+
+        decay[i, j] = -i(E_i - E_j) - (d_i + d_j)/2.
+
+    The gain moves entry (k, k') of rho to (r_k, r_k') with weight
+    a_k conj(a_k'), for each pair of nonzeros a_k = A_l[r_k, k] of one jump.
+    These pairs are stored once as flat ``src``/``dst`` indices into
+    ``rho.ravel()`` and a ``coef`` array, so a call is one gather and one
+    scatter (one ``bincount`` over the real and imaginary parts), with no
+    matrix product.
+    """
+
+    def __init__(self, h, jumps):
+        h = as_square_matrix(h, "H")
+        energies = np.diag(h)
+        if np.count_nonzero(h - np.diag(energies)):
+            raise ValueError("H: the Fock flow needs a diagonal Hamiltonian")
+        d = self.dim = h.shape[0]
+        drain = np.zeros(d)
+        src, dst, coef = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
+        for k, a in enumerate(_check_jumps(jumps, d)):
+            rows, cols, vals = _monomial_entries(a, f"jump operator [{k}]")
+            drain += np.bincount(cols, np.abs(vals) ** 2, minlength=d)
+            src.append((cols[:, None] * d + cols).ravel())
+            dst.append((rows[:, None] * d + rows).ravel())
+            coef.append(np.outer(vals, vals.conj()).ravel())
+        self._decay = -1j * (energies[:, None] - energies) - 0.5 * (drain[:, None] + drain)
+        self._src, self._coef = np.concatenate(src), np.concatenate(coef)
+        self._dst = _interleave(np.concatenate(dst))
+
+    def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
+        gain = _scatter(self._dst, self._coef * rho.ravel()[self._src], rho.size)
+        return self._decay * rho + gain.reshape(rho.shape)
+
+
+def _interleave(index: np.ndarray) -> np.ndarray:
+    """``index`` as the float-view positions (2i, 2i+1) of the real and
+    imaginary parts of complex entries i, side by side, for :func:`_scatter`."""
+    return np.stack([2 * index, 2 * index + 1], axis=1).ravel()
+
+
+def _scatter(pairs: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """The complex ``weights`` summed into ``size`` complex slots, with ``pairs``
+    from :func:`_interleave`: ``np.bincount`` takes real weights only, so it
+    sums the float view and the result is read back as complex."""
+    return np.bincount(pairs, weights.view(float), minlength=2 * size).view(complex)
+
+
 def product_diagonal_state(model: FockModel, occupations) -> np.ndarray:
     """Mode-uncorrelated diagonal many-body state.
 
@@ -184,9 +272,9 @@ def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
         drho_s/dt = (1/i)[H, rho_s]
                     - (1/2) sum {A^dag A, rho_s} + sum A rho_s A^dag,
 
-    with the jump operators of :func:`fock_jump_operators`: the linear
-    :class:`~qme.dynamics.JumpFlow` of ``model.flow``.  Hermitian and
-    traceless; the jumps conserve total particle number.
+    with the jump operators of :func:`fock_jump_operators`: the
+    :class:`FockFlow` of ``model.flow``.  Hermitian and traceless; the jumps
+    conserve total particle number.
     """
     rho_s = as_square_matrix(rho_s, "rho_s")
     if rho_s.shape[0] != model.fock_dim:
@@ -203,14 +291,9 @@ def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: state dim {rho_s.shape[0]} vs Fock dim {model.fock_dim}"
         )
-    cs = build_mode_operators(model)
+    slots, index, values = model.one_particle_entries
     m = model.modes
-    rho_p = np.empty((m, m), dtype=complex)
-    for n in range(m):
-        cn_dag = cs[n].conj().T
-        for n2 in range(m):
-            rho_p[n, n2] = np.trace(cn_dag @ cs[n2] @ rho_s)
-    return rho_p
+    return _scatter(slots, values * rho_s.ravel()[index], m * m).reshape(m, m)
 
 
 def is_product_diagonal(model: FockModel, rho_s, tol: float = 1e-12) -> bool:

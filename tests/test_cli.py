@@ -215,17 +215,21 @@ class TestRun:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_reruns_are_deterministic(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert run("homogeneous_chain", overrides=["t1=0.2"], out_dir=str(out), quiet=True) == 0
-        for name in ("states.csv", "diagnostics.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-        summaries = [json.loads((out / "summary.json").read_text(encoding="utf-8"))
-                     for out in (a, b)]
-        for summary in summaries:
-            del summary["wall_time_s"]
-        assert summaries[0] == summaries[1]
-        assert "duality_residual_max" in summaries[0]
+        for scenario, overrides, key in (
+            ("homogeneous_chain", ["t1=0.2"], "duality_residual_max"),
+            ("fock_closure_2mode", [], "closure_residual_t0"),
+        ):
+            a, b = tmp_path / scenario / "a", tmp_path / scenario / "b"
+            for out in (a, b):
+                assert run(scenario, overrides=overrides, out_dir=str(out), quiet=True) == 0
+            for name in ("states.csv", "diagnostics.csv"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
+            summaries = [json.loads((out / "summary.json").read_text(encoding="utf-8"))
+                         for out in (a, b)]
+            for summary in summaries:
+                del summary["wall_time_s"]
+            assert summaries[0] == summaries[1]
+            assert key in summaries[0]
 
     def test_override_changes_grid(self, tmp_path):
         out = tmp_path / "fine"

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from qme.dynamics import JumpFlow
 from qme.fock_oracle import (
+    FockFlow,
     FockModel,
     NonProductStateWarning,
     build_mode_operators,
@@ -30,6 +32,34 @@ def fermion_model(modes, rates=None, energies=None):
         energies=tuple(energies) if energies else tuple(float(k) for k in range(modes)),
         rates=rates or {},
     )
+
+
+def random_density_matrix(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def dense_lindblad(h, jumps, rho):
+    """The many-body equation written out with dense products, one sandwich per jump."""
+    out = -1j * (h @ rho - rho @ h)
+    for a in jumps:
+        ad = a.conj().T
+        out += a @ rho @ ad - 0.5 * (ad @ a @ rho + rho @ ad @ a)
+    return out
+
+
+REFERENCE_MODELS = {
+    "fermion_3": fermion_model(3, rates={(1, 0): 0.7, (2, 1): 0.4, (0, 2): 0.2}, energies=(0.0, 0.5, 1.3)),
+    "fermion_4": fermion_model(4, rates={(1, 0): 0.9, (2, 1): 0.4, (3, 2): 0.6, (0, 3): 0.2, (2, 0): 0.3},
+                               energies=(0.0, 0.4, 0.9, 1.7)),
+    "boson_3_cutoff_3": FockModel(BOSON, (0.0, 0.6, 1.1), {(1, 0): 0.7, (0, 1): 0.3, (2, 1): 0.5,
+                                                           (1, 2): 0.2, (0, 2): 0.4, (2, 0): 0.1},
+                                  boson_cutoff=3),
+    "boson_2_cutoff_1": FockModel(BOSON, (0.0, 0.8), {(1, 0): 0.6, (0, 1): 0.9}, boson_cutoff=1),
+    "boson_1_mode": FockModel(BOSON, (0.7,), boson_cutoff=3),
+    "fermion_3_no_rates": fermion_model(3, energies=(0.0, 0.5, 1.3)),
+}
 
 
 class TestModeOperators:
@@ -91,6 +121,12 @@ class TestModeOperators:
         with pytest.raises(ValueError, match=field):
             FockModel(FERMION, (0.0, 1.0), **kwargs)
 
+    @pytest.mark.parametrize("index", [-1, -8, 8, 100])
+    def test_occupancy_index_out_of_range(self, index):
+        # a negative index must not wrap around to the last basis states
+        with pytest.raises(IndexError, match="out of range"):
+            fermion_model(3).occupancy_of_index(index)
+
     def test_occupancy_indexing_little_endian(self):
         model = fermion_model(3)
         assert model.occupancy_of_index(0b101) == (1, 0, 1)
@@ -133,32 +169,55 @@ class TestFockLindblad:
         assert abs(np.trace(out)) <= 1e-12
         assert hermiticity_defect(out) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            fermion_model(3, rates={(1, 0): 0.7, (2, 1): 0.4, (0, 2): 0.2}, energies=(0.0, 0.5, 1.3)),
-            fermion_model(4, rates={(1, 0): 0.9, (2, 1): 0.4, (3, 2): 0.6, (0, 3): 0.2, (2, 0): 0.3},
-                          energies=(0.0, 0.4, 0.9, 1.7)),
-            FockModel(BOSON, (0.0, 0.6, 1.1), {(1, 0): 0.7, (0, 1): 0.3, (2, 1): 0.5, (1, 2): 0.2,
-                                               (0, 2): 0.4, (2, 0): 0.1}, boson_cutoff=3),
-        ],
-        ids=["fermion_3", "fermion_4", "boson_3_cutoff_3"],
-    )
+    @pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
     def test_matches_per_jump_reference(self, model):
-        # the oracle's former hand-written kernel, one sandwich per jump
+        # on full (coherent) states; the shared JumpFlow with the adjoint
+        # jumps is the same equation
         h = fock_hamiltonian(model)
+        jumps = fock_jump_operators(model)
+        dense = JumpFlow(h, [a.conj().T for a in jumps], None)
         rng = np.random.default_rng(model.fock_dim)
-        d = model.fock_dim
         for _ in range(4):
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            rho = g @ g.conj().T
-            rho /= np.trace(rho).real
-            ref = -1j * (h @ rho - rho @ h)
-            for a in fock_jump_operators(model):
-                ad = a.conj().T
-                ref -= 0.5 * (ad @ a @ rho + rho @ ad @ a)
-                ref += a @ rho @ ad
-            assert np.abs(rhs_fock_lindblad(model, rho) - ref).max() <= 1e-14
+            rho = random_density_matrix(rng, model.fock_dim)
+            out = rhs_fock_lindblad(model, rho)
+            assert np.abs(out - dense_lindblad(h, jumps, rho)).max() <= 1e-14
+            assert np.abs(out - dense(0.0, rho)).max() <= 1e-14
+            # the kernel reads rho by flat index, so a Fortran-ordered copy gives the same result
+            assert np.array_equal(rhs_fock_lindblad(model, np.asfortranarray(rho)), out)
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
+    def test_jumps_move_each_basis_state_to_one_basis_state(self, model):
+        for a in fock_jump_operators(model):
+            assert (np.count_nonzero(a, axis=0) <= 1).all()
+            assert (np.count_nonzero(a, axis=1) <= 1).all()
+
+    def test_flow_matches_dense_formula_for_complex_jumps(self):
+        # partial permutations with complex weights: the gain weight must be a_k conj(a_k')
+        rng = np.random.default_rng(5)
+        d = 6
+        h = np.diag(rng.standard_normal(d))
+        jumps = []
+        for _ in range(3):
+            a = np.zeros((d, d), dtype=complex)
+            cols = rng.permutation(d)[:4]
+            a[rng.permutation(d)[:4], cols] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            jumps.append(a)
+        rho = random_density_matrix(rng, d)
+        assert np.abs(FockFlow(h, jumps)(0.0, rho) - dense_lindblad(h, jumps, rho)).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "h,jump,message",
+        [
+            (np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 0.0]]), "column 0 holds 2 nonzeros"),
+            (np.zeros((2, 2)), np.array([[1.0, 1.0], [0.0, 0.0]]), "row 0 holds 2 nonzeros"),
+            (np.ones((2, 2)), np.zeros((2, 2)), "diagonal Hamiltonian"),
+            (np.zeros((2, 2)), np.zeros((3, 3)), "does not match state dimension"),
+        ],
+        ids=["two_in_column", "two_in_row", "offdiagonal_h", "dimension"],
+    )
+    def test_flow_rejects_operators_it_cannot_represent(self, h, jump, message):
+        with pytest.raises(ValueError, match=message):
+            FockFlow(h, [jump])
 
     def test_flow_is_built_once_and_leaves_equality_alone(self):
         model = fermion_model(2, rates={(1, 0): 1.0})
@@ -192,6 +251,16 @@ class TestReduction:
         psi[0b10] = 1 / np.sqrt(2)
         rho = np.outer(psi, psi.conj())
         assert np.allclose(reduce_one_particle(model, rho), 0.5 * np.ones((2, 2)))
+
+    @pytest.mark.parametrize("name", ["fermion_4", "boson_3_cutoff_3", "boson_1_mode"])
+    def test_matches_dense_trace_formula(self, name):
+        model = REFERENCE_MODELS[name]
+        cs = build_mode_operators(model)
+        rng = np.random.default_rng(model.fock_dim + 1)
+        for _ in range(3):
+            rho = random_density_matrix(rng, model.fock_dim)
+            ref = np.array([[np.trace(cn.conj().T @ cn2 @ rho) for cn2 in cs] for cn in cs])
+            assert np.abs(reduce_one_particle(model, rho) - ref).max() <= 1e-14
 
     def test_trace_counts_particles(self):
         model = fermion_model(3)
