@@ -19,14 +19,7 @@ Checks:
 
 import numpy as np
 
-from qme import (
-    DensityMatrix,
-    EvolutionSpec,
-    Statistics,
-    evolve,
-    rhs_general,
-    rhs_meanfield_nonhermitian,
-)
+from qme import DensityMatrix, EvolutionSpec, OperatorFlow, Statistics, evolve
 
 GAMMA = 1.0
 PROJECTOR = np.diag([1.0, 0.0]).astype(complex)
@@ -48,7 +41,7 @@ def main():
 
     decay_op = -0.5 * GAMMA * PROJECTOR
     err_loss = run_law(
-        lambda t, rho: rhs_meanfield_nonhermitian(ZERO, decay_op, rho),
+        OperatorFlow(ZERO, decay_op, ZERO, None),
         np.diag([1.0, 0.0]),
         Statistics.FERMION,
         "loss",
@@ -58,7 +51,7 @@ def main():
 
     gain_op = -0.5 * GAMMA * PROJECTOR
     err_fermion = run_law(
-        lambda t, rho: rhs_general(ZERO, ZERO, gain_op, rho, Statistics.FERMION),
+        OperatorFlow(ZERO, ZERO, gain_op, Statistics.FERMION),
         np.zeros((2, 2)),
         Statistics.FERMION,
         "fermion gain",
@@ -67,7 +60,7 @@ def main():
     )
 
     err_boson = run_law(
-        lambda t, rho: rhs_general(ZERO, ZERO, gain_op, rho, Statistics.BOSON),
+        OperatorFlow(ZERO, ZERO, gain_op, Statistics.BOSON),
         np.zeros((2, 2)),
         Statistics.BOSON,
         "boson gain",

@@ -20,10 +20,10 @@ import numpy as np
 from qme import (
     DensityMatrix,
     EvolutionSpec,
+    NetworkFlow,
     Statistics,
     TransitionNetwork,
     evolve,
-    rhs_nonlinear_master,
 )
 
 
@@ -38,10 +38,8 @@ def main():
         (Statistics.FERMION, "fermion", lambda t: 1.0 - 1.0 / (1.0 + t)),
         (Statistics.BOSON, "boson", np.tanh),
     ):
-        spec = EvolutionSpec(
-            rhs=lambda t, r, s=stats: rhs_nonlinear_master(h, net, r, s),
-            t0=0.0, t1=3.0, dt=1e-3, record_every=100,
-        )
+        flow = NetworkFlow(h, net, stats)
+        spec = EvolutionSpec(rhs=flow, t0=0.0, t1=3.0, dt=1e-3, record_every=100)
         traj = evolve(spec, DensityMatrix(np.diag([1.0, 0.0]), stats))
         got = np.array([m[1, 1].real for m in traj.states])
         err = np.abs(got - closed_form(traj.times)).max()
@@ -51,7 +49,7 @@ def main():
 
     # transition into a full fermionic orbital is forbidden outright
     rho_full = np.diag([0.7, 1.0]).astype(complex)
-    rate = rhs_nonlinear_master(h, net, rho_full, Statistics.FERMION)[1, 1]
+    rate = NetworkFlow(h, net, Statistics.FERMION).evaluate(rho_full)[1, 1]
     print(f"  blocked transfer rate into a full orbital: {abs(rate):.1e}")
 
     print()

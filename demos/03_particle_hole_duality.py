@@ -22,17 +22,24 @@ import numpy as np
 from qme import (
     DensityMatrix,
     EvolutionSpec,
+    NetworkFlow,
     Statistics,
     TransitionNetwork,
-    build_relaxation_operators,
     duality_check,
     evolve,
     hole_transform,
-    rhs_hole_form,
-    rhs_nonlinear_master,
 )
+from qme.dynamics import HoleFlow
 
 FERMION = Statistics.FERMION
+
+
+class UnswappedHoleFlow(HoleFlow):
+    """The deliberately broken hole flow: the particle operators taken at
+    I - rho_hole but left in their particle roles."""
+
+    def relaxation_operators(self, x):
+        return self._particle.relaxation_operators(self._eye - x)
 
 
 def main():
@@ -44,33 +51,21 @@ def main():
     )
     net = TransitionNetwork.computational(n, {(1, 0): 0.8, (2, 1): 0.5, (0, 2): 0.3})
     initial = DensityMatrix(np.diag([0.9, 0.5, 0.1]), FERMION)
-    eye = np.eye(n, dtype=complex)
+    flow = NetworkFlow(h, net, FERMION)
 
-    particle_spec = EvolutionSpec(
-        rhs=lambda t, r: rhs_nonlinear_master(h, net, r, FERMION),
-        t0=0.0, t1=4.0, dt=1e-3, record_every=50,
-    )
+    particle_spec = EvolutionSpec(rhs=flow, t0=0.0, t1=4.0, dt=1e-3, record_every=50)
     particle_traj = evolve(particle_spec, initial)
-
-    def hole_rhs(t, rho_hole, swap=False):
-        loss, gain = build_relaxation_operators(net, eye - rho_hole, FERMION)
-        if swap:
-            loss, gain = gain, loss
-        return rhs_hole_form(h, loss, gain, rho_hole)
 
     hole_initial = hole_transform(initial)
     hole_traj = evolve(
-        EvolutionSpec(rhs=hole_rhs, t0=0.0, t1=4.0, dt=1e-3, record_every=50),
+        EvolutionSpec(rhs=flow.hole(), t0=0.0, t1=4.0, dt=1e-3, record_every=50),
         hole_initial,
     )
     residual = duality_check(particle_traj, hole_traj)
     print(f"  matched evolutions:  max ||rho + rho_hole - I|| = {residual:.2e}")
 
     broken_traj = evolve(
-        EvolutionSpec(
-            rhs=lambda t, r: hole_rhs(t, r, swap=True),
-            t0=0.0, t1=4.0, dt=1e-3, record_every=50,
-        ),
+        EvolutionSpec(rhs=UnswappedHoleFlow(flow), t0=0.0, t1=4.0, dt=1e-3, record_every=50),
         hole_initial,
     )
     broken = duality_check(particle_traj, broken_traj)

@@ -22,14 +22,12 @@ Checks:
 import numpy as np
 
 from qme import (
+    JumpFlow,
+    NetworkFlow,
     Statistics,
     TransitionNetwork,
     low_density_slope,
     rank_one_jumps,
-    rhs_generalized_jumps,
-    rhs_lindblad,
-    rhs_markoff,
-    rhs_nonlinear_master,
     rhs_quasiclassical,
 )
 
@@ -51,9 +49,11 @@ def main():
 
     jumps = rank_one_jumps(net)
     d_nonlinear = np.abs(
-        rhs_generalized_jumps(h, jumps, rho, FERMION) - rhs_nonlinear_master(h, net, rho, FERMION)
+        JumpFlow(h, jumps, FERMION).evaluate(rho) - NetworkFlow(h, net, FERMION).evaluate(rho)
     ).max()
-    d_linear = np.abs(rhs_lindblad(h, jumps, rho) - rhs_markoff(h, net, None, rho)).max()
+    d_linear = np.abs(
+        JumpFlow(h, jumps, None).evaluate(rho) - NetworkFlow(h, net, None).evaluate(rho)
+    ).max()
     print(f"  rank-one jumps vs network form:   {d_nonlinear:.2e}")
     print(f"  linear jumps vs linear network:   {d_linear:.2e}")
 
@@ -65,7 +65,8 @@ def main():
 
     f = rng.uniform(0.0, 1.0, n)
     h_diag = np.diag(rng.standard_normal(n)).astype(complex)
-    matrix_diag = np.diag(rhs_nonlinear_master(h_diag, net, np.diag(f).astype(complex), FERMION)).real
+    homogeneous = NetworkFlow(h_diag, net, FERMION).evaluate(np.diag(f).astype(complex))
+    matrix_diag = np.diag(homogeneous).real
     kinetics = rhs_quasiclassical(f, net.rate_matrix(), FERMION)
     d_homog = np.abs(matrix_diag - kinetics).max()
     print(f"  homogeneous diagonal reduction:   {d_homog:.2e}")

@@ -28,16 +28,8 @@ from .dynamics import (
     QuasiclassicalFlow,
     TransitionNetwork,
     build_relaxation_operators,
-    combined_relaxation_operator,
     hole_transform,
     rank_one_jumps,
-    rhs_general,
-    rhs_generalized_jumps,
-    rhs_hole_form,
-    rhs_lindblad,
-    rhs_markoff,
-    rhs_meanfield_nonhermitian,
-    rhs_nonlinear_master,
     rhs_quasiclassical,
 )
 from .integrator import (
@@ -45,7 +37,6 @@ from .integrator import (
     IntegrationDivergedError,
     Trajectory,
     evolve,
-    step_rk4,
 )
 from .fock_oracle import (
     FockModel,

@@ -13,8 +13,6 @@ from .dynamics import (
     NetworkFlow,
     Statistics,
     TransitionNetwork,
-    rhs_markoff,
-    rhs_nonlinear_master,
 )
 from .integrator import Trajectory
 from .operators import DensityMatrix
@@ -94,10 +92,11 @@ def low_density_slope(h, net: TransitionNetwork, sigma, epsilons,
     residual vanishes (e.g. all rates zero) the fit is reported degenerate.
     """
     sigma = np.asarray(sigma, dtype=complex)
+    nonlinear, linear = NetworkFlow(h, net, statistics), NetworkFlow(h, net, None)
     eps_used, res_used, res_all = [], [], []
     for eps in epsilons:
         rho = eps * sigma
-        diff = rhs_nonlinear_master(h, net, rho, statistics) - rhs_markoff(h, net, None, rho)
+        diff = nonlinear.evaluate(rho) - linear.evaluate(rho)
         r = float(np.abs(diff).max())
         res_all.append(r)
         if r > 1e-14:

@@ -64,6 +64,9 @@ OUT_DIR_ENV = "QME_OUT_DIR"
 #: Most steps (t1 - t0)/dt a window may take: 1000x the largest bundled run
 #: (appendix_d, 10^4 steps), so a tiny dt cannot hang a run.
 MAX_STEPS = 10**7
+#: Largest scenario dimension: 30x the d=32 of the dense-jump benchmark, one
+#: 16 MB state; a larger value is refused before anything is allocated.
+MAX_DIMENSION = 1024
 
 _COMMON_KEYS = {
     "name",
@@ -305,6 +308,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     dimension = _scalar(raw["dimension"], "dimension", integer=True)
     if dimension < 1:
         raise ScenarioError(f"dimension: expected a positive integer, got {dimension!r}")
+    if dimension > MAX_DIMENSION:
+        raise ScenarioError(f"dimension: {dimension} exceeds the limit of {MAX_DIMENSION}")
 
     # initial state
     initial = raw["initial"]

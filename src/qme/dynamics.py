@@ -15,10 +15,10 @@ from the state.
 
 Each equation is a *flow*: an object built once from validated parts, whose
 ``__call__(t, rho)`` does arithmetic only, so it can sit in an integrator's
-inner loop.  The state a flow receives is not checked; the integrator checks
-every stage state for NaN/Inf.  The ``rhs_*`` functions are the library entry
-points: each validates all its arguments, builds the flow and evaluates it
-once.  Rates are constant during a run.
+inner loop.  The state a flow receives there is not checked; the integrator
+checks every stage state for NaN/Inf.  :meth:`Flow.evaluate` is the checked
+entry point for a single evaluation: it validates the state against the flow
+and returns the flow at t = 0.  Rates are constant during a run.
 """
 
 from __future__ import annotations
@@ -45,17 +45,9 @@ __all__ = [
     "HoleFlow",
     "QuasiclassicalFlow",
     "rank_one_jumps",
-    "rhs_meanfield_nonhermitian",
-    "rhs_general",
     "hole_transform",
-    "rhs_hole_form",
     "build_relaxation_operators",
-    "rhs_nonlinear_master",
-    "rhs_generalized_jumps",
-    "rhs_markoff",
-    "rhs_lindblad",
     "rhs_quasiclassical",
-    "combined_relaxation_operator",
 ]
 
 
@@ -148,9 +140,15 @@ class Flow:
 
         drho/dt = (1/i)[H, rho] + {rho, A_loss} - {I + s*rho, A_gain}
 
-    with s from ``statistics`` (None is the linear limit s = 0).  Subclasses
-    supply :meth:`relaxation_operators`; everything they use is validated and
-    cached at construction.
+    with s from ``statistics`` (None is the linear limit s = 0): gain through
+    a negative-definite A_gain is blocked by 1 - n for fermions (s = -1) and
+    enhanced by 1 + n for bosons (s = +1).  Loss and gain merge into one
+    operator A' = A_loss - s*A_gain, and the flow is identically
+
+        (1/i)[H, rho] + {rho, A'} - 2*A_gain.
+
+    Subclasses supply :meth:`relaxation_operators`; everything they use is
+    validated and cached at construction.
     """
 
     def __init__(self, h, statistics: Statistics | None):
@@ -171,28 +169,28 @@ class Flow:
         merged = loss - self.sign * gain
         return (merged + self._minus_ih) @ rho + rho @ (merged + self._plus_ih) - 2.0 * gain
 
+    def evaluate(self, rho) -> np.ndarray:
+        """drho/dt at t = 0 for one state, an array or a DensityMatrix, checked
+        to be a square, finite matrix of the flow's dimension."""
+        return self(0.0, self._checked(rho))
+
+    def _checked(self, rho) -> np.ndarray:
+        rho = rho.matrix if isinstance(rho, DensityMatrix) else as_square_matrix(rho, "rho")
+        if rho.shape[0] != self.dim:
+            raise ValueError(f"dimension mismatch: flow dimension {self.dim} vs rho {rho.shape}")
+        return rho
+
     def hole(self) -> "HoleFlow":
         """The same fermionic flow, written for the hole state I - rho."""
         return HoleFlow(self)
 
 
-def _checked_state(flow: Flow, rho) -> np.ndarray:
-    """A state argument (an array or a DensityMatrix) of a library entry
-    point, validated against the flow's dimension."""
-    rho = rho.matrix if isinstance(rho, DensityMatrix) else as_square_matrix(rho, "rho")
-    if rho.shape[0] != flow.dim:
-        raise ValueError(f"dimension mismatch: flow dimension {flow.dim} vs rho {rho.shape}")
-    return rho
-
-
-def _evaluate(flow: Flow, rho) -> np.ndarray:
-    """One checked evaluation, as the library entry points make it."""
-    return flow(0.0, _checked_state(flow, rho))
-
-
 class OperatorFlow(Flow):
     """Fixed loss and gain operators.  With A_gain = 0 and ``statistics``
-    None this is the mean-field flow (1/i)[H, rho] + {rho, A_loss}."""
+    None this is the mean-field flow (1/i)[H, rho] + {rho, A_loss} of a
+    Hamiltonian extended by an antihermitian part: a negative-definite A_loss
+    drains occupation, and no choice of H, A_loss can feed an empty orbital
+    (the gain rate from an unoccupied orbital is exactly zero)."""
 
     def __init__(self, h, loss_op, gain_op, statistics: Statistics | None):
         super().__init__(h, statistics)
@@ -217,9 +215,15 @@ class NetworkFlow(Flow):
         A_loss = K diag(-1/2 W^T (1 + s*n)) K^dag,
 
     so each transition src -> dest moves occupation at rate
-    w * n_src * (1 + s*n_dest).  With ``statistics`` None this is the linear
-    Markoff equation, the only one that accepts pure dephasing
-    -sum_{a != b} Gamma[a,b] <b|rho|a> |b><a|.
+    w * n_src * (1 + s*n_dest).  The flow is traceless, and fermionic
+    transitions into a full orbital are exactly forbidden.
+
+    With ``statistics`` None this is the linear (low-density) Markoff
+    equation, the only one that accepts pure dephasing
+    -sum_{a != b} Gamma[a,b] <b|rho|a> |b><a|.  Dephasing decays off-diagonal
+    elements without moving population; it is not combinable with the
+    occupation-dependent equations because it can push states out of the
+    positive cone.
     """
 
     def __init__(self, h, net: TransitionNetwork, statistics: Statistics | None,
@@ -269,9 +273,19 @@ class JumpFlow(Flow):
         A_loss = -1/2 sum_l W_l (I + s*rho) W_l^dag,
         A_gain = -1/2 sum_l W_l^dag rho W_l.
 
-    With ``statistics`` None this is the linear Lindblad equation.  The jumps
-    are stored side by side, [W_1 ... W_R] and [W_1^dag ... W_R^dag] (D x RD),
-    so each sum over them is one matrix product (:func:`_sandwich`).
+    The flow is traceless.  With ``statistics`` None this is the linear
+    Lindblad equation
+
+        drho/dt = (1/i)[H, rho] - 1/2 sum_l {rho, W_l W_l^dag} + sum_l W_l^dag rho W_l.
+
+    The rank-one jumps of :func:`rank_one_jumps` reproduce the
+    :class:`NetworkFlow` of their network exactly, for either statistics and
+    in the linear limit; at low density the flow approaches its linear limit
+    with a remainder quadratic in the state.
+
+    The jumps are stored side by side, [W_1 ... W_R] and
+    [W_1^dag ... W_R^dag] (D x RD), so each sum over them is one matrix
+    product (:func:`_sandwich`).
     """
 
     def __init__(self, h, jumps, statistics: Statistics | None):
@@ -340,29 +354,6 @@ class QuasiclassicalFlow:
         return np.diag(_kinetics(f, self._w, self.sign)).astype(complex)
 
 
-def rhs_meanfield_nonhermitian(h, a_op, rho) -> np.ndarray:
-    """Flow of a mean-field Hamiltonian extended by an antihermitian part iA:
-
-        drho/dt = (1/i)[H, rho] + {rho, A}.
-
-    A negative-definite A drains occupation; no choice of H, A can feed an
-    empty orbital (the gain rate from an unoccupied orbital is exactly zero).
-    """
-    a_op = as_square_matrix(a_op, "A")
-    return _evaluate(OperatorFlow(h, a_op, np.zeros_like(a_op), None), rho)
-
-
-def rhs_general(h, loss_op, gain_op, rho, statistics: Statistics) -> np.ndarray:
-    """Master-equation flow with separate particle loss and gain operators:
-
-        drho/dt = (1/i)[H, rho] + {rho, A_loss} - {I + s*rho, A_gain},
-
-    s = -1 (fermions) or +1 (bosons).  Gain through a negative-definite
-    A_gain is blocked by 1 - n for fermions and enhanced by 1 + n for bosons.
-    """
-    return _evaluate(OperatorFlow(h, loss_op, gain_op, statistics), rho)
-
-
 def hole_transform(rho: DensityMatrix) -> DensityMatrix:
     """Complement a fermionic state: occupied orbitals become vacancies,
     rho -> I - rho.  An involution."""
@@ -370,20 +361,6 @@ def hole_transform(rho: DensityMatrix) -> DensityMatrix:
         raise ValueError("hole transform is defined for fermions only")
     eye = np.eye(rho.dim, dtype=complex)
     return DensityMatrix(eye - rho.matrix, Statistics.FERMION, rho.tolerance)
-
-
-def rhs_hole_form(h, loss_op, gain_op, rho_hole) -> np.ndarray:
-    """The same fermionic flow as :func:`rhs_general`, written for the hole
-    state rho_hole = I - rho.  The particle-gain operator acts as hole loss
-    and vice versa:
-
-        drho_hole/dt = (1/i)[H, rho_hole] + {rho_hole, A_gain}
-                       - {I - rho_hole, A_loss},
-
-    which is :func:`rhs_general` with the operators swapped.  For
-    complementary states the two flows cancel entrywise.
-    """
-    return rhs_general(h, gain_op, loss_op, rho_hole, Statistics.FERMION)
 
 
 def build_relaxation_operators(
@@ -402,14 +379,7 @@ def build_relaxation_operators(
     occupations, negative semidefinite.
     """
     flow = NetworkFlow(np.zeros((net.dim, net.dim)), net, statistics)
-    return flow.relaxation_operators(_checked_state(flow, rho))
-
-
-def rhs_nonlinear_master(h, net: TransitionNetwork, rho, statistics: Statistics) -> np.ndarray:
-    """Nonlinear master equation of a transition network: :func:`rhs_general`
-    with the relaxation operators rebuilt from the current state.  Traceless;
-    fermionic transitions into a full orbital are exactly forbidden."""
-    return _evaluate(NetworkFlow(h, net, statistics), rho)
+    return flow.relaxation_operators(flow._checked(rho))
 
 
 def rank_one_jumps(net: TransitionNetwork) -> list[np.ndarray]:
@@ -417,9 +387,8 @@ def rank_one_jumps(net: TransitionNetwork) -> list[np.ndarray]:
 
         W = sqrt(w) |src><dest|   for each directed entry (dest, src).
 
-    Note the index placement: the gain term of :func:`rhs_lindblad` and
-    :func:`rhs_generalized_jumps` sandwiches as W^dag rho W, so the ket
-    carries the source orbital.
+    Note the index placement: the gain term of :class:`JumpFlow` sandwiches
+    as W^dag rho W, so the ket carries the source orbital.
     """
     ops = []
     for (dest, src), w in net.rates.items():
@@ -439,47 +408,6 @@ def _check_jumps(jumps, dim: int) -> list[np.ndarray]:
     return ops
 
 
-def rhs_generalized_jumps(h, jumps, rho, statistics: Statistics) -> np.ndarray:
-    """Occupation-dependent flow for an arbitrary set of jump operators:
-
-        drho/dt = (1/i)[H, rho]
-                  - (1/2) sum_l {rho, W_l (I + s*rho) W_l^dag}
-                  + (1/2) sum_l {I + s*rho, W_l^dag rho W_l}.
-
-    With rank-one jumps from :func:`rank_one_jumps` this reduces exactly to
-    :func:`rhs_nonlinear_master`; in the low-density limit it reduces to
-    :func:`rhs_lindblad`.
-    """
-    return _evaluate(JumpFlow(h, jumps, statistics), rho)
-
-
-def rhs_markoff(h, net: TransitionNetwork, dephasing: DephasingRates | None, rho) -> np.ndarray:
-    """Linear (low-density) master equation with optional pure dephasing:
-
-        drho/dt = (1/i)[H, rho]
-                  - (1/2) sum w {rho, |src><src|} + sum w <src|rho|src> |dest><dest|
-                  - sum_{a != b} Gamma[a,b] <b|rho|a> |b><a|.
-
-    Traceless when the dephasing rates vanish.  Dephasing decays off-diagonal
-    elements without moving population; it is not combinable with the
-    occupation-dependent equations here because it can push states out of the
-    positive cone.
-    """
-    return _evaluate(NetworkFlow(h, net, None, dephasing), rho)
-
-
-def rhs_lindblad(h, jumps, rho) -> np.ndarray:
-    """Linear jump-operator master equation:
-
-        drho/dt = (1/i)[H, rho] - (1/2) sum_l {rho, W_l W_l^dag}
-                  + sum_l W_l^dag rho W_l.
-
-    Traceless.  With rank-one jumps this is :func:`rhs_markoff` without
-    dephasing.
-    """
-    return _evaluate(JumpFlow(h, jumps, None), rho)
-
-
 def rhs_quasiclassical(f, w, statistics: Statistics) -> np.ndarray:
     """Occupation-number kinetics for a homogeneous system:
 
@@ -493,24 +421,14 @@ def rhs_quasiclassical(f, w, statistics: Statistics) -> np.ndarray:
         raise ValueError(f"occupations: expected a vector, got shape {f.shape}")
     if w.shape != (f.size, f.size):
         raise ValueError(f"rate matrix: expected shape {(f.size, f.size)}, got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("rate matrix: rates must be finite")
     if np.any(w < 0):
         raise ValueError("rate matrix: negative rate")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("occupations: occupations must be finite")
     if np.any(f < 0):
         raise ValueError("occupations: negative occupation")
     if statistics is Statistics.FERMION and np.any(f > 1):
         raise ValueError("occupations: fermion occupation exceeds 1")
     return _kinetics(f, w, statistics.sign)
-
-
-def combined_relaxation_operator(loss_op, gain_op, statistics: Statistics) -> np.ndarray:
-    """Single operator A' = A_loss - s*A_gain that merges loss and gain:
-
-        drho/dt = (1/i)[H, rho] + {rho, A'} - 2*A_gain
-
-    reproduces :func:`rhs_general` identically.
-    """
-    loss_op = as_square_matrix(loss_op, "loss operator")
-    gain_op = as_square_matrix(gain_op, "gain operator")
-    if loss_op.shape != gain_op.shape:
-        raise ValueError(f"dimension mismatch: {loss_op.shape} vs {gain_op.shape}")
-    return loss_op - statistics.sign * gain_op

@@ -44,6 +44,9 @@ class EvolutionSpec:
     error_tol: float | None = None
 
     def __post_init__(self):
+        for name, value in (("t0", self.t0), ("t1", self.t1), ("dt", self.dt)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t1 <= self.t0:
@@ -104,16 +107,6 @@ def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarr
     if not np.all(np.isfinite(out.view(float))):
         raise IntegrationDivergedError(t)
     return out
-
-
-def step_rk4(state: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarray:
-    """One classical 4-stage Runge-Kutta update of ``state`` from t to t+dt,
-    hermitized."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    out = _rk4_raw(rho, rhs, t, dt)
-    return 0.5 * (out + out.conj().T)
 
 
 def _controlled_step(rho, rhs, t, dt, error_tol, min_dt):

@@ -24,17 +24,13 @@ from qme.cli import (
     _serialize_matrix,
 )
 from qme.dynamics import (
+    JumpFlow,
+    NetworkFlow,
+    OperatorFlow,
     Statistics,
     TransitionNetwork,
     build_relaxation_operators,
-    combined_relaxation_operator,
     rank_one_jumps,
-    rhs_general,
-    rhs_generalized_jumps,
-    rhs_lindblad,
-    rhs_markoff,
-    rhs_meanfield_nonhermitian,
-    rhs_nonlinear_master,
     rhs_quasiclassical,
 )
 from qme.fock_oracle import (
@@ -81,7 +77,7 @@ def gain_rhs(stats, gamma=1.0):
     p[0, 0] = 1.0
     gain = -0.5 * gamma * p
     z = np.zeros((2, 2))
-    return lambda t, rho: rhs_general(z, z, gain, rho, stats)
+    return OperatorFlow(z, z, gain, stats)
 
 
 # -- criterion 1: exponential gain/loss laws ---------------------------------
@@ -92,7 +88,7 @@ def test_criterion_1_exponential_laws():
 
     p = np.zeros((2, 2), dtype=complex)
     p[0, 0] = 1.0
-    loss = lambda t, rho: rhs_meanfield_nonhermitian(np.zeros((2, 2)), -0.5 * p, rho)
+    loss = OperatorFlow(np.zeros((2, 2)), -0.5 * p, np.zeros((2, 2)), None)
     traj = evolve(
         EvolutionSpec(rhs=loss, t0=0.0, t1=5.0, dt=dt, record_every=250),
         DensityMatrix(np.diag([1.0, 0.0]), FERMION),
@@ -137,7 +133,7 @@ def test_criterion_2_two_state_dynamics():
     for stats, closed_form in ((FERMION, lambda t: 1 - 1 / (1 + t)), (BOSON, np.tanh)):
         traj = evolve(
             EvolutionSpec(
-                rhs=lambda t, r, s=stats: rhs_nonlinear_master(h, net, r, s),
+                rhs=NetworkFlow(h, net, stats),
                 t0=0.0, t1=3.0, dt=1e-3, record_every=100,
             ),
             DensityMatrix(np.diag([1.0, 0.0]), stats),
@@ -145,7 +141,7 @@ def test_criterion_2_two_state_dynamics():
         got = np.array([m[1, 1].real for m in traj.states])
         errs[stats] = np.abs(got - closed_form(traj.times)).max()
 
-    blocked = rhs_nonlinear_master(h, net, np.diag([0.7, 1.0]).astype(complex), FERMION)
+    blocked = NetworkFlow(h, net, FERMION).evaluate(np.diag([0.7, 1.0]).astype(complex))
     blocking = abs(blocked[1, 1])
 
     ok = report(
@@ -243,18 +239,19 @@ def test_criterion_4_reduction_identities():
         rho = rand_state(rng, n, stats)
         jumps = rank_one_jumps(net)
 
-        a = rhs_generalized_jumps(h, jumps, rho, stats)
-        b = rhs_nonlinear_master(h, net, rho, stats)
+        a = JumpFlow(h, jumps, stats).evaluate(rho)
+        b = NetworkFlow(h, net, stats).evaluate(rho)
         worst_nonlinear = max(worst_nonlinear, np.abs(a - b).max())
 
-        c = rhs_lindblad(h, jumps, rho)
-        d = rhs_markoff(h, net, None, rho)
+        c = JumpFlow(h, jumps, None).evaluate(rho)
+        d = NetworkFlow(h, net, None).evaluate(rho)
         worst_linear = max(worst_linear, np.abs(c - d).max())
 
         loss, gain = build_relaxation_operators(net, rho, stats)
-        merged = combined_relaxation_operator(loss, gain, stats)
+        merged = loss - stats.sign * gain
         via = -1j * (h @ rho - rho @ h) + (rho @ merged + merged @ rho) - 2 * gain
-        worst_merged = max(worst_merged, np.abs(via - rhs_general(h, loss, gain, rho, stats)).max())
+        general = OperatorFlow(h, loss, gain, stats).evaluate(rho)
+        worst_merged = max(worst_merged, np.abs(via - general).max())
 
     ok = report(
         "4",
@@ -382,7 +379,7 @@ def test_criterion_7_empty_orbital_diagonal_is_pinned():
         rho = g @ g.conj().T
         h = rand_hermitian(rng, n)
         a = rand_hermitian(rng, n)
-        out = rhs_meanfield_nonhermitian(h, a, rho)
+        out = OperatorFlow(h, a, np.zeros_like(a), None).evaluate(rho)
         worst = max(worst, abs(out[0, 0]))
     ok = report("7", worst <= 1e-13, f"200 random states: max |d n_phi/dt| = {worst:.1e}, tol 1e-13")
     assert ok

@@ -10,13 +10,7 @@ from qme.analysis import (
     first_crossing_time,
     low_density_slope,
 )
-from qme.dynamics import (
-    Statistics,
-    TransitionNetwork,
-    build_relaxation_operators,
-    rhs_hole_form,
-    rhs_nonlinear_master,
-)
+from qme.dynamics import HoleFlow, NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
 from qme.integrator import EvolutionSpec, evolve
 from qme.operators import DensityMatrix, positivity_report
 
@@ -30,25 +24,24 @@ def evolve_counterexample(gamma=1.0, t1=15.0, coupling=10.0 / 27.0, h_diag=None,
     return evolve(spec, sc.initial)
 
 
+class UnswappedHoleFlow(HoleFlow):
+    """A broken hole flow: the particle operators at I - x, loss and gain
+    left in their particle roles."""
+
+    def relaxation_operators(self, x):
+        return self._particle.relaxation_operators(self._eye - x)
+
+
 def two_state_pair(t1=3.0, dt=2e-3, record_every=25, swap_ops=False):
     """Matched particle and hole evolutions of the two-state transfer."""
     net = TransitionNetwork.computational(2, {(1, 0): 1.0})
-    h = np.zeros((2, 2))
+    flow = NetworkFlow(np.zeros((2, 2)), net, FERMION)
     initial = DensityMatrix(np.diag([1.0, 0.0]), FERMION)
-    spec = EvolutionSpec(
-        rhs=lambda t, r: rhs_nonlinear_master(h, net, r, FERMION),
-        t0=0.0, t1=t1, dt=dt, record_every=record_every,
-    )
+    spec = EvolutionSpec(rhs=flow, t0=0.0, t1=t1, dt=dt, record_every=record_every)
     traj = evolve(spec, initial)
 
     eye = np.eye(2, dtype=complex)
-
-    def hole_rhs(t, rho_h):
-        loss, gain = build_relaxation_operators(net, eye - rho_h, FERMION)
-        if swap_ops:
-            loss, gain = gain, loss
-        return rhs_hole_form(h, loss, gain, rho_h)
-
+    hole_rhs = UnswappedHoleFlow(flow) if swap_ops else flow.hole()
     hole_spec = EvolutionSpec(rhs=hole_rhs, t0=0.0, t1=t1, dt=dt, record_every=record_every)
     hole_traj = evolve(hole_spec, DensityMatrix(eye - initial.matrix, FERMION))
     return traj, hole_traj
@@ -107,13 +100,13 @@ class TestDualityCheck:
         net = TransitionNetwork.computational(2, {})
         initial = DensityMatrix(np.diag([0.8, 0.1]), FERMION)
         spec = EvolutionSpec(
-            rhs=lambda t, r: rhs_nonlinear_master(h, net, r, FERMION),
+            rhs=NetworkFlow(h, net, FERMION),
             t0=0.0, t1=2.0, dt=1e-3, record_every=50,
         )
         traj = evolve(spec, initial)
         eye = np.eye(2, dtype=complex)
         hole_spec = EvolutionSpec(
-            rhs=lambda t, r: rhs_hole_form(h, np.zeros((2, 2)), np.zeros((2, 2)), r),
+            rhs=OperatorFlow(h, np.zeros((2, 2)), np.zeros((2, 2)), FERMION).hole(),
             t0=0.0, t1=2.0, dt=1e-3, record_every=50,
         )
         hole_traj = evolve(hole_spec, DensityMatrix(eye - initial.matrix, FERMION))
@@ -165,7 +158,7 @@ class TestBoundsMonitor:
         net = TransitionNetwork.computational(2, {(1, 0): 1.0, (0, 1): 0.3})
         initial = DensityMatrix(np.diag([1.0, 0.0]), FERMION)
         spec = EvolutionSpec(
-            rhs=lambda t, r: rhs_nonlinear_master(np.zeros((2, 2)), net, r, FERMION),
+            rhs=NetworkFlow(np.zeros((2, 2)), net, FERMION),
             t0=0.0, t1=3.0, dt=1e-3, record_every=20,
         )
         assert bounds_monitor(evolve(spec, initial), FERMION) == []

@@ -360,10 +360,13 @@ class TestMalformedInput:
             ({}, ["output.dir=5"], "output.dir"),
             ({}, ["dt=1e-300"], "integrator.dt"),
             ({}, ["t1=1e300", "dt=1e-10"], "integrator.dt"),
+            # refused before the 10^7 x 10^7 Hamiltonian is allocated
+            ({"equation": "markoff", "initial": {"preset": "empty"}}, ["dimension=10000000"],
+             "dimension"),
         ],
         ids=["nan_rate", "string_rate", "t1_abc", "t1_infinity", "record_every_fraction",
              "dimension_bool", "statistics_number", "rates_not_a_list", "basis_ragged",
-             "out_dir_number", "steps_over_limit", "steps_infinite"],
+             "out_dir_number", "steps_over_limit", "steps_infinite", "dimension_over_limit"],
     )
     def test_exits_one_naming_the_field(self, tmp_path, capsys, updates, overrides, field):
         path = write_scenario(tmp_path, minimal_scenario(**updates))

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", ["02_two_state_transfer.py", "06_fock_oracle.py"])
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(

@@ -3,19 +3,14 @@ import pytest
 
 from qme.dynamics import (
     DephasingRates,
+    JumpFlow,
+    NetworkFlow,
+    OperatorFlow,
     Statistics,
     TransitionNetwork,
     build_relaxation_operators,
-    combined_relaxation_operator,
     hole_transform,
     rank_one_jumps,
-    rhs_general,
-    rhs_generalized_jumps,
-    rhs_hole_form,
-    rhs_lindblad,
-    rhs_markoff,
-    rhs_meanfield_nonhermitian,
-    rhs_nonlinear_master,
     rhs_quasiclassical,
 )
 from qme.operators import DensityMatrix, hermiticity_defect
@@ -51,6 +46,11 @@ def rand_network(rng, n, density=0.5):
     return TransitionNetwork.computational(n, rates)
 
 
+def meanfield(h, a):
+    """The mean-field flow (1/i)[H, rho] + {rho, A}."""
+    return OperatorFlow(h, a, np.zeros_like(a), None)
+
+
 def projector(n, k):
     v = np.zeros(n, dtype=complex)
     v[k] = 1.0
@@ -61,14 +61,14 @@ class TestMeanfieldNonhermitian:
     def test_pure_loss_rate(self):
         # A = -(gamma/2)|phi><phi| on rho = |phi><phi| drains at rate gamma
         p = projector(2, 0)
-        out = rhs_meanfield_nonhermitian(np.zeros((2, 2)), -0.5 * p, p)
+        out = meanfield(np.zeros((2, 2)), -0.5 * p).evaluate(p)
         assert out[0, 0].real == pytest.approx(-1.0, abs=1e-14)
 
     def test_zero_relaxation_is_traceless_liouville(self):
         rng = np.random.default_rng(10)
         h = rand_hermitian(rng, 4)
         rho = rand_fermion_state(rng, 4)
-        out = rhs_meanfield_nonhermitian(h, np.zeros((4, 4)), rho)
+        out = meanfield(h, np.zeros((4, 4))).evaluate(rho)
         assert abs(np.trace(out)) < 1e-13
         assert hermiticity_defect(out) < 1e-13
 
@@ -82,7 +82,7 @@ class TestMeanfieldNonhermitian:
         rho = g @ g.conj().T
         h = rand_hermitian(rng, n)
         a = rand_hermitian(rng, n)
-        out = rhs_meanfield_nonhermitian(h, a, rho)
+        out = meanfield(h, a).evaluate(rho)
         assert abs(out[0, 0]) <= 1e-13
 
 
@@ -92,7 +92,8 @@ class TestGeneralForm:
         gamma_p = 0.8
         for occ in (0.0, 0.25, 1.0):
             rho = np.diag([occ, 0.0]).astype(complex)
-            out = rhs_general(np.zeros((2, 2)), np.zeros((2, 2)), -0.5 * gamma_p * p, rho, FERMION)
+            flow = OperatorFlow(np.zeros((2, 2)), np.zeros((2, 2)), -0.5 * gamma_p * p, FERMION)
+            out = flow.evaluate(rho)
             assert out[0, 0].real == pytest.approx(gamma_p * (1 - occ), abs=1e-14)
 
     def test_boson_gain_is_enhanced(self):
@@ -100,7 +101,8 @@ class TestGeneralForm:
         gamma = 0.6
         for occ in (0.0, 1.0, 4.0):
             rho = np.diag([occ, 0.0]).astype(complex)
-            out = rhs_general(np.zeros((2, 2)), np.zeros((2, 2)), -0.5 * gamma * p, rho, BOSON)
+            flow = OperatorFlow(np.zeros((2, 2)), np.zeros((2, 2)), -0.5 * gamma * p, BOSON)
+            out = flow.evaluate(rho)
             assert out[0, 0].real == pytest.approx(gamma * (1 + occ), abs=1e-13)
 
     def test_reduces_to_liouville(self):
@@ -109,7 +111,7 @@ class TestGeneralForm:
         rho = rand_fermion_state(rng, 3)
         z = np.zeros((3, 3))
         assert np.allclose(
-            rhs_general(h, z, z, rho, FERMION),
+            OperatorFlow(h, z, z, FERMION).evaluate(rho),
             -1j * (h @ rho - rho @ h),
         )
 
@@ -120,7 +122,7 @@ class TestGeneralForm:
         loss = rand_hermitian(rng, 5)
         gain = rand_hermitian(rng, 5)
         rho = rand_fermion_state(rng, 5)
-        assert hermiticity_defect(rhs_general(h, loss, gain, rho, stats)) <= 1e-12
+        assert hermiticity_defect(OperatorFlow(h, loss, gain, stats).evaluate(rho)) <= 1e-12
 
 
 class TestHoleRepresentation:
@@ -150,20 +152,22 @@ class TestHoleRepresentation:
         p = projector(2, 0)
         gamma = 1.3
         rho_hole = np.diag([0.4, 0.0]).astype(complex)
-        out = rhs_hole_form(np.zeros((2, 2)), -0.5 * gamma * p, np.zeros((2, 2)), rho_hole)
+        flow = OperatorFlow(np.zeros((2, 2)), -0.5 * gamma * p, np.zeros((2, 2)), FERMION)
+        out = flow.hole().evaluate(rho_hole)
         assert out[0, 0].real == pytest.approx(gamma * (1 - 0.4), abs=1e-14)
 
     def test_hole_loss_from_particle_gain(self):
         p = projector(2, 0)
         gamma_p = 0.7
         rho_hole = np.diag([0.4, 0.0]).astype(complex)
-        out = rhs_hole_form(np.zeros((2, 2)), np.zeros((2, 2)), -0.5 * gamma_p * p, rho_hole)
+        flow = OperatorFlow(np.zeros((2, 2)), np.zeros((2, 2)), -0.5 * gamma_p * p, FERMION)
+        out = flow.hole().evaluate(rho_hole)
         assert out[0, 0].real == pytest.approx(-gamma_p * 0.4, abs=1e-14)
 
     def test_zero_operators_zero_flow(self):
         z = np.zeros((3, 3))
         rho_hole = np.diag([1.0, 0.5, 0.0]).astype(complex)
-        assert np.abs(rhs_hole_form(z, z, z, rho_hole)).max() == 0.0
+        assert np.abs(OperatorFlow(z, z, z, FERMION).hole().evaluate(rho_hole)).max() == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_particle_hole_duality(self, seed):
@@ -174,9 +178,8 @@ class TestHoleRepresentation:
         loss = rand_hermitian(rng, n)
         gain = rand_hermitian(rng, n)
         rho = rand_fermion_state(rng, n)
-        total = rhs_general(h, loss, gain, rho, FERMION) + rhs_hole_form(
-            h, loss, gain, np.eye(n) - rho
-        )
+        flow = OperatorFlow(h, loss, gain, FERMION)
+        total = flow.evaluate(rho) + flow.hole().evaluate(np.eye(n) - rho)
         assert np.abs(total).max() <= 1e-12
 
 
@@ -219,13 +222,13 @@ class TestNonlinearMaster:
         net = TransitionNetwork.computational(2, {(1, 0): 1.7})
         rho = np.diag([1.0, 0.0]).astype(complex)
         for stats in (FERMION, BOSON):
-            out = rhs_nonlinear_master(np.zeros((2, 2)), net, rho, stats)
+            out = NetworkFlow(np.zeros((2, 2)), net, stats).evaluate(rho)
             assert out[1, 1].real == pytest.approx(1.7, abs=1e-13)
 
     def test_pauli_blocking_is_exact(self):
         net = TransitionNetwork.computational(2, {(1, 0): 1.0})
         rho = np.diag([0.6, 1.0]).astype(complex)
-        out = rhs_nonlinear_master(np.zeros((2, 2)), net, rho, FERMION)
+        out = NetworkFlow(np.zeros((2, 2)), net, FERMION).evaluate(rho)
         assert abs(out[1, 1]) <= 1e-13
 
     def test_empty_network_is_liouville(self):
@@ -234,7 +237,7 @@ class TestNonlinearMaster:
         rho = rand_fermion_state(rng, 3)
         net = TransitionNetwork.computational(3, {})
         assert np.allclose(
-            rhs_nonlinear_master(h, net, rho, FERMION), -1j * (h @ rho - rho @ h)
+            NetworkFlow(h, net, FERMION).evaluate(rho), -1j * (h @ rho - rho @ h)
         )
 
     @pytest.mark.parametrize("stats", [FERMION, BOSON])
@@ -243,7 +246,7 @@ class TestNonlinearMaster:
         h = rand_hermitian(rng, 5)
         net = rand_network(rng, 5)
         rho = rand_fermion_state(rng, 5) if stats is FERMION else rand_boson_state(rng, 5)
-        out = rhs_nonlinear_master(h, net, rho, stats)
+        out = NetworkFlow(h, net, stats).evaluate(rho)
         assert abs(np.trace(out)) <= 1e-12
         assert hermiticity_defect(out) <= 1e-12
 
@@ -257,8 +260,8 @@ class TestNonlinearMaster:
         net_rot = TransitionNetwork(kets=u, rates=rates)
         net_std = TransitionNetwork.computational(n, rates)
         rho = rand_fermion_state(rng, n)
-        out_rot = rhs_nonlinear_master(np.zeros((n, n)), net_rot, rho, FERMION)
-        out_std = rhs_nonlinear_master(np.zeros((n, n)), net_std, u.conj().T @ rho @ u, FERMION)
+        out_rot = NetworkFlow(np.zeros((n, n)), net_rot, FERMION).evaluate(rho)
+        out_std = NetworkFlow(np.zeros((n, n)), net_std, FERMION).evaluate(u.conj().T @ rho @ u)
         assert np.abs(out_rot - u @ out_std @ u.conj().T).max() <= 1e-12
 
 
@@ -271,8 +274,8 @@ class TestGeneralizedJumps:
         h = rand_hermitian(rng, n)
         net = rand_network(rng, n)
         rho = rand_fermion_state(rng, n) if stats is FERMION else rand_boson_state(rng, n)
-        a = rhs_generalized_jumps(h, rank_one_jumps(net), rho, stats)
-        b = rhs_nonlinear_master(h, net, rho, stats)
+        a = JumpFlow(h, rank_one_jumps(net), stats).evaluate(rho)
+        b = NetworkFlow(h, net, stats).evaluate(rho)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_empty_jump_set_is_liouville(self):
@@ -280,7 +283,7 @@ class TestGeneralizedJumps:
         h = rand_hermitian(rng, 3)
         rho = rand_fermion_state(rng, 3)
         assert np.allclose(
-            rhs_generalized_jumps(h, [], rho, FERMION), -1j * (h @ rho - rho @ h)
+            JumpFlow(h, [], FERMION).evaluate(rho), -1j * (h @ rho - rho @ h)
         )
 
     def test_low_density_quadratic_remainder(self):
@@ -294,8 +297,8 @@ class TestGeneralizedJumps:
         eps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         res = [
             np.abs(
-                rhs_generalized_jumps(h, jumps, e * sigma, FERMION)
-                - rhs_lindblad(h, jumps, e * sigma)
+                JumpFlow(h, jumps, FERMION).evaluate(e * sigma)
+                - JumpFlow(h, jumps, None).evaluate(e * sigma)
             ).max()
             for e in eps
         ]
@@ -309,11 +312,11 @@ class TestGeneralizedJumps:
         jumps = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
         rho = rand_boson_state(rng, n)
         for stats in (FERMION, BOSON):
-            assert abs(np.trace(rhs_generalized_jumps(h, jumps, rho, stats))) <= 1e-12
+            assert abs(np.trace(JumpFlow(h, jumps, stats).evaluate(rho))) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="jump operator"):
-            rhs_generalized_jumps(np.zeros((2, 2)), [np.zeros((3, 3))], np.zeros((2, 2)), FERMION)
+            JumpFlow(np.zeros((2, 2)), [np.zeros((3, 3))], FERMION).evaluate(np.zeros((2, 2)))
 
 
 class TestMarkoff:
@@ -321,7 +324,7 @@ class TestMarkoff:
         net = TransitionNetwork.computational(2, {})
         deph = DephasingRates({(0, 1): 0.9})
         rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
-        out = rhs_markoff(np.zeros((2, 2)), net, deph, rho)
+        out = NetworkFlow(np.zeros((2, 2)), net, None, deph).evaluate(rho)
         assert out[0, 1] == pytest.approx(-0.9 * rho[0, 1])
         assert out[1, 0] == pytest.approx(-0.9 * rho[1, 0])
         assert out[0, 0] == 0 and out[1, 1] == 0
@@ -329,13 +332,13 @@ class TestMarkoff:
     def test_single_transition_rate(self):
         net = TransitionNetwork.computational(2, {(1, 0): 1.1})
         rho = np.diag([1.0, 0.0]).astype(complex)
-        out = rhs_markoff(np.zeros((2, 2)), net, None, rho)
+        out = NetworkFlow(np.zeros((2, 2)), net, None).evaluate(rho)
         assert out[1, 1].real == pytest.approx(1.1, abs=1e-14)
 
     def test_linearity_at_zero(self):
         net = TransitionNetwork.computational(3, {(1, 0): 1.0, (2, 1): 0.5})
         deph = DephasingRates({(0, 2): 0.3})
-        out = rhs_markoff(np.zeros((3, 3)), net, deph, np.zeros((3, 3)))
+        out = NetworkFlow(np.zeros((3, 3)), net, None, deph).evaluate(np.zeros((3, 3)))
         assert not np.any(out)
 
     def test_traceless_without_dephasing(self):
@@ -343,7 +346,7 @@ class TestMarkoff:
         net = rand_network(rng, 4)
         h = rand_hermitian(rng, 4)
         rho = rand_fermion_state(rng, 4)
-        assert abs(np.trace(rhs_markoff(h, net, None, rho))) <= 1e-12
+        assert abs(np.trace(NetworkFlow(h, net, None).evaluate(rho))) <= 1e-12
 
 
 class TestLindblad:
@@ -354,15 +357,15 @@ class TestLindblad:
         h = rand_hermitian(rng, n)
         net = rand_network(rng, n)
         rho = rand_fermion_state(rng, n)
-        a = rhs_lindblad(h, rank_one_jumps(net), rho)
-        b = rhs_markoff(h, net, None, rho)
+        a = JumpFlow(h, rank_one_jumps(net), None).evaluate(rho)
+        b = NetworkFlow(h, net, None).evaluate(rho)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_empty_set_is_liouville(self):
         rng = np.random.default_rng(22)
         h = rand_hermitian(rng, 3)
         rho = rand_fermion_state(rng, 3)
-        assert np.allclose(rhs_lindblad(h, [], rho), -1j * (h @ rho - rho @ h))
+        assert np.allclose(JumpFlow(h, [], None).evaluate(rho), -1j * (h @ rho - rho @ h))
 
     def test_traceless(self):
         rng = np.random.default_rng(23)
@@ -370,7 +373,7 @@ class TestLindblad:
         h = rand_hermitian(rng, n)
         jumps = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
         rho = rand_fermion_state(rng, n)
-        assert abs(np.trace(rhs_lindblad(h, jumps, rho))) <= 1e-12
+        assert abs(np.trace(JumpFlow(h, jumps, None).evaluate(rho))) <= 1e-12
 
 
 class TestQuasiclassical:
@@ -409,6 +412,13 @@ class TestQuasiclassical:
             rhs_quasiclassical([1.2, 0.5], w, FERMION)
         with pytest.raises(ValueError, match="negative rate"):
             rhs_quasiclassical([0.5, 0.5], -w, FERMION)
+        with pytest.raises(ValueError, match="occupations: occupations must be finite"):
+            rhs_quasiclassical([np.nan, 0.5], w, FERMION)
+        with pytest.raises(ValueError, match="occupations: occupations must be finite"):
+            rhs_quasiclassical([np.inf, 0.5], w, BOSON)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="rate matrix: rates must be finite"):
+                rhs_quasiclassical([0.5, 0.5], [[0.0, bad], [1.0, 0.0]], FERMION)
         rhs_quasiclassical([1.2, 0.5], w, BOSON)  # bosons are uncapped
 
     def test_homogeneous_reduction_of_matrix_form(self):
@@ -421,23 +431,13 @@ class TestQuasiclassical:
         f = rng.uniform(0, 1, n)
         rho = np.diag(f).astype(complex)
         for stats in (FERMION, BOSON):
-            lhs = np.diag(rhs_nonlinear_master(h, net, rho, stats)).real
+            lhs = np.diag(NetworkFlow(h, net, stats).evaluate(rho)).real
             rhs = rhs_quasiclassical(f, net.rate_matrix(), stats)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 class TestCombinedRelaxationOperator:
-    def test_zero_gain_returns_loss(self):
-        rng = np.random.default_rng(26)
-        loss = rand_hermitian(rng, 3)
-        assert np.allclose(
-            combined_relaxation_operator(loss, np.zeros((3, 3)), BOSON), loss
-        )
-
-    def test_fermion_equal_operators_double(self):
-        rng = np.random.default_rng(27)
-        x = rand_hermitian(rng, 3)
-        assert np.allclose(combined_relaxation_operator(x, x, FERMION), 2 * x)
+    """The merged operator A' = A_loss - s*A_gain reproduces the flow."""
 
     @pytest.mark.parametrize("stats", [FERMION, BOSON])
     @pytest.mark.parametrize("seed", range(5))
@@ -448,9 +448,9 @@ class TestCombinedRelaxationOperator:
         loss = rand_hermitian(rng, n)
         gain = rand_hermitian(rng, n)
         rho = rand_fermion_state(rng, n)
-        merged = combined_relaxation_operator(loss, gain, stats)
+        merged = loss - stats.sign * gain
         via_merged = -1j * (h @ rho - rho @ h) + (rho @ merged + merged @ rho) - 2 * gain
-        assert np.abs(via_merged - rhs_general(h, loss, gain, rho, stats)).max() <= 1e-12
+        assert np.abs(via_merged - OperatorFlow(h, loss, gain, stats).evaluate(rho)).max() <= 1e-12
 
 
 class TestEveryFlowIsHermitian:
@@ -467,16 +467,16 @@ class TestEveryFlowIsHermitian:
         jumps = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
         loss, gain = rand_hermitian(rng, n), rand_hermitian(rng, n)
         outs = [
-            rhs_meanfield_nonhermitian(h, loss, rho),
-            rhs_general(h, loss, gain, rho, FERMION),
-            rhs_general(h, loss, gain, rho, BOSON),
-            rhs_hole_form(h, loss, gain, rho),
-            rhs_nonlinear_master(h, net, rho, FERMION),
-            rhs_nonlinear_master(h, net, rho, BOSON),
-            rhs_generalized_jumps(h, jumps, rho, FERMION),
-            rhs_generalized_jumps(h, jumps, rho, BOSON),
-            rhs_markoff(h, net, deph, rho),
-            rhs_lindblad(h, jumps, rho),
+            meanfield(h, loss).evaluate(rho),
+            OperatorFlow(h, loss, gain, FERMION).evaluate(rho),
+            OperatorFlow(h, loss, gain, BOSON).evaluate(rho),
+            OperatorFlow(h, loss, gain, FERMION).hole().evaluate(rho),
+            NetworkFlow(h, net, FERMION).evaluate(rho),
+            NetworkFlow(h, net, BOSON).evaluate(rho),
+            JumpFlow(h, jumps, FERMION).evaluate(rho),
+            JumpFlow(h, jumps, BOSON).evaluate(rho),
+            NetworkFlow(h, net, None, deph).evaluate(rho),
+            JumpFlow(h, jumps, None).evaluate(rho),
         ]
         for out in outs:
             assert hermiticity_defect(out) <= 1e-12

@@ -22,6 +22,7 @@ from qme.dynamics import (
     TransitionNetwork,
     rank_one_jumps,
 )
+from qme.operators import DensityMatrix
 
 FERMION = Statistics.FERMION
 BOSON = Statistics.BOSON
@@ -229,6 +230,17 @@ def test_jump_flow_without_jumps_is_the_liouville_term(stats):
     assert np.abs(flow(0.0, rho) - (-1j) * (h @ rho - rho @ h)).max() <= TOL
     loss, gain = flow.relaxation_operators(rho)
     assert not loss.any() and not gain.any()
+
+
+def test_evaluate_checks_the_state():
+    flow = NetworkFlow(np.zeros((2, 2)), TransitionNetwork.computational(2, {(1, 0): 1.0}), FERMION)
+    rho = np.diag([0.7, 0.2]).astype(complex)
+    assert np.array_equal(flow.evaluate(DensityMatrix(rho, FERMION)), flow(0.0, rho))
+    assert np.array_equal(flow.hole().evaluate(rho), flow.hole()(0.0, rho))
+    for bad, match in ((np.zeros((3, 3)), "dimension mismatch"), (np.zeros((2, 3)), "square"),
+                       (np.full((2, 2), np.nan), "finite")):
+        with pytest.raises(ValueError, match=match):
+            flow.evaluate(bad)
 
 
 def test_hole_flow_rejects_bosons():

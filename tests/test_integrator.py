@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from qme.dynamics import (
-    Statistics,
-    TransitionNetwork,
-    rhs_general,
-    rhs_meanfield_nonhermitian,
-    rhs_nonlinear_master,
-)
+from qme.dynamics import NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
 from qme.integrator import (
     EvolutionSpec,
     IntegrationDivergedError,
     Trajectory,
     evolve,
-    step_rk4,
 )
 from qme.operators import DensityMatrix
 
@@ -26,8 +19,7 @@ def loss_rhs(gamma=1.0):
     p = np.zeros((2, 2), dtype=complex)
     p[0, 0] = 1.0
     a = -0.5 * gamma * p
-    h = np.zeros((2, 2))
-    return lambda t, rho: rhs_meanfield_nonhermitian(h, a, rho)
+    return OperatorFlow(np.zeros((2, 2)), a, np.zeros((2, 2)), None)
 
 
 def fermion_gain_rhs(gamma_p=1.0):
@@ -36,7 +28,7 @@ def fermion_gain_rhs(gamma_p=1.0):
     p[0, 0] = 1.0
     gain = -0.5 * gamma_p * p
     z = np.zeros((2, 2))
-    return lambda t, rho: rhs_general(z, z, gain, rho, FERMION)
+    return OperatorFlow(z, z, gain, FERMION)
 
 
 def boson_gain_rhs(gamma=1.0):
@@ -45,13 +37,22 @@ def boson_gain_rhs(gamma=1.0):
     p[0, 0] = 1.0
     gain = -0.5 * gamma * p
     z = np.zeros((2, 2))
-    return lambda t, rho: rhs_general(z, z, gain, rho, BOSON)
+    return OperatorFlow(z, z, gain, BOSON)
+
+
+def one_step(rho, rhs, t, dt, stats=FERMION):
+    """The hermitized RK4 update of ``rho`` from t to t + dt: a one-step
+    evolve window."""
+    spec = EvolutionSpec(rhs=rhs, t0=t, t1=t + dt, dt=dt)
+    return evolve(spec, DensityMatrix(rho, stats)).final_state
 
 
 class TestStepRK4:
+    """Single RK4 steps, each taken as a one-step evolve window."""
+
     def test_zero_rhs_is_identity(self):
         rho = np.diag([0.4, 0.6]).astype(complex)
-        out = step_rk4(rho, lambda t, r: np.zeros_like(r), 0.0, 0.1)
+        out = one_step(rho, lambda t, r: np.zeros_like(r), 0.0, 0.1)
         assert np.array_equal(out, rho)
 
     def test_pure_loss_matches_analytic(self):
@@ -59,7 +60,7 @@ class TestStepRK4:
         rhs = loss_rhs(1.0)
         t = 0.0
         for _ in range(1000):
-            rho = step_rk4(rho, rhs, t, 1e-3)
+            rho = one_step(rho, rhs, t, 1e-3)
             t += 1e-3
         assert abs(rho[0, 0].real - np.exp(-1.0)) <= 1e-10
 
@@ -70,20 +71,16 @@ class TestStepRK4:
         exact = lambda t: (1 + 0.5) * np.exp(t) - 1
 
         def one_step_error(dt):
-            out = step_rk4(rho, rhs, 0.0, dt)
+            out = one_step(rho, rhs, 0.0, dt, BOSON)
             return abs(out[0, 0].real - exact(dt))
 
         ratio = one_step_error(0.1) / one_step_error(0.05)
         assert 24 <= ratio <= 40  # local truncation is O(dt^5): ratio ~ 32
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            step_rk4(np.zeros((2, 2)), lambda t, r: r, 0.0, 0.0)
-
     def test_divergence_names_the_time(self):
         rho = np.ones((2, 2), dtype=complex)
         with pytest.raises(IntegrationDivergedError, match="t = 0.25") as info:
-            step_rk4(rho, lambda t, r: 1e200 * r, 0.25, 1.0)
+            one_step(rho, lambda t, r: 1e200 * r, 0.25, 1.0, BOSON)
         assert info.value.t == 0.25
 
 
@@ -116,7 +113,7 @@ class TestEvolve:
         h = np.zeros((2, 2))
         initial = DensityMatrix(np.diag([1.0, 0.0]), stats)
         spec = EvolutionSpec(
-            rhs=lambda t, r: rhs_nonlinear_master(h, net, r, stats),
+            rhs=NetworkFlow(h, net, stats),
             t0=0.0,
             t1=3.0,
             dt=1e-3,
@@ -156,7 +153,7 @@ class TestEvolve:
         h = np.diag([0.0, 0.3, 0.7]).astype(complex)
         initial = DensityMatrix(np.diag([1.0, 0.5, 0.0]), FERMION)
         spec = EvolutionSpec(
-            rhs=lambda t, r: rhs_nonlinear_master(h, net, r, FERMION),
+            rhs=NetworkFlow(h, net, FERMION),
             t0=0.0, t1=2.0, dt=1e-3, record_every=50,
         )
         traj = evolve(spec, initial)
@@ -167,7 +164,7 @@ class TestEvolve:
         net = TransitionNetwork.computational(2, {(1, 0): 1.0})
         initial = DensityMatrix(np.diag([1.0, 0.0]), FERMION)
         spec = EvolutionSpec(
-            rhs=lambda t, r: rhs_nonlinear_master(np.zeros((2, 2)), net, r, FERMION),
+            rhs=NetworkFlow(np.zeros((2, 2)), net, FERMION),
             t0=0.0, t1=1.0, dt=1e-3,
         )
         traj = evolve(spec, initial)
@@ -217,6 +214,13 @@ class TestEvolve:
         with pytest.raises(ValueError, match="record_every"):
             EvolutionSpec(rhs=lambda t, r: r, t0=0.0, t1=1.0, record_every=0)
 
+    @pytest.mark.parametrize("field", ["t0", "t1", "dt"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_spec_rejects_non_finite_times(self, field, value):
+        window = {"t0": 0.0, "t1": 1.0, "dt": 1e-3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            EvolutionSpec(rhs=lambda t, r: r, **window)
+
     @pytest.mark.parametrize(
         "error_tol,expected",
         [
@@ -239,7 +243,7 @@ class TestEvolve:
         h = np.array([[0.0, 0.2, 0.0], [0.2, 0.3, 0.1], [0.0, 0.1, 0.7]], dtype=complex)
         initial = DensityMatrix(np.diag([0.9, 0.4, 0.1]), FERMION)
         spec = EvolutionSpec(
-            rhs=lambda t, r: rhs_nonlinear_master(h, net, r, FERMION),
+            rhs=NetworkFlow(h, net, FERMION),
             t0=0.0, t1=0.5, dt=1e-3, record_every=50,
         )
         traj = evolve(spec, initial)
