@@ -57,13 +57,10 @@ from .fock_oracle import (
     reduce_one_particle,
     rhs_fock_lindblad,
 )
-from .integrator import EvolutionSpec, IntegrationDivergedError, Trajectory, evolve
+from .integrator import MAX_STEPS, EvolutionSpec, IntegrationDivergedError, Trajectory, evolve
 from .operators import DensityMatrix, hermiticity_defect, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
-#: Most steps (t1 - t0)/dt a window may take: 1000x the largest bundled run
-#: (appendix_d, 10^4 steps), so a tiny dt cannot hang a run.
-MAX_STEPS = 10**7
 #: Largest scenario dimension: 30x the d=32 of the dense-jump benchmark, one
 #: 16 MB state; a larger value is refused before anything is allocated.
 MAX_DIMENSION = 1024
@@ -130,7 +127,46 @@ def _entry_to_complex(value, where: str) -> complex:
     return complex(_scalar(value, where))
 
 
+#: Exact types of the numbers JSON decodes to (bool is not among them).
+_PLAIN = (int, float)
+
+
+def _plain_matrix(rows, dim: int) -> np.ndarray | None:
+    """The matrix of ``dim`` rows of ``dim`` plain numbers or [re, im] pairs,
+    typed inline and checked for finiteness once; None for anything else."""
+    if type(rows) is not list or len(rows) != dim:
+        return None
+    re, im = [], []
+    for row in rows:
+        if type(row) is not list or len(row) != dim:
+            return None
+        for v in row:
+            kind = type(v)
+            if kind is float or kind is int:  # not bool: type() is exact
+                re.append(v)
+                im.append(0.0)
+            elif kind is list and len(v) == 2 and type(v[0]) in _PLAIN and type(v[1]) in _PLAIN:
+                re.append(v[0])
+                im.append(v[1])
+            else:
+                return None
+    try:
+        parts = np.array([re, im], dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    out = np.empty((dim, dim), dtype=complex)
+    out.real = parts[0].reshape(dim, dim)
+    out.imag = parts[1].reshape(dim, dim)
+    return out
+
+
 def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
+    out = _plain_matrix(rows, dim)
+    if out is not None:
+        return out
+    # the per-entry path accepts what remains valid and names the first bad entry
     if not isinstance(rows, list) or len(rows) != dim:
         raise ScenarioError(f"{where}: expected {dim} rows")
     out = np.zeros((dim, dim), dtype=complex)
@@ -589,43 +625,38 @@ def _build_rhs(s: Scenario):
 _DUALITY_EQUATIONS = {"general", "nonlinear_master", "generalized_jumps"}
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _write_csv(path: Path, columns: list[str], rows) -> None:
+    """Write a header and one line per row of numbers, streamed: only the
+    current row is held.  Each number is ``%.17g``, the same digits as
+    ``f"{float(x):.17g}"``, so a rerun writes the same bytes."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(line % row)
 
 
 def _write_states_csv(path: Path, traj: Trajectory) -> None:
     dim = traj.states[0].shape[0]
-    header = ["t"]
+    columns = ["t"]
     for i in range(dim):
         for j in range(dim):
-            header += [f"re_{i}_{j}", f"im_{i}_{j}"]
-    lines = [",".join(header)]
-    for t, m in zip(traj.times, traj.states):
-        row = [_fmt(t)]
-        for i in range(dim):
-            for j in range(dim):
-                row += [_fmt(m[i, j].real), _fmt(m[i, j].imag)]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+            columns += [f"re_{i}_{j}", f"im_{i}_{j}"]
+    # a C-ordered complex matrix viewed as floats is row-major re, im pairs
+    rows = (
+        (t, *np.ascontiguousarray(m, dtype=complex).view(float).ravel().tolist())
+        for t, m in zip(np.asarray(traj.times, dtype=float).tolist(), traj.states)
+    )
+    _write_csv(path, columns, rows)
 
 
 def _write_diagnostics_csv(path: Path, traj: Trajectory, duality=None) -> None:
-    header = "t,trace,min_eig,max_eig,herm_defect"
+    columns = ["t", "trace", "min_eig", "max_eig", "herm_defect"]
+    series = [traj.times, traj.trace, traj.min_eig, traj.max_eig, traj.herm_defect]
     if duality is not None:
-        header += ",duality_residual"
-    lines = [header]
-    for k in range(len(traj)):
-        row = [
-            _fmt(traj.times[k]),
-            _fmt(traj.trace[k]),
-            _fmt(traj.min_eig[k]),
-            _fmt(traj.max_eig[k]),
-            _fmt(traj.herm_defect[k]),
-        ]
-        if duality is not None:
-            row.append(_fmt(duality[k]))
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        columns.append("duality_residual")
+        series.append(duality)
+    _write_csv(path, columns, zip(*(np.asarray(x, dtype=float).tolist() for x in series)))
 
 
 def _resolve_out_dir(s: Scenario, out_dir: str | None) -> Path:
@@ -681,6 +712,11 @@ def bundled_scenarios() -> list[str]:
     return sorted(f.name[:-5] for f in folder.iterdir() if f.name.endswith(".json"))
 
 
+def _output_error(exc: OSError) -> int:
+    print(f"error: output.dir: {exc}", file=sys.stderr)
+    return 1
+
+
 def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> int:
     """Integrate a scenario file and write states/diagnostics/summary.
 
@@ -698,7 +734,10 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         return 1
 
     folder = _resolve_out_dir(scenario, out_dir)
-    folder.mkdir(parents=True, exist_ok=True)
+    try:
+        folder.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _output_error(exc)
 
     try:
         if scenario.equation == "fock_oracle":
@@ -713,9 +752,6 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         return 1
 
     traj, duality, extra = result
-    _write_states_csv(folder / "states.csv", traj)
-    _write_diagnostics_csv(folder / "diagnostics.csv", traj, duality)
-
     violations = bounds_monitor(traj, scenario.statistics)
     final = traj.final_state
     final_spectrum = np.linalg.eigvalsh(0.5 * (final + final.conj().T))
@@ -731,14 +767,19 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         "herm_defect_max": float(np.max(traj.herm_defect)),
         "violations": violations,
         "min_eig_crossing_time": first_crossing_time(traj.times, traj.min_eig, 0.0),
-        "wall_time_s": time.perf_counter() - wall_start,
     }
     if duality is not None:
         summary["duality_residual_max"] = float(np.max(duality))
     summary.update(extra)
-    (folder / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    try:
+        _write_states_csv(folder / "states.csv", traj)
+        _write_diagnostics_csv(folder / "diagnostics.csv", traj, duality)
+        summary["wall_time_s"] = time.perf_counter() - wall_start
+        (folder / "summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        return _output_error(exc)
 
     unexpected = bool(violations) and not scenario.expect_violations
     if not quiet:

@@ -19,6 +19,10 @@ from .operators import DensityMatrix, Statistics, hermiticity_defect
 #: Signature of a right-hand side: (t, rho) -> drho/dt.
 RHSCallable = Callable[[float, np.ndarray], np.ndarray]
 
+#: Most steps (t1 - t0)/dt a window may take: 1000x the largest bundled run
+#: (appendix_d, 10^4 steps), so a tiny dt cannot hang a run.
+MAX_STEPS = 10**7
+
 
 class IntegrationDivergedError(RuntimeError):
     """Raised when any RK stage produces a NaN or Inf."""
@@ -51,6 +55,9 @@ class EvolutionSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t1 <= self.t0:
             raise ValueError(f"t1 ({self.t1}) must exceed t0 ({self.t0})")
+        steps = (self.t1 - self.t0) / self.dt
+        if not steps <= MAX_STEPS:
+            raise ValueError(f"dt ({self.dt}) gives {steps:.3g} steps, more than {MAX_STEPS}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qme import cli
 from qme.cli import (
     Scenario,
     ScenarioError,
@@ -17,6 +18,7 @@ from qme.cli import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from qme.integrator import Trajectory
 
 GALLERY = [
     "appendix_d",
@@ -385,6 +387,194 @@ class TestMalformedInput:
             assert run(path, quiet=True) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("blocked", ["parent", "states.csv", "summary.json"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, blocked):
+        # a regular file where the output directory's parent should be, or a
+        # directory where an output file should be
+        if blocked == "parent":
+            (tmp_path / "file").write_text("", encoding="utf-8")
+            out = tmp_path / "file" / "sub"
+        else:
+            out = tmp_path / "o"
+            (out / blocked).mkdir(parents=True)
+        argv = ["run", "two_state_boson", "--override", "t1=0.05", "--out-dir", str(out), "--quiet"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.dir: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def reference_parse_matrix(rows, dim, where):
+    """The per-entry matrix parser the inline-typed one replaced."""
+    if not isinstance(rows, list) or len(rows) != dim:
+        raise ScenarioError(f"{where}: expected {dim} rows")
+    out = np.zeros((dim, dim), dtype=complex)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ScenarioError(f"{where}[{i}]: expected {dim} entries")
+        for j, value in enumerate(row):
+            out[i, j] = cli._entry_to_complex(value, f"{where}[{i}][{j}]")
+    return out
+
+
+class TestParseMatrix:
+    """``_parse_matrix`` against the per-entry reference: the same bits for
+    valid matrices, the same message for the first malformed entry."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, -0.0], [[0.5, -0.0], 2**53 + 1]],
+            [[0, 0.1], [[-0.0, 5e-324], [2**63 + 1, 1e308]]],
+            [[np.float64(0.25), 1.0], [0.0, [1, 2]]],  # a float subclass takes the slow path
+            [[3]],
+        ],
+        ids=["mixed", "extremes", "numpy_scalar", "d1"],
+    )
+    def test_valid_matrices_are_bitwise_the_reference(self, rows):
+        got = cli._parse_matrix(rows, len(rows), "m")
+        ref = reference_parse_matrix(rows, len(rows), "m")
+        assert got.dtype == complex and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "x",
+            [[1.0, 0.0]],
+            [[1.0, 0.0], [0.0]],
+            [[1.0, 0.0], "row"],
+            [[1.0, float("nan")], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, float("-inf")]],
+            [[1.0, [0.0, float("inf")]], [0.0, 1.0]],
+            [[1.0, 10**400], [0.0, 1.0]],
+            [[1.0, True], [0.0, 1.0]],
+            [[1.0, [True, 0.0]], [0.0, 1.0]],
+            [[1.0, [0.0, 1.0, 2.0]], [0.0, 1.0]],
+            [[1.0, "0.5"], [0.0, 1.0]],
+            [[1.0, None], [0.0, 1.0]],
+            # the first bad entry in row-major order wins over a later bad row
+            [[float("nan"), 0.0], [0.0]],
+            [[1.0, 0.0], [float("nan"), "x"]],
+        ],
+    )
+    def test_malformed_matrices_keep_the_reference_message(self, rows):
+        with pytest.raises(ScenarioError) as ref:
+            reference_parse_matrix(rows, 2, "initial.matrix")
+        with pytest.raises(ScenarioError) as got:
+            cli._parse_matrix(rows, 2, "initial.matrix")
+        assert str(got.value) == str(ref.value)
+
+
+def _fmt(x):
+    return f"{float(x):.17g}"
+
+
+def reference_states_csv(path, traj):
+    """The per-entry CSV writers the streamed ones replaced."""
+    dim = traj.states[0].shape[0]
+    header = ["t"]
+    for i in range(dim):
+        for j in range(dim):
+            header += [f"re_{i}_{j}", f"im_{i}_{j}"]
+    lines = [",".join(header)]
+    for t, m in zip(traj.times, traj.states):
+        row = [_fmt(t)]
+        for i in range(dim):
+            for j in range(dim):
+                row += [_fmt(m[i, j].real), _fmt(m[i, j].imag)]
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def reference_diagnostics_csv(path, traj, duality=None):
+    header = "t,trace,min_eig,max_eig,herm_defect"
+    if duality is not None:
+        header += ",duality_residual"
+    lines = [header]
+    for k in range(len(traj)):
+        row = [
+            _fmt(traj.times[k]),
+            _fmt(traj.trace[k]),
+            _fmt(traj.min_eig[k]),
+            _fmt(traj.max_eig[k]),
+            _fmt(traj.herm_defect[k]),
+        ]
+        if duality is not None:
+            row.append(_fmt(duality[k]))
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+#: Doubles whose 17-digit form needs care: signed zero, subnormals, the top
+#: of the range, a non-dyadic fraction, integral values and non-finite values.
+EDGE_VALUES = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 3.0, -2.0, 0.0, 1e16, 2.0**53 + 2,
+               float("inf"), float("nan")]
+
+
+def _complex(re, im):
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _synthetic_trajectory(states):
+    n = len(states)
+    column = (EDGE_VALUES * n)[:n]
+    return Trajectory(
+        times=np.array([0.0, 0.1, 1e-3, 2.0, 1e308][:n]),
+        states=states,
+        trace=np.array(column),
+        min_eig=np.array(column[::-1]),
+        max_eig=np.array([-0.0] * n),
+        herm_defect=np.array([5e-324] * n),
+    )
+
+
+def _edge_state(d, shift=0):
+    values = np.resize(np.roll(EDGE_VALUES, shift), 2 * d * d)
+    return _complex(values[: d * d].reshape(d, d), values[d * d:].reshape(d, d))
+
+
+def _bundled_run(name, *overrides):
+    raw = json.loads(resolve_scenario_path(name).read_text(encoding="utf-8"))
+    scenario = scenario_from_dict(apply_overrides(raw, overrides))
+    run_scenario = cli._run_fock if scenario.equation == "fock_oracle" else cli._run_matrix
+    traj, duality, _ = run_scenario(scenario)
+    return traj, duality
+
+
+def _writer_case(name):
+    """(trajectory, duality residuals or None) for one writer test case."""
+    edge = _edge_state(3)
+    big = _edge_state(6, shift=5)
+    if name == "edge_values":
+        return _synthetic_trajectory([edge, _edge_state(3, 4)]), [0.1, -0.0]
+    if name == "fortran_ordered":
+        return _synthetic_trajectory([np.asfortranarray(edge), edge.T]), [1.0, 2.0]
+    if name == "strided_view":
+        return _synthetic_trajectory([big[::2, 1::2], big[1:4, :3]]), [5e-324, 1e308]
+    if name == "d1":
+        return _synthetic_trajectory([_complex([[-0.0]], [[5e-324]])] * 3), [0.0, 3.0, -2.0]
+    # fock_closure_2mode writes its reduced one-particle trajectory;
+    # two_state_fermion has duality residuals
+    return _bundled_run(name, "t1=0.2")
+
+
+class TestCsvWriters:
+    @pytest.mark.parametrize("name", ["edge_values", "fortran_ordered", "strided_view", "d1",
+                                      "fock_closure_2mode", "two_state_fermion"])
+    def test_bytes_equal_the_per_entry_writers(self, tmp_path, name):
+        traj, duality = _writer_case(name)
+        assert (duality is None) == (name == "fock_closure_2mode")
+        cli._write_states_csv(tmp_path / "states.csv", traj)
+        reference_states_csv(tmp_path / "states_ref.csv", traj)
+        assert (tmp_path / "states.csv").read_bytes() == (tmp_path / "states_ref.csv").read_bytes()
+        for dual in (None, duality):
+            cli._write_diagnostics_csv(tmp_path / "diag.csv", traj, dual)
+            reference_diagnostics_csv(tmp_path / "diag_ref.csv", traj, dual)
+            assert (tmp_path / "diag.csv").read_bytes() == (tmp_path / "diag_ref.csv").read_bytes()
 
 
 class TestScenarioEquality:

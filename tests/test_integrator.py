@@ -3,6 +3,7 @@ import pytest
 
 from qme.dynamics import NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
 from qme.integrator import (
+    MAX_STEPS,
     EvolutionSpec,
     IntegrationDivergedError,
     Trajectory,
@@ -220,6 +221,20 @@ class TestEvolve:
         window = {"t0": 0.0, "t1": 1.0, "dt": 1e-3, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             EvolutionSpec(rhs=lambda t, r: r, **window)
+
+    @pytest.mark.parametrize(
+        "t0, t1, dt",
+        [(0.0, 1e300, 1e-10), (0.0, 1.0, 1e-300), (-1e308, 1e308, 1.0), (0.0, 2.0, 1e-7)],
+        ids=["huge_window", "tiny_dt", "span_overflows", "just_over_the_limit"],
+    )
+    def test_spec_rejects_too_many_steps(self, t0, t1, dt):
+        # evolve would die in int(inf) or run for years; the spec refuses first
+        with pytest.raises(ValueError, match=r"^dt \("):
+            EvolutionSpec(rhs=lambda t, r: r, t0=t0, t1=t1, dt=dt)
+
+    def test_spec_accepts_the_step_limit(self):
+        spec = EvolutionSpec(rhs=lambda t, r: r, t0=0.0, t1=1.0, dt=1.0 / MAX_STEPS)
+        assert (spec.t1 - spec.t0) / spec.dt <= MAX_STEPS
 
     @pytest.mark.parametrize(
         "error_tol,expected",
