@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -57,8 +58,9 @@ from .fock_oracle import (
     reduce_one_particle,
     rhs_fock_lindblad,
 )
-from .integrator import MAX_STEPS, EvolutionSpec, IntegrationDivergedError, Trajectory, evolve
-from .operators import DensityMatrix, hermiticity_defect, require_hermitian
+from .integrator import (MAX_STEPS, EvolutionSpec, IntegrationDivergedError, Trajectory,
+                         check_snapshot_budget, evolve)
+from .operators import DEFAULT_TOL, DensityMatrix, hermiticity_defect, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
 #: Largest scenario dimension: 30x the d=32 of the dense-jump benchmark, one
@@ -77,19 +79,46 @@ _COMMON_KEYS = {
     "expect_violations",
 }
 
-#: Parameter groups each equation requires / additionally accepts.  The
-#: occupation-vector equations build their own Hamiltonian-free flow, so a
-#: "hamiltonian" key there is an extra and gets rejected.
-_EQUATIONS: dict[str, dict] = {
-    "meanfield_nonhermitian": {"required": {"a_operator"}, "optional": set()},
-    "general": {"required": {"loss_operator", "gain_operator"}, "optional": set()},
-    "nonlinear_master": {"required": {"network"}, "optional": set()},
-    "generalized_jumps": {"required": {"jump_operators"}, "optional": set()},
-    "markoff": {"required": {"network"}, "optional": {"dephasing"}},
-    "lindblad": {"required": {"jump_operators"}, "optional": set()},
-    "quasiclassical": {"required": {"network"}, "optional": set(), "hamiltonian": False},
-    "fock_oracle": {"required": {"fock", "network"}, "optional": set(), "hamiltonian": False},
+
+@dataclass(frozen=True)
+class _Equation:
+    """Everything the runner knows about one equation."""
+
+    #: parameter groups the equation requires / additionally accepts
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    #: starts from an occupation vector and builds a Hamiltonian-free flow,
+    #: so a "hamiltonian" key is an extra and gets rejected
+    occupations: bool = False
+    #: fermion runs co-evolve the hole flow ``flow.hole()`` for the duality residual
+    dual: bool = False
+    #: scenario -> flow on matrix states; None for the Fock oracle (``_run_fock``)
+    build: Callable | None = None
+
+
+#: The one record of every equation: parsing, serialization, flow building,
+#: dispatch and hole co-evolution all read it.
+_EQUATIONS: dict[str, _Equation] = {
+    "meanfield_nonhermitian": _Equation(("a_operator",), build=lambda s: OperatorFlow(
+        s.hamiltonian, s.a_operator, np.zeros_like(s.a_operator), None)),
+    "general": _Equation(("loss_operator", "gain_operator"), dual=True, build=lambda s: (
+        OperatorFlow(s.hamiltonian, s.loss_operator, s.gain_operator, s.statistics))),
+    "nonlinear_master": _Equation(("network",), dual=True, build=lambda s: NetworkFlow(
+        s.hamiltonian, s.network, s.statistics)),
+    "generalized_jumps": _Equation(("jump_operators",), dual=True, build=lambda s: JumpFlow(
+        s.hamiltonian, s.jump_operators, s.statistics)),
+    "markoff": _Equation(("network",), ("dephasing",), build=lambda s: NetworkFlow(
+        s.hamiltonian, s.network, None, s.dephasing)),
+    "lindblad": _Equation(("jump_operators",), build=lambda s: JumpFlow(
+        s.hamiltonian, s.jump_operators, None)),
+    "quasiclassical": _Equation(("network",), occupations=True, build=lambda s: QuasiclassicalFlow(
+        s.network, s.statistics)),
+    "fock_oracle": _Equation(("fock", "network"), occupations=True),
 }
+
+#: The hermitian-matrix parameter groups, each stored on the Scenario field of
+#: the same name.
+_OPERATOR_GROUPS = ("a_operator", "loss_operator", "gain_operator")
 
 
 class ScenarioError(ValueError):
@@ -211,7 +240,6 @@ class Scenario:
     dt: float = 1e-3
     record_every: int = 1
     out_dir: str | None = None
-    duality: bool | None = None
     expect_violations: bool = False
 
     def __eq__(self, other):
@@ -226,16 +254,36 @@ class Scenario:
         if self.initial_kind == "preset":
             if self.initial_value == "empty":
                 return np.zeros((self.dimension, self.dimension), dtype=complex)
-            if self.initial_value == "appendix_d":
-                return dephasing_counterexample_matrix()
-            raise ScenarioError(f"initial.preset: unknown preset {self.initial_value!r}")
+            return dephasing_counterexample_matrix()  # "appendix_d", the only other preset
         return np.diag(np.asarray(self.initial_value, dtype=float)).astype(complex)
 
-    def initial_state(self) -> DensityMatrix:
-        # the bundled counterexample matrix is slightly indefinite by design;
-        # everything else gets the strict tolerance
-        tol = 0.1 if (self.initial_kind, self.initial_value) == ("preset", "appendix_d") else 1e-10
-        return DensityMatrix(self.initial_matrix(), self.statistics, tolerance=tol)
+
+def start_state(s: Scenario) -> tuple[DensityMatrix, FockModel | None]:
+    """The validated start state of a run and, for the Fock oracle, its
+    many-body model (None otherwise): the one place either is built.  Parsing
+    calls it to fail fast; each run calls it once more."""
+    model = None
+    if s.fock_energies is not None:
+        try:
+            model = FockModel(statistics=s.statistics, energies=s.fock_energies,
+                              rates=dict(s.network.rates), boson_cutoff=s.boson_cutoff)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+    elif s.initial_kind == "occupations":
+        occ = np.asarray(s.initial_value, dtype=float)
+        if np.any(occ < 0):
+            raise ScenarioError("initial.occupations: negative occupation")
+        if s.statistics is Statistics.FERMION and np.any(occ > 1):
+            raise ScenarioError("initial.occupations: fermion occupation exceeds 1")
+    # the bundled counterexample matrix is slightly indefinite by design;
+    # everything else gets the strict tolerance
+    tol = 0.1 if (s.initial_kind, s.initial_value) == ("preset", "appendix_d") else DEFAULT_TOL
+    try:
+        if model is None:
+            return DensityMatrix(s.initial_matrix(), s.statistics, tolerance=tol), None
+        return DensityMatrix(product_diagonal_state(model, s.initial_value), s.statistics), model
+    except ValueError as exc:
+        raise ScenarioError(f"initial: {exc}") from None
 
 
 def _parse_network(group, dim: int) -> TransitionNetwork:
@@ -301,13 +349,12 @@ def _parse_dephasing(items) -> DephasingRates:
         raise ScenarioError(str(exc)) from None
 
 
-def _parse_operator(value, dim: int, where: str, hermitian: bool) -> np.ndarray:
+def _parse_hermitian(value, dim: int, where: str) -> np.ndarray:
     m = _parse_matrix(value, dim, where)
-    if hermitian:
-        try:
-            require_hermitian(m, name=where)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+    try:
+        require_hermitian(m, name=where)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
     return m
 
 
@@ -320,21 +367,24 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
             f"equation: unknown equation {equation!r}; expected one of {sorted(_EQUATIONS)}"
         )
     rules = _EQUATIONS[equation]
-    allowed = _COMMON_KEYS | rules["required"] | rules["optional"]
-    if not rules.get("hamiltonian", True):
-        allowed -= {"hamiltonian"}
+    allowed = _COMMON_KEYS.union(rules.required, rules.optional)
+    if rules.occupations:
+        allowed.remove("hamiltonian")
     unknown = set(raw) - allowed
     if unknown:
         raise ScenarioError(
             f"{sorted(unknown)}: parameter group(s) not accepted by equation {equation!r}"
         )
-    missing = (rules["required"] | {"name", "statistics", "dimension", "initial", "integrator"}) - set(raw)
+    missing = {"name", "statistics", "dimension", "initial", "integrator", *rules.required} - set(raw)
     if missing:
         raise ScenarioError(f"{sorted(missing)}: required by equation {equation!r} but missing")
 
     name = raw["name"]
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: expected a nonempty string")
+    # the name is a directory under $QME_OUT_DIR: it must not step out of it
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise ScenarioError(f"name: expected a single path component, got {name!r}")
     if not isinstance(raw["statistics"], str):
         raise ScenarioError(f"statistics: expected a string, got {raw['statistics']!r}")
     try:
@@ -353,20 +403,19 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         raise ScenarioError(
             "initial: expected exactly one of keys matrix, diagonal, preset, occupations"
         )
-    vector_initial = equation in ("quasiclassical", "fock_oracle")
     (ikind, ivalue), = initial.items()
-    if ikind == "matrix" and not vector_initial:
+    if ikind == "matrix" and not rules.occupations:
         initial_kind, initial_value = "matrix", _parse_matrix(ivalue, dimension, "initial.matrix")
-    elif ikind == "diagonal" and not vector_initial:
+    elif ikind == "diagonal" and not rules.occupations:
         initial_kind = "matrix"
         initial_value = np.diag(_real_list(ivalue, dimension, "initial.diagonal")).astype(complex)
-    elif ikind == "preset" and not vector_initial:
+    elif ikind == "preset" and not rules.occupations:
         if ivalue == "appendix_d" and dimension != 3:
             raise ScenarioError("initial.preset: preset 'appendix_d' requires dimension 3")
         if ivalue not in ("empty", "appendix_d"):
             raise ScenarioError(f"initial.preset: unknown preset {ivalue!r}")
         initial_kind, initial_value = "preset", ivalue
-    elif ikind == "occupations" and vector_initial:
+    elif ikind == "occupations" and rules.occupations:
         initial_kind = "occupations"
         initial_value = tuple(_real_list(ivalue, dimension, "initial.occupations"))
     else:
@@ -376,7 +425,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
 
     # hamiltonian
     hamiltonian = None
-    if rules.get("hamiltonian", True):
+    if not rules.occupations:
         h_raw = raw.get("hamiltonian", "zero")
         if h_raw == "zero":
             hamiltonian = np.zeros((dimension, dimension), dtype=complex)
@@ -384,7 +433,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
             diagonal = _real_list(h_raw["diagonal"], dimension, "hamiltonian.diagonal")
             hamiltonian = np.diag(diagonal).astype(complex)
         elif isinstance(h_raw, dict) and set(h_raw) == {"matrix"}:
-            hamiltonian = _parse_operator(h_raw["matrix"], dimension, "hamiltonian.matrix", True)
+            hamiltonian = _parse_hermitian(h_raw["matrix"], dimension, "hamiltonian.matrix")
         else:
             raise ScenarioError('hamiltonian: expected "zero", {"diagonal": ...} or {"matrix": ...}')
 
@@ -402,21 +451,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         jump_operators = tuple(
             _parse_matrix(m, dimension, f"jump_operators[{k}]") for k, m in enumerate(items)
         )
-    a_operator = (
-        _parse_operator(raw["a_operator"], dimension, "a_operator", True)
-        if "a_operator" in raw
-        else None
-    )
-    loss_operator = (
-        _parse_operator(raw["loss_operator"], dimension, "loss_operator", True)
-        if "loss_operator" in raw
-        else None
-    )
-    gain_operator = (
-        _parse_operator(raw["gain_operator"], dimension, "gain_operator", True)
-        if "gain_operator" in raw
-        else None
-    )
+    operators = {k: _parse_hermitian(raw[k], dimension, k) for k in _OPERATOR_GROUPS if k in raw}
 
     fock_energies = None
     boson_cutoff = 4
@@ -447,17 +482,13 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         )
 
     out_dir = None
-    duality = None
     if "output" in raw:
         output = raw["output"]
-        if not isinstance(output, dict) or not set(output) <= {"dir", "duality"}:
-            raise ScenarioError("output: expected an object with optional keys dir, duality")
+        if not isinstance(output, dict) or not set(output) <= {"dir"}:
+            raise ScenarioError("output: expected an object with optional key dir")
         out_dir = output.get("dir")
         if out_dir is not None and not isinstance(out_dir, str):
             raise ScenarioError("output.dir: expected a string")
-        duality = output.get("duality")
-        if duality is not None and not isinstance(duality, bool):
-            raise ScenarioError("output.duality: expected a boolean")
 
     expect_violations = raw.get("expect_violations", False)
     if not isinstance(expect_violations, bool):
@@ -474,9 +505,6 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         network=network,
         dephasing=dephasing,
         jump_operators=jump_operators,
-        a_operator=a_operator,
-        loss_operator=loss_operator,
-        gain_operator=gain_operator,
         fock_energies=fock_energies,
         boson_cutoff=boson_cutoff,
         t0=t0,
@@ -484,19 +512,16 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         dt=dt,
         record_every=record_every,
         out_dir=out_dir,
-        duality=duality,
         expect_violations=expect_violations,
+        **operators,
     )
-    # fail fast on an invalid initial state (dimension/PSD/occupation bounds)
-    if equation == "fock_oracle":
-        _fock_initial(scenario, _fock_model(scenario))  # validates modes/rates/cutoff, then the state
-    elif equation == "quasiclassical":
-        _quasiclassical_initial(scenario)
-    else:
-        try:
-            scenario.initial_state()
-        except ValueError as exc:
-            raise ScenarioError(f"initial: {exc}") from None
+    # fail fast on an invalid start state, and on a window whose snapshots of
+    # it (D x D for the oracle) would not fit in memory
+    initial, _ = start_state(scenario)
+    try:
+        check_snapshot_budget(steps, record_every, initial.dim)
+    except ValueError as exc:
+        raise ScenarioError(f"integrator.record_every: {exc}") from None
     return scenario
 
 
@@ -524,7 +549,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         out["initial"] = {"preset": s.initial_value}
     else:
         out["initial"] = {"occupations": [float(v) for v in s.initial_value]}
-    if s.equation not in ("quasiclassical", "fock_oracle"):
+    if s.hamiltonian is not None:
         out["hamiltonian"] = (
             "zero" if not np.any(s.hamiltonian) else {"matrix": _serialize_matrix(s.hamiltonian)}
         )
@@ -549,20 +574,15 @@ def scenario_to_dict(s: Scenario) -> dict:
         ]
     if s.jump_operators is not None:
         out["jump_operators"] = [_serialize_matrix(w) for w in s.jump_operators]
-    for key in ("a_operator", "loss_operator", "gain_operator"):
+    for key in _OPERATOR_GROUPS:
         value = getattr(s, key)
         if value is not None:
             out[key] = _serialize_matrix(value)
     if s.fock_energies is not None:
         out["fock"] = {"energies": [float(e) for e in s.fock_energies], "boson_cutoff": s.boson_cutoff}
     out["integrator"] = {"t0": s.t0, "t1": s.t1, "dt": s.dt, "record_every": s.record_every}
-    output: dict = {}
     if s.out_dir is not None:
-        output["dir"] = s.out_dir
-    if s.duality is not None:
-        output["duality"] = s.duality
-    if output:
-        out["output"] = output
+        out["output"] = {"dir": s.out_dir}
     if s.expect_violations:
         out["expect_violations"] = True
     return out
@@ -571,58 +591,6 @@ def scenario_to_dict(s: Scenario) -> dict:
 # ---------------------------------------------------------------------------
 # Dispatch and execution
 # ---------------------------------------------------------------------------
-
-
-def _fock_model(s: Scenario) -> FockModel:
-    try:
-        return FockModel(
-            statistics=s.statistics,
-            energies=s.fock_energies,
-            rates=dict(s.network.rates),
-            boson_cutoff=s.boson_cutoff,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-
-
-def _fock_initial(s: Scenario, model: FockModel) -> np.ndarray:
-    try:
-        return product_diagonal_state(model, s.initial_value)
-    except ValueError as exc:
-        raise ScenarioError(f"initial: {exc}") from None
-
-
-def _quasiclassical_initial(s: Scenario) -> np.ndarray:
-    occ = np.asarray(s.initial_value, dtype=float)
-    if np.any(occ < 0):
-        raise ScenarioError("initial.occupations: negative occupation")
-    if s.statistics is Statistics.FERMION and np.any(occ > 1):
-        raise ScenarioError("initial.occupations: fermion occupation exceeds 1")
-    return occ
-
-
-def _build_rhs(s: Scenario):
-    """The scenario's flow (matrix-valued states), built and validated once."""
-    h = s.hamiltonian
-    stats = s.statistics
-    if s.equation == "meanfield_nonhermitian":
-        return OperatorFlow(h, s.a_operator, np.zeros_like(s.a_operator), None)
-    if s.equation == "general":
-        return OperatorFlow(h, s.loss_operator, s.gain_operator, stats)
-    if s.equation == "nonlinear_master":
-        return NetworkFlow(h, s.network, stats)
-    if s.equation == "generalized_jumps":
-        return JumpFlow(h, s.jump_operators, stats)
-    if s.equation == "markoff":
-        return NetworkFlow(h, s.network, None, s.dephasing)
-    if s.equation == "lindblad":
-        return JumpFlow(h, s.jump_operators, None)
-    if s.equation == "quasiclassical":
-        return QuasiclassicalFlow(s.network, stats)
-    raise ScenarioError(f"equation: no runner for {s.equation!r}")
-
-
-_DUALITY_EQUATIONS = {"general", "nonlinear_master", "generalized_jumps"}
 
 
 def _write_csv(path: Path, columns: list[str], rows) -> None:
@@ -739,19 +707,13 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
     except OSError as exc:
         return _output_error(exc)
 
+    run_equation = _run_fock if _EQUATIONS[scenario.equation].build is None else _run_matrix
     try:
-        if scenario.equation == "fock_oracle":
-            result = _run_fock(scenario)
-        else:
-            result = _run_matrix(scenario)
-    except IntegrationDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        traj, duality, extra = run_equation(scenario)
+    except (IntegrationDivergedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    traj, duality, extra = result
     violations = bounds_monitor(traj, scenario.statistics)
     final = traj.final_state
     final_spectrum = np.linalg.eigvalsh(0.5 * (final + final.conj().T))
@@ -797,21 +759,13 @@ def _spec(s: Scenario, rhs) -> EvolutionSpec:
 
 def _run_matrix(scenario: Scenario):
     """(trajectory, duality residuals or None, extra summary fields)."""
-    if scenario.equation == "quasiclassical":
-        occ = _quasiclassical_initial(scenario)
-        initial = DensityMatrix(np.diag(occ).astype(complex), scenario.statistics)
-    else:
-        initial = scenario.initial_state()
-    flow = _build_rhs(scenario)
+    equation = _EQUATIONS[scenario.equation]
+    initial, _ = start_state(scenario)
+    flow = equation.build(scenario)
     traj = evolve(_spec(scenario, flow), initial)
 
     duality = None
-    wants_duality = scenario.duality if scenario.duality is not None else True
-    if (
-        wants_duality
-        and scenario.statistics is Statistics.FERMION
-        and scenario.equation in _DUALITY_EQUATIONS
-    ):
+    if equation.dual and scenario.statistics is Statistics.FERMION:
         hole_traj = evolve(_spec(scenario, flow.hole()), hole_transform(initial))
         duality = list(_duality_residuals(traj, hole_traj))
     return traj, duality, {}
@@ -819,10 +773,8 @@ def _run_matrix(scenario: Scenario):
 
 def _run_fock(scenario: Scenario):
     """(reduced one-particle trajectory, None, extra summary fields)."""
-    model = _fock_model(scenario)
-    rho_s0 = _fock_initial(scenario, model)
-    closure = closure_residual_at_t0(model, rho_s0)
-    initial = DensityMatrix(rho_s0, scenario.statistics)
+    initial, model = start_state(scenario)
+    closure = closure_residual_at_t0(model, initial.matrix)
     traj = evolve(_spec(scenario, lambda t, rho: rhs_fock_lindblad(model, rho)), initial)
 
     reduced = [reduce_one_particle(model, m) for m in traj.states]

@@ -28,7 +28,9 @@ from .operators import Statistics, as_square_matrix
 from .dynamics import TransitionNetwork, _check_jumps, rhs_quasiclassical
 
 MAX_MODES = 4
-MAX_BOSON_DIM = 10_000
+#: Largest boson Fock dimension D, the bound of ``cli.MAX_DIMENSION``: one
+#: D x D state is 16 MB.  It admits 4 modes at cutoff 4 (D = 625).
+MAX_BOSON_DIM = 1024
 
 
 class NonProductStateWarning(UserWarning):

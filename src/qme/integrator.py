@@ -9,6 +9,7 @@ moves the state by less than 1e-12 per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +23,22 @@ RHSCallable = Callable[[float, np.ndarray], np.ndarray]
 #: Most steps (t1 - t0)/dt a window may take: 1000x the largest bundled run
 #: (appendix_d, 10^4 steps), so a tiny dt cannot hang a run.
 MAX_STEPS = 10**7
+
+#: Most bytes the recorded states of one run may take (1 GiB): 64 snapshots
+#: at the largest CLI dimension of 1024, 10^5 at d=32.
+MAX_SNAPSHOT_BYTES = 2**30
+
+
+def check_snapshot_budget(steps: float, record_every: int, dim: int) -> None:
+    """Refuse a window whose recorded states would exceed MAX_SNAPSHOT_BYTES:
+    the start plus every ``record_every``-th of ``steps`` steps (the last one
+    always), each a ``dim x dim`` complex matrix of 16-byte entries."""
+    stored = (1 + math.ceil(steps / record_every)) * dim * dim * 16
+    if stored > MAX_SNAPSHOT_BYTES:
+        raise ValueError(
+            f"{steps:.3g} steps recorded every {record_every} would store {stored:.3g} bytes "
+            f"of {dim}x{dim} states, more than {MAX_SNAPSHOT_BYTES}"
+        )
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -139,6 +156,8 @@ def evolve(spec: EvolutionSpec, initial: DensityMatrix) -> Trajectory:
     """
     if not isinstance(initial, DensityMatrix):
         raise TypeError("initial state must be a DensityMatrix")
+    span = spec.t1 - spec.t0
+    check_snapshot_budget(span / spec.dt, spec.record_every, initial.dim)
     initial.validate()
 
     rho = initial.matrix.copy()
@@ -146,7 +165,6 @@ def evolve(spec: EvolutionSpec, initial: DensityMatrix) -> Trajectory:
     states = [rho.copy()]
     defects = [hermiticity_defect(rho)]
 
-    span = spec.t1 - spec.t0
     if spec.error_tol is None:
         # full steps land on t0 + k*dt; a partial step of at least 1e-12*dt
         # closes the window on t1

@@ -16,11 +16,12 @@ from qme.analysis import (
     low_density_slope,
 )
 from qme.cli import (
-    _build_rhs,
+    _EQUATIONS,
     parse_scenario,
     resolve_scenario_path,
     scenario_from_dict,
     scenario_to_dict,
+    start_state,
     _serialize_matrix,
 )
 from qme.dynamics import (
@@ -78,6 +79,11 @@ def gain_rhs(stats, gamma=1.0):
     gain = -0.5 * gamma * p
     z = np.zeros((2, 2))
     return OperatorFlow(z, z, gain, stats)
+
+
+def _flow(scenario):
+    """The scenario's flow, built by its equation's entry in the CLI table."""
+    return _EQUATIONS[scenario.equation].build(scenario)
 
 
 # -- criterion 1: exponential gain/loss laws ---------------------------------
@@ -277,9 +283,9 @@ def test_criterion_5_low_density_and_homogeneous_limits():
     slope_ok = fit.slope is not None and abs(fit.slope - 2.0) <= 0.05
 
     chain = parse_scenario(resolve_scenario_path("homogeneous_chain"))
-    initial = chain.initial_state()
+    initial, _ = start_state(chain)
     spec = EvolutionSpec(
-        rhs=_build_rhs(chain), t0=chain.t0, t1=chain.t1, dt=chain.dt,
+        rhs=_flow(chain), t0=chain.t0, t1=chain.t1, dt=chain.dt,
         record_every=chain.record_every,
     )
     matrix_traj = evolve(spec, initial)
@@ -327,9 +333,9 @@ def test_criterion_6_bundled_trajectory_invariants():
     for name in names:
         base = parse_scenario(resolve_scenario_path(name))
         for scenario in (base, _jump_twin(base)):
-            initial = scenario.initial_state()
+            initial, _ = start_state(scenario)
             spec = EvolutionSpec(
-                rhs=_build_rhs(scenario), t0=scenario.t0, t1=scenario.t1,
+                rhs=_flow(scenario), t0=scenario.t0, t1=scenario.t1,
                 dt=scenario.dt, record_every=scenario.record_every,
             )
             traj = evolve(spec, initial)
@@ -339,7 +345,7 @@ def test_criterion_6_bundled_trajectory_invariants():
             worst["min_eig"] = min(worst["min_eig"], traj.min_eig.min())
             if scenario.statistics is FERMION:
                 worst["max_eig"] = max(worst["max_eig"], traj.max_eig.max() - 1.0)
-                hole_rhs = _build_rhs(scenario).hole()
+                hole_rhs = _flow(scenario).hole()
                 eye = np.eye(scenario.dimension, dtype=complex)
                 hole_traj = evolve(
                     EvolutionSpec(rhs=hole_rhs, t0=scenario.t0, t1=scenario.t1,

@@ -365,10 +365,23 @@ class TestMalformedInput:
             # refused before the 10^7 x 10^7 Hamiltonian is allocated
             ({"equation": "markoff", "initial": {"preset": "empty"}}, ["dimension=10000000"],
              "dimension"),
+            # the name is a directory under $QME_OUT_DIR and may not leave it
+            ({"name": "../beside"}, [], "name"),
+            ({"name": "/tmp/elsewhere"}, [], "name"),
+            ({"name": "a\\b"}, [], "name"),
+            ({"name": ".."}, [], "name"),
+            ({"name": "."}, [], "name"),
+            # the removed duality switch is an unknown output key
+            ({}, ["output.duality=false"], "output"),
+            # 10^7 recorded steps of a 5 x 5 state would store 4 GB
+            ({"dimension": 5, "initial": {"diagonal": [1.0, 0.0, 0.0, 0.0, 0.0]}},
+             ["t1=1", "dt=1e-7", "record_every=1"], "integrator.record_every"),
         ],
         ids=["nan_rate", "string_rate", "t1_abc", "t1_infinity", "record_every_fraction",
              "dimension_bool", "statistics_number", "rates_not_a_list", "basis_ragged",
-             "out_dir_number", "steps_over_limit", "steps_infinite", "dimension_over_limit"],
+             "out_dir_number", "steps_over_limit", "steps_infinite", "dimension_over_limit",
+             "name_parent_path", "name_absolute", "name_backslash", "name_dotdot", "name_dot",
+             "output_duality", "snapshots_over_budget"],
     )
     def test_exits_one_naming_the_field(self, tmp_path, capsys, updates, overrides, field):
         path = write_scenario(tmp_path, minimal_scenario(**updates))
@@ -403,6 +416,136 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: output.dir: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _bundled_raw(name, *overrides):
+    raw = json.loads(resolve_scenario_path(name).read_text(encoding="utf-8"))
+    return apply_overrides(raw, overrides)
+
+
+class TestMemoryBounds:
+    """Inputs that would allocate gigabytes are refused at parse time."""
+
+    def _exits_one(self, tmp_path, capsys, overrides, prefix):
+        argv = ["run", "fock_closure_2mode", "--out-dir", str(tmp_path / "o"), "--quiet"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_boson_fock_dimension_over_the_cap_exits_one(self, tmp_path, capsys):
+        # D = 100^2 = 10^4: a 1.6 GB product state before the run would start
+        self._exits_one(tmp_path, capsys, ["statistics=boson", "fock.boson_cutoff=99"],
+                        "error: boson Fock dimension 10000 ")
+
+    def test_boson_fock_dimension_cap_is_1024(self):
+        # two modes: cutoff 31 gives D = 1024, cutoff 32 gives D = 1089; the
+        # window records three snapshots so that the budget is not what decides
+        overrides = ("statistics=boson", "record_every=1000")
+        scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides,
+                                                   "fock.boson_cutoff=31"))
+        assert scenario.boson_cutoff == 31
+        with pytest.raises(ScenarioError, match="boson Fock dimension 1089 exceeds limit 1024"):
+            scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides,
+                                            "fock.boson_cutoff=32"))
+
+    def test_oracle_budget_counts_the_fock_dimension(self, tmp_path, capsys):
+        # 101 snapshots of the D = 1024 many-body state are 1.7 GB, though the
+        # one-particle dimension is 2
+        self._exits_one(tmp_path, capsys, ["statistics=boson", "fock.boson_cutoff=31"],
+                        "error: integrator.record_every: ")
+
+
+#: A valid value for every parameter group at dimension 2.
+_GROUP_VALUES = {
+    "a_operator": [[-0.5, 0.0], [0.0, -0.2]],
+    "loss_operator": [[-0.5, 0.0], [0.0, -0.2]],
+    "gain_operator": [[-0.1, 0.0], [0.0, -0.3]],
+    "network": {"rates": [{"from": 0, "to": 1, "rate": 1.0}]},
+    "dephasing": [{"pair": [0, 1], "rate": 0.1}],
+    "jump_operators": [[[0.0, 0.0], [1.0, 0.0]]],
+    "fock": {"energies": [0.0, 1.0]},
+}
+
+
+def _table_scenario(equation):
+    """A minimal fermion scenario of ``equation`` with its required groups."""
+    entry = cli._EQUATIONS[equation]
+    raw = {
+        "name": f"table_{equation}",
+        "equation": equation,
+        "statistics": "fermion",
+        "dimension": 2,
+        "initial": {"occupations": [1.0, 0.0]} if entry.occupations else {"diagonal": [1.0, 0.0]},
+        "integrator": {"t1": 0.02, "dt": 0.01},
+    }
+    raw.update({group: _GROUP_VALUES[group] for group in entry.required})
+    return raw
+
+
+@pytest.mark.parametrize("equation", sorted(cli._EQUATIONS))
+class TestEquationTable:
+    """Every entry of the equation table is honoured by parsing and running."""
+
+    def test_minimal_scenario_round_trips(self, equation):
+        scenario = scenario_from_dict(_table_scenario(equation))
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+    def test_each_required_group_is_missing_when_deleted(self, equation):
+        for group in cli._EQUATIONS[equation].required:
+            raw = _table_scenario(equation)
+            del raw[group]
+            with pytest.raises(ScenarioError, match=rf"'{group}'.*required by .* but missing"):
+                scenario_from_dict(raw)
+
+    def test_groups_of_other_equations_are_not_accepted(self, equation):
+        entry = cli._EQUATIONS[equation]
+        foreign = set(_GROUP_VALUES) - set(entry.required) - set(entry.optional)
+        assert foreign
+        for group in foreign:
+            raw = _table_scenario(equation)
+            raw[group] = _GROUP_VALUES[group]
+            with pytest.raises(ScenarioError, match=rf"'{group}'.*not accepted"):
+                scenario_from_dict(raw)
+
+    def test_hamiltonian_rejected_exactly_for_occupation_equations(self, equation):
+        raw = _table_scenario(equation)
+        raw["hamiltonian"] = {"diagonal": [0.0, 1.0]}
+        if cli._EQUATIONS[equation].occupations:
+            with pytest.raises(ScenarioError, match="'hamiltonian'.*not accepted"):
+                scenario_from_dict(raw)
+        else:
+            assert scenario_from_dict(raw).hamiltonian[1, 1] == 1.0
+
+    def test_fermion_run_writes_duality_exactly_when_dual(self, equation, tmp_path):
+        path = write_scenario(tmp_path, _table_scenario(equation))
+        assert run(path, out_dir=str(tmp_path / "o"), quiet=True) == 0
+        header, _ = read_csv(tmp_path / "o" / "diagnostics.csv")
+        assert ("duality_residual" in header) == cli._EQUATIONS[equation].dual
+
+
+def _readme_table_keys(heading):
+    """The backquoted names in the first column of the table under ``heading``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.split(f"\n{heading}\n", 1)[1].splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("|"))
+    end = next(k for k in range(start, len(lines)) if not lines[k].startswith("|"))
+    keys = set()
+    for row in lines[start + 2:end]:  # skip the header and its rule
+        first_column = row.split("|")[1]
+        keys.update(first_column.split("`")[1::2])
+    return keys
+
+
+def test_readme_tables_match_the_equation_table():
+    # "Capabilities" names every equation, "Scenario schema" every top-level key
+    assert _readme_table_keys("## Capabilities") == set(cli._EQUATIONS)
+    accepted = set(cli._COMMON_KEYS)
+    for entry in cli._EQUATIONS.values():
+        accepted.update(entry.required, entry.optional)
+    assert _readme_table_keys("### Scenario schema") == accepted
 
 
 def reference_parse_matrix(rows, dim, where):
@@ -538,8 +681,7 @@ def _edge_state(d, shift=0):
 
 
 def _bundled_run(name, *overrides):
-    raw = json.loads(resolve_scenario_path(name).read_text(encoding="utf-8"))
-    scenario = scenario_from_dict(apply_overrides(raw, overrides))
+    scenario = scenario_from_dict(_bundled_raw(name, *overrides))
     run_scenario = cli._run_fock if scenario.equation == "fock_oracle" else cli._run_matrix
     traj, duality, _ = run_scenario(scenario)
     return traj, duality

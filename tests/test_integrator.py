@@ -3,10 +3,12 @@ import pytest
 
 from qme.dynamics import NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
 from qme.integrator import (
+    MAX_SNAPSHOT_BYTES,
     MAX_STEPS,
     EvolutionSpec,
     IntegrationDivergedError,
     Trajectory,
+    check_snapshot_budget,
     evolve,
 )
 from qme.operators import DensityMatrix
@@ -235,6 +237,26 @@ class TestEvolve:
     def test_spec_accepts_the_step_limit(self):
         spec = EvolutionSpec(rhs=lambda t, r: r, t0=0.0, t1=1.0, dt=1.0 / MAX_STEPS)
         assert (spec.t1 - spec.t0) / spec.dt <= MAX_STEPS
+
+    def test_snapshot_budget_boundary(self):
+        # the start plus 63 recorded steps of a 1024 x 1024 state fill the
+        # budget exactly; one more snapshot, or a coarser record_every, decides
+        assert 64 * 1024 * 1024 * 16 == MAX_SNAPSHOT_BYTES
+        check_snapshot_budget(63, 1, 1024)
+        check_snapshot_budget(126, 2, 1024)
+        with pytest.raises(ValueError, match="more than"):
+            check_snapshot_budget(64, 1, 1024)
+        with pytest.raises(ValueError, match="more than"):
+            check_snapshot_budget(127, 2, 1024)
+
+    def test_evolve_refuses_an_oversized_record_before_stepping(self):
+        # 5e6 recorded steps of a 5 x 5 state would be 2 GB; nothing is stepped
+        def never(t, rho):
+            raise AssertionError("the flow must not be called")
+
+        spec = EvolutionSpec(rhs=never, t0=0.0, t1=1.0, dt=2e-7, record_every=1)
+        with pytest.raises(ValueError, match=r"recorded every 1 would store .* 5x5 states"):
+            evolve(spec, DensityMatrix(np.eye(5) / 5, FERMION))
 
     @pytest.mark.parametrize(
         "error_tol,expected",
