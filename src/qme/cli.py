@@ -258,6 +258,10 @@ class Scenario:
         return np.diag(np.asarray(self.initial_value, dtype=float)).astype(complex)
 
 
+#: FockModel fields that its errors name, and the scenario keys they are read from.
+_FOCK_FIELDS = {"energies": "fock.energies", "rates": "network.rates"}
+
+
 def start_state(s: Scenario) -> tuple[DensityMatrix, FockModel | None]:
     """The validated start state of a run and, for the Fock oracle, its
     many-body model (None otherwise): the one place either is built.  Parsing
@@ -268,7 +272,8 @@ def start_state(s: Scenario) -> tuple[DensityMatrix, FockModel | None]:
             model = FockModel(statistics=s.statistics, energies=s.fock_energies,
                               rates=dict(s.network.rates), boson_cutoff=s.boson_cutoff)
         except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+            field, sep, rest = str(exc).partition(": ")
+            raise ScenarioError(_FOCK_FIELDS.get(field, field) + sep + rest) from None
     elif s.initial_kind == "occupations":
         occ = np.asarray(s.initial_value, dtype=float)
         if np.any(occ < 0):
@@ -772,12 +777,26 @@ def _run_matrix(scenario: Scenario):
 
 
 def _run_fock(scenario: Scenario):
-    """(reduced one-particle trajectory, None, extra summary fields)."""
+    """(reduced one-particle trajectory, None, extra summary fields).
+
+    The start state is diagonal and the model's flow keeps it so: the run
+    integrates its populations under ``model.populations``.  The coherent
+    many-body flow is evaluated once, on the start state, and the population
+    flow must equal its diagonal there up to roundoff.
+    """
     initial, model = start_state(scenario)
     closure = closure_residual_at_t0(model, initial.matrix)
-    traj = evolve(_spec(scenario, lambda t, rho: rhs_fock_lindblad(model, rho)), initial)
+    p0 = np.diag(initial.matrix).real
+    flow = model.populations
+    coherent = np.diag(rhs_fock_lindblad(model, initial.matrix)).real
+    gap = float(np.abs(flow(scenario.t0, p0) - coherent).max())
+    if gap > 1e-12 * flow.rate.sum():
+        raise ValueError(
+            f"fock oracle: the population flow departs from the many-body flow by {gap:.3e} at t0"
+        )
+    traj = evolve(_spec(scenario, flow), p0)
 
-    reduced = [reduce_one_particle(model, m) for m in traj.states]
+    reduced = [reduce_one_particle(model, p) for p in traj.states]
     extra = {
         "closure_residual_t0": closure,
         "many_body_trace_drift": float(np.abs(traj.trace - traj.trace[0]).max()),

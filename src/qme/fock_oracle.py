@@ -68,6 +68,13 @@ class FockModel:
                     f"boson Fock dimension {self.fock_dim} exceeds limit {MAX_BOSON_DIM}"
                 )
         object.__setattr__(self, "network", TransitionNetwork.computational(self.modes, self.rates))
+        # refuse a generator that overflows (E_i - E_j, d_i + d_j) before any flow is built
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = self.occupancies @ np.array(self.energies)
+            spread = energy.max() - energy.min()
+        if not np.isfinite(spread):
+            raise ValueError("energies: the many-body energy differences overflow the float range")
+        self.populations  # built now: its transition table refuses overflowing rates
 
     @property
     def modes(self) -> int:
@@ -100,6 +107,30 @@ class FockModel:
     def flow(self) -> "FockFlow":
         """The flow of :func:`rhs_fock_lindblad`."""
         return FockFlow(fock_hamiltonian(self), fock_jump_operators(self))
+
+    @cached_property
+    def populations(self) -> "PopulationFlow":
+        """The :class:`PopulationFlow` of the model: the diagonal of ``flow`` on
+        diagonal states.  The jump sqrt(w) c_dest^dag c_src moves basis state i,
+        with n_src > 0 and n_dest below the top level, to the state with one
+        particle moved, at rate w n_src (n_dest + 1): w for fermions, whose
+        Jordan-Wigner sign squares away."""
+        occ = self.occupancies
+        stride = self.level_dim ** np.arange(self.modes)
+        src, dst, rate = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+        with np.errstate(over="ignore"):
+            for (dest, source), w in self.rates.items():
+                n_src, n_dest = occ[:, source], occ[:, dest]
+                i = np.flatnonzero((n_src > 0) & (n_dest < self.level_dim - 1))
+                src.append(i)
+                dst.append(i - stride[source] + stride[dest])
+                rate.append(w * n_src[i] * (n_dest[i] + 1))
+            rate = np.concatenate(rate)
+            # a call sums at most every rate; the coherent drain adds two of them
+            total = 2.0 * rate.sum()
+        if not np.isfinite(total):
+            raise ValueError("rates: the many-body transition rates overflow the float range")
+        return PopulationFlow(self.fock_dim, np.concatenate(src), np.concatenate(dst), rate)
 
     @cached_property
     def one_particle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,6 +256,30 @@ class FockFlow:
         return self._decay * rho + gain.reshape(rho.shape)
 
 
+class PopulationFlow:
+    """The classical master equation on the populations p of a diagonal
+    many-body state (van Kampen, *Stochastic Processes in Physics and
+    Chemistry*, ch. V):
+
+        dp_i/dt = sum_t [dst_t = i] rate_t p[src_t] - out_i p_i,
+        out_i = sum_t [src_t = i] rate_t,
+
+    over transitions t from basis state ``src`` to basis state ``dst``.  Every
+    jump of a :class:`FockFlow` maps a basis state to one basis state and H is
+    diagonal, so a diagonal state stays diagonal and this is the diagonal of
+    the FockFlow, with rate_t = |A[dst_t, src_t]|^2.  A call is one gather and
+    one scatter over the transitions.
+    """
+
+    def __init__(self, dim: int, src: np.ndarray, dst: np.ndarray, rate: np.ndarray):
+        self.dim, self.src, self.dst, self.rate = dim, src, dst, rate
+        self._out = np.bincount(src, rate, minlength=dim)
+
+    def __call__(self, t: float, p: np.ndarray) -> np.ndarray:
+        gain = np.bincount(self.dst, self.rate * p[self.src], minlength=self.dim)
+        return gain - self._out * p
+
+
 def _interleave(index: np.ndarray) -> np.ndarray:
     """``index`` as the float-view positions (2i, 2i+1) of the real and
     imaginary parts of complex entries i, side by side, for :func:`_scatter`."""
@@ -279,20 +334,27 @@ def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
     conserve total particle number.
     """
     rho_s = as_square_matrix(rho_s, "rho_s")
-    if rho_s.shape[0] != model.fock_dim:
-        raise ValueError(
-            f"dimension mismatch: state dim {rho_s.shape[0]} vs Fock dim {model.fock_dim}"
-        )
+    _check_fock_dim(model, rho_s.shape[0])
     return model.flow(0.0, rho_s)
 
 
+def _check_fock_dim(model: FockModel, dim: int) -> None:
+    if dim != model.fock_dim:
+        raise ValueError(f"dimension mismatch: state dim {dim} vs Fock dim {model.fock_dim}")
+
+
 def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
-    """One-particle density matrix: rho_p[n, n'] = Tr(c_n^dag c_n' rho_s)."""
+    """One-particle density matrix: rho_p[n, n'] = Tr(c_n^dag c_n' rho_s).
+
+    A 1-D ``rho_s`` is the populations p of a diagonal state, which reduces
+    to the diagonal matrix of the mean occupations ``occupancies.T @ p``.
+    """
+    if np.ndim(rho_s) == 1:
+        p = np.asarray(rho_s, dtype=float)
+        _check_fock_dim(model, p.shape[0])
+        return np.diag(model.occupancies.T @ p).astype(complex)
     rho_s = as_square_matrix(rho_s, "rho_s")
-    if rho_s.shape[0] != model.fock_dim:
-        raise ValueError(
-            f"dimension mismatch: state dim {rho_s.shape[0]} vs Fock dim {model.fock_dim}"
-        )
+    _check_fock_dim(model, rho_s.shape[0])
     slots, index, values = model.one_particle_entries
     m = model.modes
     return _scatter(slots, values * rho_s.ravel()[index], m * m).reshape(m, m)
@@ -313,11 +375,13 @@ def is_product_diagonal(model: FockModel, rho_s, tol: float = 1e-12) -> bool:
 
 
 def cutoff_contamination(model: FockModel, rho_s) -> float:
-    """Total population in basis states with any mode at the boson cutoff.
+    """Total population in basis states with any mode at the boson cutoff,
+    from a density matrix or the populations (1-D) of a diagonal one.
     Runs with >= 1% contamination are not trustworthy near the cutoff."""
     if model.statistics is Statistics.FERMION:
         return 0.0
-    probs = np.diag(np.asarray(rho_s)).real
+    rho_s = np.asarray(rho_s)
+    probs = (rho_s if rho_s.ndim == 1 else np.diag(rho_s)).real
     at_cutoff = (model.occupancies >= model.boson_cutoff).any(axis=1)
     return float(np.sum(np.maximum(probs, 0.0), where=at_cutoff))
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .operators import DensityMatrix, Statistics, hermiticity_defect
+from .operators import DEFAULT_TOL, DensityMatrix, Statistics, hermiticity_defect
 
 #: Signature of a right-hand side: (t, rho) -> drho/dt.
 RHSCallable = Callable[[float, np.ndarray], np.ndarray]
@@ -79,32 +80,58 @@ class EvolutionSpec:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
 
 
-@dataclass
 class Trajectory:
-    """Recorded snapshots with per-snapshot diagnostics."""
+    """Recorded snapshots with per-snapshot diagnostics.
 
-    times: np.ndarray
-    states: list[np.ndarray]
-    trace: np.ndarray
-    min_eig: np.ndarray
-    max_eig: np.ndarray
-    herm_defect: np.ndarray
-    statistics: Statistics | None = None
+    ``trace``, ``min_eig`` and ``max_eig`` are derived from the states on
+    first read unless given to the constructor, so a trajectory whose
+    diagnostics nobody reads costs no ``eigvalsh``.  A 1-D state is the
+    diagonal of a diagonal density matrix: its eigenvalues are its entries
+    and its trace is their sum.
+    """
+
+    def __init__(self, times, states, *, herm_defect, statistics: Statistics | None = None,
+                 trace=None, min_eig=None, max_eig=None):
+        self.times = times
+        self.states = states
+        self.herm_defect = herm_defect
+        self.statistics = statistics
+        # given values shadow the cached properties of the same name
+        for name, value in (("trace", trace), ("min_eig", min_eig), ("max_eig", max_eig)):
+            if value is not None:
+                setattr(self, name, value)
 
     @classmethod
     def from_states(cls, times, states, herm_defect, statistics: Statistics | None) -> "Trajectory":
-        """Snapshots with their trace and extremal eigenvalues computed here,
-        the one place a trajectory's diagnostics are derived from its states."""
-        eigs = [np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in states]
-        return cls(
-            times=np.array(times),
-            states=list(states),
-            trace=np.array([float(np.trace(m).real) for m in states]),
-            min_eig=np.array([e[0] for e in eigs]),
-            max_eig=np.array([e[-1] for e in eigs]),
-            herm_defect=np.array(herm_defect),
-            statistics=statistics,
-        )
+        """Snapshots whose diagnostics are derived here, on first read: the one
+        place a trajectory's diagnostics come from its states."""
+        return cls(times=np.array(times), states=list(states), herm_defect=np.array(herm_defect),
+                   statistics=statistics)
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        return np.array([float(m.sum() if m.ndim == 1 else np.trace(m).real) for m in self.states])
+
+    @cached_property
+    def _extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = [], []
+        for m in self.states:
+            if m.ndim == 1:
+                lo.append(m.min())
+                hi.append(m.max())
+            else:
+                e = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+                lo.append(e[0])
+                hi.append(e[-1])
+        return np.array(lo), np.array(hi)
+
+    @cached_property
+    def min_eig(self) -> np.ndarray:
+        return self._extremes[0]
+
+    @cached_property
+    def max_eig(self) -> np.ndarray:
+        return self._extremes[1]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -146,21 +173,43 @@ def _controlled_step(rho, rhs, t, dt, error_tol, min_dt):
         dt *= 0.5
 
 
-def evolve(spec: EvolutionSpec, initial: DensityMatrix) -> Trajectory:
+def _checked_populations(p: np.ndarray) -> np.ndarray:
+    """A float copy of a 1-D population vector: finite and nonnegative
+    within DEFAULT_TOL, as the eigenvalues of a density matrix are."""
+    if np.iscomplexobj(p):
+        raise TypeError("populations: expected a real array")
+    p = p.astype(float)
+    if not np.isfinite(p).all():
+        raise ValueError("populations: entries must be finite (no NaN/Inf)")
+    if p.size and p.min() < -DEFAULT_TOL:
+        raise ValueError(f"populations: negative entry {p.min():.3e}")
+    return p
+
+
+def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajectory:
     """Integrate ``initial`` under ``spec`` and record snapshots.
 
-    The loop lands exactly on ``spec.t1`` (a final partial step is taken when
-    the window is not a multiple of dt).  Every recorded snapshot carries its
-    trace, extremal eigenvalues and the hermiticity defect of the raw RK4
-    update before hygiene.
+    ``initial`` is a :class:`DensityMatrix`, or a 1-D array of populations:
+    the diagonal of a diagonal density matrix, for a flow that keeps it
+    diagonal (hermitization leaves such a state unchanged).  The loop lands
+    exactly on ``spec.t1`` (a final partial step is taken when the window is
+    not a multiple of dt).  Every recorded snapshot carries the hermiticity
+    defect of the raw RK4 update before hygiene; its trace and extremal
+    eigenvalues are derived when first read.
     """
-    if not isinstance(initial, DensityMatrix):
-        raise TypeError("initial state must be a DensityMatrix")
+    populations = isinstance(initial, np.ndarray) and initial.ndim == 1
+    if not (populations or isinstance(initial, DensityMatrix)):
+        raise TypeError("initial state must be a DensityMatrix or a 1-D array of populations")
     span = spec.t1 - spec.t0
-    check_snapshot_budget(span / spec.dt, spec.record_every, initial.dim)
-    initial.validate()
+    # a 1-D state is budgeted as the density matrix it is the diagonal of
+    dim = len(initial) if populations else initial.dim
+    check_snapshot_budget(span / spec.dt, spec.record_every, dim)
+    if populations:
+        rho, statistics = _checked_populations(initial), None
+    else:
+        initial.validate()
+        rho, statistics = initial.matrix.copy(), initial.statistics
 
-    rho = initial.matrix.copy()
     times = [spec.t0]
     states = [rho.copy()]
     defects = [hermiticity_defect(rho)]
@@ -197,4 +246,4 @@ def evolve(spec: EvolutionSpec, initial: DensityMatrix) -> Trajectory:
             times.append(t)
             states.append(rho.copy())
             defects.append(defect)
-    return Trajectory.from_states(times, states, defects, initial.statistics)
+    return Trajectory.from_states(times, states, defects, statistics)

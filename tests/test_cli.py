@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,13 @@ from qme.cli import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from qme.integrator import Trajectory
+from qme.fock_oracle import (
+    PopulationFlow,
+    closure_residual_at_t0,
+    cutoff_contamination,
+    reduce_one_particle,
+)
+from qme.integrator import Trajectory, evolve
 
 GALLERY = [
     "appendix_d",
@@ -456,6 +465,105 @@ class TestMemoryBounds:
         # one-particle dimension is 2
         self._exits_one(tmp_path, capsys, ["statistics=boson", "fock.boson_cutoff=31"],
                         "error: integrator.record_every: ")
+
+
+class TestFockOverflow:
+    """Oracle energies or rates whose many-body generator overflows are refused
+    while the model is built: one `error:` line naming the field, no numpy
+    warning on stderr."""
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (["fock.energies=[1e308,-1e308]"], "fock.energies"),
+            (['network.rates=[{"from": 0, "to": 1, "rate": 1e308}]'], "network.rates"),
+            # finite alone; the boson factor n_src (n_dest + 1) <= 20 takes it out of range
+            (["statistics=boson", 'network.rates=[{"from": 0, "to": 1, "rate": 1e307}]'],
+             "network.rates"),
+        ],
+        ids=["energies", "rate", "boson_rate"],
+    )
+    def test_exits_one_with_one_line(self, tmp_path, overrides, field):
+        argv = [sys.executable, "-m", "qme.cli", "run", "fock_closure_2mode",
+                "--out-dir", str(tmp_path / "o"), "--quiet"]
+        for item in overrides:
+            argv += ["--override", item]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {field}: the many-body ")
+        assert result.stderr.count("\n") == 1, result.stderr
+
+
+class TestFockPopulationPath:
+    """`qme run` integrates the oracle's populations; the coherent flow through
+    `evolve` is the reference."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [(), ("statistics=boson",), ("initial.occupations=[0.5,0.5]",)],
+        ids=["fermion", "boson", "half_filled"],
+    )
+    def test_matches_the_coherent_integration(self, overrides):
+        scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides))
+        traj, duality, extra = cli._run_fock(scenario)
+        initial, model = cli.start_state(scenario)
+        coherent = evolve(cli._spec(scenario, model.flow), initial)
+        assert duality is None
+        assert np.array_equal(traj.times, coherent.times)
+        reduced = [reduce_one_particle(model, m) for m in coherent.states]
+        assert max(np.abs(a - b).max() for a, b in zip(traj.states, reduced)) <= 1e-13
+        drift = np.abs(coherent.trace - coherent.trace[0]).max()
+        assert abs(extra["many_body_trace_drift"] - drift) <= 1e-13
+        contamination = cutoff_contamination(model, coherent.states[-1])
+        assert abs(extra["cutoff_contamination_final"] - contamination) <= 1e-13
+        assert extra["closure_residual_t0"] == closure_residual_at_t0(model, initial.matrix)
+
+    def test_coherent_flow_is_evaluated_once(self, monkeypatch):
+        calls = []
+        rhs = cli.rhs_fock_lindblad
+        monkeypatch.setattr(cli, "rhs_fock_lindblad", lambda *a: calls.append(1) or rhs(*a))
+        scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode", "t1=0.1"))
+        traj, _, _ = cli._run_fock(scenario)
+        assert len(calls) == 1 and len(traj) == 6
+
+    def test_corrupted_population_table_is_refused(self, monkeypatch, tmp_path, capsys):
+        start_state = cli.start_state
+
+        def corrupted(scenario):
+            initial, model = start_state(scenario)
+            good = model.populations
+            # cached on the instance, so the run reads the mutated table
+            model.__dict__["populations"] = PopulationFlow(good.dim, good.src, good.dst,
+                                                           good.rate * (1 + 1e-9))
+            return initial, model
+
+        monkeypatch.setattr(cli, "start_state", corrupted)
+        scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode"))
+        with pytest.raises(ValueError, match="population flow departs from the many-body flow"):
+            cli._run_fock(scenario)
+        argv = ["run", "fock_closure_2mode", "--out-dir", str(tmp_path / "o"), "--quiet"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fock oracle: the population flow departs")
+        assert err.count("\n") == 1
+
+
+def test_hole_run_derives_no_diagnostics(monkeypatch):
+    """The hole trajectory of a fermion run feeds only the duality residual,
+    which reads its times and states."""
+    trajectories = []
+
+    def recording_evolve(spec, initial):
+        trajectories.append(evolve(spec, initial))
+        return trajectories[-1]
+
+    monkeypatch.setattr(cli, "evolve", recording_evolve)
+    traj, duality = _bundled_run("two_state_fermion", "t1=0.2")
+    particle, hole = trajectories
+    assert traj is particle and len(duality) == len(hole)
+    for name in ("trace", "min_eig", "max_eig"):
+        assert name not in vars(hole), name
 
 
 #: A valid value for every parameter group at dimension 2.

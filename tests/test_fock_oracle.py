@@ -8,6 +8,7 @@ from qme.fock_oracle import (
     FockFlow,
     FockModel,
     NonProductStateWarning,
+    PopulationFlow,
     build_mode_operators,
     closure_residual_at_t0,
     cutoff_contamination,
@@ -232,7 +233,99 @@ class TestFockLindblad:
         assert a[2, 1] == pytest.approx(np.sqrt(2.0))
 
 
+#: The models of the population-flow checks, and a product start of each.
+POPULATION_STARTS = {
+    "fermion_4": [0.9, 0.35, 0.6, 0.05],
+    "boson_3_cutoff_3": [3, 0, 2],  # modes 0 and 2 start at the cutoff
+    "boson_2_cutoff_1": [1, 1],
+    "boson_1_mode": [3],
+    "fermion_3_no_rates": [0.25, 1.0, 0.5],
+}
+
+
+def coherent_diagonal(model, p):
+    """The diagonal of the coherent flow on the diagonal state with populations p."""
+    out = model.flow(0.0, np.diag(p).astype(complex))
+    # a diagonal state stays diagonal: no coherence is created, no imaginary part
+    assert not np.any(out - np.diag(np.diag(out)))
+    assert not np.any(np.diag(out).imag)
+    return np.diag(out).real
+
+
+class TestPopulationFlow:
+    @pytest.mark.parametrize("name", POPULATION_STARTS)
+    def test_equals_the_coherent_diagonal(self, name):
+        model = REFERENCE_MODELS[name]
+        rng = np.random.default_rng(model.fock_dim + 7)
+        starts = [np.diag(product_diagonal_state(model, POPULATION_STARTS[name])).real]
+        starts += [rng.dirichlet(np.ones(model.fock_dim)) for _ in range(4)]
+        for p in starts:
+            out = model.populations(0.0, p)
+            assert out.shape == (model.fock_dim,)
+            assert np.abs(out - coherent_diagonal(model, p)).max() <= 1e-13
+            assert abs(out.sum()) <= 1e-15
+
+    @pytest.mark.parametrize("occupations", [[0.5, 0.5, 0.5, 0.5], [0.1, 0.9, 0.3, 0.7], [1, 1, 0, 1]])
+    def test_fractional_fermion_products(self, occupations):
+        model = REFERENCE_MODELS["fermion_4"]
+        p = np.diag(product_diagonal_state(model, occupations)).real
+        assert np.abs(model.populations(0.0, p) - coherent_diagonal(model, p)).max() <= 1e-13
+
+    def test_transition_table(self):
+        # one fermion jump 0 -> 1 at rate 2 moves index 1 (mode 0 filled) to
+        # index 2 (mode 1 filled), and index 5 to 6 with mode 2 filled too, each
+        # at the bare rate
+        model = fermion_model(3, rates={(1, 0): 2.0})
+        flow = model.populations
+        assert flow.src.tolist() == [1, 5]
+        assert flow.dst.tolist() == [2, 6]
+        assert flow.rate.tolist() == [2.0, 2.0]
+        # bosons at cutoff 2 (index n0 + 3 n1): rate w n_src (n_dest + 1), and
+        # nothing moves into a mode at the cutoff, so (1, 2) and (2, 2) stay
+        boson = FockModel(BOSON, (0.0, 0.0), {(1, 0): 0.5}, boson_cutoff=2)
+        flow = boson.populations
+        table = dict(zip(zip(flow.src.tolist(), flow.dst.tolist()), flow.rate.tolist()))
+        assert table == {(1, 3): 0.5, (2, 4): 1.0, (4, 6): 1.0, (5, 7): 2.0}
+
+    def test_built_with_the_model(self):
+        model = fermion_model(2, rates={(1, 0): 1.0})
+        assert model.populations is model.populations
+        assert isinstance(model.populations, PopulationFlow)
+        assert "populations" not in repr(model)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"energies": (1e308, -1e308)}, "energies: the many-body energy differences overflow"),
+            ({"energies": (1e308, 1e308)}, "energies: the many-body energy differences overflow"),
+            ({"rates": {(1, 0): 1e308}}, "rates: the many-body transition rates overflow"),
+            # either direction alone is admitted, both together overflow the drain
+            ({"rates": {(1, 0): 6e307, (0, 1): 6e307}}, "rates: the many-body transition rates"),
+        ],
+        ids=["energy_spread", "energy_sum", "rate", "rate_total"],
+    )
+    def test_overflowing_generator_is_refused(self, kwargs, message):
+        kwargs = {"energies": (0.0, 1.0), **kwargs}
+        with pytest.raises(ValueError, match=message):
+            FockModel(FERMION, **kwargs)
+
+    def test_boson_rate_overflow_counts_the_occupation_factors(self):
+        # 1e307 is finite, but w n_src (n_dest + 1) reaches 4 x 5 x 1e307
+        with pytest.raises(ValueError, match="rates: "):
+            FockModel(BOSON, (0.0, 1.0), {(1, 0): 1e307}, boson_cutoff=4)
+        FockModel(BOSON, (0.0, 1.0), {(1, 0): 1e300}, boson_cutoff=4)
+        FockModel(FERMION, (0.0, 1.0), {(1, 0): 6e307})
+
+
 class TestReduction:
+    @pytest.mark.parametrize("name", POPULATION_STARTS)
+    def test_populations_reduce_like_their_diagonal_state(self, name):
+        model = REFERENCE_MODELS[name]
+        p = np.random.default_rng(3).dirichlet(np.ones(model.fock_dim))
+        rho = np.diag(p).astype(complex)
+        assert np.abs(reduce_one_particle(model, p) - reduce_one_particle(model, rho)).max() <= 1e-15
+        assert cutoff_contamination(model, p) == cutoff_contamination(model, rho)
+
     def test_single_particle_state(self):
         model = fermion_model(2)
         rho = product_diagonal_state(model, [1.0, 0.0])
@@ -389,3 +482,5 @@ class TestExactEvolution:
             rhs_fock_lindblad(model, np.eye(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
             reduce_one_particle(model, np.eye(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            reduce_one_particle(model, np.ones(3) / 3)

@@ -288,3 +288,85 @@ class TestEvolve:
         for column in ("times", "trace", "min_eig", "max_eig", "herm_defect"):
             assert np.array_equal(getattr(rebuilt, column), getattr(traj, column)), column
         assert rebuilt.statistics is traj.statistics is FERMION
+
+
+class TestLazyDiagnostics:
+    def test_from_states_derives_diagnostics_on_first_read(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        states = [np.diag([0.75, 0.25]).astype(complex), np.array([[0.5, 0.5j], [-0.5j, 0.5]])]
+        traj = Trajectory.from_states([0.0, 1.0], states, [0.0, 0.0], FERMION)
+        assert not calls
+        assert traj.trace.tolist() == [1.0, 1.0]
+        assert not calls
+        assert traj.min_eig == pytest.approx([0.25, 0.0], abs=1e-15)
+        assert traj.max_eig == pytest.approx([0.75, 1.0], abs=1e-15)
+        assert len(calls) == 2  # one eigvalsh per snapshot, shared by min_eig and max_eig
+
+    def test_given_diagnostics_are_kept(self):
+        traj = Trajectory(times=np.array([0.0]), states=[np.eye(2)], herm_defect=np.zeros(1),
+                          trace=np.array([7.0]), min_eig=np.array([-3.0]), max_eig=np.array([9.0]))
+        assert (traj.trace[0], traj.min_eig[0], traj.max_eig[0]) == (7.0, -3.0, 9.0)
+        assert traj.statistics is None
+
+    def test_populations_are_the_diagonal_of_a_diagonal_state(self):
+        populations = [np.array([0.5, 0.125, 0.375]), np.array([0.0, 0.25, 0.75])]
+        traj = Trajectory.from_states([0.0, 1.0], populations, [0.0, 0.0], None)
+        matrices = Trajectory.from_states([0.0, 1.0], [np.diag(p) for p in populations],
+                                          [0.0, 0.0], None)
+        for column in ("trace", "min_eig", "max_eig"):
+            assert np.array_equal(getattr(traj, column), getattr(matrices, column)), column
+
+
+class TestPopulationEvolve:
+    """A 1-D start is the diagonal of a diagonal density matrix."""
+
+    @staticmethod
+    def _rates():
+        # a two-level classical master equation: 0 -> 1 at rate 1, 1 -> 0 at 0.5
+        w = np.array([[-1.0, 0.5], [1.0, -0.5]])
+        return lambda t, p: w @ p
+
+    def test_matches_the_diagonal_matrix_run(self):
+        spec = EvolutionSpec(rhs=self._rates(), t0=0.0, t1=1.0, dt=1e-2, record_every=10)
+        traj = evolve(spec, np.array([1.0, 0.0]))
+        matrix_spec = EvolutionSpec(rhs=lambda t, r: np.diag(self._rates()(t, np.diag(r))),
+                                    t0=0.0, t1=1.0, dt=1e-2, record_every=10)
+        reference = evolve(matrix_spec, DensityMatrix(np.diag([1.0, 0.0]), BOSON))
+        assert np.array_equal(traj.times, reference.times)
+        for p, m in zip(traj.states, reference.states):
+            assert p.shape == (2,)
+            assert np.abs(p - np.diag(m).real).max() <= 1e-15
+        assert traj.statistics is None
+        assert not np.any(traj.herm_defect)
+        # p(t) -> (1/3, 2/3) with rate 1.5: p0 = 1/3 + (2/3) exp(-1.5 t)
+        assert traj.states[-1][0] == pytest.approx(1 / 3 + 2 / 3 * np.exp(-1.5), abs=1e-9)
+        assert np.abs(traj.trace - 1.0).max() <= 1e-15
+
+    def test_start_is_copied(self):
+        p0 = np.array([1.0, 0.0])
+        evolve(EvolutionSpec(rhs=self._rates(), t0=0.0, t1=0.1, dt=1e-2), p0)
+        assert p0.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "p,error,message",
+        [
+            (np.array([1.0, np.nan]), ValueError, "finite"),
+            (np.array([1.5, -0.5]), ValueError, "negative entry"),
+            (np.array([1.0, 0.0j]), TypeError, "real"),
+        ],
+        ids=["nan", "negative", "complex"],
+    )
+    def test_invalid_populations_rejected_before_stepping(self, p, error, message):
+        calls = []
+        spec = EvolutionSpec(rhs=lambda t, q: calls.append(t) or np.zeros_like(q), t0=0.0, t1=1.0)
+        with pytest.raises(error, match=message):
+            evolve(spec, p)
+        assert not calls
+
+    def test_population_budget_counts_the_matrix(self):
+        # a 1-D state is budgeted as the D x D matrix it stands for
+        spec = EvolutionSpec(rhs=lambda t, q: q, t0=0.0, t1=1.0, dt=1e-6, record_every=1)
+        with pytest.raises(ValueError, match="bytes"):
+            evolve(spec, np.ones(16) / 16)
