@@ -11,11 +11,8 @@ Fock-space solver serves as an independent oracle for the reduced dynamics.
 from .operators import (
     DEFAULT_TOL,
     DensityMatrix,
-    Spectrum,
     Statistics,
-    anticommutator,
     commutator,
-    hermitian_eig,
     hermiticity_defect,
     positivity_report,
     require_hermitian,

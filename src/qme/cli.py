@@ -58,8 +58,8 @@ from .fock_oracle import (
     reduce_one_particle,
     rhs_fock_lindblad,
 )
-from .integrator import (MAX_STEPS, EvolutionSpec, IntegrationDivergedError, Trajectory,
-                         check_snapshot_budget, evolve)
+from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory,
+                         check_snapshot_budget, check_window, evolve)
 from .operators import DEFAULT_TOL, DensityMatrix, hermiticity_defect, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
@@ -367,7 +367,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{source}: scenario must be a JSON object")
     equation = raw.get("equation")
-    if equation not in _EQUATIONS:
+    if not isinstance(equation, str) or equation not in _EQUATIONS:
         raise ScenarioError(
             f"equation: unknown equation {equation!r}; expected one of {sorted(_EQUATIONS)}"
         )
@@ -474,17 +474,10 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     t1 = _scalar(integ["t1"], "integrator.t1")
     dt = _scalar(integ.get("dt", 1e-3), "integrator.dt")
     record_every = _scalar(integ.get("record_every", 1), "integrator.record_every", integer=True)
-    if dt <= 0:
-        raise ScenarioError(f"integrator.dt: must be positive, got {dt}")
-    if t1 <= t0:
-        raise ScenarioError(f"integrator.t1: must exceed t0, got t0={t0}, t1={t1}")
-    if record_every < 1:
-        raise ScenarioError(f"integrator.record_every: must be a positive integer, got {record_every}")
-    steps = (t1 - t0) / dt
-    if not steps <= MAX_STEPS:
-        raise ScenarioError(
-            f"integrator.dt: the window takes {steps:.3g} steps of dt={dt}, more than {MAX_STEPS}"
-        )
+    try:
+        steps = check_window(t0, t1, dt, record_every)
+    except ValueError as exc:
+        raise ScenarioError(f"integrator.{exc}") from None
 
     out_dir = None
     if "output" in raw:
@@ -530,14 +523,18 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     return scenario
 
 
+def _read_json(path: Path):
+    text = path.read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed, or an integer past Python's digit limit
+        raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
+
+
 def parse_scenario(path) -> Scenario:
     """Load and validate a scenario file (UTF-8 JSON)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
-    return scenario_from_dict(raw, source=str(path))
+    return scenario_from_dict(_read_json(path), source=str(path))
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -654,7 +651,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
         key, _, text = item.partition("=")
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer past Python's digit limit
             value = text
         parts = key.split(".")
         if len(parts) == 1 and parts[0] in ("t0", "t1", "dt", "record_every"):
@@ -699,10 +696,9 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
     wall_start = time.perf_counter()
     try:
         file = resolve_scenario_path(path)
-        raw = json.loads(file.read_text(encoding="utf-8"))
-        raw = apply_overrides(raw, overrides)
+        raw = apply_overrides(_read_json(file), overrides)
         scenario = scenario_from_dict(raw, source=str(file))
-    except (ScenarioError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ScenarioError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

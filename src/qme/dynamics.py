@@ -15,8 +15,9 @@ from the state.
 
 Each equation is a *flow*: an object built once from validated parts, whose
 ``__call__(t, rho)`` does arithmetic only, so it can sit in an integrator's
-inner loop.  The state a flow receives there is not checked; the integrator
-checks every stage state for NaN/Inf.  :meth:`Flow.evaluate` is the checked
+inner loop.  The state a flow receives there is not checked: a NaN or Inf in
+any stage carries through to the step's result, which the integrator checks
+once per step.  :meth:`Flow.evaluate` is the checked
 entry point for a single evaluation: it validates the state against the flow
 and returns the flow at t = 0.  Rates are constant during a run.
 """
@@ -69,8 +70,9 @@ class TransitionNetwork:
         if kets.ndim != 2:
             raise ValueError(f"network kets: expected a 2-d array, got shape {kets.shape}")
         object.__setattr__(self, "kets", kets)
-        gram = kets.conj().T @ kets
-        defect = np.abs(gram - np.eye(kets.shape[1])).max() if kets.size else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # huge kets: an inf or NaN defect
+            gram = kets.conj().T @ kets
+            defect = np.abs(gram - np.eye(kets.shape[1])).max() if kets.size else 0.0
         if defect > DEFAULT_TOL:
             raise ValueError(f"network kets: Gram matrix deviates from identity by {defect:.3e}")
         n = kets.shape[1]
@@ -294,7 +296,10 @@ class JumpFlow(Flow):
         d, r = self.dim, len(ops)
         self._wide = wide = np.hstack([np.empty((d, 0), dtype=complex), *ops])
         self._wide_dag = np.conjugate(wide.reshape(d, r, d).transpose(2, 1, 0), order="C").reshape(d, -1)
-        self._drain = -0.5 * _sandwich(self._wide, self._wide_dag, np.eye(d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._drain = -0.5 * _sandwich(self._wide, self._wide_dag, np.eye(d))
+        if not np.isfinite(self._drain).all():
+            raise ValueError("jump_operators: too large, sum_l W_l W_l^dag overflows")
 
     def relaxation_operators(self, rho):
         gain = -0.5 * _sandwich(self._wide_dag, self._wide, rho)

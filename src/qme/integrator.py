@@ -43,41 +43,48 @@ def check_snapshot_budget(steps: float, record_every: int, dim: int) -> None:
 
 
 class IntegrationDivergedError(RuntimeError):
-    """Raised when any RK stage produces a NaN or Inf."""
+    """Raised when a step's result holds a NaN or Inf; ``t`` is the start of
+    that step."""
 
     def __init__(self, t: float):
-        super().__init__(f"integration diverged at t = {t:.6g} (NaN/Inf in an RK stage)")
+        super().__init__(f"integration diverged at t = {t:.6g} (NaN/Inf in the step's result)")
         self.t = t
+
+
+def check_window(t0: float, t1: float, dt: float, record_every: int) -> float:
+    """Refuse a window that is not finite, runs backwards, records nothing or
+    takes more than MAX_STEPS steps; return its step count ``(t1 - t0)/dt``.
+    Each message starts with the name of the field it is about."""
+    for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value}")
+    if dt <= 0:
+        raise ValueError(f"dt: must be positive, got {dt}")
+    if t1 <= t0:
+        raise ValueError(f"t1: must exceed t0, got t0={t0}, t1={t1}")
+    if record_every < 1:
+        raise ValueError(f"record_every: must be a positive integer, got {record_every}")
+    # no window takes more steps, so a larger value would change nothing
+    if record_every > MAX_STEPS:
+        raise ValueError(f"record_every: must be at most {MAX_STEPS}")
+    steps = (t1 - t0) / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"dt: the window takes {steps:.3g} steps of dt={dt}, more than {MAX_STEPS}")
+    return steps
 
 
 @dataclass
 class EvolutionSpec:
-    """A frozen integration plan: which RHS, over which window, at which step.
-
-    ``error_tol`` enables optional step halving: each step is compared against
-    two half steps and halved until the difference falls below the tolerance.
-    """
+    """A frozen integration plan: which RHS, over which window, at which step."""
 
     rhs: RHSCallable
     t0: float
     t1: float
     dt: float = 1e-3
     record_every: int = 1
-    error_tol: float | None = None
 
     def __post_init__(self):
-        for name, value in (("t0", self.t0), ("t1", self.t1), ("dt", self.dt)):
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t1 <= self.t0:
-            raise ValueError(f"t1 ({self.t1}) must exceed t0 ({self.t0})")
-        steps = (self.t1 - self.t0) / self.dt
-        if not steps <= MAX_STEPS:
-            raise ValueError(f"dt ({self.dt}) gives {steps:.3g} steps, more than {MAX_STEPS}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
+        check_window(self.t0, self.t1, self.dt, self.record_every)
 
 
 class Trajectory:
@@ -142,35 +149,12 @@ class Trajectory:
 
 
 def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarray:
-    # each stage state is checked before it reaches the RHS, so a blow-up
-    # surfaces as a diverged error naming t rather than a validation error
-    def stage(t_stage: float, state: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(state.view(float))):
-            raise IntegrationDivergedError(t)
-        return rhs(t_stage, state)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = stage(t, rho)
-        k2 = stage(t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = stage(t + 0.5 * dt, rho + 0.5 * dt * k2)
-        k4 = stage(t + dt, rho + dt * k3)
-        out = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out.view(float))):
-        raise IntegrationDivergedError(t)
-    return out
-
-
-def _controlled_step(rho, rhs, t, dt, error_tol, min_dt):
-    """Step-halving control: accept dt once one full step agrees with two half
-    steps within error_tol; returns (state, dt actually used, raw defect)."""
-    while True:
-        full = _rk4_raw(rho, rhs, t, dt)
-        half = _rk4_raw(rho, rhs, t, 0.5 * dt)
-        half = _rk4_raw(half, rhs, t + 0.5 * dt, 0.5 * dt)
-        err = float(np.abs(full - half).max())
-        if err <= error_tol or dt <= min_dt:
-            return half, dt, hermiticity_defect(half)
-        dt *= 0.5
+    """One classical RK4 step from ``rho`` at ``t``, before hermitization."""
+    k1 = rhs(t, rho)
+    k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
+    k4 = rhs(t + dt, rho + dt * k3)
+    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _checked_populations(p: np.ndarray) -> np.ndarray:
@@ -211,39 +195,30 @@ def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajecto
         rho, statistics = initial.matrix.copy(), initial.statistics
 
     times = [spec.t0]
-    states = [rho.copy()]
+    states = [rho]
     defects = [hermiticity_defect(rho)]
 
-    if spec.error_tol is None:
-        # full steps land on t0 + k*dt; a partial step of at least 1e-12*dt
-        # closes the window on t1
-        n_full = int(np.floor(span / spec.dt + 1e-9))
-        remainder = span - n_full * spec.dt
-        n_steps = n_full + (remainder >= 1e-12 * spec.dt)
-        more = n_steps > 0
-    else:
-        end = spec.t1 - 1e-12 * max(1.0, abs(spec.t1))
-        min_dt = 1e-12 * span
-        more = spec.t0 < end
+    # full steps land on t0 + k*dt; a partial step of at least 1e-12*dt
+    # closes the window on t1
+    n_full = int(np.floor(span / spec.dt + 1e-9))
+    remainder = span - n_full * spec.dt
+    n_steps = n_full + (remainder >= 1e-12 * spec.dt)
     t = spec.t0
-    steps = 0
-    while more:
-        steps += 1
-        if spec.error_tol is None:
-            full = steps <= n_full
+    # no flow checks its input, so a NaN or Inf in any stage reaches the
+    # step's result, which is checked once; overflow on the way is expected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            full = step <= n_full
             raw = _rk4_raw(rho, spec.rhs, t, spec.dt if full else remainder)
+            # taken on every step, recorded or not: the benchmark's tracer
+            # (perfbench/tracing.py) counts steps by these calls
             defect = hermiticity_defect(raw)
-            t = spec.t0 + steps * spec.dt if full else spec.t1
-            more = steps < n_steps
-        else:
-            raw, used, defect = _controlled_step(rho, spec.rhs, t, min(spec.dt, spec.t1 - t),
-                                                 spec.error_tol, min_dt)
-            # t stays below t1 while steps remain, so clipping only touches the last
-            t = min(t + used, spec.t1)
-            more = t < end
-        rho = 0.5 * (raw + raw.conj().T)
-        if steps % spec.record_every == 0 or not more:
-            times.append(t)
-            states.append(rho.copy())
-            defects.append(defect)
+            rho = 0.5 * (raw + raw.conj().T)
+            if not np.isfinite(rho.view(float)).all():
+                raise IntegrationDivergedError(t)
+            t = spec.t0 + step * spec.dt if full else spec.t1
+            if step % spec.record_every == 0 or step == n_steps:
+                times.append(t)
+                states.append(rho)
+                defects.append(defect)
     return Trajectory.from_states(times, states, defects, statistics)

@@ -1,5 +1,5 @@
-"""Dense complex-matrix foundation: hermitian validation, commutator algebra,
-eigendecomposition and positivity checks.
+"""Dense complex-matrix foundation: hermitian validation, the commutator and
+positivity checks.
 
 Everything here is a pure function on plain ``numpy`` arrays; matrices are
 small (tens of orbitals) and stored dense.
@@ -60,7 +60,8 @@ def hermiticity_defect(m) -> float:
 def require_hermitian(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Validate hermiticity within ``tol`` (absolute, max-norm) and return the array."""
     a = as_square_matrix(m, name)
-    defect = hermiticity_defect(a)
+    with np.errstate(over="ignore"):  # entries near the float limit give an inf defect
+        defect = hermiticity_defect(a)
     if defect > tol:
         raise ValueError(f"{name}: hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}")
     return a
@@ -77,39 +78,6 @@ def commutator(a, b) -> np.ndarray:
     b = as_square_matrix(b, "B")
     _check_same_dim(a, b)
     return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    """{A, B} = AB + BA."""
-    a = as_square_matrix(a, "A")
-    b = as_square_matrix(b, "B")
-    _check_same_dim(a, b)
-    return a @ b + b @ a
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a hermitian matrix: ascending real eigenvalues and
-    orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of c_k |v_k><v_k| over the spectrum."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(m, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Diagonalize a hermitian matrix in an orthonormal basis.
-
-    Degenerate eigenvalues may come with any orthonormal basis of their
-    eigenspace; callers must not rely on eigenvector uniqueness.
-    """
-    a = require_hermitian(m, tol)
-    vals, vecs = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def positivity_report(m, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
@@ -140,12 +108,18 @@ class DensityMatrix:
         m = self.matrix
         tol = self.tolerance
         require_hermitian(m, tol, "density matrix")
-        tr = complex(np.trace(m))
+        # entries near the float limit overflow in these sums, and every
+        # bound check below would pass the NaN eigenvalues that follow
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = complex(np.trace(m))
+            hermitized = 0.5 * (m + m.conj().T)
+        if not (np.isfinite(tr) and np.isfinite(hermitized).all()):
+            raise ValueError("density matrix: entries too large, the trace or m + m^+ overflows")
         if abs(tr.imag) > tol:
             raise ValueError(f"density matrix: trace has imaginary part {tr.imag:.3e}")
         if tr.real < -tol:
             raise ValueError(f"density matrix: trace {tr.real:.3e} is negative")
-        vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        vals = np.linalg.eigvalsh(hermitized)
         if vals[0] < -tol:
             raise ValueError(
                 f"density matrix: not positive semidefinite (min eigenvalue {vals[0]:.3e})"
@@ -162,9 +136,6 @@ class DensityMatrix:
     @property
     def particle_number(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
 
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):

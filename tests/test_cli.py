@@ -385,12 +385,20 @@ class TestMalformedInput:
             # 10^7 recorded steps of a 5 x 5 state would store 4 GB
             ({"dimension": 5, "initial": {"diagonal": [1.0, 0.0, 0.0, 0.0, 0.0]}},
              ["t1=1", "dt=1e-7", "record_every=1"], "integrator.record_every"),
+            # 0.5 * (m + m^+) overflows, so the spectrum is NaN and passed every bound
+            ({"initial": {"diagonal": [1.0, 1e308]}}, [], "initial"),
+            # unhashable, so the equation table lookup itself raised
+            ({"equation": []}, [], "equation"),
+            ({"equation": {}}, [], "equation"),
+            # too large to convert to a float in the snapshot budget
+            ({}, ["record_every=1" + "0" * 400], "integrator.record_every"),
         ],
         ids=["nan_rate", "string_rate", "t1_abc", "t1_infinity", "record_every_fraction",
              "dimension_bool", "statistics_number", "rates_not_a_list", "basis_ragged",
              "out_dir_number", "steps_over_limit", "steps_infinite", "dimension_over_limit",
              "name_parent_path", "name_absolute", "name_backslash", "name_dotdot", "name_dot",
-             "output_duality", "snapshots_over_budget"],
+             "output_duality", "snapshots_over_budget", "fermion_occupation_1e308",
+             "equation_list", "equation_object", "record_every_huge"],
     )
     def test_exits_one_naming_the_field(self, tmp_path, capsys, updates, overrides, field):
         path = write_scenario(tmp_path, minimal_scenario(**updates))
@@ -401,6 +409,22 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys):
+        # Python refuses to convert an integer of more than 4300 digits
+        huge = "1" * 5000
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(minimal_scenario()).replace('"dimension": 2',
+                                                              f'"dimension": {huge}'),
+                        encoding="utf-8")
+        assert run(path, quiet=True) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON ") and err.count("\n") == 1
+        argv = ["run", str(write_scenario(tmp_path, minimal_scenario())), "--quiet",
+                "--out-dir", str(tmp_path / "o"), "--override", f"dimension={huge}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dimension: ") and err.count("\n") == 1
 
     def test_unreadable_scenario_file_exits_one(self, tmp_path, capsys):
         latin1 = tmp_path / "latin1.json"

@@ -1,0 +1,90 @@
+"""Fuzzing ``qme run`` with Hypothesis (MacIver et al., JOSS 4, 1891 (2019)).
+
+Each example is a bundled scenario with one or two of its fields (a key's
+value or a list entry, at any depth) replaced by a hostile JSON value, run
+in-process.  Whatever the input, the run exits 0, 1 or 2; exit 1 comes with
+exactly one ``error:`` line, and nothing raises or warns.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from qme.cli import bundled_scenarios, main, resolve_scenario_path
+
+HOSTILE = [
+    None, True, "x", [], {},  # wrong types
+    float("nan"), float("inf"), float("-inf"),
+    1e308, -1e308, [1e308, 1e308], [[1e308, -1e308], [-1e308, 1e308]],
+    -1, 0, 7, 2**31,  # out-of-range indices, dimensions and counts
+    2**63, 10**400,  # huge integers
+    [[1.0, 0.0], [0.0]], [[1.0]],  # ragged and wrong-sized matrices
+    # a start or a Hamiltonian whose checks overflow (for the two-orbital scenarios)
+    {"diagonal": [1.0, 1e308]}, {"matrix": [[0.0, 1e308], [-1e308, 0.0]]},
+]
+
+
+def _short(raw: dict) -> dict:
+    # five steps, so that a mutated t0, t1 or dt of moderate size stays cheap
+    raw["integrator"] = {**raw["integrator"], "t0": 0.0, "t1": 1.0, "dt": 0.2}
+    return raw
+
+
+SCENARIOS = {
+    name: _short(json.loads(resolve_scenario_path(name).read_text(encoding="utf-8")))
+    for name in bundled_scenarios()
+}
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below ``node``."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw) -> dict:
+    raw = copy.deepcopy(SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))])
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, last = draw(st.sampled_from(list(_paths(raw))))
+        node = raw
+        for key in parents:
+            node = node[key]
+        node[last] = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
+    return raw
+
+
+def _run(raw: dict) -> tuple[int, str, list]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["run", str(path), "--out-dir", str(Path(tmp) / "out"), "--quiet"]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    return code, err.getvalue(), caught
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_scenarios())
+def test_hostile_fields_exit_cleanly(raw):
+    code, err, caught = _run(raw)
+    event(f"exit {code}")
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""

@@ -496,6 +496,17 @@ class TestNetworkAndDephasingValidation:
         with pytest.raises(ValueError, match="Gram"):
             TransitionNetwork(kets=kets, rates={})
 
+    def test_kets_whose_gram_matrix_overflows_are_rejected(self):
+        # K^+ K overflows to inf; refused as not orthonormal, with no numpy warning
+        kets = np.array([[1e308, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="Gram matrix deviates from identity by inf"):
+            TransitionNetwork(kets=kets, rates={})
+
+    def test_jumps_whose_drain_overflows_are_rejected(self):
+        jump = np.array([[0.0, 1e308], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="^jump_operators: too large"):
+            JumpFlow(np.zeros((2, 2)), [jump], FERMION)
+
     def test_dephasing_symmetrized(self):
         d = DephasingRates({(0, 1): 0.5})
         assert d.gamma[(1, 0)] == 0.5

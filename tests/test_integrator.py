@@ -80,6 +80,29 @@ class TestStepRK4:
         ratio = one_step_error(0.1) / one_step_error(0.05)
         assert 24 <= ratio <= 40  # local truncation is O(dt^5): ratio ~ 32
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_bad_value_in_one_stage_reaches_the_result(self, bad):
+        # the flow sees no check between stages; the second stage's NaN or
+        # Inf carries into the step's result, which is checked once
+        calls = []
+
+        def rhs(t, r):
+            calls.append(t)
+            return np.full_like(r, bad) if len(calls) == 2 else np.zeros_like(r)
+
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(IntegrationDivergedError, match="t = 0.5") as info:
+            one_step(rho, rhs, 0.5, 0.1)
+        assert len(calls) == 4
+        assert info.value.t == 0.5
+
+    def test_overflow_in_hermitization_diverges_without_a_warning(self):
+        # every stage is 2.5e307, so the raw update is 1.5e308: finite, but
+        # its hermitization 0.5 * (raw + raw^+) overflows
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(IntegrationDivergedError, match="t = 0"):
+            one_step(rho, lambda t, r: np.full_like(r, 2.5e307), 0.0, 6.0)
+
     def test_divergence_names_the_time(self):
         rho = np.ones((2, 2), dtype=complex)
         with pytest.raises(IntegrationDivergedError, match="t = 0.25") as info:
@@ -199,16 +222,6 @@ class TestEvolve:
         with pytest.raises(IntegrationDivergedError):
             evolve(spec, initial)
 
-    def test_step_halving_improves_coarse_grid(self):
-        initial = DensityMatrix(np.diag([1.0, 0.0]), FERMION)
-        coarse = EvolutionSpec(rhs=loss_rhs(4.0), t0=0.0, t1=1.0, dt=0.25)
-        controlled = EvolutionSpec(
-            rhs=loss_rhs(4.0), t0=0.0, t1=1.0, dt=0.25, error_tol=1e-10, record_every=10**6
-        )
-        err_coarse = abs(evolve(coarse, initial).final_state[0, 0].real - np.exp(-4.0))
-        err_controlled = abs(evolve(controlled, initial).final_state[0, 0].real - np.exp(-4.0))
-        assert err_controlled < err_coarse / 100
-
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="dt"):
             EvolutionSpec(rhs=lambda t, r: r, t0=0.0, t1=1.0, dt=-1.0)
@@ -217,11 +230,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match="record_every"):
             EvolutionSpec(rhs=lambda t, r: r, t0=0.0, t1=1.0, record_every=0)
 
+    def test_record_every_is_bounded_by_the_step_limit(self):
+        # no window takes more steps; a larger integer (10^400 is beyond the
+        # float range) is refused before any arithmetic on it
+        EvolutionSpec(rhs=lambda t, r: r, t0=0.0, t1=1.0, record_every=MAX_STEPS)
+        with pytest.raises(ValueError, match=f"^record_every: must be at most {MAX_STEPS}"):
+            EvolutionSpec(rhs=lambda t, r: r, t0=0.0, t1=1.0, record_every=10**400)
+
     @pytest.mark.parametrize("field", ["t0", "t1", "dt"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_spec_rejects_non_finite_times(self, field, value):
         window = {"t0": 0.0, "t1": 1.0, "dt": 1e-3, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        with pytest.raises(ValueError, match=f"^{field}: must be finite"):
             EvolutionSpec(rhs=lambda t, r: r, **window)
 
     @pytest.mark.parametrize(
@@ -231,7 +251,7 @@ class TestEvolve:
     )
     def test_spec_rejects_too_many_steps(self, t0, t1, dt):
         # evolve would die in int(inf) or run for years; the spec refuses first
-        with pytest.raises(ValueError, match=r"^dt \("):
+        with pytest.raises(ValueError, match=r"^dt: the window takes "):
             EvolutionSpec(rhs=lambda t, r: r, t0=t0, t1=t1, dt=dt)
 
     def test_spec_accepts_the_step_limit(self):
@@ -258,20 +278,11 @@ class TestEvolve:
         with pytest.raises(ValueError, match=r"recorded every 1 would store .* 5x5 states"):
             evolve(spec, DensityMatrix(np.eye(5) / 5, FERMION))
 
-    @pytest.mark.parametrize(
-        "error_tol,expected",
-        [
-            (None, [0.0, 0.01, 0.02, 0.0255]),
-            # controlled steps accumulate t += dt, so the grid carries roundoff
-            (1e-10, [0.0, 0.010000000000000002, 0.02000000000000001, 0.0255]),
-        ],
-    )
-    def test_snapshot_grid(self, error_tol, expected):
+    def test_snapshot_grid(self):
         initial = DensityMatrix(np.diag([1.0, 0.0]), FERMION)
-        spec = EvolutionSpec(rhs=loss_rhs(1.0), t0=0.0, t1=0.0255, dt=1e-3, record_every=10,
-                             error_tol=error_tol)
+        spec = EvolutionSpec(rhs=loss_rhs(1.0), t0=0.0, t1=0.0255, dt=1e-3, record_every=10)
         traj = evolve(spec, initial)
-        assert traj.times.tolist() == expected
+        assert traj.times.tolist() == [0.0, 0.01, 0.02, 0.0255]
         for column in (traj.trace, traj.min_eig, traj.max_eig, traj.herm_defect, traj.states):
             assert len(column) == len(traj.times)
 
