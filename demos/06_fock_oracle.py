@@ -14,6 +14,11 @@ Goal:
      1 - e^{-wt}, while the closed one-particle equation predicts the
      blocked law 1 - 1/(1 + wt).  The gap is real physics, not error.
 
+A product state is diagonal, so it is given by its populations
+(`product_populations`), the 1-D array of its diagonal; the closure
+comparison takes them as they are, and the coherent trajectory below takes
+their diagonal matrix.
+
 Checks:
   t=0 residuals at rounding level for fermion and boson product states; a
   correlated state reports a finite residual; the trajectory gap matches
@@ -31,7 +36,7 @@ from qme import (
     Statistics,
     closure_residual_at_t0,
     evolve,
-    product_diagonal_state,
+    product_populations,
     reduce_one_particle,
     rhs_fock_lindblad,
 )
@@ -45,9 +50,9 @@ def main():
     print("----------------------------------------------------------------")
 
     fermi = FockModel(FERMION, (0.0, 0.6, 1.3), {(1, 0): 0.8, (2, 1): 0.5, (0, 2): 0.3})
-    r_fermi = closure_residual_at_t0(fermi, product_diagonal_state(fermi, [0.9, 0.4, 0.2]))
+    r_fermi = closure_residual_at_t0(fermi, product_populations(fermi, [0.9, 0.4, 0.2]))
     bose = FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.6, (0, 1): 0.9}, boson_cutoff=4)
-    r_bose = closure_residual_at_t0(bose, product_diagonal_state(bose, [2, 1]))
+    r_bose = closure_residual_at_t0(bose, product_populations(bose, [2, 1]))
     print(f"  t=0 closure residual, 3-mode fermion product state: {r_fermi:.2e}")
     print(f"  t=0 closure residual, 2-mode boson product state:   {r_bose:.2e}")
 
@@ -61,7 +66,7 @@ def main():
     print(f"  t=0 closure residual, coherently shared particle:   {r_corr:.6f} (exact 1/4)")
 
     # single-particle transfer: exact dynamics is linear, the closure is not
-    rho0 = product_diagonal_state(pair, [1.0, 0.0])
+    rho0 = np.diag(product_populations(pair, [1.0, 0.0]))
     spec = EvolutionSpec(
         rhs=lambda t, r: rhs_fock_lindblad(pair, r), t0=0.0, t1=3.0, dt=1e-3, record_every=100,
     )

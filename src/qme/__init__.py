@@ -39,7 +39,7 @@ from .fock_oracle import (
     FockModel,
     build_mode_operators,
     closure_residual_at_t0,
-    product_diagonal_state,
+    product_populations,
     reduce_one_particle,
     rhs_fock_lindblad,
 )

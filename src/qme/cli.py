@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 import time
 from collections.abc import Callable
@@ -54,7 +55,7 @@ from .fock_oracle import (
     FockModel,
     closure_residual_at_t0,
     cutoff_contamination,
-    product_diagonal_state,
+    product_populations,
     reduce_one_particle,
     rhs_fock_lindblad,
 )
@@ -130,7 +131,7 @@ def _scalar(value, where: str, integer: bool = False):
     JSON; bools and strings are rejected, integers are never truncated."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a finite number"
-        raise ScenarioError(f"{where}: expected {kind}, got {value!r}")
+        raise ScenarioError(f"{where}: expected {kind}, got {reprlib.repr(value)}")
     if integer:
         return value
     try:
@@ -138,7 +139,7 @@ def _scalar(value, where: str, integer: bool = False):
     except OverflowError:  # an integer beyond the float range
         x = math.inf
     if not math.isfinite(x):
-        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+        raise ScenarioError(f"{where}: expected a finite number, got {reprlib.repr(value)}")
     return x
 
 
@@ -152,7 +153,7 @@ def _entry_to_complex(value, where: str) -> complex:
     if isinstance(value, list) and len(value) == 2:
         return complex(_scalar(value[0], where), _scalar(value[1], where))
     if isinstance(value, list):
-        raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+        raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {reprlib.repr(value)}")
     return complex(_scalar(value, where))
 
 
@@ -258,22 +259,29 @@ class Scenario:
         return np.diag(np.asarray(self.initial_value, dtype=float)).astype(complex)
 
 
-#: FockModel fields that its errors name, and the scenario keys they are read from.
-_FOCK_FIELDS = {"energies": "fock.energies", "rates": "network.rates"}
+#: Fields that FockModel and TransitionNetwork errors name -> their scenario keys.
+_FIELDS = {"energies": "fock.energies", "boson_cutoff": "fock.boson_cutoff",
+           "rates": "network.rates", "network kets": "network.basis"}
 
 
-def start_state(s: Scenario) -> tuple[DensityMatrix, FockModel | None]:
-    """The validated start state of a run and, for the Fock oracle, its
-    many-body model (None otherwise): the one place either is built.  Parsing
-    calls it to fail fast; each run calls it once more."""
+def _field_error(exc: ValueError) -> ScenarioError:
+    """``exc`` with its leading field (before any ``[index]``) renamed by _FIELDS."""
+    field, sep, rest = str(exc).partition(": ")
+    name, bracket, index = field.partition("[")
+    return ScenarioError(_FIELDS.get(name, name) + bracket + index + sep + rest)
+
+
+def start_state(s: Scenario) -> tuple[DensityMatrix | np.ndarray, FockModel | None]:
+    """The validated start state of a run (populations, for the Fock oracle)
+    and the oracle's many-body model (None otherwise): the one place either
+    is built.  Parsing calls it to fail fast; each run calls it once more."""
     model = None
     if s.fock_energies is not None:
         try:
             model = FockModel(statistics=s.statistics, energies=s.fock_energies,
                               rates=dict(s.network.rates), boson_cutoff=s.boson_cutoff)
         except ValueError as exc:
-            field, sep, rest = str(exc).partition(": ")
-            raise ScenarioError(_FOCK_FIELDS.get(field, field) + sep + rest) from None
+            raise _field_error(exc) from None
     elif s.initial_kind == "occupations":
         occ = np.asarray(s.initial_value, dtype=float)
         if np.any(occ < 0):
@@ -286,7 +294,7 @@ def start_state(s: Scenario) -> tuple[DensityMatrix, FockModel | None]:
     try:
         if model is None:
             return DensityMatrix(s.initial_matrix(), s.statistics, tolerance=tol), None
-        return DensityMatrix(product_diagonal_state(model, s.initial_value), s.statistics), model
+        return product_populations(model, s.initial_value), model
     except ValueError as exc:
         raise ScenarioError(f"initial: {exc}") from None
 
@@ -311,6 +319,7 @@ def _parse_network(group, dim: int) -> TransitionNetwork:
         if (dest, src) in rates:
             raise ScenarioError(f"network.rates[{k}]: duplicate transition {src} -> {dest}")
         rates[(dest, src)] = _scalar(item["rate"], f"network.rates[{k}].rate")
+    kets = np.eye(dim, dtype=complex)
     if "basis" in group:
         basis = group["basis"]
         if not isinstance(basis, list) or not basis:
@@ -323,14 +332,10 @@ def _parse_network(group, dim: int) -> TransitionNetwork:
              for i, col in enumerate(basis)],
             dtype=complex,
         ).T
-        try:
-            return TransitionNetwork(kets=kets, rates=rates)
-        except ValueError as exc:
-            raise ScenarioError(f"network: {exc}") from None
     try:
-        return TransitionNetwork.computational(dim, rates)
+        return TransitionNetwork(kets=kets, rates=rates)
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+        raise _field_error(exc) from None
 
 
 def _parse_dephasing(items) -> DephasingRates:
@@ -369,7 +374,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     equation = raw.get("equation")
     if not isinstance(equation, str) or equation not in _EQUATIONS:
         raise ScenarioError(
-            f"equation: unknown equation {equation!r}; expected one of {sorted(_EQUATIONS)}"
+            f"equation: unknown equation {reprlib.repr(equation)}; expected one of {sorted(_EQUATIONS)}"
         )
     rules = _EQUATIONS[equation]
     allowed = _COMMON_KEYS.union(rules.required, rules.optional)
@@ -389,16 +394,16 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         raise ScenarioError("name: expected a nonempty string")
     # the name is a directory under $QME_OUT_DIR: it must not step out of it
     if name in (".", "..") or any(c in name for c in "/\\\0"):
-        raise ScenarioError(f"name: expected a single path component, got {name!r}")
+        raise ScenarioError(f"name: expected a single path component, got {reprlib.repr(name)}")
     if not isinstance(raw["statistics"], str):
-        raise ScenarioError(f"statistics: expected a string, got {raw['statistics']!r}")
+        raise ScenarioError(f"statistics: expected a string, got {reprlib.repr(raw['statistics'])}")
     try:
         statistics = Statistics.parse(raw["statistics"])
     except ValueError as exc:
         raise ScenarioError(f"statistics: {exc}") from None
     dimension = _scalar(raw["dimension"], "dimension", integer=True)
     if dimension < 1:
-        raise ScenarioError(f"dimension: expected a positive integer, got {dimension!r}")
+        raise ScenarioError(f"dimension: expected a positive integer, got {reprlib.repr(dimension)}")
     if dimension > MAX_DIMENSION:
         raise ScenarioError(f"dimension: {dimension} exceeds the limit of {MAX_DIMENSION}")
 
@@ -418,7 +423,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         if ivalue == "appendix_d" and dimension != 3:
             raise ScenarioError("initial.preset: preset 'appendix_d' requires dimension 3")
         if ivalue not in ("empty", "appendix_d"):
-            raise ScenarioError(f"initial.preset: unknown preset {ivalue!r}")
+            raise ScenarioError(f"initial.preset: unknown preset {reprlib.repr(ivalue)}")
         initial_kind, initial_value = "preset", ivalue
     elif ikind == "occupations" and rules.occupations:
         initial_kind = "occupations"
@@ -513,11 +518,10 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         expect_violations=expect_violations,
         **operators,
     )
-    # fail fast on an invalid start state, and on a window whose snapshots of
-    # it (D x D for the oracle) would not fit in memory
-    initial, _ = start_state(scenario)
+    # fail fast on an invalid start state and on snapshots of it that would not fit in memory
+    initial, model = start_state(scenario)
     try:
-        check_snapshot_budget(steps, record_every, initial.dim)
+        check_snapshot_budget(steps, record_every, (initial.matrix if model is None else initial).nbytes)
     except ValueError as exc:
         raise ScenarioError(f"integrator.record_every: {exc}") from None
     return scenario
@@ -647,7 +651,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
         raise ScenarioError("scenario must be a JSON object")
     for item in overrides:
         if "=" not in item:
-            raise ScenarioError(f"override {item!r}: expected key=value")
+            raise ScenarioError(f"override {reprlib.repr(item)}: expected key=value")
         key, _, text = item.partition("=")
         try:
             value = json.loads(text)
@@ -773,18 +777,14 @@ def _run_matrix(scenario: Scenario):
 
 
 def _run_fock(scenario: Scenario):
-    """(reduced one-particle trajectory, None, extra summary fields).
-
-    The start state is diagonal and the model's flow keeps it so: the run
-    integrates its populations under ``model.populations``.  The coherent
-    many-body flow is evaluated once, on the start state, and the population
-    flow must equal its diagonal there up to roundoff.
-    """
-    initial, model = start_state(scenario)
-    closure = closure_residual_at_t0(model, initial.matrix)
-    p0 = np.diag(initial.matrix).real
+    """(reduced one-particle trajectory, None, extra summary fields): the start
+    populations integrated under ``model.populations``.  The coherent flow is
+    evaluated once, on their diagonal matrix, and the population flow must
+    equal its diagonal there up to roundoff."""
+    p0, model = start_state(scenario)
+    closure = closure_residual_at_t0(model, p0)
     flow = model.populations
-    coherent = np.diag(rhs_fock_lindblad(model, initial.matrix)).real
+    coherent = np.diag(rhs_fock_lindblad(model, np.diag(p0))).real
     gap = float(np.abs(flow(scenario.t0, p0) - coherent).max())
     if gap > 1e-12 * flow.rate.sum():
         raise ValueError(

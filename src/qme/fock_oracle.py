@@ -5,6 +5,8 @@ many-body Lindblad evolution whose reduced occupation derivatives can be
 compared, at t = 0, against the semiclassical closure used by the rest of the
 package.  The closure is exact for mode-uncorrelated diagonal states, so the
 comparison has a sharp expected value there (residual at rounding level).
+A diagonal state may be given as its D populations (1-D, as built by
+:func:`product_populations`) wherever a D x D density matrix is read.
 
 Basis conventions, fixed for reproducibility:
 
@@ -293,8 +295,9 @@ def _scatter(pairs: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(pairs, weights.view(float), minlength=2 * size).view(complex)
 
 
-def product_diagonal_state(model: FockModel, occupations) -> np.ndarray:
-    """Mode-uncorrelated diagonal many-body state.
+def product_populations(model: FockModel, occupations) -> np.ndarray:
+    """Populations of the mode-uncorrelated diagonal many-body state: the
+    Kronecker product of the per-mode occupation distributions.
 
     Fermions: each entry is the occupation probability p_k in [0, 1].
     Bosons: each entry is an exact integer Fock occupancy <= cutoff.
@@ -302,13 +305,13 @@ def product_diagonal_state(model: FockModel, occupations) -> np.ndarray:
     occupations = list(occupations)
     if len(occupations) != model.modes:
         raise ValueError(f"expected {model.modes} occupations, got {len(occupations)}")
-    rho = np.eye(1, dtype=complex)
+    p = np.ones(1)
     for k in reversed(range(model.modes)):
         occ = occupations[k]
         if model.statistics is Statistics.FERMION:
             if not 0 <= occ <= 1:
                 raise ValueError(f"occupations[{k}]: fermion occupation must lie in [0, 1], got {occ}")
-            local = np.diag([1 - occ, occ]).astype(complex)
+            local = [1 - occ, occ]
         else:
             m = int(occ)
             if m != occ or not 0 <= m <= model.boson_cutoff:
@@ -316,11 +319,9 @@ def product_diagonal_state(model: FockModel, occupations) -> np.ndarray:
                     f"occupations[{k}]: boson occupancy must be an integer in "
                     f"[0, {model.boson_cutoff}], got {occ}"
                 )
-            diag = np.zeros(model.level_dim)
-            diag[m] = 1.0
-            local = np.diag(diag).astype(complex)
-        rho = np.kron(rho, local)
-    return rho
+            local = np.eye(model.level_dim)[m]
+        p = np.kron(p, local)
+    return p
 
 
 def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
@@ -362,12 +363,12 @@ def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
 
 def is_product_diagonal(model: FockModel, rho_s, tol: float = 1e-12) -> bool:
     """True when rho_s is diagonal in the occupation basis and its joint
-    occupancy distribution factorizes over modes."""
+    occupancy distribution factorizes over modes.  A 1-D ``rho_s`` is the
+    populations of a diagonal state."""
     rho_s = np.asarray(rho_s, dtype=complex)
-    off = rho_s - np.diag(np.diag(rho_s))
-    if np.abs(off).max() > tol:
+    if rho_s.ndim == 2 and np.abs(rho_s - np.diag(np.diag(rho_s))).max() > tol:
         return False
-    probs = np.diag(rho_s).real
+    probs = (rho_s if rho_s.ndim == 1 else np.diag(rho_s)).real
     occ = model.occupancies
     marginals = [np.bincount(column, weights=probs, minlength=model.level_dim) for column in occ.T]
     expected = np.prod([m[column] for m, column in zip(marginals, occ.T)], axis=0)
@@ -393,10 +394,13 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
     The closure replaces two-mode correlators by products of occupations; for
     mode-uncorrelated diagonal states the replacement is exact at the instant,
     so the residual is at rounding level.  For any other state a warning is
-    issued and the residual quantifies the closure error.
+    issued and the residual quantifies the closure error.  Populations p (a
+    1-D ``rho_s``) take their exact derivative from ``model.populations(0, p)``.
     """
-    rho_s = as_square_matrix(rho_s, "rho_s")
-    exact = np.diag(reduce_one_particle(model, rhs_fock_lindblad(model, rho_s))).real
+    rho_s = np.asarray(rho_s, dtype=float) if np.ndim(rho_s) == 1 else as_square_matrix(rho_s, "rho_s")
+    _check_fock_dim(model, rho_s.shape[0])
+    flow = model.populations if rho_s.ndim == 1 else model.flow
+    exact = np.diag(reduce_one_particle(model, flow(0.0, rho_s))).real
     if not is_product_diagonal(model, rho_s, tol=1e-10):
         warnings.warn(
             "state is not a mode-uncorrelated diagonal state; the residual "

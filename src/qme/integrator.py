@@ -25,21 +25,19 @@ RHSCallable = Callable[[float, np.ndarray], np.ndarray]
 #: (appendix_d, 10^4 steps), so a tiny dt cannot hang a run.
 MAX_STEPS = 10**7
 
-#: Most bytes the recorded states of one run may take (1 GiB): 64 snapshots
-#: at the largest CLI dimension of 1024, 10^5 at d=32.
+#: Most bytes the recorded states of one run may take (1 GiB): 64 matrices at
+#: the largest CLI dimension of 1024, 10^5 at d=32, 2^17 populations at D=1024.
 MAX_SNAPSHOT_BYTES = 2**30
 
 
-def check_snapshot_budget(steps: float, record_every: int, dim: int) -> None:
+def check_snapshot_budget(steps: float, record_every: int, state_bytes: int) -> None:
     """Refuse a window whose recorded states would exceed MAX_SNAPSHOT_BYTES:
     the start plus every ``record_every``-th of ``steps`` steps (the last one
-    always), each a ``dim x dim`` complex matrix of 16-byte entries."""
-    stored = (1 + math.ceil(steps / record_every)) * dim * dim * 16
-    if stored > MAX_SNAPSHOT_BYTES:
-        raise ValueError(
-            f"{steps:.3g} steps recorded every {record_every} would store {stored:.3g} bytes "
-            f"of {dim}x{dim} states, more than {MAX_SNAPSHOT_BYTES}"
-        )
+    always), each a copy of the stored state of ``state_bytes`` bytes."""
+    snapshots = 1 + math.ceil(steps / record_every)
+    if snapshots * state_bytes > MAX_SNAPSHOT_BYTES:
+        raise ValueError(f"{steps:.3g} steps recorded every {record_every} would store {snapshots} "
+                         f"states of {state_bytes} bytes, more than {MAX_SNAPSHOT_BYTES} bytes")
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -184,15 +182,13 @@ def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajecto
     populations = isinstance(initial, np.ndarray) and initial.ndim == 1
     if not (populations or isinstance(initial, DensityMatrix)):
         raise TypeError("initial state must be a DensityMatrix or a 1-D array of populations")
-    span = spec.t1 - spec.t0
-    # a 1-D state is budgeted as the density matrix it is the diagonal of
-    dim = len(initial) if populations else initial.dim
-    check_snapshot_budget(span / spec.dt, spec.record_every, dim)
     if populations:
         rho, statistics = _checked_populations(initial), None
     else:
         initial.validate()
         rho, statistics = initial.matrix.copy(), initial.statistics
+    span = spec.t1 - spec.t0
+    check_snapshot_budget(span / spec.dt, spec.record_every, rho.nbytes)
 
     times = [spec.t0]
     states = [rho]

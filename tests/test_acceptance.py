@@ -38,7 +38,7 @@ from qme.fock_oracle import (
     FockModel,
     build_mode_operators,
     closure_residual_at_t0,
-    product_diagonal_state,
+    product_populations,
 )
 from qme.integrator import EvolutionSpec, evolve
 from qme.operators import DensityMatrix, positivity_report
@@ -438,7 +438,7 @@ def test_criterion_8_fock_oracle_closure():
     worst_closure = 0.0
     worst_algebra = 0.0
     for model, occupations in cases:
-        rho = product_diagonal_state(model, occupations)
+        rho = np.diag(product_populations(model, occupations))
         worst_closure = max(worst_closure, closure_residual_at_t0(model, rho))
         worst_algebra = max(worst_algebra, _algebra_defect(model))
     ok = report(

@@ -16,7 +16,7 @@ from qme.fock_oracle import (
     fock_jump_operators,
     is_product_diagonal,
     number_operators,
-    product_diagonal_state,
+    product_populations,
     reduce_one_particle,
     rhs_fock_lindblad,
 )
@@ -150,7 +150,7 @@ class TestFockLindblad:
 
     def test_single_jump_feeds_destination_at_unit_rate(self):
         model = fermion_model(2, rates={(1, 0): 1.0})
-        rho = product_diagonal_state(model, [1.0, 0.0])
+        rho = np.diag(product_populations(model, [1.0, 0.0]))
         n1 = number_operators(model)[1]
         deriv = np.trace(n1 @ rhs_fock_lindblad(model, rho)).real
         assert deriv == pytest.approx(1.0, abs=1e-13)
@@ -257,7 +257,7 @@ class TestPopulationFlow:
     def test_equals_the_coherent_diagonal(self, name):
         model = REFERENCE_MODELS[name]
         rng = np.random.default_rng(model.fock_dim + 7)
-        starts = [np.diag(product_diagonal_state(model, POPULATION_STARTS[name])).real]
+        starts = [product_populations(model, POPULATION_STARTS[name])]
         starts += [rng.dirichlet(np.ones(model.fock_dim)) for _ in range(4)]
         for p in starts:
             out = model.populations(0.0, p)
@@ -268,7 +268,7 @@ class TestPopulationFlow:
     @pytest.mark.parametrize("occupations", [[0.5, 0.5, 0.5, 0.5], [0.1, 0.9, 0.3, 0.7], [1, 1, 0, 1]])
     def test_fractional_fermion_products(self, occupations):
         model = REFERENCE_MODELS["fermion_4"]
-        p = np.diag(product_diagonal_state(model, occupations)).real
+        p = product_populations(model, occupations)
         assert np.abs(model.populations(0.0, p) - coherent_diagonal(model, p)).max() <= 1e-13
 
     def test_transition_table(self):
@@ -321,19 +321,23 @@ class TestReduction:
     @pytest.mark.parametrize("name", POPULATION_STARTS)
     def test_populations_reduce_like_their_diagonal_state(self, name):
         model = REFERENCE_MODELS[name]
-        p = np.random.default_rng(3).dirichlet(np.ones(model.fock_dim))
-        rho = np.diag(p).astype(complex)
-        assert np.abs(reduce_one_particle(model, p) - reduce_one_particle(model, rho)).max() <= 1e-15
-        assert cutoff_contamination(model, p) == cutoff_contamination(model, rho)
+        product = product_populations(model, POPULATION_STARTS[name])
+        for p in (np.random.default_rng(3).dirichlet(np.ones(model.fock_dim)), product):
+            rho = np.diag(p).astype(complex)
+            assert np.abs(reduce_one_particle(model, p) - reduce_one_particle(model, rho)).max() <= 1e-15
+            assert cutoff_contamination(model, p) == cutoff_contamination(model, rho)
+        # the closure reads the exact derivative from the population flow
+        closure = closure_residual_at_t0(model, product)
+        assert abs(closure - closure_residual_at_t0(model, np.diag(product))) <= 1e-14
 
     def test_single_particle_state(self):
         model = fermion_model(2)
-        rho = product_diagonal_state(model, [1.0, 0.0])
+        rho = np.diag(product_populations(model, [1.0, 0.0]))
         assert np.allclose(reduce_one_particle(model, rho), np.diag([1.0, 0.0]))
 
     def test_vacuum_reduces_to_zero(self):
         model = fermion_model(2)
-        rho = product_diagonal_state(model, [0.0, 0.0])
+        rho = np.diag(product_populations(model, [0.0, 0.0]))
         assert not np.any(reduce_one_particle(model, rho))
 
     def test_coherent_superposition(self):
@@ -357,35 +361,47 @@ class TestReduction:
 
     def test_trace_counts_particles(self):
         model = fermion_model(3)
-        rho = product_diagonal_state(model, [0.9, 0.4, 0.2])
+        rho = np.diag(product_populations(model, [0.9, 0.4, 0.2]))
         assert np.trace(reduce_one_particle(model, rho)).real == pytest.approx(1.5)
 
 
 class TestProductStates:
     def test_fermion_probabilities(self):
         model = fermion_model(2)
-        rho = product_diagonal_state(model, [0.7, 0.2])
-        assert np.trace(rho).real == pytest.approx(1.0)
-        assert is_product_diagonal(model, rho)
-        occ = np.diag(reduce_one_particle(model, rho)).real
+        p = product_populations(model, [0.7, 0.2])
+        assert p.shape == (4,) and p.sum() == pytest.approx(1.0)
+        assert is_product_diagonal(model, p)
+        occ = np.diag(reduce_one_particle(model, p)).real
         assert np.allclose(occ, [0.7, 0.2])
 
     def test_boson_fock_occupancies(self):
         model = FockModel(BOSON, (0.0, 1.0), boson_cutoff=4)
-        rho = product_diagonal_state(model, [2, 1])
-        occ = np.diag(reduce_one_particle(model, rho)).real
+        p = product_populations(model, [2, 1])
+        occ = np.diag(reduce_one_particle(model, p)).real
         assert np.allclose(occ, [2.0, 1.0])
+
+    @pytest.mark.parametrize("name", POPULATION_STARTS)
+    def test_populations_are_the_kronecker_product(self, name):
+        model, occupations = REFERENCE_MODELS[name], POPULATION_STARTS[name]
+        # each mode's occupation distribution as a diagonal matrix, mode 0 the last factor
+        rho = np.eye(1, dtype=complex)
+        for occ in reversed(occupations):
+            local = [1 - occ, occ] if model.statistics is FERMION else np.eye(model.level_dim)[occ]
+            rho = np.kron(rho, np.diag(local).astype(complex))
+        p = product_populations(model, occupations)
+        assert p.dtype == float and np.array_equal(p, np.diag(rho).real)
+        assert abs(p.sum() - 1.0) <= 1e-15
 
     def test_fermion_probability_range(self):
         with pytest.raises(ValueError, match=r"occupations\[0\]"):
-            product_diagonal_state(fermion_model(1), [1.2])
+            product_populations(fermion_model(1), [1.2])
 
     def test_boson_requires_integer_below_cutoff(self):
         model = FockModel(BOSON, (0.0,), boson_cutoff=2)
         with pytest.raises(ValueError, match="integer"):
-            product_diagonal_state(model, [0.5])
+            product_populations(model, [0.5])
         with pytest.raises(ValueError, match="integer"):
-            product_diagonal_state(model, [3])
+            product_populations(model, [3])
 
     def test_diagonal_correlated_state_is_not_a_product(self):
         # equal weights on |01> and |10>: both marginals are (1/2, 1/2), yet
@@ -393,7 +409,9 @@ class TestProductStates:
         model = fermion_model(2)
         rho = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
         assert not is_product_diagonal(model, rho)
+        assert not is_product_diagonal(model, np.diag(rho))
         assert is_product_diagonal(model, np.diag([0.25] * 4))
+        assert is_product_diagonal(model, np.full(4, 0.25))
 
     def test_occupancy_table_rows(self):
         model = FockModel(BOSON, (0.0, 1.0, 2.0), boson_cutoff=2)
@@ -405,36 +423,36 @@ class TestProductStates:
 
     def test_cutoff_contamination(self):
         model = FockModel(BOSON, (0.0,), boson_cutoff=2)
-        rho = product_diagonal_state(model, [2])
+        rho = np.diag(product_populations(model, [2]))
         assert cutoff_contamination(model, rho) == pytest.approx(1.0)
-        assert cutoff_contamination(model, product_diagonal_state(model, [0])) == 0.0
+        assert cutoff_contamination(model, product_populations(model, [0])) == 0.0
         two = FockModel(BOSON, (0.0, 1.0), boson_cutoff=2)
-        assert cutoff_contamination(two, product_diagonal_state(two, [0, 2])) == pytest.approx(1.0)
-        assert cutoff_contamination(two, product_diagonal_state(two, [1, 1])) == 0.0
+        assert cutoff_contamination(two, product_populations(two, [0, 2])) == pytest.approx(1.0)
+        assert cutoff_contamination(two, product_populations(two, [1, 1])) == 0.0
 
 
 class TestClosure:
     def test_two_mode_fermion_product(self):
         model = fermion_model(2, rates={(1, 0): 1.0})
-        rho = product_diagonal_state(model, [1.0, 0.0])
-        assert closure_residual_at_t0(model, rho) <= 1e-10
+        p = product_populations(model, [1.0, 0.0])
+        assert max(closure_residual_at_t0(model, s) for s in (p, np.diag(p))) <= 1e-10
 
     def test_three_mode_fermion_fractional(self):
         model = fermion_model(
             3, rates={(1, 0): 0.8, (2, 1): 0.5, (0, 2): 0.3, (1, 2): 0.4}
         )
-        rho = product_diagonal_state(model, [0.9, 0.4, 0.2])
-        assert closure_residual_at_t0(model, rho) <= 1e-10
+        p = product_populations(model, [0.9, 0.4, 0.2])
+        assert max(closure_residual_at_t0(model, s) for s in (p, np.diag(p))) <= 1e-10
 
     def test_two_mode_boson_product(self):
         model = FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.6, (0, 1): 0.9}, boson_cutoff=4)
-        rho = product_diagonal_state(model, [2, 1])
-        assert closure_residual_at_t0(model, rho) <= 1e-10
+        p = product_populations(model, [2, 1])
+        assert max(closure_residual_at_t0(model, s) for s in (p, np.diag(p))) <= 1e-10
 
     def test_vacuum_residual_zero(self):
         model = fermion_model(2, rates={(1, 0): 1.0, (0, 1): 0.5})
-        rho = product_diagonal_state(model, [0.0, 0.0])
-        assert closure_residual_at_t0(model, rho) == 0.0
+        p = product_populations(model, [0.0, 0.0])
+        assert closure_residual_at_t0(model, p) == closure_residual_at_t0(model, np.diag(p)) == 0.0
 
     def test_correlated_state_warns_and_reports_baseline(self):
         # equal-weight coherent sharing of one particle over two modes:
@@ -451,7 +469,7 @@ class TestClosure:
 class TestExactEvolution:
     def test_psd_and_trace_preserved_over_long_run(self):
         model = fermion_model(2, rates={(1, 0): 1.0, (0, 1): 0.4})
-        rho0 = product_diagonal_state(model, [0.8, 0.3])
+        rho0 = np.diag(product_populations(model, [0.8, 0.3]))
         initial = DensityMatrix(rho0, FERMION)
         spec = EvolutionSpec(
             rhs=lambda t, r: rhs_fock_lindblad(model, r),
@@ -484,3 +502,5 @@ class TestExactEvolution:
             reduce_one_particle(model, np.eye(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
             reduce_one_particle(model, np.ones(3) / 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            closure_residual_at_t0(model, np.ones(3) / 3)

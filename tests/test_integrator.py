@@ -259,23 +259,27 @@ class TestEvolve:
         assert (spec.t1 - spec.t0) / spec.dt <= MAX_STEPS
 
     def test_snapshot_budget_boundary(self):
-        # the start plus 63 recorded steps of a 1024 x 1024 state fill the
-        # budget exactly; one more snapshot, or a coarser record_every, decides
-        assert 64 * 1024 * 1024 * 16 == MAX_SNAPSHOT_BYTES
-        check_snapshot_budget(63, 1, 1024)
-        check_snapshot_budget(126, 2, 1024)
-        with pytest.raises(ValueError, match="more than"):
-            check_snapshot_budget(64, 1, 1024)
-        with pytest.raises(ValueError, match="more than"):
-            check_snapshot_budget(127, 2, 1024)
+        # the start plus 63 recorded steps of a 1024 x 1024 complex state, or
+        # plus 2^17 - 1 steps of 1024 float populations, fill the budget
+        # exactly; one more snapshot, or a coarser record_every, decides
+        matrix, populations = 1024 * 1024 * 16, 1024 * 8
+        assert 64 * matrix == 2**17 * populations == MAX_SNAPSHOT_BYTES
+        for steps, state_bytes in ((63, matrix), (2**17 - 1, populations)):
+            check_snapshot_budget(steps, 1, state_bytes)
+            check_snapshot_budget(2 * steps, 2, state_bytes)
+            with pytest.raises(ValueError, match="more than"):
+                check_snapshot_budget(steps + 1, 1, state_bytes)
+            with pytest.raises(ValueError, match="more than"):
+                check_snapshot_budget(2 * steps + 1, 2, state_bytes)
 
     def test_evolve_refuses_an_oversized_record_before_stepping(self):
-        # 5e6 recorded steps of a 5 x 5 state would be 2 GB; nothing is stepped
+        # 5e6 recorded steps of a 5 x 5 complex state (400 bytes) would be 2 GB;
+        # nothing is stepped
         def never(t, rho):
             raise AssertionError("the flow must not be called")
 
         spec = EvolutionSpec(rhs=never, t0=0.0, t1=1.0, dt=2e-7, record_every=1)
-        with pytest.raises(ValueError, match=r"recorded every 1 would store .* 5x5 states"):
+        with pytest.raises(ValueError, match=r"recorded every 1 would store \d+ states of 400 bytes"):
             evolve(spec, DensityMatrix(np.eye(5) / 5, FERMION))
 
     def test_snapshot_grid(self):
@@ -376,8 +380,17 @@ class TestPopulationEvolve:
             evolve(spec, p)
         assert not calls
 
-    def test_population_budget_counts_the_matrix(self):
-        # a 1-D state is budgeted as the D x D matrix it stands for
-        spec = EvolutionSpec(rhs=lambda t, q: q, t0=0.0, t1=1.0, dt=1e-6, record_every=1)
-        with pytest.raises(ValueError, match="bytes"):
-            evolve(spec, np.ones(16) / 16)
+    def test_population_budget_counts_the_stored_vector(self):
+        # 2^14 populations take 128 KB a snapshot, the D x D matrix they are
+        # the diagonal of 4 GB: the budget counts what is stored
+        p = np.full(2**14, 2.0**-14)
+        spec = EvolutionSpec(rhs=lambda t, q: np.zeros_like(q), t0=0.0, t1=1.0, dt=0.25)
+        assert len(evolve(spec, p)) == 5
+
+        # 2^13 snapshots fill the budget, so 2^13 recorded steps exceed it
+        def never(t, q):
+            raise AssertionError("the flow must not be called")
+
+        spec = EvolutionSpec(rhs=never, t0=0.0, t1=1.0, dt=2.0**-13)
+        with pytest.raises(ValueError, match=r"would store 8193 states of 131072 bytes"):
+            evolve(spec, p)
