@@ -37,7 +37,6 @@ from .integrator import (
 )
 from .fock_oracle import (
     FockModel,
-    build_mode_operators,
     closure_residual_at_t0,
     product_populations,
     reduce_one_particle,

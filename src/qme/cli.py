@@ -45,6 +45,7 @@ from .dynamics import (
     QuasiclassicalFlow,
     Statistics,
     TransitionNetwork,
+    _index_pair,
     hole_transform,
 )
 # Not called here: the benchmark's tracer (perfbench/tracing.py) wraps this
@@ -126,12 +127,19 @@ class ScenarioError(ValueError):
     """A scenario file violates the schema; the message names the field."""
 
 
+def _echo(value) -> str:
+    """``value`` as an error message shows it: its ``reprlib`` form, cut to at
+    most 40 characters, so that one error line stays short whatever the input."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 40 else f"{text[:18]}...{text[-19:]}"
+
+
 def _scalar(value, where: str, integer: bool = False):
     """A finite number (a float), or with ``integer`` an int, from scenario
     JSON; bools and strings are rejected, integers are never truncated."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a finite number"
-        raise ScenarioError(f"{where}: expected {kind}, got {reprlib.repr(value)}")
+        raise ScenarioError(f"{where}: expected {kind}, got {_echo(value)}")
     if integer:
         return value
     try:
@@ -139,7 +147,7 @@ def _scalar(value, where: str, integer: bool = False):
     except OverflowError:  # an integer beyond the float range
         x = math.inf
     if not math.isfinite(x):
-        raise ScenarioError(f"{where}: expected a finite number, got {reprlib.repr(value)}")
+        raise ScenarioError(f"{where}: expected a finite number, got {_echo(value)}")
     return x
 
 
@@ -153,7 +161,7 @@ def _entry_to_complex(value, where: str) -> complex:
     if isinstance(value, list) and len(value) == 2:
         return complex(_scalar(value[0], where), _scalar(value[1], where))
     if isinstance(value, list):
-        raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {reprlib.repr(value)}")
+        raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {_echo(value)}")
     return complex(_scalar(value, where))
 
 
@@ -260,7 +268,7 @@ class Scenario:
 
 
 #: Fields that FockModel and TransitionNetwork errors name -> their scenario keys.
-_FIELDS = {"energies": "fock.energies", "boson_cutoff": "fock.boson_cutoff",
+_FIELDS = {"modes": "dimension", "energies": "fock.energies", "boson_cutoff": "fock.boson_cutoff",
            "rates": "network.rates", "network kets": "network.basis"}
 
 
@@ -304,7 +312,7 @@ def _parse_network(group, dim: int) -> TransitionNetwork:
         raise ScenarioError("network: expected an object")
     unknown = set(group) - {"rates", "basis"}
     if unknown:
-        raise ScenarioError(f"network: unknown keys {sorted(unknown)}")
+        raise ScenarioError(f"network: unknown keys {_echo(sorted(unknown))}")
     items = group.get("rates", [])
     if not isinstance(items, list):
         raise ScenarioError("network.rates: expected a list")
@@ -317,7 +325,8 @@ def _parse_network(group, dim: int) -> TransitionNetwork:
         src = _scalar(item["from"], f"network.rates[{k}].from", integer=True)
         dest = _scalar(item["to"], f"network.rates[{k}].to", integer=True)
         if (dest, src) in rates:
-            raise ScenarioError(f"network.rates[{k}]: duplicate transition {src} -> {dest}")
+            raise ScenarioError(f"network.rates[{k}]: duplicate transition "
+                                f"{_echo(src)} -> {_echo(dest)}")
         rates[(dest, src)] = _scalar(item["rate"], f"network.rates[{k}].rate")
     kets = np.eye(dim, dtype=complex)
     if "basis" in group:
@@ -374,7 +383,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     equation = raw.get("equation")
     if not isinstance(equation, str) or equation not in _EQUATIONS:
         raise ScenarioError(
-            f"equation: unknown equation {reprlib.repr(equation)}; expected one of {sorted(_EQUATIONS)}"
+            f"equation: expected one of {', '.join(sorted(_EQUATIONS))}, got {_echo(equation)}"
         )
     rules = _EQUATIONS[equation]
     allowed = _COMMON_KEYS.union(rules.required, rules.optional)
@@ -383,7 +392,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     unknown = set(raw) - allowed
     if unknown:
         raise ScenarioError(
-            f"{sorted(unknown)}: parameter group(s) not accepted by equation {equation!r}"
+            f"{_echo(sorted(unknown))}: parameter group(s) not accepted by equation {equation!r}"
         )
     missing = {"name", "statistics", "dimension", "initial", "integrator", *rules.required} - set(raw)
     if missing:
@@ -394,18 +403,18 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         raise ScenarioError("name: expected a nonempty string")
     # the name is a directory under $QME_OUT_DIR: it must not step out of it
     if name in (".", "..") or any(c in name for c in "/\\\0"):
-        raise ScenarioError(f"name: expected a single path component, got {reprlib.repr(name)}")
+        raise ScenarioError(f"name: expected a single path component, got {_echo(name)}")
     if not isinstance(raw["statistics"], str):
-        raise ScenarioError(f"statistics: expected a string, got {reprlib.repr(raw['statistics'])}")
+        raise ScenarioError(f"statistics: expected a string, got {_echo(raw['statistics'])}")
     try:
         statistics = Statistics.parse(raw["statistics"])
     except ValueError as exc:
         raise ScenarioError(f"statistics: {exc}") from None
     dimension = _scalar(raw["dimension"], "dimension", integer=True)
     if dimension < 1:
-        raise ScenarioError(f"dimension: expected a positive integer, got {reprlib.repr(dimension)}")
+        raise ScenarioError(f"dimension: expected a positive integer, got {_echo(dimension)}")
     if dimension > MAX_DIMENSION:
-        raise ScenarioError(f"dimension: {dimension} exceeds the limit of {MAX_DIMENSION}")
+        raise ScenarioError(f"dimension: {_echo(dimension)} exceeds the limit of {MAX_DIMENSION}")
 
     # initial state
     initial = raw["initial"]
@@ -423,14 +432,14 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         if ivalue == "appendix_d" and dimension != 3:
             raise ScenarioError("initial.preset: preset 'appendix_d' requires dimension 3")
         if ivalue not in ("empty", "appendix_d"):
-            raise ScenarioError(f"initial.preset: unknown preset {reprlib.repr(ivalue)}")
+            raise ScenarioError(f"initial.preset: unknown preset {_echo(ivalue)}")
         initial_kind, initial_value = "preset", ivalue
     elif ikind == "occupations" and rules.occupations:
         initial_kind = "occupations"
         initial_value = tuple(_real_list(ivalue, dimension, "initial.occupations"))
     else:
         raise ScenarioError(
-            f"initial.{ikind}: not a valid initial-state form for equation {equation!r}"
+            f"initial: {_echo(ikind)} is not a valid initial-state form for equation {equation!r}"
         )
 
     # hamiltonian
@@ -452,7 +461,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     if dephasing is not None:
         for (a, b) in dephasing.gamma:
             if not (0 <= a < dimension and 0 <= b < dimension):
-                raise ScenarioError(f"dephasing[({a},{b})]: orbital index out of range")
+                raise ScenarioError(f"dephasing[{_index_pair(a, b)}]: orbital index out of range")
     jump_operators = None
     if "jump_operators" in raw:
         items = raw["jump_operators"]
@@ -651,7 +660,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
         raise ScenarioError("scenario must be a JSON object")
     for item in overrides:
         if "=" not in item:
-            raise ScenarioError(f"override {reprlib.repr(item)}: expected key=value")
+            raise ScenarioError(f"override {_echo(item)}: expected key=value")
         key, _, text = item.partition("=")
         try:
             value = json.loads(text)

@@ -24,6 +24,7 @@ and returns the flow at t = 0.  Rates are constant during a run.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,11 @@ __all__ = [
 ]
 
 
+def _index_pair(a, b) -> str:
+    """``(a,b)`` for an error message, each index shortened as echoed values are."""
+    return f"({reprlib.repr(a)},{reprlib.repr(b)})"
+
+
 @dataclass(frozen=True)
 class TransitionNetwork:
     """Orthonormal orbital set with directed jump rates.
@@ -78,13 +84,15 @@ class TransitionNetwork:
         n = kets.shape[1]
         for (dest, src), w in self.rates.items():
             if dest == src:
-                raise ValueError(f"rates[({dest},{src})]: self-transitions are not allowed")
+                raise ValueError(f"rates[{_index_pair(dest, src)}]: self-transitions are not allowed")
             if not (0 <= dest < n and 0 <= src < n):
-                raise ValueError(f"rates[({dest},{src})]: orbital index out of range for {n} orbitals")
+                raise ValueError(
+                    f"rates[{_index_pair(dest, src)}]: orbital index out of range for {n} orbitals"
+                )
             if not np.isfinite(w):
-                raise ValueError(f"rates[({dest},{src})]: rate must be finite, got {w}")
+                raise ValueError(f"rates[{_index_pair(dest, src)}]: rate must be finite, got {w}")
             if w < 0:
-                raise ValueError(f"rates[({dest},{src})]: rate must be nonnegative, got {w}")
+                raise ValueError(f"rates[{_index_pair(dest, src)}]: rate must be nonnegative, got {w}")
 
     @classmethod
     def computational(cls, dim: int, rates: dict[tuple[int, int], float]) -> "TransitionNetwork":
@@ -120,15 +128,16 @@ class DephasingRates:
         full: dict[tuple[int, int], float] = {}
         for (a, b), g in self.gamma.items():
             if a == b:
-                raise ValueError(f"dephasing[({a},{b})]: diagonal entries are not allowed")
+                raise ValueError(f"dephasing[{_index_pair(a, b)}]: diagonal entries are not allowed")
             if not np.isfinite(g):
-                raise ValueError(f"dephasing[({a},{b})]: rate must be finite, got {g}")
+                raise ValueError(f"dephasing[{_index_pair(a, b)}]: rate must be finite, got {g}")
             if g < 0:
-                raise ValueError(f"dephasing[({a},{b})]: rate must be nonnegative, got {g}")
+                raise ValueError(f"dephasing[{_index_pair(a, b)}]: rate must be nonnegative, got {g}")
             for key in ((a, b), (b, a)):
                 if key in full and full[key] != g:
                     raise ValueError(
-                        f"dephasing[({a},{b})]: conflicts with symmetric partner value {full[key]}"
+                        f"dephasing[{_index_pair(a, b)}]: conflicts with symmetric partner "
+                        f"value {full[key]}"
                     )
                 full[key] = g
         object.__setattr__(self, "gamma", full)
@@ -247,7 +256,9 @@ class NetworkFlow(Flow):
             self._gamma = np.zeros((n, n))
             for (a, b), g in dephasing.gamma.items():
                 if not (0 <= a < n and 0 <= b < n):
-                    raise ValueError(f"dephasing[({a},{b})]: orbital index out of range for {n} orbitals")
+                    raise ValueError(
+                        f"dephasing[{_index_pair(a, b)}]: orbital index out of range for {n} orbitals"
+                    )
                 self._gamma[a, b] = g
 
     def _to_kets(self, m: np.ndarray) -> np.ndarray:

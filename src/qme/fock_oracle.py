@@ -15,19 +15,26 @@ Basis conventions, fixed for reproducibility:
 * bosons: mixed-radix little-endian with radix cutoff+1 per mode;
 * fermionic operators carry the parity factor of all modes below the acted
   mode (Jordan-Wigner ordering).
+
+No operator is built as a dense matrix.  Every one is a sum of monomials
+c_dest^dag c_src, each of which moves a basis state to at most one basis
+state; ``FockModel._hops`` reads where, and with what amplitude, from the
+occupancy table, and the Hamiltonian, the jumps, the population rates and the
+one-particle reduction are all built from it.
 """
 
 from __future__ import annotations
 
+import reprlib
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
 from .operators import Statistics, as_square_matrix
-from .dynamics import TransitionNetwork, _check_jumps, rhs_quasiclassical
+from .dynamics import TransitionNetwork, rhs_quasiclassical
 
 MAX_MODES = 4
 #: Largest boson Fock dimension D, the bound of ``cli.MAX_DIMENSION``: one
@@ -59,21 +66,21 @@ class FockModel:
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         if not 1 <= self.modes <= MAX_MODES:
-            raise ValueError(f"fock model supports 1..{MAX_MODES} modes, got {self.modes}")
+            raise ValueError(f"modes: fock model supports 1..{MAX_MODES} modes, got {self.modes}")
         if isinstance(self.boson_cutoff, bool) or not isinstance(self.boson_cutoff, Integral):
-            raise ValueError(f"boson_cutoff: expected an integer, got {self.boson_cutoff!r}")
+            raise ValueError(f"boson_cutoff: expected an integer, got {reprlib.repr(self.boson_cutoff)}")
         if self.statistics is Statistics.BOSON:
-            if self.boson_cutoff < 1:
-                raise ValueError(f"boson_cutoff: must be >= 1, got {self.boson_cutoff}")
+            # a cutoff past the limit is refused before its Fock dimension is echoed
+            if not 1 <= self.boson_cutoff < MAX_BOSON_DIM:
+                raise ValueError(f"boson_cutoff: must lie in [1, {MAX_BOSON_DIM - 1}], "
+                                 f"got {reprlib.repr(self.boson_cutoff)}")
             if self.fock_dim > MAX_BOSON_DIM:
-                raise ValueError(
-                    f"boson Fock dimension {self.fock_dim} exceeds limit {MAX_BOSON_DIM}"
-                )
+                raise ValueError(f"boson_cutoff: boson Fock dimension {self.fock_dim} "
+                                 f"exceeds limit {MAX_BOSON_DIM}")
         object.__setattr__(self, "network", TransitionNetwork.computational(self.modes, self.rates))
         # refuse a generator that overflows (E_i - E_j, d_i + d_j) before any flow is built
         with np.errstate(over="ignore", invalid="ignore"):
-            energy = self.occupancies @ np.array(self.energies)
-            spread = energy.max() - energy.min()
+            spread = self._state_energies.max() - self._state_energies.min()
         if not np.isfinite(spread):
             raise ValueError("energies: the many-body energy differences overflow the float range")
         self.populations  # built now: its transition table refuses overflowing rates
@@ -106,27 +113,59 @@ class FockModel:
         return tuple(self.occupancies[index].tolist())
 
     @cached_property
+    def _state_energies(self) -> np.ndarray:
+        """(fock_dim,) many-body energies E_i = sum_k occ_k e_k of the basis states."""
+        return self.occupancies @ np.array(self.energies)
+
+    def _hops(self, dest: int, src: int):
+        """``(i, j, n_src, n_dest, sign)``: the nonzeros of c_dest^dag c_src.
+
+        Basis state i goes to basis state j with amplitude
+        sign * sqrt(n_src * n_dest), n_src the occupation of mode src in i and
+        n_dest that of mode dest in j, for every i with n_src > 0 (and, when
+        dest != src, n_dest below the top level in i), in increasing i.  The
+        fermion sign is the parity of the modes strictly between src and dest
+        that i occupies (Jordan-Wigner ordering); dest == src is the number
+        operator n_src, with i = j and n_src = n_dest.  This is the one
+        occupancy rule behind every operator of the model.
+        """
+        occ = self.occupancies
+        if dest == src:
+            i = np.flatnonzero(occ[:, src])
+            n = occ[i, src]
+            return i, i, n, n, np.ones(len(i), np.intp)
+        i = np.flatnonzero((occ[:, src] > 0) & (occ[:, dest] < self.level_dim - 1))
+        j = i - self.level_dim**src + self.level_dim**dest
+        sign = np.ones(len(i), np.intp)
+        if self.statistics is Statistics.FERMION:
+            low, high = sorted((dest, src))
+            sign -= 2 * (occ[i, low + 1:high].sum(axis=1) % 2)
+        return i, j, occ[i, src], occ[i, dest] + 1, sign
+
+    @cached_property
     def flow(self) -> "FockFlow":
-        """The flow of :func:`rhs_fock_lindblad`."""
-        return FockFlow(fock_hamiltonian(self), fock_jump_operators(self))
+        """The flow of :func:`rhs_fock_lindblad`: H = sum_n e_n c_n^dag c_n and
+        the jumps sqrt(w) c_dest^dag c_src, read from :meth:`_hops`."""
+        jumps = []
+        for (dest, src), w in self.rates.items():
+            i, j, n_src, n_dest, sign = self._hops(dest, src)
+            jumps.append((i, j, np.sqrt(w) * sign * np.sqrt(n_src * n_dest)))
+        return FockFlow(self._state_energies, jumps)
 
     @cached_property
     def populations(self) -> "PopulationFlow":
         """The :class:`PopulationFlow` of the model: the diagonal of ``flow`` on
-        diagonal states.  The jump sqrt(w) c_dest^dag c_src moves basis state i,
-        with n_src > 0 and n_dest below the top level, to the state with one
-        particle moved, at rate w n_src (n_dest + 1): w for fermions, whose
+        diagonal states.  The jump sqrt(w) c_dest^dag c_src moves basis state i
+        to basis state j of :meth:`_hops` at rate w n_src n_dest, that is
+        w n_src (n_dest + 1) with n_dest read in i: w for fermions, whose
         Jordan-Wigner sign squares away."""
-        occ = self.occupancies
-        stride = self.level_dim ** np.arange(self.modes)
         src, dst, rate = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
         with np.errstate(over="ignore"):
             for (dest, source), w in self.rates.items():
-                n_src, n_dest = occ[:, source], occ[:, dest]
-                i = np.flatnonzero((n_src > 0) & (n_dest < self.level_dim - 1))
+                i, j, n_src, n_dest, _ = self._hops(dest, source)
                 src.append(i)
-                dst.append(i - stride[source] + stride[dest])
-                rate.append(w * n_src[i] * (n_dest[i] + 1))
+                dst.append(j)
+                rate.append(w * n_src * n_dest)
             rate = np.concatenate(rate)
             # a call sums at most every rate; the coherent drain adds two of them
             total = 2.0 * rate.sum()
@@ -141,78 +180,14 @@ class FockModel:
         :func:`_scatter`) and index k * fock_dim + r_k into ``rho_s.ravel()``:
         Tr(X rho_s) is the sum of a_k rho_s[k, r_k] over its slot
         (:func:`reduce_one_particle`)."""
-        cs = build_mode_operators(self)
         slots, index, values = [], [], []
-        for n, cn in enumerate(cs):
-            for n2, cn2 in enumerate(cs):
-                rows, cols, vals = _monomial_entries(cn.conj().T @ cn2, f"c_{n}^dag c_{n2}")
-                slots.append(np.full(len(vals), n * self.modes + n2))
-                index.append(cols * self.fock_dim + rows)
-                values.append(vals)
+        for n in range(self.modes):
+            for n2 in range(self.modes):
+                i, j, n_src, n_dest, sign = self._hops(n, n2)
+                slots.append(np.full(len(i), n * self.modes + n2))
+                index.append(i * self.fock_dim + j)
+                values.append(sign * np.sqrt(n_src * n_dest))
         return _interleave(np.concatenate(slots)), np.concatenate(index), np.concatenate(values)
-
-
-@lru_cache(maxsize=32)
-def _mode_operators_cached(statistics: Statistics, modes: int, level_dim: int):
-    if statistics is Statistics.FERMION:
-        lower = np.array([[0.0, 1.0], [0.0, 0.0]])
-        parity = np.diag([1.0, -1.0])
-        local_id = np.eye(2)
-    else:
-        lower = np.diag(np.sqrt(np.arange(1, level_dim)), k=1)
-        parity = np.eye(level_dim)
-        local_id = np.eye(level_dim)
-    ops = []
-    for k in range(modes):
-        # little-endian index: mode 0 is the last kron factor
-        m = np.eye(1)
-        for j in reversed(range(modes)):
-            if j > k:
-                m = np.kron(m, local_id)
-            elif j == k:
-                m = np.kron(m, lower)
-            else:
-                m = np.kron(m, parity)
-        ops.append(m.astype(complex))
-    return tuple(ops)
-
-
-def build_mode_operators(model: FockModel) -> list[np.ndarray]:
-    """Annihilation matrices c_n on the model's Fock space."""
-    return list(_mode_operators_cached(model.statistics, model.modes, model.level_dim))
-
-
-def number_operators(model: FockModel) -> list[np.ndarray]:
-    return [c.conj().T @ c for c in build_mode_operators(model)]
-
-
-def fock_hamiltonian(model: FockModel) -> np.ndarray:
-    """H = sum_n e_n c_n^dag c_n (diagonal in the occupation basis)."""
-    h = np.zeros((model.fock_dim, model.fock_dim), dtype=complex)
-    for e, n_op in zip(model.energies, number_operators(model)):
-        h += e * n_op
-    return h
-
-
-def fock_jump_operators(model: FockModel) -> list[np.ndarray]:
-    """sqrt(w) c_dest^dag c_src for each directed transition."""
-    cs = build_mode_operators(model)
-    return [np.sqrt(w) * cs[dest].conj().T @ cs[src] for (dest, src), w in model.rates.items()]
-
-
-def _monomial_entries(op: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, values)`` of the nonzeros of a matrix that maps each basis
-    state to at most one basis state: at most one nonzero in each column, and
-    in each row, so that op^dag op is diagonal.  Ordered by column."""
-    cols, rows = np.nonzero(op.T)
-    for axis, found in (("column", cols), ("row", rows)):
-        counts = np.bincount(found, minlength=1)
-        if counts.max() > 1:
-            raise ValueError(
-                f"{name}: {axis} {counts.argmax()} holds {counts.max()} nonzeros; "
-                "expected at most one per row and column"
-            )
-    return rows, cols, op[rows, cols]
 
 
 class FockFlow:
@@ -220,35 +195,31 @@ class FockFlow:
 
         drho/dt = (1/i)[H, rho] - (1/2) sum_l {A_l^dag A_l, rho} + sum_l A_l rho A_l^dag
 
-    for a diagonal H and jumps that map each basis state to at most one basis
-    state, as every A = sqrt(w) c_dest^dag c_src does in the occupation basis.
-    Then sum_l A_l^dag A_l is diagonal too, with diagonal d, and the
-    commutator and the drain act entrywise:
+    for a diagonal H, given by the many-body ``energies`` E, and jumps that
+    map each basis state to at most one basis state, as every
+    A = sqrt(w) c_dest^dag c_src does in the occupation basis.  Each jump is
+    given as ``(i, j, a)``, its nonzeros A[j_k, i_k] = a_k, with no basis
+    state twice in i or twice in j.  Then sum_l A_l^dag A_l is diagonal too,
+    with diagonal d, and the commutator and the drain act entrywise:
 
         decay[i, j] = -i(E_i - E_j) - (d_i + d_j)/2.
 
-    The gain moves entry (k, k') of rho to (r_k, r_k') with weight
-    a_k conj(a_k'), for each pair of nonzeros a_k = A_l[r_k, k] of one jump.
-    These pairs are stored once as flat ``src``/``dst`` indices into
-    ``rho.ravel()`` and a ``coef`` array, so a call is one gather and one
-    scatter (one ``bincount`` over the real and imaginary parts), with no
-    matrix product.
+    The gain moves entry (i_k, i_k') of rho to (j_k, j_k') with weight
+    a_k conj(a_k'), for each pair of nonzeros of one jump.  These pairs are
+    stored once as flat ``src``/``dst`` indices into ``rho.ravel()`` and a
+    ``coef`` array, so a call is one gather and one scatter (one ``bincount``
+    over the real and imaginary parts), with no matrix product.
     """
 
-    def __init__(self, h, jumps):
-        h = as_square_matrix(h, "H")
-        energies = np.diag(h)
-        if np.count_nonzero(h - np.diag(energies)):
-            raise ValueError("H: the Fock flow needs a diagonal Hamiltonian")
-        d = self.dim = h.shape[0]
+    def __init__(self, energies: np.ndarray, jumps):
+        d = self.dim = len(energies)
         drain = np.zeros(d)
         src, dst, coef = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
-        for k, a in enumerate(_check_jumps(jumps, d)):
-            rows, cols, vals = _monomial_entries(a, f"jump operator [{k}]")
-            drain += np.bincount(cols, np.abs(vals) ** 2, minlength=d)
-            src.append((cols[:, None] * d + cols).ravel())
-            dst.append((rows[:, None] * d + rows).ravel())
-            coef.append(np.outer(vals, vals.conj()).ravel())
+        for i, j, a in jumps:
+            drain += np.bincount(i, np.abs(a) ** 2, minlength=d)
+            src.append((i[:, None] * d + i).ravel())
+            dst.append((j[:, None] * d + j).ravel())
+            coef.append(np.outer(a, np.conj(a)).ravel())
         self._decay = -1j * (energies[:, None] - energies) - 0.5 * (drain[:, None] + drain)
         self._src, self._coef = np.concatenate(src), np.concatenate(coef)
         self._dst = _interleave(np.concatenate(dst))
@@ -330,9 +301,9 @@ def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
         drho_s/dt = (1/i)[H, rho_s]
                     - (1/2) sum {A^dag A, rho_s} + sum A rho_s A^dag,
 
-    with the jump operators of :func:`fock_jump_operators`: the
-    :class:`FockFlow` of ``model.flow``.  Hermitian and traceless; the jumps
-    conserve total particle number.
+    with H = sum_n e_n c_n^dag c_n and the jumps A = sqrt(w) c_dest^dag c_src
+    of the model's rates: the :class:`FockFlow` of ``model.flow``.  Hermitian
+    and traceless; the jumps conserve total particle number.
     """
     rho_s = as_square_matrix(rho_s, "rho_s")
     _check_fock_dim(model, rho_s.shape[0])

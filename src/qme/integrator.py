@@ -10,6 +10,7 @@ moves the state by less than 1e-12 per step.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -61,7 +62,7 @@ def check_window(t0: float, t1: float, dt: float, record_every: int) -> float:
     if t1 <= t0:
         raise ValueError(f"t1: must exceed t0, got t0={t0}, t1={t1}")
     if record_every < 1:
-        raise ValueError(f"record_every: must be a positive integer, got {record_every}")
+        raise ValueError(f"record_every: must be a positive integer, got {reprlib.repr(record_every)}")
     # no window takes more steps, so a larger value would change nothing
     if record_every > MAX_STEPS:
         raise ValueError(f"record_every: must be at most {MAX_STEPS}")

@@ -7,6 +7,7 @@ small (tens of orbitals) and stored dense.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,7 +38,7 @@ class Statistics(Enum):
             return cls(name.lower())
         except ValueError:
             raise ValueError(
-                f"unknown statistics {name!r}; expected 'fermion' or 'boson'"
+                f"unknown statistics {reprlib.repr(name)}; expected 'fermion' or 'boson'"
             ) from None
 
 

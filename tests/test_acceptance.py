@@ -8,6 +8,7 @@ Everything here finishes in well under a minute on one core.
 import numpy as np
 import pytest
 
+from fock_reference import mode_operators, table_operator
 from qme.analysis import (
     appendix_d_scenario,
     bounds_monitor,
@@ -36,7 +37,6 @@ from qme.dynamics import (
 )
 from qme.fock_oracle import (
     FockModel,
-    build_mode_operators,
     closure_residual_at_t0,
     product_populations,
 )
@@ -395,8 +395,14 @@ def test_criterion_7_empty_orbital_diagonal_is_pinned():
 
 
 def _algebra_defect(model):
-    cs = build_mode_operators(model)
+    """The canonical (anti)commutation defect of the reference mode operators,
+    and the largest deviation of the package's hop table from c_d^dag c_s."""
+    cs = mode_operators(model)
     dim = model.fock_dim
+    table = max(
+        np.abs(table_operator(model, d, s) - cs[d].conj().T @ cs[s]).max()
+        for d in range(model.modes) for s in range(model.modes)
+    )
     if model.statistics is FERMION:
         worst = 0.0
         for i in range(model.modes):
@@ -405,7 +411,7 @@ def _algebra_defect(model):
                 mixed = cs[i] @ cs[j].conj().T + cs[j].conj().T @ cs[i]
                 expected = np.eye(dim) if i == j else 0.0
                 worst = max(worst, np.abs(mixed - expected).max())
-        return worst
+        return worst, table
     below = [
         idx for idx in range(dim)
         if max(model.occupancy_of_index(idx)) < model.boson_cutoff
@@ -417,7 +423,7 @@ def _algebra_defect(model):
             comm = cs[i] @ cs[j].conj().T - cs[j].conj().T @ cs[i]
             expected = np.eye(dim) if i == j else np.zeros((dim, dim))
             worst = max(worst, np.abs((comm - expected)[sub]).max())
-    return worst
+    return worst, table
 
 
 def test_criterion_8_fock_oracle_closure():
@@ -437,14 +443,18 @@ def test_criterion_8_fock_oracle_closure():
     ]
     worst_closure = 0.0
     worst_algebra = 0.0
+    worst_table = 0.0
     for model, occupations in cases:
         rho = np.diag(product_populations(model, occupations))
         worst_closure = max(worst_closure, closure_residual_at_t0(model, rho))
-        worst_algebra = max(worst_algebra, _algebra_defect(model))
+        algebra, table = _algebra_defect(model)
+        worst_algebra = max(worst_algebra, algebra)
+        worst_table = max(worst_table, table)
     ok = report(
         "8",
-        worst_closure <= 1e-10 and worst_algebra <= 1e-12,
+        worst_closure <= 1e-10 and worst_algebra <= 1e-12 and worst_table <= 1e-15,
         f"closure residual {worst_closure:.1e} (tol 1e-10), "
-        f"mode-operator algebra defect {worst_algebra:.1e} (tol 1e-12)",
+        f"mode-operator algebra defect {worst_algebra:.1e} (tol 1e-12), "
+        f"hop table vs reference {worst_table:.1e} (tol 1e-15)",
     )
     assert ok

@@ -98,7 +98,7 @@ class TestParsing:
             scenario_from_dict(raw)
 
     def test_unknown_equation(self):
-        with pytest.raises(ScenarioError, match="unknown equation"):
+        with pytest.raises(ScenarioError, match="^equation: expected one of "):
             scenario_from_dict(minimal_scenario(equation="schroedinger"))
 
     def test_missing_required_group(self):
@@ -334,7 +334,7 @@ class TestRun:
     def test_invalid_scenario_exits_one(self, tmp_path, capsys):
         path = write_scenario(tmp_path, minimal_scenario(equation="bogus"))
         assert run(path, quiet=True) == 1
-        assert "unknown equation" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: equation: expected one of ")
 
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QME_OUT_DIR", str(tmp_path))
@@ -402,6 +402,24 @@ class TestMalformedInput:
             # echoed values are shortened
             ({"name": "a/" * 3000}, [], "name"),
             ({"equation": "markoff", "initial": {"preset": "x" * 5000}}, [], "initial.preset"),
+            # echoed keys and indices are shortened too
+            ({}, ["k" * 5000 + "=1"], "['kkkkkkkkkkkk...kkkkkkkkkkkkk']"),
+            ({"initial": {"k" * 5000: 1}}, [], "initial"),
+            ({}, ["network." + "k" * 5000 + "=1"], "network"),
+            ({"network": {"rates": [{"from": 10**3000, "to": 1, "rate": 1.0}]}}, [],
+             "network.rates[(1,100000000000000000...0000000000000000000)]"),
+            ({"equation": "markoff", "dephasing": [{"pair": [10**3000, 0], "rate": 1.0}]}, [],
+             "dephasing[(100000000000000000...0000000000000000000,0)]"),
+            # the Fock model's size limits name the scenario key
+            ({"equation": "fock_oracle", "dimension": 5, "initial": {"occupations": [0.0] * 5},
+              "fock": {"energies": [0.0] * 5}}, [], "dimension"),
+            ({"equation": "fock_oracle", "statistics": "boson", "dimension": 3,
+              "initial": {"occupations": [0, 0, 1]}, "fock": {"energies": [0.0, 1.0, 2.0]}},
+             ["fock.boson_cutoff=11"], "fock.boson_cutoff"),
+            ({"equation": "fock_oracle", "statistics": "boson", "initial": {"occupations": [1, 0]},
+              "fock": {"energies": [0.0, 1.0], "boson_cutoff": 10**3000}}, [], "fock.boson_cutoff"),
+            ({}, ["dimension=1" + "0" * 400], "dimension"),
+            ({}, ["record_every=-1" + "0" * 3000], "integrator.record_every"),
         ],
         ids=["nan_rate", "string_rate", "t1_abc", "t1_infinity", "record_every_fraction",
              "dimension_bool", "statistics_number", "rates_not_a_list", "basis_ragged",
@@ -409,7 +427,10 @@ class TestMalformedInput:
              "name_parent_path", "name_absolute", "name_backslash", "name_dotdot", "name_dot",
              "output_duality", "snapshots_over_budget", "fermion_occupation_1e308",
              "equation_list", "equation_object", "record_every_huge", "basis_overflows",
-             "self_transition", "boson_cutoff_zero", "name_long", "preset_long"],
+             "self_transition", "boson_cutoff_zero", "name_long", "preset_long",
+             "override_key_long", "initial_key_long", "network_key_long", "rate_index_long",
+             "dephasing_index_long", "fock_modes_over_limit", "boson_dimension_over_limit",
+             "boson_cutoff_huge", "dimension_huge", "record_every_negative_huge"],
     )
     def test_exits_one_naming_the_field(self, tmp_path, capsys, updates, overrides, field):
         path = write_scenario(tmp_path, minimal_scenario(**updates))
@@ -485,7 +506,7 @@ class TestMemoryBounds:
     def test_boson_fock_dimension_over_the_cap_exits_one(self, tmp_path, capsys):
         # D = 100^2 = 10^4: a 1.6 GB product state before the run would start
         self._exits_one(tmp_path, capsys, ["statistics=boson", "fock.boson_cutoff=99"],
-                        "error: boson Fock dimension 10000 ")
+                        "error: fock.boson_cutoff: boson Fock dimension 10000 ")
 
     def test_boson_fock_dimension_cap_is_1024(self):
         # two modes: cutoff 31 gives D = 1024, cutoff 32 gives D = 1089; the
@@ -494,7 +515,7 @@ class TestMemoryBounds:
         scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides,
                                                    "fock.boson_cutoff=31"))
         assert scenario.boson_cutoff == 31
-        with pytest.raises(ScenarioError, match="boson Fock dimension 1089 exceeds limit 1024"):
+        with pytest.raises(ScenarioError, match="^fock.boson_cutoff: boson Fock dimension 1089 exceeds limit 1024$"):
             scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides,
                                             "fock.boson_cutoff=32"))
 

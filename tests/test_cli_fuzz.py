@@ -1,9 +1,10 @@
 """Fuzzing ``qme run`` with Hypothesis (MacIver et al., JOSS 4, 1891 (2019)).
 
-Each example is a bundled scenario with one or two of its fields (a key's
-value or a list entry, at any depth) replaced by a hostile JSON value, run
-in-process.  Whatever the input, the run exits 0, 1 or 2; exit 1 comes with
-exactly one ``error:`` line, and nothing raises or warns.
+Each example is a bundled scenario with one or two mutations, run
+in-process: a field (a key's value or a list entry, at any depth) replaced by
+a hostile JSON value, or a 5000-character key added to an object.  Whatever
+the input, the run exits 0, 1 or 2; exit 1 comes with exactly one ``error:``
+line of under 200 characters, and nothing raises or warns.
 """
 
 import contextlib
@@ -24,7 +25,8 @@ HOSTILE = [
     float("nan"), float("inf"), float("-inf"),
     1e308, -1e308, [1e308, 1e308], [[1e308, -1e308], [-1e308, 1e308]],
     -1, 0, 7, 2**31,  # out-of-range indices, dimensions and counts
-    2**63, 10**400,  # huge integers
+    2**63, 10**400, 10**2999,  # huge integers, the last with 3000 digits
+    "k" * 5000,  # a long string
     [[1.0, 0.0], [0.0]], [[1.0]],  # ragged and wrong-sized matrices
     # a start or a Hamiltonian whose checks overflow (for the two-orbital scenarios)
     {"diagonal": [1.0, 1e308]}, {"matrix": [[0.0, 1e308], [-1e308, 0.0]]},
@@ -43,6 +45,10 @@ SCENARIOS = {
 }
 
 
+#: A key no scenario object accepts, too long to echo whole.
+LONG_KEY = "k" * 5000
+
+
 def _paths(node, prefix=()):
     """Every key or index path below ``node``."""
     children = node.items() if isinstance(node, dict) else (
@@ -52,15 +58,22 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
 @st.composite
 def mutated_scenarios(draw) -> dict:
     raw = copy.deepcopy(SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))])
     for _ in range(draw(st.integers(1, 2))):
-        *parents, last = draw(st.sampled_from(list(_paths(raw))))
-        node = raw
-        for key in parents:
-            node = node[key]
-        node[last] = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
+        if draw(st.integers(0, 4)) == 0:
+            objects = [()] + [p for p in _paths(raw) if isinstance(_at(raw, p), dict)]
+            _at(raw, draw(st.sampled_from(objects)))[LONG_KEY] = 1
+        else:
+            *parents, last = draw(st.sampled_from(list(_paths(raw))))
+            _at(raw, parents)[last] = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
     return raw
 
 
@@ -86,5 +99,6 @@ def test_hostile_fields_exit_cleanly(raw):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(err) < 200, err[:300]
     else:
         assert err == ""

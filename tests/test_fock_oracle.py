@@ -3,19 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
+from fock_reference import (
+    fock_hamiltonian,
+    fock_jump_operators,
+    hop_operator,
+    mode_operators,
+    number_operators,
+    table_operator,
+)
 from qme.dynamics import JumpFlow
 from qme.fock_oracle import (
     FockFlow,
     FockModel,
     NonProductStateWarning,
     PopulationFlow,
-    build_mode_operators,
     closure_residual_at_t0,
     cutoff_contamination,
-    fock_hamiltonian,
-    fock_jump_operators,
     is_product_diagonal,
-    number_operators,
     product_populations,
     reduce_one_particle,
     rhs_fock_lindblad,
@@ -65,13 +69,13 @@ REFERENCE_MODELS = {
 
 class TestModeOperators:
     def test_single_fermion_mode_is_canonical(self):
-        (c,) = build_mode_operators(fermion_model(1))
+        (c,) = mode_operators(fermion_model(1))
         assert np.array_equal(c, [[0, 1], [0, 0]])
         assert np.allclose(c @ c.conj().T + c.conj().T @ c, np.eye(2))
 
     @pytest.mark.parametrize("modes", [2, 3, 4])
     def test_fermion_anticommutation(self, modes):
-        cs = build_mode_operators(fermion_model(modes))
+        cs = mode_operators(fermion_model(modes))
         dim = 2**modes
         for i in range(modes):
             for j in range(modes):
@@ -83,12 +87,12 @@ class TestModeOperators:
 
     def test_single_boson_number_operator(self):
         model = FockModel(BOSON, (0.0,), boson_cutoff=3)
-        (c,) = build_mode_operators(model)
+        (c,) = mode_operators(model)
         assert np.allclose(c.conj().T @ c, np.diag([0.0, 1.0, 2.0, 3.0]))
 
     def test_boson_commutation_below_cutoff(self):
         model = FockModel(BOSON, (0.0, 1.0), boson_cutoff=4)
-        cs = build_mode_operators(model)
+        cs = mode_operators(model)
         below = [
             idx
             for idx in range(model.fock_dim)
@@ -102,12 +106,15 @@ class TestModeOperators:
                 assert np.abs((comm - expected)[sub]).max() <= 1e-12
 
     def test_mode_count_limit(self):
-        with pytest.raises(ValueError, match="modes"):
+        with pytest.raises(ValueError, match="^modes: "):
             fermion_model(5)
 
     def test_boson_dimension_limit(self):
-        with pytest.raises(ValueError, match="exceeds limit"):
+        with pytest.raises(ValueError, match="^boson_cutoff: boson Fock dimension 14641 exceeds limit"):
             FockModel(BOSON, (0.0,) * 4, boson_cutoff=10)
+        # a cutoff past the limit is refused as such, and echoed shortened
+        with pytest.raises(ValueError, match=r"^boson_cutoff: must lie in \[1, 1023\], got 1000.{,40}$"):
+            FockModel(BOSON, (0.0,), boson_cutoff=10**3000)
 
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -136,6 +143,42 @@ class TestModeOperators:
             diag = np.diag(nops[k]).real
             expected = [model.occupancy_of_index(i)[k] for i in range(8)]
             assert np.allclose(diag, expected)
+
+
+#: Fermion models of 1 to 4 modes and the boson models of REFERENCE_MODELS.
+HOP_MODELS = {f"fermion_{m}_modes": fermion_model(m) for m in range(1, 5)} | {
+    name: model for name, model in REFERENCE_MODELS.items() if model.statistics is BOSON
+}
+
+
+class TestHopTable:
+    """The one occupancy rule behind every operator of the package, against
+    the Kronecker-product reference."""
+
+    @pytest.mark.parametrize("model", HOP_MODELS.values(), ids=HOP_MODELS.keys())
+    def test_equals_the_reference_monomials(self, model):
+        for dest in range(model.modes):
+            for src in range(model.modes):
+                i, j, *_ = model._hops(dest, src)
+                # a monomial, listed by increasing source state
+                assert np.all(np.diff(i) > 0) and len(np.unique(j)) == len(j)
+                table = table_operator(model, dest, src)
+                assert np.abs(table - hop_operator(model, dest, src)).max() <= 1e-15
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
+    def test_population_rates_are_w_n_src_n_dest_plus_one(self, model):
+        # rate by rate, in increasing source state, rounded as w * n_src * (n_dest + 1)
+        occ, top = model.occupancies, model.level_dim - 1
+        src, dst, rate = [], [], []
+        for (dest, source), w in model.rates.items():
+            n_src, n_dest = occ[:, source], occ[:, dest]
+            i = np.flatnonzero((n_src > 0) & (n_dest < top))
+            src += i.tolist()
+            dst += (i - model.level_dim**source + model.level_dim**dest).tolist()
+            rate += (w * n_src[i] * (n_dest[i] + 1)).tolist()
+        flow = model.populations
+        assert np.array_equal(flow.src, src) and np.array_equal(flow.dst, dst)
+        assert np.array_equal(flow.rate, rate)
 
 
 class TestFockLindblad:
@@ -196,29 +239,17 @@ class TestFockLindblad:
         # partial permutations with complex weights: the gain weight must be a_k conj(a_k')
         rng = np.random.default_rng(5)
         d = 6
-        h = np.diag(rng.standard_normal(d))
-        jumps = []
+        energies = rng.standard_normal(d)
+        tables, dense = [], []
         for _ in range(3):
-            a = np.zeros((d, d), dtype=complex)
-            cols = rng.permutation(d)[:4]
-            a[rng.permutation(d)[:4], cols] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            jumps.append(a)
+            i, j = rng.permutation(d)[:4], rng.permutation(d)[:4]
+            a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            tables.append((i, j, a))
+            dense.append(np.zeros((d, d), dtype=complex))
+            dense[-1][j, i] = a
         rho = random_density_matrix(rng, d)
-        assert np.abs(FockFlow(h, jumps)(0.0, rho) - dense_lindblad(h, jumps, rho)).max() <= 1e-14
-
-    @pytest.mark.parametrize(
-        "h,jump,message",
-        [
-            (np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 0.0]]), "column 0 holds 2 nonzeros"),
-            (np.zeros((2, 2)), np.array([[1.0, 1.0], [0.0, 0.0]]), "row 0 holds 2 nonzeros"),
-            (np.ones((2, 2)), np.zeros((2, 2)), "diagonal Hamiltonian"),
-            (np.zeros((2, 2)), np.zeros((3, 3)), "does not match state dimension"),
-        ],
-        ids=["two_in_column", "two_in_row", "offdiagonal_h", "dimension"],
-    )
-    def test_flow_rejects_operators_it_cannot_represent(self, h, jump, message):
-        with pytest.raises(ValueError, match=message):
-            FockFlow(h, [jump])
+        out = FockFlow(energies, tables)(0.0, rho)
+        assert np.abs(out - dense_lindblad(np.diag(energies), dense, rho)).max() <= 1e-14
 
     def test_flow_is_built_once_and_leaves_equality_alone(self):
         model = fermion_model(2, rates={(1, 0): 1.0})
@@ -352,7 +383,7 @@ class TestReduction:
     @pytest.mark.parametrize("name", ["fermion_4", "boson_3_cutoff_3", "boson_1_mode"])
     def test_matches_dense_trace_formula(self, name):
         model = REFERENCE_MODELS[name]
-        cs = build_mode_operators(model)
+        cs = mode_operators(model)
         rng = np.random.default_rng(model.fock_dim + 1)
         for _ in range(3):
             rho = random_density_matrix(rng, model.fock_dim)
