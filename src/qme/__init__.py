@@ -34,6 +34,7 @@ from .integrator import (
     IntegrationDivergedError,
     Trajectory,
     evolve,
+    snapshots,
 )
 from .fock_oracle import (
     FockModel,

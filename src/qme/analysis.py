@@ -4,6 +4,7 @@ counterexample."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,22 @@ from .operators import DensityMatrix
 VIOLATION_TOL = 1e-8
 
 
-def _duality_residuals(traj_p: Trajectory, traj_hole: Trajectory):
-    if len(traj_p.times) != len(traj_hole.times) or np.abs(
-        traj_p.times - traj_hole.times
-    ).max() > 1e-12:
-        raise ValueError("time grids of the particle and hole trajectories do not match")
-    eye = np.eye(traj_p.states[0].shape[0])
-    for a, b in zip(traj_p.states, traj_hole.states):
-        yield float(np.abs(a + b - eye).max())
+def duality_residuals(particle: Trajectory, hole: Iterable) -> Iterator[float]:
+    """||rho_p(t) + x(t) - I||_max at each snapshot, one at a time.
+
+    ``hole`` is a stream of ``(t, x, herm_defect)`` snapshots, as
+    :func:`~qme.integrator.snapshots` yields them, so no hole state outlives
+    its residual.  Its times must match the particle's to 1e-12 and it must
+    have as many snapshots; a ValueError says otherwise.
+    """
+    eye = np.eye(particle.states[0].shape[0])
+    try:
+        for t, rho, (t_hole, x, _) in zip(particle.times, particle.states, hole, strict=True):
+            if abs(t - t_hole) > 1e-12:
+                raise ValueError(f"t = {t:.17g} against {t_hole:.17g}")
+            yield float(np.abs(rho + x - eye).max())
+    except ValueError as exc:  # the check above, or zip's: a stream of another length
+        raise ValueError(f"time grids of the particle and hole trajectories do not match: {exc}") from None
 
 
 def duality_check(traj_p: Trajectory, traj_hole: Trajectory) -> float:
@@ -38,7 +47,8 @@ def duality_check(traj_p: Trajectory, traj_hole: Trajectory) -> float:
     For hole states evolved under the complementary flow from the
     complementary initial state, this stays at integration roundoff.
     """
-    return max(_duality_residuals(traj_p, traj_hole))
+    hole = zip(traj_hole.times, traj_hole.states, traj_hole.herm_defect)
+    return max(duality_residuals(traj_p, hole))
 
 
 def bounds_monitor(traj: Trajectory, statistics: Statistics) -> list[tuple[float, float]]:

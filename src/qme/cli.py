@@ -32,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    _duality_residuals,
     bounds_monitor,
     dephasing_counterexample_matrix,
+    duality_residuals,
     first_crossing_time,
 )
 from .dynamics import (
@@ -61,7 +61,7 @@ from .fock_oracle import (
     rhs_fock_lindblad,
 )
 from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory,
-                         check_snapshot_budget, check_window, evolve)
+                         check_snapshot_budget, check_window, evolve, snapshots)
 from .operators import DEFAULT_TOL, DensityMatrix, hermiticity_defect, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
@@ -709,8 +709,8 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
     wall_start = time.perf_counter()
     try:
         file = resolve_scenario_path(path)
-        raw = apply_overrides(_read_json(file), overrides)
-        scenario = scenario_from_dict(raw, source=str(file))
+        # the parsed JSON is not bound here, so it is freed before the run starts
+        scenario = scenario_from_dict(apply_overrides(_read_json(file), overrides), source=str(file))
     except (ScenarioError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -780,8 +780,9 @@ def _run_matrix(scenario: Scenario):
 
     duality = None
     if equation.dual and scenario.statistics is Statistics.FERMION:
-        hole_traj = evolve(_spec(scenario, flow.hole()), hole_transform(initial))
-        duality = list(_duality_residuals(traj, hole_traj))
+        # streamed: each hole state is dropped once its residual is taken
+        hole = snapshots(_spec(scenario, flow.hole()), hole_transform(initial))
+        duality = list(duality_residuals(traj, hole))
     return traj, duality, {}
 
 

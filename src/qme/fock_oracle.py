@@ -42,6 +42,15 @@ MAX_MODES = 4
 MAX_BOSON_DIM = 1024
 
 
+def _echo_integer(n: Integral) -> str:
+    """``n`` as an error message shows it: its ``reprlib`` form, or its bit
+    length when ``repr`` refuses it (past Python's limit of 4300 digits)."""
+    try:
+        return reprlib.repr(n)
+    except ValueError:
+        return f"an integer of {int(n).bit_length()} bits"
+
+
 class NonProductStateWarning(UserWarning):
     """The state fed to the closure comparison is not mode-uncorrelated
     diagonal, so the reported residual quantifies closure error."""
@@ -69,11 +78,12 @@ class FockModel:
             raise ValueError(f"modes: fock model supports 1..{MAX_MODES} modes, got {self.modes}")
         if isinstance(self.boson_cutoff, bool) or not isinstance(self.boson_cutoff, Integral):
             raise ValueError(f"boson_cutoff: expected an integer, got {reprlib.repr(self.boson_cutoff)}")
+        # checked for fermions too, which ignore it: a malformed value is refused
+        # whether it matters or not, and before a boson's Fock dimension is echoed
+        if not 1 <= self.boson_cutoff < MAX_BOSON_DIM:
+            raise ValueError(f"boson_cutoff: must lie in [1, {MAX_BOSON_DIM - 1}], "
+                             f"got {_echo_integer(self.boson_cutoff)}")
         if self.statistics is Statistics.BOSON:
-            # a cutoff past the limit is refused before its Fock dimension is echoed
-            if not 1 <= self.boson_cutoff < MAX_BOSON_DIM:
-                raise ValueError(f"boson_cutoff: must lie in [1, {MAX_BOSON_DIM - 1}], "
-                                 f"got {reprlib.repr(self.boson_cutoff)}")
             if self.fock_dim > MAX_BOSON_DIM:
                 raise ValueError(f"boson_cutoff: boson Fock dimension {self.fock_dim} "
                                  f"exceeds limit {MAX_BOSON_DIM}")

@@ -13,7 +13,7 @@ import math
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -169,53 +169,65 @@ def _checked_populations(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajectory:
-    """Integrate ``initial`` under ``spec`` and record snapshots.
+def snapshots(spec: EvolutionSpec,
+              initial: DensityMatrix | np.ndarray) -> Iterator[tuple[float, np.ndarray, float]]:
+    """Integrate ``initial`` under ``spec``, yielding ``(t, state, herm_defect)``
+    for each recorded step, the start first.
 
     ``initial`` is a :class:`DensityMatrix`, or a 1-D array of populations:
     the diagonal of a diagonal density matrix, for a flow that keeps it
     diagonal (hermitization leaves such a state unchanged).  The loop lands
     exactly on ``spec.t1`` (a final partial step is taken when the window is
-    not a multiple of dt).  Every recorded snapshot carries the hermiticity
-    defect of the raw RK4 update before hygiene; its trace and extremal
-    eigenvalues are derived when first read.
+    not a multiple of dt).  ``herm_defect`` is the hermiticity defect of the
+    raw RK4 update before hygiene.  The start state and the snapshot budget
+    are checked here, at the call, not at the first ``next()``; a consumer
+    that keeps no state holds one step's arrays at a time.
     """
     populations = isinstance(initial, np.ndarray) and initial.ndim == 1
     if not (populations or isinstance(initial, DensityMatrix)):
         raise TypeError("initial state must be a DensityMatrix or a 1-D array of populations")
     if populations:
-        rho, statistics = _checked_populations(initial), None
+        rho = _checked_populations(initial)
     else:
         initial.validate()
-        rho, statistics = initial.matrix.copy(), initial.statistics
-    span = spec.t1 - spec.t0
-    check_snapshot_budget(span / spec.dt, spec.record_every, rho.nbytes)
+        rho = initial.matrix.copy()
+    check_snapshot_budget((spec.t1 - spec.t0) / spec.dt, spec.record_every, rho.nbytes)
+    return _steps(spec, rho)
 
-    times = [spec.t0]
-    states = [rho]
-    defects = [hermiticity_defect(rho)]
 
+def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.ndarray, float]]:
+    """The loop of :func:`snapshots`, from a checked start state ``rho``."""
+    yield spec.t0, rho, hermiticity_defect(rho)
     # full steps land on t0 + k*dt; a partial step of at least 1e-12*dt
     # closes the window on t1
+    span = spec.t1 - spec.t0
     n_full = int(np.floor(span / spec.dt + 1e-9))
     remainder = span - n_full * spec.dt
     n_steps = n_full + (remainder >= 1e-12 * spec.dt)
     t = spec.t0
-    # no flow checks its input, so a NaN or Inf in any stage reaches the
-    # step's result, which is checked once; overflow on the way is expected
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            full = step <= n_full
+    for step in range(1, n_steps + 1):
+        full = step <= n_full
+        # no flow checks its input, so a NaN or Inf in any stage reaches the
+        # step's result, which is checked once; overflow on the way is
+        # expected.  The error state is set per step, not around the loop: a
+        # generator suspended inside it would impose it on its consumer.
+        with np.errstate(over="ignore", invalid="ignore"):
             raw = _rk4_raw(rho, spec.rhs, t, spec.dt if full else remainder)
             # taken on every step, recorded or not: the benchmark's tracer
             # (perfbench/tracing.py) counts steps by these calls
             defect = hermiticity_defect(raw)
             rho = 0.5 * (raw + raw.conj().T)
-            if not np.isfinite(rho.view(float)).all():
-                raise IntegrationDivergedError(t)
-            t = spec.t0 + step * spec.dt if full else spec.t1
-            if step % spec.record_every == 0 or step == n_steps:
-                times.append(t)
-                states.append(rho)
-                defects.append(defect)
+        if not np.isfinite(rho.view(float)).all():
+            raise IntegrationDivergedError(t)
+        t = spec.t0 + step * spec.dt if full else spec.t1
+        if step % spec.record_every == 0 or step == n_steps:
+            yield t, rho, defect
+
+
+def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajectory:
+    """Integrate ``initial`` under ``spec`` and keep every snapshot of
+    :func:`snapshots` in a :class:`Trajectory`, whose trace and extremal
+    eigenvalues are derived when first read."""
+    times, states, defects = zip(*snapshots(spec, initial))
+    statistics = initial.statistics if isinstance(initial, DensityMatrix) else None
     return Trajectory.from_states(times, states, defects, statistics)

@@ -7,6 +7,7 @@ from qme.analysis import (
     dephasing_counterexample_matrix,
     dephasing_limit_spectrum,
     duality_check,
+    duality_residuals,
     first_crossing_time,
     low_density_slope,
 )
@@ -121,6 +122,19 @@ class TestDualityCheck:
         other, _ = two_state_pair(t1=2.0)
         with pytest.raises(ValueError, match="time grids"):
             duality_check(traj, other)
+
+    @pytest.mark.parametrize("case", ["one_short", "one_long", "shifted"])
+    def test_mismatched_stream_rejected(self, case):
+        traj, hole_traj = two_state_pair()
+        hole = list(zip(hole_traj.times, hole_traj.states, hole_traj.herm_defect))
+        if case == "one_short":
+            hole = hole[:-1]
+        elif case == "one_long":
+            hole.append(hole[-1])
+        else:
+            hole = [(t + 1e-9, x, defect) for t, x, defect in hole]
+        with pytest.raises(ValueError, match="time grids of the particle and hole trajectories do not match"):
+            list(duality_residuals(traj, iter(hole)))
 
 
 class TestLowDensitySlope:

@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qme import cli
+from qme.analysis import duality_check, duality_residuals
 from qme.cli import (
     Scenario,
     ScenarioError,
@@ -27,7 +30,8 @@ from qme.fock_oracle import (
     cutoff_contamination,
     reduce_one_particle,
 )
-from qme.integrator import Trajectory, evolve
+from qme.dynamics import Statistics, hole_transform
+from qme.integrator import Trajectory, evolve, snapshots
 from qme.operators import DensityMatrix
 
 GALLERY = [
@@ -418,6 +422,9 @@ class TestMalformedInput:
              ["fock.boson_cutoff=11"], "fock.boson_cutoff"),
             ({"equation": "fock_oracle", "statistics": "boson", "initial": {"occupations": [1, 0]},
               "fock": {"energies": [0.0, 1.0], "boson_cutoff": 10**3000}}, [], "fock.boson_cutoff"),
+            # a fermion model ignores the cutoff but still refuses a malformed one
+            ({"equation": "fock_oracle", "initial": {"occupations": [1, 0]},
+              "fock": {"energies": [0.0, 1.0]}}, ["fock.boson_cutoff=-5"], "fock.boson_cutoff"),
             ({}, ["dimension=1" + "0" * 400], "dimension"),
             ({}, ["record_every=-1" + "0" * 3000], "integrator.record_every"),
         ],
@@ -430,7 +437,8 @@ class TestMalformedInput:
              "self_transition", "boson_cutoff_zero", "name_long", "preset_long",
              "override_key_long", "initial_key_long", "network_key_long", "rate_index_long",
              "dephasing_index_long", "fock_modes_over_limit", "boson_dimension_over_limit",
-             "boson_cutoff_huge", "dimension_huge", "record_every_negative_huge"],
+             "boson_cutoff_huge", "fermion_boson_cutoff_negative", "dimension_huge",
+             "record_every_negative_huge"],
     )
     def test_exits_one_naming_the_field(self, tmp_path, capsys, updates, overrides, field):
         path = write_scenario(tmp_path, minimal_scenario(**updates))
@@ -622,21 +630,83 @@ class TestFockPopulationPath:
         assert err.count("\n") == 1
 
 
-def test_hole_run_derives_no_diagnostics(monkeypatch):
-    """The hole trajectory of a fermion run feeds only the duality residual,
-    which reads its times and states."""
-    trajectories = []
+def test_fermion_run_builds_one_trajectory(monkeypatch, tmp_path):
+    """A fermion run keeps the particle trajectory and nothing of the hole
+    run: its snapshots are streamed into the duality residual, so at most the
+    hole state being compared and the one before it are alive at any time."""
+    built = []
+    init = Trajectory.__init__
 
-    def recording_evolve(spec, initial):
-        trajectories.append(evolve(spec, initial))
-        return trajectories[-1]
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "evolve", recording_evolve)
-    traj, duality = _bundled_run("two_state_fermion", "t1=0.2")
-    particle, hole = trajectories
-    assert traj is particle and len(duality) == len(hole)
-    for name in ("trace", "min_eig", "max_eig"):
-        assert name not in vars(hole), name
+    monkeypatch.setattr(Trajectory, "__init__", counting_init)
+    hole_refs, alive = [], []
+
+    def watched_snapshots(spec, initial):
+        for t, x, defect in snapshots(spec, initial):
+            hole_refs.append(weakref.ref(x))
+            alive.append(sum(r() is not None for r in hole_refs))
+            yield t, x, defect
+
+    monkeypatch.setattr(cli, "snapshots", watched_snapshots)
+    argv = ["run", "two_state_fermion", "--override", "t1=0.2", "--out-dir", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert len(built) == 1
+    assert len(hole_refs) == 21 and max(alive) <= 2
+    header, rows = read_csv(tmp_path / "diagnostics.csv")
+    assert header[-1] == "duality_residual" and len(rows) == 21
+
+
+@pytest.mark.parametrize("name", ["homogeneous_chain", "low_density_sweep", "two_state_fermion"])
+def test_streamed_duality_equals_the_stored_check(name):
+    """The CLI's streamed residuals are those of the particle trajectory
+    against a stored hole trajectory, bitwise."""
+    scenario = scenario_from_dict(_bundled_raw(name))
+    assert cli._EQUATIONS[scenario.equation].dual and scenario.statistics is Statistics.FERMION
+    traj, streamed, _ = cli._run_matrix(scenario)
+    initial, _ = cli.start_state(scenario)
+    hole = evolve(cli._spec(scenario, cli._EQUATIONS[scenario.equation].build(scenario).hole()),
+                  hole_transform(initial))
+    stored = list(duality_residuals(traj, zip(hole.times, hole.states, hole.herm_defect)))
+    assert streamed == stored
+    assert max(streamed) == duality_check(traj, hole)
+
+
+def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):
+    """A dense fermion run (d=32, 76 snapshots) through ``run`` peaks below
+    the states of two trajectories, 2 * 76 * 16 d^2 bytes: the hole run and
+    the parsed JSON are not held while the particle trajectory is."""
+    d, rng = 32, np.random.default_rng(3)
+
+    def random_complex():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    def to_json(m):
+        return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+
+    x = random_complex()
+    q, _ = np.linalg.qr(random_complex())
+    rho = (q * rng.uniform(0.2, 0.8, d)) @ q.conj().T
+    raw = {
+        "name": "dense_jumps", "equation": "generalized_jumps", "statistics": "fermion",
+        "dimension": d, "initial": {"matrix": to_json(0.5 * (rho + rho.conj().T))},
+        "hamiltonian": {"matrix": to_json((x + x.conj().T) / (2.0 * np.sqrt(d)))},
+        "jump_operators": [to_json(random_complex() * np.sqrt(0.5 / d)) for _ in range(4)],
+        "integrator": {"t0": 0.0, "t1": 0.15, "dt": 2e-3},
+    }
+    path = write_scenario(tmp_path, raw)
+    tracemalloc.start()
+    try:
+        code = run(path, out_dir=str(tmp_path / "o"), quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    header, rows = read_csv(tmp_path / "o" / "diagnostics.csv")
+    assert header[-1] == "duality_residual" and len(rows) == 76
+    assert peak < 2 * 76 * 16 * d**2
 
 
 #: A valid value for every parameter group at dimension 2.

@@ -115,6 +115,10 @@ class TestModeOperators:
         # a cutoff past the limit is refused as such, and echoed shortened
         with pytest.raises(ValueError, match=r"^boson_cutoff: must lie in \[1, 1023\], got 1000.{,40}$"):
             FockModel(BOSON, (0.0,), boson_cutoff=10**3000)
+        # past the 4300 digits repr accepts, the echo is the bit length
+        huge = r"^boson_cutoff: must lie in \[1, 1023\], got an integer of 16610 bits$"
+        with pytest.raises(ValueError, match=huge):
+            FockModel(BOSON, (0.0,), boson_cutoff=10**5000)
 
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -122,8 +126,10 @@ class TestModeOperators:
             ({"rates": {(1, 0): float("nan")}}, r"rates\[\(1,0\)\]"),
             ({"rates": {(1, 0): float("inf")}}, r"rates\[\(1,0\)\]"),
             ({"boson_cutoff": True}, "boson_cutoff"),
+            # a fermion model ignores the cutoff but refuses a malformed one
+            ({"boson_cutoff": -5}, r"^boson_cutoff: must lie in \[1, 1023\], got -5$"),
         ],
-        ids=["nan_rate", "inf_rate", "bool_cutoff"],
+        ids=["nan_rate", "inf_rate", "bool_cutoff", "negative_cutoff"],
     )
     def test_malformed_model_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qme.dynamics import NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
+from qme.fock_oracle import FockModel, product_populations
 from qme.integrator import (
     MAX_SNAPSHOT_BYTES,
     MAX_STEPS,
@@ -10,6 +11,7 @@ from qme.integrator import (
     Trajectory,
     check_snapshot_budget,
     evolve,
+    snapshots,
 )
 from qme.operators import DensityMatrix
 
@@ -394,3 +396,62 @@ class TestPopulationEvolve:
         spec = EvolutionSpec(rhs=never, t0=0.0, t1=1.0, dt=2.0**-13)
         with pytest.raises(ValueError, match=r"would store 8193 states of 131072 bytes"):
             evolve(spec, p)
+
+
+class TestSnapshots:
+    """``evolve`` is ``snapshots`` collected into a Trajectory."""
+
+    @pytest.mark.parametrize("start", ["matrix", "populations"])
+    def test_evolve_collects_the_stream_bitwise(self, start):
+        if start == "matrix":
+            net = TransitionNetwork.computational(3, {(1, 0): 0.8, (2, 1): 0.5, (0, 2): 0.3})
+            flow = NetworkFlow(np.diag([0.0, 0.7, 1.3]), net, FERMION)
+            x = DensityMatrix(np.array([[0.6, 0.1j, 0.0], [-0.1j, 0.3, 0.05], [0.0, 0.05, 0.2]]),
+                              FERMION)
+        else:
+            model = FockModel(FERMION, (0.0, 0.5), {(1, 0): 0.7, (0, 1): 0.2})
+            flow, x = model.populations, product_populations(model, (0.8, 0.3))
+        # a window that is not a multiple of dt ends on a partial step
+        spec = EvolutionSpec(rhs=flow, t0=0.1, t1=0.537, dt=0.02, record_every=3)
+        traj = evolve(spec, x)
+        times, states, defects = zip(*snapshots(spec, x))
+        assert times[-1] == 0.537
+        assert np.array_equal(traj.times, np.array(times))
+        assert np.array_equal(traj.herm_defect, np.array(defects))
+        assert len(traj.states) == len(states)
+        for a, b in zip(traj.states, states):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert traj.statistics is (FERMION if start == "matrix" else None)
+
+    def test_a_suspended_stream_leaves_the_error_state_alone(self):
+        before = np.geterr()
+        stream = snapshots(EvolutionSpec(rhs=loss_rhs(), t0=0.0, t1=1.0, dt=0.1), DensityMatrix(
+            np.diag([0.5, 0.5]), FERMION))
+        next(stream)
+        next(stream)
+        assert np.geterr() == before
+
+    def test_wrong_initial_type_raises_at_the_call(self):
+        spec = EvolutionSpec(rhs=loss_rhs(), t0=0.0, t1=1.0, dt=0.1)
+        with pytest.raises(TypeError, match="DensityMatrix or a 1-D array"):
+            snapshots(spec, np.eye(2))
+        with pytest.raises(TypeError, match="DensityMatrix or a 1-D array"):
+            snapshots(spec, [0.5, 0.5])
+
+    def test_invalid_start_raises_at_the_call(self):
+        spec = EvolutionSpec(rhs=loss_rhs(), t0=0.0, t1=1.0, dt=0.1)
+        with pytest.raises(ValueError, match="negative entry"):
+            snapshots(spec, np.array([1.5, -0.5]))
+        bad = DensityMatrix(np.diag([0.5, 0.5]), FERMION)
+        bad.matrix[0, 0] = -0.5  # corrupted after construction
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            snapshots(spec, bad)
+
+    def test_over_budget_window_raises_at_the_call(self):
+        def never(t, q):
+            raise AssertionError("the flow must not be called")
+
+        p = np.full(2**14, 2.0**-14)
+        spec = EvolutionSpec(rhs=never, t0=0.0, t1=1.0, dt=2.0**-13)
+        with pytest.raises(ValueError, match=r"would store 8193 states of 131072 bytes"):
+            snapshots(spec, p)
