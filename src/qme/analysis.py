@@ -29,9 +29,11 @@ def duality_residuals(particle: Trajectory, hole: Iterable) -> Iterator[float]:
     ``hole`` is a stream of ``(t, x, herm_defect)`` snapshots, as
     :func:`~qme.integrator.snapshots` yields them, so no hole state outlives
     its residual.  Its times must match the particle's to 1e-12 and it must
-    have as many snapshots; a ValueError says otherwise.
+    have as many snapshots; a ValueError says otherwise.  The states are
+    matrices or, on both sides, 1-D occupations, whose identity is 1.
     """
-    eye = np.eye(particle.states[0].shape[0])
+    first = particle.states[0]
+    eye = np.eye(first.shape[0]) if first.ndim == 2 else 1.0
     try:
         for t, rho, (t_hole, x, _) in zip(particle.times, particle.states, hole, strict=True):
             if abs(t - t_hole) > 1e-12:

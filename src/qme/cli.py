@@ -771,18 +771,40 @@ def _spec(s: Scenario, rhs) -> EvolutionSpec:
     return EvolutionSpec(rhs=rhs, t0=s.t0, t1=s.t1, dt=s.dt, record_every=s.record_every)
 
 
+def _exact_diagonal(m: np.ndarray) -> np.ndarray | None:
+    """The real diagonal of ``m`` when ``m`` is, bit for bit, the complex
+    diagonal matrix of it; None otherwise."""
+    n = m.diagonal().real
+    return n if np.diag(n).astype(complex).tobytes() == m.tobytes() else None
+
+
 def _run_matrix(scenario: Scenario):
-    """(trajectory, duality residuals or None, extra summary fields)."""
+    """(trajectory, duality residuals or None, extra summary fields).
+
+    An exactly diagonal start under a flow that keeps diagonal states
+    diagonal is integrated as its d occupations (``flow.occupation_flow``),
+    the hole run as the d hole occupations, and each recorded snapshot
+    becomes its diagonal matrix before any diagnostic is read.  The matrix
+    run from the same start gives the same bits."""
     equation = _EQUATIONS[scenario.equation]
     initial, _ = start_state(scenario)
     flow = equation.build(scenario)
+    n = _exact_diagonal(initial.matrix)
+    occupations = None if n is None else flow.occupation_flow(n)
+    if occupations is not None:
+        flow, initial = occupations, n
     traj = evolve(_spec(scenario, flow), initial)
 
     duality = None
     if equation.dual and scenario.statistics is Statistics.FERMION:
-        # streamed: each hole state is dropped once its residual is taken
-        hole = snapshots(_spec(scenario, flow.hole()), hole_transform(initial))
+        # streamed: each hole state is dropped once its residual is taken, and
+        # the hole start is not bound here, so it is freed once copied
+        hole = snapshots(_spec(scenario, flow.hole()),
+                         hole_transform(initial) if occupations is None else 1.0 - n)
         duality = list(duality_residuals(traj, hole))
+    if occupations is not None:
+        traj.states = [np.diag(p).astype(complex) for p in traj.states]
+        traj.statistics = scenario.statistics
     return traj, duality, {}
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "NetworkFlow",
     "JumpFlow",
     "HoleFlow",
+    "OccupationFlow",
     "QuasiclassicalFlow",
     "rank_one_jumps",
     "hole_transform",
@@ -195,6 +196,13 @@ class Flow:
         """The same fermionic flow, written for the hole state I - rho."""
         return HoleFlow(self)
 
+    def occupation_flow(self, start: np.ndarray) -> "OccupationFlow | None":
+        """This flow restricted to diagonal states, as a flow on their
+        occupations, for a run from the occupations ``start``; None when it
+        can move a diagonal state off the diagonal.  Only a
+        :class:`NetworkFlow` keeps diagonal states diagonal."""
+        return None
+
 
 class OperatorFlow(Flow):
     """Fixed loss and gain operators.  With A_gain = 0 and ``statistics``
@@ -267,11 +275,26 @@ class NetworkFlow(Flow):
     def _from_kets(self, m: np.ndarray) -> np.ndarray:
         return m if self._kets is None else self._kets @ m @ self._kets_dag
 
+    def _rates(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The orbital diagonals of ``(A_loss, A_gain)`` at occupations ``n``."""
+        return self._half_w.T @ (1.0 + self.sign * n), self._half_w @ n
+
     def relaxation_operators(self, rho):
-        n = self._to_kets(rho).diagonal().real
-        gain = self._eye * (self._half_w @ n)
-        loss = self._eye * (self._half_w.T @ (1.0 + self.sign * n))
-        return self._from_kets(loss), self._from_kets(gain)
+        loss, gain = self._rates(self._to_kets(rho).diagonal().real)
+        return self._from_kets(self._eye * loss), self._from_kets(self._eye * gain)
+
+    def occupation_flow(self, start):
+        """The flow on diagonal states, or None unless the kets are the
+        computational basis and H is real and diagonal.  Then [H, diag(n)] = 0,
+        the relaxation operators are diagonal and dephasing touches only
+        coherences, so a diagonal state stays diagonal.  Also None for a
+        ``start`` holding a -0.0, which the matrix flow's products turn into
+        +0.0 and the occupation flow keeps."""
+        # -iH is i times a real diagonal exactly when H is a real diagonal
+        h_diagonal = np.array_equal(self._minus_ih, 1j * np.diag(self._minus_ih.diagonal().imag))
+        if self._kets is not None or not h_diagonal or np.signbit(start[start == 0]).any():
+            return None
+        return OccupationFlow(self._rates, self.sign)
 
     def __call__(self, t, rho):
         out = super().__call__(t, rho)
@@ -326,6 +349,33 @@ def _sandwich(left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarra
     return left @ (rho @ right.reshape(d, -1, d).transpose(1, 0, 2)).reshape(-1, d)
 
 
+class OccupationFlow:
+    """A :class:`NetworkFlow` restricted to diagonal states: the state is the
+    vector n of orbital occupations, and the flow returns dn/dt, the diagonal
+    of the matrix flow at diag(n).  Every operation is the one the matrix
+    flow does on its diagonal, in the same order, so the two agree bit for
+    bit.  With ``hole`` the state is the hole occupations x = 1 - n and the
+    flow is the diagonal of :class:`HoleFlow`."""
+
+    def __init__(self, rates, sign: int, hole: bool = False):
+        self._rates, self.sign, self._hole = rates, sign, hole
+
+    def __call__(self, t: float, n: np.ndarray) -> np.ndarray:
+        if self._hole:  # the particle rates at 1 - x, loss and gain swapped
+            gain, loss = self._rates(1.0 - n)
+        else:
+            loss, gain = self._rates(n)
+        merged = loss - self.sign * gain
+        return (merged * n + n * merged) - 2.0 * gain
+
+    def hole(self) -> "OccupationFlow":
+        """The same fermionic flow, written for the complementary occupations
+        1 - n (the hole flow of a hole flow is the particle flow)."""
+        if self.sign != Statistics.FERMION.sign:
+            raise ValueError("hole flow: defined for fermions only")
+        return OccupationFlow(self._rates, self.sign, hole=not self._hole)
+
+
 class HoleFlow(Flow):
     """A fermionic flow written for the hole state x = I - rho: the particle
     relaxation operators, taken at I - x, with loss and gain swapped,
@@ -356,18 +406,20 @@ def _kinetics(f: np.ndarray, w: np.ndarray, sign: int) -> np.ndarray:
 
 class QuasiclassicalFlow:
     """Occupation kinetics (:func:`rhs_quasiclassical`) of a network's rates
-    on the diagonal of a matrix state.  The occupations are clipped to the
-    physical range (at most 1 for fermions) before each evaluation; the
-    result is a diagonal matrix."""
+    on a vector of occupations.  The occupations are clipped to the physical
+    range (at most 1 for fermions) before each evaluation."""
 
     def __init__(self, net: TransitionNetwork, statistics: Statistics):
         self._w = net.rate_matrix()
         self.sign = statistics.sign
         self._cap = 1.0 if statistics is Statistics.FERMION else None
 
-    def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
-        f = np.clip(rho.diagonal().real, 0.0, self._cap)
-        return np.diag(_kinetics(f, self._w, self.sign)).astype(complex)
+    def __call__(self, t: float, f: np.ndarray) -> np.ndarray:
+        return _kinetics(np.clip(f, 0.0, self._cap), self._w, self.sign)
+
+    def occupation_flow(self, start) -> "QuasiclassicalFlow":
+        """Itself, whatever the start: it is a flow on occupations already."""
+        return self
 
 
 def hole_transform(rho: DensityMatrix) -> DensityMatrix:

@@ -12,7 +12,7 @@ from qme.analysis import (
     low_density_slope,
 )
 from qme.dynamics import HoleFlow, NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
-from qme.integrator import EvolutionSpec, evolve
+from qme.integrator import EvolutionSpec, Trajectory, evolve
 from qme.operators import DensityMatrix, positivity_report
 
 FERMION = Statistics.FERMION
@@ -135,6 +135,14 @@ class TestDualityCheck:
             hole = [(t + 1e-9, x, defect) for t, x, defect in hole]
         with pytest.raises(ValueError, match="time grids of the particle and hole trajectories do not match"):
             list(duality_residuals(traj, iter(hole)))
+
+    def test_occupation_states_take_a_scalar_identity(self):
+        # exact complements of 1-D states have no residual; an eye(d) broadcast
+        # against them would report 1
+        particle = Trajectory.from_states([0.0, 1.0], [np.array([0.25, 0.75]), np.array([0.5, 0.5])],
+                                          [0.0, 0.0], FERMION)
+        hole = [(0.0, np.array([0.75, 0.25]), 0.0), (1.0, np.array([0.5, 0.625]), 0.0)]
+        assert list(duality_residuals(particle, iter(hole))) == [0.0, 0.125]
 
 
 class TestLowDensitySlope:

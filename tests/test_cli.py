@@ -30,7 +30,7 @@ from qme.fock_oracle import (
     cutoff_contamination,
     reduce_one_particle,
 )
-from qme.dynamics import Statistics, hole_transform
+from qme.dynamics import NetworkFlow, Statistics, hole_transform
 from qme.integrator import Trajectory, evolve, snapshots
 from qme.operators import DensityMatrix
 
@@ -672,6 +672,75 @@ def test_streamed_duality_equals_the_stored_check(name):
     stored = list(duality_residuals(traj, zip(hole.times, hole.states, hole.herm_defect)))
     assert streamed == stored
     assert max(streamed) == duality_check(traj, hole)
+
+
+#: The linear Markoff equation from a diagonal start, with dephasing.
+MARKOFF_DIAGONAL = {
+    "name": "markoff_diagonal", "equation": "markoff", "statistics": "fermion", "dimension": 3,
+    "initial": {"diagonal": [0.5, 0.25, 0.0]}, "hamiltonian": {"diagonal": [0.0, 1.0, 2.5]},
+    "network": {"rates": [{"from": 0, "to": 1, "rate": 1.0}, {"from": 1, "to": 2, "rate": 0.7},
+                          {"from": 2, "to": 0, "rate": 0.3}]},
+    "dephasing": [{"pair": [0, 1], "rate": 0.4}, {"pair": [1, 2], "rate": 2.0}],
+    "integrator": {"t1": 0.5, "dt": 1e-3, "record_every": 20},
+}
+
+
+def _particle_starts(monkeypatch):
+    """Patch ``cli.evolve`` to note whether each run it starts is on
+    occupations (True) or on a matrix (False)."""
+    starts = []
+
+    def spying(spec, initial):
+        starts.append(isinstance(initial, np.ndarray))
+        return evolve(spec, initial)
+
+    monkeypatch.setattr(cli, "evolve", spying)
+    return starts
+
+
+@pytest.mark.parametrize("name", ["homogeneous_chain", "two_state_fermion", "two_state_boson",
+                                  "markoff_diagonal"])
+def test_occupation_run_writes_the_matrix_run_bytes(name, tmp_path, monkeypatch):
+    """A diagonal start under a homogeneous flow runs on its occupations and
+    writes what the matrix run writes, byte for byte; the summary differs in
+    its wall time only."""
+    overrides = ["t1=0.5"]
+    path = write_scenario(tmp_path, MARKOFF_DIAGONAL) if name == "markoff_diagonal" else name
+    starts = _particle_starts(monkeypatch)
+
+    def outputs(folder):
+        assert run(path, overrides=overrides, out_dir=str(folder), quiet=True) == 0
+        summary = json.loads((folder / "summary.json").read_text(encoding="utf-8"))
+        del summary["wall_time_s"]
+        return [(folder / f).read_bytes() for f in ("states.csv", "diagnostics.csv")], summary
+
+    on_occupations = outputs(tmp_path / "occupations")
+    monkeypatch.setattr(NetworkFlow, "occupation_flow", lambda self, start: None)
+    assert outputs(tmp_path / "matrix") == on_occupations
+    assert starts == [True, False]
+
+
+@pytest.mark.parametrize("case", [
+    "off_diagonal_h", "rotated_basis", "coherent_start", "generalized_jumps", "general",
+])
+def test_occupation_run_declined(case, monkeypatch):
+    raw = {
+        "off_diagonal_h": minimal_scenario(hamiltonian={"matrix": [[0.0, 0.1], [0.1, 1.0]]}),
+        "rotated_basis": minimal_scenario(network={
+            "rates": [{"from": 0, "to": 1, "rate": 1.0}],
+            "basis": [[0.5**0.5, 0.5**0.5], [0.5**0.5, -(0.5**0.5)]]}),
+        "coherent_start": _bundled_raw("low_density_sweep", "t1=0.1"),
+        "generalized_jumps": {k: v for k, v in minimal_scenario(
+            equation="generalized_jumps", jump_operators=[[[0.0, 0.0], [1.0, 0.0]]]).items()
+            if k != "network"},
+        "general": {k: v for k, v in minimal_scenario(
+            equation="general", loss_operator=[[-0.5, 0.0], [0.0, 0.0]],
+            gain_operator=[[0.0, 0.0], [0.0, -0.5]]).items() if k != "network"},
+    }[case]
+    starts = _particle_starts(monkeypatch)
+    cli._run_matrix(scenario_from_dict(raw))
+    cli._run_matrix(scenario_from_dict(minimal_scenario()))
+    assert starts == [False, True]
 
 
 def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):

@@ -18,9 +18,11 @@ from qme.dynamics import (
     JumpFlow,
     NetworkFlow,
     OperatorFlow,
+    QuasiclassicalFlow,
     Statistics,
     TransitionNetwork,
     rank_one_jumps,
+    rhs_quasiclassical,
 )
 from qme.operators import DensityMatrix
 
@@ -252,6 +254,80 @@ def test_dephasing_needs_the_linear_equation():
     net = TransitionNetwork.computational(2, {})
     with pytest.raises(ValueError, match="dephasing"):
         NetworkFlow(np.zeros((2, 2)), net, FERMION, DephasingRates({(0, 1): 1.0}))
+
+
+# -- the occupation flow: a network flow on diagonal states -------------------
+
+
+def rand_homogeneous(rng, d, stats):
+    """A network flow that keeps diagonal states diagonal (computational
+    basis, real diagonal H, dephasing in the linear limit) and a start whose
+    occupations include exact zeros and, for fermions, full orbitals."""
+    rates = {(a, b): float(rng.uniform(0.1, 1.0))
+             for a in range(d) for b in range(d) if a != b and rng.uniform() < 0.6}
+    h = np.diag(rng.uniform(-2.0, 2.0, d)).astype(complex)
+    dephasing = None
+    if stats is None and d > 1:
+        a, b = rng.choice(d, 2, replace=False)
+        dephasing = DephasingRates({(int(a), int(b)): float(rng.uniform(0.1, 1.0))})
+    flow = NetworkFlow(h, TransitionNetwork.computational(d, rates), stats, dephasing)
+    n = rng.uniform(0.0, 2.0 if stats is BOSON else 1.0, d)
+    n[rng.uniform(size=d) < 0.2] = 0.0
+    if stats is FERMION:
+        n[rng.uniform(size=d) < 0.2] = 1.0
+    return flow, n
+
+
+@pytest.mark.parametrize("stats", [FERMION, BOSON, None], ids=["fermion", "boson", "linear"])
+def test_occupation_flow_is_the_diagonal_of_the_matrix_flow_bit_for_bit(stats):
+    """On a diagonal state the matrix flow's off-diagonal entries are exactly
+    0 and its diagonal is the occupation flow's, bit for bit: the particle
+    flow and, for fermions, the hole flow at 1 - n."""
+    rng = np.random.default_rng([3, 0 if stats is None else stats.sign + 2])
+    cases = 0
+    for d in range(1, 17):
+        for _ in range(20):
+            flow, n = rand_homogeneous(rng, d, stats)
+            occupations = flow.occupation_flow(n)
+            pairs = [(flow, occupations, n)]
+            if stats is FERMION:
+                pairs.append((flow.hole(), occupations.hole(), 1.0 - n))
+            for matrix_flow, occupation_flow, state in pairs:
+                out = matrix_flow(0.0, np.diag(state).astype(complex))
+                diagonal = out.diagonal()
+                assert not np.any(out - np.diag(diagonal)) and not np.any(diagonal.imag)
+                assert np.array_equal(diagonal.real, occupation_flow(0.0, state))
+                cases += 1
+    assert cases == 16 * 20 * (2 if stats is FERMION else 1)
+
+
+def test_occupation_flow_declined_where_a_diagonal_state_can_leave_the_diagonal():
+    net = TransitionNetwork.computational(2, {(1, 0): 1.0})
+    n = np.array([0.7, 0.2])
+    zero = np.zeros((2, 2))
+    assert NetworkFlow(np.diag([0.0, 1.0]), net, FERMION).occupation_flow(n) is not None
+    # an off-diagonal or a complex diagonal H entry
+    assert NetworkFlow([[0.0, 0.1], [0.1, 1.0]], net, FERMION).occupation_flow(n) is None
+    assert NetworkFlow(np.diag([1e-12j, 0.0]), net, FERMION).occupation_flow(n) is None
+    # orbitals other than the computational basis
+    rotated = TransitionNetwork(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), {(1, 0): 1.0})
+    assert NetworkFlow(zero, rotated, FERMION).occupation_flow(n) is None
+    # a -0.0 occupation: the matrix flow's products make it +0.0
+    assert NetworkFlow(zero, net, FERMION).occupation_flow(np.array([0.7, -0.0])) is None
+    assert JumpFlow(zero, rank_one_jumps(net), FERMION).occupation_flow(n) is None
+    assert OperatorFlow(zero, zero, zero, FERMION).occupation_flow(n) is None
+    with pytest.raises(ValueError, match="fermions only"):
+        NetworkFlow(zero, net, BOSON).occupation_flow(n).hole()
+
+
+@pytest.mark.parametrize("stats", [FERMION, BOSON], ids=["fermion", "boson"])
+def test_quasiclassical_flow_is_a_flow_on_occupations(stats):
+    net = TransitionNetwork.computational(3, {(1, 0): 1.0, (2, 1): 0.5, (0, 2): 0.25})
+    flow = QuasiclassicalFlow(net, stats)
+    f = np.array([0.9, 1.2, -0.1])
+    clipped = np.clip(f, 0.0, 1.0 if stats is FERMION else None)
+    assert flow.occupation_flow(f) is flow
+    assert np.array_equal(flow(0.0, f), rhs_quasiclassical(clipped, net.rate_matrix(), stats))
 
 
 def test_validation_does_not_scale_with_steps(tmp_path, monkeypatch):
