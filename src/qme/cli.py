@@ -92,7 +92,9 @@ class _Equation:
     #: starts from an occupation vector and builds a Hamiltonian-free flow,
     #: so a "hamiltonian" key is an extra and gets rejected
     occupations: bool = False
-    #: fermion runs co-evolve the hole flow ``flow.hole()`` for the duality residual
+    #: fermion runs co-evolve the hole flow ``flow.hole()`` for the duality
+    #: residual: streamed beside a matrix run, in the same vector as the
+    #: particle occupations on an occupation run (``OccupationFlow.paired``)
     dual: bool = False
     #: scenario -> flow on matrix states; None for the Fock oracle (``_run_fock``)
     build: Callable | None = None
@@ -783,28 +785,35 @@ def _run_matrix(scenario: Scenario):
 
     An exactly diagonal start under a flow that keeps diagonal states
     diagonal is integrated as its d occupations (``flow.occupation_flow``),
-    the hole run as the d hole occupations, and each recorded snapshot
-    becomes its diagonal matrix before any diagnostic is read.  The matrix
-    run from the same start gives the same bits."""
+    for a fermion ``dual`` equation side by side with the d hole
+    occupations as one vector [n, 1 - n] (``paired``), and each recorded
+    snapshot becomes its diagonal matrix before any diagnostic is read.  The
+    matrix run from the same start gives the same bits."""
     equation = _EQUATIONS[scenario.equation]
     initial, _ = start_state(scenario)
     flow = equation.build(scenario)
+    dual = equation.dual and scenario.statistics is Statistics.FERMION
     n = _exact_diagonal(initial.matrix)
     occupations = None if n is None else flow.occupation_flow(n)
-    if occupations is not None:
-        flow, initial = occupations, n
-    traj = evolve(_spec(scenario, flow), initial)
-
     duality = None
-    if equation.dual and scenario.statistics is Statistics.FERMION:
-        # streamed: each hole state is dropped once its residual is taken, and
-        # the hole start is not bound here, so it is freed once copied
-        hole = snapshots(_spec(scenario, flow.hole()),
-                         hole_transform(initial) if occupations is None else 1.0 - n)
+    if occupations is None:
+        traj = evolve(_spec(scenario, flow), initial)
+        if dual:
+            # streamed: each hole state is dropped once its residual is taken,
+            # and the hole start is not bound here, so it is freed once copied
+            hole = snapshots(_spec(scenario, flow.hole()), hole_transform(initial))
+            duality = list(duality_residuals(traj, hole))
+        return traj, duality, {}
+    if dual:
+        traj = evolve(_spec(scenario, occupations.paired()), np.concatenate((n, 1.0 - n)))
+        pairs, d = traj.states, n.size
+        traj.states = [z[:d] for z in pairs]
+        hole = ((t, z[d:], defect) for t, z, defect in zip(traj.times, pairs, traj.herm_defect))
         duality = list(duality_residuals(traj, hole))
-    if occupations is not None:
-        traj.states = [np.diag(p).astype(complex) for p in traj.states]
-        traj.statistics = scenario.statistics
+    else:
+        traj = evolve(_spec(scenario, occupations), n)
+    traj.states = [np.diag(p).astype(complex) for p in traj.states]
+    traj.statistics = scenario.statistics
     return traj, duality, {}
 
 

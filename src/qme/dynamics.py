@@ -276,8 +276,12 @@ class NetworkFlow(Flow):
         return m if self._kets is None else self._kets @ m @ self._kets_dag
 
     def _rates(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The orbital diagonals of ``(A_loss, A_gain)`` at occupations ``n``."""
-        return self._half_w.T @ (1.0 + self.sign * n), self._half_w @ n
+        """The orbital diagonals of ``(A_loss, A_gain)`` at occupations ``n``,
+        one vector or a stack of them (rows of a (B, d) array).  Each row is
+        one matrix-vector product, so a row of a stack gets the bits of the
+        same row alone."""
+        return ((self._half_w.T @ (1.0 + self.sign * n)[..., None])[..., 0],
+                (self._half_w @ n[..., None])[..., 0])
 
     def relaxation_operators(self, rho):
         loss, gain = self._rates(self._to_kets(rho).diagonal().real)
@@ -354,26 +358,44 @@ class OccupationFlow:
     vector n of orbital occupations, and the flow returns dn/dt, the diagonal
     of the matrix flow at diag(n).  Every operation is the one the matrix
     flow does on its diagonal, in the same order, so the two agree bit for
-    bit.  With ``hole`` the state is the hole occupations x = 1 - n and the
-    flow is the diagonal of :class:`HoleFlow`."""
+    bit.
 
-    def __init__(self, rates, sign: int, hole: bool = False):
-        self._rates, self.sign, self._hole = rates, sign, hole
+    ``hole`` holds one flag per row: the state is that many vectors of d
+    occupations laid end to end, and a flagged row holds hole occupations
+    x = 1 - n, for which the flow is the diagonal of :class:`HoleFlow`.
+    Every row is evaluated as it would be alone, bit for bit, so
+    :meth:`paired` steps a fermion run's particle and hole occupations as
+    one vector [n, x].
+    """
+
+    def __init__(self, rates, sign: int, hole: tuple[bool, ...] = (False,)):
+        if any(hole) and sign != Statistics.FERMION.sign:
+            raise ValueError("hole flow: defined for fermions only")
+        self._rates, self.sign, self._hole = rates, sign, tuple(hole)
+        # None when no row is a hole row, which saves the two row selections
+        self._mask = np.array(self._hole)[:, None] if any(hole) else None
 
     def __call__(self, t: float, n: np.ndarray) -> np.ndarray:
-        if self._hole:  # the particle rates at 1 - x, loss and gain swapped
-            gain, loss = self._rates(1.0 - n)
-        else:
-            loss, gain = self._rates(n)
+        rows = n.reshape(len(self._hole), -1)
+        # a hole row takes the particle rates at 1 - x, loss and gain
+        # swapped; with s = -1 the merged operator loss + gain is the same
+        # expression on either row, so only the gain term is swapped
+        at = rows if self._mask is None else np.where(self._mask, 1.0 - rows, rows)
+        loss, gain = self._rates(at)
         merged = loss - self.sign * gain
-        return (merged * n + n * merged) - 2.0 * gain
+        if self._mask is not None:
+            gain = np.where(self._mask, loss, gain)
+        return ((merged * rows + rows * merged) - 2.0 * gain).reshape(n.shape)
 
     def hole(self) -> "OccupationFlow":
         """The same fermionic flow, written for the complementary occupations
         1 - n (the hole flow of a hole flow is the particle flow)."""
-        if self.sign != Statistics.FERMION.sign:
-            raise ValueError("hole flow: defined for fermions only")
-        return OccupationFlow(self._rates, self.sign, hole=not self._hole)
+        return OccupationFlow(self._rates, self.sign, tuple(not h for h in self._hole))
+
+    def paired(self) -> "OccupationFlow":
+        """This flow and its hole flow side by side, on the vector [n, 1 - n]
+        of twice the length."""
+        return OccupationFlow(self._rates, self.sign, self._hole + self.hole()._hole)
 
 
 class HoleFlow(Flow):

@@ -53,7 +53,11 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def hermiticity_defect(m) -> float:
-    """max |M[i,j] - conj(M[j,i])| over all entries."""
+    """max |M[i,j] - conj(M[j,i])| over all entries.  A real 1-D array is
+    the diagonal of a real diagonal matrix, whose defect is 0 by
+    construction: it returns 0.0 at once, with no complex copy."""
+    if isinstance(m, np.ndarray) and m.ndim == 1 and m.dtype.kind == "f":
+        return 0.0
     a = np.asarray(m, dtype=complex)
     return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
 

@@ -30,7 +30,7 @@ from qme.fock_oracle import (
     cutoff_contamination,
     reduce_one_particle,
 )
-from qme.dynamics import NetworkFlow, Statistics, hole_transform
+from qme.dynamics import NetworkFlow, OccupationFlow, Statistics, hole_transform
 from qme.integrator import Trajectory, evolve, snapshots
 from qme.operators import DensityMatrix
 
@@ -630,10 +630,12 @@ class TestFockPopulationPath:
         assert err.count("\n") == 1
 
 
-def test_fermion_run_builds_one_trajectory(monkeypatch, tmp_path):
-    """A fermion run keeps the particle trajectory and nothing of the hole
-    run: its snapshots are streamed into the duality residual, so at most the
-    hole state being compared and the one before it are alive at any time."""
+#: A coherent start for the two-orbital fermion scenarios: it takes the matrix path.
+COHERENT_START = 'initial={"matrix": [[0.8, 0.2], [0.2, 0.2]]}'
+
+
+def _counting_trajectories(monkeypatch):
+    """Patch ``Trajectory.__init__`` to note every trajectory built."""
     built = []
     init = Trajectory.__init__
 
@@ -642,6 +644,15 @@ def test_fermion_run_builds_one_trajectory(monkeypatch, tmp_path):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Trajectory, "__init__", counting_init)
+    return built
+
+
+def test_fermion_run_builds_one_trajectory(monkeypatch, tmp_path):
+    """A coherent fermion run keeps the particle trajectory and nothing of
+    the hole run: its snapshots are streamed into the duality residual, so at
+    most the hole state being compared and the one before it are alive at
+    any time."""
+    built = _counting_trajectories(monkeypatch)
     hole_refs, alive = [], []
 
     def watched_snapshots(spec, initial):
@@ -651,12 +662,61 @@ def test_fermion_run_builds_one_trajectory(monkeypatch, tmp_path):
             yield t, x, defect
 
     monkeypatch.setattr(cli, "snapshots", watched_snapshots)
-    argv = ["run", "two_state_fermion", "--override", "t1=0.2", "--out-dir", str(tmp_path), "--quiet"]
+    argv = ["run", "two_state_fermion", "--override", "t1=0.2", "--override", COHERENT_START,
+            "--out-dir", str(tmp_path), "--quiet"]
     assert main(argv) == 0
     assert len(built) == 1
     assert len(hole_refs) == 21 and max(alive) <= 2
     header, rows = read_csv(tmp_path / "diagnostics.csv")
     assert header[-1] == "duality_residual" and len(rows) == 21
+
+
+def test_fermion_occupation_run_builds_one_trajectory(monkeypatch, tmp_path):
+    """A diagonal fermion start runs its particle and hole occupations as one
+    vector: one ``evolve`` call, one trajectory of 2d floats a snapshot until
+    the snapshots become diagonal matrices, and no hole run of its own."""
+    built = _counting_trajectories(monkeypatch)
+    stored = []
+
+    def spying(spec, initial):
+        traj = evolve(spec, initial)
+        stored.append([z.shape for z in traj.states])
+        return traj
+
+    monkeypatch.setattr(cli, "evolve", spying)
+    streamed = []
+    monkeypatch.setattr(cli, "snapshots", lambda *args: streamed.append(args) or snapshots(*args))
+    argv = ["run", "two_state_fermion", "--override", "t1=0.2", "--out-dir", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert len(built) == 1 and not streamed
+    assert stored == [[(4,)] * 21]
+    header, rows = read_csv(tmp_path / "diagnostics.csv")
+    assert header[-1] == "duality_residual" and len(rows) == 21
+
+
+def test_occupation_fermion_run_takes_one_flow_call_a_stage(monkeypatch, tmp_path):
+    """``qme run homogeneous_chain`` evaluates its flow 4 times a step, once
+    per RK stage for the particle and hole occupations together (stepped
+    apart, they took 8).  Its duality column is exactly that of a hole run
+    of ``flow.hole()`` integrated on its own through ``snapshots``."""
+    calls = []
+    call = OccupationFlow.__call__
+    monkeypatch.setattr(OccupationFlow, "__call__",
+                        lambda self, t, n: calls.append(len(n)) or call(self, t, n))
+    assert run("homogeneous_chain", overrides=["t1=1"], out_dir=str(tmp_path), quiet=True) == 0
+    scenario = scenario_from_dict(_bundled_raw("homogeneous_chain", "t1=1"))
+    steps = round((scenario.t1 - scenario.t0) / scenario.dt)
+    assert calls == [2 * scenario.dimension] * (4 * steps)
+
+    monkeypatch.setattr(OccupationFlow, "__call__", call)
+    initial, _ = cli.start_state(scenario)
+    n = initial.matrix.diagonal().real
+    flow = cli._EQUATIONS[scenario.equation].build(scenario).occupation_flow(n)
+    particle = evolve(cli._spec(scenario, flow), n)
+    hole = snapshots(cli._spec(scenario, flow.hole()), 1.0 - n)
+    header, rows = read_csv(tmp_path / "diagnostics.csv")
+    assert header[-1] == "duality_residual"
+    assert rows[:, -1].tolist() == list(duality_residuals(particle, hole))
 
 
 @pytest.mark.parametrize("name", ["homogeneous_chain", "low_density_sweep", "two_state_fermion"])
@@ -685,6 +745,19 @@ MARKOFF_DIAGONAL = {
 }
 
 
+#: A fermion network with every rate present: a change in the order of the
+#: rate sums would show here, where the sparse bundled networks hide it.
+_DENSE_RNG = np.random.default_rng(6)
+DENSE_FERMION = {
+    "name": "dense_fermion", "equation": "nonlinear_master", "statistics": "fermion", "dimension": 6,
+    "initial": {"diagonal": [1.0, 0.0] + [float(v) for v in _DENSE_RNG.uniform(0.0, 1.0, 4)]},
+    "hamiltonian": {"diagonal": [float(v) for v in _DENSE_RNG.uniform(-2.0, 2.0, 6)]},
+    "network": {"rates": [{"from": a, "to": b, "rate": float(_DENSE_RNG.uniform(0.1, 1.0))}
+                          for a in range(6) for b in range(6) if a != b]},
+    "integrator": {"t1": 0.5, "dt": 1e-3, "record_every": 20},
+}
+
+
 def _particle_starts(monkeypatch):
     """Patch ``cli.evolve`` to note whether each run it starts is on
     occupations (True) or on a matrix (False)."""
@@ -699,13 +772,14 @@ def _particle_starts(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["homogeneous_chain", "two_state_fermion", "two_state_boson",
-                                  "markoff_diagonal"])
+                                  "markoff_diagonal", "dense_fermion"])
 def test_occupation_run_writes_the_matrix_run_bytes(name, tmp_path, monkeypatch):
     """A diagonal start under a homogeneous flow runs on its occupations and
     writes what the matrix run writes, byte for byte; the summary differs in
     its wall time only."""
     overrides = ["t1=0.5"]
-    path = write_scenario(tmp_path, MARKOFF_DIAGONAL) if name == "markoff_diagonal" else name
+    extra = {"markoff_diagonal": MARKOFF_DIAGONAL, "dense_fermion": DENSE_FERMION}
+    path = write_scenario(tmp_path, extra[name]) if name in extra else name
     starts = _particle_starts(monkeypatch)
 
     def outputs(folder):

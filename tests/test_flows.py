@@ -301,6 +301,52 @@ def test_occupation_flow_is_the_diagonal_of_the_matrix_flow_bit_for_bit(stats):
     assert cases == 16 * 20 * (2 if stats is FERMION else 1)
 
 
+def rand_dense_network_flow(rng, d, stats):
+    """A homogeneous network flow with every rate present, and random
+    occupations with one orbital at exactly 0 and one at exactly 1."""
+    rates = {(a, b): float(rng.uniform(0.1, 1.0)) for a in range(d) for b in range(d) if a != b}
+    flow = NetworkFlow(np.diag(rng.uniform(-2.0, 2.0, d)), TransitionNetwork.computational(d, rates),
+                       stats)
+    n = rng.uniform(0.0, 2.0 if stats is BOSON else 1.0, d)
+    n[rng.permutation(d)[:2]] = [0.0, 1.0][:d]
+    return flow, n
+
+
+@pytest.mark.parametrize("stats", [FERMION, BOSON], ids=["fermion", "boson"])
+def test_network_rates_of_a_stack_are_those_of_each_row_bit_for_bit(stats):
+    """``NetworkFlow._rates`` on a (B, d) stack gives each row the bits of the
+    row alone, and a lone row the bits of the plain matrix-vector products."""
+    rng = np.random.default_rng([7, stats.sign + 2])
+    for d in range(1, 9):
+        for _ in range(20):
+            flow, _ = rand_dense_network_flow(rng, d, stats)
+            stack = rng.uniform(0.0, 2.0 if stats is BOSON else 1.0, (int(rng.integers(1, 5)), d))
+            loss, gain = flow._rates(stack)
+            for row, row_loss, row_gain in zip(stack, loss, gain):
+                alone = flow._rates(row)
+                plain = (flow._half_w.T @ (1.0 + flow.sign * row), flow._half_w @ row)
+                for got, lone, reference in zip((row_loss, row_gain), alone, plain):
+                    assert np.array_equal(got, lone) and np.array_equal(lone, reference)
+
+
+def test_paired_occupation_flow_is_the_particle_and_hole_flows_bit_for_bit():
+    """The paired flow on [n, x] is [particle flow at n, hole flow at x], bit
+    for bit, at complementary and at unrelated particle and hole states."""
+    rng = np.random.default_rng(8)
+    for d in range(1, 17):
+        for _ in range(10):
+            flow, n = rand_dense_network_flow(rng, d, FERMION)
+            occupations = flow.occupation_flow(n)
+            paired = occupations.paired()
+            for x in (1.0 - n, rng.uniform(0.0, 1.0, d)):
+                particle, hole = occupations(0.0, n), occupations.hole()(0.0, x)
+                assert np.array_equal(paired(0.0, np.concatenate((n, x))),
+                                      np.concatenate((particle, hole)))
+                # rows in the other order: the hole flow of the pair
+                assert np.array_equal(paired.hole()(0.0, np.concatenate((x, n))),
+                                      np.concatenate((hole, particle)))
+
+
 def test_occupation_flow_declined_where_a_diagonal_state_can_leave_the_diagonal():
     net = TransitionNetwork.computational(2, {(1, 0): 1.0})
     n = np.array([0.7, 0.2])
@@ -316,8 +362,9 @@ def test_occupation_flow_declined_where_a_diagonal_state_can_leave_the_diagonal(
     assert NetworkFlow(zero, net, FERMION).occupation_flow(np.array([0.7, -0.0])) is None
     assert JumpFlow(zero, rank_one_jumps(net), FERMION).occupation_flow(n) is None
     assert OperatorFlow(zero, zero, zero, FERMION).occupation_flow(n) is None
-    with pytest.raises(ValueError, match="fermions only"):
-        NetworkFlow(zero, net, BOSON).occupation_flow(n).hole()
+    for pairing in ("hole", "paired"):
+        with pytest.raises(ValueError, match="fermions only"):
+            getattr(NetworkFlow(zero, net, BOSON).occupation_flow(n), pairing)()
 
 
 @pytest.mark.parametrize("stats", [FERMION, BOSON], ids=["fermion", "boson"])

@@ -153,3 +153,14 @@ def test_defect_measures_max_deviation():
     require_hermitian(m, tol=1e-8)
     with pytest.raises(ValueError):
         require_hermitian(m, tol=1e-10)
+
+
+def test_defect_of_a_real_vector_is_zero_without_a_complex_copy(monkeypatch):
+    """A real 1-D array (the diagonal of a real diagonal matrix) has defect
+    0.0 at once; a complex vector and a real nonsymmetric matrix are measured."""
+    assert hermiticity_defect(np.array([0.3, -2.0, 1e308])) == 0.0
+    assert hermiticity_defect(np.array([0.5, 1.0 + 2e-3j])) == pytest.approx(4e-3)
+    assert hermiticity_defect(np.array([[0.0, 1.0], [0.5, 0.0]])) == 0.5
+    n = np.linspace(0.0, 1.0, 5)
+    monkeypatch.setattr(np, "asarray", None)  # any conversion would now fail
+    assert hermiticity_defect(n) == 0.0
