@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qme import cli
 from qme.analysis import duality_check, duality_residuals
@@ -817,10 +819,9 @@ def test_occupation_run_declined(case, monkeypatch):
     assert starts == [False, True]
 
 
-def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):
-    """A dense fermion run (d=32, 76 snapshots) through ``run`` peaks below
-    the states of two trajectories, 2 * 76 * 16 d^2 bytes: the hole run and
-    the parsed JSON are not held while the particle trajectory is."""
+def _dense_jumps_raw(t1):
+    """A d=32 ``generalized_jumps`` fermion scenario in the benchmark's
+    ``jumps_dense`` shape: 4 dense jumps, a hermitian H and a coherent start."""
     d, rng = 32, np.random.default_rng(3)
 
     def random_complex():
@@ -832,14 +833,21 @@ def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):
     x = random_complex()
     q, _ = np.linalg.qr(random_complex())
     rho = (q * rng.uniform(0.2, 0.8, d)) @ q.conj().T
-    raw = {
+    return {
         "name": "dense_jumps", "equation": "generalized_jumps", "statistics": "fermion",
         "dimension": d, "initial": {"matrix": to_json(0.5 * (rho + rho.conj().T))},
         "hamiltonian": {"matrix": to_json((x + x.conj().T) / (2.0 * np.sqrt(d)))},
         "jump_operators": [to_json(random_complex() * np.sqrt(0.5 / d)) for _ in range(4)],
-        "integrator": {"t0": 0.0, "t1": 0.15, "dt": 2e-3},
+        "integrator": {"t0": 0.0, "t1": t1, "dt": 2e-3},
     }
-    path = write_scenario(tmp_path, raw)
+
+
+def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):
+    """A dense fermion run (d=32, 76 snapshots) through ``run`` peaks below
+    the states of two trajectories, 2 * 76 * 16 d^2 bytes: the hole run and
+    the parsed JSON are not held while the particle trajectory is."""
+    d = 32
+    path = write_scenario(tmp_path, _dense_jumps_raw(t1=0.15))
     tracemalloc.start()
     try:
         code = run(path, out_dir=str(tmp_path / "o"), quiet=True)
@@ -1045,9 +1053,10 @@ def reference_diagnostics_csv(path, traj, duality=None):
 
 
 #: Doubles whose 17-digit form needs care: signed zero, subnormals, the top
-#: of the range, a non-dyadic fraction, integral values and non-finite values.
-EDGE_VALUES = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 3.0, -2.0, 0.0, 1e16, 2.0**53 + 2,
-               float("inf"), float("nan")]
+#: of the range, a non-dyadic fraction and its negation, integral values and
+#: non-finite values.  Python writes a NaN with its sign bit set as ``nan``.
+EDGE_VALUES = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.1, 3.0, -2.0, 0.0, 1e16, 2.0**53 + 2,
+               float("inf"), float("nan"), float(np.copysign(np.nan, -1.0))]
 
 
 def _complex(re, im):
@@ -1075,7 +1084,10 @@ def _edge_state(d, shift=0):
 
 
 def _bundled_run(name, *overrides):
-    scenario = scenario_from_dict(_bundled_raw(name, *overrides))
+    return _scenario_run(scenario_from_dict(_bundled_raw(name, *overrides)))
+
+
+def _scenario_run(scenario):
     run_scenario = cli._run_fock if scenario.equation == "fock_oracle" else cli._run_matrix
     traj, duality, _ = run_scenario(scenario)
     return traj, duality
@@ -1087,23 +1099,32 @@ def _writer_case(name):
     big = _edge_state(6, shift=5)
     if name == "edge_values":
         return _synthetic_trajectory([edge, _edge_state(3, 4)]), [0.1, -0.0]
+    if name == "edge_values_d8":  # rows long enough to be written by distinct magnitude
+        d = cli._DISTINCT_MIN_DIM
+        return _synthetic_trajectory([_edge_state(d), _edge_state(d, 7)]), [np.nan, -np.inf]
     if name == "fortran_ordered":
         return _synthetic_trajectory([np.asfortranarray(edge), edge.T]), [1.0, 2.0]
     if name == "strided_view":
         return _synthetic_trajectory([big[::2, 1::2], big[1:4, :3]]), [5e-324, 1e308]
     if name == "d1":
         return _synthetic_trajectory([_complex([[-0.0]], [[5e-324]])] * 3), [0.0, 3.0, -2.0]
-    # fock_closure_2mode writes its reduced one-particle trajectory;
-    # two_state_fermion has duality residuals
+    if name == "dense_jumps_d32":
+        return _scenario_run(scenario_from_dict(_dense_jumps_raw(t1=0.01)))
+    # a short window of each bundled scenario: fock_closure_2mode writes its
+    # reduced one-particle trajectory, homogeneous_chain diagonal matrices
     return _bundled_run(name, "t1=0.2")
 
 
+#: The bundled scenarios that write no duality residuals.
+_NO_DUALITY = {"appendix_d", "fock_closure_2mode", "two_state_boson"}
+
+
 class TestCsvWriters:
-    @pytest.mark.parametrize("name", ["edge_values", "fortran_ordered", "strided_view", "d1",
-                                      "fock_closure_2mode", "two_state_fermion"])
+    @pytest.mark.parametrize("name", ["edge_values", "edge_values_d8", "fortran_ordered",
+                                      "strided_view", "d1", "dense_jumps_d32", *GALLERY])
     def test_bytes_equal_the_per_entry_writers(self, tmp_path, name):
         traj, duality = _writer_case(name)
-        assert (duality is None) == (name == "fock_closure_2mode")
+        assert (duality is None) == (name in _NO_DUALITY)
         cli._write_states_csv(tmp_path / "states.csv", traj)
         reference_states_csv(tmp_path / "states_ref.csv", traj)
         assert (tmp_path / "states.csv").read_bytes() == (tmp_path / "states_ref.csv").read_bytes()
@@ -1111,6 +1132,87 @@ class TestCsvWriters:
             cli._write_diagnostics_csv(tmp_path / "diag.csv", traj, dual)
             reference_diagnostics_csv(tmp_path / "diag_ref.csv", traj, dual)
             assert (tmp_path / "diag.csv").read_bytes() == (tmp_path / "diag_ref.csv").read_bytes()
+
+    def test_states_writer_holds_one_row_at_a_time(self, tmp_path):
+        """The tracemalloc peak of writing 60 d=32 snapshots stays below twice
+        that of writing one: neither the file's text nor its rows are held."""
+        d, rng = 32, np.random.default_rng(5)
+        states = []
+        for _ in range(60):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            states.append(0.5 * (a + a.conj().T))
+        trajectories = [
+            Trajectory(times=np.linspace(0.0, 1.0, n), states=states[:n], herm_defect=np.zeros(n))
+            for n in (1, 60)
+        ]
+        peaks = []
+        for traj in trajectories:
+            tracemalloc.start()
+            try:
+                cli._write_states_csv(tmp_path / "states.csv", traj)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "states.csv").stat().st_size > 60 * 2 * d * d * 10
+        assert peaks[1] < 2 * peaks[0]
+
+
+def _double(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+#: Any double by its bit pattern (NaN of either sign and any payload,
+#: subnormals, ±0.0, ±inf), and the values named in EDGE_VALUES.
+_doubles = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(EDGE_VALUES),
+)
+
+
+@st.composite
+def _repeated_magnitudes(draw):
+    """Entries drawn from a few values, each entry signed at random, so that
+    magnitudes repeat and appear with both signs."""
+    base = draw(st.lists(_doubles, min_size=1, max_size=6))
+    n = draw(st.integers(0, 40))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    return np.copysign(np.array(base)[picks], signs)
+
+
+@st.composite
+def _hermitian_rows(draw):
+    """The float view of an exactly hermitian matrix 0.5 * (a + a^H), d = 1..8."""
+    d = draw(st.integers(1, 8))
+    finite = st.floats(-1e300, 1e300, allow_subnormal=True)
+    values = np.array(draw(st.lists(finite, min_size=2 * d * d, max_size=2 * d * d)))
+    a = _complex(values[: d * d].reshape(d, d), values[d * d:].reshape(d, d))
+    return (0.5 * (a + a.conj().T)).view(float).ravel()
+
+
+class TestRowFormatter:
+    """``_fields`` formats each distinct magnitude once and restores each
+    sign: the text of every entry is that of ``f"{v:.17g}"``."""
+
+    @staticmethod
+    def _check(x):
+        assert cli._fields(x) == [f"{v:.17g}" for v in x.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_doubles, max_size=40))
+    def test_any_doubles(self, values):
+        self._check(np.array(values, dtype=float))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_repeated_magnitudes())
+    def test_repeated_and_negated_magnitudes(self, x):
+        self._check(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hermitian_rows())
+    def test_hermitian_matrices(self, x):
+        self._check(x)
 
 
 class TestScenarioEquality:
