@@ -20,6 +20,11 @@ any stage carries through to the step's result, which the integrator checks
 once per step.  :meth:`Flow.evaluate` is the checked
 entry point for a single evaluation: it validates the state against the flow
 and returns the flow at t = 0.  Rates are constant during a run.
+
+A flow's read-only ``affine`` is true when it is affine in the state and
+independent of time: the fixed-operator flows, and the network and jump
+flows in the linear limit.  The integrator steps such a flow by a
+precomputed RK4 map (:mod:`qme.integrator`).
 """
 
 from __future__ import annotations
@@ -174,6 +179,13 @@ class Flow:
         """``(A_loss, A_gain)`` at the state ``rho``."""
         raise NotImplementedError
 
+    @property
+    def affine(self) -> bool:
+        """Whether the flow is affine in rho (every flow here is independent
+        of t): false unless a subclass, whose relaxation operators are fixed
+        or linear in rho, says otherwise."""
+        return False
+
     def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
         # {rho, A_loss} - {I + s*rho, A_gain} = {rho, M} - 2*A_gain with
         # M = A_loss - s*A_gain, so the flow is (M - iH) rho + rho (M + iH) - 2*A_gain
@@ -224,6 +236,10 @@ class OperatorFlow(Flow):
     def relaxation_operators(self, rho):
         return self._loss, self._gain
 
+    @property
+    def affine(self) -> bool:
+        return True
+
 
 class NetworkFlow(Flow):
     """Relaxation operators rebuilt from the state through a transition
@@ -268,6 +284,10 @@ class NetworkFlow(Flow):
                         f"dephasing[{_index_pair(a, b)}]: orbital index out of range for {n} orbitals"
                     )
                 self._gamma[a, b] = g
+
+    @property
+    def affine(self) -> bool:
+        return self.sign == 0
 
     def _to_kets(self, m: np.ndarray) -> np.ndarray:
         return m if self._kets is None else self._kets_dag @ m @ self._kets
@@ -339,6 +359,10 @@ class JumpFlow(Flow):
         if not np.isfinite(self._drain).all():
             raise ValueError("jump_operators: too large, sum_l W_l W_l^dag overflows")
 
+    @property
+    def affine(self) -> bool:
+        return self.sign == 0
+
     def relaxation_operators(self, rho):
         gain = -0.5 * _sandwich(self._wide_dag, self._wide, rho)
         if self.sign == 0:
@@ -387,6 +411,11 @@ class OccupationFlow:
             gain = np.where(self._mask, loss, gain)
         return ((merged * rows + rows * merged) - 2.0 * gain).reshape(n.shape)
 
+    @property
+    def affine(self) -> bool:
+        """True in the linear limit s = 0, which has no hole rows."""
+        return self.sign == 0
+
     def hole(self) -> "OccupationFlow":
         """The same fermionic flow, written for the complementary occupations
         1 - n (the hole flow of a hole flow is the particle flow)."""
@@ -419,6 +448,11 @@ class HoleFlow(Flow):
     def relaxation_operators(self, x):
         loss, gain = self._particle.relaxation_operators(self._eye - x)
         return gain, loss
+
+    @property
+    def affine(self) -> bool:
+        """The particle flow's: its operators, taken at I - x, are affine in x."""
+        return self._particle.affine
 
 
 def _kinetics(f: np.ndarray, w: np.ndarray, sign: int) -> np.ndarray:

@@ -238,6 +238,11 @@ class FockFlow:
         gain = _scatter(self._dst, self._coef * rho.ravel()[self._src], rho.size)
         return self._decay * rho + gain.reshape(rho.shape)
 
+    @property
+    def affine(self) -> bool:
+        """True: the flow is linear in rho and independent of t."""
+        return True
+
 
 class PopulationFlow:
     """The classical master equation on the populations p of a diagonal
@@ -261,6 +266,11 @@ class PopulationFlow:
     def __call__(self, t: float, p: np.ndarray) -> np.ndarray:
         gain = np.bincount(self.dst, self.rate * p[self.src], minlength=self.dim)
         return gain - self._out * p
+
+    @property
+    def affine(self) -> bool:
+        """True: the flow is linear in p and independent of t."""
+        return True
 
 
 def _interleave(index: np.ndarray) -> np.ndarray:

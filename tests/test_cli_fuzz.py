@@ -15,9 +15,11 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from qme import integrator
 from qme.cli import bundled_scenarios, main, resolve_scenario_path
 
 HOSTILE = [
@@ -102,3 +104,39 @@ def test_hostile_fields_exit_cleanly(raw):
         assert len(err) < 200, err[:300]
     else:
         assert err == ""
+
+
+#: The two bundled scenarios whose flows are affine, and where each keeps its rate.
+MAPPED = {"appendix_d": ("dephasing", 0, "rate"), "fock_closure_2mode": ("network", "rates", 0, "rate")}
+
+
+def test_the_linear_scenarios_step_by_their_rk4_map(monkeypatch):
+    # the scenarios fuzzed above reach the mapped path
+    built, rk4_map = [], integrator._rk4_map
+
+    def spying(*args):
+        built.append(rk4_map(*args))
+        return built[-1]
+
+    monkeypatch.setattr(integrator, "_rk4_map", spying)
+    for name in MAPPED:
+        built.clear()
+        code, err, caught = _run(SCENARIOS[name])
+        assert (code, err, caught) == (0, "", [])
+        assert built and all(m is not None for m in built), name
+
+
+@pytest.mark.parametrize("rate", [1e308, 1e300, 1e154, 1e100, 1e60, 1e20])
+@pytest.mark.parametrize("name", sorted(MAPPED))
+def test_huge_rates_exit_as_the_plain_rk4_steps_do(name, rate, monkeypatch):
+    """Rates at which the RK4 map overflows, and is not used, or at which a
+    finite map's steps overflow: one error line, the one the plain RK4 steps
+    give, and no warning."""
+    raw = copy.deepcopy(SCENARIOS[name])
+    *parents, last = MAPPED[name]
+    _at(raw, parents)[last] = rate
+    code, err, caught = _run(raw)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    monkeypatch.setattr(integrator, "AFFINE_MAX_ENTRIES", 0)
+    assert _run(raw) == (code, err, [])

@@ -1,19 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qme.dynamics import NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
 from qme.fock_oracle import FockModel, product_populations
 from qme.integrator import (
+    AFFINE_MAX_ENTRIES,
     MAX_SNAPSHOT_BYTES,
     MAX_STEPS,
     EvolutionSpec,
     IntegrationDivergedError,
     Trajectory,
+    _rk4_raw,
     check_snapshot_budget,
     evolve,
     snapshots,
 )
 from qme.operators import DensityMatrix
+from test_flows import build_flow, rand_homogeneous, rand_instance, rand_state
 
 FERMION = Statistics.FERMION
 BOSON = Statistics.BOSON
@@ -231,6 +236,14 @@ class TestEvolve:
             EvolutionSpec(rhs=lambda t, r: r, t0=1.0, t1=0.5)
         with pytest.raises(ValueError, match="record_every"):
             EvolutionSpec(rhs=lambda t, r: r, t0=0.0, t1=1.0, record_every=0)
+
+    def test_spec_is_frozen(self):
+        # a step map is derived from dt once, and the window is checked once
+        spec = EvolutionSpec(rhs=loss_rhs(), t0=0.0, t1=1.0, dt=0.1)
+        for field, value in (("dt", -0.1), ("dt", 1e-12), ("t1", 0.0), ("rhs", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, field, value)
+        assert spec.dt == 0.1 and spec.t1 == 1.0
 
     def test_record_every_is_bounded_by_the_step_limit(self):
         # no window takes more steps; a larger integer (10^400 is beyond the
@@ -455,3 +468,162 @@ class TestSnapshots:
         spec = EvolutionSpec(rhs=never, t0=0.0, t1=1.0, dt=2.0**-13)
         with pytest.raises(ValueError, match=r"would store 8193 states of 131072 bytes"):
             snapshots(spec, p)
+
+
+# -- the RK4 map of an affine flow --------------------------------------------
+
+
+#: equation, statistics and basis of each matrix flow that steps by its RK4
+#: map, as ``test_flows.build_flow`` builds it
+AFFINE_EQUATIONS = {
+    "general_linear": ("general", None, "computational"),
+    "general_fermion": ("general", FERMION, "computational"),
+    "general_boson": ("general", BOSON, "computational"),
+    "general_hole": ("general", FERMION, "computational"),
+    "markoff": ("markoff", None, "computational"),
+    "markoff_rotated": ("markoff", None, "rotated"),
+    "lindblad": ("lindblad", None, "computational"),
+}
+
+
+def affine_case(kind):
+    """(flow, start) for each kind of flow that steps by its RK4 map."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    if kind in AFFINE_EQUATIONS:
+        equation, stats, basis = AFFINE_EQUATIONS[kind]
+        inst = rand_instance(rng, 3, stats, basis)
+        flow = build_flow(equation, stats, inst)
+        flow = flow.hole() if kind == "general_hole" else flow
+        return flow, DensityMatrix(inst["rho"], stats or BOSON)
+    if kind == "occupations":
+        flow, n = rand_homogeneous(rng, 4, None)
+        return flow.occupation_flow(n), n
+    if kind == "populations":
+        model = FockModel(BOSON, (0.0, 0.6, 1.1), {(1, 0): 0.7, (0, 1): 0.3, (2, 1): 0.5},
+                          boson_cutoff=2)
+        return model.populations, rng.dirichlet(np.ones(model.fock_dim))
+    assert kind == "fock"
+    model = FockModel(FERMION, (0.0, 0.5), {(1, 0): 0.7, (0, 1): 0.2})
+    return model.flow, DensityMatrix(rand_state(rng, model.fock_dim, FERMION) / model.fock_dim,
+                                     FERMION)
+
+
+AFFINE_KINDS = [*AFFINE_EQUATIONS, "occupations", "populations", "fock"]
+
+
+def _start(x):
+    return x.matrix.copy() if isinstance(x, DensityMatrix) else x.astype(float)
+
+
+def rk4_reference(flow, x, t0, t1, dt):
+    """The plain RK4 loop of ``snapshots``: ``_rk4_raw`` and hermitization on
+    every step, full steps then a final partial one."""
+    rho = _start(x)
+    n_full = int(np.floor((t1 - t0) / dt + 1e-9))
+    remainder = (t1 - t0) - n_full * dt
+    sizes = [dt] * n_full + ([remainder] if remainder >= 1e-12 * dt else [])
+    t = t0
+    for k, h in enumerate(sizes, 1):
+        raw = _rk4_raw(rho, flow, t, h)
+        rho = 0.5 * (raw + raw.conj().T)
+        t = t0 + k * dt
+    return rho
+
+
+class Counting:
+    """A flow that counts its calls and declares what the wrapped one does."""
+
+    def __init__(self, flow):
+        self.flow, self.calls = flow, 0
+
+    @property
+    def affine(self):
+        return self.flow.affine
+
+    def __call__(self, t, rho):
+        self.calls += 1
+        return self.flow(t, rho)
+
+
+def _entries(x) -> int:
+    m = _start(x)
+    return m.size * (2 if np.iscomplexobj(m) else 1)
+
+
+class TestAffineMap:
+    """An affine flow is stepped by x + (K x + b), K and b built once per step
+    size from n + 1 flow calls; any other flow keeps four calls a step."""
+
+    @pytest.mark.parametrize("kind", AFFINE_KINDS)
+    @pytest.mark.parametrize("t1", [0.05, 0.13], ids=["one_step", "partial_step"])
+    def test_a_short_window_is_the_rk4_step(self, kind, t1):
+        flow, x = affine_case(kind)
+        assert flow.affine is True and _entries(x) <= AFFINE_MAX_ENTRIES
+        spec = EvolutionSpec(rhs=Counting(flow), t0=0.2, t1=0.2 + t1, dt=0.05)
+        got = evolve(spec, x).final_state
+        want = rk4_reference(flow, x, 0.2, 0.2 + t1, 0.05)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # one map for each step size: a full one, then (t1 = 0.13) a partial one
+        assert spec.rhs.calls == (_entries(x) + 1) * (1 if t1 == 0.05 else 2)
+
+    @pytest.mark.parametrize("kind", AFFINE_KINDS)
+    def test_a_long_window_stays_on_the_rk4_run(self, kind):
+        flow, x = affine_case(kind)
+        spec = EvolutionSpec(rhs=Counting(flow), t0=0.0, t1=1.0, dt=1e-3, record_every=250)
+        traj = evolve(spec, x)
+        assert spec.rhs.calls == _entries(x) + 1
+        want = rk4_reference(flow, x, 0.0, 1.0, 1e-3)
+        assert np.abs(traj.final_state - want).max() <= 1e-12 * np.abs(want).max()
+        rerun = evolve(spec, x)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(traj.states, rerun.states))
+        assert np.array_equal(traj.herm_defect, rerun.herm_defect)
+
+    @pytest.mark.parametrize("kind", ["bare_callable", "above_the_cap", "nonlinear_master",
+                                      "nonlinear_master_hole", "generalized_jumps",
+                                      "generalized_jumps_hole", "paired_occupations"])
+    def test_other_flows_take_four_calls_a_step(self, kind):
+        rng = np.random.default_rng(3)
+        if kind == "bare_callable":
+            flow, x = affine_case("markoff")
+        elif kind == "above_the_cap":
+            # 12 x 12 complex: 288 float-view entries
+            inst = rand_instance(rng, 12, None, "computational")
+            flow, x = build_flow("general", None, inst), DensityMatrix(inst["rho"], BOSON)
+            assert flow.affine and _entries(x) > AFFINE_MAX_ENTRIES
+        elif kind == "paired_occupations":
+            particle, n = rand_homogeneous(rng, 3, FERMION)
+            flow, x = particle.occupation_flow(n).paired(), np.concatenate((n, 1.0 - n))
+        else:
+            inst = rand_instance(rng, 3, FERMION, "computational")
+            flow = build_flow(kind.removesuffix("_hole"), FERMION, inst)
+            flow = flow.hole() if kind.endswith("_hole") else flow
+            x = DensityMatrix(inst["rho"], FERMION)
+        assert kind == "bare_callable" or flow.affine == (kind == "above_the_cap")
+        counting = Counting(flow)
+        # a plain function has no affine attribute
+        rhs = (lambda t, r: counting(t, r)) if kind == "bare_callable" else counting
+        spec = EvolutionSpec(rhs=rhs, t0=0.0, t1=0.13, dt=0.05)
+        traj = evolve(spec, x)
+        assert counting.calls == 4 * 3
+        # and each step is the plain RK4 step, bit for bit
+        assert traj.final_state.tobytes() == rk4_reference(flow, x, 0.0, 0.13, 0.05).tobytes()
+
+    def test_a_map_that_overflows_is_not_used(self):
+        # (h L)^2 overflows, but the loss acts on an empty orbital, so every
+        # RK4 stage is finite: the window runs the plain steps, bit for bit
+        flow = OperatorFlow(np.zeros((2, 2)), np.diag([-1e160, 0.0]), np.zeros((2, 2)), None)
+        x = DensityMatrix(np.diag([0.0, 1.0]), BOSON)
+        spec = EvolutionSpec(rhs=Counting(flow), t0=0.0, t1=0.5, dt=0.1)
+        traj = evolve(spec, x)
+        assert spec.rhs.calls == (8 + 1) + 4 * 5
+        assert traj.final_state.tobytes() == rk4_reference(flow, x, 0.0, 0.5, 0.1).tobytes()
+
+    def test_a_diverging_mapped_run_names_the_step(self):
+        # a finite map whose product overflows on the second step
+        flow = OperatorFlow(np.zeros((2, 2)), np.diag([1e75, 0.0]), np.zeros((2, 2)), None)
+        spec = EvolutionSpec(rhs=Counting(flow), t0=0.0, t1=1.0, dt=0.1)
+        with pytest.raises(IntegrationDivergedError, match="t = 0.1") as info:
+            evolve(spec, DensityMatrix(np.diag([1.0, 0.0]), BOSON))
+        assert info.value.t == 0.1
+        assert spec.rhs.calls == 8 + 1
