@@ -94,7 +94,8 @@ class _Equation:
     occupations: bool = False
     #: fermion runs co-evolve the hole flow ``flow.hole()`` for the duality
     #: residual: streamed beside a matrix run, in the same vector as the
-    #: particle occupations on an occupation run (``OccupationFlow.paired``)
+    #: particle occupations on an occupation run (``OccupationFlow.paired``,
+    #: whose rows keep the bits of lone particle and hole runs)
     dual: bool = False
     #: scenario -> flow on matrix states; None for the Fock oracle (``_run_fock``)
     build: Callable | None = None
@@ -825,7 +826,8 @@ def _run_matrix(scenario: Scenario):
     for a fermion ``dual`` equation side by side with the d hole
     occupations as one vector [n, 1 - n] (``paired``), and each recorded
     snapshot becomes its diagonal matrix before any diagnostic is read.  The
-    matrix run from the same start gives the same bits."""
+    matrix run from the same start agrees to rounding (1e-14), and the
+    paired rows have the bits of lone particle and hole runs."""
     equation = _EQUATIONS[scenario.equation]
     initial, _ = start_state(scenario)
     flow = equation.build(scenario)

@@ -295,30 +295,22 @@ class NetworkFlow(Flow):
     def _from_kets(self, m: np.ndarray) -> np.ndarray:
         return m if self._kets is None else self._kets @ m @ self._kets_dag
 
-    def _rates(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The orbital diagonals of ``(A_loss, A_gain)`` at occupations ``n``,
-        one vector or a stack of them (rows of a (B, d) array).  Each row is
-        one matrix-vector product, so a row of a stack gets the bits of the
-        same row alone."""
-        return ((self._half_w.T @ (1.0 + self.sign * n)[..., None])[..., 0],
-                (self._half_w @ n[..., None])[..., 0])
-
     def relaxation_operators(self, rho):
-        loss, gain = self._rates(self._to_kets(rho).diagonal().real)
+        n = self._to_kets(rho).diagonal().real
+        loss, gain = self._half_w.T @ (1.0 + self.sign * n), self._half_w @ n
         return self._from_kets(self._eye * loss), self._from_kets(self._eye * gain)
 
     def occupation_flow(self, start):
-        """The flow on diagonal states, or None unless the kets are the
-        computational basis and H is real and diagonal.  Then [H, diag(n)] = 0,
-        the relaxation operators are diagonal and dephasing touches only
-        coherences, so a diagonal state stays diagonal.  Also None for a
-        ``start`` holding a -0.0, which the matrix flow's products turn into
-        +0.0 and the occupation flow keeps."""
+        """The flow on diagonal states, whatever the start, or None unless the
+        kets are the computational basis and H is real and diagonal.  Then
+        [H, diag(n)] = 0, the relaxation operators are diagonal and dephasing
+        touches only coherences, so a diagonal state stays diagonal."""
         # -iH is i times a real diagonal exactly when H is a real diagonal
         h_diagonal = np.array_equal(self._minus_ih, 1j * np.diag(self._minus_ih.diagonal().imag))
-        if self._kets is not None or not h_diagonal or np.signbit(start[start == 0]).any():
+        if self._kets is not None or not h_diagonal:
             return None
-        return OccupationFlow(self._rates, self.sign)
+        # the rates the matrix flow uses: doubling -W/2 is exact
+        return OccupationFlow(-2.0 * self._half_w, self.sign)
 
     def __call__(self, t, rho):
         out = super().__call__(t, rho)
@@ -380,36 +372,36 @@ def _sandwich(left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarra
 class OccupationFlow:
     """A :class:`NetworkFlow` restricted to diagonal states: the state is the
     vector n of orbital occupations, and the flow returns dn/dt, the diagonal
-    of the matrix flow at diag(n).  Every operation is the one the matrix
-    flow does on its diagonal, in the same order, so the two agree bit for
-    bit.
+    of the matrix flow at diag(n).  With W[dest, src] the rates (its column
+    sums 1^T W are the out-rates) that diagonal is the quadratic form
+
+        dn/dt = L n + (A n) * n,   L = W - diag(1^T W),   A = s (W - W^T),
+
+    and the diagonal of :class:`HoleFlow` at the hole occupations x = 1 - n
+    is the same form with W -> W^T.  It agrees with the matrix flow to
+    rounding, not bit for bit.
 
     ``hole`` holds one flag per row: the state is that many vectors of d
-    occupations laid end to end, and a flagged row holds hole occupations
-    x = 1 - n, for which the flow is the diagonal of :class:`HoleFlow`.
-    Every row is evaluated as it would be alone, bit for bit, so
-    :meth:`paired` steps a fermion run's particle and hole occupations as
-    one vector [n, x].
+    occupations laid end to end, and a flagged row holds hole occupations.
+    A stage is one product of each row with its (2d x d) operator [L; A], so
+    every row gets the bits it gets alone, and :meth:`paired` steps a
+    fermion run's particle and hole occupations as one vector [n, x].
     """
 
-    def __init__(self, rates, sign: int, hole: tuple[bool, ...] = (False,)):
+    def __init__(self, w: np.ndarray, sign: int, hole: tuple[bool, ...] = (False,)):
         if any(hole) and sign != Statistics.FERMION.sign:
             raise ValueError("hole flow: defined for fermions only")
-        self._rates, self.sign, self._hole = rates, sign, tuple(hole)
-        # None when no row is a hole row, which saves the two row selections
-        self._mask = np.array(self._hole)[:, None] if any(hole) else None
+        self._w, self.sign, self._hole, self._d = w, sign, tuple(hole), w.shape[0]
+        # huge rates overflow the out-rates to inf, which the run reports as
+        # a divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._ops = np.stack([np.vstack((m - np.diag(m.sum(axis=0)), sign * (m - m.T)))
+                                  for m in (w.T if h else w for h in self._hole)])
 
     def __call__(self, t: float, n: np.ndarray) -> np.ndarray:
-        rows = n.reshape(len(self._hole), -1)
-        # a hole row takes the particle rates at 1 - x, loss and gain
-        # swapped; with s = -1 the merged operator loss + gain is the same
-        # expression on either row, so only the gain term is swapped
-        at = rows if self._mask is None else np.where(self._mask, 1.0 - rows, rows)
-        loss, gain = self._rates(at)
-        merged = loss - self.sign * gain
-        if self._mask is not None:
-            gain = np.where(self._mask, loss, gain)
-        return ((merged * rows + rows * merged) - 2.0 * gain).reshape(n.shape)
+        rows = n.reshape(len(self._hole), self._d)
+        u = (self._ops @ rows[..., None])[..., 0]
+        return (u[:, :self._d] + u[:, self._d:] * rows).reshape(n.shape)
 
     @property
     def affine(self) -> bool:
@@ -419,12 +411,12 @@ class OccupationFlow:
     def hole(self) -> "OccupationFlow":
         """The same fermionic flow, written for the complementary occupations
         1 - n (the hole flow of a hole flow is the particle flow)."""
-        return OccupationFlow(self._rates, self.sign, tuple(not h for h in self._hole))
+        return OccupationFlow(self._w, self.sign, tuple(not h for h in self._hole))
 
     def paired(self) -> "OccupationFlow":
         """This flow and its hole flow side by side, on the vector [n, 1 - n]
         of twice the length."""
-        return OccupationFlow(self._rates, self.sign, self._hole + self.hole()._hole)
+        return OccupationFlow(self._w, self.sign, self._hole + tuple(not h for h in self._hole))
 
 
 class HoleFlow(Flow):

@@ -6,7 +6,8 @@ independent of time, f(x) = L x + c.  One classical RK4 step under it is
 exactly x <- x + K x + b, with K = R(hL) - I, R(z) = sum_{k<=4} z^k/k! and
 b = h phi(hL) c, phi(z) = 1 + z/2 + z^2/6 + z^3/24 (Hairer & Wanner,
 *Solving ODEs II*, sec. IV.2), so such a flow on a small state is stepped by
-that map, built once for each step size (:func:`_rk4_map`).
+that map, built for each step size (:func:`_rk4_map`) from one probe of the
+flow (:func:`_affine_parts`).
 
 Positivity is never projected: a state drifting out of the positive cone is a
 signal the diagnostics must show, not an artifact to erase.  The only per-step
@@ -170,19 +171,16 @@ def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarr
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_map(rhs: RHSCallable, t: float, like: np.ndarray,
-             dt: float) -> Callable[[np.ndarray], np.ndarray] | None:
-    """One RK4 step of size ``dt`` under ``rhs`` as a precomputed affine map
-    on states shaped like ``like``, before hermitization; None unless
-    ``rhs.affine`` is true, the state has at most AFFINE_MAX_ENTRIES
-    float-view entries and every entry of the map is finite.
+def _affine_parts(rhs: RHSCallable, t: float,
+                  like: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(L, c)`` with rhs(t, x) = L x + c on the float view of states shaped
+    like ``like``, from n + 1 flow calls; None unless ``rhs.affine`` is true
+    and the state has at most AFFINE_MAX_ENTRIES float-view entries.
 
     The flow is probed on the float-view unit vectors e_k: c = f(0) and
     L e_k = f(e_k) - c.  This needs the flow to be affine over the reals in
     the real and imaginary parts of its state, not complex-linear, so a flow
-    that reads the real part of a diagonal is covered.  The map is built by
-    Horner's rule and applied as the increment v + (K v + b), which keeps the
-    rounding of the step's update small against the state.  Call inside the
+    that reads the real part of a diagonal is covered.  Call inside the
     step's ``np.errstate``."""
     n = like.size * (2 if np.iscomplexobj(like) else 1)
     if not getattr(rhs, "affine", False) or n > AFFINE_MAX_ENTRIES:
@@ -196,6 +194,19 @@ def _rk4_map(rhs: RHSCallable, t: float, like: np.ndarray,
     lin = np.empty((n, n))
     for k in range(n):
         lin[:, k] = flow(unit[k]) - c
+    return lin, c
+
+
+def _rk4_map(lin: np.ndarray, c: np.ndarray,
+             dt: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """One RK4 step of size ``dt`` under the affine flow ``(L, c)`` of
+    :func:`_affine_parts` as a precomputed map on states, before
+    hermitization; None unless every entry of the map is finite.
+
+    The map is built by Horner's rule and applied as the increment
+    v + (K v + b), which keeps the rounding of the step's update small
+    against the state.  Call inside the step's ``np.errstate``."""
+    unit = np.eye(len(c))
     a = dt * lin
     phi = unit + a / 4.0
     phi = unit + (a @ phi) / 3.0
@@ -263,29 +274,43 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
     remainder = span - n_full * spec.dt
     n_steps = n_full + (remainder >= 1e-12 * spec.dt)
     t = spec.t0
-    mapped = None
-    for step in range(1, n_steps + 1):
-        full = step <= n_full
-        dt = spec.dt if full else remainder
+    parts = mapped = None
+    step = 0
+    while step < n_steps:
         # no flow checks its input, so a NaN or Inf in any stage reaches the
         # step's result, which is checked once; overflow on the way is
-        # expected.  The error state is set per step, not around the loop: a
-        # generator suspended inside it would impose it on its consumer.
+        # expected.  The error state is set for the steps between two
+        # yields, not around the loop: a generator suspended inside it would
+        # impose it on its consumer.
         with np.errstate(over="ignore", invalid="ignore"):
-            # built on the first step of each size: the full steps, then the
-            # final partial one
-            if step == 1 or step == n_full + 1:
-                mapped = _rk4_map(spec.rhs, spec.t0, rho, dt)
-            raw = _rk4_raw(rho, spec.rhs, t, dt) if mapped is None else mapped(rho)
-            # taken on every step, recorded or not: the benchmark's tracer
-            # (perfbench/tracing.py) counts steps by these calls
-            defect = hermiticity_defect(raw)
-            rho = 0.5 * (raw + raw.conj().T)
-        if not np.isfinite(rho.view(float)).all():
-            raise IntegrationDivergedError(t)
-        t = spec.t0 + step * spec.dt if full else spec.t1
-        if step % spec.record_every == 0 or step == n_steps:
-            yield t, rho, defect
+            while True:
+                step += 1
+                full = step <= n_full
+                dt = spec.dt if full else remainder
+                # probed once; a map is built on the first step of each
+                # size: the full steps, then the final partial one
+                if step == 1:
+                    parts = _affine_parts(spec.rhs, spec.t0, rho)
+                if parts is not None and (step == 1 or step == n_full + 1):
+                    mapped = _rk4_map(*parts, dt)
+                raw = _rk4_raw(rho, spec.rhs, t, dt) if mapped is None else mapped(rho)
+                # taken on every step, recorded or not: the benchmark's tracer
+                # (perfbench/tracing.py) counts steps by these calls
+                defect = hermiticity_defect(raw)
+                if raw.ndim == 1 and raw.dtype.kind == "f":
+                    # a real vector is its own hermitization, which overflows
+                    # (a divergence) only past DBL_MAX/2
+                    rho = raw
+                    finite = np.abs(raw).max(initial=0.0) < 2.0**1023
+                else:
+                    rho = 0.5 * (raw + raw.conj().T)
+                    finite = np.isfinite(rho.view(float)).all()
+                if not finite:
+                    raise IntegrationDivergedError(t)
+                t = spec.t0 + step * spec.dt if full else spec.t1
+                if step % spec.record_every == 0 or step == n_steps:
+                    break
+        yield t, rho, defect
 
 
 def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajectory:

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from qme import integrator
+from qme.dynamics import NetworkFlow
 from qme.cli import bundled_scenarios, main, resolve_scenario_path
 
 HOSTILE = [
@@ -139,4 +140,23 @@ def test_huge_rates_exit_as_the_plain_rk4_steps_do(name, rate, monkeypatch):
     assert not caught, [str(w.message) for w in caught]
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
     monkeypatch.setattr(integrator, "AFFINE_MAX_ENTRIES", 0)
+    assert _run(raw) == (code, err, [])
+
+
+@pytest.mark.parametrize("rate", [1e308, 1e200, 1e154, 1e100, 1e60, 1e20])
+@pytest.mark.parametrize("name", ["homogeneous_chain", "two_state_boson", "two_state_fermion"])
+def test_huge_rates_on_the_occupation_path_exit_as_the_matrix_run_does(name, rate, monkeypatch):
+    """A diagonal start under a huge rate runs on its occupations and exits
+    with one error line, the one the matrix run gives, and no warning."""
+    raw = copy.deepcopy(SCENARIOS[name])
+    raw["network"]["rates"][0]["rate"] = rate
+    built = []
+    occupation_flow = NetworkFlow.occupation_flow
+    monkeypatch.setattr(NetworkFlow, "occupation_flow",
+                        lambda self, start: built.append(occupation_flow(self, start)) or built[-1])
+    code, err, caught = _run(raw)
+    assert built and built[0] is not None
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    monkeypatch.setattr(NetworkFlow, "occupation_flow", lambda self, start: None)
     assert _run(raw) == (code, err, [])

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ class TestStepRK4:
         rho = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(IntegrationDivergedError, match="t = 0"):
             one_step(rho, lambda t, r: np.full_like(r, 2.5e307), 0.0, 6.0)
+
+    def test_a_population_past_half_the_float_limit_diverges(self):
+        # each step adds 6 * 1.4e307: the first result (8.4e307) lies below
+        # DBL_MAX/2, the second (1.68e308) above it, where hermitizing the
+        # real vector, 0.5 * (raw + raw), overflows; the step diverges there
+        spec = EvolutionSpec(rhs=lambda t, p: np.full_like(p, 1.4e307), t0=0.0, t1=18.0, dt=6.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError, match="t = 6") as info:
+                evolve(spec, np.array([0.5, 0.5]))
+        assert info.value.t == 6.0
 
     def test_divergence_names_the_time(self):
         rho = np.ones((2, 2), dtype=complex)
@@ -551,8 +563,9 @@ def _entries(x) -> int:
 
 
 class TestAffineMap:
-    """An affine flow is stepped by x + (K x + b), K and b built once per step
-    size from n + 1 flow calls; any other flow keeps four calls a step."""
+    """An affine flow is stepped by x + (K x + b), K and b built for each step
+    size from one probe of n + 1 flow calls; any other flow keeps four calls
+    a step."""
 
     @pytest.mark.parametrize("kind", AFFINE_KINDS)
     @pytest.mark.parametrize("t1", [0.05, 0.13], ids=["one_step", "partial_step"])
@@ -564,8 +577,9 @@ class TestAffineMap:
         want = rk4_reference(flow, x, 0.2, 0.2 + t1, 0.05)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        # one map for each step size: a full one, then (t1 = 0.13) a partial one
-        assert spec.rhs.calls == (_entries(x) + 1) * (1 if t1 == 0.05 else 2)
+        # one probe, whose (L, c) builds the map of each step size: a full
+        # one, then (t1 = 0.13) a partial one
+        assert spec.rhs.calls == _entries(x) + 1
 
     @pytest.mark.parametrize("kind", AFFINE_KINDS)
     def test_a_long_window_stays_on_the_rk4_run(self, kind):
