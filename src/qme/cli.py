@@ -833,7 +833,7 @@ def _run_matrix(scenario: Scenario):
     flow = equation.build(scenario)
     dual = equation.dual and scenario.statistics is Statistics.FERMION
     n = _exact_diagonal(initial.matrix)
-    occupations = None if n is None else flow.occupation_flow(n)
+    occupations = None if n is None else flow.occupation_flow()
     duality = None
     if occupations is None:
         traj = evolve(_spec(scenario, flow), initial)

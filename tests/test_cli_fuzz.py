@@ -153,10 +153,10 @@ def test_huge_rates_on_the_occupation_path_exit_as_the_matrix_run_does(name, rat
     built = []
     occupation_flow = NetworkFlow.occupation_flow
     monkeypatch.setattr(NetworkFlow, "occupation_flow",
-                        lambda self, start: built.append(occupation_flow(self, start)) or built[-1])
+                        lambda self: built.append(occupation_flow(self)) or built[-1])
     code, err, caught = _run(raw)
     assert built and built[0] is not None
     assert not caught, [str(w.message) for w in caught]
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
-    monkeypatch.setattr(NetworkFlow, "occupation_flow", lambda self, start: None)
+    monkeypatch.setattr(NetworkFlow, "occupation_flow", lambda self: None)
     assert _run(raw) == (code, err, [])

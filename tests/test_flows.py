@@ -297,7 +297,7 @@ def test_occupation_flow_is_the_diagonal_of_the_matrix_flow_bit_for_bit(stats):
     for d in range(1, 17):
         for _ in range(20):
             flow, n = rand_homogeneous(rng, d, stats)
-            occupations = flow.occupation_flow(n)
+            occupations = flow.occupation_flow()
             pairs = [(flow, occupations, n)]
             if stats is FERMION:
                 pairs.append((flow.hole(), occupations.hole(), 1.0 - n))
@@ -330,7 +330,7 @@ def test_occupation_flow_is_the_reference_expression(stats, hole):
             state = rng.uniform(0.0, 2.0 if stats is BOSON else 1.0, len(hole) * d)
             state[rng.uniform(size=state.size) < 0.2] = 0.0
             state[rng.uniform(size=state.size) < 0.2] = 1.0
-            occupations = flow.occupation_flow(state[:d])
+            occupations = flow.occupation_flow()
             if hole[0]:
                 occupations = occupations.hole()
             if len(hole) == 2:
@@ -349,6 +349,32 @@ def rand_dense_network_flow(rng, d, stats):
     return flow, n
 
 
+@pytest.mark.parametrize("stats", [FERMION, BOSON, None], ids=["fermion", "boson", "linear"])
+def test_occupation_flow_error_scales_with_its_largest_term(stats):
+    """Past d = 16 the gap to the matrix flow's diagonal and to the reference
+    expression can pass TOL * max(1, |f|) (1.4e-14 on dense boson networks
+    at d = 32): every expression rounds at the ulp of its largest term.  It
+    stays below 8 eps * max(1, m), with m = (W x)(1 + x) + x (W^T (1 + x))
+    the size of those terms on a particle row x, W -> W^T on a hole row."""
+    rng = np.random.default_rng([13, 0 if stats is None else stats.sign + 2])
+    sign = 0 if stats is None else stats.sign
+    eps = np.finfo(float).eps
+    for d in (20, 24, 28, 32):
+        for _ in range(10):
+            flow, n = rand_dense_network_flow(rng, d, stats)
+            w = -2.0 * flow._half_w
+            occupations = flow.occupation_flow()
+            rows = [(flow, occupations, n, w, False)]
+            if stats is FERMION:
+                rows.append((flow.hole(), occupations.hole(), 1.0 - n, w.T, True))
+            for matrix_flow, occupation_flow, x, v, hole in rows:
+                bound = 8.0 * eps * np.maximum(1.0, (v @ x) * (1.0 + x) + x * (v.T @ (1.0 + x)))
+                got = occupation_flow(0.0, x)
+                for want in (matrix_flow(0.0, np.diag(x).astype(complex)).diagonal().real,
+                             occupation_rows(w, sign, x, (hole,))):
+                    assert np.all(np.abs(got - want) <= bound)
+
+
 def test_paired_occupation_flow_is_the_particle_and_hole_flows_bit_for_bit():
     """The paired flow on [n, x] is [particle flow at n, hole flow at x], bit
     for bit, at complementary and at unrelated particle and hole states."""
@@ -356,7 +382,7 @@ def test_paired_occupation_flow_is_the_particle_and_hole_flows_bit_for_bit():
     for d in range(1, 17):
         for _ in range(10):
             flow, n = rand_dense_network_flow(rng, d, FERMION)
-            occupations = flow.occupation_flow(n)
+            occupations = flow.occupation_flow()
             paired = occupations.paired()
             for x in (1.0 - n, rng.uniform(0.0, 1.0, d)):
                 particle, hole = occupations(0.0, n), occupations.hole()(0.0, x)
@@ -369,30 +395,29 @@ def test_paired_occupation_flow_is_the_particle_and_hole_flows_bit_for_bit():
 
 def test_occupation_flow_declined_where_a_diagonal_state_can_leave_the_diagonal():
     net = TransitionNetwork.computational(2, {(1, 0): 1.0})
-    n = np.array([0.7, 0.2])
     zero = np.zeros((2, 2))
-    assert NetworkFlow(np.diag([0.0, 1.0]), net, FERMION).occupation_flow(n) is not None
+    assert NetworkFlow(np.diag([0.0, 1.0]), net, FERMION).occupation_flow() is not None
     # an off-diagonal or a complex diagonal H entry
-    assert NetworkFlow([[0.0, 0.1], [0.1, 1.0]], net, FERMION).occupation_flow(n) is None
-    assert NetworkFlow(np.diag([1e-12j, 0.0]), net, FERMION).occupation_flow(n) is None
+    assert NetworkFlow([[0.0, 0.1], [0.1, 1.0]], net, FERMION).occupation_flow() is None
+    assert NetworkFlow(np.diag([1e-12j, 0.0]), net, FERMION).occupation_flow() is None
     # orbitals other than the computational basis
     rotated = TransitionNetwork(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), {(1, 0): 1.0})
-    assert NetworkFlow(zero, rotated, FERMION).occupation_flow(n) is None
-    # a -0.0 occupation is accepted: the two paths agree to rounding, not bit
-    # for bit, whatever the sign of a zero
-    assert NetworkFlow(zero, net, FERMION).occupation_flow(np.array([0.7, -0.0])) is not None
-    assert JumpFlow(zero, rank_one_jumps(net), FERMION).occupation_flow(n) is None
-    assert OperatorFlow(zero, zero, zero, FERMION).occupation_flow(n) is None
+    assert NetworkFlow(zero, rotated, FERMION).occupation_flow() is None
+    # a -0.0 occupation needs no exclusion: it flows as +0.0 does
+    occupations = NetworkFlow(zero, net, FERMION).occupation_flow()
+    assert np.array_equal(occupations(0.0, np.array([0.7, -0.0])), occupations(0.0, np.array([0.7, 0.0])))
+    assert JumpFlow(zero, rank_one_jumps(net), FERMION).occupation_flow() is None
+    assert OperatorFlow(zero, zero, zero, FERMION).occupation_flow() is None
     for pairing in ("hole", "paired"):
         with pytest.raises(ValueError, match="fermions only"):
-            getattr(NetworkFlow(zero, net, BOSON).occupation_flow(n), pairing)()
+            getattr(NetworkFlow(zero, net, BOSON).occupation_flow(), pairing)()
 
 
 def test_occupation_flow_whose_out_rates_overflow_is_built_without_a_warning():
     # two rates of 1e308 out of orbital 0 sum to inf: the flow is built, and
     # its value is not finite, which a run reports as a divergence
     net = TransitionNetwork.computational(3, {(1, 0): 1e308, (2, 0): 1e308})
-    flow = NetworkFlow(np.zeros((3, 3)), net, FERMION).occupation_flow(np.zeros(3))
+    flow = NetworkFlow(np.zeros((3, 3)), net, FERMION).occupation_flow()
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(flow(0.0, np.array([0.5, 0.2, 0.1]))).all()
 
@@ -403,7 +428,7 @@ def test_quasiclassical_flow_is_a_flow_on_occupations(stats):
     flow = QuasiclassicalFlow(net, stats)
     f = np.array([0.9, 1.2, -0.1])
     clipped = np.clip(f, 0.0, 1.0 if stats is FERMION else None)
-    assert flow.occupation_flow(f) is flow
+    assert flow.occupation_flow() is flow
     assert np.array_equal(flow(0.0, f), rhs_quasiclassical(clipped, net.rate_matrix(), stats))
 
 

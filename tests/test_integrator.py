@@ -509,7 +509,7 @@ def affine_case(kind):
         return flow, DensityMatrix(inst["rho"], stats or BOSON)
     if kind == "occupations":
         flow, n = rand_homogeneous(rng, 4, None)
-        return flow.occupation_flow(n), n
+        return flow.occupation_flow(), n
     if kind == "populations":
         model = FockModel(BOSON, (0.0, 0.6, 1.1), {(1, 0): 0.7, (0, 1): 0.3, (2, 1): 0.5},
                           boson_cutoff=2)
@@ -607,7 +607,7 @@ class TestAffineMap:
             assert flow.affine and _entries(x) > AFFINE_MAX_ENTRIES
         elif kind == "paired_occupations":
             particle, n = rand_homogeneous(rng, 3, FERMION)
-            flow, x = particle.occupation_flow(n).paired(), np.concatenate((n, 1.0 - n))
+            flow, x = particle.occupation_flow().paired(), np.concatenate((n, 1.0 - n))
         else:
             inst = rand_instance(rng, 3, FERMION, "computational")
             flow = build_flow(kind.removesuffix("_hole"), FERMION, inst)
