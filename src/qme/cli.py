@@ -859,12 +859,13 @@ def _run_matrix(scenario: Scenario):
 def _run_fock(scenario: Scenario):
     """(reduced one-particle trajectory, None, extra summary fields): the start
     populations integrated under ``model.populations``.  The coherent flow is
-    evaluated once, on their diagonal matrix, and the population flow must
-    equal its diagonal there up to roundoff."""
+    evaluated once, on the populations themselves, which gives its diagonal
+    on their diagonal state with no D x D object; the population flow must
+    equal it there up to roundoff."""
     p0, model = start_state(scenario)
     closure = closure_residual_at_t0(model, p0)
     flow = model.populations
-    coherent = np.diag(rhs_fock_lindblad(model, np.diag(p0))).real
+    coherent = rhs_fock_lindblad(model, p0)
     gap = float(np.abs(flow(scenario.t0, p0) - coherent).max())
     if gap > 1e-12 * flow.rate.sum():
         raise ValueError(

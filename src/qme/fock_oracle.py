@@ -216,27 +216,50 @@ class FockFlow:
 
     The gain moves entry (i_k, i_k') of rho to (j_k, j_k') with weight
     a_k conj(a_k'), for each pair of nonzeros of one jump.  These pairs are
-    stored once as flat ``src``/``dst`` indices into ``rho.ravel()`` and a
+    stored as flat ``src``/``dst`` indices into ``rho.ravel()`` and a
     ``coef`` array, so a call is one gather and one scatter (one ``bincount``
-    over the real and imaginary parts), with no matrix product.
+    over the real and imaginary parts), with no matrix product.  The pair
+    tables and ``decay`` are built on the first matrix call.
+
+    A 1-D ``rho`` is the populations p of a diagonal state, and a call
+    returns the flow's diagonal on diag(p), bit for bit: the gain
+    |a_k|^2 p[i_k] into j_k, summed in jump order, less the drain d_i p_i
+    ((d_i + d_i)/2 is d_i exactly).  It reads the jumps' nonzeros only and
+    forms no D x D object.
     """
 
     def __init__(self, energies: np.ndarray, jumps):
         d = self.dim = len(energies)
-        drain = np.zeros(d)
-        src, dst, coef = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
+        self._energies, self._jumps = energies, jumps
+        self._drain = np.zeros(d)
+        src, dst, rate = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
         for i, j, a in jumps:
-            drain += np.bincount(i, np.abs(a) ** 2, minlength=d)
+            self._drain += np.bincount(i, np.abs(a) ** 2, minlength=d)
+            src.append(i)
+            dst.append(j)
+            rate.append((a * np.conj(a)).real)
+        self._src, self._dst, self._rate = np.concatenate(src), np.concatenate(dst), np.concatenate(rate)
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(decay, src, dst, coef)`` of the matrix path, ``dst`` interleaved
+        for :func:`_scatter`."""
+        d, drain, energies = self.dim, self._drain, self._energies
+        src, dst, coef = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
+        for i, j, a in self._jumps:
             src.append((i[:, None] * d + i).ravel())
             dst.append((j[:, None] * d + j).ravel())
             coef.append(np.outer(a, np.conj(a)).ravel())
-        self._decay = -1j * (energies[:, None] - energies) - 0.5 * (drain[:, None] + drain)
-        self._src, self._coef = np.concatenate(src), np.concatenate(coef)
-        self._dst = _interleave(np.concatenate(dst))
+        decay = -1j * (energies[:, None] - energies) - 0.5 * (drain[:, None] + drain)
+        return decay, np.concatenate(src), _interleave(np.concatenate(dst)), np.concatenate(coef)
 
     def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
-        gain = _scatter(self._dst, self._coef * rho.ravel()[self._src], rho.size)
-        return self._decay * rho + gain.reshape(rho.shape)
+        if rho.ndim == 1:
+            gain = np.bincount(self._dst, self._rate * rho[self._src], minlength=self.dim)
+            return gain - self._drain * rho
+        decay, src, dst, coef = self._pairs
+        gain = _scatter(dst, coef * rho.ravel()[src], rho.size)
+        return decay * rho + gain.reshape(rho.shape)
 
     @property
     def affine(self) -> bool:
@@ -323,8 +346,12 @@ def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
 
     with H = sum_n e_n c_n^dag c_n and the jumps A = sqrt(w) c_dest^dag c_src
     of the model's rates: the :class:`FockFlow` of ``model.flow``.  Hermitian
-    and traceless; the jumps conserve total particle number.
+    and traceless; the jumps conserve total particle number.  A 1-D ``rho_s``
+    is the populations p of a diagonal state, and gives their derivative, the
+    diagonal of the flow on diag(p).
     """
+    if np.ndim(rho_s) == 1:
+        return model.flow(0.0, _populations(model, rho_s))
     rho_s = as_square_matrix(rho_s, "rho_s")
     _check_fock_dim(model, rho_s.shape[0])
     return model.flow(0.0, rho_s)
@@ -335,6 +362,22 @@ def _check_fock_dim(model: FockModel, dim: int) -> None:
         raise ValueError(f"dimension mismatch: state dim {dim} vs Fock dim {model.fock_dim}")
 
 
+def _populations(model: FockModel, rho_s) -> np.ndarray:
+    """A 1-D ``rho_s`` as the float populations of a diagonal state of the
+    model.  Entries with an imaginary part, or not finite, are refused, not
+    coerced; negative ones pass, since a derivative ``flow(0, p)`` has them."""
+    p = np.asarray(rho_s)
+    if np.iscomplexobj(p):
+        if np.any(p.imag != 0):
+            raise ValueError("rho_s: populations must be real, got complex entries")
+        p = p.real
+    p = p.astype(float, copy=False)
+    _check_fock_dim(model, p.shape[0])
+    if not np.isfinite(p).all():
+        raise ValueError("rho_s: entries must be finite (no NaN/Inf)")
+    return p
+
+
 def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
     """One-particle density matrix: rho_p[n, n'] = Tr(c_n^dag c_n' rho_s).
 
@@ -342,9 +385,7 @@ def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
     to the diagonal matrix of the mean occupations ``occupancies.T @ p``.
     """
     if np.ndim(rho_s) == 1:
-        p = np.asarray(rho_s, dtype=float)
-        _check_fock_dim(model, p.shape[0])
-        return np.diag(model.occupancies.T @ p).astype(complex)
+        return np.diag(model.occupancies.T @ _populations(model, rho_s)).astype(complex)
     rho_s = as_square_matrix(rho_s, "rho_s")
     _check_fock_dim(model, rho_s.shape[0])
     slots, index, values = model.one_particle_entries
@@ -356,10 +397,13 @@ def is_product_diagonal(model: FockModel, rho_s, tol: float = 1e-12) -> bool:
     """True when rho_s is diagonal in the occupation basis and its joint
     occupancy distribution factorizes over modes.  A 1-D ``rho_s`` is the
     populations of a diagonal state."""
-    rho_s = np.asarray(rho_s, dtype=complex)
-    if rho_s.ndim == 2 and np.abs(rho_s - np.diag(np.diag(rho_s))).max() > tol:
-        return False
-    probs = (rho_s if rho_s.ndim == 1 else np.diag(rho_s)).real
+    if np.ndim(rho_s) == 1:
+        probs = _populations(model, rho_s)
+    else:
+        rho_s = np.asarray(rho_s, dtype=complex)
+        if np.abs(rho_s - np.diag(np.diag(rho_s))).max() > tol:
+            return False
+        probs = np.diag(rho_s).real
     occ = model.occupancies
     marginals = [np.bincount(column, weights=probs, minlength=model.level_dim) for column in occ.T]
     expected = np.prod([m[column] for m, column in zip(marginals, occ.T)], axis=0)
@@ -370,10 +414,9 @@ def cutoff_contamination(model: FockModel, rho_s) -> float:
     """Total population in basis states with any mode at the boson cutoff,
     from a density matrix or the populations (1-D) of a diagonal one.
     Runs with >= 1% contamination are not trustworthy near the cutoff."""
+    probs = _populations(model, rho_s) if np.ndim(rho_s) == 1 else np.diag(np.asarray(rho_s)).real
     if model.statistics is Statistics.FERMION:
         return 0.0
-    rho_s = np.asarray(rho_s)
-    probs = (rho_s if rho_s.ndim == 1 else np.diag(rho_s)).real
     at_cutoff = (model.occupancies >= model.boson_cutoff).any(axis=1)
     return float(np.sum(np.maximum(probs, 0.0), where=at_cutoff))
 
@@ -388,9 +431,11 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
     issued and the residual quantifies the closure error.  Populations p (a
     1-D ``rho_s``) take their exact derivative from ``model.populations(0, p)``.
     """
-    rho_s = np.asarray(rho_s, dtype=float) if np.ndim(rho_s) == 1 else as_square_matrix(rho_s, "rho_s")
-    _check_fock_dim(model, rho_s.shape[0])
-    flow = model.populations if rho_s.ndim == 1 else model.flow
+    if np.ndim(rho_s) == 1:
+        rho_s, flow = _populations(model, rho_s), model.populations
+    else:
+        rho_s, flow = as_square_matrix(rho_s, "rho_s"), model.flow
+        _check_fock_dim(model, rho_s.shape[0])
     exact = np.diag(reduce_one_particle(model, flow(0.0, rho_s))).real
     if not is_product_diagonal(model, rho_s, tol=1e-10):
         warnings.warn(

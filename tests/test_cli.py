@@ -607,8 +607,11 @@ class TestFockPopulationPath:
         assert [len(seen) for seen in calls.values()] == [1, 1]
         (model, p0), = calls["closure_residual_at_t0"]
         assert p0.shape == (model.fock_dim,) and p0.dtype == float
-        # the one D x D object on the population path is the t0 guard's
-        assert np.array_equal(calls["rhs_fock_lindblad"][0][1], np.diag(p0))
+        # the t0 guard reads the populations themselves: no D x D object, and
+        # the coherent flow's pair tables are never built
+        (_, guarded), = calls["rhs_fock_lindblad"]
+        assert guarded is p0
+        assert "_pairs" not in vars(model.flow)
         assert "one_particle_entries" not in vars(model)
 
     def test_corrupted_population_table_is_refused(self, monkeypatch, tmp_path, capsys):
@@ -798,39 +801,50 @@ def _numbers_close(a, b, tol: float) -> bool:
     return True
 
 
-@pytest.mark.parametrize("name", ["homogeneous_chain", "two_state_fermion", "two_state_boson",
-                                  "markoff_diagonal", "dense_fermion"])
-def test_occupation_run_writes_the_matrix_run_bytes(name, tmp_path, monkeypatch):
-    """A diagonal start under a homogeneous flow runs on its occupations and
-    writes what the matrix run writes, byte for byte; the summary differs in
-    its wall time only.  Two cases agree to rounding instead: on a network
-    with every rate present the occupation flow's quadratic form sums in
-    another order than the matrix flow, and the linear markoff flow steps by
-    an RK4 map on d occupations against one on 2d^2 matrix entries.  There
-    the states, diagnostics and summary numbers of the two runs agree to
-    1e-14, and each run repeats byte for byte."""
-    overrides = ["t1=0.5"]
-    extra = {"markoff_diagonal": MARKOFF_DIAGONAL, "dense_fermion": DENSE_FERMION}
-    path = write_scenario(tmp_path, extra[name]) if name in extra else name
-    starts = _particle_starts(monkeypatch)
-    rounding = name in extra
-
+def _occupation_and_matrix_outputs(path, tmp_path, monkeypatch, repeat):
+    """The outputs of ``path`` run on its occupations and then with
+    ``NetworkFlow.occupation_flow`` off (the matrix path), t1 = 0.5: the
+    states and diagnostics bytes and the summary less its wall time.  With
+    ``repeat`` each run is made twice and must repeat byte for byte."""
     def outputs(folder):
-        assert run(path, overrides=overrides, out_dir=str(folder), quiet=True) == 0
+        assert run(path, overrides=["t1=0.5"], out_dir=str(folder), quiet=True) == 0
         summary = json.loads((folder / "summary.json").read_text(encoding="utf-8"))
         del summary["wall_time_s"]
         return [(folder / f).read_bytes() for f in ("states.csv", "diagnostics.csv")], summary
 
     on_occupations = outputs(tmp_path / "occupations")
-    if rounding:
+    if repeat:
         assert outputs(tmp_path / "occupations_again") == on_occupations
     monkeypatch.setattr(NetworkFlow, "occupation_flow", lambda self: None)
     on_matrix = outputs(tmp_path / "matrix")
-    if not rounding:
-        assert on_matrix == on_occupations
-        assert starts == [True, False]
-        return
-    assert outputs(tmp_path / "matrix_again") == on_matrix
+    if repeat:
+        assert outputs(tmp_path / "matrix_again") == on_matrix
+    return on_occupations, on_matrix
+
+
+@pytest.mark.parametrize("name", ["homogeneous_chain", "two_state_fermion", "two_state_boson"])
+def test_occupation_run_writes_the_matrix_run_bytes(name, tmp_path, monkeypatch):
+    """A diagonal start under a homogeneous flow runs on its occupations and
+    writes what the matrix run writes, byte for byte; the summary differs in
+    its wall time only."""
+    starts = _particle_starts(monkeypatch)
+    on_occupations, on_matrix = _occupation_and_matrix_outputs(name, tmp_path, monkeypatch, False)
+    assert on_matrix == on_occupations
+    assert starts == [True, False]
+
+
+@pytest.mark.parametrize("name", ["markoff_diagonal", "dense_fermion"])
+def test_occupation_run_matches_the_matrix_run_to_1e_14(name, tmp_path, monkeypatch):
+    """Two diagonal starts whose occupation run agrees with the matrix run to
+    rounding: on a network with every rate present the occupation flow's
+    quadratic form sums in another order than the matrix flow, and the
+    linear markoff flow steps by an RK4 map on d occupations against one on
+    2d^2 matrix entries.  There the states, diagnostics and summary numbers
+    of the two runs agree to 1e-14, and each run repeats byte for byte."""
+    raw = {"markoff_diagonal": MARKOFF_DIAGONAL, "dense_fermion": DENSE_FERMION}[name]
+    path = write_scenario(tmp_path, raw)
+    starts = _particle_starts(monkeypatch)
+    on_occupations, on_matrix = _occupation_and_matrix_outputs(path, tmp_path, monkeypatch, True)
     assert starts == [True, True, False, False]
     for a, b in zip(on_matrix[0], on_occupations[0]):
         assert a.splitlines()[0] == b.splitlines()[0]
@@ -901,6 +915,29 @@ def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):
     header, rows = read_csv(tmp_path / "o" / "diagnostics.csv")
     assert header[-1] == "duality_residual" and len(rows) == 76
     assert peak < 2 * 76 * 16 * d**2
+
+
+def test_oracle_run_peak_memory_holds_no_many_body_matrix(tmp_path):
+    """A 4-mode boson oracle run at cutoff 4 (D = 625) through ``run`` peaks
+    below 5 MB, under the 6.25 MB of one D x D complex state: its populations,
+    transition tables and t0 guard are all of size D or of the transition
+    count."""
+    raw = _bundled_raw("fock_closure_2mode", "t1=0.05", "dt=0.01", "record_every=1")
+    rates = [{"from": s, "to": t, "rate": 0.2 + 0.1 * (s + 2 * t)}
+             for s in range(4) for t in range(4) if s != t]
+    raw.update(statistics="boson", dimension=4, initial={"occupations": [2.0, 1.0, 0.0, 1.0]},
+               fock={"energies": [0.0, 0.5, 0.9, 1.4], "boson_cutoff": 4}, network={"rates": rates})
+    path = write_scenario(tmp_path, raw)
+    tracemalloc.start()
+    try:
+        code = run(path, out_dir=str(tmp_path / "o"), quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["equation"] == "fock_oracle" and len(summary["final_spectrum"]) == 4
+    assert peak < 5e6
 
 
 #: A valid value for every parameter group at dimension 2.

@@ -286,7 +286,7 @@ def close(got: np.ndarray, want: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize("stats", [FERMION, BOSON, None], ids=["fermion", "boson", "linear"])
-def test_occupation_flow_is_the_diagonal_of_the_matrix_flow_bit_for_bit(stats):
+def test_occupation_flow_is_the_diagonal_of_the_matrix_flow_to_rounding(stats):
     """On a diagonal state the matrix flow's off-diagonal entries are exactly
     0 and its diagonal is the occupation flow's to TOL (relative to
     max(1, |f|)): the particle flow and, for fermions, the hole flow at

@@ -289,6 +289,106 @@ def coherent_diagonal(model, p):
     return np.diag(out).real
 
 
+#: A product start for every model of REFERENCE_MODELS.
+PRODUCT_STARTS = {**POPULATION_STARTS, "fermion_3": [0.8, 0.3, 0.55]}
+
+
+def fresh(model):
+    """An equal model with nothing cached yet."""
+    return FockModel(model.statistics, model.energies, model.rates, model.boson_cutoff)
+
+
+class TestFockFlowOnPopulations:
+    """A 1-D state is the populations p of a diagonal state: the flow returns
+    its diagonal on diag(p) from the jumps' nonzeros alone."""
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_is_the_matrix_diagonal_bit_for_bit(self, name):
+        model = REFERENCE_MODELS[name]
+        rng = np.random.default_rng(model.fock_dim + 11)
+        starts = [product_populations(model, PRODUCT_STARTS[name])]
+        starts += [rng.dirichlet(np.ones(model.fock_dim)) for _ in range(4)]
+        for p in starts:
+            out = model.flow(0.0, p)
+            assert out.shape == (model.fock_dim,) and out.dtype == float
+            assert np.array_equal(out, np.diag(model.flow(0.0, np.diag(p))).real)
+            assert np.array_equal(rhs_fock_lindblad(model, p), out)
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_builds_no_pair_table(self, name):
+        model = fresh(REFERENCE_MODELS[name])
+        p = product_populations(model, PRODUCT_STARTS[name])
+        rhs_fock_lindblad(model, p)
+        model.flow(0.0, p)
+        assert "_pairs" not in vars(model.flow)
+        rhs_fock_lindblad(model, np.diag(p))
+        assert "_pairs" in vars(model.flow)
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_matrix_calls_after_it_match_the_reference(self, name):
+        model = fresh(REFERENCE_MODELS[name])
+        model.flow(0.0, product_populations(model, PRODUCT_STARTS[name]))
+        h, jumps = fock_hamiltonian(model), fock_jump_operators(model)
+        rng = np.random.default_rng(model.fock_dim + 3)
+        for _ in range(3):
+            rho = random_density_matrix(rng, model.fock_dim)
+            assert np.abs(rhs_fock_lindblad(model, rho) - dense_lindblad(h, jumps, rho)).max() <= 1e-14
+
+    def test_complex_jumps_weigh_by_their_modulus(self):
+        # the gain of a complex amplitude a is |a|^2 = a conj(a)
+        energies = np.array([0.0, 0.3, 1.1])
+        flow = FockFlow(energies, [(np.array([0, 2]), np.array([1, 0]), np.array([0.6j, 0.3 - 0.4j]))])
+        p = np.array([0.5, 0.2, 0.3])
+        assert np.array_equal(flow(0.0, p), np.diag(flow(0.0, np.diag(p).astype(complex))).real)
+        assert np.allclose(flow(0.0, p), [0.25 * 0.3 - 0.36 * 0.5, 0.36 * 0.5, -0.25 * 0.3])
+
+
+#: The entry points that read a 1-D state as populations.
+POPULATION_ENTRY_POINTS = {
+    "rhs_fock_lindblad": rhs_fock_lindblad,
+    "reduce_one_particle": reduce_one_particle,
+    "closure_residual_at_t0": closure_residual_at_t0,
+    "is_product_diagonal": is_product_diagonal,
+    "cutoff_contamination": cutoff_contamination,
+}
+
+
+class TestPopulationInput:
+    @pytest.mark.parametrize("entry", POPULATION_ENTRY_POINTS.values(), ids=POPULATION_ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("statistics", [FERMION, BOSON])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(0.25 + 0.01j, "rho_s: populations must be real"),
+         (np.nan, "rho_s: entries must be finite"),
+         (np.inf, "rho_s: entries must be finite"),
+         (-np.inf, "rho_s: entries must be finite")],
+        ids=["complex", "nan", "inf", "minus_inf"],
+    )
+    def test_refused_not_coerced(self, entry, statistics, bad, message):
+        model = FockModel(statistics, (0.0, 1.0), {(1, 0): 1.0}, boson_cutoff=1)
+        p = np.full(4, 0.25, dtype=complex if isinstance(bad, complex) else float)
+        p[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                entry(model, p)
+            with pytest.raises(ValueError, match=message):
+                entry(model, p.tolist())
+
+    def test_real_complex_and_negative_entries_pass(self):
+        # a complex array with no imaginary part is its real part; a derivative
+        # has negative entries and still reduces
+        model = REFERENCE_MODELS["fermion_4"]
+        p = product_populations(model, POPULATION_STARTS["fermion_4"])
+        for entry in POPULATION_ENTRY_POINTS.values():
+            assert np.array_equal(entry(model, p.astype(complex)), entry(model, p))
+        deriv = model.flow(0.0, p)
+        assert (deriv < 0).any()
+        assert np.array_equal(reduce_one_particle(model, deriv),
+                              np.diag(model.occupancies.T @ deriv).astype(complex))
+        assert closure_residual_at_t0(model, p) <= 1e-15
+
+
 class TestPopulationFlow:
     @pytest.mark.parametrize("name", POPULATION_STARTS)
     def test_equals_the_coherent_diagonal(self, name):
@@ -536,8 +636,14 @@ class TestExactEvolution:
         with pytest.raises(ValueError, match="dimension mismatch"):
             rhs_fock_lindblad(model, np.eye(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
+            rhs_fock_lindblad(model, np.ones(3) / 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
             reduce_one_particle(model, np.eye(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
             reduce_one_particle(model, np.ones(3) / 3)
         with pytest.raises(ValueError, match="dimension mismatch"):
             closure_residual_at_t0(model, np.ones(3) / 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            is_product_diagonal(model, np.ones(3) / 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cutoff_contamination(model, np.ones(3) / 3)
