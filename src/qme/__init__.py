@@ -22,7 +22,6 @@ from .dynamics import (
     JumpFlow,
     NetworkFlow,
     OperatorFlow,
-    QuasiclassicalFlow,
     TransitionNetwork,
     build_relaxation_operators,
     hole_transform,

@@ -42,7 +42,6 @@ from .dynamics import (
     JumpFlow,
     NetworkFlow,
     OperatorFlow,
-    QuasiclassicalFlow,
     Statistics,
     TransitionNetwork,
     _index_pair,
@@ -89,8 +88,9 @@ class _Equation:
     #: parameter groups the equation requires / additionally accepts
     required: tuple[str, ...]
     optional: tuple[str, ...] = ()
-    #: starts from an occupation vector and builds a Hamiltonian-free flow,
-    #: so a "hamiltonian" key is an extra and gets rejected
+    #: starts from an occupation vector and builds a Hamiltonian-free flow
+    #: that reads only the network's rates, so a "hamiltonian" key and a
+    #: "network.basis" are extras and get rejected
     occupations: bool = False
     #: fermion runs co-evolve the hole flow ``flow.hole()`` for the duality
     #: residual: streamed beside a matrix run, in the same vector as the
@@ -116,8 +116,9 @@ _EQUATIONS: dict[str, _Equation] = {
         s.hamiltonian, s.network, None, s.dephasing)),
     "lindblad": _Equation(("jump_operators",), build=lambda s: JumpFlow(
         s.hamiltonian, s.jump_operators, None)),
-    "quasiclassical": _Equation(("network",), occupations=True, build=lambda s: QuasiclassicalFlow(
-        s.network, s.statistics)),
+    # the nonlinear_master flow with no Hamiltonian, which runs on the occupations
+    "quasiclassical": _Equation(("network",), occupations=True, build=lambda s: NetworkFlow(
+        np.zeros((s.dimension, s.dimension)), s.network, s.statistics)),
     "fock_oracle": _Equation(("fock", "network"), occupations=True),
 }
 
@@ -460,6 +461,10 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError('hamiltonian: expected "zero", {"diagonal": ...} or {"matrix": ...}')
 
     network = _parse_network(raw["network"], dimension) if "network" in raw else None
+    # both occupation equations require the network, so it is a parsed object here
+    if rules.occupations and "basis" in raw["network"]:
+        raise ScenarioError(f"network.basis: not accepted by equation {equation!r}, "
+                            "which reads only the rates")
     dephasing = _parse_dephasing(raw["dephasing"]) if "dephasing" in raw else None
     if dephasing is not None:
         for (a, b) in dephasing.gamma:

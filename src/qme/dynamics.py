@@ -51,7 +51,6 @@ __all__ = [
     "JumpFlow",
     "HoleFlow",
     "OccupationFlow",
-    "QuasiclassicalFlow",
     "rank_one_jumps",
     "hole_transform",
     "build_relaxation_operators",
@@ -448,29 +447,6 @@ class HoleFlow(Flow):
         return self._particle.affine
 
 
-def _kinetics(f: np.ndarray, w: np.ndarray, sign: int) -> np.ndarray:
-    blocked = 1 + sign * f
-    return blocked * (w @ f) - f * (w.T @ blocked)
-
-
-class QuasiclassicalFlow:
-    """Occupation kinetics (:func:`rhs_quasiclassical`) of a network's rates
-    on a vector of occupations.  The occupations are clipped to the physical
-    range (at most 1 for fermions) before each evaluation."""
-
-    def __init__(self, net: TransitionNetwork, statistics: Statistics):
-        self._w = net.rate_matrix()
-        self.sign = statistics.sign
-        self._cap = 1.0 if statistics is Statistics.FERMION else None
-
-    def __call__(self, t: float, f: np.ndarray) -> np.ndarray:
-        return _kinetics(np.clip(f, 0.0, self._cap), self._w, self.sign)
-
-    def occupation_flow(self) -> "QuasiclassicalFlow":
-        """Itself: it is a flow on occupations already."""
-        return self
-
-
 def hole_transform(rho: DensityMatrix) -> DensityMatrix:
     """Complement a fermionic state: occupied orbitals become vacancies,
     rho -> I - rho.  An involution."""
@@ -531,6 +507,8 @@ def rhs_quasiclassical(f, w, statistics: Statistics) -> np.ndarray:
         df[p]/dt = sum_q w[p,q] (1 + s*f[p]) f[q] - sum_q w[q,p] (1 + s*f[q]) f[p],
 
     where w[dest, src] is the src -> dest rate.  The derivatives sum to zero.
+    The arguments are checked, then evaluated by :class:`OccupationFlow`, the
+    flow of every homogeneous network run on its occupations.
     """
     f = np.asarray(f, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -548,4 +526,4 @@ def rhs_quasiclassical(f, w, statistics: Statistics) -> np.ndarray:
         raise ValueError("occupations: negative occupation")
     if statistics is Statistics.FERMION and np.any(f > 1):
         raise ValueError("occupations: fermion occupation exceeds 1")
-    return _kinetics(f, w, statistics.sign)
+    return OccupationFlow(w, statistics.sign)(0.0, f)

@@ -352,14 +352,20 @@ def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
     """
     if np.ndim(rho_s) == 1:
         return model.flow(0.0, _populations(model, rho_s))
-    rho_s = as_square_matrix(rho_s, "rho_s")
-    _check_fock_dim(model, rho_s.shape[0])
-    return model.flow(0.0, rho_s)
+    return model.flow(0.0, _matrix(model, rho_s))
 
 
 def _check_fock_dim(model: FockModel, dim: int) -> None:
     if dim != model.fock_dim:
         raise ValueError(f"dimension mismatch: state dim {dim} vs Fock dim {model.fock_dim}")
+
+
+def _matrix(model: FockModel, rho_s) -> np.ndarray:
+    """A 2-D ``rho_s`` as a finite, square complex matrix of the model's Fock
+    dimension; anything else is refused with a ``ValueError``."""
+    rho_s = as_square_matrix(rho_s, "rho_s")
+    _check_fock_dim(model, rho_s.shape[0])
+    return rho_s
 
 
 def _populations(model: FockModel, rho_s) -> np.ndarray:
@@ -386,8 +392,7 @@ def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
     """
     if np.ndim(rho_s) == 1:
         return np.diag(model.occupancies.T @ _populations(model, rho_s)).astype(complex)
-    rho_s = as_square_matrix(rho_s, "rho_s")
-    _check_fock_dim(model, rho_s.shape[0])
+    rho_s = _matrix(model, rho_s)
     slots, index, values = model.one_particle_entries
     m = model.modes
     return _scatter(slots, values * rho_s.ravel()[index], m * m).reshape(m, m)
@@ -400,7 +405,7 @@ def is_product_diagonal(model: FockModel, rho_s, tol: float = 1e-12) -> bool:
     if np.ndim(rho_s) == 1:
         probs = _populations(model, rho_s)
     else:
-        rho_s = np.asarray(rho_s, dtype=complex)
+        rho_s = _matrix(model, rho_s)
         if np.abs(rho_s - np.diag(np.diag(rho_s))).max() > tol:
             return False
         probs = np.diag(rho_s).real
@@ -414,7 +419,7 @@ def cutoff_contamination(model: FockModel, rho_s) -> float:
     """Total population in basis states with any mode at the boson cutoff,
     from a density matrix or the populations (1-D) of a diagonal one.
     Runs with >= 1% contamination are not trustworthy near the cutoff."""
-    probs = _populations(model, rho_s) if np.ndim(rho_s) == 1 else np.diag(np.asarray(rho_s)).real
+    probs = _populations(model, rho_s) if np.ndim(rho_s) == 1 else _matrix(model, rho_s).diagonal().real
     if model.statistics is Statistics.FERMION:
         return 0.0
     at_cutoff = (model.occupancies >= model.boson_cutoff).any(axis=1)
@@ -434,8 +439,7 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
     if np.ndim(rho_s) == 1:
         rho_s, flow = _populations(model, rho_s), model.populations
     else:
-        rho_s, flow = as_square_matrix(rho_s, "rho_s"), model.flow
-        _check_fock_dim(model, rho_s.shape[0])
+        rho_s, flow = _matrix(model, rho_s), model.flow
     exact = np.diag(reduce_one_particle(model, flow(0.0, rho_s))).real
     if not is_product_diagonal(model, rho_s, tol=1e-10):
         warnings.warn(

@@ -34,6 +34,7 @@ from qme.fock_oracle import (
     reduce_one_particle,
 )
 from qme.dynamics import NetworkFlow, OccupationFlow, Statistics, hole_transform
+from occupation_reference import occupation_row
 from qme.integrator import Trajectory, evolve, snapshots
 from qme.operators import DensityMatrix
 
@@ -127,6 +128,29 @@ class TestParsing:
         )
         with pytest.raises(ScenarioError, match="hamiltonian.*not accepted"):
             scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("equation, extra", [
+        ("quasiclassical", {}),
+        ("fock_oracle", {"fock": {"energies": [0.0, 1.0]}}),
+    ])
+    def test_network_basis_rejected_for_occupation_equations(self, tmp_path, capsys, equation, extra):
+        # both read only the rates: a basis would be ignored, not used
+        raw = minimal_scenario(
+            equation=equation,
+            initial={"occupations": [1.0, 0.0]},
+            network={"rates": [{"from": 0, "to": 1, "rate": 1.0}],
+                     "basis": [[0.5**0.5, 0.5**0.5], [0.5**0.5, -(0.5**0.5)]]},
+            **extra,
+        )
+        with pytest.raises(ScenarioError, match="^network.basis: not accepted"):
+            scenario_from_dict(raw)
+        path = write_scenario(tmp_path, raw)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: network.basis: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        del raw["network"]["basis"]
+        assert scenario_from_dict(raw).network.rates == {(1, 0): 1.0}
 
     def test_bad_statistics(self):
         with pytest.raises(ScenarioError, match="statistics"):
@@ -281,27 +305,32 @@ class TestRun:
 
     def test_homogeneous_chain_matches_quasiclassical_run(self, tmp_path):
         # diagonal everything: the matrix run's populations equal the
-        # occupation-kinetics run's, column by column
+        # occupation-kinetics run's, column by column, and both follow the
+        # kinetics of tests/occupation_reference.py integrated by scipy
         chain_out = tmp_path / "chain"
         assert run("homogeneous_chain", overrides=["t1=1.0", "dt=0.0001"],
                    out_dir=str(chain_out), quiet=True) == 0
         raw = json.loads(resolve_scenario_path("homogeneous_chain").read_text(encoding="utf-8"))
-        qc = {
-            "name": "chain_qc",
-            "equation": "quasiclassical",
-            "statistics": "fermion",
-            "dimension": raw["dimension"],
-            "initial": {"occupations": raw["initial"]["diagonal"]},
-            "network": raw["network"],
-            "integrator": dict(raw["integrator"], t1=1.0, dt=0.0001),
-        }
-        qc_path = write_scenario(tmp_path, qc, name="chain_qc.json")
+        qc_path = write_scenario(tmp_path, _quasiclassical_twin(raw, t1=1.0, dt=0.0001),
+                                 name="chain_qc.json")
         qc_out = tmp_path / "qc"
         assert run(qc_path, out_dir=str(qc_out), quiet=True) == 0
         header, a = read_csv(chain_out / "states.csv")
         _, b = read_csv(qc_out / "states.csv")
         cols = [header.index(f"re_{i}_{i}") for i in range(raw["dimension"])]
         assert np.abs(a[:, cols] - b[:, cols]).max() <= 1e-8
+
+        from scipy.integrate import solve_ivp
+
+        w = scenario_from_dict(raw).network.rate_matrix()
+        sign = Statistics.FERMION.sign
+        t = b[:, 0]
+        reference = solve_ivp(lambda _, n: occupation_row(w, sign, n), (t[0], t[-1]),
+                              raw["initial"]["diagonal"], method="DOP853", t_eval=t,
+                              rtol=1e-12, atol=1e-14)
+        assert reference.success
+        for run_states in (a, b):
+            assert np.abs(run_states[:, cols] - reference.y.T).max() <= 1e-9
 
     def test_fock_scenario_reports_closure(self, tmp_path):
         out = tmp_path / "fock"
@@ -831,6 +860,35 @@ def test_occupation_run_writes_the_matrix_run_bytes(name, tmp_path, monkeypatch)
     on_occupations, on_matrix = _occupation_and_matrix_outputs(name, tmp_path, monkeypatch, False)
     assert on_matrix == on_occupations
     assert starts == [True, False]
+
+
+def _quasiclassical_twin(raw, **integrator):
+    """The quasiclassical scenario of a bundled homogeneous nonlinear_master
+    scenario: its rates, its diagonal start as occupations, its window with
+    ``integrator`` overrides, and no Hamiltonian."""
+    return {
+        "name": raw["name"] + "_qc",
+        "equation": "quasiclassical",
+        "statistics": raw["statistics"],
+        "dimension": raw["dimension"],
+        "initial": {"occupations": raw["initial"]["diagonal"]},
+        "network": raw["network"],
+        "integrator": dict(raw["integrator"], **integrator),
+    }
+
+
+@pytest.mark.parametrize("name", ["two_state_fermion", "two_state_boson", "homogeneous_chain"])
+def test_quasiclassical_twin_writes_the_bundled_run_states(name, tmp_path):
+    """The quasiclassical equation is the homogeneous network flow with no
+    Hamiltonian: from the bundled diagonal start it writes the states of the
+    bundled nonlinear_master run, byte for byte."""
+    raw = _bundled_raw(name)
+    assert raw["equation"] == "nonlinear_master"
+    twin = write_scenario(tmp_path, _quasiclassical_twin(raw))
+    assert run(name, out_dir=str(tmp_path / "bundled"), quiet=True) == 0
+    assert run(twin, out_dir=str(tmp_path / "twin"), quiet=True) == 0
+    states = [(tmp_path / folder / "states.csv").read_bytes() for folder in ("bundled", "twin")]
+    assert states[0] == states[1]
 
 
 @pytest.mark.parametrize("name", ["markoff_diagonal", "dense_fermion"])

@@ -12,20 +12,19 @@ import pytest
 
 import qme.dynamics
 import qme.operators
+from qme import cli
 from qme.cli import run
 from qme.dynamics import (
     DephasingRates,
     JumpFlow,
     NetworkFlow,
     OperatorFlow,
-    QuasiclassicalFlow,
     Statistics,
     TransitionNetwork,
     rank_one_jumps,
-    rhs_quasiclassical,
 )
 from qme.operators import DensityMatrix
-from occupation_reference import occupation_rows
+from occupation_reference import occupation_row, occupation_rows
 
 FERMION = Statistics.FERMION
 BOSON = Statistics.BOSON
@@ -423,13 +422,26 @@ def test_occupation_flow_whose_out_rates_overflow_is_built_without_a_warning():
 
 
 @pytest.mark.parametrize("stats", [FERMION, BOSON], ids=["fermion", "boson"])
-def test_quasiclassical_flow_is_a_flow_on_occupations(stats):
-    net = TransitionNetwork.computational(3, {(1, 0): 1.0, (2, 1): 0.5, (0, 2): 0.25})
-    flow = QuasiclassicalFlow(net, stats)
+def test_quasiclassical_flow_does_not_clip_occupations(stats):
+    """The quasiclassical equation runs the network's occupation flow, which
+    takes occupations outside the physical range as they are: an overshoot
+    is left for the bounds monitor to report, not projected away."""
+    raw = {"name": "qc", "equation": "quasiclassical", "statistics": stats.value, "dimension": 3,
+           "initial": {"occupations": [1.0, 0.0, 0.0]},
+           "network": {"rates": [{"from": 0, "to": 1, "rate": 1.0}, {"from": 1, "to": 2, "rate": 0.5},
+                                 {"from": 2, "to": 0, "rate": 0.25}]},
+           "integrator": {"t1": 0.1, "dt": 0.01}}
+    scenario = cli.scenario_from_dict(raw)
+    flow = cli._EQUATIONS["quasiclassical"].build(scenario).occupation_flow()
+    w = scenario.network.rate_matrix()
     f = np.array([0.9, 1.2, -0.1])
+    # the size of the largest terms, as in the d >= 20 test above
+    m = np.abs(w @ f) * np.abs(1.0 + f) + np.abs(f) * np.abs(w.T @ (1.0 + f))
+    bound = 8.0 * np.finfo(float).eps * np.maximum(1.0, m)
+    got = flow(0.0, f)
+    assert np.all(np.abs(got - occupation_row(w, stats.sign, f)) <= bound)
     clipped = np.clip(f, 0.0, 1.0 if stats is FERMION else None)
-    assert flow.occupation_flow() is flow
-    assert np.array_equal(flow(0.0, f), rhs_quasiclassical(clipped, net.rate_matrix(), stats))
+    assert np.abs(got - occupation_row(w, stats.sign, clipped)).max() > 1e-3
 
 
 def test_validation_does_not_scale_with_steps(tmp_path, monkeypatch):

@@ -375,6 +375,24 @@ class TestPopulationInput:
             with pytest.raises(ValueError, match=message):
                 entry(model, p.tolist())
 
+    @pytest.mark.parametrize("entry", POPULATION_ENTRY_POINTS.values(), ids=POPULATION_ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("statistics", [FERMION, BOSON])
+    @pytest.mark.parametrize(
+        "rho_s,message",
+        [(np.full((4, 4), np.nan), "rho_s: entries must be finite"),
+         (np.eye(7) / 7.0, "dimension mismatch")],
+        ids=["nan", "wrong_size"],
+    )
+    def test_matrix_refused(self, entry, statistics, rho_s, message):
+        # a density matrix is read as checked as populations are: a NaN
+        # matrix is not called a product state, and a 7 x 7 one on D = 4
+        # names the mismatch rather than failing inside numpy
+        model = FockModel(statistics, (0.0, 1.0), {(1, 0): 1.0}, boson_cutoff=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                entry(model, rho_s)
+
     def test_real_complex_and_negative_entries_pass(self):
         # a complex array with no imaginary part is its real part; a derivative
         # has negative entries and still reduces
