@@ -26,6 +26,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -260,6 +261,12 @@ class Scenario:
             return NotImplemented
         return scenario_to_dict(self) == scenario_to_dict(other)
 
+    @cached_property
+    def start(self) -> tuple[DensityMatrix | np.ndarray, FockModel | None]:
+        """:func:`start_state` of this scenario, built on first read: parsing
+        reads it to fail fast, and the run takes the same objects."""
+        return start_state(self)
+
     def initial_matrix(self) -> np.ndarray:
         """Dense initial density matrix (occupation vectors embed as diagonals)."""
         if self.initial_kind == "matrix":
@@ -286,7 +293,7 @@ def _field_error(exc: ValueError) -> ScenarioError:
 def start_state(s: Scenario) -> tuple[DensityMatrix | np.ndarray, FockModel | None]:
     """The validated start state of a run (populations, for the Fock oracle)
     and the oracle's many-body model (None otherwise): the one place either
-    is built.  Parsing calls it to fail fast; each run calls it once more."""
+    is built, once per scenario, through :attr:`Scenario.start`."""
     model = None
     if s.fock_energies is not None:
         try:
@@ -536,7 +543,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         **operators,
     )
     # fail fast on an invalid start state and on snapshots of it that would not fit in memory
-    initial, model = start_state(scenario)
+    initial, model = scenario.start
     try:
         check_snapshot_budget(steps, record_every, (initial.matrix if model is None else initial).nbytes)
     except ValueError as exc:
@@ -834,7 +841,7 @@ def _run_matrix(scenario: Scenario):
     matrix run from the same start agrees to rounding (1e-14), and the
     paired rows have the bits of lone particle and hole runs."""
     equation = _EQUATIONS[scenario.equation]
-    initial, _ = start_state(scenario)
+    initial, _ = scenario.start
     flow = equation.build(scenario)
     dual = equation.dual and scenario.statistics is Statistics.FERMION
     n = _exact_diagonal(initial.matrix)
@@ -867,7 +874,7 @@ def _run_fock(scenario: Scenario):
     evaluated once, on the populations themselves, which gives its diagonal
     on their diagonal state with no D x D object; the population flow must
     equal it there up to roundoff."""
-    p0, model = start_state(scenario)
+    p0, model = scenario.start
     closure = closure_residual_at_t0(model, p0)
     flow = model.populations
     coherent = rhs_fock_lindblad(model, p0)

@@ -23,8 +23,8 @@ and returns the flow at t = 0.  Rates are constant during a run.
 
 A flow's read-only ``affine`` is true when it is affine in the state and
 independent of time: the fixed-operator flows, and the network and jump
-flows in the linear limit.  The integrator steps such a flow by a
-precomputed RK4 map (:mod:`qme.integrator`).
+flows in the linear limit.  The integrator crosses each snapshot interval
+of such a flow by its exact exponential map (:mod:`qme.integrator`).
 """
 
 from __future__ import annotations

@@ -1,18 +1,22 @@
-"""Fixed-step RK4 time stepping for density matrices, with per-step hygiene
-and spectral diagnostics.
+"""Time stepping for density matrices: an exact map per snapshot interval for
+affine flows, fixed-step RK4 for the rest, with hygiene on every result and
+spectral diagnostics.
 
 A flow whose ``affine`` attribute is true is affine in its state and
-independent of time, f(x) = L x + c.  One classical RK4 step under it is
-exactly x <- x + K x + b, with K = R(hL) - I, R(z) = sum_{k<=4} z^k/k! and
-b = h phi(hL) c, phi(z) = 1 + z/2 + z^2/6 + z^3/24 (Hairer & Wanner,
-*Solving ODEs II*, sec. IV.2), so such a flow on a small state is stepped by
-that map, built for each step size (:func:`_rk4_map`) from one probe of the
-flow (:func:`_affine_parts`).
+independent of time, f(x) = L x + c.  Its solution over an interval tau is
+exp(tau M) applied to (x, 1), with the augmented generator
+M = [[L, c], [0, 0]] (Van Loan, IEEE TAC 23, 395 (1978)).  Such a flow on a
+small state crosses each snapshot interval by that map, built from one probe
+of the flow (:func:`_affine_parts`) once for the full intervals and once for
+a shorter last one (:func:`_increment_map`).  Its run has no time-step
+error: dt only sets its snapshot grid.  Every other flow takes classical RK4
+steps of dt.
 
 Positivity is never projected: a state drifting out of the positive cone is a
-signal the diagnostics must show, not an artifact to erase.  The only per-step
-correction is symmetric hermitization, which on well-conditioned problems
-moves the state by less than 1e-12 per step.
+signal the diagnostics must show, not an artifact to erase.  The only
+correction, after each RK4 step or mapped interval, is symmetric
+hermitization, which on well-conditioned problems moves the state by less
+than 1e-12 each time.
 """
 
 from __future__ import annotations
@@ -39,11 +43,22 @@ MAX_STEPS = 10**7
 MAX_SNAPSHOT_BYTES = 2**30
 
 #: Most float-view entries (2d^2 for a d x d matrix, D for D populations) a
-#: state may have for an affine flow to be stepped by its RK4 map.  At 256 a
-#: mapped step still costs a third or less of four flow calls, and its build
-#: (n + 1 calls, three n x n products) is repaid within 300 steps; at 512 the
-#: n^2 product costs as much as the calls it replaces.
+#: state may have for an affine flow to cross each snapshot interval by its
+#: exact map.  Measured on markoff flows at ||tau M||_1 = 0.5 to 5 (a 2-core
+#: x86-64 host, one BLAS thread): at n = 242 the probe and the build (about
+#: ten (n+1)^2 products) take 10 and 12 ms, repaid within 140 RK4 steps of
+#: 0.16 ms; at n = 512 they take 15 and 54-74 ms, repaid only within 400
+#: steps, and the build holds four 2 MB arrays.
 AFFINE_MAX_ENTRIES = 256
+
+#: theta_q for Taylor degrees q = 2, 3, ...: the largest ||A||_1 at which
+#: e^theta sum_{k>q} theta^(k-1)/k!, a bound on the relative backward error
+#: of the degree-q series for exp(A) - I, is at most 2^-53, rounded down.
+#: They agree with table 3.1 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+#: 488 (2011).  No norm makes a higher degree the cheapest, counting
+#: q - 1 + s products.
+TAYLOR_THETA = (2.58e-8, 1.38e-5, 3.39e-4, 2.40e-3, 9.06e-3, 2.38e-2, 4.98e-2, 8.94e-2, 0.143,
+                0.213)
 
 
 def check_snapshot_budget(steps: float, record_every: int, state_bytes: int) -> None:
@@ -57,8 +72,8 @@ def check_snapshot_budget(steps: float, record_every: int, state_bytes: int) -> 
 
 
 class IntegrationDivergedError(RuntimeError):
-    """Raised when a step's result holds a NaN or Inf; ``t`` is the start of
-    that step."""
+    """Raised when a step's result, or a mapped interval's, holds a NaN or
+    Inf; ``t`` is the start of that step or interval."""
 
     def __init__(self, t: float):
         super().__init__(f"integration diverged at t = {t:.6g} (NaN/Inf in the step's result)")
@@ -171,11 +186,11 @@ def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarr
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _affine_parts(rhs: RHSCallable, t: float,
-                  like: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(L, c)`` with rhs(t, x) = L x + c on the float view of states shaped
-    like ``like``, from n + 1 flow calls; None unless ``rhs.affine`` is true
-    and the state has at most AFFINE_MAX_ENTRIES float-view entries.
+def _affine_parts(rhs: RHSCallable, t: float, like: np.ndarray) -> np.ndarray | None:
+    """The augmented generator M = [[L, c], [0, 0]] of rhs(t, x) = L x + c on
+    the float view of states shaped like ``like``, from n + 1 flow calls; None
+    unless ``rhs.affine`` is true and the state has at most
+    AFFINE_MAX_ENTRIES float-view entries.
 
     The flow is probed on the float-view unit vectors e_k: c = f(0) and
     L e_k = f(e_k) - c.  This needs the flow to be affine over the reals in
@@ -189,40 +204,77 @@ def _affine_parts(rhs: RHSCallable, t: float,
     def flow(v: np.ndarray) -> np.ndarray:
         return rhs(t, v.view(like.dtype).reshape(like.shape)).reshape(-1).view(float)
 
-    unit = np.eye(n)
-    c = flow(np.zeros(n))
-    lin = np.empty((n, n))
+    gen = np.zeros((n + 1, n + 1))
+    unit = np.zeros(n)
+    c = gen[:n, n] = flow(unit)
     for k in range(n):
-        lin[:, k] = flow(unit[k]) - c
-    return lin, c
+        unit[k] = 1.0
+        gen[:n, k] = flow(unit) - c
+        unit[k] = 0.0
+    return gen
 
 
-def _rk4_map(lin: np.ndarray, c: np.ndarray,
-             dt: float) -> Callable[[np.ndarray], np.ndarray] | None:
-    """One RK4 step of size ``dt`` under the affine flow ``(L, c)`` of
-    :func:`_affine_parts` as a precomputed map on states, before
-    hermitization; None unless every entry of the map is finite.
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """(degree q, squarings s) of the cheapest truncated Taylor series for
+    exp(A) - I, at ||A||_1 = ``norm`` scaled by 2^-s, that keeps the relative
+    backward error of the truncation below the unit roundoff: q - 1 + s
+    products, ties to the higher degree and fewer squarings."""
+    best = (math.inf, 0, 0)
+    for q, theta in enumerate(TAYLOR_THETA, start=2):
+        s = math.ceil(math.log2(norm) - math.log2(theta)) if norm > theta else 0
+        if q - 1 + s <= best[0]:
+            best = (q - 1 + s, q, s)
+    return best[1], best[2]
 
-    The map is built by Horner's rule and applied as the increment
-    v + (K v + b), which keeps the rounding of the step's update small
+
+def _increment_map(gen: np.ndarray, tau: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The exact propagation over ``tau`` under the augmented generator ``gen``
+    of :func:`_affine_parts`, as a map on states before hermitization; None
+    when ||tau M||_1 overflows or the map has a non-finite entry.
+
+    The increment K = exp(tau M) - I is built directly, so it carries no
+    cancellation against I: a Taylor series of degree q in A = 2^-s tau M,
+    by Horner's rule K = A (I + A/2 (I + ... (I + A/q))), then s squarings
+    K <- K K + 2K (Van Loan, IEEE TAC 23, 395 (1978) for the augmented form;
+    scaling and degree chosen by the norm as in Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)).  It is built in place: three (n+1) x (n+1)
+    arrays are live besides ``gen``.  With K = [[E - I, b], [0, 0]] a state v
+    maps to v + ((E - I) v + b), which keeps the rounding of the update small
     against the state.  Call inside the step's ``np.errstate``."""
-    unit = np.eye(len(c))
-    a = dt * lin
-    phi = unit + a / 4.0
-    phi = unit + (a @ phi) / 3.0
-    phi = unit + (a @ phi) / 2.0
-    k_map, b = a @ phi, dt * (phi @ c)
-    if not (np.isfinite(k_map).all() and np.isfinite(b).all()):
+    norm = tau * np.abs(gen).sum(axis=0).max()
+    if not norm < np.inf:
         return None
+    q, s = _taylor_plan(norm)
+    n = len(gen)
+    # tau M is finite, as its norm is; scaling it afterwards keeps a tiny
+    # 2^-s tau out of the subnormal range
+    a = gen * tau
+    np.ldexp(a, -s, out=a)
+    p = a / q
+    p.reshape(-1)[:: n + 1] += 1.0
+    k_map = np.empty_like(a)
+    for k in range(q - 1, 1, -1):
+        np.matmul(a, p, out=k_map)
+        k_map /= k
+        k_map.reshape(-1)[:: n + 1] += 1.0
+        p, k_map = k_map, p
+    np.matmul(a, p, out=k_map)
+    for _ in range(s):
+        np.matmul(k_map, k_map, out=p)
+        k_map *= 2.0
+        k_map += p
+    if not np.isfinite(k_map).all():
+        return None
+    lin, b = k_map[:-1, :-1], k_map[:-1, -1]
 
-    def step(rho: np.ndarray) -> np.ndarray:
+    def propagate(rho: np.ndarray) -> np.ndarray:
         v = rho.reshape(-1).view(float)
-        inc = k_map @ v
+        inc = lin @ v
         inc += b
         inc += v
         return inc.view(rho.dtype).reshape(rho.shape)
 
-    return step
+    return propagate
 
 
 def _checked_populations(p: np.ndarray) -> np.ndarray:
@@ -248,9 +300,10 @@ def snapshots(spec: EvolutionSpec,
     diagonal (hermitization leaves such a state unchanged).  The loop lands
     exactly on ``spec.t1`` (a final partial step is taken when the window is
     not a multiple of dt).  ``herm_defect`` is the hermiticity defect of the
-    raw RK4 update before hygiene.  The start state and the snapshot budget
-    are checked here, at the call, not at the first ``next()``; a consumer
-    that keeps no state holds one step's arrays at a time.
+    raw update, of the last RK4 step or of the mapped interval, before
+    hygiene.  The start state and the snapshot budget are checked here, at
+    the call, not at the first ``next()``; a consumer that keeps no state
+    holds one step's arrays at a time.
     """
     populations = isinstance(initial, np.ndarray) and initial.ndim == 1
     if not (populations or isinstance(initial, DensityMatrix)):
@@ -264,8 +317,36 @@ def snapshots(spec: EvolutionSpec,
     return _steps(spec, rho)
 
 
+def _hermitized(raw: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """The hermitized ``raw`` update and its hermiticity defect; raises
+    :class:`IntegrationDivergedError` at ``t`` unless the result is finite.
+    Call inside the step's ``np.errstate``."""
+    # taken on every RK4 step, recorded or not, and once a snapshot on a
+    # mapped interval, through this module's own name: the benchmark's tracer
+    # (perfbench/tracing.py) counts steps by these calls, so on a mapped run
+    # its step count is the number of intervals
+    defect = hermiticity_defect(raw)
+    if raw.ndim == 1 and raw.dtype.kind == "f":
+        # a real vector is its own hermitization, which overflows (a
+        # divergence) only past DBL_MAX/2
+        rho = raw
+        finite = np.abs(raw).max(initial=0.0) < 2.0**1023
+    else:
+        rho = 0.5 * (raw + raw.conj().T)
+        finite = np.isfinite(rho.view(float)).all()
+    if not finite:
+        raise IntegrationDivergedError(t)
+    return rho, defect
+
+
 def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.ndarray, float]]:
-    """The loop of :func:`snapshots`, from a checked start state ``rho``."""
+    """The loop of :func:`snapshots`, from a checked start state ``rho``.
+
+    Snapshots split the window into intervals of ``record_every`` steps, the
+    last one possibly shorter.  An affine flow crosses each interval by one
+    exact map, built once for the full intervals and once for a shorter last
+    one; any other flow, or an interval whose map is not finite, takes RK4
+    steps."""
     yield spec.t0, rho, hermiticity_defect(rho)
     # full steps land on t0 + k*dt; a partial step of at least 1e-12*dt
     # closes the window on t1
@@ -273,43 +354,34 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
     n_full = int(np.floor(span / spec.dt + 1e-9))
     remainder = span - n_full * spec.dt
     n_steps = n_full + (remainder >= 1e-12 * spec.dt)
-    t = spec.t0
-    parts = mapped = None
-    step = 0
+    full_tau = spec.record_every * spec.dt
+    gen = mapped = map_tau = None
+    step, t = 0, spec.t0
     while step < n_steps:
+        last = min(step + spec.record_every, n_steps)
+        t_end = spec.t0 + last * spec.dt if last <= n_full else spec.t1
         # no flow checks its input, so a NaN or Inf in any stage reaches the
-        # step's result, which is checked once; overflow on the way is
-        # expected.  The error state is set for the steps between two
-        # yields, not around the loop: a generator suspended inside it would
-        # impose it on its consumer.
+        # result, which is checked once; overflow on the way is expected.
+        # The error state is set for the work between two yields, not
+        # around the loop: a generator suspended inside it would impose it
+        # on its consumer.
         with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                step += 1
-                full = step <= n_full
-                dt = spec.dt if full else remainder
-                # probed once; a map is built on the first step of each
-                # size: the full steps, then the final partial one
-                if step == 1:
-                    parts = _affine_parts(spec.rhs, spec.t0, rho)
-                if parts is not None and (step == 1 or step == n_full + 1):
-                    mapped = _rk4_map(*parts, dt)
-                raw = _rk4_raw(rho, spec.rhs, t, dt) if mapped is None else mapped(rho)
-                # taken on every step, recorded or not: the benchmark's tracer
-                # (perfbench/tracing.py) counts steps by these calls
-                defect = hermiticity_defect(raw)
-                if raw.ndim == 1 and raw.dtype.kind == "f":
-                    # a real vector is its own hermitization, which overflows
-                    # (a divergence) only past DBL_MAX/2
-                    rho = raw
-                    finite = np.abs(raw).max(initial=0.0) < 2.0**1023
-                else:
-                    rho = 0.5 * (raw + raw.conj().T)
-                    finite = np.isfinite(rho.view(float)).all()
-                if not finite:
-                    raise IntegrationDivergedError(t)
-                t = spec.t0 + step * spec.dt if full else spec.t1
-                if step % spec.record_every == 0 or step == n_steps:
-                    break
+            if step == 0:
+                gen = _affine_parts(spec.rhs, spec.t0, rho)
+            tau = full_tau if last - step == spec.record_every and last <= n_full else t_end - t
+            if gen is not None and tau != map_tau:
+                # the previous map is dropped before the next is built
+                mapped = None
+                mapped, map_tau = _increment_map(gen, tau), tau
+            if mapped is not None:
+                rho, defect = _hermitized(mapped(rho), t)
+            else:
+                for k in range(step + 1, last + 1):
+                    full = k <= n_full
+                    rho, defect = _hermitized(
+                        _rk4_raw(rho, spec.rhs, t, spec.dt if full else remainder), t)
+                    t = spec.t0 + k * spec.dt if full else spec.t1
+        step, t = last, t_end
         yield t, rho, defect
 
 

@@ -28,6 +28,7 @@ from qme.cli import (
     scenario_to_dict,
 )
 from qme.fock_oracle import (
+    FockModel,
     PopulationFlow,
     closure_residual_at_t0,
     cutoff_contamination,
@@ -643,6 +644,20 @@ class TestFockPopulationPath:
         assert "_pairs" not in vars(model.flow)
         assert "one_particle_entries" not in vars(model)
 
+    @pytest.mark.parametrize("overrides", [(), ("statistics=boson",)], ids=["fermion", "boson"])
+    def test_a_run_builds_its_model_once(self, overrides, monkeypatch, tmp_path):
+        # parsing builds the start state to fail fast; the run takes it over
+        built = []
+
+        class CountingModel(FockModel):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(cli, "FockModel", CountingModel)
+        assert run("fock_closure_2mode", overrides=overrides, out_dir=str(tmp_path), quiet=True) == 0
+        assert len(built) == 1
+
     def test_corrupted_population_table_is_refused(self, monkeypatch, tmp_path, capsys):
         start_state = cli.start_state
 
@@ -896,7 +911,7 @@ def test_occupation_run_matches_the_matrix_run_to_1e_14(name, tmp_path, monkeypa
     """Two diagonal starts whose occupation run agrees with the matrix run to
     rounding: on a network with every rate present the occupation flow's
     quadratic form sums in another order than the matrix flow, and the
-    linear markoff flow steps by an RK4 map on d occupations against one on
+    linear markoff flow takes its exact map on d occupations against one on
     2d^2 matrix entries.  There the states, diagnostics and summary numbers
     of the two runs agree to 1e-14, and each run repeats byte for byte."""
     raw = {"markoff_diagonal": MARKOFF_DIAGONAL, "dense_fermion": DENSE_FERMION}[name]

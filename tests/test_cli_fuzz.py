@@ -15,13 +15,15 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from qme import integrator
+from qme import cli, integrator
 from qme.dynamics import NetworkFlow
 from qme.cli import bundled_scenarios, main, resolve_scenario_path
+from test_integrator import exact, generator
 
 HOSTILE = [
     None, True, "x", [], {},  # wrong types
@@ -111,34 +113,66 @@ def test_hostile_fields_exit_cleanly(raw):
 MAPPED = {"appendix_d": ("dephasing", 0, "rate"), "fock_closure_2mode": ("network", "rates", 0, "rate")}
 
 
-def test_the_linear_scenarios_step_by_their_rk4_map(monkeypatch):
+def _spying(monkeypatch):
+    """Patch ``integrator._increment_map`` and ``cli.evolve`` to note every map
+    built and every (spec, start, trajectory) run."""
+    maps, runs = [], []
+    increment_map, evolve = integrator._increment_map, cli.evolve
+    monkeypatch.setattr(integrator, "_increment_map",
+                        lambda gen, tau: maps.append(increment_map(gen, tau)) or maps[-1])
+    monkeypatch.setattr(cli, "evolve",
+                        lambda spec, x: runs.append((spec, x, evolve(spec, x))) or runs[-1][2])
+    return maps, runs
+
+
+def test_the_linear_scenarios_take_their_exact_map(monkeypatch):
     # the scenarios fuzzed above reach the mapped path
-    built, rk4_map = [], integrator._rk4_map
-
-    def spying(*args):
-        built.append(rk4_map(*args))
-        return built[-1]
-
-    monkeypatch.setattr(integrator, "_rk4_map", spying)
+    maps, _ = _spying(monkeypatch)
     for name in MAPPED:
-        built.clear()
+        maps.clear()
         code, err, caught = _run(SCENARIOS[name])
         assert (code, err, caught) == (0, "", [])
-        assert built and all(m is not None for m in built), name
+        assert maps and all(m is not None for m in maps), name
 
 
 @pytest.mark.parametrize("rate", [1e308, 1e300, 1e154, 1e100, 1e60, 1e20])
 @pytest.mark.parametrize("name", sorted(MAPPED))
-def test_huge_rates_exit_as_the_plain_rk4_steps_do(name, rate, monkeypatch):
-    """Rates at which the RK4 map overflows, and is not used, or at which a
-    finite map's steps overflow: one error line, the one the plain RK4 steps
-    give, and no warning."""
+def test_huge_rates_are_integrated_exactly(name, rate, monkeypatch):
+    """The exact map of a huge rate is finite, so the stiff decay is
+    integrated exactly: the run exits 0, prints nothing, does not warn and
+    ends on expm's state.  At 1e308 the oracle's many-body rates overflow
+    and the parse refuses them, with one error line, whatever the
+    integrator."""
     raw = copy.deepcopy(SCENARIOS[name])
     *parents, last = MAPPED[name]
     _at(raw, parents)[last] = rate
+    maps, runs = _spying(monkeypatch)
     code, err, caught = _run(raw)
     assert not caught, [str(w.message) for w in caught]
-    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    if (name, rate) == ("fock_closure_2mode", 1e308):
+        assert maps == [] and code == 1 and err.startswith("error: network.rates: "), err
+        assert err.count("\n") == 1
+        monkeypatch.setattr(integrator, "AFFINE_MAX_ENTRIES", 0)
+        assert _run(raw) == (code, err, [])
+        return
+    assert (code, err) == (0, "") and maps and all(m is not None for m in maps)
+    (spec, x, traj), = runs
+    want, size = exact(generator(spec.rhs, x), x, spec.t1 - spec.t0)
+    assert np.abs(traj.final_state - want).max() <= 1e-12 * size
+
+
+def test_a_map_whose_norm_overflows_exits_as_the_rk4_steps_do(monkeypatch):
+    """appendix_d at rate 1e308 over one interval of 2: ||tau M||_1 = 2e308
+    overflows, so the map is not used and the window takes RK4 steps, which
+    overflow: one error line, the one the plain RK4 steps give, and no
+    warning."""
+    raw = copy.deepcopy(SCENARIOS["appendix_d"])
+    raw["dephasing"][0]["rate"] = 1e308
+    raw["integrator"]["t1"] = 2.0
+    maps, _ = _spying(monkeypatch)
+    code, err, caught = _run(raw)
+    assert maps == [None] and not caught, [str(w.message) for w in caught]
+    assert code == 1 and err.startswith("error: integration diverged") and err.count("\n") == 1, err
     monkeypatch.setattr(integrator, "AFFINE_MAX_ENTRIES", 0)
     assert _run(raw) == (code, err, [])
 

@@ -1,8 +1,11 @@
 import dataclasses
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qme.dynamics import NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
 from qme.fock_oracle import FockModel, product_populations
@@ -51,6 +54,12 @@ def boson_gain_rhs(gamma=1.0):
     return OperatorFlow(z, z, gain, BOSON)
 
 
+def rk4_only(flow):
+    """``flow`` as a plain callable: it has no ``affine`` attribute, so a run
+    takes RK4 steps of dt under it rather than the exact map."""
+    return lambda t, rho: flow(t, rho)
+
+
 def one_step(rho, rhs, t, dt, stats=FERMION):
     """The hermitized RK4 update of ``rho`` from t to t + dt: a one-step
     evolve window."""
@@ -78,7 +87,7 @@ class TestStepRK4:
     def test_local_error_drops_sixteenfold_when_halving(self):
         # Richardson check on the boson-gain problem
         rho = np.diag([0.5, 0.0]).astype(complex)
-        rhs = boson_gain_rhs(1.0)
+        rhs = rk4_only(boson_gain_rhs(1.0))
         exact = lambda t: (1 + 0.5) * np.exp(t) - 1
 
         def one_step_error(dt):
@@ -173,7 +182,8 @@ class TestEvolve:
         errors = []
         dts = [0.02, 0.01, 0.005, 0.0025]
         for dt in dts:
-            spec = EvolutionSpec(rhs=loss_rhs(1.0), t0=0.0, t1=1.0, dt=dt, record_every=10**6)
+            spec = EvolutionSpec(rhs=rk4_only(loss_rhs(1.0)), t0=0.0, t1=1.0, dt=dt,
+                                 record_every=10**6)
             traj = evolve(spec, initial)
             errors.append(abs(traj.final_state[0, 0].real - np.exp(-1.0)))
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
@@ -482,11 +492,11 @@ class TestSnapshots:
             snapshots(spec, p)
 
 
-# -- the RK4 map of an affine flow --------------------------------------------
+# -- the exact map of an affine flow -------------------------------------------
 
 
-#: equation, statistics and basis of each matrix flow that steps by its RK4
-#: map, as ``test_flows.build_flow`` builds it
+#: equation, statistics and basis of each matrix flow that crosses its
+#: snapshot intervals by its exact map, as ``test_flows.build_flow`` builds it
 AFFINE_EQUATIONS = {
     "general_linear": ("general", None, "computational"),
     "general_fermion": ("general", FERMION, "computational"),
@@ -499,7 +509,8 @@ AFFINE_EQUATIONS = {
 
 
 def affine_case(kind):
-    """(flow, start) for each kind of flow that steps by its RK4 map."""
+    """(flow, start) for each kind of flow that crosses its snapshot intervals
+    by its exact map."""
     rng = np.random.default_rng(sum(map(ord, kind)))
     if kind in AFFINE_EQUATIONS:
         equation, stats, basis = AFFINE_EQUATIONS[kind]
@@ -562,36 +573,114 @@ def _entries(x) -> int:
     return m.size * (2 if np.iscomplexobj(m) else 1)
 
 
+def generator(flow, x):
+    """M = [[L, c], [0, 0]] of the affine ``flow`` on the float view of states
+    like ``x``, probed here on the unit vectors, apart from the integrator."""
+    like = _start(x)
+    n = _entries(x)
+
+    def f(v):
+        return np.asarray(flow(0.0, v.view(like.dtype).reshape(like.shape))).reshape(-1).view(float)
+
+    m = np.zeros((n + 1, n + 1))
+    m[:n, n] = f(np.zeros(n))
+    for k, unit in enumerate(np.eye(n)):
+        m[:n, k] = f(unit) - m[:n, n]
+    return m
+
+
+def exact(m, x, tau):
+    """(exp(tau M) applied to (x, 1), max(1, ||exp(tau M)||_1)) by scipy's expm.
+    Past ||tau M||_1 = 2^10, where expm's own norm estimates overflow at
+    huge rates, it is expm at 2^-k tau M squared k times."""
+    like = _start(x)
+    k = max(0, math.ceil(math.log2(max(np.abs(tau * m).sum(axis=0).max(), 1.0))) - 10)
+    e = expm(np.ldexp(tau * m, -k))
+    for _ in range(k):
+        e = e @ e
+    state = (e @ np.append(like.reshape(-1).view(float), 1.0))[:-1]
+    return state.view(like.dtype).reshape(like.shape), max(1.0, np.abs(e).sum(axis=0).max())
+
+
+class Affine:
+    """x' = L x + c on a real vector."""
+
+    affine = True
+
+    def __init__(self, lin, c):
+        self.lin, self.c = lin, c
+
+    def __call__(self, t, x):
+        return self.lin @ x + self.c
+
+
+def random_affine(rng, family, n, scale):
+    """(L, c) of one family, scaled so that ||L||_1 = ``scale``: ``gaussian``
+    entries (growing and decaying modes), ``stable`` (eigenvalues -1 down to
+    -1e3 on random, non-orthogonal eigenvectors: stiff and non-normal), or a
+    classical ``master`` equation (nonnegative rates, columns summing to zero)
+    with a source."""
+    if family == "gaussian":
+        lin = rng.standard_normal((n, n))
+    elif family == "stable":
+        q = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        lin = (q * -np.logspace(0.0, 3.0, n)) @ np.linalg.inv(q)
+    else:
+        lin = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(lin, 0.0)
+        lin -= np.diag(lin.sum(axis=0))
+    return lin * (scale / np.abs(lin).sum(axis=0).max()), rng.uniform(0.0, 1.0, n)
+
+
 class TestAffineMap:
-    """An affine flow is stepped by x + (K x + b), K and b built for each step
-    size from one probe of n + 1 flow calls; any other flow keeps four calls
-    a step."""
+    """An affine flow crosses each snapshot interval by its exact map exp(tau M),
+    built from one probe of n + 1 flow calls, once for the full intervals and
+    once for a shorter last one; any other flow keeps four calls a step."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("family", ["gaussian", "stable", "master"])
+    def test_random_generators_match_expm(self, family, scale):
+        rng = np.random.default_rng(sum(map(ord, family)) + int(np.log10(scale)))
+        for n in (2, 4, 9):
+            flow = Affine(*random_affine(rng, family, n, scale))
+            x = rng.uniform(0.0, 1.0, n)
+            m = generator(flow, x)
+            # ||tau L||_1 = scale on the full intervals; the last one is 0.6 tau
+            spec = EvolutionSpec(rhs=Counting(flow), t0=0.3, t1=3.9, dt=0.25, record_every=4)
+            traj = evolve(spec, x)
+            assert spec.rhs.calls == n + 1
+            assert traj.times[-1] == 3.9 and len(traj) == 5
+            for t, got in zip(traj.times, traj.states):
+                want, size = exact(m, x, t - 0.3)
+                assert np.abs(got - want).max() <= 1e-12 * size
 
     @pytest.mark.parametrize("kind", AFFINE_KINDS)
-    @pytest.mark.parametrize("t1", [0.05, 0.13], ids=["one_step", "partial_step"])
-    def test_a_short_window_is_the_rk4_step(self, kind, t1):
+    @pytest.mark.parametrize("t1", [0.01, 0.137, 1.0], ids=["one_step", "partial_step", "long"])
+    def test_each_snapshot_is_the_exact_propagator(self, kind, t1):
         flow, x = affine_case(kind)
         assert flow.affine is True and _entries(x) <= AFFINE_MAX_ENTRIES
-        spec = EvolutionSpec(rhs=Counting(flow), t0=0.2, t1=0.2 + t1, dt=0.05)
-        got = evolve(spec, x).final_state
-        want = rk4_reference(flow, x, 0.2, 0.2 + t1, 0.05)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        # one probe, whose (L, c) builds the map of each step size: a full
-        # one, then (t1 = 0.13) a partial one
-        assert spec.rhs.calls == _entries(x) + 1
-
-    @pytest.mark.parametrize("kind", AFFINE_KINDS)
-    def test_a_long_window_stays_on_the_rk4_run(self, kind):
-        flow, x = affine_case(kind)
-        spec = EvolutionSpec(rhs=Counting(flow), t0=0.0, t1=1.0, dt=1e-3, record_every=250)
+        spec = EvolutionSpec(rhs=Counting(flow), t0=0.2, t1=0.2 + t1, dt=0.01, record_every=3)
         traj = evolve(spec, x)
+        # one probe, whose M builds the map of the full intervals and of a
+        # shorter last one
         assert spec.rhs.calls == _entries(x) + 1
-        want = rk4_reference(flow, x, 0.0, 1.0, 1e-3)
-        assert np.abs(traj.final_state - want).max() <= 1e-12 * np.abs(want).max()
+        m = generator(flow, x)
+        for t, got in zip(traj.times, traj.states):
+            want, size = exact(m, x, t - 0.2)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-12 * size
         rerun = evolve(spec, x)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(traj.states, rerun.states))
         assert np.array_equal(traj.herm_defect, rerun.herm_defect)
+
+    @pytest.mark.parametrize("kind", AFFINE_KINDS)
+    def test_the_rk4_run_converges_to_the_map(self, kind):
+        # the RK4 steps the map replaces differ from it by their O(dt^4) error
+        flow, x = affine_case(kind)
+        mapped = evolve(EvolutionSpec(rhs=flow, t0=0.0, t1=1.0, dt=0.05, record_every=20), x)
+        errors = [np.abs(rk4_reference(flow, x, 0.0, 1.0, dt) - mapped.final_state).max()
+                  for dt in (0.05, 0.025)]
+        assert errors[1] <= errors[0] / 10 and errors[0] <= 1e-3
 
     @pytest.mark.parametrize("kind", ["bare_callable", "above_the_cap", "nonlinear_master",
                                       "nonlinear_master_hole", "generalized_jumps",
@@ -616,28 +705,73 @@ class TestAffineMap:
         assert kind == "bare_callable" or flow.affine == (kind == "above_the_cap")
         counting = Counting(flow)
         # a plain function has no affine attribute
-        rhs = (lambda t, r: counting(t, r)) if kind == "bare_callable" else counting
+        rhs = rk4_only(counting) if kind == "bare_callable" else counting
         spec = EvolutionSpec(rhs=rhs, t0=0.0, t1=0.13, dt=0.05)
         traj = evolve(spec, x)
         assert counting.calls == 4 * 3
         # and each step is the plain RK4 step, bit for bit
         assert traj.final_state.tobytes() == rk4_reference(flow, x, 0.0, 0.13, 0.05).tobytes()
 
-    def test_a_map_that_overflows_is_not_used(self):
-        # (h L)^2 overflows, but the loss acts on an empty orbital, so every
-        # RK4 stage is finite: the window runs the plain steps, bit for bit
-        flow = OperatorFlow(np.zeros((2, 2)), np.diag([-1e160, 0.0]), np.zeros((2, 2)), None)
+    def test_the_map_is_built_in_place(self):
+        # D = 64 populations: the run's peak is the augmented generator M and
+        # the three work arrays its map is built in, each (D+1)^2 floats, plus
+        # 8 KB for the recorded states and small objects
+        model = FockModel(BOSON, (0.0, 0.6, 1.1), {(d, s): 0.2 + 0.1 * (3 * d + s) for d in range(3)
+                                                   for s in range(3) if d != s}, boson_cutoff=3)
+        flow, p = model.populations, product_populations(model, (1, 1, 1))
+        assert model.fock_dim == 64
+        spec = EvolutionSpec(rhs=flow, t0=0.0, t1=0.16, dt=2e-3, record_every=10)
+        tracemalloc.start()
+        try:
+            evolve(spec, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * 65**2 + 8192
+
+    @pytest.mark.parametrize("loss", [-1e308, 1e3], ids=["norm_overflows", "map_overflows"])
+    def test_a_map_that_is_not_finite_is_not_used(self, loss):
+        # -1e308: tau M holds -inf, as its entry -2e308 overflows in the
+        # probe; 1e3: exp(tau M) holds exp(1000) = inf.  Either loss acts on
+        # an empty orbital, so every RK4 stage is finite: the window runs the
+        # plain steps, bit for bit
+        flow = OperatorFlow(np.zeros((2, 2)), np.diag([loss, 0.0]), np.zeros((2, 2)), None)
         x = DensityMatrix(np.diag([0.0, 1.0]), BOSON)
-        spec = EvolutionSpec(rhs=Counting(flow), t0=0.0, t1=0.5, dt=0.1)
-        traj = evolve(spec, x)
+        spec = EvolutionSpec(rhs=Counting(flow), t0=0.0, t1=0.5, dt=0.1, record_every=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(spec, x)
         assert spec.rhs.calls == (8 + 1) + 4 * 5
         assert traj.final_state.tobytes() == rk4_reference(flow, x, 0.0, 0.5, 0.1).tobytes()
 
-    def test_a_diverging_mapped_run_names_the_step(self):
-        # a finite map whose product overflows on the second step
-        flow = OperatorFlow(np.zeros((2, 2)), np.diag([1e75, 0.0]), np.zeros((2, 2)), None)
-        spec = EvolutionSpec(rhs=Counting(flow), t0=0.0, t1=1.0, dt=0.1)
-        with pytest.raises(IntegrationDivergedError, match="t = 0.1") as info:
-            evolve(spec, DensityMatrix(np.diag([1.0, 0.0]), BOSON))
-        assert info.value.t == 0.1
+    def test_a_diverging_mapped_run_names_the_interval(self):
+        # a finite map, exp(300) on rho_00, whose third application overflows
+        flow = OperatorFlow(np.zeros((2, 2)), np.diag([750.0, 0.0]), np.zeros((2, 2)), None)
+        spec = EvolutionSpec(rhs=Counting(flow), t0=0.0, t1=1.0, dt=0.1, record_every=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError, match="t = 0.4") as info:
+                evolve(spec, DensityMatrix(np.diag([1.0, 0.0]), BOSON))
+        assert info.value.t == 0.4
+        assert spec.rhs.calls == 8 + 1
+
+    def test_a_boson_gain_beyond_its_loss_diverges_at_the_first_non_finite_snapshot(self):
+        # general boson flow with n' = (g - l) n + g: n(t) = (n0 + g/k) e^(k t) - g/k,
+        # k = g - l = 100, so each interval of 0.5 multiplies n by about e^50
+        # and n passes DBL_MAX/2, where hermitizing it overflows, in the 15th
+        gain, loss = 101.0, 1.0
+        projector = np.diag([1.0, 0.0])
+        flow = OperatorFlow(np.zeros((2, 2)), -0.5 * loss * projector, -0.5 * gain * projector,
+                            BOSON)
+        spec = EvolutionSpec(rhs=Counting(flow), t0=0.0, t1=10.0, dt=0.01, record_every=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError) as info:
+                evolve(spec, DensityMatrix(np.diag([0.5, 0.0]), BOSON))
+        k = gain - loss
+        times = np.arange(21) * 0.5
+        with np.errstate(over="ignore"):
+            closed = (0.5 + gain / k) * np.exp(k * times) - gain / k
+        first = np.flatnonzero(~(closed < np.finfo(float).max / 2))[0]
+        assert first == 15 and info.value.t == times[first - 1] == 7.0
         assert spec.rhs.calls == 8 + 1
