@@ -17,7 +17,9 @@ Goal:
 A product state is diagonal, so it is given by its populations
 (`product_populations`), the 1-D array of its diagonal; the closure
 comparison takes them as they are, and the coherent trajectory below takes
-their diagonal matrix.
+their diagonal matrix.  The jumps conserve the particle number N, so a model
+holds only the N-sectors it names: every sector for fermions by default,
+and for the boson start [2, 1] the sector N = 3, with no cutoff.
 
 Checks:
   t=0 residuals at rounding level for fermion and boson product states; a
@@ -51,7 +53,7 @@ def main():
 
     fermi = FockModel(FERMION, (0.0, 0.6, 1.3), {(1, 0): 0.8, (2, 1): 0.5, (0, 2): 0.3})
     r_fermi = closure_residual_at_t0(fermi, product_populations(fermi, [0.9, 0.4, 0.2]))
-    bose = FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.6, (0, 1): 0.9}, boson_cutoff=4)
+    bose = FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.6, (0, 1): 0.9}, sectors=(3,))
     r_bose = closure_residual_at_t0(bose, product_populations(bose, [2, 1]))
     print(f"  t=0 closure residual, 3-mode fermion product state: {r_fermi:.2e}")
     print(f"  t=0 closure residual, 2-mode boson product state:   {r_bose:.2e}")

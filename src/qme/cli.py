@@ -55,10 +55,10 @@ from .dynamics import build_relaxation_operators  # noqa: F401
 from .fock_oracle import (
     FockModel,
     closure_residual_at_t0,
-    cutoff_contamination,
     product_populations,
     reduce_one_particle,
     rhs_fock_lindblad,
+    start_sectors,
 )
 from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory,
                          check_snapshot_budget, check_window, evolve, snapshots)
@@ -248,7 +248,6 @@ class Scenario:
     loss_operator: np.ndarray | None = None
     gain_operator: np.ndarray | None = None
     fock_energies: tuple[float, ...] | None = None
-    boson_cutoff: int = 4
     t0: float = 0.0
     t1: float = 1.0
     dt: float = 1e-3
@@ -278,9 +277,11 @@ class Scenario:
         return np.diag(np.asarray(self.initial_value, dtype=float)).astype(complex)
 
 
-#: Fields that FockModel and TransitionNetwork errors name -> their scenario keys.
-_FIELDS = {"modes": "dimension", "energies": "fock.energies", "boson_cutoff": "fock.boson_cutoff",
-           "rates": "network.rates", "network kets": "network.basis"}
+#: Fields that FockModel and TransitionNetwork errors name -> their scenario
+#: keys; the oracle's sectors are those of its start.
+_FIELDS = {"modes": "dimension", "energies": "fock.energies", "rates": "network.rates",
+           "network kets": "network.basis", "occupations": "initial.occupations",
+           "sectors": "initial.occupations"}
 
 
 def _field_error(exc: ValueError) -> ScenarioError:
@@ -294,14 +295,16 @@ def start_state(s: Scenario) -> tuple[DensityMatrix | np.ndarray, FockModel | No
     """The validated start state of a run (populations, for the Fock oracle)
     and the oracle's many-body model (None otherwise): the one place either
     is built, once per scenario, through :attr:`Scenario.start`."""
-    model = None
     if s.fock_energies is not None:
+        # the oracle holds the particle-number sectors of its start, and no other
         try:
             model = FockModel(statistics=s.statistics, energies=s.fock_energies,
-                              rates=dict(s.network.rates), boson_cutoff=s.boson_cutoff)
+                              rates=dict(s.network.rates),
+                              sectors=start_sectors(s.statistics, s.initial_value))
+            return product_populations(model, s.initial_value), model
         except ValueError as exc:
             raise _field_error(exc) from None
-    elif s.initial_kind == "occupations":
+    if s.initial_kind == "occupations":
         occ = np.asarray(s.initial_value, dtype=float)
         if np.any(occ < 0):
             raise ScenarioError("initial.occupations: negative occupation")
@@ -311,9 +314,7 @@ def start_state(s: Scenario) -> tuple[DensityMatrix | np.ndarray, FockModel | No
     # everything else gets the strict tolerance
     tol = 0.1 if (s.initial_kind, s.initial_value) == ("preset", "appendix_d") else DEFAULT_TOL
     try:
-        if model is None:
-            return DensityMatrix(s.initial_matrix(), s.statistics, tolerance=tol), None
-        return product_populations(model, s.initial_value), model
+        return DensityMatrix(s.initial_matrix(), s.statistics, tolerance=tol), None
     except ValueError as exc:
         raise ScenarioError(f"initial: {exc}") from None
 
@@ -488,13 +489,14 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     operators = {k: _parse_hermitian(raw[k], dimension, k) for k in _OPERATOR_GROUPS if k in raw}
 
     fock_energies = None
-    boson_cutoff = 4
     if "fock" in raw:
         fock = raw["fock"]
         if not isinstance(fock, dict) or not {"energies"} <= set(fock) <= {"energies", "boson_cutoff"}:
             raise ScenarioError("fock: expected an object with key energies (and optional boson_cutoff)")
         fock_energies = tuple(_real_list(fock["energies"], dimension, "fock.energies"))
-        boson_cutoff = _scalar(fock.get("boson_cutoff", 4), "fock.boson_cutoff", integer=True)
+        # accepted for older files, and checked, but a boson sector is complete: nothing is cut off
+        if "boson_cutoff" in fock and _scalar(fock["boson_cutoff"], "fock.boson_cutoff", integer=True) < 1:
+            raise ScenarioError("fock.boson_cutoff: must be a positive integer")
 
     integ = raw["integrator"]
     if not isinstance(integ, dict) or not {"t1"} <= set(integ) <= {"t0", "t1", "dt", "record_every"}:
@@ -533,7 +535,6 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         dephasing=dephasing,
         jump_operators=jump_operators,
         fock_energies=fock_energies,
-        boson_cutoff=boson_cutoff,
         t0=t0,
         t1=t1,
         dt=dt,
@@ -609,7 +610,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         if value is not None:
             out[key] = _serialize_matrix(value)
     if s.fock_energies is not None:
-        out["fock"] = {"energies": [float(e) for e in s.fock_energies], "boson_cutoff": s.boson_cutoff}
+        out["fock"] = {"energies": [float(e) for e in s.fock_energies]}
     out["integrator"] = {"t0": s.t0, "t1": s.t1, "dt": s.dt, "record_every": s.record_every}
     if s.out_dir is not None:
         out["output"] = {"dir": s.out_dir}
@@ -872,7 +873,7 @@ def _run_fock(scenario: Scenario):
     """(reduced one-particle trajectory, None, extra summary fields): the start
     populations integrated under ``model.populations``.  The coherent flow is
     evaluated once, on the populations themselves, which gives its diagonal
-    on their diagonal state with no D x D object; the population flow must
+    on their diagonal state with no S x S object; the population flow must
     equal it there up to roundoff."""
     p0, model = scenario.start
     closure = closure_residual_at_t0(model, p0)
@@ -889,7 +890,6 @@ def _run_fock(scenario: Scenario):
     extra = {
         "closure_residual_t0": closure,
         "many_body_trace_drift": float(np.abs(traj.trace - traj.trace[0]).max()),
-        "cutoff_contamination_final": cutoff_contamination(model, traj.states[-1]),
     }
     reduced_traj = Trajectory.from_states(
         traj.times, reduced, [hermiticity_defect(m) for m in reduced], scenario.statistics

@@ -5,16 +5,22 @@ many-body Lindblad evolution whose reduced occupation derivatives can be
 compared, at t = 0, against the semiclassical closure used by the rest of the
 package.  The closure is exact for mode-uncorrelated diagonal states, so the
 comparison has a sharp expected value there (residual at rounding level).
-A diagonal state may be given as its D populations (1-D, as built by
-:func:`product_populations`) wherever a D x D density matrix is read.
+A diagonal state may be given as its S populations (1-D, as built by
+:func:`product_populations`) wherever an S x S density matrix is read.
+
+Every jump c_dest^dag c_src conserves the particle number N, so the dynamics
+splits into independent N-sectors, and a model holds only the states of the
+sectors it is given (for fermions, every sector by default).  A boson sector
+is complete: no occupancy is cut off.
 
 Basis conventions, fixed for reproducibility:
 
-* fermions: occupation bitstrings indexed as binary integers, little-endian
-  (mode k is bit k, so state index = sum_k occ_k * 2**k);
-* bosons: mixed-radix little-endian with radix cutoff+1 per mode;
-* fermionic operators carry the parity factor of all modes below the acted
-  mode (Jordan-Wigner ordering).
+* the sectors are laid end to end in increasing N;
+* within a sector, states are ranked by the integer key
+  sum_k occ_k * r**k of their occupation tuple, with r = 2 for fermions and
+  r = N_max + 1 for bosons (N_max the largest sector);
+* fermionic operators carry the parity of the occupied modes strictly
+  between the two modes they act on (Jordan-Wigner ordering).
 
 No operator is built as a dense matrix.  Every one is a sum of monomials
 c_dest^dag c_src, each of which moves a basis state to at most one basis
@@ -25,6 +31,7 @@ one-particle reduction are all built from it.
 
 from __future__ import annotations
 
+import math
 import reprlib
 import warnings
 from dataclasses import dataclass, field
@@ -36,19 +43,10 @@ import numpy as np
 from .operators import Statistics, as_square_matrix
 from .dynamics import TransitionNetwork, rhs_quasiclassical
 
-MAX_MODES = 4
-#: Largest boson Fock dimension D, the bound of ``cli.MAX_DIMENSION``: one
-#: D x D state is 16 MB.  It admits 4 modes at cutoff 4 (D = 625).
-MAX_BOSON_DIM = 1024
-
-
-def _echo_integer(n: Integral) -> str:
-    """``n`` as an error message shows it: its ``reprlib`` form, or its bit
-    length when ``repr`` refuses it (past Python's limit of 4300 digits)."""
-    try:
-        return reprlib.repr(n)
-    except ValueError:
-        return f"an integer of {int(n).bit_length()} bits"
+#: Largest basis, summed over a model's sectors: every fermion sector of 17
+#: modes, 12 fermion modes at any filling (4096 states) or 8 bosons in 8
+#: modes (6435 states).  Checked with ``math.comb`` before any table is built.
+MAX_STATES = 2**17
 
 
 class NonProductStateWarning(UserWarning):
@@ -56,37 +54,69 @@ class NonProductStateWarning(UserWarning):
     diagonal, so the reported residual quantifies closure error."""
 
 
+def start_sectors(statistics: Statistics, occupations) -> range:
+    """The particle numbers N on which the product start of these per-mode
+    occupations has weight: N = sum(occupations) for bosons, whose
+    occupancies are integers, and for fermions every N from the count of
+    occupations equal to 1 to the count of nonzero ones."""
+    ones = nonzero = 0
+    for k, occ in enumerate(occupations):
+        if statistics is Statistics.FERMION:
+            if not 0 <= occ <= 1:
+                raise ValueError(f"occupations[{k}]: fermion occupation must lie in [0, 1], "
+                                 f"got {reprlib.repr(occ)}")
+            ones, nonzero = ones + (occ == 1), nonzero + (occ > 0)
+            continue
+        try:
+            n = int(occ)
+        except (TypeError, ValueError, OverflowError):
+            n = -1
+        if n < 0 or n != occ:
+            raise ValueError(f"occupations[{k}]: boson occupancy must be a nonnegative integer, "
+                             f"got {reprlib.repr(occ)}")
+        ones += n
+    return range(ones, (nonzero if statistics is Statistics.FERMION else ones) + 1)
+
+
 @dataclass(frozen=True)
 class FockModel:
-    """A small set of noninteracting modes coupled to a transition network.
+    """A small set of noninteracting modes coupled to a transition network,
+    on the states of the particle-number sectors ``sectors``.
 
     ``energies`` fixes the diagonal Hamiltonian sum_n e_n c_n^dag c_n;
     ``rates`` maps (dest, src) to the src -> dest jump rate, as in
-    :class:`~qme.dynamics.TransitionNetwork`.
+    :class:`~qme.dynamics.TransitionNetwork`.  ``sectors`` defaults to every
+    fermion sector, 0 to the mode count; a boson model must name its own.
     """
 
     statistics: Statistics
     energies: tuple[float, ...]
     rates: dict[tuple[int, int], float] = field(default_factory=dict)
-    boson_cutoff: int = 4
+    sectors: tuple[int, ...] | None = None
     #: the rates as a validated network on the computational basis of the modes
     network: TransitionNetwork = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        if not 1 <= self.modes <= MAX_MODES:
-            raise ValueError(f"modes: fock model supports 1..{MAX_MODES} modes, got {self.modes}")
-        if isinstance(self.boson_cutoff, bool) or not isinstance(self.boson_cutoff, Integral):
-            raise ValueError(f"boson_cutoff: expected an integer, got {reprlib.repr(self.boson_cutoff)}")
-        # checked for fermions too, which ignore it: a malformed value is refused
-        # whether it matters or not, and before a boson's Fock dimension is echoed
-        if not 1 <= self.boson_cutoff < MAX_BOSON_DIM:
-            raise ValueError(f"boson_cutoff: must lie in [1, {MAX_BOSON_DIM - 1}], "
-                             f"got {_echo_integer(self.boson_cutoff)}")
-        if self.statistics is Statistics.BOSON:
-            if self.fock_dim > MAX_BOSON_DIM:
-                raise ValueError(f"boson_cutoff: boson Fock dimension {self.fock_dim} "
-                                 f"exceeds limit {MAX_BOSON_DIM}")
+        fermion = self.statistics is Statistics.FERMION
+        if not self.modes:
+            raise ValueError("modes: a fock model needs at least one mode")
+        sectors = range(self.modes + 1) if self.sectors is None and fermion else self.sectors
+        if sectors is None:
+            raise ValueError("sectors: a boson model needs its particle numbers")
+        if not len(sectors) or any(isinstance(n, bool) or not isinstance(n, Integral) or n < 0
+                                   or (fermion and n > self.modes) for n in sectors):
+            raise ValueError("sectors: expected nonnegative particle numbers"
+                             + (f", at most {self.modes} for fermions" if fermion else ""))
+        sectors = tuple(sorted({int(n) for n in sectors}))
+        object.__setattr__(self, "sectors", sectors)
+        # sized with math.comb, so a start of 1e30 bosons is refused before any table
+        if sum(map(self._sector_size, sectors)) > MAX_STATES:
+            raise ValueError(f"sectors: the basis of these particle numbers over {self.modes} "
+                             f"modes exceeds the limit of {MAX_STATES} states")
+        if (sectors[-1] + 1) * self._radix**self.modes > 2**63:
+            raise ValueError(f"sectors: the basis key of these particle numbers over "
+                             f"{self.modes} modes does not fit in int64")
         object.__setattr__(self, "network", TransitionNetwork.computational(self.modes, self.rates))
         # refuse a generator that overflows (E_i - E_j, d_i + d_j) before any flow is built
         with np.errstate(over="ignore", invalid="ignore"):
@@ -100,31 +130,53 @@ class FockModel:
         return len(self.energies)
 
     @property
-    def level_dim(self) -> int:
-        return 2 if self.statistics is Statistics.FERMION else self.boson_cutoff + 1
+    def dim(self) -> int:
+        """The number S of basis states, over every sector."""
+        return len(self.occupancies)
 
     @property
-    def fock_dim(self) -> int:
-        return self.level_dim ** self.modes
+    def _radix(self) -> int:
+        """r of the basis key: above any occupancy a mode can hold."""
+        return 2 if self.statistics is Statistics.FERMION else self.sectors[-1] + 1
+
+    def _sector_size(self, n: int) -> int:
+        if self.statistics is Statistics.FERMION:
+            return math.comb(self.modes, n)
+        return math.comb(n + self.modes - 1, n)
 
     @cached_property
     def occupancies(self) -> np.ndarray:
-        """(fock_dim, modes) table of per-mode occupations, row = basis index
-        (little-endian: index = sum_k occ_k * level_dim**k)."""
-        d = self.level_dim
-        table = np.arange(self.fock_dim)[:, None] // d ** np.arange(self.modes) % d
+        """(S, modes) table of per-mode occupations, row = basis index: the
+        sectors end to end, each ranked by its key."""
+        table = np.concatenate([self._sector_table(n) for n in self.sectors])
         table.flags.writeable = False
         return table
 
-    def occupancy_of_index(self, index: int) -> tuple[int, ...]:
-        """Per-mode occupations of a Fock basis index (little-endian)."""
-        if not 0 <= index < self.fock_dim:
-            raise IndexError(f"Fock index {index} is out of range [0, {self.fock_dim})")
-        return tuple(self.occupancies[index].tolist())
+    def _sector_table(self, n: int) -> np.ndarray:
+        """The occupation tuples of N = n in increasing key, built mode by mode
+        from the last (the key's leading digit) with every occupancy that
+        leaves the modes below able to hold the rest: O(S * modes) work."""
+        cap = 1 if self.statistics is Statistics.FERMION else n
+        table, used = np.zeros((1, 0), np.int64), np.zeros(1, np.int64)
+        for below in reversed(range(self.modes)):
+            low, high = np.maximum(0, n - used - cap * below), np.minimum(cap, n - used)
+            count = high - low + 1
+            rows = np.repeat(np.arange(len(used)), count)
+            # each row's occupancies low..high of this mode, in increasing order
+            value = low[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+            table, used = np.column_stack((value, table[rows])), used[rows] + value
+        return table
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """(S,) the increasing keys N * r**modes + sum_k occ_k * r**k of the
+        basis states."""
+        weights = self._radix ** np.arange(self.modes + 1, dtype=np.int64)
+        return self.occupancies @ weights[:-1] + self.occupancies.sum(axis=1) * weights[-1]
 
     @cached_property
     def _state_energies(self) -> np.ndarray:
-        """(fock_dim,) many-body energies E_i = sum_k occ_k e_k of the basis states."""
+        """(S,) many-body energies E_i = sum_k occ_k e_k of the basis states."""
         return self.occupancies @ np.array(self.energies)
 
     def _hops(self, dest: int, src: int):
@@ -132,11 +184,12 @@ class FockModel:
 
         Basis state i goes to basis state j with amplitude
         sign * sqrt(n_src * n_dest), n_src the occupation of mode src in i and
-        n_dest that of mode dest in j, for every i with n_src > 0 (and, when
-        dest != src, n_dest below the top level in i), in increasing i.  The
-        fermion sign is the parity of the modes strictly between src and dest
-        that i occupies (Jordan-Wigner ordering); dest == src is the number
-        operator n_src, with i = j and n_src = n_dest.  This is the one
+        n_dest that of mode dest in j, for every i with n_src > 0 (and, for
+        fermions with dest != src, mode dest empty in i), in increasing i.  j
+        is the state of key ``key_i - r**src + r**dest``, in the sector of i.
+        The fermion sign is the parity of the modes strictly between src and
+        dest that i occupies (Jordan-Wigner ordering); dest == src is the
+        number operator n_src, with i = j and n_src = n_dest.  This is the one
         occupancy rule behind every operator of the model.
         """
         occ = self.occupancies
@@ -144,8 +197,9 @@ class FockModel:
             i = np.flatnonzero(occ[:, src])
             n = occ[i, src]
             return i, i, n, n, np.ones(len(i), np.intp)
-        i = np.flatnonzero((occ[:, src] > 0) & (occ[:, dest] < self.level_dim - 1))
-        j = i - self.level_dim**src + self.level_dim**dest
+        # a boson mode never fills up: r - 1 is the largest N
+        i = np.flatnonzero((occ[:, src] > 0) & (occ[:, dest] < self._radix - 1))
+        j = np.searchsorted(self._keys, self._keys[i] + (self._radix**dest - self._radix**src))
         sign = np.ones(len(i), np.intp)
         if self.statistics is Statistics.FERMION:
             low, high = sorted((dest, src))
@@ -181,13 +235,13 @@ class FockModel:
             total = 2.0 * rate.sum()
         if not np.isfinite(total):
             raise ValueError("rates: the many-body transition rates overflow the float range")
-        return PopulationFlow(self.fock_dim, np.concatenate(src), np.concatenate(dst), rate)
+        return PopulationFlow(self.dim, np.concatenate(src), np.concatenate(dst), rate)
 
     @cached_property
     def one_particle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(slots, index, value)`` over the nonzeros a_k = X[r_k, k] of every
         X = c_n^dag c_n', with slot n * modes + n' (interleaved for
-        :func:`_scatter`) and index k * fock_dim + r_k into ``rho_s.ravel()``:
+        :func:`_scatter`) and index k * S + r_k into ``rho_s.ravel()``:
         Tr(X rho_s) is the sum of a_k rho_s[k, r_k] over its slot
         (:func:`reduce_one_particle`)."""
         slots, index, values = [], [], []
@@ -195,7 +249,7 @@ class FockModel:
             for n2 in range(self.modes):
                 i, j, n_src, n_dest, sign = self._hops(n, n2)
                 slots.append(np.full(len(i), n * self.modes + n2))
-                index.append(i * self.fock_dim + j)
+                index.append(i * self.dim + j)
                 values.append(sign * np.sqrt(n_src * n_dest))
         return _interleave(np.concatenate(slots)), np.concatenate(index), np.concatenate(values)
 
@@ -225,7 +279,7 @@ class FockFlow:
     returns the flow's diagonal on diag(p), bit for bit: the gain
     |a_k|^2 p[i_k] into j_k, summed in jump order, less the drain d_i p_i
     ((d_i + d_i)/2 is d_i exactly).  It reads the jumps' nonzeros only and
-    forms no D x D object.
+    forms no S x S object.
     """
 
     def __init__(self, energies: np.ndarray, jumps):
@@ -311,30 +365,26 @@ def _scatter(pairs: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 
 def product_populations(model: FockModel, occupations) -> np.ndarray:
     """Populations of the mode-uncorrelated diagonal many-body state: the
-    Kronecker product of the per-mode occupation distributions.
+    product of the per-mode occupation distributions, on the model's states.
 
     Fermions: each entry is the occupation probability p_k in [0, 1].
-    Bosons: each entry is an exact integer Fock occupancy <= cutoff.
+    Bosons: each entry is an exact integer Fock occupancy.  The model must
+    hold every sector the state has weight on (:func:`start_sectors`).
     """
     occupations = list(occupations)
     if len(occupations) != model.modes:
         raise ValueError(f"expected {model.modes} occupations, got {len(occupations)}")
-    p = np.ones(1)
+    needed = start_sectors(model.statistics, occupations)
+    if not set(needed) <= set(model.sectors):
+        raise ValueError(f"occupations: the state has weight on N = {needed.start}.."
+                         f"{needed.stop - 1}, outside the sectors {reprlib.repr(model.sectors)}")
+    occ, p = model.occupancies, np.ones(model.dim)
+    # mode by mode from the last, the order of the Kronecker product's factors
     for k in reversed(range(model.modes)):
-        occ = occupations[k]
         if model.statistics is Statistics.FERMION:
-            if not 0 <= occ <= 1:
-                raise ValueError(f"occupations[{k}]: fermion occupation must lie in [0, 1], got {occ}")
-            local = [1 - occ, occ]
+            p = p * np.array([1 - occupations[k], occupations[k]])[occ[:, k]]
         else:
-            m = int(occ)
-            if m != occ or not 0 <= m <= model.boson_cutoff:
-                raise ValueError(
-                    f"occupations[{k}]: boson occupancy must be an integer in "
-                    f"[0, {model.boson_cutoff}], got {occ}"
-                )
-            local = np.eye(model.level_dim)[m]
-        p = np.kron(p, local)
+            p = p * (occ[:, k] == occupations[k])
     return p
 
 
@@ -355,16 +405,16 @@ def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
     return model.flow(0.0, _matrix(model, rho_s))
 
 
-def _check_fock_dim(model: FockModel, dim: int) -> None:
-    if dim != model.fock_dim:
-        raise ValueError(f"dimension mismatch: state dim {dim} vs Fock dim {model.fock_dim}")
+def _check_dim(model: FockModel, dim: int) -> None:
+    if dim != model.dim:
+        raise ValueError(f"dimension mismatch: state dim {dim} vs basis size {model.dim}")
 
 
 def _matrix(model: FockModel, rho_s) -> np.ndarray:
-    """A 2-D ``rho_s`` as a finite, square complex matrix of the model's Fock
-    dimension; anything else is refused with a ``ValueError``."""
+    """A 2-D ``rho_s`` as a finite, square complex matrix of the model's basis
+    size; anything else is refused with a ``ValueError``."""
     rho_s = as_square_matrix(rho_s, "rho_s")
-    _check_fock_dim(model, rho_s.shape[0])
+    _check_dim(model, rho_s.shape[0])
     return rho_s
 
 
@@ -378,7 +428,7 @@ def _populations(model: FockModel, rho_s) -> np.ndarray:
             raise ValueError("rho_s: populations must be real, got complex entries")
         p = p.real
     p = p.astype(float, copy=False)
-    _check_fock_dim(model, p.shape[0])
+    _check_dim(model, p.shape[0])
     if not np.isfinite(p).all():
         raise ValueError("rho_s: entries must be finite (no NaN/Inf)")
     return p
@@ -400,8 +450,8 @@ def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
 
 def is_product_diagonal(model: FockModel, rho_s, tol: float = 1e-12) -> bool:
     """True when rho_s is diagonal in the occupation basis and its joint
-    occupancy distribution factorizes over modes.  A 1-D ``rho_s`` is the
-    populations of a diagonal state."""
+    occupancy distribution factorizes over modes, with no weight outside the
+    model's sectors.  A 1-D ``rho_s`` is the populations of a diagonal state."""
     if np.ndim(rho_s) == 1:
         probs = _populations(model, rho_s)
     else:
@@ -410,20 +460,9 @@ def is_product_diagonal(model: FockModel, rho_s, tol: float = 1e-12) -> bool:
             return False
         probs = np.diag(rho_s).real
     occ = model.occupancies
-    marginals = [np.bincount(column, weights=probs, minlength=model.level_dim) for column in occ.T]
+    marginals = [np.bincount(column, weights=probs) for column in occ.T]
     expected = np.prod([m[column] for m, column in zip(marginals, occ.T)], axis=0)
     return not (np.abs(probs - expected) > tol).any()
-
-
-def cutoff_contamination(model: FockModel, rho_s) -> float:
-    """Total population in basis states with any mode at the boson cutoff,
-    from a density matrix or the populations (1-D) of a diagonal one.
-    Runs with >= 1% contamination are not trustworthy near the cutoff."""
-    probs = _populations(model, rho_s) if np.ndim(rho_s) == 1 else _matrix(model, rho_s).diagonal().real
-    if model.statistics is Statistics.FERMION:
-        return 0.0
-    at_cutoff = (model.occupancies >= model.boson_cutoff).any(axis=1)
-    return float(np.sum(np.maximum(probs, 0.0), where=at_cutoff))
 
 
 def closure_residual_at_t0(model: FockModel, rho_s) -> float:

@@ -8,7 +8,8 @@ Everything here finishes in well under a minute on one core.
 import numpy as np
 import pytest
 
-from fock_reference import mode_operators, table_operator
+from fock_reference import hop_operator, level_count, mode_operators
+from test_fock_oracle import table_operator
 from qme.analysis import (
     appendix_d_scenario,
     bounds_monitor,
@@ -395,12 +396,14 @@ def test_criterion_7_empty_orbital_diagonal_is_pinned():
 
 
 def _algebra_defect(model):
-    """The canonical (anti)commutation defect of the reference mode operators,
-    and the largest deviation of the package's hop table from c_d^dag c_s."""
+    """The canonical (anti)commutation defect of the reference mode operators
+    on the full Fock space, and the largest deviation of the package's hop
+    table from c_d^dag c_s restricted to the model's sectors."""
     cs = mode_operators(model)
-    dim = model.fock_dim
+    levels = level_count(model)
+    dim = levels**model.modes
     table = max(
-        np.abs(table_operator(model, d, s) - cs[d].conj().T @ cs[s]).max()
+        np.abs(table_operator(model, d, s) - hop_operator(model, d, s)).max()
         for d in range(model.modes) for s in range(model.modes)
     )
     if model.statistics is FERMION:
@@ -412,10 +415,8 @@ def _algebra_defect(model):
                 expected = np.eye(dim) if i == j else 0.0
                 worst = max(worst, np.abs(mixed - expected).max())
         return worst, table
-    below = [
-        idx for idx in range(dim)
-        if max(model.occupancy_of_index(idx)) < model.boson_cutoff
-    ]
+    occupations = np.arange(dim)[:, None] // levels ** np.arange(model.modes) % levels
+    below = np.flatnonzero(occupations.max(axis=1) < levels - 1)
     sub = np.ix_(below, below)
     worst = 0.0
     for i in range(model.modes):
@@ -437,7 +438,7 @@ def test_criterion_8_fock_oracle_closure():
             [0.9, 0.4, 0.2],
         ),
         (
-            FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.6, (0, 1): 0.9}, boson_cutoff=4),
+            FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.6, (0, 1): 0.9}, sectors=(3,)),
             [2, 1],
         ),
     ]

@@ -31,10 +31,10 @@ from qme.fock_oracle import (
     FockModel,
     PopulationFlow,
     closure_residual_at_t0,
-    cutoff_contamination,
     reduce_one_particle,
 )
 from qme.dynamics import NetworkFlow, OccupationFlow, Statistics, hole_transform
+from fock_reference import population_generator
 from occupation_reference import occupation_row
 from qme.integrator import Trajectory, evolve, snapshots
 from qme.operators import DensityMatrix
@@ -447,14 +447,13 @@ class TestMalformedInput:
              "network.rates[(1,100000000000000000...0000000000000000000)]"),
             ({"equation": "markoff", "dephasing": [{"pair": [10**3000, 0], "rate": 1.0}]}, [],
              "dephasing[(100000000000000000...0000000000000000000,0)]"),
-            # the Fock model's size limits name the scenario key
-            ({"equation": "fock_oracle", "dimension": 5, "initial": {"occupations": [0.0] * 5},
-              "fock": {"energies": [0.0] * 5}}, [], "dimension"),
+            # the Fock model's basis bound names the start, whose sectors it holds:
+            # every sector of 18 fermion modes, and 600 bosons in 3 modes
+            ({"equation": "fock_oracle", "dimension": 18, "initial": {"occupations": [0.5] * 18},
+              "fock": {"energies": [0.0] * 18}}, [], "initial.occupations"),
             ({"equation": "fock_oracle", "statistics": "boson", "dimension": 3,
-              "initial": {"occupations": [0, 0, 1]}, "fock": {"energies": [0.0, 1.0, 2.0]}},
-             ["fock.boson_cutoff=11"], "fock.boson_cutoff"),
-            ({"equation": "fock_oracle", "statistics": "boson", "initial": {"occupations": [1, 0]},
-              "fock": {"energies": [0.0, 1.0], "boson_cutoff": 10**3000}}, [], "fock.boson_cutoff"),
+              "initial": {"occupations": [600, 0, 0]}, "fock": {"energies": [0.0, 1.0, 2.0]}},
+             [], "initial.occupations"),
             # a fermion model ignores the cutoff but still refuses a malformed one
             ({"equation": "fock_oracle", "initial": {"occupations": [1, 0]},
               "fock": {"energies": [0.0, 1.0]}}, ["fock.boson_cutoff=-5"], "fock.boson_cutoff"),
@@ -469,8 +468,8 @@ class TestMalformedInput:
              "equation_list", "equation_object", "record_every_huge", "basis_overflows",
              "self_transition", "boson_cutoff_zero", "name_long", "preset_long",
              "override_key_long", "initial_key_long", "network_key_long", "rate_index_long",
-             "dephasing_index_long", "fock_modes_over_limit", "boson_dimension_over_limit",
-             "boson_cutoff_huge", "fermion_boson_cutoff_negative", "dimension_huge",
+             "dephasing_index_long", "fock_basis_over_limit", "boson_basis_over_limit",
+             "fermion_boson_cutoff_negative", "dimension_huge",
              "record_every_negative_huge"],
     )
     def test_exits_one_naming_the_field(self, tmp_path, capsys, updates, overrides, field):
@@ -544,27 +543,29 @@ class TestMemoryBounds:
         assert err.startswith(prefix)
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_boson_fock_dimension_over_the_cap_exits_one(self, tmp_path, capsys):
-        # D = 100^2 = 10^4: a 1.6 GB product state before the run would start
-        self._exits_one(tmp_path, capsys, ["statistics=boson", "fock.boson_cutoff=99"],
-                        "error: fock.boson_cutoff: boson Fock dimension 10000 ")
+    def test_boson_sector_over_the_bound_exits_one(self, tmp_path, capsys):
+        # N = 131072 bosons in 2 modes: 131073 states, one above the bound
+        self._exits_one(tmp_path, capsys, ["statistics=boson", "initial.occupations=[131072,0]"],
+                        "error: initial.occupations: the basis of these particle numbers over 2 "
+                        "modes exceeds the limit of 131072 states")
 
-    def test_boson_fock_dimension_cap_is_1024(self):
-        # two modes: cutoff 31 gives D = 1024, cutoff 32 gives D = 1089; the
+    def test_boson_sector_bound_is_2_to_the_17(self):
+        # two modes: N = 131071 is 131072 states, N = 131072 one more; the
         # window records three snapshots so that the budget is not what decides
         overrides = ("statistics=boson", "record_every=1000")
         scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides,
-                                                   "fock.boson_cutoff=31"))
-        assert scenario.boson_cutoff == 31
-        with pytest.raises(ScenarioError, match="^fock.boson_cutoff: boson Fock dimension 1089 exceeds limit 1024$"):
+                                                   "initial.occupations=[131071,0]"))
+        assert scenario.start[1].dim == 2**17
+        with pytest.raises(ScenarioError, match="^initial.occupations: the basis .* exceeds the limit of 131072 states$"):
             scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides,
-                                            "fock.boson_cutoff=32"))
+                                            "initial.occupations=[0,131072]"))
 
     def test_oracle_budget_counts_the_fock_dimension(self, tmp_path, capsys):
-        # a snapshot is the D = 1024 populations, 8 KB: the bundled window's
-        # 101 snapshots run, while 2 * 10^5 + 1 exceed the 2^30 / (8 D) =
-        # 131072 that fit
-        overrides = ["statistics=boson", "fock.boson_cutoff=31"]
+        # a snapshot is the S = 1024 populations of every sector of 10 fermion
+        # modes, 8 KB: the bundled window's 101 snapshots run, while
+        # 2 * 10^5 + 1 exceed the 2^30 / (8 S) = 131072 that fit
+        overrides = ["dimension=10", f"fock.energies={[0.0] * 10}",
+                     f"initial.occupations={[0.5] * 10}"]
         argv = ["run", "fock_closure_2mode", "--out-dir", str(tmp_path / "o"), "--quiet"]
         assert main(argv + [arg for item in overrides for arg in ("--override", item)]) == 0
         self._exits_one(tmp_path, capsys, overrides + ["dt=1e-5", "record_every=1"],
@@ -581,9 +582,10 @@ class TestFockOverflow:
         [
             (["fock.energies=[1e308,-1e308]"], "fock.energies"),
             (['network.rates=[{"from": 0, "to": 1, "rate": 1e308}]'], "network.rates"),
-            # finite alone; the boson factor n_src (n_dest + 1) <= 20 takes it out of range
-            (["statistics=boson", 'network.rates=[{"from": 0, "to": 1, "rate": 1e307}]'],
-             "network.rates"),
+            # finite alone; at N = 4 the boson factors n_src (n_dest + 1) sum to 20,
+            # which takes it out of range
+            (["statistics=boson", "initial.occupations=[4,0]",
+              'network.rates=[{"from": 0, "to": 1, "rate": 1e307}]'], "network.rates"),
         ],
         ids=["energies", "rate", "boson_rate"],
     )
@@ -620,8 +622,7 @@ class TestFockPopulationPath:
         assert max(np.abs(a - b).max() for a, b in zip(traj.states, reduced)) <= 1e-13
         drift = np.abs(coherent.trace - coherent.trace[0]).max()
         assert abs(extra["many_body_trace_drift"] - drift) <= 1e-13
-        contamination = cutoff_contamination(model, coherent.states[-1])
-        assert abs(extra["cutoff_contamination_final"] - contamination) <= 1e-13
+        assert "cutoff_contamination_final" not in extra
         assert extra["closure_residual_t0"] == closure_residual_at_t0(model, p0)
 
     def test_coherent_flow_is_evaluated_once(self, monkeypatch):
@@ -636,7 +637,7 @@ class TestFockPopulationPath:
         assert len(traj) == 6
         assert [len(seen) for seen in calls.values()] == [1, 1]
         (model, p0), = calls["closure_residual_at_t0"]
-        assert p0.shape == (model.fock_dim,) and p0.dtype == float
+        assert p0.shape == (model.dim,) and p0.dtype == float
         # the t0 guard reads the populations themselves: no D x D object, and
         # the coherent flow's pair tables are never built
         (_, guarded), = calls["rhs_fock_lindblad"]
@@ -990,17 +991,38 @@ def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):
     assert peak < 2 * 76 * 16 * d**2
 
 
+def _ring_rates(modes, base):
+    """Hops between neighbouring modes of a ring, both ways."""
+    return [{"from": s, "to": d, "rate": base + 0.05 * ((3 * d + s) % 7)}
+            for s in range(modes) for d in ((s + 1) % modes, (s - 1) % modes)]
+
+
+#: Oracle runs past the 4 modes of a full Fock space: 12 fermion modes with a
+#: fractional start (the sectors N = 1..11, 4094 states) and 8 bosons in 8
+#: modes (one sector of 6435 states, where the cutoff-8 space held 9^8).
+LARGE_ORACLES = {
+    "fermion_12_modes": dict(
+        statistics="fermion", dimension=12,
+        initial={"occupations": [1.0, 0.9, 0.7, 0.5, 0.3, 0.1, 0.0, 0.2, 0.4, 0.6, 0.8, 0.95]},
+        fock={"energies": np.linspace(0.0, 2.0, 12).tolist()}, network={"rates": _ring_rates(12, 0.3)}),
+    "boson_8_in_8_modes": dict(
+        statistics="boson", dimension=8, initial={"occupations": [3, 0, 2, 0, 1, 0, 2, 0]},
+        fock={"energies": np.linspace(0.0, 2.0, 8).tolist()}, network={"rates": _ring_rates(8, 0.1)}),
+}
+
+
+def _large_oracle(name):
+    raw = _bundled_raw("fock_closure_2mode", "t1=0.2", "dt=0.002", "record_every=10")
+    raw.update(LARGE_ORACLES[name])
+    return raw
+
+
 def test_oracle_run_peak_memory_holds_no_many_body_matrix(tmp_path):
-    """A 4-mode boson oracle run at cutoff 4 (D = 625) through ``run`` peaks
-    below 5 MB, under the 6.25 MB of one D x D complex state: its populations,
-    transition tables and t0 guard are all of size D or of the transition
-    count."""
-    raw = _bundled_raw("fock_closure_2mode", "t1=0.05", "dt=0.01", "record_every=1")
-    rates = [{"from": s, "to": t, "rate": 0.2 + 0.1 * (s + 2 * t)}
-             for s in range(4) for t in range(4) if s != t]
-    raw.update(statistics="boson", dimension=4, initial={"occupations": [2.0, 1.0, 0.0, 1.0]},
-               fock={"energies": [0.0, 0.5, 0.9, 1.4], "boson_cutoff": 4}, network={"rates": rates})
-    path = write_scenario(tmp_path, raw)
+    """8 bosons in 8 modes (S = 6435) run through ``run`` with a peak below
+    10 MB, where one S x S complex state is 662 MB: the populations, the
+    transition tables and the t0 guard are all of size S or of the
+    transition count."""
+    path = write_scenario(tmp_path, _large_oracle("boson_8_in_8_modes"))
     tracemalloc.start()
     try:
         code = run(path, out_dir=str(tmp_path / "o"), quiet=True)
@@ -1009,8 +1031,41 @@ def test_oracle_run_peak_memory_holds_no_many_body_matrix(tmp_path):
         tracemalloc.stop()
     assert code == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text(encoding="utf-8"))
-    assert summary["equation"] == "fock_oracle" and len(summary["final_spectrum"]) == 4
-    assert peak < 5e6
+    assert summary["equation"] == "fock_oracle" and len(summary["final_spectrum"]) == 8
+    assert peak < 10e6
+
+
+class TestLargeOracles:
+    """`qme run` reaches 12 fermion modes and 8 bosons in 8 modes, because the
+    oracle holds only the sectors of its start."""
+
+    @pytest.mark.parametrize("name", LARGE_ORACLES)
+    def test_runs_and_matches_the_reference(self, name, tmp_path):
+        from scipy import sparse
+        from scipy.sparse.linalg import expm_multiply
+
+        raw = _large_oracle(name)
+        out = tmp_path / "o"
+        assert run(write_scenario(tmp_path, raw), out_dir=str(out), quiet=True) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["many_body_trace_drift"] <= 1e-13
+        assert summary["closure_residual_t0"] <= 1e-14
+        # each sector's generator is the restricted Kronecker construction
+        p0, model = scenario_from_dict(raw).start
+        assert model.sectors == ((8,) if raw["statistics"] == "boson" else tuple(range(1, 12)))
+        flow = model.populations
+        generator = (sparse.csr_matrix((flow.rate, (flow.dst, flow.src)), shape=(model.dim,) * 2)
+                     - sparse.diags(np.bincount(flow.src, flow.rate, minlength=model.dim)))
+        reference = population_generator(model)
+        assert abs(generator - reference).max() <= 1e-13
+        # block by block: no transition leaves its sector
+        n = model.occupancies.sum(axis=1)
+        assert np.array_equal(n[flow.src], n[flow.dst])
+        # and the run's RK4 trajectory ends on the reference's exponential
+        exact = model.occupancies.T @ expm_multiply(reference.tocsc() * raw["integrator"]["t1"], p0)
+        header, data = read_csv(out / "states.csv")
+        final = [data[-1, header.index(f"re_{k}_{k}")] for k in range(model.modes)]
+        assert np.abs(final - exact).max() <= 1e-12
 
 
 #: A valid value for every parameter group at dimension 2.

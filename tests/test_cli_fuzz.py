@@ -12,6 +12,7 @@ import copy
 import io
 import json
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -194,3 +195,38 @@ def test_huge_rates_on_the_occupation_path_exit_as_the_matrix_run_does(name, rat
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
     monkeypatch.setattr(NetworkFlow, "occupation_flow", lambda self: None)
     assert _run(raw) == (code, err, [])
+
+
+def _oracle(statistics, occupations):
+    """The bundled oracle scenario with this start, on as many modes."""
+    raw = copy.deepcopy(SCENARIOS["fock_closure_2mode"])
+    modes = len(occupations)
+    raw.update(statistics=statistics, dimension=modes, initial={"occupations": occupations})
+    raw["fock"] = {"energies": [0.0] * modes}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "statistics,occupations,message",
+    [
+        # sized with math.comb before any table is built: C(10^6 + 2, 2) states
+        ("boson", [1e6, 0, 0], "initial.occupations: the basis of these particle numbers over 3 modes "
+                               "exceeds the limit of 131072 states"),
+        ("boson", [1e30, 0, 0], "initial.occupations: the basis of these particle numbers"),
+        # 64 modes at N = 1 are 64 states, but the key N * 2^64 + ... leaves int64
+        ("fermion", [1.0] + [0.0] * 63, "initial.occupations: the basis key of these particle "
+                                        "numbers over 64 modes does not fit in int64"),
+        ("boson", [1] + [0] * 63, "initial.occupations: the basis key"),
+        ("boson", [1.5, 0, 0], "initial.occupations[0]: boson occupancy must be a nonnegative "
+                               "integer, got 1.5"),
+    ],
+    ids=["boson_1e6", "boson_1e30", "fermion_64_modes", "boson_64_modes", "boson_fraction"],
+)
+def test_oracle_starts_past_the_bounds_exit_one(statistics, occupations, message):
+    """A start whose sectors would not fit is refused by one line naming the
+    field, at once: no table of its states is built."""
+    start = time.process_time()
+    code, err, caught = _run(_oracle(statistics, occupations))
+    assert time.process_time() - start < 2.0
+    assert (code, caught) == (1, [])
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,22 +8,24 @@ from fock_reference import (
     fock_hamiltonian,
     fock_jump_operators,
     hop_operator,
+    level_count,
     mode_operators,
     number_operators,
-    table_operator,
+    population_generator,
 )
 from qme.dynamics import JumpFlow
 from qme.fock_oracle import (
+    MAX_STATES,
     FockFlow,
     FockModel,
     NonProductStateWarning,
     PopulationFlow,
     closure_residual_at_t0,
-    cutoff_contamination,
     is_product_diagonal,
     product_populations,
     reduce_one_particle,
     rhs_fock_lindblad,
+    start_sectors,
 )
 from qme.integrator import EvolutionSpec, evolve
 from qme.operators import DensityMatrix, Statistics, hermiticity_defect
@@ -37,6 +40,21 @@ def fermion_model(modes, rates=None, energies=None):
         energies=tuple(energies) if energies else tuple(float(k) for k in range(modes)),
         rates=rates or {},
     )
+
+
+def table_operator(model, dest: int, src: int) -> np.ndarray:
+    """c_dest^dag c_src as the package builds it, from its hop table."""
+    i, j, n_src, n_dest, sign = model._hops(dest, src)
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    out[j, i] = sign * np.sqrt(n_src * n_dest)
+    return out
+
+
+def population_matrix(flow: PopulationFlow) -> np.ndarray:
+    """The generator G of a population flow, dp/dt = G p, as a dense matrix."""
+    g = np.zeros((flow.dim, flow.dim))
+    np.add.at(g, (flow.dst, flow.src), flow.rate)
+    return g - np.diag(np.bincount(flow.src, flow.rate, minlength=flow.dim))
 
 
 def random_density_matrix(rng, d):
@@ -54,17 +72,34 @@ def dense_lindblad(h, jumps, rho):
     return out
 
 
+BOSON_RATES = {(1, 0): 0.7, (0, 1): 0.3, (2, 1): 0.5, (1, 2): 0.2, (0, 2): 0.4, (2, 0): 0.1}
+
 REFERENCE_MODELS = {
     "fermion_3": fermion_model(3, rates={(1, 0): 0.7, (2, 1): 0.4, (0, 2): 0.2}, energies=(0.0, 0.5, 1.3)),
     "fermion_4": fermion_model(4, rates={(1, 0): 0.9, (2, 1): 0.4, (3, 2): 0.6, (0, 3): 0.2, (2, 0): 0.3},
                                energies=(0.0, 0.4, 0.9, 1.7)),
-    "boson_3_cutoff_3": FockModel(BOSON, (0.0, 0.6, 1.1), {(1, 0): 0.7, (0, 1): 0.3, (2, 1): 0.5,
-                                                           (1, 2): 0.2, (0, 2): 0.4, (2, 0): 0.1},
-                                  boson_cutoff=3),
-    "boson_2_cutoff_1": FockModel(BOSON, (0.0, 0.8), {(1, 0): 0.6, (0, 1): 0.9}, boson_cutoff=1),
-    "boson_1_mode": FockModel(BOSON, (0.7,), boson_cutoff=3),
+    "boson_3_N_2_to_5": FockModel(BOSON, (0.0, 0.6, 1.1), BOSON_RATES, sectors=(2, 3, 4, 5)),
+    "boson_2_N_2": FockModel(BOSON, (0.0, 0.8), {(1, 0): 0.6, (0, 1): 0.9}, sectors=(2,)),
+    "boson_1_mode": FockModel(BOSON, (0.7,), sectors=(3,)),
     "fermion_3_no_rates": fermion_model(3, energies=(0.0, 0.5, 1.3)),
 }
+
+
+def ring_rates(modes):
+    """Rates between neighbouring modes of a ring, both ways, all distinct."""
+    return {(d, s): 0.2 + 0.1 * (3 * d + s) for d in range(modes) for s in range(modes)
+            if d != s and (d - s) % modes in (1, modes - 1)}
+
+
+#: One model per sector: fermions of up to 4 modes at every N, bosons of up to
+#: 3 modes at N <= 4; and the fermion models of every sector at once.
+SECTOR_MODELS = {
+    f"{stats.value}_{m}_modes_N_{n}": FockModel(stats, tuple(0.3 * k + 0.1 for k in range(m)),
+                                                ring_rates(m), sectors=(n,))
+    for stats, modes, numbers in ((FERMION, range(1, 5), lambda m: range(m + 1)),
+                                  (BOSON, range(1, 4), lambda m: range(5)))
+    for m in modes for n in numbers(m)
+} | {f"fermion_{m}_modes": fermion_model(m, rates=ring_rates(m)) for m in range(1, 5)}
 
 
 class TestModeOperators:
@@ -86,82 +121,130 @@ class TestModeOperators:
                 assert np.abs(mixed - expected).max() <= 1e-12
 
     def test_single_boson_number_operator(self):
-        model = FockModel(BOSON, (0.0,), boson_cutoff=3)
+        model = FockModel(BOSON, (0.0,), sectors=(3,))
         (c,) = mode_operators(model)
         assert np.allclose(c.conj().T @ c, np.diag([0.0, 1.0, 2.0, 3.0]))
 
     def test_boson_commutation_below_cutoff(self):
-        model = FockModel(BOSON, (0.0, 1.0), boson_cutoff=4)
-        cs = mode_operators(model)
-        below = [
-            idx
-            for idx in range(model.fock_dim)
-            if max(model.occupancy_of_index(idx)) < model.boson_cutoff
-        ]
+        # the reference's full space stops one level above the largest sector
+        model = FockModel(BOSON, (0.0, 1.0), sectors=(4,))
+        cs, levels = mode_operators(model), level_count(model)
+        occupations = np.arange(levels**2)[:, None] // levels ** np.arange(2) % levels
+        below = np.flatnonzero(occupations.max(axis=1) < levels - 1)
         for i in range(2):
             for j in range(2):
                 comm = cs[i] @ cs[j].conj().T - cs[j].conj().T @ cs[i]
-                expected = np.eye(model.fock_dim) if i == j else np.zeros_like(comm)
+                expected = np.eye(levels**2) if i == j else np.zeros_like(comm)
                 sub = np.ix_(below, below)
                 assert np.abs((comm - expected)[sub]).max() <= 1e-12
 
-    def test_mode_count_limit(self):
-        with pytest.raises(ValueError, match="^modes: "):
-            fermion_model(5)
+    def test_basis_size_limit(self):
+        # every fermion sector of 18 modes is 2^18 states
+        with pytest.raises(ValueError, match=f"^sectors: .* 18 modes exceeds the limit of {MAX_STATES}"):
+            fermion_model(18)
+        assert fermion_model(17, rates={(1, 0): 1.0}).dim == MAX_STATES == 2**17
+        assert FockModel(FERMION, (0.0,) * 17, sectors=(8, 9)).dim == 2 * math.comb(17, 8)
 
-    def test_boson_dimension_limit(self):
-        with pytest.raises(ValueError, match="^boson_cutoff: boson Fock dimension 14641 exceeds limit"):
-            FockModel(BOSON, (0.0,) * 4, boson_cutoff=10)
-        # a cutoff past the limit is refused as such, and echoed shortened
-        with pytest.raises(ValueError, match=r"^boson_cutoff: must lie in \[1, 1023\], got 1000.{,40}$"):
-            FockModel(BOSON, (0.0,), boson_cutoff=10**3000)
-        # past the 4300 digits repr accepts, the echo is the bit length
-        huge = r"^boson_cutoff: must lie in \[1, 1023\], got an integer of 16610 bits$"
-        with pytest.raises(ValueError, match=huge):
-            FockModel(BOSON, (0.0,), boson_cutoff=10**5000)
+    def test_boson_sector_limit(self):
+        # 3 modes: N = 510 is C(512, 2) = 130816 states, N = 511 is C(513, 2) = 131328
+        assert math.comb(512, 2) <= MAX_STATES < math.comb(513, 2)
+        with pytest.raises(ValueError, match="^sectors: .* exceeds the limit"):
+            FockModel(BOSON, (0.0, 1.0, 2.0), sectors=(511,))
+        # sized by math.comb, so a huge N is refused at once, and not echoed
+        for n in (10**6, 10**30, 10**5000):
+            with pytest.raises(ValueError, match="^sectors: the basis of these particle numbers"):
+                FockModel(BOSON, (0.0, 1.0, 2.0), sectors=(n,))
+
+    @pytest.mark.parametrize(
+        "statistics,modes,sector",
+        [(FERMION, 64, 1), (FERMION, 63, 1), (BOSON, 1, 10**10)],
+        ids=["fermion_64_modes", "fermion_63_modes", "boson_1_mode_huge_N"],
+    )
+    def test_a_key_past_int64_is_refused(self, statistics, modes, sector):
+        # one sector of few states, but N * r**modes leaves int64
+        with pytest.raises(ValueError, match="^sectors: the basis key .* does not fit in int64$"):
+            FockModel(statistics, (0.0,) * modes, sectors=(sector,))
+        # 62 modes at N = 1: the largest key is 2^62 + 2^61
+        assert FockModel(FERMION, (0.0,) * 62, sectors=(1,))._keys[-1] == 2**62 + 2**61
 
     @pytest.mark.parametrize(
         "kwargs,field",
         [
             ({"rates": {(1, 0): float("nan")}}, r"rates\[\(1,0\)\]"),
             ({"rates": {(1, 0): float("inf")}}, r"rates\[\(1,0\)\]"),
-            ({"boson_cutoff": True}, "boson_cutoff"),
-            # a fermion model ignores the cutoff but refuses a malformed one
-            ({"boson_cutoff": -5}, r"^boson_cutoff: must lie in \[1, 1023\], got -5$"),
+            ({"sectors": (True,)}, "^sectors: expected nonnegative particle numbers"),
+            ({"sectors": (-1,)}, "^sectors: expected nonnegative particle numbers"),
+            ({"sectors": (1.0,)}, "^sectors: expected nonnegative particle numbers"),
+            ({"sectors": ()}, "^sectors: expected nonnegative particle numbers"),
+            # a fermion sector holds at most one particle a mode
+            ({"sectors": (3,)}, "^sectors: .*, at most 2 for fermions$"),
+            ({"statistics": BOSON}, "^sectors: a boson model needs its particle numbers$"),
+            ({"energies": ()}, "^modes: "),
         ],
-        ids=["nan_rate", "inf_rate", "bool_cutoff", "negative_cutoff"],
+        ids=["nan_rate", "inf_rate", "bool_sector", "negative_sector", "float_sector",
+             "no_sector", "fermion_sector_over_the_modes", "boson_without_sectors", "no_mode"],
     )
     def test_malformed_model_rejected(self, kwargs, field):
+        kwargs = {"statistics": FERMION, "energies": (0.0, 1.0), **kwargs}
         with pytest.raises(ValueError, match=field):
-            FockModel(FERMION, (0.0, 1.0), **kwargs)
+            FockModel(**kwargs)
 
-    @pytest.mark.parametrize("index", [-1, -8, 8, 100])
-    def test_occupancy_index_out_of_range(self, index):
-        # a negative index must not wrap around to the last basis states
-        with pytest.raises(IndexError, match="out of range"):
-            fermion_model(3).occupancy_of_index(index)
-
-    def test_occupancy_indexing_little_endian(self):
+    def test_basis_ranks_sectors_by_key(self):
+        # three fermion modes: N = 0, then N = 1 by the key sum_k occ_k 2^k, ...
         model = fermion_model(3)
-        assert model.occupancy_of_index(0b101) == (1, 0, 1)
+        assert model.occupancies.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                              [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
+        assert not model.occupancies.flags.writeable
         nops = number_operators(model)
         for k in range(3):
-            diag = np.diag(nops[k]).real
-            expected = [model.occupancy_of_index(i)[k] for i in range(8)]
-            assert np.allclose(diag, expected)
+            assert np.array_equal(np.diag(nops[k]).real, model.occupancies[:, k])
+        assert model.sectors == (0, 1, 2, 3)
+        # sectors are sorted and deduplicated
+        assert FockModel(BOSON, (0.0, 1.0), sectors=[2, 0, 2]).sectors == (0, 2)
+
+    @pytest.mark.parametrize("statistics", [FERMION, BOSON])
+    def test_occupancy_table_holds_each_sector_once(self, statistics):
+        model = FockModel(statistics, (0.0, 1.0, 2.0), sectors=(0, 2, 3))
+        occ, r = model.occupancies, level_count(model)
+        sizes = [math.comb(3, n) if statistics is FERMION else math.comb(n + 2, 2) for n in (0, 2, 3)]
+        assert occ.shape == (model.dim, 3) and model.dim == sum(sizes)
+        # every occupation tuple of the sectors, once, in increasing (N, key)
+        n = occ.sum(axis=1)
+        assert np.array_equal(np.bincount(n, minlength=4)[[0, 2, 3]], sizes)
+        keys = n * r**3 + occ @ r ** np.arange(3)
+        assert np.all(np.diff(keys) > 0)
+        assert occ.max() <= (1 if statistics is FERMION else 3)
 
 
-#: Fermion models of 1 to 4 modes and the boson models of REFERENCE_MODELS.
-HOP_MODELS = {f"fermion_{m}_modes": fermion_model(m) for m in range(1, 5)} | {
-    name: model for name, model in REFERENCE_MODELS.items() if model.statistics is BOSON
-}
+class TestStartSectors:
+    @pytest.mark.parametrize(
+        "statistics,occupations,sectors",
+        [(FERMION, [1.0, 0.5, 0.0], range(1, 3)), (FERMION, [1.0, 0.0], range(1, 2)),
+         (FERMION, [0.0, 0.0], range(0, 1)), (FERMION, [0.2, 0.9, 1.0, 0.4], range(1, 5)),
+         (BOSON, [2, 1, 0], range(3, 4)), (BOSON, [0.0], range(0, 1))],
+    )
+    def test_sectors_of_a_product_start(self, statistics, occupations, sectors):
+        assert start_sectors(statistics, occupations) == sectors
+
+    @pytest.mark.parametrize(
+        "statistics,occupations,message",
+        [(FERMION, [0.5, 1.2], r"^occupations\[1\]: fermion occupation must lie in \[0, 1\]"),
+         (FERMION, [float("nan")], r"^occupations\[0\]: fermion"),
+         (BOSON, [0.5], r"^occupations\[0\]: boson occupancy must be a nonnegative integer"),
+         (BOSON, [1, -1], r"^occupations\[1\]: boson occupancy"),
+         (BOSON, [float("nan")], r"^occupations\[0\]: boson occupancy"),
+         (BOSON, [float("inf")], r"^occupations\[0\]: boson occupancy")],
+    )
+    def test_malformed_occupations_name_their_entry(self, statistics, occupations, message):
+        with pytest.raises(ValueError, match=message):
+            start_sectors(statistics, occupations)
 
 
 class TestHopTable:
     """The one occupancy rule behind every operator of the package, against
     the Kronecker-product reference."""
 
-    @pytest.mark.parametrize("model", HOP_MODELS.values(), ids=HOP_MODELS.keys())
+    @pytest.mark.parametrize("model", SECTOR_MODELS.values(), ids=SECTOR_MODELS.keys())
     def test_equals_the_reference_monomials(self, model):
         for dest in range(model.modes):
             for src in range(model.modes):
@@ -173,18 +256,61 @@ class TestHopTable:
 
     @pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
     def test_population_rates_are_w_n_src_n_dest_plus_one(self, model):
-        # rate by rate, in increasing source state, rounded as w * n_src * (n_dest + 1)
-        occ, top = model.occupancies, model.level_dim - 1
+        # rate by rate, in increasing source state, rounded as w * n_src * (n_dest + 1),
+        # each move found by its occupation tuple
+        occ = model.occupancies
+        index = {tuple(row): k for k, row in enumerate(occ.tolist())}
         src, dst, rate = [], [], []
         for (dest, source), w in model.rates.items():
             n_src, n_dest = occ[:, source], occ[:, dest]
-            i = np.flatnonzero((n_src > 0) & (n_dest < top))
+            moves = n_src > 0
+            if model.statistics is FERMION:
+                moves &= n_dest == 0
+            i = np.flatnonzero(moves)
+            for k in i:
+                moved = occ[k].copy()
+                moved[source] -= 1
+                moved[dest] += 1
+                dst.append(index[tuple(moved.tolist())])
             src += i.tolist()
-            dst += (i - model.level_dim**source + model.level_dim**dest).tolist()
             rate += (w * n_src[i] * (n_dest[i] + 1)).tolist()
         flow = model.populations
         assert np.array_equal(flow.src, src) and np.array_equal(flow.dst, dst)
         assert np.array_equal(flow.rate, rate)
+
+
+class TestSectorOperators:
+    """Every operator of a sector model is the Kronecker construction of
+    tests/fock_reference.py, restricted to the model's states."""
+
+    @pytest.mark.parametrize("model", SECTOR_MODELS.values(), ids=SECTOR_MODELS.keys())
+    def test_equals_the_restricted_kronecker_construction(self, model):
+        # the reference evaluates the product state by state; as a check on
+        # it, that equals the full-space matrices restricted by index
+        r = level_count(model)
+        place = model.occupancies @ r ** np.arange(model.modes)
+        sub = np.ix_(place, place)
+        cs = mode_operators(model)
+        for dest in range(model.modes):
+            for src in range(model.modes):
+                full = cs[dest].conj().T @ cs[src]
+                assert np.array_equal(hop_operator(model, dest, src), full[sub])
+        # H: diagonal, the many-body energies
+        h = fock_hamiltonian(model)
+        assert not np.any(h - np.diag(np.diag(h)))
+        assert np.abs(np.diag(h).real - model._state_energies).max() <= 1e-14
+        # each number operator and each jump
+        for n, n_op in enumerate(number_operators(model)):
+            assert np.abs(table_operator(model, n, n) - n_op).max() <= 1e-15
+        jumps = fock_jump_operators(model)
+        assert len(model.flow._jumps) == len(jumps)
+        for (i, j, a), ref in zip(model.flow._jumps, jumps):
+            table = np.zeros((model.dim, model.dim), dtype=complex)
+            table[j, i] = a
+            assert np.abs(table - ref).max() <= 1e-15
+        # the population flow
+        assert np.abs(population_matrix(model.populations)
+                      - population_generator(model).toarray()).max() <= 1e-14
 
 
 class TestFockLindblad:
@@ -209,9 +335,9 @@ class TestFockLindblad:
         if stats is FERMION:
             model = fermion_model(3, rates={(1, 0): 0.7, (2, 1): 0.4, (0, 2): 0.2})
         else:
-            model = FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.7, (0, 1): 0.3}, boson_cutoff=3)
+            model = FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.7, (0, 1): 0.3}, sectors=(0, 1, 2, 3))
         rng = np.random.default_rng(1)
-        d = model.fock_dim
+        d = model.dim
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
@@ -226,9 +352,9 @@ class TestFockLindblad:
         h = fock_hamiltonian(model)
         jumps = fock_jump_operators(model)
         dense = JumpFlow(h, [a.conj().T for a in jumps], None)
-        rng = np.random.default_rng(model.fock_dim)
+        rng = np.random.default_rng(model.dim)
         for _ in range(4):
-            rho = random_density_matrix(rng, model.fock_dim)
+            rho = random_density_matrix(rng, model.dim)
             out = rhs_fock_lindblad(model, rho)
             assert np.abs(out - dense_lindblad(h, jumps, rho)).max() <= 1e-14
             assert np.abs(out - dense(0.0, rho)).max() <= 1e-14
@@ -273,8 +399,8 @@ class TestFockLindblad:
 #: The models of the population-flow checks, and a product start of each.
 POPULATION_STARTS = {
     "fermion_4": [0.9, 0.35, 0.6, 0.05],
-    "boson_3_cutoff_3": [3, 0, 2],  # modes 0 and 2 start at the cutoff
-    "boson_2_cutoff_1": [1, 1],
+    "boson_3_N_2_to_5": [3, 0, 2],  # in the top sector
+    "boson_2_N_2": [1, 1],
     "boson_1_mode": [3],
     "fermion_3_no_rates": [0.25, 1.0, 0.5],
 }
@@ -295,7 +421,7 @@ PRODUCT_STARTS = {**POPULATION_STARTS, "fermion_3": [0.8, 0.3, 0.55]}
 
 def fresh(model):
     """An equal model with nothing cached yet."""
-    return FockModel(model.statistics, model.energies, model.rates, model.boson_cutoff)
+    return FockModel(model.statistics, model.energies, model.rates, model.sectors)
 
 
 class TestFockFlowOnPopulations:
@@ -305,12 +431,12 @@ class TestFockFlowOnPopulations:
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_is_the_matrix_diagonal_bit_for_bit(self, name):
         model = REFERENCE_MODELS[name]
-        rng = np.random.default_rng(model.fock_dim + 11)
+        rng = np.random.default_rng(model.dim + 11)
         starts = [product_populations(model, PRODUCT_STARTS[name])]
-        starts += [rng.dirichlet(np.ones(model.fock_dim)) for _ in range(4)]
+        starts += [rng.dirichlet(np.ones(model.dim)) for _ in range(4)]
         for p in starts:
             out = model.flow(0.0, p)
-            assert out.shape == (model.fock_dim,) and out.dtype == float
+            assert out.shape == (model.dim,) and out.dtype == float
             assert np.array_equal(out, np.diag(model.flow(0.0, np.diag(p))).real)
             assert np.array_equal(rhs_fock_lindblad(model, p), out)
 
@@ -329,9 +455,9 @@ class TestFockFlowOnPopulations:
         model = fresh(REFERENCE_MODELS[name])
         model.flow(0.0, product_populations(model, PRODUCT_STARTS[name]))
         h, jumps = fock_hamiltonian(model), fock_jump_operators(model)
-        rng = np.random.default_rng(model.fock_dim + 3)
+        rng = np.random.default_rng(model.dim + 3)
         for _ in range(3):
-            rho = random_density_matrix(rng, model.fock_dim)
+            rho = random_density_matrix(rng, model.dim)
             assert np.abs(rhs_fock_lindblad(model, rho) - dense_lindblad(h, jumps, rho)).max() <= 1e-14
 
     def test_complex_jumps_weigh_by_their_modulus(self):
@@ -349,8 +475,13 @@ POPULATION_ENTRY_POINTS = {
     "reduce_one_particle": reduce_one_particle,
     "closure_residual_at_t0": closure_residual_at_t0,
     "is_product_diagonal": is_product_diagonal,
-    "cutoff_contamination": cutoff_contamination,
 }
+
+
+def four_state_model(statistics):
+    """Two modes and four basis states: every fermion sector, or 3 bosons."""
+    return FockModel(statistics, (0.0, 1.0), {(1, 0): 1.0},
+                     sectors=None if statistics is FERMION else (3,))
 
 
 class TestPopulationInput:
@@ -365,7 +496,7 @@ class TestPopulationInput:
         ids=["complex", "nan", "inf", "minus_inf"],
     )
     def test_refused_not_coerced(self, entry, statistics, bad, message):
-        model = FockModel(statistics, (0.0, 1.0), {(1, 0): 1.0}, boson_cutoff=1)
+        model = four_state_model(statistics)
         p = np.full(4, 0.25, dtype=complex if isinstance(bad, complex) else float)
         p[2] = bad
         with warnings.catch_warnings():
@@ -387,7 +518,7 @@ class TestPopulationInput:
         # a density matrix is read as checked as populations are: a NaN
         # matrix is not called a product state, and a 7 x 7 one on D = 4
         # names the mismatch rather than failing inside numpy
-        model = FockModel(statistics, (0.0, 1.0), {(1, 0): 1.0}, boson_cutoff=1)
+        model = four_state_model(statistics)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
@@ -411,12 +542,12 @@ class TestPopulationFlow:
     @pytest.mark.parametrize("name", POPULATION_STARTS)
     def test_equals_the_coherent_diagonal(self, name):
         model = REFERENCE_MODELS[name]
-        rng = np.random.default_rng(model.fock_dim + 7)
+        rng = np.random.default_rng(model.dim + 7)
         starts = [product_populations(model, POPULATION_STARTS[name])]
-        starts += [rng.dirichlet(np.ones(model.fock_dim)) for _ in range(4)]
+        starts += [rng.dirichlet(np.ones(model.dim)) for _ in range(4)]
         for p in starts:
             out = model.populations(0.0, p)
-            assert out.shape == (model.fock_dim,)
+            assert out.shape == (model.dim,)
             assert np.abs(out - coherent_diagonal(model, p)).max() <= 1e-13
             assert abs(out.sum()) <= 1e-15
 
@@ -435,12 +566,14 @@ class TestPopulationFlow:
         assert flow.src.tolist() == [1, 5]
         assert flow.dst.tolist() == [2, 6]
         assert flow.rate.tolist() == [2.0, 2.0]
-        # bosons at cutoff 2 (index n0 + 3 n1): rate w n_src (n_dest + 1), and
-        # nothing moves into a mode at the cutoff, so (1, 2) and (2, 2) stay
-        boson = FockModel(BOSON, (0.0, 0.0), {(1, 0): 0.5}, boson_cutoff=2)
+        # bosons in the sectors N = 1, 2 (states (1,0), (0,1) | (2,0), (1,1),
+        # (0,2)): rate w n_src (n_dest + 1), and a sector is complete, so
+        # every state with mode 0 filled moves
+        boson = FockModel(BOSON, (0.0, 0.0), {(1, 0): 0.5}, sectors=(1, 2))
+        assert boson.occupancies.tolist() == [[1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
         flow = boson.populations
         table = dict(zip(zip(flow.src.tolist(), flow.dst.tolist()), flow.rate.tolist()))
-        assert table == {(1, 3): 0.5, (2, 4): 1.0, (4, 6): 1.0, (5, 7): 2.0}
+        assert table == {(0, 1): 0.5, (2, 3): 1.0, (3, 4): 1.0}
 
     def test_built_with_the_model(self):
         model = fermion_model(2, rates={(1, 0): 1.0})
@@ -465,10 +598,11 @@ class TestPopulationFlow:
             FockModel(FERMION, **kwargs)
 
     def test_boson_rate_overflow_counts_the_occupation_factors(self):
-        # 1e307 is finite, but w n_src (n_dest + 1) reaches 4 x 5 x 1e307
+        # 1e307 is finite, but at N = 4 the factors n_src (n_dest + 1) of the
+        # four moves sum to 4 + 6 + 6 + 4 = 20, and twice 20 x 1e307 overflows
         with pytest.raises(ValueError, match="rates: "):
-            FockModel(BOSON, (0.0, 1.0), {(1, 0): 1e307}, boson_cutoff=4)
-        FockModel(BOSON, (0.0, 1.0), {(1, 0): 1e300}, boson_cutoff=4)
+            FockModel(BOSON, (0.0, 1.0), {(1, 0): 1e307}, sectors=(4,))
+        FockModel(BOSON, (0.0, 1.0), {(1, 0): 1e300}, sectors=(4,))
         FockModel(FERMION, (0.0, 1.0), {(1, 0): 6e307})
 
 
@@ -477,10 +611,9 @@ class TestReduction:
     def test_populations_reduce_like_their_diagonal_state(self, name):
         model = REFERENCE_MODELS[name]
         product = product_populations(model, POPULATION_STARTS[name])
-        for p in (np.random.default_rng(3).dirichlet(np.ones(model.fock_dim)), product):
+        for p in (np.random.default_rng(3).dirichlet(np.ones(model.dim)), product):
             rho = np.diag(p).astype(complex)
             assert np.abs(reduce_one_particle(model, p) - reduce_one_particle(model, rho)).max() <= 1e-15
-            assert cutoff_contamination(model, p) == cutoff_contamination(model, rho)
         # the closure reads the exact derivative from the population flow
         closure = closure_residual_at_t0(model, product)
         assert abs(closure - closure_residual_at_t0(model, np.diag(product))) <= 1e-14
@@ -504,14 +637,15 @@ class TestReduction:
         rho = np.outer(psi, psi.conj())
         assert np.allclose(reduce_one_particle(model, rho), 0.5 * np.ones((2, 2)))
 
-    @pytest.mark.parametrize("name", ["fermion_4", "boson_3_cutoff_3", "boson_1_mode"])
+    @pytest.mark.parametrize("name", ["fermion_4", "boson_3_N_2_to_5", "boson_1_mode"])
     def test_matches_dense_trace_formula(self, name):
         model = REFERENCE_MODELS[name]
-        cs = mode_operators(model)
-        rng = np.random.default_rng(model.fock_dim + 1)
+        modes = range(model.modes)
+        rng = np.random.default_rng(model.dim + 1)
         for _ in range(3):
-            rho = random_density_matrix(rng, model.fock_dim)
-            ref = np.array([[np.trace(cn.conj().T @ cn2 @ rho) for cn2 in cs] for cn in cs])
+            rho = random_density_matrix(rng, model.dim)
+            ref = np.array([[np.trace(hop_operator(model, n, n2) @ rho) for n2 in modes]
+                            for n in modes])
             assert np.abs(reduce_one_particle(model, rho) - ref).max() <= 1e-14
 
     def test_trace_counts_particles(self):
@@ -530,7 +664,7 @@ class TestProductStates:
         assert np.allclose(occ, [0.7, 0.2])
 
     def test_boson_fock_occupancies(self):
-        model = FockModel(BOSON, (0.0, 1.0), boson_cutoff=4)
+        model = FockModel(BOSON, (0.0, 1.0), sectors=(3,))
         p = product_populations(model, [2, 1])
         occ = np.diag(reduce_one_particle(model, p)).real
         assert np.allclose(occ, [2.0, 1.0])
@@ -538,25 +672,37 @@ class TestProductStates:
     @pytest.mark.parametrize("name", POPULATION_STARTS)
     def test_populations_are_the_kronecker_product(self, name):
         model, occupations = REFERENCE_MODELS[name], POPULATION_STARTS[name]
-        # each mode's occupation distribution as a diagonal matrix, mode 0 the last factor
+        # each mode's occupation distribution as a diagonal matrix, mode 0 the
+        # last factor, on the full space of level_count levels a mode
+        r = level_count(model)
         rho = np.eye(1, dtype=complex)
         for occ in reversed(occupations):
-            local = [1 - occ, occ] if model.statistics is FERMION else np.eye(model.level_dim)[occ]
+            local = [1 - occ, occ] if model.statistics is FERMION else np.eye(r)[occ]
             rho = np.kron(rho, np.diag(local).astype(complex))
+        # the model's states by their full-space index hold all the weight
+        place = model.occupancies @ r ** np.arange(model.modes)
         p = product_populations(model, occupations)
-        assert p.dtype == float and np.array_equal(p, np.diag(rho).real)
+        assert p.dtype == float and np.array_equal(p, np.diag(rho).real[place])
         assert abs(p.sum() - 1.0) <= 1e-15
 
     def test_fermion_probability_range(self):
         with pytest.raises(ValueError, match=r"occupations\[0\]"):
             product_populations(fermion_model(1), [1.2])
 
-    def test_boson_requires_integer_below_cutoff(self):
-        model = FockModel(BOSON, (0.0,), boson_cutoff=2)
-        with pytest.raises(ValueError, match="integer"):
+    def test_boson_requires_an_integer_in_the_sectors(self):
+        model = FockModel(BOSON, (0.0,), sectors=(2,))
+        with pytest.raises(ValueError, match=r"^occupations\[0\]: .* integer"):
             product_populations(model, [0.5])
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match=r"^occupations: the state has weight on N = 3\.\.3, outside"):
             product_populations(model, [3])
+
+    def test_fermion_start_must_lie_in_the_sectors(self):
+        # [1, 0.5, 0] has weight on N = 1 and N = 2
+        model = FockModel(FERMION, (0.0, 1.0, 2.0), sectors=(1,))
+        with pytest.raises(ValueError, match=r"^occupations: the state has weight on N = 1\.\.2"):
+            product_populations(model, [1.0, 0.5, 0.0])
+        p = product_populations(FockModel(FERMION, (0.0, 1.0, 2.0), sectors=(1, 2)), [1.0, 0.5, 0.0])
+        assert p.tolist() == [0.5, 0.0, 0.0, 0.5, 0.0, 0.0]
 
     def test_diagonal_correlated_state_is_not_a_product(self):
         # equal weights on |01> and |10>: both marginals are (1/2, 1/2), yet
@@ -567,23 +713,6 @@ class TestProductStates:
         assert not is_product_diagonal(model, np.diag(rho))
         assert is_product_diagonal(model, np.diag([0.25] * 4))
         assert is_product_diagonal(model, np.full(4, 0.25))
-
-    def test_occupancy_table_rows(self):
-        model = FockModel(BOSON, (0.0, 1.0, 2.0), boson_cutoff=2)
-        d = model.level_dim
-        assert model.occupancies.shape == (model.fock_dim, model.modes)
-        for idx in range(model.fock_dim):
-            occ = model.occupancy_of_index(idx)
-            assert sum(o * d**k for k, o in enumerate(occ)) == idx
-
-    def test_cutoff_contamination(self):
-        model = FockModel(BOSON, (0.0,), boson_cutoff=2)
-        rho = np.diag(product_populations(model, [2]))
-        assert cutoff_contamination(model, rho) == pytest.approx(1.0)
-        assert cutoff_contamination(model, product_populations(model, [0])) == 0.0
-        two = FockModel(BOSON, (0.0, 1.0), boson_cutoff=2)
-        assert cutoff_contamination(two, product_populations(two, [0, 2])) == pytest.approx(1.0)
-        assert cutoff_contamination(two, product_populations(two, [1, 1])) == 0.0
 
 
 class TestClosure:
@@ -600,7 +729,7 @@ class TestClosure:
         assert max(closure_residual_at_t0(model, s) for s in (p, np.diag(p))) <= 1e-10
 
     def test_two_mode_boson_product(self):
-        model = FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.6, (0, 1): 0.9}, boson_cutoff=4)
+        model = FockModel(BOSON, (0.0, 1.0), {(1, 0): 0.6, (0, 1): 0.9}, sectors=(3,))
         p = product_populations(model, [2, 1])
         assert max(closure_residual_at_t0(model, s) for s in (p, np.diag(p))) <= 1e-10
 
@@ -663,5 +792,3 @@ class TestExactEvolution:
             closure_residual_at_t0(model, np.ones(3) / 3)
         with pytest.raises(ValueError, match="dimension mismatch"):
             is_product_diagonal(model, np.ones(3) / 3)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            cutoff_contamination(model, np.ones(3) / 3)

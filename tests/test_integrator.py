@@ -523,11 +523,11 @@ def affine_case(kind):
         return flow.occupation_flow(), n
     if kind == "populations":
         model = FockModel(BOSON, (0.0, 0.6, 1.1), {(1, 0): 0.7, (0, 1): 0.3, (2, 1): 0.5},
-                          boson_cutoff=2)
-        return model.populations, rng.dirichlet(np.ones(model.fock_dim))
+                          sectors=(0, 1, 2))
+        return model.populations, rng.dirichlet(np.ones(model.dim))
     assert kind == "fock"
     model = FockModel(FERMION, (0.0, 0.5), {(1, 0): 0.7, (0, 1): 0.2})
-    return model.flow, DensityMatrix(rand_state(rng, model.fock_dim, FERMION) / model.fock_dim,
+    return model.flow, DensityMatrix(rand_state(rng, model.dim, FERMION) / model.dim,
                                      FERMION)
 
 
@@ -713,13 +713,14 @@ class TestAffineMap:
         assert traj.final_state.tobytes() == rk4_reference(flow, x, 0.0, 0.13, 0.05).tobytes()
 
     def test_the_map_is_built_in_place(self):
-        # D = 64 populations: the run's peak is the augmented generator M and
-        # the three work arrays its map is built in, each (D+1)^2 floats, plus
-        # 8 KB for the recorded states and small objects
-        model = FockModel(BOSON, (0.0, 0.6, 1.1), {(d, s): 0.2 + 0.1 * (3 * d + s) for d in range(3)
-                                                   for s in range(3) if d != s}, boson_cutoff=3)
-        flow, p = model.populations, product_populations(model, (1, 1, 1))
-        assert model.fock_dim == 64
+        # D = 64 populations (every sector of 6 fermion modes): the run's peak
+        # is the augmented generator M and the three work arrays its map is
+        # built in, each (D+1)^2 floats, plus 8 KB for the recorded states and
+        # small objects
+        model = FockModel(FERMION, (0.0, 0.6, 1.1, 1.3, 1.6, 2.0),
+                          {(d, s): 0.2 + 0.1 * (3 * d + s) for d in range(6) for s in range(6) if d != s})
+        flow, p = model.populations, product_populations(model, (0.9, 0.2, 0.5, 0.7, 0.1, 0.4))
+        assert model.dim == 64
         spec = EvolutionSpec(rhs=flow, t0=0.0, t1=0.16, dt=2e-3, record_every=10)
         tracemalloc.start()
         try:
