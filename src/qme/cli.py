@@ -865,7 +865,6 @@ def _run_matrix(scenario: Scenario):
     else:
         traj = evolve(_spec(scenario, occupations), n)
     traj.states = [np.diag(p).astype(complex) for p in traj.states]
-    traj.statistics = scenario.statistics
     return traj, duality, {}
 
 
@@ -891,9 +890,7 @@ def _run_fock(scenario: Scenario):
         "closure_residual_t0": closure,
         "many_body_trace_drift": float(np.abs(traj.trace - traj.trace[0]).max()),
     }
-    reduced_traj = Trajectory.from_states(
-        traj.times, reduced, [hermiticity_defect(m) for m in reduced], scenario.statistics
-    )
+    reduced_traj = Trajectory(traj.times, reduced, [hermiticity_defect(m) for m in reduced])
     return reduced_traj, None, extra
 
 

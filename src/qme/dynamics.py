@@ -29,6 +29,7 @@ of such a flow by its exact exponential map (:mod:`qme.integrator`).
 
 from __future__ import annotations
 
+import copy
 import reprlib
 from dataclasses import dataclass, field
 
@@ -49,7 +50,6 @@ __all__ = [
     "OperatorFlow",
     "NetworkFlow",
     "JumpFlow",
-    "HoleFlow",
     "OccupationFlow",
     "rank_one_jumps",
     "hole_transform",
@@ -203,9 +203,22 @@ class Flow:
             raise ValueError(f"dimension mismatch: flow dimension {self.dim} vs rho {rho.shape}")
         return rho
 
-    def hole(self) -> "HoleFlow":
-        """The same fermionic flow, written for the hole state I - rho."""
-        return HoleFlow(self)
+    def hole(self) -> "Flow":
+        """The same fermionic flow, written for the hole state x = I - rho:
+        a flow of the same class whose loss and gain are exchanged, as the
+        gain operator is the loss operator of holes.  Its arrays are the
+        particle flow's, not copies; the hole flow of a hole flow is the
+        particle flow."""
+        if self.sign != Statistics.FERMION.sign:
+            raise ValueError("hole flow: defined for fermions only")
+        hole = copy.copy(self)
+        hole._exchange_loss_and_gain()
+        return hole
+
+    def _exchange_loss_and_gain(self) -> None:
+        """Rewrite this (copied) flow's parts so that its loss and gain are
+        those of the holes."""
+        raise NotImplementedError
 
     def occupation_flow(self) -> "OccupationFlow | None":
         """This flow restricted to diagonal states, as a flow on their
@@ -234,6 +247,9 @@ class OperatorFlow(Flow):
 
     def relaxation_operators(self, rho):
         return self._loss, self._gain
+
+    def _exchange_loss_and_gain(self):
+        self._loss, self._gain = self._gain, self._loss
 
     @property
     def affine(self) -> bool:
@@ -287,6 +303,10 @@ class NetworkFlow(Flow):
     @property
     def affine(self) -> bool:
         return self.sign == 0
+
+    def _exchange_loss_and_gain(self):
+        # holes jump src -> dest where particles jump dest -> src: W -> W^T
+        self._half_w = self._half_w.T
 
     def _to_kets(self, m: np.ndarray) -> np.ndarray:
         return m if self._kets is None else self._kets_dag @ m @ self._kets
@@ -345,10 +365,22 @@ class JumpFlow(Flow):
         d, r = self.dim, len(ops)
         self._wide = wide = np.hstack([np.empty((d, 0), dtype=complex), *ops])
         self._wide_dag = np.conjugate(wide.reshape(d, r, d).transpose(2, 1, 0), order="C").reshape(d, -1)
+        self._set_drain("W_l W_l^dag")
+
+    def _set_drain(self, product: str):
+        """The fixed part -1/2 sum_l W_l W_l^dag of A_loss, checked to be
+        finite; ``product`` names it in terms of the given jumps."""
         with np.errstate(over="ignore", invalid="ignore"):
-            self._drain = -0.5 * _sandwich(self._wide, self._wide_dag, np.eye(d))
+            self._drain = -0.5 * _sandwich(self._wide, self._wide_dag, np.eye(self.dim))
         if not np.isfinite(self._drain).all():
-            raise ValueError("jump_operators: too large, sum_l W_l W_l^dag overflows")
+            raise ValueError(f"jump_operators: too large, sum_l {product} overflows")
+
+    def _exchange_loss_and_gain(self):
+        # the hole flow is this flow with every W_l replaced by W_l^dag
+        self._wide, self._wide_dag = self._wide_dag, self._wide
+        # named for the particle's jumps; the hole of a hole flow gets back
+        # the particle's drain, which is finite
+        self._set_drain("W_l^dag W_l")
 
     @property
     def affine(self) -> bool:
@@ -376,9 +408,10 @@ class OccupationFlow:
 
         dn/dt = L n + (A n) * n,   L = W - diag(1^T W),   A = s (W - W^T),
 
-    and the diagonal of :class:`HoleFlow` at the hole occupations x = 1 - n
-    is the same form with W -> W^T.  It agrees with the matrix flow to
-    rounding, not bit for bit: within 8 eps of the size of its largest terms,
+    and the diagonal of the hole flow (:meth:`Flow.hole`, the network with
+    W -> W^T) at the hole occupations x = 1 - n is the same form with
+    W -> W^T.  It agrees with the matrix flow to rounding, not bit for
+    bit: within 8 eps of the size of its largest terms,
     (W n)(1 + n) + n (W^T (1 + n)).
 
     ``hole`` holds one flag per row: the state is that many vectors of d
@@ -417,34 +450,6 @@ class OccupationFlow:
         """This flow and its hole flow side by side, on the vector [n, 1 - n]
         of twice the length."""
         return OccupationFlow(self._w, self.sign, self._hole + tuple(not h for h in self._hole))
-
-
-class HoleFlow(Flow):
-    """A fermionic flow written for the hole state x = I - rho: the particle
-    relaxation operators, taken at I - x, with loss and gain swapped,
-
-        dx/dt = (1/i)[H, x] + {x, A_gain(I - x)} - {I - x, A_loss(I - x)}.
-
-    For complementary states the particle and hole flows cancel entrywise.
-    The arrays of the particle flow are shared, not copied.
-    """
-
-    def __init__(self, particle: Flow):
-        if particle.sign != Statistics.FERMION.sign:
-            raise ValueError("hole flow: defined for fermions only")
-        self.dim, self.sign = particle.dim, particle.sign
-        self._minus_ih, self._plus_ih = particle._minus_ih, particle._plus_ih
-        self._particle = particle
-        self._eye = np.eye(particle.dim, dtype=complex)
-
-    def relaxation_operators(self, x):
-        loss, gain = self._particle.relaxation_operators(self._eye - x)
-        return gain, loss
-
-    @property
-    def affine(self) -> bool:
-        """The particle flow's: its operators, taken at I - x, are affine in x."""
-        return self._particle.affine
 
 
 def hole_transform(rho: DensityMatrix) -> DensityMatrix:

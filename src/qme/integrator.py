@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, DensityMatrix, Statistics, hermiticity_defect
+from .operators import DEFAULT_TOL, DensityMatrix, hermiticity_defect
 
 #: Signature of a right-hand side: (t, rho) -> drho/dt.
 RHSCallable = Callable[[float, np.ndarray], np.ndarray]
@@ -120,29 +120,16 @@ class Trajectory:
     """Recorded snapshots with per-snapshot diagnostics.
 
     ``trace``, ``min_eig`` and ``max_eig`` are derived from the states on
-    first read unless given to the constructor, so a trajectory whose
-    diagnostics nobody reads costs no ``eigvalsh``.  A 1-D state is the
-    diagonal of a diagonal density matrix: its eigenvalues are its entries
-    and its trace is their sum.
+    first read: the one place a trajectory's diagnostics come from, and a
+    trajectory whose diagnostics nobody reads costs no ``eigvalsh``.  A 1-D
+    state is the diagonal of a diagonal density matrix: its eigenvalues are
+    its entries and its trace is their sum.
     """
 
-    def __init__(self, times, states, *, herm_defect, statistics: Statistics | None = None,
-                 trace=None, min_eig=None, max_eig=None):
-        self.times = times
-        self.states = states
-        self.herm_defect = herm_defect
-        self.statistics = statistics
-        # given values shadow the cached properties of the same name
-        for name, value in (("trace", trace), ("min_eig", min_eig), ("max_eig", max_eig)):
-            if value is not None:
-                setattr(self, name, value)
-
-    @classmethod
-    def from_states(cls, times, states, herm_defect, statistics: Statistics | None) -> "Trajectory":
-        """Snapshots whose diagnostics are derived here, on first read: the one
-        place a trajectory's diagnostics come from its states."""
-        return cls(times=np.array(times), states=list(states), herm_defect=np.array(herm_defect),
-                   statistics=statistics)
+    def __init__(self, times, states, herm_defect):
+        self.times = np.array(times)
+        self.states = list(states)
+        self.herm_defect = np.array(herm_defect)
 
     @cached_property
     def trace(self) -> np.ndarray:
@@ -389,6 +376,4 @@ def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajecto
     """Integrate ``initial`` under ``spec`` and keep every snapshot of
     :func:`snapshots` in a :class:`Trajectory`, whose trace and extremal
     eigenvalues are derived when first read."""
-    times, states, defects = zip(*snapshots(spec, initial))
-    statistics = initial.statistics if isinstance(initial, DensityMatrix) else None
-    return Trajectory.from_states(times, states, defects, statistics)
+    return Trajectory(*zip(*snapshots(spec, initial)))

@@ -11,7 +11,7 @@ from qme.analysis import (
     first_crossing_time,
     low_density_slope,
 )
-from qme.dynamics import HoleFlow, NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
+from qme.dynamics import NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
 from qme.integrator import EvolutionSpec, Trajectory, evolve
 from qme.operators import DensityMatrix, positivity_report
 
@@ -25,16 +25,10 @@ def evolve_counterexample(gamma=1.0, t1=15.0, coupling=10.0 / 27.0, h_diag=None,
     return evolve(spec, sc.initial)
 
 
-class UnswappedHoleFlow(HoleFlow):
-    """A broken hole flow: the particle operators at I - x, loss and gain
-    left in their particle roles."""
-
-    def relaxation_operators(self, x):
-        return self._particle.relaxation_operators(self._eye - x)
-
-
 def two_state_pair(t1=3.0, dt=2e-3, record_every=25, swap_ops=False):
-    """Matched particle and hole evolutions of the two-state transfer."""
+    """Matched particle and hole evolutions of the two-state transfer; with
+    ``swap_ops`` the hole start runs under the particle flow itself, its loss
+    and gain not exchanged, as a broken hole flow."""
     net = TransitionNetwork.computational(2, {(1, 0): 1.0})
     flow = NetworkFlow(np.zeros((2, 2)), net, FERMION)
     initial = DensityMatrix(np.diag([1.0, 0.0]), FERMION)
@@ -42,7 +36,7 @@ def two_state_pair(t1=3.0, dt=2e-3, record_every=25, swap_ops=False):
     traj = evolve(spec, initial)
 
     eye = np.eye(2, dtype=complex)
-    hole_rhs = UnswappedHoleFlow(flow) if swap_ops else flow.hole()
+    hole_rhs = flow if swap_ops else flow.hole()
     hole_spec = EvolutionSpec(rhs=hole_rhs, t0=0.0, t1=t1, dt=dt, record_every=record_every)
     hole_traj = evolve(hole_spec, DensityMatrix(eye - initial.matrix, FERMION))
     return traj, hole_traj
@@ -139,8 +133,7 @@ class TestDualityCheck:
     def test_occupation_states_take_a_scalar_identity(self):
         # exact complements of 1-D states have no residual; an eye(d) broadcast
         # against them would report 1
-        particle = Trajectory.from_states([0.0, 1.0], [np.array([0.25, 0.75]), np.array([0.5, 0.5])],
-                                          [0.0, 0.0], FERMION)
+        particle = Trajectory([0.0, 1.0], [np.array([0.25, 0.75]), np.array([0.5, 0.5])], [0.0, 0.0])
         hole = [(0.0, np.array([0.75, 0.25]), 0.0), (1.0, np.array([0.5, 0.625]), 0.0)]
         assert list(duality_residuals(particle, iter(hole))) == [0.0, 0.125]
 
@@ -193,14 +186,8 @@ class TestBoundsMonitor:
     def test_fermion_overfill_flagged(self):
         from qme.integrator import Trajectory
 
-        traj = Trajectory(
-            times=np.array([0.0, 1.0]),
-            states=[np.diag([1.1, 0.0]).astype(complex)] * 2,
-            trace=np.array([1.1, 1.1]),
-            min_eig=np.array([0.0, 0.0]),
-            max_eig=np.array([1.1, 1.1]),
-            herm_defect=np.zeros(2),
-        )
+        traj = Trajectory([0.0, 1.0], [np.diag([1.1, 0.0]).astype(complex)] * 2, np.zeros(2))
+        traj.min_eig, traj.max_eig = np.array([0.0, 0.0]), np.array([1.1, 1.1])
         violations = bounds_monitor(traj, FERMION)
         assert len(violations) == 2
         assert bounds_monitor(traj, Statistics.BOSON) == []

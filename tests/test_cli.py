@@ -1276,14 +1276,10 @@ def _complex(re, im):
 def _synthetic_trajectory(states):
     n = len(states)
     column = (EDGE_VALUES * n)[:n]
-    return Trajectory(
-        times=np.array([0.0, 0.1, 1e-3, 2.0, 1e308][:n]),
-        states=states,
-        trace=np.array(column),
-        min_eig=np.array(column[::-1]),
-        max_eig=np.array([-0.0] * n),
-        herm_defect=np.array([5e-324] * n),
-    )
+    traj = Trajectory([0.0, 0.1, 1e-3, 2.0, 1e308][:n], states, [5e-324] * n)
+    traj.trace, traj.min_eig = np.array(column), np.array(column[::-1])
+    traj.max_eig = np.array([-0.0] * n)
+    return traj
 
 
 def _edge_state(d, shift=0):
@@ -1350,7 +1346,7 @@ class TestCsvWriters:
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             states.append(0.5 * (a + a.conj().T))
         trajectories = [
-            Trajectory(times=np.linspace(0.0, 1.0, n), states=states[:n], herm_defect=np.zeros(n))
+            Trajectory(np.linspace(0.0, 1.0, n), states[:n], np.zeros(n))
             for n in (1, 60)
         ]
         peaks = []

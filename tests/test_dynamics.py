@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qme.dynamics
 from qme.dynamics import (
     DephasingRates,
     JumpFlow,
@@ -17,6 +18,11 @@ from qme.operators import DensityMatrix, hermiticity_defect
 
 FERMION = Statistics.FERMION
 BOSON = Statistics.BOSON
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qme.dynamics.__all__ if not hasattr(qme.dynamics, name)]
+    assert not missing
 
 
 def rand_hermitian(rng, n):

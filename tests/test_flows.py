@@ -21,8 +21,11 @@ from qme.dynamics import (
     OperatorFlow,
     Statistics,
     TransitionNetwork,
+    hole_transform,
     rank_one_jumps,
 )
+from qme.analysis import duality_residuals
+from qme.integrator import EvolutionSpec, evolve, snapshots
 from qme.operators import DensityMatrix
 from occupation_reference import occupation_row, occupation_rows
 
@@ -248,6 +251,72 @@ def test_evaluate_checks_the_state():
 def test_hole_flow_rejects_bosons():
     with pytest.raises(ValueError, match="fermions only"):
         OperatorFlow(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), BOSON).hole()
+
+
+# -- the hole flow is each equation's own particle-hole form ------------------
+
+
+class LossReadsW(NetworkFlow):
+    """A broken network flow: its loss reads W where the equation has W^T."""
+
+    def relaxation_operators(self, rho):
+        n = self._to_kets(rho).diagonal().real
+        loss, gain = self._half_w @ (1.0 + self.sign * n), self._half_w @ n
+        return self._from_kets(self._eye * loss), self._from_kets(self._eye * gain)
+
+
+class GainSandwichedAsLoss(JumpFlow):
+    """A broken jump flow: its gain is sandwiched as W rho W^dag, where the
+    equation has W^dag rho W."""
+
+    def relaxation_operators(self, rho):
+        loss, _ = super().relaxation_operators(rho)
+        return loss, -0.5 * qme.dynamics._sandwich(self._wide, self._wide_dag, rho)
+
+
+def duality_residual(flow, initial: DensityMatrix) -> float:
+    """Max residual of the particle run of ``flow`` against the streamed run
+    of ``flow.hole()`` from the complementary start, as ``qme run`` takes it."""
+    def spec(rhs):
+        return EvolutionSpec(rhs=rhs, t0=0.0, t1=1.0, dt=1e-2, record_every=10)
+
+    particle = evolve(spec(flow), initial)
+    return max(duality_residuals(particle, snapshots(spec(flow.hole()), hole_transform(initial))))
+
+
+@pytest.mark.parametrize("basis", ["computational", "unitary"])
+def test_duality_residual_checks_each_equation_s_particle_hole_form(basis):
+    # a hole flow that evaluated the particle flow at I - x would cancel any
+    # particle flow to rounding, these broken ones too
+    rng = np.random.default_rng(len(basis))
+    inst = rand_instance(rng, 4, FERMION, basis)
+    initial = DensityMatrix(inst["rho"], FERMION)
+    for equation in HOLE_EQUATIONS:
+        assert duality_residual(build_flow(equation, FERMION, inst), initial) <= 1e-13, equation
+    assert duality_residual(LossReadsW(inst["h"], inst["net"], FERMION), initial) > 1e-6
+    assert duality_residual(GainSandwichedAsLoss(inst["h"], inst["jumps"], FERMION), initial) > 1e-6
+
+
+@pytest.mark.parametrize("equation", HOLE_EQUATIONS)
+def test_hole_flow_is_the_same_kind_of_flow_and_an_involution(equation):
+    rng = np.random.default_rng(HOLE_EQUATIONS.index(equation))
+    inst = rand_instance(rng, 4, FERMION, "unitary")
+    flow, rho = build_flow(equation, FERMION, inst), inst["rho"]
+    assert type(flow.hole()) is type(flow)
+    assert np.array_equal(flow.hole().hole()(0.0, rho), flow(0.0, rho))
+    for stats in (BOSON, None):
+        with pytest.raises(ValueError, match="hole flow: defined for fermions only"):
+            build_flow(equation, stats, inst).hole()
+
+
+def test_jump_drain_that_overflows_is_refused_for_particles_and_holes():
+    # W = c |u><0| with u all ones: W W^dag has entries c^2, W^dag W has 2 c^2
+    c, z = np.sqrt(1.2e308), np.zeros((2, 2))
+    w = np.array([[c, 0.0], [c, 0.0]])
+    with pytest.raises(ValueError, match=r"jump_operators: too large, sum_l W_l\^dag W_l overflows"):
+        JumpFlow(z, [w], FERMION).hole()
+    with pytest.raises(ValueError, match=r"jump_operators: too large, sum_l W_l W_l\^dag overflows"):
+        JumpFlow(z, [w.T], FERMION)
 
 
 def test_dephasing_needs_the_linear_equation():

@@ -327,7 +327,7 @@ class TestEvolve:
         for column in (traj.trace, traj.min_eig, traj.max_eig, traj.herm_defect, traj.states):
             assert len(column) == len(traj.times)
 
-    def test_from_states_reproduces_evolve_diagnostics(self):
+    def test_constructor_reproduces_evolve_diagnostics(self):
         net = TransitionNetwork.computational(3, {(1, 0): 1.0, (2, 1): 0.5, (0, 2): 0.25})
         h = np.array([[0.0, 0.2, 0.0], [0.2, 0.3, 0.1], [0.0, 0.1, 0.7]], dtype=complex)
         initial = DensityMatrix(np.diag([0.9, 0.4, 0.1]), FERMION)
@@ -336,19 +336,18 @@ class TestEvolve:
             t0=0.0, t1=0.5, dt=1e-3, record_every=50,
         )
         traj = evolve(spec, initial)
-        rebuilt = Trajectory.from_states(traj.times, traj.states, traj.herm_defect, FERMION)
+        rebuilt = Trajectory(traj.times, traj.states, traj.herm_defect)
         for column in ("times", "trace", "min_eig", "max_eig", "herm_defect"):
             assert np.array_equal(getattr(rebuilt, column), getattr(traj, column)), column
-        assert rebuilt.statistics is traj.statistics is FERMION
 
 
 class TestLazyDiagnostics:
-    def test_from_states_derives_diagnostics_on_first_read(self, monkeypatch):
+    def test_diagnostics_are_derived_on_first_read(self, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
         states = [np.diag([0.75, 0.25]).astype(complex), np.array([[0.5, 0.5j], [-0.5j, 0.5]])]
-        traj = Trajectory.from_states([0.0, 1.0], states, [0.0, 0.0], FERMION)
+        traj = Trajectory([0.0, 1.0], states, [0.0, 0.0])
         assert not calls
         assert traj.trace.tolist() == [1.0, 1.0]
         assert not calls
@@ -356,17 +355,22 @@ class TestLazyDiagnostics:
         assert traj.max_eig == pytest.approx([0.75, 1.0], abs=1e-15)
         assert len(calls) == 2  # one eigvalsh per snapshot, shared by min_eig and max_eig
 
-    def test_given_diagnostics_are_kept(self):
-        traj = Trajectory(times=np.array([0.0]), states=[np.eye(2)], herm_defect=np.zeros(1),
-                          trace=np.array([7.0]), min_eig=np.array([-3.0]), max_eig=np.array([9.0]))
+    def test_assigned_diagnostics_are_kept(self):
+        traj = Trajectory([0.0], [np.eye(2)], np.zeros(1))
+        traj.trace, traj.min_eig, traj.max_eig = np.array([7.0]), np.array([-3.0]), np.array([9.0])
         assert (traj.trace[0], traj.min_eig[0], traj.max_eig[0]) == (7.0, -3.0, 9.0)
-        assert traj.statistics is None
+
+    def test_constructor_converts_to_arrays(self):
+        states = (np.eye(2), np.zeros((2, 2)))
+        traj = Trajectory((0.0, 1.0), states, (0.0, 0.5))
+        assert isinstance(traj.times, np.ndarray) and traj.times.tolist() == [0.0, 1.0]
+        assert isinstance(traj.herm_defect, np.ndarray) and traj.herm_defect.tolist() == [0.0, 0.5]
+        assert isinstance(traj.states, list) and traj.states[0] is states[0]
 
     def test_populations_are_the_diagonal_of_a_diagonal_state(self):
         populations = [np.array([0.5, 0.125, 0.375]), np.array([0.0, 0.25, 0.75])]
-        traj = Trajectory.from_states([0.0, 1.0], populations, [0.0, 0.0], None)
-        matrices = Trajectory.from_states([0.0, 1.0], [np.diag(p) for p in populations],
-                                          [0.0, 0.0], None)
+        traj = Trajectory([0.0, 1.0], populations, [0.0, 0.0])
+        matrices = Trajectory([0.0, 1.0], [np.diag(p) for p in populations], [0.0, 0.0])
         for column in ("trace", "min_eig", "max_eig"):
             assert np.array_equal(getattr(traj, column), getattr(matrices, column)), column
 
@@ -390,7 +394,6 @@ class TestPopulationEvolve:
         for p, m in zip(traj.states, reference.states):
             assert p.shape == (2,)
             assert np.abs(p - np.diag(m).real).max() <= 1e-15
-        assert traj.statistics is None
         assert not np.any(traj.herm_defect)
         # p(t) -> (1/3, 2/3) with rate 1.5: p0 = 1/3 + (2/3) exp(-1.5 t)
         assert traj.states[-1][0] == pytest.approx(1 / 3 + 2 / 3 * np.exp(-1.5), abs=1e-9)
@@ -456,7 +459,6 @@ class TestSnapshots:
         assert len(traj.states) == len(states)
         for a, b in zip(traj.states, states):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-        assert traj.statistics is (FERMION if start == "matrix" else None)
 
     def test_a_suspended_stream_leaves_the_error_state_alone(self):
         before = np.geterr()
