@@ -45,7 +45,7 @@ from .fock_oracle import (
 from .analysis import (
     appendix_d_scenario,
     bounds_monitor,
-    duality_check,
+    duality_residuals,
     first_crossing_time,
     low_density_slope,
 )

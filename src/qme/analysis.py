@@ -22,40 +22,35 @@ from .operators import DensityMatrix
 #: roundoff is never flagged as physics.
 VIOLATION_TOL = 1e-8
 
+#: State tolerance of the Appendix-D start, whose canonical matrix is indefinite.
+APPENDIX_D_TOLERANCE = 0.1
 
-def duality_residuals(particle: Trajectory, hole: Iterable) -> Iterator[float]:
+
+def duality_residuals(particle: Iterable, hole: Iterable) -> Iterator[float]:
     """||rho_p(t) + x(t) - I||_max at each snapshot, one at a time.
 
-    ``hole`` is a stream of ``(t, x, herm_defect)`` snapshots, as
-    :func:`~qme.integrator.snapshots` yields them, so no hole state outlives
-    its residual.  Its times must match the particle's to 1e-12 and it must
-    have as many snapshots; a ValueError says otherwise.  The states are
-    matrices or, on both sides, 1-D occupations, whose identity is 1.
+    Both are streams of ``(t, state, herm_defect)`` snapshots, as
+    :func:`~qme.integrator.snapshots` yields them and a ``Trajectory``
+    iterates, so a streamed hole state does not outlive its residual.  Their
+    times must match to 1e-12 and their lengths agree; a ValueError says
+    otherwise.  The states are matrices or, on both sides, 1-D occupations,
+    whose identity is 1.  A hole run of ``flow.hole()`` stays at roundoff.
     """
-    first = particle.states[0]
-    eye = np.eye(first.shape[0]) if first.ndim == 2 else 1.0
+    eye = None
     try:
-        for t, rho, (t_hole, x, _) in zip(particle.times, particle.states, hole, strict=True):
+        for (t, rho, _), (t_hole, x, _) in zip(particle, hole, strict=True):
             if abs(t - t_hole) > 1e-12:
                 raise ValueError(f"t = {t:.17g} against {t_hole:.17g}")
+            if eye is None:
+                eye = np.eye(rho.shape[0]) if rho.ndim == 2 else 1.0
             yield float(np.abs(rho + x - eye).max())
     except ValueError as exc:  # the check above, or zip's: a stream of another length
         raise ValueError(f"time grids of the particle and hole trajectories do not match: {exc}") from None
 
 
-def duality_check(traj_p: Trajectory, traj_hole: Trajectory) -> float:
-    """Max over snapshots of ||rho_p(t) + rho_hole(t) - I||_max.
-
-    For hole states evolved under the complementary flow from the
-    complementary initial state, this stays at integration roundoff.
-    """
-    hole = zip(traj_hole.times, traj_hole.states, traj_hole.herm_defect)
-    return max(duality_residuals(traj_p, hole))
-
-
 def bounds_monitor(traj: Trajectory, statistics: Statistics) -> list[tuple[float, float]]:
-    """Snapshots violating positivity (min eigenvalue < -1e-8) or, for
-    fermions, the occupation cap (max eigenvalue > 1 + 1e-8).
+    """Snapshots violating positivity (min eigenvalue < -VIOLATION_TOL) or,
+    for fermions, the occupation cap (max eigenvalue > 1 + VIOLATION_TOL).
 
     Returns (time, offending eigenvalue) pairs in time order.
     """
@@ -168,14 +163,14 @@ def appendix_d_scenario(gamma: float = 1.0, h_diag=None,
     diagonal Hamiltonian (default zero) and dephasing at rate ``gamma`` on the
     (1,2) orbital pair only, no transitions.
 
-    The state tolerance is widened to 0.1 because the canonical initial matrix
-    is slightly indefinite (see :func:`dephasing_counterexample_matrix`); the
-    strict checks stay in force everywhere else.
+    The state tolerance is widened to :data:`APPENDIX_D_TOLERANCE` because the
+    canonical initial matrix is slightly indefinite; the strict checks stay in
+    force everywhere else.
     """
     if gamma <= 0:
         raise ValueError(f"dephasing rate must be positive, got {gamma}")
     matrix = dephasing_counterexample_matrix(coupling)
-    initial = DensityMatrix(matrix, Statistics.FERMION, tolerance=0.1)
+    initial = DensityMatrix(matrix, Statistics.FERMION, tolerance=APPENDIX_D_TOLERANCE)
     h = np.zeros((3, 3), dtype=complex) if h_diag is None else np.diag(np.asarray(h_diag, dtype=complex))
     net = TransitionNetwork.computational(3, {})
     deph = DephasingRates({(1, 2): float(gamma)})

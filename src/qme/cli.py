@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    APPENDIX_D_TOLERANCE,
     bounds_monitor,
     dephasing_counterexample_matrix,
     duality_residuals,
@@ -62,7 +63,7 @@ from .fock_oracle import (
 )
 from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory,
                          check_snapshot_budget, check_window, evolve, snapshots)
-from .operators import DEFAULT_TOL, DensityMatrix, hermiticity_defect, require_hermitian
+from .operators import DEFAULT_TOL, DensityMatrix, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
 #: Largest scenario dimension: 30x the d=32 of the dense-jump benchmark, one
@@ -312,7 +313,8 @@ def start_state(s: Scenario) -> tuple[DensityMatrix | np.ndarray, FockModel | No
             raise ScenarioError("initial.occupations: fermion occupation exceeds 1")
     # the bundled counterexample matrix is slightly indefinite by design;
     # everything else gets the strict tolerance
-    tol = 0.1 if (s.initial_kind, s.initial_value) == ("preset", "appendix_d") else DEFAULT_TOL
+    appendix_d = (s.initial_kind, s.initial_value) == ("preset", "appendix_d")
+    tol = APPENDIX_D_TOLERANCE if appendix_d else DEFAULT_TOL
     try:
         return DensityMatrix(s.initial_matrix(), s.statistics, tolerance=tol), None
     except ValueError as exc:
@@ -870,10 +872,10 @@ def _run_matrix(scenario: Scenario):
 
 def _run_fock(scenario: Scenario):
     """(reduced one-particle trajectory, None, extra summary fields): the start
-    populations integrated under ``model.populations``.  The coherent flow is
-    evaluated once, on the populations themselves, which gives its diagonal
-    on their diagonal state with no S x S object; the population flow must
-    equal it there up to roundoff."""
+    populations integrated under ``model.populations``.  The coherent flow's
+    diagonal is evaluated once, on the populations themselves, with no S x S
+    object and no ``model.flow``; the population flow must equal it up to
+    roundoff."""
     p0, model = scenario.start
     closure = closure_residual_at_t0(model, p0)
     flow = model.populations
@@ -890,8 +892,8 @@ def _run_fock(scenario: Scenario):
         "closure_residual_t0": closure,
         "many_body_trace_drift": float(np.abs(traj.trace - traj.trace[0]).max()),
     }
-    reduced_traj = Trajectory(traj.times, reduced, [hermiticity_defect(m) for m in reduced])
-    return reduced_traj, None, extra
+    # a real diagonal is hermitian: the population run's defects, all 0.0, hold
+    return Trajectory(traj.times, reduced, traj.herm_defect), None, extra
 
 
 def main(argv=None) -> int:

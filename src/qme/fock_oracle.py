@@ -6,7 +6,8 @@ compared, at t = 0, against the semiclassical closure used by the rest of the
 package.  The closure is exact for mode-uncorrelated diagonal states, so the
 comparison has a sharp expected value there (residual at rounding level).
 A diagonal state may be given as its S populations (1-D, as built by
-:func:`product_populations`) wherever an S x S density matrix is read.
+:func:`product_populations`) wherever a function here reads an S x S
+density matrix; the coherent :class:`FockFlow` itself takes matrices only.
 
 Every jump c_dest^dag c_src conserves the particle number N, so the dynamics
 splits into independent N-sectors, and a model holds only the states of the
@@ -206,15 +207,19 @@ class FockModel:
             sign -= 2 * (occ[i, low + 1:high].sum(axis=1) % 2)
         return i, j, occ[i, src], occ[i, dest] + 1, sign
 
-    @cached_property
-    def flow(self) -> "FockFlow":
-        """The flow of :func:`rhs_fock_lindblad`: H = sum_n e_n c_n^dag c_n and
-        the jumps sqrt(w) c_dest^dag c_src, read from :meth:`_hops`."""
-        jumps = []
+    def _jumps(self):
+        """``(i, j, a)`` per rate, the one source of the model's jumps: the
+        nonzeros A[j_k, i_k] = a_k = sqrt(w) sign sqrt(n_src n_dest) of
+        A = sqrt(w) c_dest^dag c_src, from :meth:`_hops`."""
         for (dest, src), w in self.rates.items():
             i, j, n_src, n_dest, sign = self._hops(dest, src)
-            jumps.append((i, j, np.sqrt(w) * sign * np.sqrt(n_src * n_dest)))
-        return FockFlow(self._state_energies, jumps)
+            yield i, j, np.sqrt(w) * sign * np.sqrt(n_src * n_dest)
+
+    @cached_property
+    def flow(self) -> "FockFlow":
+        """The coherent flow of :func:`rhs_fock_lindblad`: H = sum_n e_n
+        c_n^dag c_n and the jumps of :meth:`_jumps`."""
+        return FockFlow(self._state_energies, list(self._jumps()))
 
     @cached_property
     def populations(self) -> "PopulationFlow":
@@ -255,7 +260,7 @@ class FockModel:
 
 
 class FockFlow:
-    """The linear many-body flow
+    """The linear many-body flow on S x S density matrices
 
         drho/dt = (1/i)[H, rho] - (1/2) sum_l {A_l^dag A_l, rho} + sum_l A_l rho A_l^dag
 
@@ -273,34 +278,22 @@ class FockFlow:
     stored as flat ``src``/``dst`` indices into ``rho.ravel()`` and a
     ``coef`` array, so a call is one gather and one scatter (one ``bincount``
     over the real and imaginary parts), with no matrix product.  The pair
-    tables and ``decay`` are built on the first matrix call.
-
-    A 1-D ``rho`` is the populations p of a diagonal state, and a call
-    returns the flow's diagonal on diag(p), bit for bit: the gain
-    |a_k|^2 p[i_k] into j_k, summed in jump order, less the drain d_i p_i
-    ((d_i + d_i)/2 is d_i exactly).  It reads the jumps' nonzeros only and
-    forms no S x S object.
+    tables and ``decay`` are built on the first call.  The populations of a
+    diagonal state are :func:`rhs_fock_lindblad`'s to read, not this flow's.
     """
 
     def __init__(self, energies: np.ndarray, jumps):
-        d = self.dim = len(energies)
+        self.dim = len(energies)
         self._energies, self._jumps = energies, jumps
-        self._drain = np.zeros(d)
-        src, dst, rate = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
-        for i, j, a in jumps:
-            self._drain += np.bincount(i, np.abs(a) ** 2, minlength=d)
-            src.append(i)
-            dst.append(j)
-            rate.append((a * np.conj(a)).real)
-        self._src, self._dst, self._rate = np.concatenate(src), np.concatenate(dst), np.concatenate(rate)
 
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(decay, src, dst, coef)`` of the matrix path, ``dst`` interleaved
-        for :func:`_scatter`."""
-        d, drain, energies = self.dim, self._drain, self._energies
+        """``(decay, src, dst, coef)``, ``dst`` interleaved for :func:`_scatter`."""
+        d, energies = self.dim, self._energies
+        drain = np.zeros(d)
         src, dst, coef = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
         for i, j, a in self._jumps:
+            drain += np.bincount(i, np.abs(a) ** 2, minlength=d)
             src.append((i[:, None] * d + i).ravel())
             dst.append((j[:, None] * d + j).ravel())
             coef.append(np.outer(a, np.conj(a)).ravel())
@@ -308,9 +301,6 @@ class FockFlow:
         return decay, np.concatenate(src), _interleave(np.concatenate(dst)), np.concatenate(coef)
 
     def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
-        if rho.ndim == 1:
-            gain = np.bincount(self._dst, self._rate * rho[self._src], minlength=self.dim)
-            return gain - self._drain * rho
         decay, src, dst, coef = self._pairs
         gain = _scatter(dst, coef * rho.ravel()[src], rho.size)
         return decay * rho + gain.reshape(rho.shape)
@@ -397,12 +387,20 @@ def rhs_fock_lindblad(model: FockModel, rho_s) -> np.ndarray:
     with H = sum_n e_n c_n^dag c_n and the jumps A = sqrt(w) c_dest^dag c_src
     of the model's rates: the :class:`FockFlow` of ``model.flow``.  Hermitian
     and traceless; the jumps conserve total particle number.  A 1-D ``rho_s``
-    is the populations p of a diagonal state, and gives their derivative, the
-    diagonal of the flow on diag(p).
+    is the populations p of a diagonal state: their derivative is the flow's
+    diagonal on diag(p), bit for bit, the gain |a_k|^2 p[i_k] into j_k summed
+    in jump order less the drain d_i p_i ((d_i + d_i)/2 is d_i exactly), read
+    from ``model._jumps()`` one jump at a time without building ``model.flow``.
     """
-    if np.ndim(rho_s) == 1:
-        return model.flow(0.0, _populations(model, rho_s))
-    return model.flow(0.0, _matrix(model, rho_s))
+    if np.ndim(rho_s) != 1:
+        return model.flow(0.0, _matrix(model, rho_s))
+    p = _populations(model, rho_s)
+    gain, drain = np.zeros(model.dim), np.zeros(model.dim)
+    for i, j, a in model._jumps():
+        # no basis state twice in j: each jump adds at most one term to an entry
+        gain += np.bincount(j, (a * np.conj(a)).real * p[i], minlength=model.dim)
+        drain += np.bincount(i, np.abs(a) ** 2, minlength=model.dim)
+    return gain - drain * p
 
 
 def _check_dim(model: FockModel, dim: int) -> None:

@@ -159,6 +159,10 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
+    def __iter__(self):
+        """``(t, state, herm_defect)`` per snapshot, as :func:`snapshots` yields."""
+        return zip(self.times, self.states, self.herm_defect)
+
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]

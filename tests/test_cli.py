@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qme import cli
-from qme.analysis import duality_check, duality_residuals
+from qme.analysis import duality_residuals
 from qme.cli import (
     Scenario,
     ScenarioError,
@@ -639,10 +639,10 @@ class TestFockPopulationPath:
         (model, p0), = calls["closure_residual_at_t0"]
         assert p0.shape == (model.dim,) and p0.dtype == float
         # the t0 guard reads the populations themselves: no D x D object, and
-        # the coherent flow's pair tables are never built
+        # the coherent flow is never built
         (_, guarded), = calls["rhs_fock_lindblad"]
         assert guarded is p0
-        assert "_pairs" not in vars(model.flow)
+        assert "flow" not in vars(model)
         assert "one_particle_entries" not in vars(model)
 
     @pytest.mark.parametrize("overrides", [(), ("statistics=boson",)], ids=["fermion", "boson"])
@@ -788,9 +788,7 @@ def test_streamed_duality_equals_the_stored_check(name):
         hole.states = [np.diag(x).astype(complex) for x in hole.states]
     else:
         hole = evolve(cli._spec(scenario, flow.hole()), hole_transform(initial))
-    stored = list(duality_residuals(traj, zip(hole.times, hole.states, hole.herm_defect)))
-    assert streamed == stored
-    assert max(streamed) == duality_check(traj, hole)
+    assert streamed == list(duality_residuals(traj, hole))
 
 
 #: The linear Markoff equation from a diagonal start, with dephasing.
@@ -1017,12 +1015,9 @@ def _large_oracle(name):
     return raw
 
 
-def test_oracle_run_peak_memory_holds_no_many_body_matrix(tmp_path):
-    """8 bosons in 8 modes (S = 6435) run through ``run`` with a peak below
-    10 MB, where one S x S complex state is 662 MB: the populations, the
-    transition tables and the t0 guard are all of size S or of the
-    transition count."""
-    path = write_scenario(tmp_path, _large_oracle("boson_8_in_8_modes"))
+def _run_peak(tmp_path, raw):
+    """The ``tracemalloc`` peak of a successful ``run`` of the scenario ``raw``."""
+    path = write_scenario(tmp_path, raw)
     tracemalloc.start()
     try:
         code = run(path, out_dir=str(tmp_path / "o"), quiet=True)
@@ -1030,9 +1025,29 @@ def test_oracle_run_peak_memory_holds_no_many_body_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
+    return peak
+
+
+def test_oracle_run_peak_memory_holds_no_many_body_matrix(tmp_path):
+    """8 bosons in 8 modes (S = 6435) run through ``run`` with a peak below
+    10 MB, where one S x S complex state is 662 MB: the populations, the
+    transition tables and the t0 guard are all of size S or of the
+    transition count."""
+    peak = _run_peak(tmp_path, _large_oracle("boson_8_in_8_modes"))
     summary = json.loads((tmp_path / "o" / "summary.json").read_text(encoding="utf-8"))
     assert summary["equation"] == "fock_oracle" and len(summary["final_spectrum"]) == 8
     assert peak < 10e6
+
+
+def test_oracle_run_holds_one_transition_table(tmp_path):
+    """8 bosons in 8 modes with every one of the 56 directed rates (S = 6435,
+    192,192 transitions) run through ``run`` with a peak below 10 MB: the t0
+    guard streams the jumps, so the run holds only the population table it
+    integrates, not a coherent flow beside it."""
+    raw = _large_oracle("boson_8_in_8_modes")
+    raw["network"] = {"rates": [{"from": s, "to": d, "rate": 0.1 + 0.05 * ((3 * d + s) % 7)}
+                                for s in range(8) for d in range(8) if d != s]}
+    assert _run_peak(tmp_path, raw) < 10e6
 
 
 class TestLargeOracles:

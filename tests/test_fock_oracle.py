@@ -425,35 +425,35 @@ def fresh(model):
 
 
 class TestFockFlowOnPopulations:
-    """A 1-D state is the populations p of a diagonal state: the flow returns
-    its diagonal on diag(p) from the jumps' nonzeros alone."""
+    """A 1-D state is the populations p of a diagonal state:
+    `rhs_fock_lindblad` returns the coherent flow's diagonal on diag(p) from
+    the jumps' nonzeros alone, one jump at a time, with no `FockFlow`."""
 
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_is_the_matrix_diagonal_bit_for_bit(self, name):
-        model = REFERENCE_MODELS[name]
+        model = fresh(REFERENCE_MODELS[name])
         rng = np.random.default_rng(model.dim + 11)
         starts = [product_populations(model, PRODUCT_STARTS[name])]
         starts += [rng.dirichlet(np.ones(model.dim)) for _ in range(4)]
-        for p in starts:
-            out = model.flow(0.0, p)
+        outs = [rhs_fock_lindblad(model, p) for p in starts]
+        assert "flow" not in vars(model)
+        for p, out in zip(starts, outs):
             assert out.shape == (model.dim,) and out.dtype == float
-            assert np.array_equal(out, np.diag(model.flow(0.0, np.diag(p))).real)
-            assert np.array_equal(rhs_fock_lindblad(model, p), out)
+            assert np.array_equal(out, coherent_diagonal(model, p))
 
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_builds_no_pair_table(self, name):
         model = fresh(REFERENCE_MODELS[name])
         p = product_populations(model, PRODUCT_STARTS[name])
         rhs_fock_lindblad(model, p)
-        model.flow(0.0, p)
-        assert "_pairs" not in vars(model.flow)
+        assert "flow" not in vars(model)
         rhs_fock_lindblad(model, np.diag(p))
         assert "_pairs" in vars(model.flow)
 
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_matrix_calls_after_it_match_the_reference(self, name):
         model = fresh(REFERENCE_MODELS[name])
-        model.flow(0.0, product_populations(model, PRODUCT_STARTS[name]))
+        rhs_fock_lindblad(model, product_populations(model, PRODUCT_STARTS[name]))
         h, jumps = fock_hamiltonian(model), fock_jump_operators(model)
         rng = np.random.default_rng(model.dim + 3)
         for _ in range(3):
@@ -465,8 +465,9 @@ class TestFockFlowOnPopulations:
         energies = np.array([0.0, 0.3, 1.1])
         flow = FockFlow(energies, [(np.array([0, 2]), np.array([1, 0]), np.array([0.6j, 0.3 - 0.4j]))])
         p = np.array([0.5, 0.2, 0.3])
-        assert np.array_equal(flow(0.0, p), np.diag(flow(0.0, np.diag(p).astype(complex))).real)
-        assert np.allclose(flow(0.0, p), [0.25 * 0.3 - 0.36 * 0.5, 0.36 * 0.5, -0.25 * 0.3])
+        out = flow(0.0, np.diag(p).astype(complex))
+        assert not np.any(out - np.diag(np.diag(out)))
+        assert np.allclose(np.diag(out).real, [0.25 * 0.3 - 0.36 * 0.5, 0.36 * 0.5, -0.25 * 0.3])
 
 
 #: The entry points that read a 1-D state as populations.
@@ -531,7 +532,7 @@ class TestPopulationInput:
         p = product_populations(model, POPULATION_STARTS["fermion_4"])
         for entry in POPULATION_ENTRY_POINTS.values():
             assert np.array_equal(entry(model, p.astype(complex)), entry(model, p))
-        deriv = model.flow(0.0, p)
+        deriv = rhs_fock_lindblad(model, p)
         assert (deriv < 0).any()
         assert np.array_equal(reduce_one_particle(model, deriv),
                               np.diag(model.occupancies.T @ deriv).astype(complex))

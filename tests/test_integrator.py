@@ -340,6 +340,18 @@ class TestEvolve:
         for column in ("times", "trace", "min_eig", "max_eig", "herm_defect"):
             assert np.array_equal(getattr(rebuilt, column), getattr(traj, column)), column
 
+    def test_iterates_as_its_snapshots_stream(self):
+        # the same (t, state, herm_defect) triples as the generator it was kept from
+        net = TransitionNetwork.computational(2, {(1, 0): 1.0})
+        spec = EvolutionSpec(rhs=NetworkFlow(np.diag([0.0, 0.4]).astype(complex), net, FERMION),
+                             t0=0.0, t1=0.2, dt=1e-2, record_every=5)
+        initial = DensityMatrix(np.diag([0.9, 0.1]), FERMION)
+        streamed = list(snapshots(spec, initial))
+        kept = list(evolve(spec, initial))
+        assert len(kept) == len(streamed) == 5
+        for (t, rho, defect), (t_s, rho_s, defect_s) in zip(kept, streamed):
+            assert (t, defect) == (t_s, defect_s) and np.array_equal(rho, rho_s)
+
 
 class TestLazyDiagnostics:
     def test_diagnostics_are_derived_on_first_read(self, monkeypatch):
