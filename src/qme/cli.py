@@ -82,6 +82,9 @@ _COMMON_KEYS = {
     "expect_violations",
 }
 
+#: The keys of the integrator group, each also an override shorthand.
+_INTEGRATOR_KEYS = ("t0", "t1", "dt", "record_every")
+
 
 @dataclass(frozen=True)
 class _Equation:
@@ -103,8 +106,8 @@ class _Equation:
     build: Callable | None = None
 
 
-#: The one record of every equation: parsing, serialization, flow building,
-#: dispatch and hole co-evolution all read it.
+#: The one record of every equation: parsing, flow building, dispatch and
+#: hole co-evolution all read it.
 _EQUATIONS: dict[str, _Equation] = {
     "meanfield_nonhermitian": _Equation(("a_operator",), build=lambda s: OperatorFlow(
         s.hamiltonian, s.a_operator, np.zeros_like(s.a_operator), None)),
@@ -222,18 +225,10 @@ def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
     return out
 
 
-def _entry_from_complex(z: complex):
-    return float(z.real) if z.imag == 0.0 else [float(z.real), float(z.imag)]
-
-
-def _serialize_matrix(m: np.ndarray):
-    return [[_entry_from_complex(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A parsed, validated scenario; compares equal through its canonical
-    serialized form."""
+    """A parsed, validated scenario: the immutable result of one parse.
+    Variants are made on the raw JSON, with :func:`apply_overrides`."""
 
     name: str
     equation: str
@@ -256,26 +251,11 @@ class Scenario:
     out_dir: str | None = None
     expect_violations: bool = False
 
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return scenario_to_dict(self) == scenario_to_dict(other)
-
     @cached_property
     def start(self) -> tuple[DensityMatrix | np.ndarray, FockModel | None]:
         """:func:`start_state` of this scenario, built on first read: parsing
         reads it to fail fast, and the run takes the same objects."""
         return start_state(self)
-
-    def initial_matrix(self) -> np.ndarray:
-        """Dense initial density matrix (occupation vectors embed as diagonals)."""
-        if self.initial_kind == "matrix":
-            return np.array(self.initial_value, dtype=complex)
-        if self.initial_kind == "preset":
-            if self.initial_value == "empty":
-                return np.zeros((self.dimension, self.dimension), dtype=complex)
-            return dephasing_counterexample_matrix()  # "appendix_d", the only other preset
-        return np.diag(np.asarray(self.initial_value, dtype=float)).astype(complex)
 
 
 #: Fields that FockModel and TransitionNetwork errors name -> their scenario
@@ -305,18 +285,24 @@ def start_state(s: Scenario) -> tuple[DensityMatrix | np.ndarray, FockModel | No
             return product_populations(model, s.initial_value), model
         except ValueError as exc:
             raise _field_error(exc) from None
-    if s.initial_kind == "occupations":
+    tol = DEFAULT_TOL
+    if s.initial_kind == "matrix":
+        matrix = np.array(s.initial_value, dtype=complex)
+    elif s.initial_kind == "occupations":  # embedded as the diagonal
         occ = np.asarray(s.initial_value, dtype=float)
         if np.any(occ < 0):
             raise ScenarioError("initial.occupations: negative occupation")
         if s.statistics is Statistics.FERMION and np.any(occ > 1):
             raise ScenarioError("initial.occupations: fermion occupation exceeds 1")
-    # the bundled counterexample matrix is slightly indefinite by design;
-    # everything else gets the strict tolerance
-    appendix_d = (s.initial_kind, s.initial_value) == ("preset", "appendix_d")
-    tol = APPENDIX_D_TOLERANCE if appendix_d else DEFAULT_TOL
+        matrix = np.diag(occ).astype(complex)
+    elif s.initial_value == "empty":
+        matrix = np.zeros((s.dimension, s.dimension), dtype=complex)
+    else:
+        # "appendix_d", the only other preset: the bundled counterexample
+        # matrix is slightly indefinite by design, and takes the loose tolerance
+        matrix, tol = dephasing_counterexample_matrix(), APPENDIX_D_TOLERANCE
     try:
-        return DensityMatrix(s.initial_matrix(), s.statistics, tolerance=tol), None
+        return DensityMatrix(matrix, s.statistics, tolerance=tol), None
     except ValueError as exc:
         raise ScenarioError(f"initial: {exc}") from None
 
@@ -501,8 +487,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError("fock.boson_cutoff: must be a positive integer")
 
     integ = raw["integrator"]
-    if not isinstance(integ, dict) or not {"t1"} <= set(integ) <= {"t0", "t1", "dt", "record_every"}:
-        raise ScenarioError("integrator: expected an object with keys t0, t1, dt, record_every")
+    if not isinstance(integ, dict) or not {"t1"} <= set(integ) <= set(_INTEGRATOR_KEYS):
+        raise ScenarioError(f"integrator: expected an object with keys {', '.join(_INTEGRATOR_KEYS)}")
     t0 = _scalar(integ.get("t0", 0.0), "integrator.t0")
     t1 = _scalar(integ["t1"], "integrator.t1")
     dt = _scalar(integ.get("dt", 1e-3), "integrator.dt")
@@ -566,59 +552,6 @@ def parse_scenario(path) -> Scenario:
     """Load and validate a scenario file (UTF-8 JSON)."""
     path = Path(path)
     return scenario_from_dict(_read_json(path), source=str(path))
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Canonical JSON-compatible form; parsing it back yields an equal Scenario."""
-    out: dict = {
-        "name": s.name,
-        "equation": s.equation,
-        "statistics": s.statistics.value,
-        "dimension": s.dimension,
-    }
-    if s.initial_kind == "matrix":
-        out["initial"] = {"matrix": _serialize_matrix(s.initial_value)}
-    elif s.initial_kind == "preset":
-        out["initial"] = {"preset": s.initial_value}
-    else:
-        out["initial"] = {"occupations": [float(v) for v in s.initial_value]}
-    if s.hamiltonian is not None:
-        out["hamiltonian"] = (
-            "zero" if not np.any(s.hamiltonian) else {"matrix": _serialize_matrix(s.hamiltonian)}
-        )
-    if s.network is not None:
-        net: dict = {
-            "rates": [
-                {"from": src, "to": dest, "rate": float(w)}
-                for (dest, src), w in sorted(s.network.rates.items())
-            ]
-        }
-        if not np.array_equal(s.network.kets, np.eye(s.network.dim)):
-            net["basis"] = [
-                [_entry_from_complex(z) for z in s.network.kets[:, k]]
-                for k in range(s.network.n_orbitals)
-            ]
-        out["network"] = net
-    if s.dephasing is not None:
-        out["dephasing"] = [
-            {"pair": [a, b], "rate": float(g)}
-            for (a, b), g in sorted(s.dephasing.gamma.items())
-            if a < b
-        ]
-    if s.jump_operators is not None:
-        out["jump_operators"] = [_serialize_matrix(w) for w in s.jump_operators]
-    for key in _OPERATOR_GROUPS:
-        value = getattr(s, key)
-        if value is not None:
-            out[key] = _serialize_matrix(value)
-    if s.fock_energies is not None:
-        out["fock"] = {"energies": [float(e) for e in s.fock_energies]}
-    out["integrator"] = {"t0": s.t0, "t1": s.t1, "dt": s.dt, "record_every": s.record_every}
-    if s.out_dir is not None:
-        out["output"] = {"dir": s.out_dir}
-    if s.expect_violations:
-        out["expect_violations"] = True
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +655,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
         except ValueError:  # not JSON, or an integer past Python's digit limit
             value = text
         parts = key.split(".")
-        if len(parts) == 1 and parts[0] in ("t0", "t1", "dt", "record_every"):
+        if len(parts) == 1 and parts[0] in _INTEGRATOR_KEYS:
             parts = ["integrator", parts[0]]
         node = raw
         for p in parts[:-1]:
@@ -860,14 +793,15 @@ def _run_matrix(scenario: Scenario):
         return traj, duality, {}
     if dual:
         traj = evolve(_spec(scenario, occupations.paired()), np.concatenate((n, 1.0 - n)))
-        pairs, d = traj.states, n.size
-        traj.states = [z[:d] for z in pairs]
-        hole = ((t, z[d:], defect) for t, z, defect in zip(traj.times, pairs, traj.herm_defect))
-        duality = list(duality_residuals(traj, hole))
+        d = n.size
+        particle = ((t, z[:d], defect) for t, z, defect in traj)
+        hole = ((t, z[d:], defect) for t, z, defect in traj)
+        duality = list(duality_residuals(particle, hole))
     else:
         traj = evolve(_spec(scenario, occupations), n)
-    traj.states = [np.diag(p).astype(complex) for p in traj.states]
-    return traj, duality, {}
+    # the first d entries of each state are the particle occupations
+    matrices = [np.diag(z[:n.size]).astype(complex) for z in traj.states]
+    return Trajectory(traj.times, matrices, traj.herm_defect), duality, {}
 
 
 def _run_fock(scenario: Scenario):

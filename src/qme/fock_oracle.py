@@ -42,7 +42,7 @@ from numbers import Integral
 import numpy as np
 
 from .operators import Statistics, as_square_matrix
-from .dynamics import TransitionNetwork, rhs_quasiclassical
+from .dynamics import OccupationFlow, TransitionNetwork
 
 #: Largest basis, summed over a model's sectors: every fermion sector of 17
 #: modes, 12 fermion modes at any filling (4096 states) or 8 bosons in 8
@@ -485,8 +485,8 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
             NonProductStateWarning,
             stacklevel=2,
         )
+    # the closure's kernel, on the occupations as reduced: a rounding spill
+    # past 0 or 1 is part of the residual
     occ = np.diag(reduce_one_particle(model, rho_s)).real
-    # clip rounding spill (~1e-16) so the closure's domain checks stay quiet
-    occ = np.clip(occ, 0.0, 1.0 if model.statistics is Statistics.FERMION else None)
-    closed = rhs_quasiclassical(occ, model.network.rate_matrix(), model.statistics)
+    closed = OccupationFlow(model.network.rate_matrix(), model.statistics.sign)(0.0, occ)
     return float(np.abs(exact - closed).max())

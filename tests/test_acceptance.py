@@ -5,6 +5,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 Everything here finishes in well under a minute on one core.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,7 @@ from qme.cli import (
     parse_scenario,
     resolve_scenario_path,
     scenario_from_dict,
-    scenario_to_dict,
     start_state,
-    _serialize_matrix,
 )
 from qme.dynamics import (
     JumpFlow,
@@ -317,13 +317,15 @@ def test_criterion_5_low_density_and_homogeneous_limits():
 # -- criterion 6: structural invariants along bundled trajectories -----------
 
 
-def _jump_twin(scenario):
-    """The same scenario rewritten with rank-one jump operators."""
-    raw = scenario_to_dict(scenario)
+def _jump_twin(name, network):
+    """The bundled scenario ``name``, whose parsed network is ``network``,
+    rewritten on its JSON with the network's rank-one jump operators."""
+    raw = json.loads(resolve_scenario_path(name).read_text(encoding="utf-8"))
     raw["equation"] = "generalized_jumps"
-    raw["name"] = scenario.name + "_jumps"
+    raw["name"] = name + "_jumps"
     del raw["network"]
-    raw["jump_operators"] = [_serialize_matrix(w) for w in rank_one_jumps(scenario.network)]
+    raw["jump_operators"] = [[[[z.real, z.imag] for z in row] for row in w.tolist()]
+                             for w in rank_one_jumps(network)]
     return scenario_from_dict(raw)
 
 
@@ -333,7 +335,7 @@ def test_criterion_6_bundled_trajectory_invariants():
     runs = 0
     for name in names:
         base = parse_scenario(resolve_scenario_path(name))
-        for scenario in (base, _jump_twin(base)):
+        for scenario in (base, _jump_twin(name, base.network)):
             initial, _ = start_state(scenario)
             spec = EvolutionSpec(
                 rhs=_flow(scenario), t0=scenario.t0, t1=scenario.t1,

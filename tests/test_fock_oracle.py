@@ -13,7 +13,7 @@ from fock_reference import (
     number_operators,
     population_generator,
 )
-from qme.dynamics import JumpFlow
+from qme.dynamics import JumpFlow, OccupationFlow
 from qme.fock_oracle import (
     MAX_STATES,
     FockFlow,
@@ -738,6 +738,19 @@ class TestClosure:
         model = fermion_model(2, rates={(1, 0): 1.0, (0, 1): 0.5})
         p = product_populations(model, [0.0, 0.0])
         assert closure_residual_at_t0(model, p) == closure_residual_at_t0(model, np.diag(p)) == 0.0
+
+    def test_residual_is_taken_on_the_occupations_as_reduced(self):
+        # the filled mode reduces to 1 + 2.2e-16; the closure kernel reads
+        # that value, not one clipped back to 1
+        occupations = [0.6962159966701554, 1.0, 0.0014900835088361708]
+        model = fermion_model(3, rates={(1, 0): 1.0, (2, 1): 1.0, (0, 1): 0.5, (1, 2): 0.5},
+                              energies=(0.0, 0.5, 1.0))
+        p = product_populations(model, occupations)
+        occ = np.diag(reduce_one_particle(model, p)).real
+        assert occ.max() > 1.0
+        exact = np.diag(reduce_one_particle(model, model.populations(0.0, p))).real
+        closed = OccupationFlow(model.network.rate_matrix(), FERMION.sign)(0.0, occ)
+        assert closure_residual_at_t0(model, p) == float(np.abs(exact - closed).max())
 
     def test_correlated_state_warns_and_reports_baseline(self):
         # equal-weight coherent sharing of one particle over two modes:
