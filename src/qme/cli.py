@@ -227,8 +227,9 @@ def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A parsed, validated scenario: the immutable result of one parse.
-    Variants are made on the raw JSON, with :func:`apply_overrides`."""
+    """A parsed, validated scenario: the immutable result of one parse,
+    whose arrays are read-only.  Variants are made on the raw JSON, with
+    :func:`apply_overrides`."""
 
     name: str
     equation: str
@@ -511,6 +512,15 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     if not isinstance(expect_violations, bool):
         raise ScenarioError("expect_violations: expected a boolean")
 
+    # a parsed scenario is never written to, its arrays included
+    arrays = [hamiltonian, *(jump_operators or ()), *operators.values()]
+    if initial_kind == "matrix":
+        arrays.append(initial_value)
+    if network is not None:
+        arrays.append(network.kets)
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
     scenario = Scenario(
         name=name,
         equation=equation,
@@ -799,8 +809,9 @@ def _run_matrix(scenario: Scenario):
         duality = list(duality_residuals(particle, hole))
     else:
         traj = evolve(_spec(scenario, occupations), n)
-    # the first d entries of each state are the particle occupations
-    matrices = [np.diag(z[:n.size]).astype(complex) for z in traj.states]
+    # the first d entries of each state are the particle occupations; each
+    # matrix is packed as it is made
+    matrices = (np.diag(z[:n.size]).astype(complex) for z in traj.states)
     return Trajectory(traj.times, matrices, traj.herm_defect), duality, {}
 
 
@@ -821,7 +832,7 @@ def _run_fock(scenario: Scenario):
         )
     traj = evolve(_spec(scenario, flow), p0)
 
-    reduced = [reduce_one_particle(model, p) for p in traj.states]
+    reduced = (reduce_one_particle(model, p) for p in traj.states)
     extra = {
         "closure_residual_t0": closure,
         "many_body_trace_drift": float(np.abs(traj.trace - traj.trace[0]).max()),

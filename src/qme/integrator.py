@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 import reprlib
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -40,6 +41,9 @@ MAX_STEPS = 10**7
 
 #: Most bytes the recorded states of one run may take (1 GiB): 64 matrices at
 #: the largest CLI dimension of 1024, 10^5 at d=32, 2^17 populations at D=1024.
+#: It counts 16 d^2 bytes a d x d state, the size of the start, while a
+#: Trajectory stores each hermitian snapshot packed into 8 d^2: for a
+#: hermitian run the budget is conservative by 2x.
 MAX_SNAPSHOT_BYTES = 2**30
 
 #: Most float-view entries (2d^2 for a d x d matrix, D for D populations) a
@@ -119,6 +123,12 @@ class EvolutionSpec:
 class Trajectory:
     """Recorded snapshots with per-snapshot diagnostics.
 
+    A hermitian matrix state is stored as its d^2 independent reals
+    (:func:`_packed`), so a trajectory of d x d matrices holds 8 d^2 bytes a
+    snapshot, not 16 d^2.  ``states`` returns a fresh array on every read:
+    each packed state rebuilt bit for bit, each other one a copy of the state
+    as given.
+
     ``trace``, ``min_eig`` and ``max_eig`` are derived from the states on
     first read: the one place a trajectory's diagnostics come from, and a
     trajectory whose diagnostics nobody reads costs no ``eigvalsh``.  A 1-D
@@ -128,8 +138,15 @@ class Trajectory:
 
     def __init__(self, times, states, herm_defect):
         self.times = np.array(times)
-        self.states = list(states)
+        # each state is packed as it arrives, so a generator of states is
+        # never held at full size
+        self._stored = tuple(map(_packed, states))
         self.herm_defect = np.array(herm_defect)
+
+    @property
+    def states(self) -> _States:
+        """The recorded states, each rebuilt when read."""
+        return _States(self._stored)
 
     @cached_property
     def trace(self) -> np.ndarray:
@@ -166,6 +183,80 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+
+class _States(Sequence):
+    """The states of a trajectory, each rebuilt from its stored form when read."""
+
+    def __init__(self, stored: tuple):
+        self._stored = stored
+
+    def __len__(self) -> int:
+        return len(self._stored)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _States(self._stored[index])
+        return _unpacked(self._stored[index])
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return map(_unpacked, self._stored)
+
+
+@lru_cache(maxsize=8)
+def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """How a d x d hermitian matrix is packed: the (1, d, d) mask of the
+    entries whose real part is kept (on and above the diagonal; below it the
+    imaginary part is), and the (d, 2d) index that gathers the matrix's
+    float view, re and im of each entry in turn, from the d^2 packed reals
+    followed by 0.0 minus each of them and one +0.0."""
+    i, j = np.indices((d, d))
+    upper = i <= j
+    own, mirror, n = i * d + j, j * d + i, d * d
+    real = np.where(upper, own, mirror)
+    imag = np.where(upper, np.where(i < j, n + mirror, 2 * n), own)
+    index = np.stack((real, imag), axis=-1).reshape(d, 2 * d)
+    upper = upper[np.newaxis]
+    upper.flags.writeable = index.flags.writeable = False
+    return upper, index
+
+
+_PLUS_ZERO = np.zeros(1)
+_PLUS_ZERO.flags.writeable = False
+
+
+def _packed(state: np.ndarray) -> np.ndarray:
+    """``state`` as a :class:`Trajectory` stores it: packed when it is a
+    complex d x d matrix m that is hermitian by bit pattern, as hygiene
+    leaves every state after t0, and otherwise ``state`` itself.
+
+    The packed form is one real array of shape (1, d, d): the real part of m
+    on and above the diagonal, its imaginary part below it.  No state has
+    three axes, so the shape marks it, and packing it again keeps it.  m is
+    hermitian by bit pattern when the packed reals rebuild it byte for byte
+    (:func:`_unpacked`): its real part is symmetric in its bits, its
+    imaginary diagonal is +0.0, and each imaginary entry above the diagonal
+    is 0.0 minus its mirror below it, which is the negation of a nonzero
+    value and +0.0 for a zero of either sign, as hermitization makes it.
+    The test is that rebuild, so signed zeros, NaN payloads and subnormals
+    decide it; a matrix that fails it (a start that is hermitian only within
+    tolerance) is kept whole."""
+    if state.ndim != 2 or state.dtype != complex:
+        return state
+    packed = np.where(_layout(len(state))[0], state.real, state.imag)
+    return packed if _unpacked(packed).tobytes() == state.tobytes() else state
+
+
+def _unpacked(stored: np.ndarray) -> np.ndarray:
+    """A fresh array of the state ``stored`` holds: a packed matrix
+    (:func:`_packed`) rebuilt by one gather, or a copy of a state kept as
+    given.  The rebuild only copies and subtracts from 0.0, so every bit of
+    a packed state comes back."""
+    if stored.ndim != 3:
+        return stored.copy()
+    reals = stored.reshape(-1)
+    source = np.concatenate((reals, 0.0 - reals, _PLUS_ZERO))
+    return source[_layout(stored.shape[-1])[1]].view(complex)
 
 
 def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarray:
@@ -379,5 +470,12 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
 def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajectory:
     """Integrate ``initial`` under ``spec`` and keep every snapshot of
     :func:`snapshots` in a :class:`Trajectory`, whose trace and extremal
-    eigenvalues are derived when first read."""
-    return Trajectory(*zip(*snapshots(spec, initial)))
+    eigenvalues are derived when first read.  Each state is packed as it
+    arrives, so the states of a hermitian run are never held at full size."""
+    return Trajectory(*zip(*map(_kept, snapshots(spec, initial))))
+
+
+def _kept(snapshot: tuple[float, np.ndarray, float]) -> tuple[float, np.ndarray, float]:
+    """A snapshot of :func:`snapshots` with its state as a Trajectory stores it."""
+    t, state, defect = snapshot
+    return t, _packed(state), defect

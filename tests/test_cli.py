@@ -283,11 +283,17 @@ class TestRun:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_reruns_are_deterministic(self, tmp_path):
+        # occupation, oracle and matrix runs: the dense jumps, a coherent
+        # start and a mapped run store packed hermitian snapshots
+        dense = write_scenario(tmp_path, _dense_jumps_raw(t1=0.02), "dense_jumps.json")
         for scenario, overrides, key in (
             ("homogeneous_chain", ["t1=0.2"], "duality_residual_max"),
             ("fock_closure_2mode", [], "closure_residual_t0"),
+            (str(dense), [], "duality_residual_max"),
+            ("low_density_sweep", ["t1=0.5"], "duality_residual_max"),
+            ("appendix_d", ["t1=5"], "violations"),
         ):
-            a, b = tmp_path / scenario / "a", tmp_path / scenario / "b"
+            a, b = (tmp_path / Path(scenario).stem / side for side in "ab")
             for out in (a, b):
                 assert run(scenario, overrides=overrides, out_dir=str(out), quiet=True) == 0
             for name in ("states.csv", "diagnostics.csv"):
@@ -826,8 +832,9 @@ def test_streamed_duality_equals_the_stored_check(name):
     flow = cli._EQUATIONS[scenario.equation].build(scenario)
     if name == "homogeneous_chain":
         n = initial.matrix.diagonal().real
-        hole = evolve(cli._spec(scenario, flow.occupation_flow().hole()), 1.0 - n)
-        hole.states = [np.diag(x).astype(complex) for x in hole.states]
+        occupations = evolve(cli._spec(scenario, flow.occupation_flow().hole()), 1.0 - n)
+        hole = Trajectory(occupations.times, [np.diag(x).astype(complex) for x in occupations.states],
+                          occupations.herm_defect)
     else:
         hole = evolve(cli._spec(scenario, flow.hole()), hole_transform(initial))
     assert streamed == list(duality_residuals(traj, hole))
@@ -1490,3 +1497,41 @@ class TestScenarioRecord:
     def test_defines_no_equality(self):
         assert "__eq__" not in vars(Scenario)
         assert scenario_from_dict(minimal_scenario()) != scenario_from_dict(minimal_scenario())
+
+    def test_every_array_is_read_only(self):
+        # a run reads the arrays one parse produced: none can be written to
+        scenario = scenario_from_dict(_bundled_raw("homogeneous_chain"))
+        with pytest.raises(ValueError, match="read-only"):
+            scenario.hamiltonian[0, 0] = 99.0
+        without_network = {k: v for k, v in minimal_scenario().items() if k != "network"}
+        raws = [
+            _bundled_raw("homogeneous_chain"),
+            minimal_scenario(initial={"matrix": [[0.75, [0.125, 0.25]], [[0.125, -0.25], 0.25]]},
+                             network={"rates": [{"from": 0, "to": 1, "rate": 1.0}],
+                                      "basis": [[0.6, 0.8], [0.8, -0.6]]}),
+            {**without_network, "equation": "generalized_jumps",
+             "jump_operators": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.5], [0.0, 0.0]]]},
+            {**without_network, "equation": "general", "loss_operator": [[-0.5, 0.0], [0.0, 0.0]],
+             "gain_operator": [[0.0, 0.0], [0.0, -0.5]]},
+            {**without_network, "equation": "meanfield_nonhermitian",
+             "a_operator": [[-0.5, 0.0], [0.0, -0.25]]},
+        ]
+        seen = set()
+        for raw in raws:
+            scenario = scenario_from_dict(raw)
+            for field in dataclasses.fields(Scenario):
+                value = getattr(scenario, field.name)
+                if field.name == "network" and value is not None:
+                    name, arrays = "network.kets", [value.kets]
+                elif isinstance(value, np.ndarray):
+                    name, arrays = field.name, [value]
+                elif isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
+                    name, arrays = field.name, list(value)
+                else:
+                    continue
+                seen.add(name)
+                for array in arrays:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[(0,) * array.ndim] = 99.0
+        assert seen == {"initial_value", "hamiltonian", "network.kets", "jump_operators",
+                        "loss_operator", "gain_operator", "a_operator"}

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qme.dynamics import NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qme.dynamics import JumpFlow, NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
 from qme.fock_oracle import FockModel, product_populations
 from qme.integrator import (
     AFFINE_MAX_ENTRIES,
@@ -16,7 +19,9 @@ from qme.integrator import (
     EvolutionSpec,
     IntegrationDivergedError,
     Trajectory,
+    _packed,
     _rk4_raw,
+    _unpacked,
     check_snapshot_budget,
     evolve,
     snapshots,
@@ -377,7 +382,10 @@ class TestLazyDiagnostics:
         traj = Trajectory((0.0, 1.0), states, (0.0, 0.5))
         assert isinstance(traj.times, np.ndarray) and traj.times.tolist() == [0.0, 1.0]
         assert isinstance(traj.herm_defect, np.ndarray) and traj.herm_defect.tolist() == [0.0, 0.5]
-        assert isinstance(traj.states, list) and traj.states[0] is states[0]
+        # a real matrix is kept as given, and each read is a fresh copy of it
+        first = traj.states[0]
+        assert first is not states[0] and first is not traj.states[0]
+        assert first.dtype == states[0].dtype and first.tobytes() == states[0].tobytes()
 
     def test_populations_are_the_diagonal_of_a_diagonal_state(self):
         populations = [np.array([0.5, 0.125, 0.375]), np.array([0.0, 0.25, 0.75])]
@@ -790,3 +798,175 @@ class TestAffineMap:
         first = np.flatnonzero(~(closed < np.finfo(float).max / 2))[0]
         assert first == 15 and info.value.t == times[first - 1] == 7.0
         assert spec.rhs.calls == 8 + 1
+
+
+# -- packed storage of hermitian snapshots -------------------------------------
+
+
+def _hermitian_bits(m: np.ndarray) -> bool:
+    """True when ``m`` is hermitian by bit pattern: its real part symmetric
+    in its bits, its imaginary diagonal +0.0, and each imaginary entry above
+    the diagonal 0.0 minus its mirror below it."""
+    re, im = np.ascontiguousarray(m.real), np.ascontiguousarray(m.imag)
+    upper = np.triu_indices(len(m), 1)
+    diagonal = np.diagonal(im)
+    return (re.tobytes() == np.ascontiguousarray(re.T).tobytes()
+            and not (diagonal.any() or np.signbit(diagonal).any())
+            and im[upper].tobytes() == (0.0 - im.T)[upper].tobytes())
+
+
+def _hermitian_of(re: np.ndarray, below: np.ndarray, negate=lambda x: 0.0 - x) -> np.ndarray:
+    """The complex matrix with the real part of ``re`` on and above the
+    diagonal mirrored below it, ``below`` as its imaginary part below the
+    diagonal, ``negate`` of it mirrored above and +0.0 on the diagonal; built
+    by selection, which keeps every bit."""
+    d = len(re)
+    lower = np.tril(np.ones((d, d), dtype=bool), -1)
+    m = np.empty((d, d), dtype=complex)
+    m.real = np.where(lower, re.T, re)
+    m.imag = np.where(lower, below, np.where(lower.T, negate(below.T), 0.0))
+    return m
+
+
+#: Doubles whose bits a rebuild must keep: signed zeros, subnormals, the
+#: top of the range and ordinary values.
+PACK_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 0.1, -2.0, 3.0]
+
+
+def _dense_jump_flow(d, rng):
+    """A fermion ``JumpFlow`` in the benchmark's dense shape: a hermitian H,
+    4 dense jumps, and a coherent start."""
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    jumps = [(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * np.sqrt(0.5 / d)
+             for _ in range(4)]
+    flow = JumpFlow((x + x.conj().T) / (2.0 * np.sqrt(d)), jumps, FERMION)
+    return flow, DensityMatrix(rand_state(rng, d, FERMION), FERMION)
+
+
+def packing_case(kind):
+    """(flow, start, dt) for the runs whose snapshots are checked bitwise."""
+    if kind == "jumps_d32":
+        flow, x = _dense_jump_flow(32, np.random.default_rng(7))
+        return flow, x, 2e-3
+    if kind == "nonlinear_master":
+        inst = rand_instance(np.random.default_rng(11), 4, FERMION, "rotated")
+        return build_flow("nonlinear_master", FERMION, inst), DensityMatrix(inst["rho"], FERMION), 1e-2
+    flow, x = affine_case(kind)
+    assert flow.affine and _entries(x) <= AFFINE_MAX_ENTRIES  # a mapped run
+    return flow, x, 1e-2
+
+
+class TestPackedStates:
+    """A trajectory stores a hermitian snapshot as its d^2 independent reals
+    and rebuilds it bit for bit on every read."""
+
+    @pytest.mark.parametrize("kind", ["jumps_d32", "nonlinear_master", "markoff", "lindblad"])
+    def test_every_snapshot_after_t0_is_hermitian_by_bit_pattern(self, kind):
+        flow, x, dt = packing_case(kind)
+        spec = EvolutionSpec(rhs=flow, t0=0.0, t1=10 * dt, dt=dt, record_every=2)
+        streamed = list(snapshots(spec, x))
+        traj = evolve(spec, x)
+        assert len(streamed) == len(traj) == 6
+        for (_, m, _), got in zip(streamed[1:], traj.states[1:]):
+            assert _hermitian_bits(m)
+            assert _packed(m).shape == (1, *m.shape)
+            assert got.dtype == m.dtype and got.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_pack_then_unpack_keeps_every_bit(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            m = _hermitian_of(rng.choice(PACK_EDGE_VALUES, (d, d)),
+                              rng.choice(PACK_EDGE_VALUES, (d, d)))
+            assert _hermitian_bits(m)
+            packed = _packed(m)
+            assert packed.shape == (1, d, d) and packed.dtype == float
+            assert _unpacked(packed).tobytes() == m.tobytes()
+            # packing a packed state keeps it
+            assert _packed(packed) is packed
+            assert Trajectory([0.0], [m], [0.0]).states[0].tobytes() == m.tobytes()
+
+    def test_a_negative_zero_above_the_diagonal_is_kept_whole(self):
+        # hermitian in value, but -(+0.0) above the diagonal is not what the
+        # rebuild makes of a +0.0 below it
+        m = _hermitian_of(np.array([[0.5, 0.25], [0.0, 0.5]]), np.zeros((2, 2)),
+                          negate=np.negative)
+        assert np.signbit(m[0, 1].imag) and not _hermitian_bits(m)
+        assert _packed(m) is m
+        assert Trajectory([0.0], [m], [0.0]).states[0].tobytes() == m.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_any_bits_read_back_unchanged(self, d, data):
+        # any doubles, NaN payloads included, in a matrix built by the
+        # rebuild's rule (packed) or at random (packed only if it happens to
+        # follow it): every read has the bits given
+        bits = st.lists(st.integers(0, 2**64 - 1), min_size=d * d, max_size=d * d)
+        re, below = (np.array(data.draw(bits), dtype=np.uint64).view(float).reshape(d, d)
+                     for _ in range(2))
+        structured = _hermitian_of(re, below)
+        assert _packed(structured).ndim == 3
+        free = np.empty((d, d), dtype=complex)
+        free.real, free.imag = re, below
+        for m in (structured, free):
+            traj = Trajectory([0.0], [m], [0.0])
+            assert traj.states[0].tobytes() == m.tobytes()
+
+    def test_a_start_hermitian_within_tolerance_is_stored_as_given(self):
+        m = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+        m[1, 0] += 1e-15  # within DEFAULT_TOL of hermitian, not bitwise
+        x = DensityMatrix(m, FERMION)
+        assert not _hermitian_bits(x.matrix) and _packed(x.matrix) is x.matrix
+        spec = EvolutionSpec(rhs=lambda t, r: np.zeros_like(r), t0=0.0, t1=0.2, dt=0.1)
+        traj = evolve(spec, x)
+        assert traj.states[0].tobytes() == m.tobytes()
+        # hygiene makes the next snapshots exactly hermitian, and they are packed
+        assert _hermitian_bits(traj.states[1]) and _packed(traj.states[1]).ndim == 3
+
+    def test_each_read_is_a_fresh_array(self):
+        m = _hermitian_of(np.array([[0.5, 0.25], [0.0, 0.5]]), np.array([[0.0, 0.0], [0.125, 0.0]]))
+        traj = Trajectory([0.0, 1.0], [m, np.array([0.25, 0.75])], [0.0, 0.0])
+        for k in range(2):
+            first = traj.states[k]
+            first[...] = 9.0
+            assert traj.states[k] is not first and not np.any(traj.states[k] == 9.0)
+
+    def test_a_dense_trajectory_holds_half_the_complex_states(self):
+        """A d = 32 run of 76 snapshots keeps at most 55% of the 76 * 16 d^2
+        bytes its complex states take, each packed into 8 d^2, and packs
+        each as it arrives: the run never holds them at full size."""
+        d = 32
+        flow, x = _dense_jump_flow(d, np.random.default_rng(3))
+        spec = EvolutionSpec(rhs=flow, t0=0.0, t1=0.15, dt=2e-3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = evolve(spec, x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 76
+        assert held - before <= 0.55 * 76 * 16 * d**2
+        assert peak - before <= 0.75 * 76 * 16 * d**2
+
+    def test_a_trajectory_packs_the_states_it_is_fed(self):
+        """A trajectory built from a generator of hermitian matrices, as the
+        CLI's occupation and oracle runs build theirs, packs each as it
+        arrives too."""
+        d, n, rng = 32, 60, np.random.default_rng(5)
+
+        def states():
+            for _ in range(n):
+                a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                yield 0.5 * (a + a.conj().T)
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = Trajectory(np.zeros(n), states(), np.zeros(n))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == n
+        assert held - before <= 0.55 * n * 16 * d**2
+        assert peak - before <= 0.75 * n * 16 * d**2
