@@ -4,7 +4,8 @@ A scenario is a JSON document naming one evolution equation, its parameter
 groups, an initial state and an integration window.  ``run`` integrates it and
 writes three artifacts into the output directory:
 
-* ``states.csv``       - t, then row-major Re/Im pairs of every state entry;
+* ``states.csv``       - t, then row-major Re/Im pairs of every state entry
+  (a 1-D state of occupations as its diagonal matrix);
 * ``diagnostics.csv``  - t, trace, min_eig, max_eig, herm_defect and, for
   fermionic particle/hole-symmetric runs, duality_residual;
 * ``summary.json``     - final spectrum, bound violations, wall time.
@@ -604,26 +605,41 @@ def _fields(x: np.ndarray) -> list[str]:
     return out.tolist()
 
 
-#: From this dimension on, ``states.csv`` rows go through ``_fields``.  Below
-#: it, one format call over all of a row's numbers is faster than sorting
-#: them: the two break even near d = 7 on hermitian states and near d = 10 on
-#: diagonal ones.
+#: From this dimension on, ``states.csv`` rows of matrix states go through
+#: ``_fields``.  Below it, one format call over all of a row's numbers is
+#: faster than sorting them: the two break even near d = 7 on hermitian
+#: states.
 _DISTINCT_MIN_DIM = 8
 
 
+def _diagonal_row(dim: int) -> str:
+    """The ``states.csv`` row template of a 1-D state of ``dim`` occupations,
+    the diagonal of a diagonal matrix: ``%.17g`` in the real part of each
+    diagonal entry and ``0``, the text of +0.0, in every other cell."""
+    cells = ["0"] * (2 * dim * dim)
+    cells[:: 2 * (dim + 1)] = ["%.17g"] * dim
+    return ",".join(cells)
+
+
 def _write_states_csv(path: Path, traj: Trajectory) -> None:
-    dim = traj.states[0].shape[0]
+    first = traj.states[0]
+    dim = first.shape[0]
     # the list of 2 d^2 column names is freed once joined, before any row
     header = ",".join(
         ["t", *(f"{part}_{i}_{j}" for i in range(dim) for j in range(dim) for part in ("re", "im"))]
     )
-    # a C-ordered complex matrix viewed as floats is row-major re, im pairs
-    rows = (np.ascontiguousarray(m, dtype=complex).view(float).ravel() for m in traj.states)
-    if dim >= _DISTINCT_MIN_DIM:
-        texts = (",".join(_fields(x)) for x in rows)
+    if first.ndim == 1:
+        # d numbers to format a row, where the diagonal matrix has 2 d^2
+        row = _diagonal_row(dim)
+        texts = (row % tuple(z.tolist()) for z in traj.states)
     else:
-        row = ",".join(["%.17g"] * (2 * dim * dim))
-        texts = (row % tuple(x.tolist()) for x in rows)
+        # a C-ordered complex matrix viewed as floats is row-major re, im pairs
+        rows = (np.ascontiguousarray(m, dtype=complex).view(float).ravel() for m in traj.states)
+        if dim >= _DISTINCT_MIN_DIM:
+            texts = (",".join(_fields(x)) for x in rows)
+        else:
+            row = ",".join(["%.17g"] * (2 * dim * dim))
+            texts = (row % tuple(x.tolist()) for x in rows)
     times = np.asarray(traj.times, dtype=float).tolist()
     _write_csv(path, header, ("%.17g," % t + text for t, text in zip(times, texts)))
 
@@ -698,6 +714,14 @@ def _output_error(exc: OSError) -> int:
     return 1
 
 
+def _spectrum(state: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a recorded state, ascending: of a 1-D state, the
+    diagonal of a diagonal matrix, its sorted entries."""
+    if state.ndim == 1:
+        return np.sort(state)
+    return np.linalg.eigvalsh(0.5 * (state + state.conj().T))
+
+
 def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> int:
     """Integrate a scenario file and write states/diagnostics/summary.
 
@@ -727,8 +751,7 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         return 1
 
     violations = bounds_monitor(traj, scenario.statistics)
-    final = traj.final_state
-    final_spectrum = np.linalg.eigvalsh(0.5 * (final + final.conj().T))
+    final_spectrum = _spectrum(traj.final_state)
     summary = {
         "name": scenario.name,
         "equation": scenario.equation,
@@ -782,10 +805,11 @@ def _run_matrix(scenario: Scenario):
     An exactly diagonal start under a flow that keeps diagonal states
     diagonal is integrated as its d occupations (``flow.occupation_flow``),
     for a fermion ``dual`` equation side by side with the d hole
-    occupations as one vector [n, 1 - n] (``paired``), and each recorded
-    snapshot becomes its diagonal matrix before any diagnostic is read.  The
-    matrix run from the same start agrees to rounding (1e-14), and the
-    paired rows have the bits of lone particle and hole runs."""
+    occupations as one vector [n, 1 - n] (``paired``), and the trajectory
+    records the d particle occupations of each snapshot, the diagonal of its
+    diagonal state.  The matrix run from the same start agrees to rounding
+    (1e-14), and the paired rows have the bits of lone particle and hole
+    runs."""
     equation = _EQUATIONS[scenario.equation]
     initial, _ = scenario.start
     flow = equation.build(scenario)
@@ -801,18 +825,17 @@ def _run_matrix(scenario: Scenario):
             hole = snapshots(_spec(scenario, flow.hole()), hole_transform(initial))
             duality = list(duality_residuals(traj, hole))
         return traj, duality, {}
-    if dual:
-        traj = evolve(_spec(scenario, occupations.paired()), np.concatenate((n, 1.0 - n)))
-        d = n.size
-        particle = ((t, z[:d], defect) for t, z, defect in traj)
-        hole = ((t, z[d:], defect) for t, z, defect in traj)
-        duality = list(duality_residuals(particle, hole))
-    else:
-        traj = evolve(_spec(scenario, occupations), n)
-    # the first d entries of each state are the particle occupations; each
-    # matrix is packed as it is made
-    matrices = (np.diag(z[:n.size]).astype(complex) for z in traj.states)
-    return Trajectory(traj.times, matrices, traj.herm_defect), duality, {}
+    if not dual:
+        return evolve(_spec(scenario, occupations), n), None, {}
+    paired = evolve(_spec(scenario, occupations.paired()), np.concatenate((n, 1.0 - n)))
+    d = n.size
+    particle = ((t, z[:d], defect) for t, z, defect in paired)
+    hole = ((t, z[d:], defect) for t, z, defect in paired)
+    duality = list(duality_residuals(particle, hole))
+    # the first d entries of each state are the particle occupations, copied
+    # so that the 2d-float state they are sliced from is freed
+    traj = Trajectory(paired.times, (z[:d].copy() for z in paired.states), paired.herm_defect)
+    return traj, duality, {}
 
 
 def _run_fock(scenario: Scenario):
@@ -832,12 +855,16 @@ def _run_fock(scenario: Scenario):
         )
     traj = evolve(_spec(scenario, flow), p0)
 
-    reduced = (reduce_one_particle(model, p) for p in traj.states)
+    # the many-body trace is the plain float sum of the populations
+    totals = np.array([p.sum() for p in traj.states])
     extra = {
         "closure_residual_t0": closure,
-        "many_body_trace_drift": float(np.abs(traj.trace - traj.trace[0]).max()),
+        "many_body_trace_drift": float(np.abs(totals - totals[0]).max()),
     }
-    # a real diagonal is hermitian: the population run's defects, all 0.0, hold
+    # the d occupations of each snapshot, the diagonal of its diagonal
+    # one-particle state; a real diagonal is hermitian, so the population
+    # run's defects, all 0.0, hold
+    reduced = (reduce_one_particle(model, p) for p in traj.states)
     return Trajectory(traj.times, reduced, traj.herm_defect), None, extra
 
 

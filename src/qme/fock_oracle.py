@@ -436,10 +436,12 @@ def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
     """One-particle density matrix: rho_p[n, n'] = Tr(c_n^dag c_n' rho_s).
 
     A 1-D ``rho_s`` is the populations p of a diagonal state, which reduces
-    to the diagonal matrix of the mean occupations ``occupancies.T @ p``.
+    to a diagonal one-particle state; it is returned as its diagonal, the
+    mean occupations ``occupancies.T @ p``, a real 1-D array of one entry a
+    mode, not as the matrix.
     """
     if np.ndim(rho_s) == 1:
-        return np.diag(model.occupancies.T @ _populations(model, rho_s)).astype(complex)
+        return model.occupancies.T @ _populations(model, rho_s)
     rho_s = _matrix(model, rho_s)
     slots, index, values = model.one_particle_entries
     m = model.modes
@@ -472,12 +474,16 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
     so the residual is at rounding level.  For any other state a warning is
     issued and the residual quantifies the closure error.  Populations p (a
     1-D ``rho_s``) take their exact derivative from ``model.populations(0, p)``.
+    A mean occupation reads only the populations of its state, so a matrix
+    ``rho_s`` is reduced by its diagonal and that of its derivative.
     """
     if np.ndim(rho_s) == 1:
-        rho_s, flow = _populations(model, rho_s), model.populations
+        p = rho_s = _populations(model, rho_s)
+        dp = model.populations(0.0, p)
     else:
-        rho_s, flow = _matrix(model, rho_s), model.flow
-    exact = np.diag(reduce_one_particle(model, flow(0.0, rho_s))).real
+        rho_s = _matrix(model, rho_s)
+        p, dp = rho_s.diagonal().real, model.flow(0.0, rho_s).diagonal().real
+    exact = reduce_one_particle(model, dp)
     if not is_product_diagonal(model, rho_s, tol=1e-10):
         warnings.warn(
             "state is not a mode-uncorrelated diagonal state; the residual "
@@ -487,6 +493,6 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
         )
     # the closure's kernel, on the occupations as reduced: a rounding spill
     # past 0 or 1 is part of the residual
-    occ = np.diag(reduce_one_particle(model, rho_s)).real
+    occ = reduce_one_particle(model, p)
     closed = OccupationFlow(model.network.rate_matrix(), model.statistics.sign)(0.0, occ)
     return float(np.abs(exact - closed).max())

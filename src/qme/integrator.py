@@ -43,7 +43,8 @@ MAX_STEPS = 10**7
 #: the largest CLI dimension of 1024, 10^5 at d=32, 2^17 populations at D=1024.
 #: It counts 16 d^2 bytes a d x d state, the size of the start, while a
 #: Trajectory stores each hermitian snapshot packed into 8 d^2: for a
-#: hermitian run the budget is conservative by 2x.
+#: hermitian run the budget is conservative by 2x.  A 1-D state is counted
+#: and stored at its own 8 bytes an entry.
 MAX_SNAPSHOT_BYTES = 2**30
 
 #: Most float-view entries (2d^2 for a d x d matrix, D for D populations) a
@@ -125,15 +126,17 @@ class Trajectory:
 
     A hermitian matrix state is stored as its d^2 independent reals
     (:func:`_packed`), so a trajectory of d x d matrices holds 8 d^2 bytes a
-    snapshot, not 16 d^2.  ``states`` returns a fresh array on every read:
-    each packed state rebuilt bit for bit, each other one a copy of the state
-    as given.
+    snapshot, not 16 d^2.  A 1-D state is the diagonal of a diagonal density
+    matrix and is stored as given, d floats.  ``states`` returns a fresh
+    array on every read: each packed state rebuilt bit for bit, each other
+    one a copy of the state as given.
 
     ``trace``, ``min_eig`` and ``max_eig`` are derived from the states on
     first read: the one place a trajectory's diagnostics come from, and a
-    trajectory whose diagnostics nobody reads costs no ``eigvalsh``.  A 1-D
-    state is the diagonal of a diagonal density matrix: its eigenvalues are
-    its entries and its trace is their sum.
+    trajectory whose diagnostics nobody reads costs no ``eigvalsh``.  The
+    eigenvalues of a 1-D state are its entries, with no ``eigvalsh``, and its
+    trace is their sum taken as numpy sums the complex diagonal of its
+    matrix, so that it has the bits of ``np.trace`` of that matrix.
     """
 
     def __init__(self, times, states, herm_defect):
@@ -150,7 +153,11 @@ class Trajectory:
 
     @cached_property
     def trace(self) -> np.ndarray:
-        return np.array([float(m.sum() if m.ndim == 1 else np.trace(m).real) for m in self.states])
+        # a complex sum pairs its terms otherwise than a float sum: summed
+        # as floats, the trace of a diagonal state moves by an ulp in about
+        # 40% of random cases
+        return np.array([float((m.astype(complex).sum() if m.ndim == 1 else np.trace(m)).real)
+                         for m in self.states])
 
     @cached_property
     def _extremes(self) -> tuple[np.ndarray, np.ndarray]:

@@ -649,7 +649,9 @@ class TestFockPopulationPath:
         assert duality is None
         assert np.array_equal(traj.times, coherent.times)
         reduced = [reduce_one_particle(model, m) for m in coherent.states]
-        assert max(np.abs(a - b).max() for a, b in zip(traj.states, reduced)) <= 1e-13
+        # the run records the occupations, the diagonal of each reduced matrix
+        assert all(z.shape == (model.modes,) for z in traj.states)
+        assert max(np.abs(np.diag(z) - m).max() for z, m in zip(traj.states, reduced)) <= 1e-13
         drift = np.abs(coherent.trace - coherent.trace[0]).max()
         assert abs(extra["many_body_trace_drift"] - drift) <= 1e-13
         assert "cutoff_contamination_final" not in extra
@@ -755,7 +757,8 @@ def test_fermion_run_builds_one_trajectory(monkeypatch, tmp_path):
 def test_fermion_occupation_run_builds_one_trajectory(monkeypatch, tmp_path):
     """A diagonal fermion start runs its particle and hole occupations as one
     vector: one ``evolve`` call, one trajectory of 2d floats a snapshot, then
-    a new trajectory of their diagonal matrices, and no hole run of its own."""
+    a new trajectory of the d particle occupations, and no hole run of its
+    own."""
     built = _counting_trajectories(monkeypatch)
     stored = []
 
@@ -769,16 +772,16 @@ def test_fermion_occupation_run_builds_one_trajectory(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "snapshots", lambda *args: streamed.append(args) or snapshots(*args))
     argv = ["run", "two_state_fermion", "--override", "t1=0.2", "--out-dir", str(tmp_path), "--quiet"]
     assert main(argv) == 0
-    assert [traj.states[0].shape for traj in built] == [(4,), (2, 2)] and not streamed
+    assert [traj.states[0].shape for traj in built] == [(4,), (2,)] and not streamed
     assert stored == [[(4,)] * 21]
     header, rows = read_csv(tmp_path / "diagnostics.csv")
     assert header[-1] == "duality_residual" and len(rows) == 21
 
 
 def test_no_trajectory_is_rewritten_after_it_is_built(monkeypatch, tmp_path):
-    """An occupation run returns a new trajectory of its diagonal matrices:
-    no field of a built trajectory is reassigned, so no cached diagnostic
-    can go stale."""
+    """A paired occupation run returns a new trajectory of its particle
+    occupations: no field of a built trajectory is reassigned, so no cached
+    diagnostic can go stale."""
     rewritten = []
     assign = Trajectory.__setattr__
 
@@ -821,20 +824,19 @@ def test_occupation_fermion_run_takes_one_flow_call_a_stage(monkeypatch, tmp_pat
 @pytest.mark.parametrize("name", ["homogeneous_chain", "low_density_sweep", "two_state_fermion"])
 def test_streamed_duality_equals_the_stored_check(name):
     """The CLI's streamed residuals are those of the particle trajectory
-    against a stored hole trajectory, bitwise: a matrix hole run, or for
-    homogeneous_chain, whose occupation run agrees with its matrix run to
-    rounding only, a lone run of ``occupation_flow().hole()``, whose rows
-    have the bits of the paired run's hole rows."""
+    against a stored hole trajectory, bitwise: a matrix hole run from the
+    coherent start of low_density_sweep, or from the diagonal starts of the
+    others, which record occupations, a lone run of
+    ``occupation_flow().hole()``, whose rows have the bits of the paired
+    run's hole rows."""
     scenario = scenario_from_dict(_bundled_raw(name))
     assert cli._EQUATIONS[scenario.equation].dual and scenario.statistics is Statistics.FERMION
     traj, streamed, _ = cli._run_matrix(scenario)
     initial, _ = cli.start_state(scenario)
     flow = cli._EQUATIONS[scenario.equation].build(scenario)
-    if name == "homogeneous_chain":
+    if traj.states[0].ndim == 1:
         n = initial.matrix.diagonal().real
-        occupations = evolve(cli._spec(scenario, flow.occupation_flow().hole()), 1.0 - n)
-        hole = Trajectory(occupations.times, [np.diag(x).astype(complex) for x in occupations.states],
-                          occupations.herm_defect)
+        hole = evolve(cli._spec(scenario, flow.occupation_flow().hole()), 1.0 - n)
     else:
         hole = evolve(cli._spec(scenario, flow.hole()), hole_transform(initial))
     assert streamed == list(duality_residuals(traj, hole))
@@ -1099,6 +1101,26 @@ def test_oracle_run_holds_one_transition_table(tmp_path):
     assert _run_peak(tmp_path, raw) < 10e6
 
 
+def test_occupation_run_holds_its_snapshot_budget(tmp_path, monkeypatch):
+    """A diagonal fermion chain at d = 64 with 501 snapshots is budgeted at
+    the paired occupations it integrates, 2d floats (1 KB) a snapshot, and
+    runs within that: its trajectory records the d occupations of each
+    snapshot, not their 64 KB diagonal matrix, so the run peaks below 4 MB,
+    where 501 such matrices alone take 33 MB unpacked and 16 MB packed."""
+    d = 64
+    rng = np.random.default_rng(d)
+    raw = {"name": "chain_64", "equation": "nonlinear_master", "statistics": "fermion",
+           "dimension": d, "initial": {"diagonal": rng.uniform(0.0, 1.0, d).tolist()},
+           "network": {"rates": _ring_rates(d, 0.3)},
+           "integrator": {"t1": 0.5, "dt": 1e-3, "record_every": 1}}
+    starts = _particle_starts(monkeypatch)
+    peak = _run_peak(tmp_path, raw)
+    assert starts == [True]
+    header, rows = read_csv(tmp_path / "o" / "diagnostics.csv")
+    assert header[-1] == "duality_residual" and len(rows) == 501
+    assert peak <= 4e6
+
+
 class TestLargeOracles:
     """`qme run` reaches 12 fermion modes and 8 bosons in 8 modes, because the
     oracle holds only the sectors of its start."""
@@ -1289,7 +1311,8 @@ def _fmt(x):
 
 
 def reference_states_csv(path, traj):
-    """The per-entry CSV writers the streamed ones replaced."""
+    """The per-entry CSV writers the streamed ones replaced; a 1-D state is
+    written as its diagonal matrix."""
     dim = traj.states[0].shape[0]
     header = ["t"]
     for i in range(dim):
@@ -1297,6 +1320,8 @@ def reference_states_csv(path, traj):
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
     lines = [",".join(header)]
     for t, m in zip(traj.times, traj.states):
+        if m.ndim == 1:
+            m = np.diag(m).astype(complex)
         row = [_fmt(t)]
         for i in range(dim):
             for j in range(dim):
@@ -1423,6 +1448,82 @@ class TestCsvWriters:
                 tracemalloc.stop()
         assert (tmp_path / "states.csv").stat().st_size > 60 * 2 * d * d * 10
         assert peaks[1] < 2 * peaks[0]
+
+
+#: Occupations whose text or sum needs care: signed zeros, the smallest
+#: subnormal and the top of the range, among ordinary values.
+DIAGONAL_EDGES = [-0.0, 0.0, 5e-324, 1e308, 0.25, 1.0, 0.1, 3.0]
+
+
+def _diagonal_matrix(z):
+    """The complex diagonal matrix that the 1-D state ``z`` stands for."""
+    return np.diag(z).astype(complex)
+
+
+def _eigvalsh(z):
+    """The eigenvalues of ``z``'s diagonal matrix as a matrix state's are taken."""
+    m = _diagonal_matrix(z)
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+
+
+class TestDiagonalStates:
+    """A 1-D state is the diagonal of a diagonal matrix: its ``states.csv``
+    row, trace, extremes and spectrum are those of that matrix, taken from
+    its d entries."""
+
+    @pytest.mark.parametrize("d", [*range(1, 13), 33, 64])
+    def test_rows_equal_the_per_entry_rows_of_the_matrix(self, tmp_path, d):
+        states = [np.resize(np.roll(DIAGONAL_EDGES, k), d) for k in range(len(DIAGONAL_EDGES))]
+        states.append(np.random.default_rng(d).uniform(0.0, 1.0, d))
+        times, defects = np.linspace(0.0, 1.0, len(states)), np.zeros(len(states))
+        cli._write_states_csv(tmp_path / "states.csv", Trajectory(times, states, defects))
+        matrices = Trajectory(times, [_diagonal_matrix(z) for z in states], defects)
+        reference_states_csv(tmp_path / "states_ref.csv", matrices)
+        assert (tmp_path / "states.csv").read_bytes() == (tmp_path / "states_ref.csv").read_bytes()
+
+    def test_trace_is_that_of_the_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        dims = (*range(1, 65), 100, 255, 256, 257, 1000, 1024)
+        states = [rng.uniform(0.0, 1.0, d) * 10.0 ** rng.integers(-8, 8, d) for d in dims for _ in range(3)]
+        states.append(np.array(DIAGONAL_EDGES))
+        traj = Trajectory(np.arange(len(states)), states, np.zeros(len(states)))
+        exact = np.array([np.trace(_diagonal_matrix(z)).real for z in states])
+        assert traj.trace.tobytes() == exact.tobytes()
+        # summed as floats, some of these traces move by an ulp
+        assert any(z.sum() != t for z, t in zip(states, exact))
+
+    def test_extremes_and_spectrum_are_those_of_eigvalsh(self):
+        rng = np.random.default_rng(12)
+        states = [rng.uniform(0.0, 2.0, d) for d in range(1, 33)]
+        states += [np.array([0.5, 0.25, 0.5, 0.0, 1.0]), np.array([1.0, 1.0 + 2.0**-52, 1.0])]
+        traj = Trajectory(np.arange(len(states)), states, np.zeros(len(states)))
+        for k, z in enumerate(states):
+            e = _eigvalsh(z)
+            assert traj.min_eig[k].tobytes() == e[0].tobytes()
+            assert traj.max_eig[k].tobytes() == e[-1].tobytes()
+            assert cli._spectrum(z).tobytes() == e.tobytes()
+
+    def test_signed_zeros_are_the_exact_entries(self):
+        # both zeros are exact; eigvalsh of the matrix may order them either
+        # way (it gave -0.0 first on this state where np.min gives +0.0), and
+        # the 1-D state's extremes and spectrum are its own entries
+        z = np.array([-0.0, 0.0])
+        traj = Trajectory([0.0], [z], [0.0])
+        assert traj.min_eig[0].tobytes() == z.min().tobytes()
+        assert traj.max_eig[0].tobytes() == z.max().tobytes()
+        assert cli._spectrum(z).tobytes() == np.sort(z).tobytes()
+        assert np.array_equal(_eigvalsh(z), [0.0, 0.0])
+
+    def test_tiny_entries_are_the_exact_entries(self):
+        # LAPACK scales a matrix this small, which may move an eigenvalue by
+        # an ulp; the 1-D state's extremes and spectrum are its own entries
+        rng = np.random.default_rng(13)
+        for d in range(1, 13):
+            z = rng.uniform(0.5, 2.0, d) * 1e-300
+            traj = Trajectory([0.0], [z], [0.0])
+            assert (traj.min_eig[0], traj.max_eig[0]) == (z.min(), z.max())
+            assert cli._spectrum(z).tobytes() == np.sort(z).tobytes()
+            assert np.abs(_eigvalsh(z) - np.sort(z)).max() <= 4 * np.spacing(z.max())
 
 
 def _double(bits):
