@@ -44,6 +44,7 @@ from .dynamics import (
     DephasingRates,
     JumpFlow,
     NetworkFlow,
+    OccupationFlow,
     OperatorFlow,
     Statistics,
     TransitionNetwork,
@@ -63,7 +64,7 @@ from .fock_oracle import (
     start_sectors,
 )
 from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory,
-                         check_snapshot_budget, check_window, evolve, snapshots)
+                         check_snapshot_budget, check_window, evolve, snapshots, spectrum)
 from .operators import DEFAULT_TOL, DensityMatrix, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
@@ -258,6 +259,31 @@ class Scenario:
         """:func:`start_state` of this scenario, built on first read: parsing
         reads it to fail fast, and the run takes the same objects."""
         return start_state(self)
+
+    @property
+    def dual(self) -> bool:
+        """Whether the run co-evolves the hole flow for the duality residual."""
+        return _EQUATIONS[self.equation].dual and self.statistics is Statistics.FERMION
+
+    @cached_property
+    def occupation_run(self) -> tuple[OccupationFlow, np.ndarray] | None:
+        """(flow, start vector) of a run on occupations, or None when the
+        matrix is integrated: decided once, for the parse budget and the run.
+
+        An exactly diagonal start (the complex diagonal matrix of its real
+        diagonal has its bytes) under a flow that keeps diagonal states
+        diagonal runs as its d occupations (``flow.occupation_flow``), for a
+        :attr:`dual` run side by side with the d hole occupations as one
+        vector [n, 1 - n] (``paired``).  Only for such a start is the
+        equation's flow built here, and only its occupation flow is kept."""
+        m = self.start[0].matrix
+        n = m.diagonal().real
+        if np.diag(n).astype(complex).tobytes() != m.tobytes():
+            return None
+        occupations = _EQUATIONS[self.equation].build(self).occupation_flow()
+        if occupations is None:
+            return None
+        return (occupations.paired(), np.concatenate((n, 1.0 - n))) if self.dual else (occupations, n)
 
 
 #: Fields that FockModel and TransitionNetwork errors name -> their scenario
@@ -542,10 +568,14 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         expect_violations=expect_violations,
         **operators,
     )
-    # fail fast on an invalid start state and on snapshots of it that would not fit in memory
+    # fail fast on an invalid start state and on snapshots of the state the run
+    # integrates (populations, occupations or the matrix) that would not fit in memory
     initial, model = scenario.start
+    if model is None:
+        occupations = scenario.occupation_run
+        initial = initial.matrix if occupations is None else occupations[1]
     try:
-        check_snapshot_budget(steps, record_every, (initial.matrix if model is None else initial).nbytes)
+        check_snapshot_budget(steps, record_every, initial.nbytes)
     except ValueError as exc:
         raise ScenarioError(f"integrator.record_every: {exc}") from None
     return scenario
@@ -714,14 +744,6 @@ def _output_error(exc: OSError) -> int:
     return 1
 
 
-def _spectrum(state: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a recorded state, ascending: of a 1-D state, the
-    diagonal of a diagonal matrix, its sorted entries."""
-    if state.ndim == 1:
-        return np.sort(state)
-    return np.linalg.eigvalsh(0.5 * (state + state.conj().T))
-
-
 def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> int:
     """Integrate a scenario file and write states/diagnostics/summary.
 
@@ -751,7 +773,7 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         return 1
 
     violations = bounds_monitor(traj, scenario.statistics)
-    final_spectrum = _spectrum(traj.final_state)
+    final_spectrum = spectrum(traj.final_state)
     summary = {
         "name": scenario.name,
         "equation": scenario.equation,
@@ -792,50 +814,36 @@ def _spec(s: Scenario, rhs) -> EvolutionSpec:
     return EvolutionSpec(rhs=rhs, t0=s.t0, t1=s.t1, dt=s.dt, record_every=s.record_every)
 
 
-def _exact_diagonal(m: np.ndarray) -> np.ndarray | None:
-    """The real diagonal of ``m`` when ``m`` is, bit for bit, the complex
-    diagonal matrix of it; None otherwise."""
-    n = m.diagonal().real
-    return n if np.diag(n).astype(complex).tobytes() == m.tobytes() else None
-
-
 def _run_matrix(scenario: Scenario):
     """(trajectory, duality residuals or None, extra summary fields).
 
-    An exactly diagonal start under a flow that keeps diagonal states
-    diagonal is integrated as its d occupations (``flow.occupation_flow``),
-    for a fermion ``dual`` equation side by side with the d hole
-    occupations as one vector [n, 1 - n] (``paired``), and the trajectory
-    records the d particle occupations of each snapshot, the diagonal of its
-    diagonal state.  The matrix run from the same start agrees to rounding
-    (1e-14), and the paired rows have the bits of lone particle and hole
-    runs."""
-    equation = _EQUATIONS[scenario.equation]
+    A run on occupations (:attr:`Scenario.occupation_run`) records the d
+    particle occupations of each snapshot, the diagonal of its diagonal
+    state.  The matrix run from the same start agrees to rounding (1e-14),
+    and the paired rows have the bits of lone particle and hole runs."""
     initial, _ = scenario.start
-    flow = equation.build(scenario)
-    dual = equation.dual and scenario.statistics is Statistics.FERMION
-    n = _exact_diagonal(initial.matrix)
-    occupations = None if n is None else flow.occupation_flow()
-    duality = None
+    occupations = scenario.occupation_run
     if occupations is None:
+        flow = _EQUATIONS[scenario.equation].build(scenario)
         traj = evolve(_spec(scenario, flow), initial)
-        if dual:
+        duality = None
+        if scenario.dual:
             # streamed: each hole state is dropped once its residual is taken,
             # and the hole start is not bound here, so it is freed once copied
             hole = snapshots(_spec(scenario, flow.hole()), hole_transform(initial))
             duality = list(duality_residuals(traj, hole))
         return traj, duality, {}
-    if not dual:
-        return evolve(_spec(scenario, occupations), n), None, {}
-    paired = evolve(_spec(scenario, occupations.paired()), np.concatenate((n, 1.0 - n)))
-    d = n.size
-    particle = ((t, z[:d], defect) for t, z, defect in paired)
-    hole = ((t, z[d:], defect) for t, z, defect in paired)
+    flow, start = occupations
+    traj = evolve(_spec(scenario, flow), start)
+    if not scenario.dual:
+        return traj, None, {}
+    d = scenario.dimension
+    particle = ((t, z[:d], defect) for t, z, defect in traj)
+    hole = ((t, z[d:], defect) for t, z, defect in traj)
     duality = list(duality_residuals(particle, hole))
     # the first d entries of each state are the particle occupations, copied
     # so that the 2d-float state they are sliced from is freed
-    traj = Trajectory(paired.times, (z[:d].copy() for z in paired.states), paired.herm_defect)
-    return traj, duality, {}
+    return Trajectory((t, z[:d].copy(), defect) for t, z, defect in traj), duality, {}
 
 
 def _run_fock(scenario: Scenario):
@@ -864,8 +872,8 @@ def _run_fock(scenario: Scenario):
     # the d occupations of each snapshot, the diagonal of its diagonal
     # one-particle state; a real diagonal is hermitian, so the population
     # run's defects, all 0.0, hold
-    reduced = (reduce_one_particle(model, p) for p in traj.states)
-    return Trajectory(traj.times, reduced, traj.herm_defect), None, extra
+    reduced = ((t, reduce_one_particle(model, p), defect) for t, p, defect in traj)
+    return Trajectory(reduced), None, extra
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,9 @@ a shorter last one (:func:`_increment_map`).  Its run has no time-step
 error: dt only sets its snapshot grid.  Every other flow takes classical RK4
 steps of dt.
 
+:func:`evolve` keeps a run's snapshots in a :class:`Trajectory`, which reads
+each state once, as it arrives, for its diagnostics.
+
 Positivity is never projected: a state drifting out of the positive cone is a
 signal the diagnostics must show, not an artifact to erase.  The only
 correction, after each RK4 step or mapped interval, is symmetric
@@ -23,9 +26,10 @@ from __future__ import annotations
 
 import math
 import reprlib
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -46,6 +50,11 @@ MAX_STEPS = 10**7
 #: hermitian run the budget is conservative by 2x.  A 1-D state is counted
 #: and stored at its own 8 bytes an entry.
 MAX_SNAPSHOT_BYTES = 2**30
+
+#: Fewest bytes a recorded snapshot is counted at: a stored state is a numpy
+#: array of about 100 bytes besides its data, so millions of tiny snapshots
+#: are bounded by the objects that hold them, not by their data.
+SNAPSHOT_MIN_BYTES = 512
 
 #: Most float-view entries (2d^2 for a d x d matrix, D for D populations) a
 #: state may have for an affine flow to cross each snapshot interval by its
@@ -69,11 +78,13 @@ TAYLOR_THETA = (2.58e-8, 1.38e-5, 3.39e-4, 2.40e-3, 9.06e-3, 2.38e-2, 4.98e-2, 8
 def check_snapshot_budget(steps: float, record_every: int, state_bytes: int) -> None:
     """Refuse a window whose recorded states would exceed MAX_SNAPSHOT_BYTES:
     the start plus every ``record_every``-th of ``steps`` steps (the last one
-    always), each a copy of the stored state of ``state_bytes`` bytes."""
+    always), each a copy of the stored state of ``state_bytes`` bytes, counted
+    at no less than SNAPSHOT_MIN_BYTES."""
     snapshots = 1 + math.ceil(steps / record_every)
-    if snapshots * state_bytes > MAX_SNAPSHOT_BYTES:
+    if snapshots * max(state_bytes, SNAPSHOT_MIN_BYTES) > MAX_SNAPSHOT_BYTES:
+        counted = "" if state_bytes >= SNAPSHOT_MIN_BYTES else f" (counted as {SNAPSHOT_MIN_BYTES})"
         raise ValueError(f"{steps:.3g} steps recorded every {record_every} would store {snapshots} "
-                         f"states of {state_bytes} bytes, more than {MAX_SNAPSHOT_BYTES} bytes")
+                         f"states of {state_bytes} bytes{counted}, more than {MAX_SNAPSHOT_BYTES} bytes")
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -122,63 +133,34 @@ class EvolutionSpec:
 
 
 class Trajectory:
-    """Recorded snapshots with per-snapshot diagnostics.
+    """Recorded snapshots with their diagnostics, built from the
+    ``(t, state, herm_defect)`` triples that :func:`snapshots` yields and a
+    trajectory iterates as.  Each state is read once, as it arrives, for its
+    trace and extremal eigenvalues (:func:`spectrum`), then stored: a
+    hermitian matrix as its d^2 independent reals (:func:`_packed`), 8 d^2
+    bytes where it takes 16 d^2, and a 1-D state, the diagonal of a diagonal
+    density matrix, as given.  ``states`` returns a fresh array on every
+    read: each packed state rebuilt bit for bit, each other one a copy."""
 
-    A hermitian matrix state is stored as its d^2 independent reals
-    (:func:`_packed`), so a trajectory of d x d matrices holds 8 d^2 bytes a
-    snapshot, not 16 d^2.  A 1-D state is the diagonal of a diagonal density
-    matrix and is stored as given, d floats.  ``states`` returns a fresh
-    array on every read: each packed state rebuilt bit for bit, each other
-    one a copy of the state as given.
-
-    ``trace``, ``min_eig`` and ``max_eig`` are derived from the states on
-    first read: the one place a trajectory's diagnostics come from, and a
-    trajectory whose diagnostics nobody reads costs no ``eigvalsh``.  The
-    eigenvalues of a 1-D state are its entries, with no ``eigvalsh``, and its
-    trace is their sum taken as numpy sums the complex diagonal of its
-    matrix, so that it has the bits of ``np.trace`` of that matrix.
-    """
-
-    def __init__(self, times, states, herm_defect):
-        self.times = np.array(times)
-        # each state is packed as it arrives, so a generator of states is
-        # never held at full size
-        self._stored = tuple(map(_packed, states))
-        self.herm_defect = np.array(herm_defect)
+    def __init__(self, snapshots):
+        # the diagnostics of each snapshot as five doubles, not five objects
+        rows, self._stored = array("d"), []
+        for t, state, defect in snapshots:
+            if state.ndim == 1:
+                # summed as the complex diagonal of its matrix, for the bits of
+                # np.trace: a float sum moves it by an ulp in 40% of cases
+                rows.extend((t, state.astype(complex).sum().real, state.min(), state.max(), defect))
+            else:
+                e = spectrum(state)
+                rows.extend((t, np.trace(state).real, e[0], e[-1], defect))
+            self._stored.append(_packed(state))
+        self.times, self.trace, self.min_eig, self.max_eig, self.herm_defect = (
+            np.frombuffer(rows).reshape(-1, 5).T.copy())
 
     @property
     def states(self) -> _States:
         """The recorded states, each rebuilt when read."""
         return _States(self._stored)
-
-    @cached_property
-    def trace(self) -> np.ndarray:
-        # a complex sum pairs its terms otherwise than a float sum: summed
-        # as floats, the trace of a diagonal state moves by an ulp in about
-        # 40% of random cases
-        return np.array([float((m.astype(complex).sum() if m.ndim == 1 else np.trace(m)).real)
-                         for m in self.states])
-
-    @cached_property
-    def _extremes(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = [], []
-        for m in self.states:
-            if m.ndim == 1:
-                lo.append(m.min())
-                hi.append(m.max())
-            else:
-                e = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-                lo.append(e[0])
-                hi.append(e[-1])
-        return np.array(lo), np.array(hi)
-
-    @cached_property
-    def min_eig(self) -> np.ndarray:
-        return self._extremes[0]
-
-    @cached_property
-    def max_eig(self) -> np.ndarray:
-        return self._extremes[1]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -195,7 +177,7 @@ class Trajectory:
 class _States(Sequence):
     """The states of a trajectory, each rebuilt from its stored form when read."""
 
-    def __init__(self, stored: tuple):
+    def __init__(self, stored: list):
         self._stored = stored
 
     def __len__(self) -> int:
@@ -226,6 +208,15 @@ def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     upper = upper[np.newaxis]
     upper.flags.writeable = index.flags.writeable = False
     return upper, index
+
+
+def spectrum(state: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a recorded state, ascending: of a matrix, those of
+    its hermitian part; of a 1-D state, the diagonal of a diagonal matrix,
+    its sorted entries."""
+    if state.ndim == 1:
+        return np.sort(state)
+    return np.linalg.eigvalsh(0.5 * (state + state.conj().T))
 
 
 _PLUS_ZERO = np.zeros(1)
@@ -476,13 +467,6 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
 
 def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajectory:
     """Integrate ``initial`` under ``spec`` and keep every snapshot of
-    :func:`snapshots` in a :class:`Trajectory`, whose trace and extremal
-    eigenvalues are derived when first read.  Each state is packed as it
+    :func:`snapshots` in a :class:`Trajectory`, which reads each state as it
     arrives, so the states of a hermitian run are never held at full size."""
-    return Trajectory(*zip(*map(_kept, snapshots(spec, initial))))
-
-
-def _kept(snapshot: tuple[float, np.ndarray, float]) -> tuple[float, np.ndarray, float]:
-    """A snapshot of :func:`snapshots` with its state as a Trajectory stores it."""
-    t, state, defect = snapshot
-    return t, _packed(state), defect
+    return Trajectory(snapshots(spec, initial))

@@ -132,7 +132,7 @@ class TestDualityCheck:
     def test_occupation_states_take_a_scalar_identity(self):
         # exact complements of 1-D states have no residual; an eye(d) broadcast
         # against them would report 1
-        particle = Trajectory([0.0, 1.0], [np.array([0.25, 0.75]), np.array([0.5, 0.5])], [0.0, 0.0])
+        particle = Trajectory([(0.0, np.array([0.25, 0.75]), 0.0), (1.0, np.array([0.5, 0.5]), 0.0)])
         hole = [(0.0, np.array([0.75, 0.25]), 0.0), (1.0, np.array([0.5, 0.625]), 0.0)]
         assert list(duality_residuals(particle, iter(hole))) == [0.0, 0.125]
 
@@ -185,8 +185,9 @@ class TestBoundsMonitor:
     def test_fermion_overfill_flagged(self):
         from qme.integrator import Trajectory
 
-        traj = Trajectory([0.0, 1.0], [np.diag([1.1, 0.0]).astype(complex)] * 2, np.zeros(2))
-        traj.min_eig, traj.max_eig = np.array([0.0, 0.0]), np.array([1.1, 1.1])
+        overfull = np.diag([1.1, 0.0]).astype(complex)
+        traj = Trajectory([(0.0, overfull, 0.0), (1.0, overfull, 0.0)])
+        assert traj.max_eig.tolist() == [1.1, 1.1]
         violations = bounds_monitor(traj, FERMION)
         assert len(violations) == 2
         assert bounds_monitor(traj, Statistics.BOSON) == []

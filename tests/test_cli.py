@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qme import cli
+from qme import cli, integrator
 from qme.analysis import duality_residuals
 from qme.cli import (
     Scenario,
@@ -36,7 +36,7 @@ from qme.fock_oracle import (
 from qme.dynamics import NetworkFlow, OccupationFlow, Statistics, hole_transform
 from fock_reference import population_generator
 from occupation_reference import occupation_row
-from qme.integrator import Trajectory, evolve, snapshots
+from qme.integrator import Trajectory, evolve, snapshots, spectrum
 from qme.operators import DensityMatrix
 
 GALLERY = [
@@ -601,6 +601,40 @@ class TestMemoryBounds:
         self._exits_one(tmp_path, capsys, overrides + ["dt=1e-5", "record_every=1"],
                         "error: integrator.record_every: ")
 
+    @pytest.mark.parametrize("coherence", [0.0, 0.01], ids=["diagonal", "coherent"])
+    def test_budget_counts_the_state_the_run_integrates(self, monkeypatch, coherence):
+        # a d = 8 fermion chain of nonlinear_master (a dual run) over 64 steps
+        # recorded every step stores 65 states: the 16 d = 128 bytes of the
+        # paired occupations, which a diagonal start integrates and which are
+        # counted as SNAPSHOT_MIN_BYTES = 512, or a 16 d^2 = 1024-byte matrix
+        d = 8
+        monkeypatch.setattr(integrator, "MAX_SNAPSHOT_BYTES", 65 * 512)
+        start = np.diag(np.linspace(0.9, 0.1, d))
+        start[0, 1] = start[1, 0] = coherence
+        rates = [{"from": s, "to": t, "rate": 0.5} for s in range(d) for t in (s - 1, s + 1)
+                 if 0 <= t < d]
+        raw = {"name": "chain8", "equation": "nonlinear_master", "statistics": "fermion",
+               "dimension": d, "initial": {"matrix": start.tolist()},
+               "hamiltonian": {"diagonal": np.linspace(0.0, 2.0, d).tolist()},
+               "network": {"rates": rates},
+               "integrator": {"t1": 1.0, "dt": 1 / 64, "record_every": 1}}
+        if coherence:
+            with pytest.raises(ScenarioError, match="^integrator.record_every: .* 65 states of 1024 bytes"):
+                scenario_from_dict(raw)
+            return
+        scenario = scenario_from_dict(raw)
+        flow, start = scenario.occupation_run
+        assert start.nbytes == 16 * d and flow is scenario.occupation_run[0]
+        traj, duality, _ = cli._run_matrix(scenario)
+        assert len(traj) == len(duality) == 65 and traj.states[0].shape == (d,)
+
+    def test_ten_million_tiny_snapshots_are_refused(self):
+        # 10^7 recorded steps of the paired occupations of a d = 5 chain hold
+        # 800 MB of data, and their arrays and diagnostics rows about 4.5 GB
+        raw = _bundled_raw("homogeneous_chain", "t1=1", "dt=1e-7", "record_every=1")
+        with pytest.raises(ScenarioError, match=r"states of 80 bytes \(counted as 512\), more than"):
+            scenario_from_dict(raw)
+
 
 class TestFockOverflow:
     """Oracle energies or rates whose many-body generator overflows are refused
@@ -780,8 +814,8 @@ def test_fermion_occupation_run_builds_one_trajectory(monkeypatch, tmp_path):
 
 def test_no_trajectory_is_rewritten_after_it_is_built(monkeypatch, tmp_path):
     """A paired occupation run returns a new trajectory of its particle
-    occupations: no field of a built trajectory is reassigned, so no cached
-    diagnostic can go stale."""
+    occupations: no field of a built trajectory is reassigned, so its
+    diagnostics stay those of its states."""
     rewritten = []
     assign = Trajectory.__setattr__
 
@@ -1038,6 +1072,21 @@ def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):
     header, rows = read_csv(tmp_path / "o" / "diagnostics.csv")
     assert header[-1] == "duality_residual" and len(rows) == 76
     assert peak < 2 * 76 * 16 * d**2
+
+
+def test_a_dual_run_rebuilds_each_packed_snapshot_at_most_three_times(tmp_path, monkeypatch):
+    """A dense fermion run (d=32) reads each recorded matrix three times: the
+    check that packs it, its duality residual and its states.csv row, and two
+    more rebuilds, of the first state for the csv header and of the last for
+    the summary."""
+    calls, unpacked = [], integrator._unpacked
+    monkeypatch.setattr(integrator, "_unpacked", lambda s: calls.append(s.ndim) or unpacked(s))
+    path = write_scenario(tmp_path, _dense_jumps_raw(t1=0.02))
+    assert run(path, out_dir=str(tmp_path / "o"), quiet=True) == 0
+    k = len(read_csv(tmp_path / "o" / "diagnostics.csv")[1])
+    # every state checked and every one read back is packed
+    assert k == 11 and set(calls) == {3}
+    assert len(calls) <= 3 * k + 2
 
 
 def _ring_rates(modes, base):
@@ -1362,13 +1411,30 @@ def _complex(re, im):
     return out
 
 
+@dataclasses.dataclass(frozen=True)
+class _Recorded:
+    """What the writers read of a trajectory, holding any values: a
+    Trajectory takes its diagnostics from its states, which a run keeps
+    finite, and the states here hold NaN and Inf.  Each state is the array
+    given, in its own memory order; the diagnostics may be left out for
+    the states writer."""
+
+    times: np.ndarray
+    states: list
+    trace: np.ndarray | None = None
+    min_eig: np.ndarray | None = None
+    max_eig: np.ndarray | None = None
+    herm_defect: np.ndarray | None = None
+
+    def __len__(self):
+        return len(self.times)
+
+
 def _synthetic_trajectory(states):
     n = len(states)
     column = (EDGE_VALUES * n)[:n]
-    traj = Trajectory([0.0, 0.1, 1e-3, 2.0, 1e308][:n], states, [5e-324] * n)
-    traj.trace, traj.min_eig = np.array(column), np.array(column[::-1])
-    traj.max_eig = np.array([-0.0] * n)
-    return traj
+    return _Recorded(np.array([0.0, 0.1, 1e-3, 2.0, 1e308][:n]), list(states), np.array(column),
+                     np.array(column[::-1]), np.array([-0.0] * n), np.array([5e-324] * n))
 
 
 def _edge_state(d, shift=0):
@@ -1435,7 +1501,7 @@ class TestCsvWriters:
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             states.append(0.5 * (a + a.conj().T))
         trajectories = [
-            Trajectory(np.linspace(0.0, 1.0, n), states[:n], np.zeros(n))
+            Trajectory(zip(np.linspace(0.0, 1.0, n), states[:n], np.zeros(n)))
             for n in (1, 60)
         ]
         peaks = []
@@ -1460,6 +1526,11 @@ def _diagonal_matrix(z):
     return np.diag(z).astype(complex)
 
 
+def _occupation_trajectory(states):
+    """A trajectory of the 1-D ``states``, one a unit of time, with no defects."""
+    return Trajectory((float(t), z, 0.0) for t, z in enumerate(states))
+
+
 def _eigvalsh(z):
     """The eigenvalues of ``z``'s diagonal matrix as a matrix state's are taken."""
     m = _diagonal_matrix(z)
@@ -1475,10 +1546,10 @@ class TestDiagonalStates:
     def test_rows_equal_the_per_entry_rows_of_the_matrix(self, tmp_path, d):
         states = [np.resize(np.roll(DIAGONAL_EDGES, k), d) for k in range(len(DIAGONAL_EDGES))]
         states.append(np.random.default_rng(d).uniform(0.0, 1.0, d))
-        times, defects = np.linspace(0.0, 1.0, len(states)), np.zeros(len(states))
-        cli._write_states_csv(tmp_path / "states.csv", Trajectory(times, states, defects))
-        matrices = Trajectory(times, [_diagonal_matrix(z) for z in states], defects)
-        reference_states_csv(tmp_path / "states_ref.csv", matrices)
+        times = np.linspace(0.0, 1.0, len(states))
+        cli._write_states_csv(tmp_path / "states.csv", _Recorded(times, states))
+        reference_states_csv(tmp_path / "states_ref.csv",
+                             _Recorded(times, [_diagonal_matrix(z) for z in states]))
         assert (tmp_path / "states.csv").read_bytes() == (tmp_path / "states_ref.csv").read_bytes()
 
     def test_trace_is_that_of_the_matrix_bit_for_bit(self):
@@ -1486,7 +1557,7 @@ class TestDiagonalStates:
         dims = (*range(1, 65), 100, 255, 256, 257, 1000, 1024)
         states = [rng.uniform(0.0, 1.0, d) * 10.0 ** rng.integers(-8, 8, d) for d in dims for _ in range(3)]
         states.append(np.array(DIAGONAL_EDGES))
-        traj = Trajectory(np.arange(len(states)), states, np.zeros(len(states)))
+        traj = _occupation_trajectory(states)
         exact = np.array([np.trace(_diagonal_matrix(z)).real for z in states])
         assert traj.trace.tobytes() == exact.tobytes()
         # summed as floats, some of these traces move by an ulp
@@ -1496,22 +1567,22 @@ class TestDiagonalStates:
         rng = np.random.default_rng(12)
         states = [rng.uniform(0.0, 2.0, d) for d in range(1, 33)]
         states += [np.array([0.5, 0.25, 0.5, 0.0, 1.0]), np.array([1.0, 1.0 + 2.0**-52, 1.0])]
-        traj = Trajectory(np.arange(len(states)), states, np.zeros(len(states)))
+        traj = _occupation_trajectory(states)
         for k, z in enumerate(states):
             e = _eigvalsh(z)
             assert traj.min_eig[k].tobytes() == e[0].tobytes()
             assert traj.max_eig[k].tobytes() == e[-1].tobytes()
-            assert cli._spectrum(z).tobytes() == e.tobytes()
+            assert spectrum(z).tobytes() == e.tobytes()
 
     def test_signed_zeros_are_the_exact_entries(self):
         # both zeros are exact; eigvalsh of the matrix may order them either
         # way (it gave -0.0 first on this state where np.min gives +0.0), and
         # the 1-D state's extremes and spectrum are its own entries
         z = np.array([-0.0, 0.0])
-        traj = Trajectory([0.0], [z], [0.0])
+        traj = _occupation_trajectory([z])
         assert traj.min_eig[0].tobytes() == z.min().tobytes()
         assert traj.max_eig[0].tobytes() == z.max().tobytes()
-        assert cli._spectrum(z).tobytes() == np.sort(z).tobytes()
+        assert spectrum(z).tobytes() == np.sort(z).tobytes()
         assert np.array_equal(_eigvalsh(z), [0.0, 0.0])
 
     def test_tiny_entries_are_the_exact_entries(self):
@@ -1520,9 +1591,9 @@ class TestDiagonalStates:
         rng = np.random.default_rng(13)
         for d in range(1, 13):
             z = rng.uniform(0.5, 2.0, d) * 1e-300
-            traj = Trajectory([0.0], [z], [0.0])
+            traj = _occupation_trajectory([z])
             assert (traj.min_eig[0], traj.max_eig[0]) == (z.min(), z.max())
-            assert cli._spectrum(z).tobytes() == np.sort(z).tobytes()
+            assert spectrum(z).tobytes() == np.sort(z).tobytes()
             assert np.abs(_eigvalsh(z) - np.sort(z)).max() <= 4 * np.spacing(z.max())
 
 

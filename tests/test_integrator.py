@@ -341,7 +341,7 @@ class TestEvolve:
             t0=0.0, t1=0.5, dt=1e-3, record_every=50,
         )
         traj = evolve(spec, initial)
-        rebuilt = Trajectory(traj.times, traj.states, traj.herm_defect)
+        rebuilt = Trajectory(traj)
         for column in ("times", "trace", "min_eig", "max_eig", "herm_defect"):
             assert np.array_equal(getattr(rebuilt, column), getattr(traj, column)), column
 
@@ -358,30 +358,33 @@ class TestEvolve:
             assert (t, defect) == (t_s, defect_s) and np.array_equal(rho, rho_s)
 
 
-class TestLazyDiagnostics:
-    def test_diagnostics_are_derived_on_first_read(self, monkeypatch):
+class TestTrajectoryDiagnostics:
+    def test_diagnostics_are_taken_as_each_state_arrives(self, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
         states = [np.diag([0.75, 0.25]).astype(complex), np.array([[0.5, 0.5j], [-0.5j, 0.5]])]
-        traj = Trajectory([0.0, 1.0], states, [0.0, 0.0])
-        assert not calls
+        seen = []
+
+        def stream():
+            for t, m in enumerate(states):
+                yield float(t), m, 0.0
+                # the state is read before the next one is asked for
+                seen.append(len(calls))
+
+        traj = Trajectory(stream())
+        assert seen == [1, 2]
         assert traj.trace.tolist() == [1.0, 1.0]
-        assert not calls
         assert traj.min_eig == pytest.approx([0.25, 0.0], abs=1e-15)
         assert traj.max_eig == pytest.approx([0.75, 1.0], abs=1e-15)
         assert len(calls) == 2  # one eigvalsh per snapshot, shared by min_eig and max_eig
 
-    def test_assigned_diagnostics_are_kept(self):
-        traj = Trajectory([0.0], [np.eye(2)], np.zeros(1))
-        traj.trace, traj.min_eig, traj.max_eig = np.array([7.0]), np.array([-3.0]), np.array([9.0])
-        assert (traj.trace[0], traj.min_eig[0], traj.max_eig[0]) == (7.0, -3.0, 9.0)
-
     def test_constructor_converts_to_arrays(self):
         states = (np.eye(2), np.zeros((2, 2)))
-        traj = Trajectory((0.0, 1.0), states, (0.0, 0.5))
-        assert isinstance(traj.times, np.ndarray) and traj.times.tolist() == [0.0, 1.0]
-        assert isinstance(traj.herm_defect, np.ndarray) and traj.herm_defect.tolist() == [0.0, 0.5]
+        traj = Trajectory(zip((0, 1), states, (0.0, 0.5)))
+        for column in (traj.times, traj.trace, traj.min_eig, traj.max_eig, traj.herm_defect):
+            assert isinstance(column, np.ndarray) and column.dtype == float and column.shape == (2,)
+        assert traj.times.tolist() == [0.0, 1.0] and traj.herm_defect.tolist() == [0.0, 0.5]
         # a real matrix is kept as given, and each read is a fresh copy of it
         first = traj.states[0]
         assert first is not states[0] and first is not traj.states[0]
@@ -389,8 +392,8 @@ class TestLazyDiagnostics:
 
     def test_populations_are_the_diagonal_of_a_diagonal_state(self):
         populations = [np.array([0.5, 0.125, 0.375]), np.array([0.0, 0.25, 0.75])]
-        traj = Trajectory([0.0, 1.0], populations, [0.0, 0.0])
-        matrices = Trajectory([0.0, 1.0], [np.diag(p) for p in populations], [0.0, 0.0])
+        traj = Trajectory(zip([0.0, 1.0], populations, [0.0, 0.0]))
+        matrices = Trajectory(zip([0.0, 1.0], [np.diag(p) for p in populations], [0.0, 0.0]))
         for column in ("trace", "min_eig", "max_eig"):
             assert np.array_equal(getattr(traj, column), getattr(matrices, column)), column
 
@@ -884,7 +887,6 @@ class TestPackedStates:
             assert _unpacked(packed).tobytes() == m.tobytes()
             # packing a packed state keeps it
             assert _packed(packed) is packed
-            assert Trajectory([0.0], [m], [0.0]).states[0].tobytes() == m.tobytes()
 
     def test_a_negative_zero_above_the_diagonal_is_kept_whole(self):
         # hermitian in value, but -(+0.0) above the diagonal is not what the
@@ -893,7 +895,7 @@ class TestPackedStates:
                           negate=np.negative)
         assert np.signbit(m[0, 1].imag) and not _hermitian_bits(m)
         assert _packed(m) is m
-        assert Trajectory([0.0], [m], [0.0]).states[0].tobytes() == m.tobytes()
+        assert Trajectory([(0.0, m, 0.0)]).states[0].tobytes() == m.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.data())
@@ -909,8 +911,7 @@ class TestPackedStates:
         free = np.empty((d, d), dtype=complex)
         free.real, free.imag = re, below
         for m in (structured, free):
-            traj = Trajectory([0.0], [m], [0.0])
-            assert traj.states[0].tobytes() == m.tobytes()
+            assert _unpacked(_packed(m)).tobytes() == m.tobytes()
 
     def test_a_start_hermitian_within_tolerance_is_stored_as_given(self):
         m = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
@@ -925,7 +926,7 @@ class TestPackedStates:
 
     def test_each_read_is_a_fresh_array(self):
         m = _hermitian_of(np.array([[0.5, 0.25], [0.0, 0.5]]), np.array([[0.0, 0.0], [0.125, 0.0]]))
-        traj = Trajectory([0.0, 1.0], [m, np.array([0.25, 0.75])], [0.0, 0.0])
+        traj = Trajectory([(0.0, m, 0.0), (1.0, np.array([0.25, 0.75]), 0.0)])
         for k in range(2):
             first = traj.states[k]
             first[...] = 9.0
@@ -950,9 +951,8 @@ class TestPackedStates:
         assert peak - before <= 0.75 * 76 * 16 * d**2
 
     def test_a_trajectory_packs_the_states_it_is_fed(self):
-        """A trajectory built from a generator of hermitian matrices, as the
-        CLI's occupation and oracle runs build theirs, packs each as it
-        arrives too."""
+        """A trajectory built from a generator of hermitian matrices packs
+        each as it arrives too."""
         d, n, rng = 32, 60, np.random.default_rng(5)
 
         def states():
@@ -963,7 +963,7 @@ class TestPackedStates:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            traj = Trajectory(np.zeros(n), states(), np.zeros(n))
+            traj = Trajectory((0.0, m, 0.0) for m in states())
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
