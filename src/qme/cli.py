@@ -231,14 +231,19 @@ def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
 class Scenario:
     """A parsed, validated scenario: the immutable result of one parse,
     whose arrays are read-only.  Variants are made on the raw JSON, with
-    :func:`apply_overrides`."""
+    :func:`apply_overrides`.
+
+    ``start`` is the run's start state, built and validated once, by the
+    parse: a :class:`DensityMatrix`, or for the Fock oracle the populations
+    of its product start, on the states of ``model``, the oracle's many-body
+    model (None for every other equation)."""
 
     name: str
     equation: str
     statistics: Statistics
     dimension: int
-    initial_kind: str  # "matrix" | "preset" | "occupations"
-    initial_value: object
+    start: DensityMatrix | np.ndarray
+    model: FockModel | None = None
     hamiltonian: np.ndarray | None = None
     network: TransitionNetwork | None = None
     dephasing: DephasingRates | None = None
@@ -254,12 +259,6 @@ class Scenario:
     out_dir: str | None = None
     expect_violations: bool = False
 
-    @cached_property
-    def start(self) -> tuple[DensityMatrix | np.ndarray, FockModel | None]:
-        """:func:`start_state` of this scenario, built on first read: parsing
-        reads it to fail fast, and the run takes the same objects."""
-        return start_state(self)
-
     @property
     def dual(self) -> bool:
         """Whether the run co-evolves the hole flow for the duality residual."""
@@ -274,11 +273,13 @@ class Scenario:
         diagonal has its bytes) under a flow that keeps diagonal states
         diagonal runs as its d occupations (``flow.occupation_flow``), for a
         :attr:`dual` run side by side with the d hole occupations as one
-        vector [n, 1 - n] (``paired``).  Only for such a start is the
-        equation's flow built here, and only its occupation flow is kept."""
-        m = self.start[0].matrix
+        vector [n, 1 - n] (``paired``).  Only for such a start under a
+        network equation, the one flow that can keep it diagonal
+        (:meth:`~qme.dynamics.Flow.occupation_flow`), is the equation's flow
+        built here, and only its occupation flow is kept."""
+        m = self.start.matrix
         n = m.diagonal().real
-        if np.diag(n).astype(complex).tobytes() != m.tobytes():
+        if self.network is None or np.diag(n).astype(complex).tobytes() != m.tobytes():
             return None
         occupations = _EQUATIONS[self.equation].build(self).occupation_flow()
         if occupations is None:
@@ -298,41 +299,6 @@ def _field_error(exc: ValueError) -> ScenarioError:
     field, sep, rest = str(exc).partition(": ")
     name, bracket, index = field.partition("[")
     return ScenarioError(_FIELDS.get(name, name) + bracket + index + sep + rest)
-
-
-def start_state(s: Scenario) -> tuple[DensityMatrix | np.ndarray, FockModel | None]:
-    """The validated start state of a run (populations, for the Fock oracle)
-    and the oracle's many-body model (None otherwise): the one place either
-    is built, once per scenario, through :attr:`Scenario.start`."""
-    if s.fock_energies is not None:
-        # the oracle holds the particle-number sectors of its start, and no other
-        try:
-            model = FockModel(statistics=s.statistics, energies=s.fock_energies,
-                              rates=dict(s.network.rates),
-                              sectors=start_sectors(s.statistics, s.initial_value))
-            return product_populations(model, s.initial_value), model
-        except ValueError as exc:
-            raise _field_error(exc) from None
-    tol = DEFAULT_TOL
-    if s.initial_kind == "matrix":
-        matrix = np.array(s.initial_value, dtype=complex)
-    elif s.initial_kind == "occupations":  # embedded as the diagonal
-        occ = np.asarray(s.initial_value, dtype=float)
-        if np.any(occ < 0):
-            raise ScenarioError("initial.occupations: negative occupation")
-        if s.statistics is Statistics.FERMION and np.any(occ > 1):
-            raise ScenarioError("initial.occupations: fermion occupation exceeds 1")
-        matrix = np.diag(occ).astype(complex)
-    elif s.initial_value == "empty":
-        matrix = np.zeros((s.dimension, s.dimension), dtype=complex)
-    else:
-        # "appendix_d", the only other preset: the bundled counterexample
-        # matrix is slightly indefinite by design, and takes the loose tolerance
-        matrix, tol = dephasing_counterexample_matrix(), APPENDIX_D_TOLERANCE
-    try:
-        return DensityMatrix(matrix, s.statistics, tolerance=tol), None
-    except ValueError as exc:
-        raise ScenarioError(f"initial: {exc}") from None
 
 
 def _parse_network(group, dim: int) -> TransitionNetwork:
@@ -450,21 +416,26 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         raise ScenarioError(
             "initial: expected exactly one of keys matrix, diagonal, preset, occupations"
         )
+    # the start matrix and its tolerance, or the occupations of an occupation equation
     (ikind, ivalue), = initial.items()
+    tolerance, occupations = DEFAULT_TOL, None
     if ikind == "matrix" and not rules.occupations:
-        initial_kind, initial_value = "matrix", _parse_matrix(ivalue, dimension, "initial.matrix")
+        matrix = _parse_matrix(ivalue, dimension, "initial.matrix")
     elif ikind == "diagonal" and not rules.occupations:
-        initial_kind = "matrix"
-        initial_value = np.diag(_real_list(ivalue, dimension, "initial.diagonal")).astype(complex)
+        matrix = np.diag(_real_list(ivalue, dimension, "initial.diagonal")).astype(complex)
     elif ikind == "preset" and not rules.occupations:
         if ivalue == "appendix_d" and dimension != 3:
             raise ScenarioError("initial.preset: preset 'appendix_d' requires dimension 3")
-        if ivalue not in ("empty", "appendix_d"):
+        if ivalue == "empty":
+            matrix = np.zeros((dimension, dimension), dtype=complex)
+        elif ivalue == "appendix_d":
+            # the bundled counterexample matrix is slightly indefinite by
+            # design, and takes the loose tolerance
+            matrix, tolerance = dephasing_counterexample_matrix(), APPENDIX_D_TOLERANCE
+        else:
             raise ScenarioError(f"initial.preset: unknown preset {_echo(ivalue)}")
-        initial_kind, initial_value = "preset", ivalue
     elif ikind == "occupations" and rules.occupations:
-        initial_kind = "occupations"
-        initial_value = tuple(_real_list(ivalue, dimension, "initial.occupations"))
+        occupations = tuple(_real_list(ivalue, dimension, "initial.occupations"))
     else:
         raise ScenarioError(
             f"initial: {_echo(ikind)} is not a valid initial-state form for equation {equation!r}"
@@ -539,10 +510,33 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
     if not isinstance(expect_violations, bool):
         raise ScenarioError("expect_violations: expected a boolean")
 
-    # a parsed scenario is never written to, its arrays included
+    # fail fast on an invalid start state: it is built here, once
+    model = None
+    if fock_energies is not None:
+        # the oracle holds the particle-number sectors of its start, and no other
+        try:
+            model = FockModel(statistics=statistics, energies=fock_energies, rates=network.rates,
+                              sectors=start_sectors(statistics, occupations))
+            start = product_populations(model, occupations)
+        except ValueError as exc:
+            raise _field_error(exc) from None
+        start.flags.writeable = False
+    else:
+        if occupations is not None:  # embedded as the diagonal
+            occ = np.asarray(occupations, dtype=float)
+            if np.any(occ < 0):
+                raise ScenarioError("initial.occupations: negative occupation")
+            if statistics is Statistics.FERMION and np.any(occ > 1):
+                raise ScenarioError("initial.occupations: fermion occupation exceeds 1")
+            matrix = np.diag(occ).astype(complex)
+        try:
+            start = DensityMatrix(matrix, statistics, tolerance=tolerance)
+        except ValueError as exc:
+            raise ScenarioError(f"initial: {exc}") from None
+
+    # a parsed scenario is never written to, its arrays included (a
+    # DensityMatrix keeps its own read-only copy)
     arrays = [hamiltonian, *(jump_operators or ()), *operators.values()]
-    if initial_kind == "matrix":
-        arrays.append(initial_value)
     if network is not None:
         arrays.append(network.kets)
     for array in arrays:
@@ -553,8 +547,8 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         equation=equation,
         statistics=statistics,
         dimension=dimension,
-        initial_kind=initial_kind,
-        initial_value=initial_value,
+        start=start,
+        model=model,
         hamiltonian=hamiltonian,
         network=network,
         dephasing=dephasing,
@@ -568,14 +562,14 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         expect_violations=expect_violations,
         **operators,
     )
-    # fail fast on an invalid start state and on snapshots of the state the run
-    # integrates (populations, occupations or the matrix) that would not fit in memory
-    initial, model = scenario.start
+    # fail fast on snapshots of the state the run integrates (populations,
+    # occupations or the matrix) that would not fit in memory
+    integrated = start
     if model is None:
-        occupations = scenario.occupation_run
-        initial = initial.matrix if occupations is None else occupations[1]
+        occupation_run = scenario.occupation_run
+        integrated = start.matrix if occupation_run is None else occupation_run[1]
     try:
-        check_snapshot_budget(steps, record_every, initial.nbytes)
+        check_snapshot_budget(steps, record_every, integrated.nbytes)
     except ValueError as exc:
         raise ScenarioError(f"integrator.record_every: {exc}") from None
     return scenario
@@ -821,16 +815,15 @@ def _run_matrix(scenario: Scenario):
     particle occupations of each snapshot, the diagonal of its diagonal
     state.  The matrix run from the same start agrees to rounding (1e-14),
     and the paired rows have the bits of lone particle and hole runs."""
-    initial, _ = scenario.start
     occupations = scenario.occupation_run
     if occupations is None:
         flow = _EQUATIONS[scenario.equation].build(scenario)
-        traj = evolve(_spec(scenario, flow), initial)
+        traj = evolve(_spec(scenario, flow), scenario.start)
         duality = None
         if scenario.dual:
             # streamed: each hole state is dropped once its residual is taken,
             # and the hole start is not bound here, so it is freed once copied
-            hole = snapshots(_spec(scenario, flow.hole()), hole_transform(initial))
+            hole = snapshots(_spec(scenario, flow.hole()), hole_transform(scenario.start))
             duality = list(duality_residuals(traj, hole))
         return traj, duality, {}
     flow, start = occupations
@@ -852,7 +845,7 @@ def _run_fock(scenario: Scenario):
     diagonal is evaluated once, on the populations themselves, with no S x S
     object and no ``model.flow``; the population flow must equal it up to
     roundoff."""
-    p0, model = scenario.start
+    p0, model = scenario.start, scenario.model
     closure = closure_residual_at_t0(model, p0)
     flow = model.populations
     coherent = rhs_fock_lindblad(model, p0)

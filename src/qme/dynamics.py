@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import copy
 import reprlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,17 +72,19 @@ class TransitionNetwork:
     ``kets`` holds the orbital kets as columns (defaults to the computational
     basis).  ``rates`` maps an ordered pair ``(dest, src)`` to the finite,
     nonnegative rate for particles to jump src -> dest; the two directions are
-    independent entries.
+    independent entries.  It is kept as a read-only copy, so a validated rate
+    cannot be rewritten.
     """
 
     kets: np.ndarray
-    rates: dict[tuple[int, int], float] = field(default_factory=dict)
+    rates: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
         kets = np.asarray(self.kets, dtype=complex)
         if kets.ndim != 2:
             raise ValueError(f"network kets: expected a 2-d array, got shape {kets.shape}")
         object.__setattr__(self, "kets", kets)
+        object.__setattr__(self, "rates", MappingProxyType(dict(self.rates)))
         with np.errstate(over="ignore", invalid="ignore"):  # huge kets: an inf or NaN defect
             gram = kets.conj().T @ kets
             defect = np.abs(gram - np.eye(kets.shape[1])).max() if kets.size else 0.0
@@ -100,9 +104,9 @@ class TransitionNetwork:
                 raise ValueError(f"rates[{_index_pair(dest, src)}]: rate must be nonnegative, got {w}")
 
     @classmethod
-    def computational(cls, dim: int, rates: dict[tuple[int, int], float]) -> "TransitionNetwork":
+    def computational(cls, dim: int, rates: Mapping[tuple[int, int], float]) -> "TransitionNetwork":
         """Network whose orbitals are the computational-basis unit vectors."""
-        return cls(kets=np.eye(dim, dtype=complex), rates=dict(rates))
+        return cls(kets=np.eye(dim, dtype=complex), rates=rates)
 
     @property
     def dim(self) -> int:
@@ -125,9 +129,10 @@ class TransitionNetwork:
 
 @dataclass(frozen=True)
 class DephasingRates:
-    """Symmetric off-diagonal decay rates Gamma[(a, b)] = Gamma[(b, a)] >= 0."""
+    """Symmetric off-diagonal decay rates Gamma[(a, b)] = Gamma[(b, a)] >= 0,
+    kept as a read-only mapping of both orderings of each pair."""
 
-    gamma: dict[tuple[int, int], float] = field(default_factory=dict)
+    gamma: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
         full: dict[tuple[int, int], float] = {}
@@ -145,7 +150,7 @@ class DephasingRates:
                         f"value {full[key]}"
                     )
                 full[key] = g
-        object.__setattr__(self, "gamma", full)
+        object.__setattr__(self, "gamma", MappingProxyType(full))
 
     def __bool__(self) -> bool:
         return bool(self.gamma)

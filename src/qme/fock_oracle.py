@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import reprlib
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -86,13 +87,14 @@ class FockModel:
 
     ``energies`` fixes the diagonal Hamiltonian sum_n e_n c_n^dag c_n;
     ``rates`` maps (dest, src) to the src -> dest jump rate, as in
-    :class:`~qme.dynamics.TransitionNetwork`.  ``sectors`` defaults to every
+    :class:`~qme.dynamics.TransitionNetwork`, and is kept as its network's
+    read-only copy.  ``sectors`` defaults to every
     fermion sector, 0 to the mode count; a boson model must name its own.
     """
 
     statistics: Statistics
     energies: tuple[float, ...]
-    rates: dict[tuple[int, int], float] = field(default_factory=dict)
+    rates: Mapping[tuple[int, int], float] = field(default_factory=dict)
     sectors: tuple[int, ...] | None = None
     #: the rates as a validated network on the computational basis of the modes
     network: TransitionNetwork = field(init=False, repr=False, compare=False)
@@ -119,6 +121,7 @@ class FockModel:
             raise ValueError(f"sectors: the basis key of these particle numbers over "
                              f"{self.modes} modes does not fit in int64")
         object.__setattr__(self, "network", TransitionNetwork.computational(self.modes, self.rates))
+        object.__setattr__(self, "rates", self.network.rates)
         # refuse a generator that overflows (E_i - E_j, d_i + d_j) before any flow is built
         with np.errstate(over="ignore", invalid="ignore"):
             spread = self._state_energies.max() - self._state_energies.min()

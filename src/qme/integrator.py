@@ -381,18 +381,16 @@ def snapshots(spec: EvolutionSpec,
     exactly on ``spec.t1`` (a final partial step is taken when the window is
     not a multiple of dt).  ``herm_defect`` is the hermiticity defect of the
     raw update, of the last RK4 step or of the mapped interval, before
-    hygiene.  The start state and the snapshot budget are checked here, at
-    the call, not at the first ``next()``; a consumer that keeps no state
-    holds one step's arrays at a time.
+    hygiene.  A :class:`DensityMatrix` start is valid by construction and
+    read-only, so it is copied, not checked again; populations, which enter
+    here, and the snapshot budget are checked at the call, not at the first
+    ``next()``.  A consumer that keeps no state holds one step's arrays at a
+    time.
     """
     populations = isinstance(initial, np.ndarray) and initial.ndim == 1
     if not (populations or isinstance(initial, DensityMatrix)):
         raise TypeError("initial state must be a DensityMatrix or a 1-D array of populations")
-    if populations:
-        rho = _checked_populations(initial)
-    else:
-        initial.validate()
-        rho = initial.matrix.copy()
+    rho = _checked_populations(initial) if populations else initial.matrix.copy()
     check_snapshot_budget((spec.t1 - spec.t0) / spec.dt, spec.record_every, rho.nbytes)
     return _steps(spec, rho)
 

@@ -96,9 +96,11 @@ def positivity_report(m, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
 class DensityMatrix:
     """A validated one-particle density matrix.
 
-    Invariants checked at construction: hermitian, positive semidefinite, real
-    nonnegative trace (the particle number), and for fermions all eigenvalues
-    <= 1, each within ``tolerance``.
+    Invariants checked once, at construction: hermitian, positive
+    semidefinite, real nonnegative trace (the particle number), and for
+    fermions all eigenvalues <= 1, each within ``tolerance``.  ``matrix`` is
+    a read-only copy of the matrix given, so the invariants hold for the
+    object's life and no reader checks them again.
     """
 
     matrix: np.ndarray
@@ -106,11 +108,9 @@ class DensityMatrix:
     tolerance: float = field(default=DEFAULT_TOL)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", as_square_matrix(self.matrix, "density matrix"))
-        self.validate()
-
-    def validate(self) -> None:
-        m = self.matrix
+        m = as_square_matrix(np.array(self.matrix, dtype=complex), "density matrix")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
         tol = self.tolerance
         require_hermitian(m, tol, "density matrix")
         # entries near the float limit overflow in these sums, and every

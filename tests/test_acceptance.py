@@ -24,7 +24,6 @@ from qme.cli import (
     parse_scenario,
     resolve_scenario_path,
     scenario_from_dict,
-    start_state,
 )
 from qme.dynamics import (
     JumpFlow,
@@ -284,7 +283,7 @@ def test_criterion_5_low_density_and_homogeneous_limits():
     slope_ok = fit.slope is not None and abs(fit.slope - 2.0) <= 0.05
 
     chain = parse_scenario(resolve_scenario_path("homogeneous_chain"))
-    initial, _ = start_state(chain)
+    initial = chain.start
     spec = EvolutionSpec(
         rhs=_flow(chain), t0=chain.t0, t1=chain.t1, dt=chain.dt,
         record_every=chain.record_every,
@@ -336,7 +335,7 @@ def test_criterion_6_bundled_trajectory_invariants():
     for name in names:
         base = parse_scenario(resolve_scenario_path(name))
         for scenario in (base, _jump_twin(name, base.network)):
-            initial, _ = start_state(scenario)
+            initial = scenario.start
             spec = EvolutionSpec(
                 rhs=_flow(scenario), t0=scenario.t0, t1=scenario.t1,
                 dt=scenario.dt, record_every=scenario.record_every,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qme import cli, integrator
+from qme import cli, integrator, operators
 from qme.analysis import duality_residuals
 from qme.cli import (
     Scenario,
@@ -33,7 +33,8 @@ from qme.fock_oracle import (
     closure_residual_at_t0,
     reduce_one_particle,
 )
-from qme.dynamics import NetworkFlow, OccupationFlow, Statistics, hole_transform
+from qme.dynamics import (JumpFlow, NetworkFlow, OccupationFlow, Statistics, TransitionNetwork,
+                          hole_transform)
 from fock_reference import population_generator
 from occupation_reference import occupation_row
 from qme.integrator import Trajectory, evolve, snapshots, spectrum
@@ -87,7 +88,7 @@ class TestParsing:
 
     def test_appendix_d_preset_matrix(self):
         scenario = parse_scenario(resolve_scenario_path("appendix_d"))
-        m = scenario.start[0].matrix
+        m = scenario.start.matrix
         assert np.allclose(np.diag(m), 1 / 3)
         assert m[0, 1] == pytest.approx(10 / 27)
         assert m[1, 2] == pytest.approx(2 / 9)
@@ -96,8 +97,8 @@ class TestParsing:
         raw = minimal_scenario(initial={"preset": "empty"}, dimension=3,
                                network={"rates": []})
         scenario = scenario_from_dict(raw)
-        assert not np.any(scenario.start[0].matrix)
-        assert scenario.start[0].matrix.shape == (3, 3)
+        assert not np.any(scenario.start.matrix)
+        assert scenario.start.matrix.shape == (3, 3)
 
     def test_negative_rate_names_the_entry(self, tmp_path):
         raw = minimal_scenario(network={"rates": [{"from": 1, "to": 2, "rate": -0.5}]},
@@ -166,7 +167,7 @@ class TestParsing:
             initial={"matrix": [[0.5, [0.1, 0.2]], [[0.1, -0.2], 0.5]]}
         )
         scenario = scenario_from_dict(raw)
-        m = scenario.start[0].matrix
+        m = scenario.start.matrix
         assert m[0, 1] == pytest.approx(0.1 + 0.2j)
         assert m[1, 0] == pytest.approx(0.1 - 0.2j)
 
@@ -585,7 +586,7 @@ class TestMemoryBounds:
         overrides = ("statistics=boson", "record_every=1000")
         scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides,
                                                    "initial.occupations=[131071,0]"))
-        assert scenario.start[1].dim == 2**17
+        assert scenario.model.dim == 2**17
         with pytest.raises(ScenarioError, match="^initial.occupations: the basis .* exceeds the limit of 131072 states$"):
             scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides,
                                             "initial.occupations=[0,131072]"))
@@ -677,7 +678,7 @@ class TestFockPopulationPath:
     def test_matches_the_coherent_integration(self, overrides):
         scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides))
         traj, duality, extra = cli._run_fock(scenario)
-        p0, model = cli.start_state(scenario)
+        p0, model = scenario.start, scenario.model
         initial = DensityMatrix(np.diag(p0), scenario.statistics)
         coherent = evolve(cli._spec(scenario, model.flow), initial)
         assert duality is None
@@ -726,17 +727,15 @@ class TestFockPopulationPath:
         assert len(built) == 1
 
     def test_corrupted_population_table_is_refused(self, monkeypatch, tmp_path, capsys):
-        start_state = cli.start_state
+        class CorruptedModel(FockModel):
+            def __post_init__(self):
+                super().__post_init__()
+                good = self.populations
+                # cached on the instance, so the run reads the mutated table
+                self.__dict__["populations"] = PopulationFlow(good.dim, good.src, good.dst,
+                                                              good.rate * (1 + 1e-9))
 
-        def corrupted(scenario):
-            initial, model = start_state(scenario)
-            good = model.populations
-            # cached on the instance, so the run reads the mutated table
-            model.__dict__["populations"] = PopulationFlow(good.dim, good.src, good.dst,
-                                                           good.rate * (1 + 1e-9))
-            return initial, model
-
-        monkeypatch.setattr(cli, "start_state", corrupted)
+        monkeypatch.setattr(cli, "FockModel", CorruptedModel)
         scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode"))
         with pytest.raises(ValueError, match="population flow departs from the many-body flow"):
             cli._run_fock(scenario)
@@ -845,8 +844,7 @@ def test_occupation_fermion_run_takes_one_flow_call_a_stage(monkeypatch, tmp_pat
     assert calls == [2 * scenario.dimension] * (4 * steps)
 
     monkeypatch.setattr(OccupationFlow, "__call__", call)
-    initial, _ = cli.start_state(scenario)
-    n = initial.matrix.diagonal().real
+    n = scenario.start.matrix.diagonal().real
     flow = cli._EQUATIONS[scenario.equation].build(scenario).occupation_flow()
     particle = evolve(cli._spec(scenario, flow), n)
     hole = snapshots(cli._spec(scenario, flow.hole()), 1.0 - n)
@@ -866,7 +864,7 @@ def test_streamed_duality_equals_the_stored_check(name):
     scenario = scenario_from_dict(_bundled_raw(name))
     assert cli._EQUATIONS[scenario.equation].dual and scenario.statistics is Statistics.FERMION
     traj, streamed, _ = cli._run_matrix(scenario)
-    initial, _ = cli.start_state(scenario)
+    initial = scenario.start
     flow = cli._EQUATIONS[scenario.equation].build(scenario)
     if traj.states[0].ndim == 1:
         n = initial.matrix.diagonal().real
@@ -1056,6 +1054,7 @@ def _dense_jumps_raw(t1):
     }
 
 
+@pytest.mark.memory
 def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):
     """A dense fermion run (d=32, 76 snapshots) through ``run`` peaks below
     the states of two trajectories, 2 * 76 * 16 d^2 bytes: the hole run and
@@ -1087,6 +1086,64 @@ def test_a_dual_run_rebuilds_each_packed_snapshot_at_most_three_times(tmp_path, 
     # every state checked and every one read back is packed
     assert k == 11 and set(calls) == {3}
     assert len(calls) <= 3 * k + 2
+
+
+def test_a_dual_run_validates_each_start_once(tmp_path, monkeypatch):
+    """A dense fermion run (d=32) checks two density matrices: the start,
+    when the scenario is parsed, and the hole start I - rho, when it is
+    built.  Neither is checked again when its run begins."""
+    checked, check = [], operators.require_hermitian
+    monkeypatch.setattr(operators, "require_hermitian",
+                        lambda m, tol, name="matrix": checked.append(name) or check(m, tol, name))
+    path = write_scenario(tmp_path, _dense_jumps_raw(t1=0.02))
+    assert run(path, out_dir=str(tmp_path / "o"), quiet=True) == 0
+    assert read_csv(tmp_path / "o" / "diagnostics.csv")[0][-1] == "duality_residual"
+    assert checked == ["density matrix"] * 2
+
+
+def test_a_diagonal_start_of_a_jump_run_builds_one_flow(monkeypatch):
+    """Only a network flow can keep a diagonal start diagonal, so the parse
+    builds no flow to ask: a ``generalized_jumps`` run from a diagonal start
+    builds its JumpFlow, with its O(R d^3) drain, once."""
+    built = []
+
+    class CountingJumpFlow(JumpFlow):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "JumpFlow", CountingJumpFlow)
+    raw = _dense_jumps_raw(t1=0.02)
+    raw["initial"] = {"diagonal": np.linspace(0.9, 0.1, raw["dimension"]).tolist()}
+    scenario = scenario_from_dict(raw)
+    assert scenario.occupation_run is None and built == []
+    traj, duality, _ = cli._run_matrix(scenario)
+    assert len(traj) == len(duality) == 11 and len(built) == 1
+
+
+@pytest.mark.memory
+def test_a_parsed_scenario_holds_its_start_once():
+    """A parsed d = 256 markoff scenario from a coherent start retains three
+    d x d complex matrices, the Hamiltonian, the network's kets and the
+    start, and no second copy of the start."""
+    d = 256
+    start = np.diag(np.full(d, 0.5))
+    start[0, 1] = start[1, 0] = 0.25
+    raw = {"name": "coherent_markoff", "equation": "markoff", "statistics": "fermion",
+           "dimension": d, "initial": {"matrix": start.tolist()},
+           "hamiltonian": {"diagonal": np.linspace(0.0, 2.0, d).tolist()},
+           "network": {"rates": [{"from": k, "to": k + 1, "rate": 0.5} for k in range(d - 1)]},
+           "integrator": {"t1": 0.01, "dt": 1e-3}}
+    scenario_from_dict(raw)  # numpy's first-call caches are not the scenario's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scenario = scenario_from_dict(raw)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert scenario.occupation_run is None
+    assert retained <= 3 * 16 * d**2 + 256 * 1024
 
 
 def _ring_rates(modes, base):
@@ -1128,6 +1185,7 @@ def _run_peak(tmp_path, raw):
     return peak
 
 
+@pytest.mark.memory
 def test_oracle_run_peak_memory_holds_no_many_body_matrix(tmp_path):
     """8 bosons in 8 modes (S = 6435) run through ``run`` with a peak below
     10 MB, where one S x S complex state is 662 MB: the populations, the
@@ -1139,6 +1197,7 @@ def test_oracle_run_peak_memory_holds_no_many_body_matrix(tmp_path):
     assert peak < 10e6
 
 
+@pytest.mark.memory
 def test_oracle_run_holds_one_transition_table(tmp_path):
     """8 bosons in 8 modes with every one of the 56 directed rates (S = 6435,
     192,192 transitions) run through ``run`` with a peak below 10 MB: the t0
@@ -1150,6 +1209,7 @@ def test_oracle_run_holds_one_transition_table(tmp_path):
     assert _run_peak(tmp_path, raw) < 10e6
 
 
+@pytest.mark.memory
 def test_occupation_run_holds_its_snapshot_budget(tmp_path, monkeypatch):
     """A diagonal fermion chain at d = 64 with 501 snapshots is budgeted at
     the paired occupations it integrates, 2d floats (1 KB) a snapshot, and
@@ -1186,7 +1246,8 @@ class TestLargeOracles:
         assert summary["many_body_trace_drift"] <= 1e-13
         assert summary["closure_residual_t0"] <= 1e-14
         # each sector's generator is the restricted Kronecker construction
-        p0, model = scenario_from_dict(raw).start
+        scenario = scenario_from_dict(raw)
+        p0, model = scenario.start, scenario.model
         assert model.sectors == ((8,) if raw["statistics"] == "boson" else tuple(range(1, 12)))
         flow = model.populations
         generator = (sparse.csr_matrix((flow.rate, (flow.dst, flow.src)), shape=(model.dim,) * 2)
@@ -1492,6 +1553,7 @@ class TestCsvWriters:
             reference_diagnostics_csv(tmp_path / "diag_ref.csv", traj, dual)
             assert (tmp_path / "diag.csv").read_bytes() == (tmp_path / "diag_ref.csv").read_bytes()
 
+    @pytest.mark.memory
     def test_states_writer_holds_one_row_at_a_time(self, tmp_path):
         """The tracemalloc peak of writing 60 d=32 snapshots stays below twice
         that of writing one: neither the file's text nor its rows are held."""
@@ -1687,6 +1749,7 @@ class TestScenarioRecord:
              "gain_operator": [[0.0, 0.0], [0.0, -0.5]]},
             {**without_network, "equation": "meanfield_nonhermitian",
              "a_operator": [[-0.5, 0.0], [0.0, -0.25]]},
+            _bundled_raw("fock_closure_2mode"),
         ]
         seen = set()
         for raw in raws:
@@ -1695,6 +1758,8 @@ class TestScenarioRecord:
                 value = getattr(scenario, field.name)
                 if field.name == "network" and value is not None:
                     name, arrays = "network.kets", [value.kets]
+                elif isinstance(value, DensityMatrix):
+                    name, arrays = field.name, [value.matrix]
                 elif isinstance(value, np.ndarray):
                     name, arrays = field.name, [value]
                 elif isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
@@ -1705,5 +1770,25 @@ class TestScenarioRecord:
                 for array in arrays:
                     with pytest.raises(ValueError, match="read-only"):
                         array[(0,) * array.ndim] = 99.0
-        assert seen == {"initial_value", "hamiltonian", "network.kets", "jump_operators",
+        # the start matrix, and the oracle's start populations
+        assert seen == {"start", "hamiltonian", "network.kets", "jump_operators",
                         "loss_operator", "gain_operator", "a_operator"}
+
+    def test_no_rate_can_be_rewritten(self):
+        # a rate written after the parse would skip the check that refuses a
+        # negative one: appendix_d under gamma = -3 grows without bound
+        markoff = scenario_from_dict(_bundled_raw("appendix_d"))
+        oracle = scenario_from_dict(_bundled_raw("fock_closure_2mode"))
+        for rates in (markoff.network.rates, markoff.dephasing.gamma, oracle.network.rates,
+                      oracle.model.rates, oracle.model.network.rates):
+            key = next(iter(rates), (1, 0))
+            with pytest.raises(TypeError):
+                rates[key] = -5.0
+            assert all(value >= 0 for value in rates.values())
+
+    def test_rates_are_copied_from_the_caller(self):
+        rates = {(1, 0): 1.0}
+        network = TransitionNetwork.computational(2, rates)
+        model = FockModel(Statistics.FERMION, (0.0, 1.0), rates)
+        rates[(1, 0)] = -5.0
+        assert network.rates == model.rates == {(1, 0): 1.0}

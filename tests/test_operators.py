@@ -114,6 +114,17 @@ class TestDensityMatrix:
             DensityMatrix(m, Statistics.FERMION)
         DensityMatrix(m, Statistics.FERMION, tolerance=1e-2)  # no raise
 
+    @pytest.mark.parametrize("given", [np.diag([0.5, 0.25]), np.diag([0.5, 0.25]).astype(complex)],
+                             ids=["real", "complex"])
+    def test_cannot_be_written_after_construction(self, given):
+        # the checked matrix is a read-only copy: neither the object nor the
+        # array it was built from can move it out of the bounds checked once
+        rho = DensityMatrix(given, Statistics.FERMION)
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[1, 1] = -0.5
+        given[1, 1] = 1.5
+        assert rho.matrix[1, 1] == 0.25 and given.flags.writeable
+
     @pytest.mark.parametrize("statistics", list(Statistics))
     @pytest.mark.parametrize(
         "m",
