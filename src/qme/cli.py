@@ -27,14 +27,16 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import (
     APPENDIX_D_TOLERANCE,
+    VIOLATION_TOL,
     bounds_monitor,
     dephasing_counterexample_matrix,
     duality_residuals,
@@ -63,7 +65,7 @@ from .fock_oracle import (
     rhs_fock_lindblad,
     start_sectors,
 )
-from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory,
+from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory, _layout,
                          check_snapshot_budget, check_window, evolve, snapshots, spectrum)
 from .operators import DEFAULT_TOL, DensityMatrix, require_hermitian
 
@@ -595,45 +597,216 @@ def parse_scenario(path) -> Scenario:
 
 
 def _write_csv(path: Path, header: str, lines) -> None:
-    """Write ``header`` and then each of ``lines``, every one followed by a
-    newline, streamed: each line is encoded and written whole to a buffered
-    binary handle, so only the current line is held, never the file's text."""
+    """Write ``header`` and then each of ``lines``, bytes-like objects that
+    each end with a newline, streamed to a buffered binary handle: only the
+    current line is held, never the file's text."""
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\n")
-        for line in lines:
-            fh.write(line.encode() + b"\n")
+        fh.writelines(lines)
 
 
-def _fields(x: np.ndarray) -> list[str]:
-    """The ``%.17g`` text of each entry of the 1-D float array ``x``.
+#: Columns of a text slot: a sign, the longest ``%.17g`` text of a magnitude
+#: (23 characters, as in 2.2250738585072014e-308) and a comma.
+_SLOT = 25
+_SLOT_COLUMNS = np.arange(_SLOT, dtype=np.uint8)
+#: Veltkamp's splitter for doubles, 2^27 + 1.
+_SPLITTER = 134217729.0
 
-    Each distinct magnitude is formatted once, by one format call, and each
-    entry then takes the text of its magnitude with ``-`` in front when its
-    sign bit is set: the bytes of ``f"{v:.17g}"``.  Python writes a NaN as
-    ``nan`` whatever its sign bit, so a NaN is never signed.  A hermitian
-    state repeats each real magnitude at [i,j] and [j,i] and negates each
-    imaginary part, so its row holds about half as many magnitudes as
-    entries."""
+
+class _TextTables(NamedTuple):
+    """The lookup tables of :func:`_texts`.  All but ``digits`` and
+    ``masks`` are indexed by a magnitude's bucket r, the count of ``bounds``
+    at or below it: 0 for zero, 1 for (0, 1e-4), 6 + e for a decimal
+    exponent e in [-4, 15] and 22 from 1e16 on, inf and NaN included.  A
+    bound is the least double at or above its power of ten, so the bucket
+    of a double is its exact decimal exponent."""
+
+    bounds: np.ndarray
+    #: 10^(16-e), an exact double, and its two halves by Veltkamp's split
+    scale: np.ndarray
+    scale_high: np.ndarray
+    scale_low: np.ndarray
+    #: the slot columns of the decimal point and of the text's first digit
+    point: np.ndarray
+    first: np.ndarray
+    #: whether Python formats the bucket
+    python: np.ndarray
+    #: the ASCII digits of each 4-digit group, as one uint32
+    digits: np.ndarray
+    #: the mask of a slot's columns start to comma, at start * _SLOT + comma
+    masks: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _text_tables() -> _TextTables:
+    """The tables of :func:`_texts`, built with numpy on first use."""
+    bounds = [5e-324]
+    for e in range(-4, 17):
+        c = 10.0 ** e
+        num, den = c.as_integer_ratio()
+        if e < 0 and num * 10 ** -e < den:
+            c = math.nextafter(c, math.inf)
+        bounds.append(c)
+    scale = np.ones(23)
+    scale[2:22] = 10.0 ** np.arange(20, 0, -1)
+    split = _SPLITTER * scale
+    high = split - (split - scale)
+    r = np.arange(23)
+    point = np.where((r >= 2) & (r <= 21), r, 6)
+    group = np.arange(10000, dtype=np.uint16)
+    digits = np.stack((group // 1000, group // 100 % 10, group // 10 % 10, group % 10), axis=1)
+    start, comma = np.divmod(np.arange(6 * _SLOT), _SLOT)
+    masks = (_SLOT_COLUMNS >= start[:, np.newaxis]) & (_SLOT_COLUMNS <= comma[:, np.newaxis])
+    return _TextTables(
+        bounds=np.array(bounds), scale=scale, scale_high=high, scale_low=scale - high,
+        point=point, first=np.minimum(point - 1, 5),
+        python=(r == 1) | (r == 22),
+        digits=(digits.astype(np.uint8) + 48).view(np.uint32).ravel(),
+        masks=masks.view(f"V{_SLOT}").ravel())
+
+
+def _mantissas(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The 17-digit mantissa, an int64, of each magnitude ``a`` in the
+    fixed-notation range, of bucket ``r`` (:func:`_text_tables`): the exact
+    product p + q of ``a`` and its scale, with p rounded by q, ties to even.
+    A value of another bucket gets a meaningless one."""
+    tables = _text_tables()
+    # the values Python formats may overflow or be invalid here
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a * tables.scale[r]
+        a_high = _SPLITTER * a
+        a_high -= a_high - a
+        a_low = a - a_high
+        s_high, s_low = tables.scale_high[r], tables.scale_low[r]
+        # ((a_high s_high - p) + a_high s_low + a_low s_high) + a_low s_low
+        q = a_high * s_high
+        q -= p
+        q += a_high * s_low
+        q += a_low * s_high
+        q += a_low * s_low
+        mantissa = p.astype(np.int64)
+        mantissa += np.rint(q, out=q).astype(np.int64)
+    return mantissa
+
+
+def _digit_rows(mantissa: np.ndarray) -> np.ndarray:
+    """The ASCII digits of each 17-digit ``mantissa`` down a (24, n) array,
+    one digit a row: three rows of ``0``, the five 4-digit groups of
+    ``000`` and the mantissa, and one more row of ``0``.  So row i is the
+    digit left of column i of a slot once the point is placed, and row
+    i - 1 the one right of it (:func:`_texts`)."""
+    n = len(mantissa)
+    upper, lower = np.divmod(mantissa, 10**8)
+    groups = np.empty((5, n), np.int64)
+    np.divmod(lower, 10**4, out=(groups[3], groups[4]))
+    np.divmod(upper, 10**4, out=(groups[1], groups[2]))
+    np.divmod(groups[1], 10**4, out=(groups[0], groups[1]))
+    # a group index out of the table is a meaningless mantissa's
+    chars = _text_tables().digits.take(groups, mode="clip").view(np.uint8).reshape(5, n, 4)
+    pad = np.empty((24, n), np.uint8)
+    pad[:3] = pad[23] = 48
+    pad[3:23].reshape(5, 4, n)[...] = chars.transpose(0, 2, 1)
+    return pad
+
+
+def _texts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``%.17g`` text of each magnitude of the 1-D float array ``x``, as
+    (chars, first, end): ``chars`` is (len(x), _SLOT) uint8, and row k holds
+    the text of |x[k]| in columns first[k] to end[k] - 1, a ``-`` just
+    before it and a ``,`` at end[k].  So the text of x[k] itself, or of
+    0.0 - x[k], is the text of the magnitude with or without the ``-``.
+
+    A magnitude in [1e-4, 1e16), where ``%g`` writes fixed notation, is
+    formatted here.  With e its decimal exponent, |v| 10^(16-e) is the exact
+    sum p + q of a double and its rounding error (Dekker's product with a
+    Veltkamp split, Numer. Math. 18, 224 (1971)): 10^(16-e) is an exact
+    double, and p, at least 1e16 > 2^53, is an even integer.  So the
+    17-digit mantissa, correctly rounded with ties to even as Python rounds,
+    is the integer p + round(q).  No double in the range rounds up to 10^17:
+    the one nearest below each power of ten is too far from it.  The digits
+    are placed with the point after the integer part, or after ``0`` and
+    -e - 1 zeros, and trailing zeros of the fraction are dropped with its
+    point.  Zero is written ``0``.  Python formats every other magnitude
+    (below 1e-4 or from 1e16 on, inf and NaN), at one call a row."""
+    tables = _text_tables()
+    n = len(x)
     a = np.abs(x)
-    order = a.argsort()
-    s = a[order]
-    first = np.empty(s.size, dtype=bool)  # the first entry of each run of equal magnitudes
-    first[:1] = True
-    np.not_equal(s[1:], s[:-1], out=first[1:])
-    k = int(np.count_nonzero(first))
-    text = np.array(("%.17g," * k % tuple(s[first].tolist())).split(","), dtype=object)
-    inv = np.empty(s.size, dtype=np.intp)
-    inv[order] = first.cumsum() - 1
-    out = text[inv]
-    np.add("-", out, out=out, where=np.signbit(x) & ~np.isnan(x))
-    return out.tolist()
+    r = tables.bounds.searchsorted(a, "right")
+    pad = _digit_rows(_mantissas(a, r))
+    point, first = tables.point[r], tables.first[r]
+    point8 = point.astype(np.uint8)
+    last = ((pad[6:23] != 48) * _SLOT_COLUMNS[6:23, np.newaxis]).max(axis=0)
+    # built column by column, one row a value, then transposed
+    chars = np.empty((_SLOT, n), np.uint8)
+    chars[:23] = pad[1:]
+    np.copyto(chars[:23], pad[:23], where=_SLOT_COLUMNS[:23, np.newaxis] > point8)
+    at = np.arange(n)
+    flat = chars.reshape(-1)
+    flat[point * n + at] = 46  # '.'
+    end = np.where(last > point8, last + 1, point)
+    rows = np.flatnonzero(tables.python[r])
+    if rows.size:
+        text = np.array(("%.17g," * rows.size % tuple(a[rows].tolist())).split(",")[:-1],
+                        dtype="S23").view(np.uint8).reshape(rows.size, 23)
+        chars[1:24, rows] = text.T
+        first[rows] = 1
+        end[rows] = 1 + np.count_nonzero(text, axis=1)
+    flat[(first - 1) * n + at] = 45  # '-'
+    flat[end * n + at] = 44  # ','
+    return np.ascontiguousarray(chars.T), first, end
 
 
-#: From this dimension on, ``states.csv`` rows of matrix states go through
-#: ``_fields``.  Below it, one format call over all of a row's numbers is
-#: faster than sorting them: the two break even near d = 7 on hermitian
-#: states.
-_DISTINCT_MIN_DIM = 8
+def _csv_row(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The ``states.csv`` row of the texts ``cells`` of the 1-D float array
+    ``x``, as uint8 bytes ending in a newline.  Cell c holds the text
+    cells[c] of the 2 len(x) texts: those of x, then those of 0.0 - x.
+
+    Each cell is cut from its value's slot (:func:`_texts`), with the ``-``
+    when its text is signed and the ``,`` after it."""
+    chars, first, end = _texts(x)
+    unsigned = first * _SLOT + end
+    # the cells' slots and masks are the row's largest arrays: the texts are
+    # freed once gathered, and the masks' patterns once looked up
+    slots = chars.view(f"V{_SLOT}").ravel().take(cells % len(x)).view(np.uint8)
+    del chars, first, end
+    row = slots[_cell_masks(x, unsigned, cells)]
+    row[-1] = 10  # the last comma
+    return row
+
+
+def _cell_masks(x: np.ndarray, unsigned: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The flat boolean mask over the slots of :func:`_csv_row`'s cells,
+    looked up by each cell's pattern, its first column times _SLOT plus its
+    comma's: ``unsigned`` holds those of the unsigned texts."""
+    nan, sign = np.isnan(x), np.signbit(x)
+    # Python writes a NaN unsigned, and 0.0 - x of a zero as +0.0
+    pattern = np.concatenate((unsigned - _SLOT * (sign & ~nan),
+                              unsigned - _SLOT * ~(sign | nan | (x == 0.0))))
+    return _text_tables().masks.take(pattern.take(cells)).view(bool)
+
+
+@lru_cache(maxsize=8)
+def _packed_cells(dim: int) -> np.ndarray:
+    """The cells of :func:`_csv_row` for a packed hermitian state of
+    ``dim``, formatted as x = [t, its dim^2 packed reals, +0.0]: the t cell,
+    then the re and im cells of each entry in row-major order, read from
+    the pack's own layout (``qme.integrator._layout``)."""
+    n = dim * dim
+    index = _layout(dim)[1].ravel()
+    # index < n: a packed real; < 2n: 0.0 minus one; 2n: +0.0
+    cells = np.where(index < n, 1 + index, np.where(index < 2 * n, 3 + index, n + 1))
+    cells = np.concatenate(([0], cells))
+    cells.flags.writeable = False
+    return cells
+
+
+#: From this dimension on, a ``states.csv`` row of a matrix state is built
+#: by :func:`_csv_row`.  Below it, one ``%`` call over all of the row's
+#: numbers is faster than its fixed cost of about sixty numpy calls.  On
+#: packed hermitian rows the two break even near d = 9: 59 against 67 us a
+#: row at d = 8, 75 against 70 at d = 9, 925 against 227 at d = 32 (best of
+#: 90 rows, a shared 2-core x86-64 host, Python 3.11, numpy 2.4).
+_VECTOR_MIN_DIM = 9
 
 
 def _diagonal_row(dim: int) -> str:
@@ -645,27 +818,37 @@ def _diagonal_row(dim: int) -> str:
     return ",".join(cells)
 
 
+def _matrix_row(t: float, state: np.ndarray) -> np.ndarray:
+    """The :func:`_csv_row` of a matrix state at time ``t``, as a
+    trajectory stores it: packed, from its d^2 reals, or whole."""
+    if state.ndim == 3:
+        x = np.concatenate(((t,), state.reshape(-1), (0.0,)))
+        return _csv_row(x, _packed_cells(state.shape[-1]))
+    # a C-ordered complex matrix viewed as floats is row-major re, im pairs
+    x = np.concatenate(((t,), np.ascontiguousarray(state, dtype=complex).view(float).ravel()))
+    return _csv_row(x, np.arange(len(x)))
+
+
 def _write_states_csv(path: Path, traj: Trajectory) -> None:
-    first = traj.states[0]
-    dim = first.shape[0]
+    stored = traj.stored
+    dim = stored[0].shape[-1]
     # the list of 2 d^2 column names is freed once joined, before any row
     header = ",".join(
         ["t", *(f"{part}_{i}_{j}" for i in range(dim) for j in range(dim) for part in ("re", "im"))]
     )
-    if first.ndim == 1:
-        # d numbers to format a row, where the diagonal matrix has 2 d^2
-        row = _diagonal_row(dim)
-        texts = (row % tuple(z.tolist()) for z in traj.states)
-    else:
-        # a C-ordered complex matrix viewed as floats is row-major re, im pairs
-        rows = (np.ascontiguousarray(m, dtype=complex).view(float).ravel() for m in traj.states)
-        if dim >= _DISTINCT_MIN_DIM:
-            texts = (",".join(_fields(x)) for x in rows)
-        else:
-            row = ",".join(["%.17g"] * (2 * dim * dim))
-            texts = (row % tuple(x.tolist()) for x in rows)
     times = np.asarray(traj.times, dtype=float).tolist()
-    _write_csv(path, header, ("%.17g," % t + text for t, text in zip(times, texts)))
+    if stored[0].ndim == 1:
+        # d numbers to format a row, where the diagonal matrix has 2 d^2
+        row = "%.17g," + _diagonal_row(dim) + "\n"
+        lines = ((row % (t, *z.tolist())).encode() for t, z in zip(times, stored))
+    elif dim >= _VECTOR_MIN_DIM:
+        lines = (_matrix_row(t, state) for t, state in zip(times, stored))
+    else:
+        row = ",".join(["%.17g"] * (2 * dim * dim + 1)) + "\n"
+        # a C-ordered complex matrix viewed as floats is row-major re, im pairs
+        floats = (np.ascontiguousarray(m, dtype=complex).view(float).ravel() for m in traj.states)
+        lines = ((row % (t, *x.tolist())).encode() for t, x in zip(times, floats))
+    _write_csv(path, header, lines)
 
 
 def _write_diagnostics_csv(path: Path, traj: Trajectory, duality=None) -> None:
@@ -675,9 +858,9 @@ def _write_diagnostics_csv(path: Path, traj: Trajectory, duality=None) -> None:
         columns.append("duality_residual")
         series.append(duality)
     # a handful of unrelated numbers: one format call per row, no deduplication
-    line = ",".join(["%.17g"] * len(columns))
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     rows = zip(*(np.asarray(x, dtype=float).tolist() for x in series))
-    _write_csv(path, ",".join(columns), (line % row for row in rows))
+    _write_csv(path, ",".join(columns), ((line % row).encode() for row in rows))
 
 
 def _resolve_out_dir(s: Scenario, out_dir: str | None) -> Path:
@@ -779,7 +962,9 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         "trace_drift_max": float(np.abs(traj.trace - traj.trace[0]).max()),
         "herm_defect_max": float(np.max(traj.herm_defect)),
         "violations": violations,
-        "min_eig_crossing_time": first_crossing_time(traj.times, traj.min_eig, 0.0),
+        # the violation threshold, not 0: a rank-deficient start may sit a
+        # rounding error below 0 and still cross it later
+        "min_eig_crossing_time": first_crossing_time(traj.times, traj.min_eig, -VIOLATION_TOL),
     }
     if duality is not None:
         summary["duality_residual_max"] = float(np.max(duality))

@@ -140,7 +140,8 @@ class Trajectory:
     hermitian matrix as its d^2 independent reals (:func:`_packed`), 8 d^2
     bytes where it takes 16 d^2, and a 1-D state, the diagonal of a diagonal
     density matrix, as given.  ``states`` returns a fresh array on every
-    read: each packed state rebuilt bit for bit, each other one a copy."""
+    read: each packed state rebuilt bit for bit, each other one a copy;
+    ``stored`` returns them as kept."""
 
     def __init__(self, snapshots):
         # the diagnostics of each snapshot as five doubles, not five objects
@@ -161,6 +162,14 @@ class Trajectory:
     def states(self) -> _States:
         """The recorded states, each rebuilt when read."""
         return _States(self._stored)
+
+    @property
+    def stored(self) -> tuple[np.ndarray, ...]:
+        """The recorded states as the trajectory keeps them, not rebuilt: a
+        packed hermitian matrix as its (1, d, d) reals (:func:`_packed`),
+        every other state as given.  The arrays are the trajectory's own, to
+        be read and never written."""
+        return tuple(self._stored)
 
     def __len__(self) -> int:
         return len(self.times)

@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +266,22 @@ class TestRun:
         assert summary["min_eig_final"] == pytest.approx(1 / 3 - 10 * np.sqrt(2) / 27, abs=1e-4)
         assert summary["violations"]
         assert summary["min_eig_crossing_time"] is None  # starts already indefinite
+
+    def test_a_start_a_rounding_error_below_zero_reports_its_crossing(self, tmp_path):
+        # at the coupling sqrt(5/54) the counterexample matrix is positive
+        # and rank-deficient, and its minimum eigenvalue rounds to -1.1e-16;
+        # dephasing drives it to -0.0008 by the first snapshot
+        b = math.sqrt(5.0 / 54.0)
+        raw = json.loads(resolve_scenario_path("appendix_d").read_text(encoding="utf-8"))
+        raw["initial"] = {"matrix": [[1 / 3, b, b], [b, 1 / 3, 2 / 9], [b, 2 / 9, 1 / 3]]}
+        raw["integrator"] = {"t0": 0.0, "t1": 0.1, "dt": 0.01}
+        out = tmp_path / "o"
+        assert run(write_scenario(tmp_path, raw), out_dir=str(out), quiet=True) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        _, diagnostics = read_csv(out / "diagnostics.csv")
+        assert -1e-15 < diagnostics[0, 2] < 0.0
+        assert diagnostics[1, 2] < -1e-4
+        assert 0.0 < summary["min_eig_crossing_time"] < 0.01
 
     def test_unexpected_violation_exits_two(self, tmp_path):
         raw = json.loads(
@@ -1490,6 +1508,12 @@ class _Recorded:
     def __len__(self):
         return len(self.times)
 
+    @property
+    def stored(self):
+        """The states as a Trajectory keeps them: packed when hermitian by
+        bit pattern, otherwise as given."""
+        return tuple(integrator._packed(state) for state in self.states)
+
 
 def _synthetic_trajectory(states):
     n = len(states)
@@ -1501,6 +1525,19 @@ def _synthetic_trajectory(states):
 def _edge_state(d, shift=0):
     values = np.resize(np.roll(EDGE_VALUES, shift), 2 * d * d)
     return _complex(values[: d * d].reshape(d, d), values[d * d:].reshape(d, d))
+
+
+def _hermitian_edge_state(d, shift=0):
+    """A state hermitian by bit pattern, so that a trajectory packs it, with
+    EDGE_VALUES in its real part on and above the diagonal and its
+    imaginary part below it: each imaginary entry above the diagonal is 0.0
+    minus its mirror, and the imaginary diagonal is +0.0."""
+    values = np.resize(np.roll(EDGE_VALUES, shift), d * d).reshape(d, d)
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    re = np.where(upper, values, values.T)
+    im = np.where(upper, 0.0 - values.T, values)
+    im[np.diag_indices(d)] = 0.0
+    return _complex(re, im)
 
 
 def _bundled_run(name, *overrides):
@@ -1519,9 +1556,14 @@ def _writer_case(name):
     big = _edge_state(6, shift=5)
     if name == "edge_values":
         return _synthetic_trajectory([edge, _edge_state(3, 4)]), [0.1, -0.0]
-    if name == "edge_values_d8":  # rows long enough to be written by distinct magnitude
-        d = cli._DISTINCT_MIN_DIM
+    if name == "edge_values_vector":  # whole rows long enough to be formatted by numpy
+        d = cli._VECTOR_MIN_DIM
         return _synthetic_trajectory([_edge_state(d), _edge_state(d, 7)]), [np.nan, -np.inf]
+    if name == "edge_values_packed":  # rows cut from the packed reals
+        d = cli._VECTOR_MIN_DIM
+        states = [_hermitian_edge_state(d), _hermitian_edge_state(d, 4)]
+        assert all(state.ndim == 3 for state in _Recorded(None, states).stored)
+        return _synthetic_trajectory(states), [0.5, 1e-5]
     if name == "fortran_ordered":
         return _synthetic_trajectory([np.asfortranarray(edge), edge.T]), [1.0, 2.0]
     if name == "strided_view":
@@ -1540,8 +1582,9 @@ _NO_DUALITY = {"appendix_d", "fock_closure_2mode", "two_state_boson"}
 
 
 class TestCsvWriters:
-    @pytest.mark.parametrize("name", ["edge_values", "edge_values_d8", "fortran_ordered",
-                                      "strided_view", "d1", "dense_jumps_d32", *GALLERY])
+    @pytest.mark.parametrize("name", ["edge_values", "edge_values_vector", "edge_values_packed",
+                                      "fortran_ordered", "strided_view", "d1", "dense_jumps_d32",
+                                      *GALLERY])
     def test_bytes_equal_the_per_entry_writers(self, tmp_path, name):
         traj, duality = _writer_case(name)
         assert (duality is None) == (name in _NO_DUALITY)
@@ -1576,6 +1619,29 @@ class TestCsvWriters:
                 tracemalloc.stop()
         assert (tmp_path / "states.csv").stat().st_size > 60 * 2 * d * d * 10
         assert peaks[1] < 2 * peaks[0]
+
+    @pytest.mark.memory
+    def test_a_packed_row_takes_less_than_the_distinct_magnitude_writer(self, tmp_path):
+        """Writing one packed d=32 row, with the formatter's tables built in
+        the traced region, peaks below 300 KB.  The writer that formatted
+        each distinct magnitude by one % call took 310 KB here (Python 3.11,
+        numpy 2.4), and a (cells, 22) intp index of the row's bytes alone
+        would take 360 KB."""
+        d, rng = 32, np.random.default_rng(5)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        traj = Trajectory([(0.0, 0.5 * (a + a.conj().T), 0.0)])
+        assert traj.stored[0].ndim == 3
+        path = tmp_path / "states.csv"
+        cli._write_states_csv(path, traj)  # numpy's dispatch caches warmed
+        cli._text_tables.cache_clear()
+        cli._packed_cells.cache_clear()
+        tracemalloc.start()
+        try:
+            cli._write_states_csv(path, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300 * 1024
 
 
 #: Occupations whose text or sum needs care: signed zeros, the smallest
@@ -1693,13 +1759,30 @@ def _hermitian_rows(draw):
     return (0.5 * (a + a.conj().T)).view(float).ravel()
 
 
+def _row_texts(x):
+    """The texts that ``_csv_row`` cuts for each entry of ``x`` and then
+    for 0.0 minus each entry, the text of a mirrored imaginary part."""
+    row = cli._csv_row(x, np.arange(2 * len(x)))
+    assert row[-1] == ord("\n")
+    return row[:-1].tobytes().decode().split(",")
+
+
+def _largest_below(v):
+    """The largest double below the real number ``v`` (a Fraction)."""
+    x = float(v)
+    return x if x < v else math.nextafter(x, 0.0)
+
+
 class TestRowFormatter:
-    """``_fields`` formats each distinct magnitude once and restores each
-    sign: the text of every entry is that of ``f"{v:.17g}"``."""
+    """``_csv_row`` cuts the text of each entry, and of 0.0 minus each,
+    from the slots of ``_texts``: every text is that of ``f"{v:.17g}"``."""
 
     @staticmethod
     def _check(x):
-        assert cli._fields(x) == [f"{v:.17g}" for v in x.tolist()]
+        if x.size == 0:  # a states.csv row always holds t
+            return
+        values = x.tolist()
+        assert _row_texts(x) == [f"{v:.17g}" for v in values] + [f"{0.0 - v:.17g}" for v in values]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_doubles, max_size=40))
@@ -1715,6 +1798,44 @@ class TestRowFormatter:
     @given(_hermitian_rows())
     def test_hermitian_matrices(self, x):
         self._check(x)
+
+    def test_edges_of_the_fixed_notation_range(self):
+        # numpy formats [1e-4, 1e16) and Python every other magnitude; each
+        # power of ten in and around the range, and its two neighbours
+        powers = [Fraction(10) ** k for k in range(-6, 19)]
+        values = [1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e16, 0.0), 1e16,
+                  9999999999999998.0]
+        for v in powers:
+            x = float(v)
+            values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+        self._check(np.array(values))
+
+    def test_no_mantissa_rounds_into_the_next_decade(self):
+        # the double nearest below each power of ten 10^-3 ... 10^16 is the
+        # one most nearly rounded up to it at 17 digits; none is, so the
+        # 17-digit mantissa of the range never carries to 10^17
+        below = np.array([_largest_below(Fraction(10) ** k) for k in range(-3, 17)])
+        self._check(below)
+        assert all(f"{v:.17g}".lstrip("0.").startswith("9") for v in below.tolist())
+
+    def test_ties_round_half_to_even(self):
+        # dyadic values whose exact decimal expansion has 18 significant
+        # digits, the last a 5: the 17-digit text is a tie, rounded to even
+        rng = np.random.default_rng(2024)
+        ties, parities = [], set()
+        for e in range(-4, 16):
+            k = 17 - e
+            low, high = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+            for m in rng.integers(low, high, 40).tolist():
+                m |= 1
+                if m >= high:
+                    continue
+                digits = str(m * 5**k)
+                assert len(digits) == 18 and digits[-1] == "5"
+                ties.append(math.ldexp(m, -k))
+                parities.add(int(digits[-2]) % 2)
+        assert parities == {0, 1}  # rounded down and up
+        self._check(np.array(ties))
 
 
 class TestScenarioRecord:
