@@ -437,9 +437,11 @@ class OccupationFlow:
                                   for m in (w.T if h else w for h in self._hole)])
 
     def __call__(self, t: float, n: np.ndarray) -> np.ndarray:
-        rows = n.reshape(len(self._hole), self._d)
-        u = (self._ops @ rows[..., None])[..., 0]
-        return (u[:, :self._d] + u[:, self._d:] * rows).reshape(n.shape)
+        rows = n.reshape(len(self._hole), self._d, 1)
+        u = self._ops @ rows
+        out = u[:, self._d:] * rows
+        out += u[:, :self._d]
+        return out.reshape(n.shape)
 
     @property
     def affine(self) -> bool:

@@ -20,6 +20,12 @@ signal the diagnostics must show, not an artifact to erase.  The only
 correction, after each RK4 step or mapped interval, is symmetric
 hermitization, which on well-conditioned problems moves the state by less
 than 1e-12 each time.
+
+A run is checked for divergence once per snapshot interval, on the state it
+yields (:func:`_finite`).  NaN and Inf are absorbing under an RK4 step and
+hermitization, so an RK4 interval whose result diverged is replayed from its
+start, each step checked, to name the step that diverged first; the replay
+needs the flow to be a pure function of (t, state).
 """
 
 from __future__ import annotations
@@ -89,7 +95,10 @@ def check_snapshot_budget(steps: float, record_every: int, state_bytes: int) -> 
 
 class IntegrationDivergedError(RuntimeError):
     """Raised when a step's result, or a mapped interval's, holds a NaN or
-    Inf; ``t`` is the start of that step or interval."""
+    Inf; ``t`` is the start of that step or interval.  A NaN or Inf inside
+    an RK4 interval is named at its own step, found by replaying the
+    interval; a 1-D value past DBL_MAX/2 counts as a divergence when the
+    interval ends on it."""
 
     def __init__(self, t: float):
         super().__init__(f"integration diverged at t = {t:.6g} (NaN/Inf in the step's result)")
@@ -390,11 +399,15 @@ def snapshots(spec: EvolutionSpec,
     exactly on ``spec.t1`` (a final partial step is taken when the window is
     not a multiple of dt).  ``herm_defect`` is the hermiticity defect of the
     raw update, of the last RK4 step or of the mapped interval, before
-    hygiene.  A :class:`DensityMatrix` start is valid by construction and
-    read-only, so it is copied, not checked again; populations, which enter
-    here, and the snapshot budget are checked at the call, not at the first
-    ``next()``.  A consumer that keeps no state holds one step's arrays at a
-    time.
+    hygiene.  Each snapshot interval's result is checked once
+    (:func:`_finite`); an RK4 interval that diverged is replayed from its
+    start, which needs ``spec.rhs`` to be a pure function of (t, state), to
+    raise :class:`IntegrationDivergedError` at the step that diverged first.
+    A :class:`DensityMatrix` start is valid by construction and read-only,
+    so it is copied, not checked again; populations, which enter here, and
+    the snapshot budget are checked at the call, not at the first ``next()``.
+    A consumer that keeps no state holds one step's arrays, and the state
+    the interval started from, at a time.
     """
     populations = isinstance(initial, np.ndarray) and initial.ndim == 1
     if not (populations or isinstance(initial, DensityMatrix)):
@@ -404,26 +417,27 @@ def snapshots(spec: EvolutionSpec,
     return _steps(spec, rho)
 
 
-def _hermitized(raw: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    """The hermitized ``raw`` update and its hermiticity defect; raises
-    :class:`IntegrationDivergedError` at ``t`` unless the result is finite.
-    Call inside the step's ``np.errstate``."""
+def _hermitized(raw: np.ndarray) -> tuple[np.ndarray, float]:
+    """The hermitized ``raw`` update and its hermiticity defect, not checked:
+    :func:`_finite` tells whether it diverged.  Call inside the step's
+    ``np.errstate``."""
     # taken on every RK4 step, recorded or not, and once a snapshot on a
     # mapped interval, through this module's own name: the benchmark's tracer
     # (perfbench/tracing.py) counts steps by these calls, so on a mapped run
     # its step count is the number of intervals
     defect = hermiticity_defect(raw)
-    if raw.ndim == 1 and raw.dtype.kind == "f":
-        # a real vector is its own hermitization, which overflows (a
-        # divergence) only past DBL_MAX/2
-        rho = raw
-        finite = np.abs(raw).max(initial=0.0) < 2.0**1023
-    else:
-        rho = 0.5 * (raw + raw.conj().T)
-        finite = np.isfinite(rho.view(float)).all()
-    if not finite:
-        raise IntegrationDivergedError(t)
+    # a real vector is its own hermitization
+    rho = raw if raw.ndim == 1 and raw.dtype.kind == "f" else 0.5 * (raw + raw.conj().T)
     return rho, defect
+
+
+def _finite(rho: np.ndarray) -> bool:
+    """Whether a hermitized state has not diverged: a matrix holds no NaN or
+    Inf, and a real vector none past DBL_MAX/2, where hermitizing the matrix
+    whose diagonal it is would overflow."""
+    if rho.ndim == 1 and rho.dtype.kind == "f":
+        return np.abs(rho).max(initial=0.0) < 2.0**1023
+    return np.isfinite(rho.view(float)).all()
 
 
 def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.ndarray, float]]:
@@ -433,7 +447,7 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
     last one possibly shorter.  An affine flow crosses each interval by one
     exact map, built once for the full intervals and once for a shorter last
     one; any other flow, or an interval whose map is not finite, takes RK4
-    steps."""
+    steps, of which only the last one's result is checked."""
     yield spec.t0, rho, hermiticity_defect(rho)
     # full steps land on t0 + k*dt; a partial step of at least 1e-12*dt
     # closes the window on t1
@@ -461,15 +475,35 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
                 mapped = None
                 mapped, map_tau = _increment_map(gen, tau), tau
             if mapped is not None:
-                rho, defect = _hermitized(mapped(rho), t)
+                rho, defect = _hermitized(mapped(rho))
+                if not _finite(rho):
+                    raise IntegrationDivergedError(t)
             else:
-                for k in range(step + 1, last + 1):
-                    full = k <= n_full
-                    rho, defect = _hermitized(
-                        _rk4_raw(rho, spec.rhs, t, spec.dt if full else remainder), t)
-                    t = spec.t0 + k * spec.dt if full else spec.t1
+                for t_last, end, defect in _rk4_steps(spec, rho, t, step, last, n_full, remainder):
+                    pass
+                if not _finite(end):
+                    # NaN and Inf are absorbing under a step, so the first
+                    # step that diverged is found by replaying the interval's
+                    # unchecked steps from its start, each one checked
+                    replay = _rk4_steps(spec, rho, t, step, last - 1, n_full, remainder)
+                    raise IntegrationDivergedError(
+                        next((s for s, x, _ in replay if not _finite(x)), t_last))
+                rho = end
         step, t = last, t_end
         yield t, rho, defect
+
+
+def _rk4_steps(spec: EvolutionSpec, rho: np.ndarray, t: float, first: int, last: int, n_full: int,
+               remainder: float) -> Iterator[tuple[float, np.ndarray, float]]:
+    """Steps ``first + 1`` to ``last`` of the RK4 run of ``spec``, from ``rho``
+    at ``t``, each as its start time, hermitized result and defect: steps up
+    to ``n_full`` of dt, then one of ``remainder``.  No result is checked.
+    Call inside the step's ``np.errstate``."""
+    for k in range(first + 1, last + 1):
+        full = k <= n_full
+        rho, defect = _hermitized(_rk4_raw(rho, spec.rhs, t, spec.dt if full else remainder))
+        yield t, rho, defect
+        t = spec.t0 + k * spec.dt if full else spec.t1
 
 
 def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajectory:

@@ -712,10 +712,11 @@ class TestAffineMap:
                   for dt in (0.05, 0.025)]
         assert errors[1] <= errors[0] / 10 and errors[0] <= 1e-3
 
+    @pytest.mark.parametrize("record_every", [1, 2])
     @pytest.mark.parametrize("kind", ["bare_callable", "above_the_cap", "nonlinear_master",
                                       "nonlinear_master_hole", "generalized_jumps",
                                       "generalized_jumps_hole", "paired_occupations"])
-    def test_other_flows_take_four_calls_a_step(self, kind):
+    def test_other_flows_take_four_calls_a_step(self, kind, record_every):
         rng = np.random.default_rng(3)
         if kind == "bare_callable":
             flow, x = affine_case("markoff")
@@ -736,7 +737,9 @@ class TestAffineMap:
         counting = Counting(flow)
         # a plain function has no affine attribute
         rhs = rk4_only(counting) if kind == "bare_callable" else counting
-        spec = EvolutionSpec(rhs=rhs, t0=0.0, t1=0.13, dt=0.05)
+        # at record_every=2 the steps, two full and a partial one, make one
+        # interval of two and one of one
+        spec = EvolutionSpec(rhs=rhs, t0=0.0, t1=0.13, dt=0.05, record_every=record_every)
         traj = evolve(spec, x)
         assert counting.calls == 4 * 3
         # and each step is the plain RK4 step, bit for bit
@@ -810,6 +813,91 @@ class TestAffineMap:
         first = np.flatnonzero(~(closed < np.finfo(float).max / 2))[0]
         assert first == 15 and info.value.t == times[first - 1] == 7.0
         assert spec.rhs.calls == 8 + 1
+
+
+# -- RK4 snapshot intervals -----------------------------------------------------
+
+
+def rk4_case(kind):
+    """(flow, start) of a run of RK4 steps, as ``test_flows`` builds it."""
+    rng = np.random.default_rng(29)
+    if kind == "paired_occupations":
+        particle, n = rand_homogeneous(rng, 3, FERMION)
+        return particle.occupation_flow().paired(), np.concatenate((n, 1.0 - n))
+    inst = rand_instance(rng, 3, FERMION, "rotated")
+    return build_flow(kind, FERMION, inst), DensityMatrix(inst["rho"], FERMION)
+
+
+def runaway_case(kind):
+    """(flow, start, dt, t1) of an RK4 run that diverges inside its window."""
+    if kind in ("matrix", "callable"):
+        # the boson ``general`` runaway n' = n + 1 of the CLI's divergence
+        # test, which overflows near t = 709; at d = 12 (288 float-view
+        # entries) it lies above the cap of the exact map, and at d = 1 it
+        # runs as a plain callable
+        d = 12 if kind == "matrix" else 1
+        flow = OperatorFlow(np.zeros((d, d)), np.zeros((d, d)), -0.5 * np.eye(d), BOSON)
+        x = DensityMatrix(np.zeros((d, d)), BOSON)
+        assert kind == "callable" or _entries(x) > AFFINE_MAX_ENTRIES
+        return flow, x, 0.5, 800.0
+    # the boson occupations of a stiff network, whose quadratic term blows up
+    # in the fourth step
+    assert kind == "populations"
+    flow, n = rand_homogeneous(np.random.default_rng(3), 3, BOSON)
+    return flow.occupation_flow(), 200.0 * n, 0.018, 0.5
+
+
+class TestRK4Intervals:
+    """An RK4 run checks each snapshot interval's result once, and replays a
+    diverged interval from its start to name the step that diverged."""
+
+    @pytest.mark.parametrize("record_every", [4, 7])
+    @pytest.mark.parametrize("kind", ["nonlinear_master", "generalized_jumps", "paired_occupations"])
+    def test_a_thinned_run_records_the_steps_of_the_full_run(self, kind, record_every):
+        flow, x = rk4_case(kind)
+        # 25 full steps and a partial one: the last interval ends on it
+        every = EvolutionSpec(rhs=flow, t0=0.1, t1=0.1 + 25.3 * 0.02, dt=0.02)
+        thinned = dataclasses.replace(every, record_every=record_every)
+        steps = list(snapshots(every, x))
+        kept = list(snapshots(thinned, x))
+        assert len(steps) == 27 and len(kept) == 1 + math.ceil(26 / record_every)
+        shared = [steps[k] for k in (*range(0, 26, record_every), 26)]
+        for (t, state, defect), (t_k, state_k, defect_k) in zip(shared, kept):
+            assert t == t_k and np.float64(defect).tobytes() == np.float64(defect_k).tobytes()
+            assert state.dtype == state_k.dtype and state.tobytes() == state_k.tobytes()
+
+    # the population run diverges in its fourth step, which ends its first
+    # interval at record_every=4 and lies inside it at 5 to 10
+    @pytest.mark.parametrize("record_every", [4, 5, 7, 10])
+    @pytest.mark.parametrize("kind", ["matrix", "populations", "callable"])
+    def test_a_divergence_is_named_at_its_own_step(self, kind, record_every):
+        flow, x, dt, t1 = runaway_case(kind)
+
+        def diverged(every):
+            counting = Counting(flow)
+            # a plain function has no affine attribute
+            rhs = rk4_only(counting) if kind == "callable" else counting
+            spec = EvolutionSpec(rhs=rhs, t0=0.0, t1=t1, dt=dt, record_every=every)
+            # the stream alone: the trace of a state near DBL_MAX may overflow
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationDivergedError) as info:
+                    for _ in snapshots(spec, x):
+                        pass
+            return info.value, counting.calls
+
+        error, calls = diverged(1)
+        failing = calls // 4  # the step that diverged, counting from 1
+        assert calls == 4 * failing and error.t == (failing - 1) * dt
+        thinned, thinned_calls = diverged(record_every)
+        assert thinned.t == error.t and str(thinned) == str(error)
+        # the steps up to the diverged interval's end take four calls each;
+        # the replay takes the interval's steps again, up to the one that
+        # diverged, and not the last one, whose result was checked
+        start = (failing - 1) // record_every * record_every
+        end = min(start + record_every, math.ceil(t1 / dt))
+        assert start < failing <= end
+        assert thinned_calls == 4 * end + 4 * (min(failing, end - 1) - start)
 
 
 # -- packed storage of hermitian snapshots -------------------------------------
