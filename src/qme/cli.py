@@ -253,7 +253,6 @@ class Scenario:
     a_operator: np.ndarray | None = None
     loss_operator: np.ndarray | None = None
     gain_operator: np.ndarray | None = None
-    fock_energies: tuple[float, ...] | None = None
     t0: float = 0.0
     t1: float = 1.0
     dt: float = 1e-3
@@ -464,9 +463,13 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
                             "which reads only the rates")
     dephasing = _parse_dephasing(raw["dephasing"]) if "dephasing" in raw else None
     if dephasing is not None:
+        # only markoff takes dephasing, and it requires the network, whose
+        # orbitals bound the pairs as its flow does
+        n = network.n_orbitals
         for (a, b) in dephasing.gamma:
-            if not (0 <= a < dimension and 0 <= b < dimension):
-                raise ScenarioError(f"dephasing[{_index_pair(a, b)}]: orbital index out of range")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ScenarioError(f"dephasing[{_index_pair(a, b)}]: orbital index out of range "
+                                    f"for {n} orbitals")
     jump_operators = None
     if "jump_operators" in raw:
         items = raw["jump_operators"]
@@ -555,7 +558,6 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         network=network,
         dephasing=dephasing,
         jump_operators=jump_operators,
-        fock_energies=fock_energies,
         t0=t0,
         t1=t1,
         dt=dt,

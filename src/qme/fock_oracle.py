@@ -27,7 +27,8 @@ No operator is built as a dense matrix.  Every one is a sum of monomials
 c_dest^dag c_src, each of which moves a basis state to at most one basis
 state; ``FockModel._hops`` reads where, and with what amplitude, from the
 occupancy table, and the Hamiltonian, the jumps, the population rates and the
-one-particle reduction are all built from it.
+one-particle reduction are all built from it.  The coherent flow applies each
+jump from its own nonzeros, with no table over pairs of them.
 """
 
 from __future__ import annotations
@@ -248,10 +249,9 @@ class FockModel:
     @cached_property
     def one_particle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(slots, index, value)`` over the nonzeros a_k = X[r_k, k] of every
-        X = c_n^dag c_n', with slot n * modes + n' (interleaved for
-        :func:`_scatter`) and index k * S + r_k into ``rho_s.ravel()``:
-        Tr(X rho_s) is the sum of a_k rho_s[k, r_k] over its slot
-        (:func:`reduce_one_particle`)."""
+        X = c_n^dag c_n', with slot n * modes + n' and index k * S + r_k into
+        ``rho_s.ravel()``: Tr(X rho_s) is the sum of a_k rho_s[k, r_k] over
+        its slot (:func:`reduce_one_particle`)."""
         slots, index, values = [], [], []
         for n in range(self.modes):
             for n2 in range(self.modes):
@@ -259,7 +259,7 @@ class FockModel:
                 slots.append(np.full(len(i), n * self.modes + n2))
                 index.append(i * self.dim + j)
                 values.append(sign * np.sqrt(n_src * n_dest))
-        return _interleave(np.concatenate(slots)), np.concatenate(index), np.concatenate(values)
+        return np.concatenate(slots), np.concatenate(index), np.concatenate(values)
 
 
 class FockFlow:
@@ -276,37 +276,27 @@ class FockFlow:
 
         decay[i, j] = -i(E_i - E_j) - (d_i + d_j)/2.
 
-    The gain moves entry (i_k, i_k') of rho to (j_k, j_k') with weight
-    a_k conj(a_k'), for each pair of nonzeros of one jump.  These pairs are
-    stored as flat ``src``/``dst`` indices into ``rho.ravel()`` and a
-    ``coef`` array, so a call is one gather and one scatter (one ``bincount``
-    over the real and imaginary parts), with no matrix product.  The pair
-    tables and ``decay`` are built on the first call.  The populations of a
-    diagonal state are :func:`rhs_fock_lindblad`'s to read, not this flow's.
+    The gain A_l rho A_l^dag moves entry (i_k, i_k') of rho to (j_k, j_k')
+    with weight a_k conj(a_k'): a call gathers each jump's block rho[i, i]
+    and adds it, so weighted, into the block [j, j], jump by jump, with no
+    matrix product.  The flow holds its jumps and ``decay``, nothing larger
+    than one state.  The populations of a diagonal state are
+    :func:`rhs_fock_lindblad`'s to read, not this flow's.
     """
 
     def __init__(self, energies: np.ndarray, jumps):
-        self.dim = len(energies)
-        self._energies, self._jumps = energies, jumps
-
-    @cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(decay, src, dst, coef)``, ``dst`` interleaved for :func:`_scatter`."""
-        d, energies = self.dim, self._energies
-        drain = np.zeros(d)
-        src, dst, coef = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
-        for i, j, a in self._jumps:
-            drain += np.bincount(i, np.abs(a) ** 2, minlength=d)
-            src.append((i[:, None] * d + i).ravel())
-            dst.append((j[:, None] * d + j).ravel())
-            coef.append(np.outer(a, np.conj(a)).ravel())
-        decay = -1j * (energies[:, None] - energies) - 0.5 * (drain[:, None] + drain)
-        return decay, np.concatenate(src), _interleave(np.concatenate(dst)), np.concatenate(coef)
+        self.dim, self._jumps = len(energies), jumps
+        drain = np.zeros(self.dim)
+        for i, j, a in jumps:
+            drain += np.bincount(i, np.abs(a) ** 2, minlength=self.dim)
+        self._decay = -1j * (energies[:, None] - energies) - 0.5 * (drain[:, None] + drain)
 
     def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
-        decay, src, dst, coef = self._pairs
-        gain = _scatter(dst, coef * rho.ravel()[src], rho.size)
-        return decay * rho + gain.reshape(rho.shape)
+        gain = np.zeros((self.dim, self.dim), complex)
+        for i, j, a in self._jumps:
+            # no basis state twice in j: each jump adds at most one term to an entry
+            gain[np.ix_(j, j)] += np.outer(a, np.conj(a)) * rho[np.ix_(i, i)]
+        return self._decay * rho + gain
 
     @property
     def affine(self) -> bool:
@@ -341,19 +331,6 @@ class PopulationFlow:
     def affine(self) -> bool:
         """True: the flow is linear in p and independent of t."""
         return True
-
-
-def _interleave(index: np.ndarray) -> np.ndarray:
-    """``index`` as the float-view positions (2i, 2i+1) of the real and
-    imaginary parts of complex entries i, side by side, for :func:`_scatter`."""
-    return np.stack([2 * index, 2 * index + 1], axis=1).ravel()
-
-
-def _scatter(pairs: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """The complex ``weights`` summed into ``size`` complex slots, with ``pairs``
-    from :func:`_interleave`: ``np.bincount`` takes real weights only, so it
-    sums the float view and the result is read back as complex."""
-    return np.bincount(pairs, weights.view(float), minlength=2 * size).view(complex)
 
 
 def product_populations(model: FockModel, occupations) -> np.ndarray:
@@ -441,14 +418,19 @@ def reduce_one_particle(model: FockModel, rho_s) -> np.ndarray:
     A 1-D ``rho_s`` is the populations p of a diagonal state, which reduces
     to a diagonal one-particle state; it is returned as its diagonal, the
     mean occupations ``occupancies.T @ p``, a real 1-D array of one entry a
-    mode, not as the matrix.
+    mode, not as the matrix.  An S x S ``rho_s`` is summed over the cached
+    ``model.one_particle_entries``.
     """
     if np.ndim(rho_s) == 1:
         return model.occupancies.T @ _populations(model, rho_s)
-    rho_s = _matrix(model, rho_s)
     slots, index, values = model.one_particle_entries
+    terms = values * _matrix(model, rho_s).ravel()[index]
     m = model.modes
-    return _scatter(slots, values * rho_s.ravel()[index], m * m).reshape(m, m)
+    # np.bincount takes real weights only: the real and imaginary parts apart
+    rho_p = np.empty(m * m, complex)
+    rho_p.real = np.bincount(slots, terms.real, minlength=m * m)
+    rho_p.imag = np.bincount(slots, terms.imag, minlength=m * m)
+    return rho_p.reshape(m, m)
 
 
 def is_product_diagonal(model: FockModel, rho_s, tol: float = 1e-12) -> bool:
@@ -475,18 +457,17 @@ def closure_residual_at_t0(model: FockModel, rho_s) -> float:
     The closure replaces two-mode correlators by products of occupations; for
     mode-uncorrelated diagonal states the replacement is exact at the instant,
     so the residual is at rounding level.  For any other state a warning is
-    issued and the residual quantifies the closure error.  Populations p (a
-    1-D ``rho_s``) take their exact derivative from ``model.populations(0, p)``.
-    A mean occupation reads only the populations of its state, so a matrix
-    ``rho_s`` is reduced by its diagonal and that of its derivative.
+    issued and the residual quantifies the closure error.  A mean occupation
+    reads only the populations p of its state, the diagonal of a matrix
+    ``rho_s``, and the diagonal of the coherent flow depends on p alone, so
+    the exact derivative is ``model.populations(0, p)`` for every state.
     """
     if np.ndim(rho_s) == 1:
         p = rho_s = _populations(model, rho_s)
-        dp = model.populations(0.0, p)
     else:
         rho_s = _matrix(model, rho_s)
-        p, dp = rho_s.diagonal().real, model.flow(0.0, rho_s).diagonal().real
-    exact = reduce_one_particle(model, dp)
+        p = rho_s.diagonal().real
+    exact = reduce_one_particle(model, model.populations(0.0, p))
     if not is_product_diagonal(model, rho_s, tol=1e-10):
         warnings.warn(
             "state is not a mode-uncorrelated diagonal state; the residual "

@@ -508,6 +508,9 @@ class TestMalformedInput:
               "fock": {"energies": [0.0, 1.0]}}, ["fock.boson_cutoff=-5"], "fock.boson_cutoff"),
             ({}, ["dimension=1" + "0" * 400], "dimension"),
             ({}, ["record_every=-1" + "0" * 3000], "integrator.record_every"),
+            # a pair past the last ket of a partial basis, under a diagonal start
+            ({"equation": "markoff", "network": {"rates": [], "basis": [[1, 0]]},
+              "dephasing": [{"pair": [0, 1], "rate": 1.0}]}, [], "dephasing[(0,1)]"),
         ],
         ids=["nan_rate", "string_rate", "t1_abc", "t1_infinity", "record_every_fraction",
              "dimension_bool", "statistics_number", "rates_not_a_list", "basis_ragged",
@@ -519,7 +522,7 @@ class TestMalformedInput:
              "override_key_long", "initial_key_long", "network_key_long", "rate_index_long",
              "dephasing_index_long", "fock_basis_over_limit", "boson_basis_over_limit",
              "fermion_boson_cutoff_negative", "dimension_huge",
-             "record_every_negative_huge"],
+             "record_every_negative_huge", "dephasing_past_partial_basis"],
     )
     def test_exits_one_naming_the_field(self, tmp_path, capsys, updates, overrides, field):
         path = write_scenario(tmp_path, minimal_scenario(**updates))

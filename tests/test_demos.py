@@ -1,5 +1,6 @@
 """Smoke tests of the demo scripts: each runs as a fresh process against the
-package sources and must exit cleanly with a report on stdout."""
+package sources, under the suite's own warning filters, and must exit cleanly
+with a report on stdout."""
 
 import os
 import subprocess
@@ -15,8 +16,12 @@ DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # as in pyproject.toml: a numpy overflow or invalid value, or a silent
+    # complex-to-real cast, fails a demo as it fails a test
+    warnings = ["-W", "error::RuntimeWarning",
+                "-W", "error:Casting complex values to real discards the imaginary part"]
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, *warnings, str(ROOT / "demos" / demo)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
