@@ -15,7 +15,7 @@ from .dynamics import (
     Statistics,
     TransitionNetwork,
 )
-from .integrator import Trajectory
+from .integrator import Trajectory, duality_residual
 from .operators import DensityMatrix
 
 #: Bound-violation threshold: looser than the integrator tolerance so that
@@ -35,15 +35,14 @@ def duality_residuals(particle: Iterable, hole: Iterable) -> Iterator[float]:
     times must match to 1e-12 and their lengths agree; a ValueError says
     otherwise.  The states are matrices or, on both sides, 1-D occupations,
     whose identity is 1.  A hole run of ``flow.hole()`` stays at roundoff.
+    A pair run (``flow.paired()``) keeps the same residuals, bit for bit, in
+    its trajectory's ``duality``.
     """
-    eye = None
     try:
         for (t, rho, _), (t_hole, x, _) in zip(particle, hole, strict=True):
             if abs(t - t_hole) > 1e-12:
                 raise ValueError(f"t = {t:.17g} against {t_hole:.17g}")
-            if eye is None:
-                eye = np.eye(rho.shape[0]) if rho.ndim == 2 else 1.0
-            yield float(np.abs(rho + x - eye).max())
+            yield duality_residual(rho, x)
     except ValueError as exc:  # the check above, or zip's: a stream of another length
         raise ValueError(f"time grids of the particle and hole trajectories do not match: {exc}") from None
 

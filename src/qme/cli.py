@@ -51,7 +51,6 @@ from .dynamics import (
     Statistics,
     TransitionNetwork,
     _index_pair,
-    hole_transform,
 )
 # Not called here: the benchmark's tracer (perfbench/tracing.py) wraps this
 # name in this module and fails if it is missing.  Keep it until the
@@ -66,7 +65,7 @@ from .fock_oracle import (
     start_sectors,
 )
 from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory, _layout,
-                         check_snapshot_budget, check_window, evolve, snapshots, spectrum)
+                         check_snapshot_budget, check_window, evolve, snapshot_bytes, spectrum)
 from .operators import DEFAULT_TOL, DensityMatrix, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
@@ -102,9 +101,9 @@ class _Equation:
     #: "network.basis" are extras and get rejected
     occupations: bool = False
     #: fermion runs co-evolve the hole flow ``flow.hole()`` for the duality
-    #: residual: streamed beside a matrix run, in the same vector as the
-    #: particle occupations on an occupation run (``OccupationFlow.paired``,
-    #: whose rows keep the bits of lone particle and hole runs)
+    #: residual, in one state with the particle flow: the pair
+    #: ``flow.paired()``, whose members keep the bits of lone particle and
+    #: hole runs, on matrices or occupations alike
     dual: bool = False
     #: scenario -> flow on matrix states; None for the Fock oracle (``_run_fock``)
     build: Callable | None = None
@@ -272,9 +271,9 @@ class Scenario:
 
         An exactly diagonal start (the complex diagonal matrix of its real
         diagonal has its bytes) under a flow that keeps diagonal states
-        diagonal runs as its d occupations (``flow.occupation_flow``), for a
-        :attr:`dual` run side by side with the d hole occupations as one
-        vector [n, 1 - n] (``paired``).  Only for such a start under a
+        diagonal runs as its d occupations (``flow.occupation_flow``), which
+        a :attr:`dual` run pairs with its d hole occupations, as it pairs a
+        matrix with its hole matrix (:func:`_run_matrix`).  Only for such a start under a
         network equation, the one flow that can keep it diagonal
         (:meth:`~qme.dynamics.Flow.occupation_flow`), is the equation's flow
         built here, and only its occupation flow is kept."""
@@ -285,7 +284,7 @@ class Scenario:
         occupations = _EQUATIONS[self.equation].build(self).occupation_flow()
         if occupations is None:
             return None
-        return (occupations.paired(), np.concatenate((n, 1.0 - n))) if self.dual else (occupations, n)
+        return occupations, n
 
 
 #: Fields that FockModel and TransitionNetwork errors name -> their scenario
@@ -573,7 +572,7 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         occupation_run = scenario.occupation_run
         integrated = start.matrix if occupation_run is None else occupation_run[1]
     try:
-        check_snapshot_budget(steps, record_every, integrated.nbytes)
+        check_snapshot_budget(steps, record_every, snapshot_bytes(integrated, scenario.dual))
     except ValueError as exc:
         raise ScenarioError(f"integrator.record_every: {exc}") from None
     return scenario
@@ -1000,30 +999,15 @@ def _run_matrix(scenario: Scenario):
 
     A run on occupations (:attr:`Scenario.occupation_run`) records the d
     particle occupations of each snapshot, the diagonal of its diagonal
-    state.  The matrix run from the same start agrees to rounding (1e-14),
-    and the paired rows have the bits of lone particle and hole runs."""
+    state.  The matrix run from the same start agrees to rounding (1e-14).
+    A :attr:`~Scenario.dual` run steps the particle and hole states as one
+    pair (``flow.paired()``), whose members have the bits of lone particle
+    and hole runs; its trajectory keeps the particle state and the duality
+    residual of each snapshot."""
     occupations = scenario.occupation_run
-    if occupations is None:
-        flow = _EQUATIONS[scenario.equation].build(scenario)
-        traj = evolve(_spec(scenario, flow), scenario.start)
-        duality = None
-        if scenario.dual:
-            # streamed: each hole state is dropped once its residual is taken,
-            # and the hole start is not bound here, so it is freed once copied
-            hole = snapshots(_spec(scenario, flow.hole()), hole_transform(scenario.start))
-            duality = list(duality_residuals(traj, hole))
-        return traj, duality, {}
-    flow, start = occupations
-    traj = evolve(_spec(scenario, flow), start)
-    if not scenario.dual:
-        return traj, None, {}
-    d = scenario.dimension
-    particle = ((t, z[:d], defect) for t, z, defect in traj)
-    hole = ((t, z[d:], defect) for t, z, defect in traj)
-    duality = list(duality_residuals(particle, hole))
-    # the first d entries of each state are the particle occupations, copied
-    # so that the 2d-float state they are sliced from is freed
-    return Trajectory((t, z[:d].copy(), defect) for t, z, defect in traj), duality, {}
+    flow, start = occupations or (_EQUATIONS[scenario.equation].build(scenario), scenario.start)
+    traj = evolve(_spec(scenario, flow.paired() if scenario.dual else flow), start)
+    return traj, traj.duality, {}
 
 
 def _run_fock(scenario: Scenario):

@@ -25,6 +25,11 @@ A flow's read-only ``affine`` is true when it is affine in the state and
 independent of time: the fixed-operator flows, and the network and jump
 flows in the linear limit.  The integrator crosses each snapshot interval
 of such a flow by its exact exponential map (:mod:`qme.integrator`).
+
+A fermionic flow's :meth:`~Flow.paired` flow steps a particle state and its
+hole state as one pair [rho, I - rho] (a stack of two): member 0 gets the
+bits of the flow alone and member 1 those of :meth:`~Flow.hole`, so one
+integrator loop runs both sides of the duality check.
 """
 
 from __future__ import annotations
@@ -172,6 +177,11 @@ class Flow:
     validated and cached at construction.
     """
 
+    #: whether the flow is a :meth:`paired` flow, on a stack [rho, x] of two
+    #: states, and ``_members`` the lone flows of its members
+    pair = False
+    _members: tuple["Flow", "Flow"] = ()
+
     def __init__(self, h, statistics: Statistics | None):
         h = as_square_matrix(h, "H")
         self.dim = h.shape[0]
@@ -192,10 +202,15 @@ class Flow:
 
     def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
         # {rho, A_loss} - {I + s*rho, A_gain} = {rho, M} - 2*A_gain with
-        # M = A_loss - s*A_gain, so the flow is (M - iH) rho + rho (M + iH) - 2*A_gain
+        # M = A_loss - s*A_gain, so the flow is (M - iH) rho + rho (M + iH) - 2*A_gain;
+        # on a pair every operation acts on each member as on a lone state
         loss, gain = self.relaxation_operators(rho)
         merged = loss - self.sign * gain
-        return (merged + self._minus_ih) @ rho + rho @ (merged + self._plus_ih) - 2.0 * gain
+        del loss
+        out = (merged + self._minus_ih) @ rho
+        out += rho @ (merged + self._plus_ih)
+        out -= 2.0 * gain
+        return out
 
     def evaluate(self, rho) -> np.ndarray:
         """drho/dt at t = 0 for one state, an array or a DensityMatrix, checked
@@ -216,9 +231,23 @@ class Flow:
         particle flow."""
         if self.sign != Statistics.FERMION.sign:
             raise ValueError("hole flow: defined for fermions only")
+        if self.pair:
+            # the pair [x, I - x] of the hole flow
+            return self._members[1].paired()
         hole = copy.copy(self)
         hole._exchange_loss_and_gain()
         return hole
+
+    def paired(self) -> "Flow":
+        """This fermionic flow and its hole flow side by side, on the pair
+        [rho, x] stacked as a (2, d, d) array: member 0 of the result has the
+        bits of this flow at rho, member 1 those of :meth:`hole` at x."""
+        if self.pair:
+            raise ValueError("paired flow: the flow is a pair already")
+        hole = self.hole()
+        pair = copy.copy(self)
+        pair.pair, pair._members = True, (self, hole)
+        return pair
 
     def _exchange_loss_and_gain(self) -> None:
         """Rewrite this (copied) flow's parts so that its loss and gain are
@@ -255,6 +284,12 @@ class OperatorFlow(Flow):
 
     def _exchange_loss_and_gain(self):
         self._loss, self._gain = self._gain, self._loss
+
+    def paired(self):
+        pair = super().paired()
+        hole = pair._members[1]
+        pair._loss, pair._gain = np.stack((self._loss, hole._loss)), np.stack((self._gain, hole._gain))
+        return pair
 
     @property
     def affine(self) -> bool:
@@ -320,8 +355,24 @@ class NetworkFlow(Flow):
         return m if self._kets is None else self._kets @ m @ self._kets_dag
 
     def relaxation_operators(self, rho):
+        if self.pair:
+            return self._pair_relaxation_operators(rho)
         n = self._to_kets(rho).diagonal().real
         loss, gain = self._half_w.T @ (1.0 + self.sign * n), self._half_w @ n
+        return self._from_kets(self._eye * loss), self._from_kets(self._eye * gain)
+
+    def _pair_relaxation_operators(self, rho):
+        # member 1's loss and gain are member 0's with W -> W^T.  A row r
+        # times a matrix M is the BLAS call of M^T r, so each member gets
+        # the bits of its lone flow's W^T (1 + s*n) and W n
+        n = self._to_kets(rho).diagonal(axis1=-2, axis2=-1).real[:, np.newaxis]
+        occupied = 1.0 + self.sign * n
+        w, w_t = self._half_w, self._half_w.T
+        loss, gain = np.empty_like(n), np.empty_like(n)
+        np.matmul(occupied[0], w, out=loss[0])
+        np.matmul(n[0], w_t, out=gain[0])
+        np.matmul(occupied[1], w_t, out=loss[1])
+        np.matmul(n[1], w, out=gain[1])
         return self._from_kets(self._eye * loss), self._from_kets(self._eye * gain)
 
     def occupation_flow(self):
@@ -334,7 +385,8 @@ class NetworkFlow(Flow):
         if self._kets is not None or not h_diagonal:
             return None
         # the rates the matrix flow uses: doubling -W/2 is exact
-        return OccupationFlow(-2.0 * self._half_w, self.sign)
+        occupations = OccupationFlow(-2.0 * self._half_w, self.sign)
+        return occupations.paired() if self.pair else occupations
 
     def __call__(self, t, rho):
         out = super().__call__(t, rho)
@@ -390,6 +442,15 @@ class JumpFlow(Flow):
     @property
     def affine(self) -> bool:
         return self.sign == 0
+
+    def __call__(self, t, rho):
+        if not self.pair:
+            return super().__call__(t, rho)
+        # member by member: no temporary outgrows one member's R x D x D block
+        out = np.empty_like(rho)
+        for member, flow, x in zip(out, self._members, rho):
+            member[...] = flow(t, x)
+        return out
 
     def relaxation_operators(self, rho):
         gain = -0.5 * _sandwich(self._wide_dag, self._wide, rho)
@@ -447,6 +508,11 @@ class OccupationFlow:
     def affine(self) -> bool:
         """True in the linear limit s = 0, which has no hole rows."""
         return self.sign == 0
+
+    @property
+    def pair(self) -> bool:
+        """Whether the state is a pair of rows, as :meth:`paired` makes it."""
+        return len(self._hole) == 2
 
     def hole(self) -> "OccupationFlow":
         """The same fermionic flow, written for the complementary occupations

@@ -15,6 +15,13 @@ steps of dt.
 :func:`evolve` keeps a run's snapshots in a :class:`Trajectory`, which reads
 each state once, as it arrives, for its diagnostics.
 
+A pair flow (one whose ``pair`` attribute is true, as
+:meth:`~qme.dynamics.Flow.paired` makes it) steps the pair [x, I - x] of its
+start x, stacked as one array, with one RK4 loop, one hermitization and one
+finiteness check a step; an affine pair crosses each interval by one exact
+map per member, both built from one probe.  Its trajectory keeps member 0,
+and the duality residual ||x + (I - x)(t) - I|| of each snapshot.
+
 Positivity is never projected: a state drifting out of the positive cone is a
 signal the diagnostics must show, not an artifact to erase.  The only
 correction, after each RK4 step or mapped interval, is symmetric
@@ -51,10 +58,12 @@ MAX_STEPS = 10**7
 
 #: Most bytes the recorded states of one run may take (1 GiB): 64 matrices at
 #: the largest CLI dimension of 1024, 10^5 at d=32, 2^17 populations at D=1024.
-#: It counts 16 d^2 bytes a d x d state, the size of the start, while a
-#: Trajectory stores each hermitian snapshot packed into 8 d^2: for a
-#: hermitian run the budget is conservative by 2x.  A 1-D state is counted
-#: and stored at its own 8 bytes an entry.
+#: It counts 16 d^2 bytes a d x d state, the size of the start, also for a
+#: pair, whose trajectory keeps one member, while a Trajectory stores each
+#: hermitian snapshot packed into 8 d^2: for a hermitian run the budget is
+#: conservative by 2x.  A 1-D state is counted at the vector integrated, 8
+#: bytes an entry, or 16 for a pair [n, 1 - n] (:func:`snapshot_bytes`), and
+#: stored at 8.
 MAX_SNAPSHOT_BYTES = 2**30
 
 #: Fewest bytes a recorded snapshot is counted at: a stored state is a numpy
@@ -91,6 +100,13 @@ def check_snapshot_budget(steps: float, record_every: int, state_bytes: int) -> 
         counted = "" if state_bytes >= SNAPSHOT_MIN_BYTES else f" (counted as {SNAPSHOT_MIN_BYTES})"
         raise ValueError(f"{steps:.3g} steps recorded every {record_every} would store {snapshots} "
                          f"states of {state_bytes} bytes{counted}, more than {MAX_SNAPSHOT_BYTES} bytes")
+
+
+def snapshot_bytes(start: np.ndarray, pair: bool) -> int:
+    """The bytes :func:`check_snapshot_budget` counts a snapshot of a run
+    from ``start`` at: a d x d matrix at its own, also for a pair flow's run;
+    populations at the vector integrated, which a pair doubles."""
+    return start.nbytes * (2 if pair and start.ndim == 1 else 1)
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -150,22 +166,33 @@ class Trajectory:
     bytes where it takes 16 d^2, and a 1-D state, the diagonal of a diagonal
     density matrix, as given.  ``states`` returns a fresh array on every
     read: each packed state rebuilt bit for bit, each other one a copy;
-    ``stored`` returns them as kept."""
+    ``stored`` returns them as kept.
 
-    def __init__(self, snapshots):
+    With ``pair`` true the states are the pairs [x, I - x] of a pair flow's
+    run, stacked: member 0 is recorded as a lone state would be, and
+    ``duality`` holds the :func:`duality_residual` of each pair; it is None
+    for lone states."""
+
+    def __init__(self, snapshots, pair: bool = False):
         # the diagnostics of each snapshot as five doubles, not five objects
-        rows, self._stored = array("d"), []
+        rows, self._stored, residuals = array("d"), [], array("d")
         for t, state, defect in snapshots:
+            if pair:
+                state, hole = state
+                residuals.append(duality_residual(state, hole))
+            stored = _packed(state)
             if state.ndim == 1:
                 # summed as the complex diagonal of its matrix, for the bits of
                 # np.trace: a float sum moves it by an ulp in 40% of cases
                 rows.extend((t, state.astype(complex).sum().real, state.min(), state.max(), defect))
             else:
-                e = spectrum(state)
+                e = spectrum(state, hermitian=stored is not state)
                 rows.extend((t, np.trace(state).real, e[0], e[-1], defect))
-            self._stored.append(_packed(state))
+            # a member kept as given is copied, so that its pair is freed
+            self._stored.append(state.copy() if pair and stored is state else stored)
         self.times, self.trace, self.min_eig, self.max_eig, self.herm_defect = (
             np.frombuffer(rows).reshape(-1, 5).T.copy())
+        self.duality = np.frombuffer(residuals).copy() if pair else None
 
     @property
     def states(self) -> _States:
@@ -228,13 +255,26 @@ def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, index
 
 
-def spectrum(state: np.ndarray) -> np.ndarray:
+def spectrum(state: np.ndarray, hermitian: bool = False) -> np.ndarray:
     """The eigenvalues of a recorded state, ascending: of a matrix, those of
-    its hermitian part; of a 1-D state, the diagonal of a diagonal matrix,
-    its sorted entries."""
+    its hermitian part, which is the matrix itself, not a copy, when it is
+    ``hermitian`` by bit pattern (as a :func:`_packed` one is); of a 1-D
+    state, the diagonal of a diagonal matrix, its sorted entries."""
     if state.ndim == 1:
         return np.sort(state)
-    return np.linalg.eigvalsh(0.5 * (state + state.conj().T))
+    return np.linalg.eigvalsh(state if hermitian else 0.5 * (state + state.conj().T))
+
+
+def duality_residual(particle: np.ndarray, hole: np.ndarray) -> float:
+    """||rho + x - I||_max of a particle state rho and a hole state x:
+    matrices, or 1-D occupations, whose identity is 1."""
+    eye = np.eye(len(particle)) if particle.ndim == 2 else 1.0
+    return float(np.abs(particle + hole - eye).max())
+
+
+def _is_pair(rhs: RHSCallable) -> bool:
+    """Whether ``rhs`` is a pair flow, whose state is a stack of two."""
+    return getattr(rhs, "pair", False)
 
 
 _PLUS_ZERO = np.zeros(1)
@@ -276,38 +316,67 @@ def _unpacked(stored: np.ndarray) -> np.ndarray:
 
 
 def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarray:
-    """One classical RK4 step from ``rho`` at ``t``, before hermitization."""
+    """One classical RK4 step from ``rho`` at ``t``, before hermitization:
+    rho + dt/6 (((k1 + 2 k2) + 2 k3) + k4), with the stages at
+    rho + (dt/2) k1, rho + (dt/2) k2 and rho + dt k3.
+
+    Besides ``rho`` three arrays are live at a flow call: the running sum,
+    the stage state, which each stage overwrites, and the flow's value.
+    The flow's values are only read, each before the stage state it came
+    from is overwritten, in case it is a view of it."""
+    half = 0.5 * dt
     k1 = rhs(t, rho)
-    k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
-    k4 = rhs(t + dt, rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(half, k1)
+    np.add(rho, stage, out=stage)
+    k = rhs(t + half, stage)
+    total = np.multiply(2.0, k)
+    np.add(k1, total, out=total)
+    del k1
+    np.multiply(half, k, out=stage)
+    np.add(rho, stage, out=stage)
+    # each value is dropped before the next call, so no two are held at once
+    del k
+    k = rhs(t + half, stage)
+    total += np.multiply(2.0, k)
+    np.multiply(dt, k, out=stage)
+    np.add(rho, stage, out=stage)
+    del k
+    k = rhs(t + dt, stage)
+    del stage
+    total += k
+    np.multiply(dt / 6.0, total, out=total)
+    return np.add(rho, total, out=total)
 
 
 def _affine_parts(rhs: RHSCallable, t: float, like: np.ndarray) -> np.ndarray | None:
-    """The augmented generator M = [[L, c], [0, 0]] of rhs(t, x) = L x + c on
-    the float view of states shaped like ``like``, from n + 1 flow calls; None
-    unless ``rhs.affine`` is true and the state has at most
-    AFFINE_MAX_ENTRIES float-view entries.
+    """The augmented generators M = [[L, c], [0, 0]] of rhs(t, x) = L x + c
+    on the float view of each member of states shaped like ``like``, one
+    member or the two of a pair flow's state, stacked; None unless
+    ``rhs.affine`` is true and a member has at most AFFINE_MAX_ENTRIES
+    float-view entries.
 
-    The flow is probed on the float-view unit vectors e_k: c = f(0) and
-    L e_k = f(e_k) - c.  This needs the flow to be affine over the reals in
-    the real and imaginary parts of its state, not complex-linear, so a flow
-    that reads the real part of a diagonal is covered.  Call inside the
-    step's ``np.errstate``."""
-    n = like.size * (2 if np.iscomplexobj(like) else 1)
+    The flow is probed on the float-view unit vectors e_k, set in every
+    member at once, from n + 1 flow calls: c = f(0) and L e_k = f(e_k) - c.
+    This needs the flow to be affine over the reals in the real and
+    imaginary parts of its state, not complex-linear, so a flow that reads
+    the real part of a diagonal is covered, and a pair's members to follow
+    their own states only.  Call inside the step's ``np.errstate``."""
+    members = 2 if _is_pair(rhs) else 1
+    member = like[0] if members == 2 else like
+    n = member.size * (2 if np.iscomplexobj(like) else 1)
     if not getattr(rhs, "affine", False) or n > AFFINE_MAX_ENTRIES:
         return None
 
     def flow(v: np.ndarray) -> np.ndarray:
-        return rhs(t, v.view(like.dtype).reshape(like.shape)).reshape(-1).view(float)
+        x = v.view(like.dtype).reshape(member.shape)
+        return rhs(t, np.stack((x,) * members) if members == 2 else x).reshape(members, -1).view(float)
 
-    gen = np.zeros((n + 1, n + 1))
+    gen = np.zeros((members, n + 1, n + 1))
     unit = np.zeros(n)
-    c = gen[:n, n] = flow(unit)
+    c = gen[:, :n, n] = flow(unit)
     for k in range(n):
         unit[k] = 1.0
-        gen[:n, k] = flow(unit) - c
+        gen[:, :n, k] = flow(unit) - c
         unit[k] = 0.0
     return gen
 
@@ -375,6 +444,28 @@ def _increment_map(gen: np.ndarray, tau: float) -> Callable[[np.ndarray], np.nda
     return propagate
 
 
+def _interval_map(gen: np.ndarray, tau: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The exact propagation over ``tau`` of states with the members whose
+    generators ``gen`` stacks (:func:`_affine_parts`): each member by its own
+    :func:`_increment_map`, the maps built one after another; None when a
+    member's map is None."""
+    maps = []
+    for g in gen:
+        maps.append(_increment_map(g, tau))
+        if maps[-1] is None:
+            return None
+    if len(maps) == 1:
+        return maps[0]
+
+    def propagate(rho: np.ndarray) -> np.ndarray:
+        out = np.empty_like(rho)
+        for member, step, x in zip(out, maps, rho):
+            member[...] = step(x)
+        return out
+
+    return propagate
+
+
 def _checked_populations(p: np.ndarray) -> np.ndarray:
     """A float copy of a 1-D population vector: finite and nonnegative
     within DEFAULT_TOL, as the eigenvalues of a density matrix are."""
@@ -395,7 +486,10 @@ def snapshots(spec: EvolutionSpec,
 
     ``initial`` is a :class:`DensityMatrix`, or a 1-D array of populations:
     the diagonal of a diagonal density matrix, for a flow that keeps it
-    diagonal (hermitization leaves such a state unchanged).  The loop lands
+    diagonal (hermitization leaves such a state unchanged).  A pair flow
+    (``spec.rhs.pair``) steps the pair [x, I - x] of the start x (for
+    populations [n, 1 - n]), which each snapshot yields whole, stacked, with
+    the defect of member 0.  The loop lands
     exactly on ``spec.t1`` (a final partial step is taken when the window is
     not a multiple of dt).  ``herm_defect`` is the hermiticity defect of the
     raw update, of the last RK4 step or of the mapped interval, before
@@ -412,30 +506,41 @@ def snapshots(spec: EvolutionSpec,
     populations = isinstance(initial, np.ndarray) and initial.ndim == 1
     if not (populations or isinstance(initial, DensityMatrix)):
         raise TypeError("initial state must be a DensityMatrix or a 1-D array of populations")
-    rho = _checked_populations(initial) if populations else initial.matrix.copy()
-    check_snapshot_budget((spec.t1 - spec.t0) / spec.dt, spec.record_every, rho.nbytes)
+    pair = _is_pair(spec.rhs)
+    if populations:
+        start = initial
+        rho = _checked_populations(np.stack((initial, 1.0 - initial)) if pair else initial)
+    else:
+        start = initial.matrix
+        # the hole start has the bits of hole_transform's I - rho
+        rho = np.stack((start, np.eye(len(start), dtype=complex) - start)) if pair else start.copy()
+    check_snapshot_budget((spec.t1 - spec.t0) / spec.dt, spec.record_every,
+                          snapshot_bytes(start, pair))
     return _steps(spec, rho)
 
 
-def _hermitized(raw: np.ndarray) -> tuple[np.ndarray, float]:
-    """The hermitized ``raw`` update and its hermiticity defect, not checked:
-    :func:`_finite` tells whether it diverged.  Call inside the step's
+def _hermitized(raw: np.ndarray, pair: bool) -> tuple[np.ndarray, float]:
+    """The hermitized ``raw`` update, made in place, and the hermiticity
+    defect of its member 0, not checked: :func:`_finite` tells whether it
+    diverged.  ``raw`` is the step's own array.  Call inside the step's
     ``np.errstate``."""
     # taken on every RK4 step, recorded or not, and once a snapshot on a
     # mapped interval, through this module's own name: the benchmark's tracer
     # (perfbench/tracing.py) counts steps by these calls, so on a mapped run
     # its step count is the number of intervals
-    defect = hermiticity_defect(raw)
-    # a real vector is its own hermitization
-    rho = raw if raw.ndim == 1 and raw.dtype.kind == "f" else 0.5 * (raw + raw.conj().T)
-    return rho, defect
+    defect = hermiticity_defect(raw[0] if pair else raw)
+    # a real vector is its own hermitization; a matrix becomes 0.5 (m + m^dag)
+    if raw.dtype.kind != "f":
+        np.add(raw, raw.conj().swapaxes(-1, -2), out=raw)
+        np.multiply(0.5, raw, out=raw)
+    return raw, defect
 
 
 def _finite(rho: np.ndarray) -> bool:
     """Whether a hermitized state has not diverged: a matrix holds no NaN or
     Inf, and a real vector none past DBL_MAX/2, where hermitizing the matrix
     whose diagonal it is would overflow."""
-    if rho.ndim == 1 and rho.dtype.kind == "f":
+    if rho.dtype.kind == "f":
         return np.abs(rho).max(initial=0.0) < 2.0**1023
     return np.isfinite(rho.view(float)).all()
 
@@ -448,7 +553,8 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
     exact map, built once for the full intervals and once for a shorter last
     one; any other flow, or an interval whose map is not finite, takes RK4
     steps, of which only the last one's result is checked."""
-    yield spec.t0, rho, hermiticity_defect(rho)
+    pair = _is_pair(spec.rhs)
+    yield spec.t0, rho, hermiticity_defect(rho[0] if pair else rho)
     # full steps land on t0 + k*dt; a partial step of at least 1e-12*dt
     # closes the window on t1
     span = spec.t1 - spec.t0
@@ -473,9 +579,9 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
             if gen is not None and tau != map_tau:
                 # the previous map is dropped before the next is built
                 mapped = None
-                mapped, map_tau = _increment_map(gen, tau), tau
+                mapped, map_tau = _interval_map(gen, tau), tau
             if mapped is not None:
-                rho, defect = _hermitized(mapped(rho))
+                rho, defect = _hermitized(mapped(rho), pair)
                 if not _finite(rho):
                     raise IntegrationDivergedError(t)
             else:
@@ -499,9 +605,10 @@ def _rk4_steps(spec: EvolutionSpec, rho: np.ndarray, t: float, first: int, last:
     at ``t``, each as its start time, hermitized result and defect: steps up
     to ``n_full`` of dt, then one of ``remainder``.  No result is checked.
     Call inside the step's ``np.errstate``."""
+    pair = _is_pair(spec.rhs)
     for k in range(first + 1, last + 1):
         full = k <= n_full
-        rho, defect = _hermitized(_rk4_raw(rho, spec.rhs, t, spec.dt if full else remainder))
+        rho, defect = _hermitized(_rk4_raw(rho, spec.rhs, t, spec.dt if full else remainder), pair)
         yield t, rho, defect
         t = spec.t0 + k * spec.dt if full else spec.t1
 
@@ -509,5 +616,6 @@ def _rk4_steps(spec: EvolutionSpec, rho: np.ndarray, t: float, first: int, last:
 def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajectory:
     """Integrate ``initial`` under ``spec`` and keep every snapshot of
     :func:`snapshots` in a :class:`Trajectory`, which reads each state as it
-    arrives, so the states of a hermitian run are never held at full size."""
-    return Trajectory(snapshots(spec, initial))
+    arrives, so the states of a hermitian run are never held at full size;
+    of a pair flow's run it keeps member 0 and the duality residuals."""
+    return Trajectory(snapshots(spec, initial), pair=_is_pair(spec.rhs))

@@ -7,10 +7,13 @@ with hand-derived relaxation operators.  Each flow must agree with them to
 basis and in a random unitary basis.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qme.dynamics
+import qme.integrator
 import qme.operators
 from qme import cli
 from qme.cli import run
@@ -459,6 +462,62 @@ def test_paired_occupation_flow_is_the_particle_and_hole_flows_bit_for_bit():
                 # rows in the other order: the hole flow of the pair
                 assert np.array_equal(paired.hole()(0.0, np.concatenate((x, n))),
                                       np.concatenate((hole, particle)))
+
+
+class TestPairedFlows:
+    """A fermionic flow's ``paired()`` flow steps [rho, x] with the bits of
+    the flow at rho and of its hole flow at x, in one call and in one run."""
+
+    @pytest.mark.parametrize("equation", ["general", "nonlinear_master", "generalized_jumps"])
+    @pytest.mark.parametrize("basis", ["computational", "rotated"])
+    def test_a_pair_call_is_the_particle_and_hole_calls(self, equation, basis):
+        rng = np.random.default_rng([17, len(equation), len(basis)])
+        for d in (2, 5, 8):
+            inst = rand_instance(rng, d, FERMION, basis)
+            flow = build_flow(equation, FERMION, inst)
+            hole = flow.hole()
+            rho, x = inst["rho"], rand_state(rng, d, FERMION)
+            want = np.stack((flow(0.0, rho), hole(0.0, x)))
+            assert flow.paired()(0.0, np.stack((rho, x))).tobytes() == want.tobytes()
+            # the hole flow of the pair steps the members in the other order
+            assert flow.paired().hole()(0.0, np.stack((x, rho))).tobytes() == want[::-1].tobytes()
+            assert flow.paired().pair and not flow.pair and not hole.pair
+
+    @pytest.mark.parametrize("equation, d, basis", [
+        # each member's float view has 200 entries, within AFFINE_MAX_ENTRIES,
+        # and the pair's 400 do not: each member still crosses an interval by
+        # its own 201 x 201 exact map
+        ("general", 10, "computational"),
+        ("nonlinear_master", 4, "rotated"),
+        ("generalized_jumps", 6, "computational"),
+    ])
+    def test_a_paired_run_is_its_two_lone_runs(self, equation, d, basis, monkeypatch):
+        maps, build = [], qme.integrator._increment_map
+        monkeypatch.setattr(qme.integrator, "_increment_map",
+                            lambda gen, tau: maps.append(gen.shape) or build(gen, tau))
+        inst = rand_instance(np.random.default_rng(d), d, FERMION, basis)
+        flow, start = build_flow(equation, FERMION, inst), DensityMatrix(inst["rho"], FERMION)
+        # four intervals of five steps and a last one of three
+        spec = EvolutionSpec(rhs=flow.paired(), t0=0.0, t1=0.23, dt=0.01, record_every=5)
+        pair = evolve(spec, start)
+        paired_maps = maps[:]
+        particle = evolve(dataclasses.replace(spec, rhs=flow), start)
+        hole = evolve(dataclasses.replace(spec, rhs=flow.hole()), hole_transform(start))
+        assert [a.tobytes() for a in pair.stored] == [a.tobytes() for a in particle.stored]
+        for column in ("times", "trace", "min_eig", "max_eig", "herm_defect"):
+            assert getattr(pair, column).tobytes() == getattr(particle, column).tobytes(), column
+        assert pair.duality.tolist() == list(duality_residuals(particle, hole))
+        assert particle.duality is None and len(pair.duality) == 6
+        # a map for the full intervals and one for the last, of each member
+        assert sorted(paired_maps) == sorted(maps[len(paired_maps):])
+        assert paired_maps == ([(201, 201)] * 4 if equation == "general" else [])
+
+    def test_a_pair_is_fermionic_and_not_paired_again(self):
+        inst = rand_instance(np.random.default_rng(2), 3, FERMION, "computational")
+        with pytest.raises(ValueError, match="fermions only"):
+            build_flow("generalized_jumps", BOSON, inst).paired()
+        with pytest.raises(ValueError, match="a pair already"):
+            build_flow("generalized_jumps", FERMION, inst).paired().paired()
 
 
 def test_occupation_flow_declined_where_a_diagonal_state_can_leave_the_diagonal():

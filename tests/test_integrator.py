@@ -822,8 +822,9 @@ def rk4_case(kind):
     """(flow, start) of a run of RK4 steps, as ``test_flows`` builds it."""
     rng = np.random.default_rng(29)
     if kind == "paired_occupations":
+        # the pair flow steps [n, 1 - n] from the particle occupations n
         particle, n = rand_homogeneous(rng, 3, FERMION)
-        return particle.occupation_flow().paired(), np.concatenate((n, 1.0 - n))
+        return particle.occupation_flow().paired(), n
     inst = rand_instance(rng, 3, FERMION, "rotated")
     return build_flow(kind, FERMION, inst), DensityMatrix(inst["rho"], FERMION)
 
