@@ -1002,7 +1002,8 @@ def _run_matrix(scenario: Scenario):
     state.  The matrix run from the same start agrees to rounding (1e-14).
     A :attr:`~Scenario.dual` run steps the particle and hole states as one
     pair (``flow.paired()``), whose members have the bits of lone particle
-    and hole runs; its trajectory keeps the particle state and the duality
+    and hole runs but where :func:`~qme.integrator.snapshots` says
+    otherwise; its trajectory keeps the particle state and the duality
     residual of each snapshot."""
     occupations = scenario.occupation_run
     flow, start = occupations or (_EQUATIONS[scenario.equation].build(scenario), scenario.start)

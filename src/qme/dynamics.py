@@ -201,9 +201,15 @@ class Flow:
         return False
 
     def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
+        if self.pair:
+            # member by member, so each has the bits of its lone flow and no
+            # temporary outgrows one member's
+            out = np.empty_like(rho)
+            for member, flow, x in zip(out, self._members, rho):
+                member[...] = flow(t, x)
+            return out
         # {rho, A_loss} - {I + s*rho, A_gain} = {rho, M} - 2*A_gain with
-        # M = A_loss - s*A_gain, so the flow is (M - iH) rho + rho (M + iH) - 2*A_gain;
-        # on a pair every operation acts on each member as on a lone state
+        # M = A_loss - s*A_gain, so the flow is (M - iH) rho + rho (M + iH) - 2*A_gain
         loss, gain = self.relaxation_operators(rho)
         merged = loss - self.sign * gain
         del loss
@@ -232,8 +238,7 @@ class Flow:
         if self.sign != Statistics.FERMION.sign:
             raise ValueError("hole flow: defined for fermions only")
         if self.pair:
-            # the pair [x, I - x] of the hole flow
-            return self._members[1].paired()
+            raise ValueError("hole flow: the flow is a pair")
         hole = copy.copy(self)
         hole._exchange_loss_and_gain()
         return hole
@@ -284,12 +289,6 @@ class OperatorFlow(Flow):
 
     def _exchange_loss_and_gain(self):
         self._loss, self._gain = self._gain, self._loss
-
-    def paired(self):
-        pair = super().paired()
-        hole = pair._members[1]
-        pair._loss, pair._gain = np.stack((self._loss, hole._loss)), np.stack((self._gain, hole._gain))
-        return pair
 
     @property
     def affine(self) -> bool:
@@ -355,24 +354,8 @@ class NetworkFlow(Flow):
         return m if self._kets is None else self._kets @ m @ self._kets_dag
 
     def relaxation_operators(self, rho):
-        if self.pair:
-            return self._pair_relaxation_operators(rho)
         n = self._to_kets(rho).diagonal().real
         loss, gain = self._half_w.T @ (1.0 + self.sign * n), self._half_w @ n
-        return self._from_kets(self._eye * loss), self._from_kets(self._eye * gain)
-
-    def _pair_relaxation_operators(self, rho):
-        # member 1's loss and gain are member 0's with W -> W^T.  A row r
-        # times a matrix M is the BLAS call of M^T r, so each member gets
-        # the bits of its lone flow's W^T (1 + s*n) and W n
-        n = self._to_kets(rho).diagonal(axis1=-2, axis2=-1).real[:, np.newaxis]
-        occupied = 1.0 + self.sign * n
-        w, w_t = self._half_w, self._half_w.T
-        loss, gain = np.empty_like(n), np.empty_like(n)
-        np.matmul(occupied[0], w, out=loss[0])
-        np.matmul(n[0], w_t, out=gain[0])
-        np.matmul(occupied[1], w_t, out=loss[1])
-        np.matmul(n[1], w, out=gain[1])
         return self._from_kets(self._eye * loss), self._from_kets(self._eye * gain)
 
     def occupation_flow(self):
@@ -385,8 +368,7 @@ class NetworkFlow(Flow):
         if self._kets is not None or not h_diagonal:
             return None
         # the rates the matrix flow uses: doubling -W/2 is exact
-        occupations = OccupationFlow(-2.0 * self._half_w, self.sign)
-        return occupations.paired() if self.pair else occupations
+        return OccupationFlow(-2.0 * self._half_w, self.sign)
 
     def __call__(self, t, rho):
         out = super().__call__(t, rho)
@@ -442,15 +424,6 @@ class JumpFlow(Flow):
     @property
     def affine(self) -> bool:
         return self.sign == 0
-
-    def __call__(self, t, rho):
-        if not self.pair:
-            return super().__call__(t, rho)
-        # member by member: no temporary outgrows one member's R x D x D block
-        out = np.empty_like(rho)
-        for member, flow, x in zip(out, self._members, rho):
-            member[...] = flow(t, x)
-        return out
 
     def relaxation_operators(self, rho):
         gain = -0.5 * _sandwich(self._wide_dag, self._wide, rho)

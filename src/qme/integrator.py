@@ -489,7 +489,12 @@ def snapshots(spec: EvolutionSpec,
     diagonal (hermitization leaves such a state unchanged).  A pair flow
     (``spec.rhs.pair``) steps the pair [x, I - x] of the start x (for
     populations [n, 1 - n]), which each snapshot yields whole, stacked, with
-    the defect of member 0.  The loop lands
+    the defect of member 0.  Its members have the bits of lone runs of the
+    member flows, with two exceptions: an interval where one member's exact
+    map is not finite takes RK4 steps for both, and the pair diverges at the
+    first step where either member does.  In exact arithmetic the hole
+    member is I minus the particle member at every RK4 step, so only
+    rounding can make the hole diverge first.  The loop lands
     exactly on ``spec.t1`` (a final partial step is taken when the window is
     not a multiple of dt).  ``herm_defect`` is the hermiticity defect of the
     raw update, of the last RK4 step or of the mapped interval, before
@@ -551,8 +556,9 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
     Snapshots split the window into intervals of ``record_every`` steps, the
     last one possibly shorter.  An affine flow crosses each interval by one
     exact map, built once for the full intervals and once for a shorter last
-    one; any other flow, or an interval whose map is not finite, takes RK4
-    steps, of which only the last one's result is checked."""
+    one; any other flow, or an interval whose map (a pair's: either
+    member's) is not finite, takes RK4 steps, of which only the last one's
+    result is checked."""
     pair = _is_pair(spec.rhs)
     yield spec.t0, rho, hermiticity_defect(rho[0] if pair else rho)
     # full steps land on t0 + k*dt; a partial step of at least 1e-12*dt

@@ -2,11 +2,11 @@
 
 Usage (from the root of the repository):
 
-    python tests/compare_outputs.py REV [--seeds 11-20]
+    python tests/compare_outputs.py REV
 
 REV is checked out with ``git worktree`` into a temporary directory, removed
 afterwards.  Both checkouts' ``src`` then run, each in a fresh interpreter,
-the six bundled scenarios and the three benchmark scenarios at each seed,
+the six bundled scenarios and the three benchmark scenarios at seeds 11-20,
 generated by ``perfbench/workloads.scenario_bytes`` of this checkout.  Every
 ``states.csv``, ``diagnostics.csv`` and ``summary.json`` (less its
 ``wall_time_s`` line, the one line that may change from run to run) whose
@@ -25,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("states.csv", "diagnostics.csv", "summary.json")
 WORKLOADS = ("chain", "jumps_dense", "oracle_boson")
+SEEDS = range(11, 21)
 
 #: Runs every scenario named on the command line into out/<name>.
 RUNNER = """
@@ -37,11 +38,6 @@ for scenario in scenarios:
     if code not in (0, 2):
         sys.exit(f"{scenario}: exit {code}")
 """
-
-
-def _seeds(text: str) -> list[int]:
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
 
 
 def _run(src: Path, out: Path, scenarios: list[str]) -> None:
@@ -62,7 +58,6 @@ def _content(path: Path) -> bytes | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the revision to compare against")
-    parser.add_argument("--seeds", default="11-20", help="benchmark seeds, FIRST-LAST (default 11-20)")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -72,7 +67,7 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         scenarios = sorted(p.stem for p in (ROOT / "src" / "qme" / "scenarios").glob("*.json"))
         for name in WORKLOADS:
-            for seed in _seeds(args.seeds):
+            for seed in SEEDS:
                 path = tmp / "scenarios" / f"{name}_{seed}.json"
                 path.parent.mkdir(exist_ok=True)
                 path.write_bytes(scenario_bytes(name, seed))

@@ -479,8 +479,6 @@ class TestPairedFlows:
             rho, x = inst["rho"], rand_state(rng, d, FERMION)
             want = np.stack((flow(0.0, rho), hole(0.0, x)))
             assert flow.paired()(0.0, np.stack((rho, x))).tobytes() == want.tobytes()
-            # the hole flow of the pair steps the members in the other order
-            assert flow.paired().hole()(0.0, np.stack((x, rho))).tobytes() == want[::-1].tobytes()
             assert flow.paired().pair and not flow.pair and not hole.pair
 
     @pytest.mark.parametrize("equation, d, basis", [
@@ -512,12 +510,15 @@ class TestPairedFlows:
         assert sorted(paired_maps) == sorted(maps[len(paired_maps):])
         assert paired_maps == ([(201, 201)] * 4 if equation == "general" else [])
 
-    def test_a_pair_is_fermionic_and_not_paired_again(self):
+    def test_a_pair_is_fermionic_and_has_no_pair_or_hole_flow(self):
         inst = rand_instance(np.random.default_rng(2), 3, FERMION, "computational")
         with pytest.raises(ValueError, match="fermions only"):
             build_flow("generalized_jumps", BOSON, inst).paired()
+        pair = build_flow("generalized_jumps", FERMION, inst).paired()
         with pytest.raises(ValueError, match="a pair already"):
-            build_flow("generalized_jumps", FERMION, inst).paired().paired()
+            pair.paired()
+        with pytest.raises(ValueError, match="the flow is a pair"):
+            pair.hole()
 
 
 def test_occupation_flow_declined_where_a_diagonal_state_can_leave_the_diagonal():

@@ -900,6 +900,27 @@ class TestRK4Intervals:
         assert start < failing <= end
         assert thinned_calls == 4 * end + 4 * (min(failing, end - 1) - start)
 
+    def test_a_pair_diverges_at_the_first_step_of_either_member(self):
+        """A pair run names the first step at which either member diverged.
+        Here the hole member alone grows, by about 1e120 a step, and
+        overflows in the third step, which starts at t = 0.2, while the
+        particle member stands still: alone, it would not diverge at all."""
+
+        class HoleRunaway:
+            pair = True
+
+            def __call__(self, t, rho):
+                out = np.zeros_like(rho)
+                out[1] = 2.2e31 * rho[1]
+                return out
+
+        start = DensityMatrix(np.diag([0.75, 0.25]), FERMION)
+        spec = EvolutionSpec(rhs=HoleRunaway(), t0=0.0, t1=1.0, dt=0.1, record_every=5)
+        with pytest.raises(IntegrationDivergedError) as info:
+            for _ in snapshots(spec, start):
+                pass
+        assert info.value.t == 0.2
+
 
 # -- packed storage of hermitian snapshots -------------------------------------
 
