@@ -39,7 +39,6 @@ from .analysis import (
     VIOLATION_TOL,
     bounds_monitor,
     dephasing_counterexample_matrix,
-    duality_residuals,
     first_crossing_time,
 )
 from .dynamics import (
@@ -65,7 +64,7 @@ from .fock_oracle import (
     start_sectors,
 )
 from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory, _layout,
-                         check_snapshot_budget, check_window, evolve, snapshot_bytes, spectrum)
+                         check_snapshot_budget, check_window, evolve, spectrum)
 from .operators import DEFAULT_TOL, DensityMatrix, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
@@ -565,14 +564,14 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> Scenario:
         expect_violations=expect_violations,
         **operators,
     )
-    # fail fast on snapshots of the state the run integrates (populations,
-    # occupations or the matrix) that would not fit in memory
+    # fail fast on snapshots that would not fit in memory, counted at the lone
+    # state the run integrates (populations, occupations or the matrix)
     integrated = start
     if model is None:
         occupation_run = scenario.occupation_run
         integrated = start.matrix if occupation_run is None else occupation_run[1]
     try:
-        check_snapshot_budget(steps, record_every, snapshot_bytes(integrated, scenario.dual))
+        check_snapshot_budget(steps, record_every, integrated.nbytes)
     except ValueError as exc:
         raise ScenarioError(f"integrator.record_every: {exc}") from None
     return scenario
@@ -852,12 +851,12 @@ def _write_states_csv(path: Path, traj: Trajectory) -> None:
     _write_csv(path, header, lines)
 
 
-def _write_diagnostics_csv(path: Path, traj: Trajectory, duality=None) -> None:
+def _write_diagnostics_csv(path: Path, traj: Trajectory) -> None:
     columns = ["t", "trace", "min_eig", "max_eig", "herm_defect"]
     series = [traj.times, traj.trace, traj.min_eig, traj.max_eig, traj.herm_defect]
-    if duality is not None:
+    if traj.duality is not None:
         columns.append("duality_residual")
-        series.append(duality)
+        series.append(traj.duality)
     # a handful of unrelated numbers: one format call per row, no deduplication
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     rows = zip(*(np.asarray(x, dtype=float).tolist() for x in series))
@@ -945,7 +944,7 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
 
     run_equation = _run_fock if _EQUATIONS[scenario.equation].build is None else _run_matrix
     try:
-        traj, duality, extra = run_equation(scenario)
+        traj, extra = run_equation(scenario)
     except (IntegrationDivergedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -967,12 +966,12 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         # rounding error below 0 and still cross it later
         "min_eig_crossing_time": first_crossing_time(traj.times, traj.min_eig, -VIOLATION_TOL),
     }
-    if duality is not None:
-        summary["duality_residual_max"] = float(np.max(duality))
+    if traj.duality is not None:
+        summary["duality_residual_max"] = float(np.max(traj.duality))
     summary.update(extra)
     try:
         _write_states_csv(folder / "states.csv", traj)
-        _write_diagnostics_csv(folder / "diagnostics.csv", traj, duality)
+        _write_diagnostics_csv(folder / "diagnostics.csv", traj)
         summary["wall_time_s"] = time.perf_counter() - wall_start
         (folder / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -995,7 +994,7 @@ def _spec(s: Scenario, rhs) -> EvolutionSpec:
 
 
 def _run_matrix(scenario: Scenario):
-    """(trajectory, duality residuals or None, extra summary fields).
+    """(trajectory, extra summary fields).
 
     A run on occupations (:attr:`Scenario.occupation_run`) records the d
     particle occupations of each snapshot, the diagonal of its diagonal
@@ -1004,15 +1003,15 @@ def _run_matrix(scenario: Scenario):
     pair (``flow.paired()``), whose members have the bits of lone particle
     and hole runs but where :func:`~qme.integrator.snapshots` says
     otherwise; its trajectory keeps the particle state and the duality
-    residual of each snapshot."""
+    residual of each snapshot (``traj.duality``)."""
     occupations = scenario.occupation_run
     flow, start = occupations or (_EQUATIONS[scenario.equation].build(scenario), scenario.start)
     traj = evolve(_spec(scenario, flow.paired() if scenario.dual else flow), start)
-    return traj, traj.duality, {}
+    return traj, {}
 
 
 def _run_fock(scenario: Scenario):
-    """(reduced one-particle trajectory, None, extra summary fields): the start
+    """(reduced one-particle trajectory, extra summary fields): the start
     populations integrated under ``model.populations``.  The coherent flow's
     diagonal is evaluated once, on the populations themselves, with no S x S
     object and no ``model.flow``; the population flow must equal it up to
@@ -1038,7 +1037,7 @@ def _run_fock(scenario: Scenario):
     # one-particle state; a real diagonal is hermitian, so the population
     # run's defects, all 0.0, hold
     reduced = ((t, reduce_one_particle(model, p), defect) for t, p, defect in traj)
-    return Trajectory(reduced), None, extra
+    return Trajectory(reduced), extra
 
 
 def main(argv=None) -> int:

@@ -26,10 +26,10 @@ independent of time: the fixed-operator flows, and the network and jump
 flows in the linear limit.  The integrator crosses each snapshot interval
 of such a flow by its exact exponential map (:mod:`qme.integrator`).
 
-A fermionic flow's :meth:`~Flow.paired` flow steps a particle state and its
-hole state as one pair [rho, I - rho] (a stack of two): member 0 gets the
-bits of the flow alone and member 1 those of :meth:`~Flow.hole`, so one
-integrator loop runs both sides of the duality check.
+A fermionic flow's :meth:`~Flow.paired` is a :class:`FlowPair`, the flow and
+its :meth:`~Flow.hole` flow side by side on one pair [rho, I - rho] (a stack
+of two), each member with the bits of its flow alone, so one integrator loop
+runs both sides of the duality check.
 """
 
 from __future__ import annotations
@@ -177,11 +177,6 @@ class Flow:
     validated and cached at construction.
     """
 
-    #: whether the flow is a :meth:`paired` flow, on a stack [rho, x] of two
-    #: states, and ``_members`` the lone flows of its members
-    pair = False
-    _members: tuple["Flow", "Flow"] = ()
-
     def __init__(self, h, statistics: Statistics | None):
         h = as_square_matrix(h, "H")
         self.dim = h.shape[0]
@@ -201,13 +196,6 @@ class Flow:
         return False
 
     def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
-        if self.pair:
-            # member by member, so each has the bits of its lone flow and no
-            # temporary outgrows one member's
-            out = np.empty_like(rho)
-            for member, flow, x in zip(out, self._members, rho):
-                member[...] = flow(t, x)
-            return out
         # {rho, A_loss} - {I + s*rho, A_gain} = {rho, M} - 2*A_gain with
         # M = A_loss - s*A_gain, so the flow is (M - iH) rho + rho (M + iH) - 2*A_gain
         loss, gain = self.relaxation_operators(rho)
@@ -237,22 +225,13 @@ class Flow:
         particle flow."""
         if self.sign != Statistics.FERMION.sign:
             raise ValueError("hole flow: defined for fermions only")
-        if self.pair:
-            raise ValueError("hole flow: the flow is a pair")
         hole = copy.copy(self)
         hole._exchange_loss_and_gain()
         return hole
 
-    def paired(self) -> "Flow":
-        """This fermionic flow and its hole flow side by side, on the pair
-        [rho, x] stacked as a (2, d, d) array: member 0 of the result has the
-        bits of this flow at rho, member 1 those of :meth:`hole` at x."""
-        if self.pair:
-            raise ValueError("paired flow: the flow is a pair already")
-        hole = self.hole()
-        pair = copy.copy(self)
-        pair.pair, pair._members = True, (self, hole)
-        return pair
+    def paired(self) -> "FlowPair":
+        """This fermionic flow and its :meth:`hole` flow side by side."""
+        return FlowPair(self, self.hole())
 
     def _exchange_loss_and_gain(self) -> None:
         """Rewrite this (copied) flow's parts so that its loss and gain are
@@ -265,6 +244,28 @@ class Flow:
         diagonal.  Only a :class:`NetworkFlow` keeps diagonal states
         diagonal."""
         return None
+
+
+class FlowPair:
+    """A fermionic flow and its hole flow side by side, on the pair [rho, x]
+    stacked as a (2, d, d) array: member 0 of a call has the bits of the
+    particle flow at rho, member 1 those of the hole flow at x.  A pair
+    answers only what a run asks of it: ``pair``, ``affine`` and the call;
+    ``members`` are the two flows, each to be asked the rest."""
+
+    pair = True
+
+    def __init__(self, particle: Flow, hole: Flow):
+        self.members = (particle, hole)
+        self.affine = particle.affine and hole.affine
+
+    def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
+        # member by member, so each has the bits of its lone flow and no
+        # temporary outgrows one member's
+        out = np.empty_like(rho)
+        for member, flow, x in zip(out, self.members, rho):
+            member[...] = flow(t, x)
+        return out
 
 
 class OperatorFlow(Flow):

@@ -19,8 +19,9 @@ A pair flow (one whose ``pair`` attribute is true, as
 :meth:`~qme.dynamics.Flow.paired` makes it) steps the pair [x, I - x] of its
 start x, stacked as one array, with one RK4 loop, one hermitization and one
 finiteness check a step; an affine pair crosses each interval by one exact
-map per member, both built from one probe.  Its trajectory keeps member 0,
-and the duality residual ||x + (I - x)(t) - I|| of each snapshot.
+map per member, each built from a probe of its member flow alone.  Its
+trajectory keeps member 0, and the duality residual ||x + (I - x)(t) - I||
+of each snapshot.
 
 Positivity is never projected: a state drifting out of the positive cone is a
 signal the diagnostics must show, not an artifact to erase.  The only
@@ -58,12 +59,11 @@ MAX_STEPS = 10**7
 
 #: Most bytes the recorded states of one run may take (1 GiB): 64 matrices at
 #: the largest CLI dimension of 1024, 10^5 at d=32, 2^17 populations at D=1024.
-#: It counts 16 d^2 bytes a d x d state, the size of the start, also for a
-#: pair, whose trajectory keeps one member, while a Trajectory stores each
-#: hermitian snapshot packed into 8 d^2: for a hermitian run the budget is
-#: conservative by 2x.  A 1-D state is counted at the vector integrated, 8
-#: bytes an entry, or 16 for a pair [n, 1 - n] (:func:`snapshot_bytes`), and
-#: stored at 8.
+#: A snapshot counts at the bytes of the lone start, as a Trajectory keeps
+#: one member of a pair: 8 bytes an entry of a 1-D state, stored as given,
+#: and 16 d^2 for a d x d matrix, which a Trajectory stores packed into
+#: 8 d^2 when it is hermitian, so for a hermitian run the budget is
+#: conservative by 2x.
 MAX_SNAPSHOT_BYTES = 2**30
 
 #: Fewest bytes a recorded snapshot is counted at: a stored state is a numpy
@@ -100,13 +100,6 @@ def check_snapshot_budget(steps: float, record_every: int, state_bytes: int) -> 
         counted = "" if state_bytes >= SNAPSHOT_MIN_BYTES else f" (counted as {SNAPSHOT_MIN_BYTES})"
         raise ValueError(f"{steps:.3g} steps recorded every {record_every} would store {snapshots} "
                          f"states of {state_bytes} bytes{counted}, more than {MAX_SNAPSHOT_BYTES} bytes")
-
-
-def snapshot_bytes(start: np.ndarray, pair: bool) -> int:
-    """The bytes :func:`check_snapshot_budget` counts a snapshot of a run
-    from ``start`` at: a d x d matrix at its own, also for a pair flow's run;
-    populations at the vector integrated, which a pair doubles."""
-    return start.nbytes * (2 if pair and start.ndim == 1 else 1)
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -348,35 +341,40 @@ def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarr
     return np.add(rho, total, out=total)
 
 
-def _affine_parts(rhs: RHSCallable, t: float, like: np.ndarray) -> np.ndarray | None:
-    """The augmented generators M = [[L, c], [0, 0]] of rhs(t, x) = L x + c
-    on the float view of each member of states shaped like ``like``, one
-    member or the two of a pair flow's state, stacked; None unless
-    ``rhs.affine`` is true and a member has at most AFFINE_MAX_ENTRIES
-    float-view entries.
+def _generators(rhs: RHSCallable, t: float, rho: np.ndarray) -> list[np.ndarray] | None:
+    """The augmented generator (:func:`_affine_parts`) of each member of the
+    state ``rho``: of ``rhs`` alone, or of each member flow of a pair, probed
+    alone; None unless ``rhs.affine`` is true and every generator exists."""
+    if not getattr(rhs, "affine", False):
+        return None
+    probes = zip(rhs.members, rho) if _is_pair(rhs) else [(rhs, rho)]
+    gens = [_affine_parts(flow, t, x) for flow, x in probes]
+    return None if any(gen is None for gen in gens) else gens
 
-    The flow is probed on the float-view unit vectors e_k, set in every
-    member at once, from n + 1 flow calls: c = f(0) and L e_k = f(e_k) - c.
-    This needs the flow to be affine over the reals in the real and
-    imaginary parts of its state, not complex-linear, so a flow that reads
-    the real part of a diagonal is covered, and a pair's members to follow
-    their own states only.  Call inside the step's ``np.errstate``."""
-    members = 2 if _is_pair(rhs) else 1
-    member = like[0] if members == 2 else like
-    n = member.size * (2 if np.iscomplexobj(like) else 1)
-    if not getattr(rhs, "affine", False) or n > AFFINE_MAX_ENTRIES:
+
+def _affine_parts(rhs: RHSCallable, t: float, like: np.ndarray) -> np.ndarray | None:
+    """The augmented generator M = [[L, c], [0, 0]] of an affine flow
+    rhs(t, x) = L x + c on the float view of states shaped like ``like``;
+    None when the state has more than AFFINE_MAX_ENTRIES float-view entries.
+
+    The flow is probed on the float-view unit vectors e_k, from n + 1 flow
+    calls: c = f(0) and L e_k = f(e_k) - c.  This needs the flow to be
+    affine over the reals in the real and imaginary parts of its state, not
+    complex-linear, so a flow that reads the real part of a diagonal is
+    covered.  Call inside the step's ``np.errstate``."""
+    n = like.size * (2 if np.iscomplexobj(like) else 1)
+    if n > AFFINE_MAX_ENTRIES:
         return None
 
     def flow(v: np.ndarray) -> np.ndarray:
-        x = v.view(like.dtype).reshape(member.shape)
-        return rhs(t, np.stack((x,) * members) if members == 2 else x).reshape(members, -1).view(float)
+        return rhs(t, v.view(like.dtype).reshape(like.shape)).reshape(-1).view(float)
 
-    gen = np.zeros((members, n + 1, n + 1))
+    gen = np.zeros((n + 1, n + 1))
     unit = np.zeros(n)
-    c = gen[:, :n, n] = flow(unit)
+    c = gen[:n, n] = flow(unit)
     for k in range(n):
         unit[k] = 1.0
-        gen[:, :n, k] = flow(unit) - c
+        gen[:n, k] = flow(unit) - c
         unit[k] = 0.0
     return gen
 
@@ -444,13 +442,13 @@ def _increment_map(gen: np.ndarray, tau: float) -> Callable[[np.ndarray], np.nda
     return propagate
 
 
-def _interval_map(gen: np.ndarray, tau: float) -> Callable[[np.ndarray], np.ndarray] | None:
-    """The exact propagation over ``tau`` of states with the members whose
-    generators ``gen`` stacks (:func:`_affine_parts`): each member by its own
+def _interval_map(gens: list[np.ndarray], tau: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The exact propagation over ``tau`` of states whose members have the
+    generators ``gens`` (:func:`_generators`): each member by its own
     :func:`_increment_map`, the maps built one after another; None when a
     member's map is None."""
     maps = []
-    for g in gen:
+    for g in gens:
         maps.append(_increment_map(g, tau))
         if maps[-1] is None:
             return None
@@ -519,8 +517,7 @@ def snapshots(spec: EvolutionSpec,
         start = initial.matrix
         # the hole start has the bits of hole_transform's I - rho
         rho = np.stack((start, np.eye(len(start), dtype=complex) - start)) if pair else start.copy()
-    check_snapshot_budget((spec.t1 - spec.t0) / spec.dt, spec.record_every,
-                          snapshot_bytes(start, pair))
+    check_snapshot_budget((spec.t1 - spec.t0) / spec.dt, spec.record_every, start.nbytes)
     return _steps(spec, rho)
 
 
@@ -580,7 +577,7 @@ def _steps(spec: EvolutionSpec, rho: np.ndarray) -> Iterator[tuple[float, np.nda
         # on its consumer.
         with np.errstate(over="ignore", invalid="ignore"):
             if step == 0:
-                gen = _affine_parts(spec.rhs, spec.t0, rho)
+                gen = _generators(spec.rhs, spec.t0, rho)
             tau = full_tau if last - step == spec.record_every and last <= n_full else t_end - t
             if gen is not None and tau != map_tau:
                 # the previous map is dropped before the next is built

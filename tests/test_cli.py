@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import io
@@ -38,7 +39,7 @@ from qme.dynamics import (JumpFlow, NetworkFlow, OccupationFlow, Statistics, Tra
                           hole_transform)
 from fock_reference import population_generator
 from occupation_reference import occupation_row
-from qme.integrator import Trajectory, evolve, snapshot_bytes, snapshots, spectrum
+from qme.integrator import Trajectory, evolve, snapshots, spectrum
 from qme.operators import DensityMatrix
 
 GALLERY = [
@@ -622,13 +623,15 @@ class TestMemoryBounds:
         self._exits_one(tmp_path, capsys, overrides + ["dt=1e-5", "record_every=1"],
                         "error: integrator.record_every: ")
 
-    @pytest.mark.parametrize("coherence", [0.0, 0.01], ids=["diagonal", "coherent"])
-    def test_budget_counts_the_state_the_run_integrates(self, monkeypatch, coherence):
-        # a d = 8 fermion chain of nonlinear_master (a dual run) over 64 steps
-        # recorded every step stores 65 states: the 16 d = 128 bytes of the
-        # paired occupations, which a diagonal start integrates and which are
-        # counted as SNAPSHOT_MIN_BYTES = 512, or a 16 d^2 = 1024-byte matrix
-        d = 8
+    @pytest.mark.parametrize("d, coherence", [(8, 0.0), (8, 0.01), (48, 0.0)],
+                             ids=["diagonal", "coherent", "diagonal_d48"])
+    def test_budget_counts_the_state_the_run_integrates(self, monkeypatch, d, coherence):
+        # a fermion chain of nonlinear_master (a dual run) over 64 steps
+        # recorded every step stores 65 states, each one member of the pair:
+        # the 8 d bytes of the particle occupations, which a diagonal start
+        # integrates and which are counted as SNAPSHOT_MIN_BYTES = 512 up to
+        # d = 64, or at d = 8 a 16 d^2 = 1024-byte matrix.  At d = 48 the
+        # pair [n, 1 - n], 16 d = 768 bytes, would not fit; one member does
         monkeypatch.setattr(integrator, "MAX_SNAPSHOT_BYTES", 65 * 512)
         start = np.diag(np.linspace(0.9, 0.1, d))
         start[0, 1] = start[1, 0] = coherence
@@ -644,16 +647,15 @@ class TestMemoryBounds:
                 scenario_from_dict(raw)
             return
         scenario = scenario_from_dict(raw)
-        flow, start = scenario.occupation_run
-        assert snapshot_bytes(start, scenario.dual) == 16 * d and flow is scenario.occupation_run[0]
-        traj, duality, _ = cli._run_matrix(scenario)
-        assert len(traj) == len(duality) == 65 and traj.states[0].shape == (d,)
+        assert scenario.dual and scenario.occupation_run[1].nbytes == 8 * d
+        traj, _ = cli._run_matrix(scenario)
+        assert len(traj) == len(traj.duality) == 65 and traj.states[0].shape == (d,)
 
     def test_ten_million_tiny_snapshots_are_refused(self):
-        # 10^7 recorded steps of the paired occupations of a d = 5 chain hold
-        # 800 MB of data, and their arrays and diagnostics rows about 4.5 GB
+        # 10^7 recorded steps of the particle occupations of a d = 5 chain
+        # hold 400 MB of data, and their arrays and diagnostics rows about 4.5 GB
         raw = _bundled_raw("homogeneous_chain", "t1=1", "dt=1e-7", "record_every=1")
-        with pytest.raises(ScenarioError, match=r"states of 80 bytes \(counted as 512\), more than"):
+        with pytest.raises(ScenarioError, match=r"states of 40 bytes \(counted as 512\), more than"):
             scenario_from_dict(raw)
 
 
@@ -697,11 +699,11 @@ class TestFockPopulationPath:
     )
     def test_matches_the_coherent_integration(self, overrides):
         scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode", *overrides))
-        traj, duality, extra = cli._run_fock(scenario)
+        traj, extra = cli._run_fock(scenario)
         p0, model = scenario.start, scenario.model
         initial = DensityMatrix(np.diag(p0), scenario.statistics)
         coherent = evolve(cli._spec(scenario, model.flow), initial)
-        assert duality is None
+        assert traj.duality is None
         assert np.array_equal(traj.times, coherent.times)
         reduced = [reduce_one_particle(model, m) for m in coherent.states]
         # the run records the occupations, the diagonal of each reduced matrix
@@ -720,7 +722,7 @@ class TestFockPopulationPath:
             wrapped = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *a, f=wrapped, seen=seen: seen.append(a) or f(*a))
         scenario = scenario_from_dict(_bundled_raw("fock_closure_2mode", "t1=0.1"))
-        traj, _, _ = cli._run_fock(scenario)
+        traj, _ = cli._run_fock(scenario)
         assert len(traj) == 6
         assert [len(seen) for seen in calls.values()] == [1, 1]
         (model, p0), = calls["closure_residual_at_t0"]
@@ -875,7 +877,8 @@ def test_streamed_duality_equals_the_stored_check(name):
     the diagonal starts of the others, which record occupations."""
     scenario = scenario_from_dict(_bundled_raw(name))
     assert cli._EQUATIONS[scenario.equation].dual and scenario.statistics is Statistics.FERMION
-    traj, streamed, _ = cli._run_matrix(scenario)
+    traj, _ = cli._run_matrix(scenario)
+    streamed = traj.duality
     flow = cli._EQUATIONS[scenario.equation].build(scenario)
     if traj.states[0].ndim == 1:
         n = scenario.start.matrix.diagonal().real
@@ -1161,8 +1164,8 @@ def test_a_diagonal_start_of_a_jump_run_builds_one_flow(monkeypatch):
     raw["initial"] = {"diagonal": np.linspace(0.9, 0.1, raw["dimension"]).tolist()}
     scenario = scenario_from_dict(raw)
     assert scenario.occupation_run is None and built == []
-    traj, duality, _ = cli._run_matrix(scenario)
-    assert len(traj) == len(duality) == 11 and len(built) == 1
+    traj, _ = cli._run_matrix(scenario)
+    assert len(traj) == len(traj.duality) == 11 and len(built) == 1
 
 
 @pytest.mark.memory
@@ -1484,7 +1487,8 @@ def reference_states_csv(path, traj):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def reference_diagnostics_csv(path, traj, duality=None):
+def reference_diagnostics_csv(path, traj):
+    duality = traj.duality
     header = "t,trace,min_eig,max_eig,herm_defect"
     if duality is not None:
         header += ",duality_residual"
@@ -1522,7 +1526,7 @@ class _Recorded:
     Trajectory takes its diagnostics from its states, which a run keeps
     finite, and the states here hold NaN and Inf.  Each state is the array
     given, in its own memory order; the diagnostics may be left out for
-    the states writer."""
+    the states writer, and ``duality`` holds the residuals of a pair run."""
 
     times: np.ndarray
     states: list
@@ -1530,6 +1534,7 @@ class _Recorded:
     min_eig: np.ndarray | None = None
     max_eig: np.ndarray | None = None
     herm_defect: np.ndarray | None = None
+    duality: np.ndarray | None = None
 
     def __len__(self):
         return len(self.times)
@@ -1541,11 +1546,19 @@ class _Recorded:
         return tuple(integrator._packed(state) for state in self.states)
 
 
-def _synthetic_trajectory(states):
+def _synthetic_trajectory(states, duality):
     n = len(states)
     column = (EDGE_VALUES * n)[:n]
     return _Recorded(np.array([0.0, 0.1, 1e-3, 2.0, 1e308][:n]), list(states), np.array(column),
-                     np.array(column[::-1]), np.array([-0.0] * n), np.array([5e-324] * n))
+                     np.array(column[::-1]), np.array([-0.0] * n), np.array([5e-324] * n),
+                     np.array(duality))
+
+
+def _without_duality(traj):
+    """A shallow copy of the trajectory ``traj`` with no duality residuals."""
+    bare = copy.copy(traj)
+    object.__setattr__(bare, "duality", None)
+    return bare
 
 
 def _edge_state(d, shift=0):
@@ -1572,30 +1585,30 @@ def _bundled_run(name, *overrides):
 
 def _scenario_run(scenario):
     run_scenario = cli._run_fock if scenario.equation == "fock_oracle" else cli._run_matrix
-    traj, duality, _ = run_scenario(scenario)
-    return traj, duality
+    traj, _ = run_scenario(scenario)
+    return traj
 
 
 def _writer_case(name):
-    """(trajectory, duality residuals or None) for one writer test case."""
+    """The trajectory, with its duality residuals or None, of one writer test case."""
     edge = _edge_state(3)
     big = _edge_state(6, shift=5)
     if name == "edge_values":
-        return _synthetic_trajectory([edge, _edge_state(3, 4)]), [0.1, -0.0]
+        return _synthetic_trajectory([edge, _edge_state(3, 4)], [0.1, -0.0])
     if name == "edge_values_vector":  # whole rows long enough to be formatted by numpy
         d = cli._VECTOR_MIN_DIM
-        return _synthetic_trajectory([_edge_state(d), _edge_state(d, 7)]), [np.nan, -np.inf]
+        return _synthetic_trajectory([_edge_state(d), _edge_state(d, 7)], [np.nan, -np.inf])
     if name == "edge_values_packed":  # rows cut from the packed reals
         d = cli._VECTOR_MIN_DIM
         states = [_hermitian_edge_state(d), _hermitian_edge_state(d, 4)]
         assert all(state.ndim == 3 for state in _Recorded(None, states).stored)
-        return _synthetic_trajectory(states), [0.5, 1e-5]
+        return _synthetic_trajectory(states, [0.5, 1e-5])
     if name == "fortran_ordered":
-        return _synthetic_trajectory([np.asfortranarray(edge), edge.T]), [1.0, 2.0]
+        return _synthetic_trajectory([np.asfortranarray(edge), edge.T], [1.0, 2.0])
     if name == "strided_view":
-        return _synthetic_trajectory([big[::2, 1::2], big[1:4, :3]]), [5e-324, 1e308]
+        return _synthetic_trajectory([big[::2, 1::2], big[1:4, :3]], [5e-324, 1e308])
     if name == "d1":
-        return _synthetic_trajectory([_complex([[-0.0]], [[5e-324]])] * 3), [0.0, 3.0, -2.0]
+        return _synthetic_trajectory([_complex([[-0.0]], [[5e-324]])] * 3, [0.0, 3.0, -2.0])
     if name == "dense_jumps_d32":
         return _scenario_run(scenario_from_dict(_dense_jumps_raw(t1=0.01)))
     # a short window of each bundled scenario: fock_closure_2mode writes its
@@ -1612,14 +1625,15 @@ class TestCsvWriters:
                                       "fortran_ordered", "strided_view", "d1", "dense_jumps_d32",
                                       *GALLERY])
     def test_bytes_equal_the_per_entry_writers(self, tmp_path, name):
-        traj, duality = _writer_case(name)
-        assert (duality is None) == (name in _NO_DUALITY)
+        traj = _writer_case(name)
+        assert (traj.duality is None) == (name in _NO_DUALITY)
         cli._write_states_csv(tmp_path / "states.csv", traj)
         reference_states_csv(tmp_path / "states_ref.csv", traj)
         assert (tmp_path / "states.csv").read_bytes() == (tmp_path / "states_ref.csv").read_bytes()
-        for dual in (None, duality):
-            cli._write_diagnostics_csv(tmp_path / "diag.csv", traj, dual)
-            reference_diagnostics_csv(tmp_path / "diag_ref.csv", traj, dual)
+        # each column set: with no duality residuals, and as the trajectory has them
+        for recorded in (_without_duality(traj), traj):
+            cli._write_diagnostics_csv(tmp_path / "diag.csv", recorded)
+            reference_diagnostics_csv(tmp_path / "diag_ref.csv", recorded)
             assert (tmp_path / "diag.csv").read_bytes() == (tmp_path / "diag_ref.csv").read_bytes()
 
     @pytest.mark.memory

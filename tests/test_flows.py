@@ -19,6 +19,7 @@ from qme import cli
 from qme.cli import run
 from qme.dynamics import (
     DephasingRates,
+    FlowPair,
     JumpFlow,
     NetworkFlow,
     OperatorFlow,
@@ -465,21 +466,24 @@ def test_paired_occupation_flow_is_the_particle_and_hole_flows_bit_for_bit():
 
 
 class TestPairedFlows:
-    """A fermionic flow's ``paired()`` flow steps [rho, x] with the bits of
-    the flow at rho and of its hole flow at x, in one call and in one run."""
+    """A fermionic flow's ``paired()`` flow is a :class:`FlowPair` of the flow
+    and its hole flow, which steps [rho, x] with the bits of the flow at rho
+    and of its hole flow at x, in one call and in one run."""
 
-    @pytest.mark.parametrize("equation", ["general", "nonlinear_master", "generalized_jumps"])
+    @pytest.mark.parametrize("equation", HOLE_EQUATIONS)
     @pytest.mark.parametrize("basis", ["computational", "rotated"])
     def test_a_pair_call_is_the_particle_and_hole_calls(self, equation, basis):
         rng = np.random.default_rng([17, len(equation), len(basis)])
         for d in (2, 5, 8):
             inst = rand_instance(rng, d, FERMION, basis)
             flow = build_flow(equation, FERMION, inst)
-            hole = flow.hole()
+            hole, pair = flow.hole(), flow.paired()
             rho, x = inst["rho"], rand_state(rng, d, FERMION)
+            assert type(pair) is FlowPair and pair.pair and pair.members[0] is flow
+            assert type(pair.members[1]) is type(flow)
+            assert pair.members[1](0.0, x).tobytes() == hole(0.0, x).tobytes()
             want = np.stack((flow(0.0, rho), hole(0.0, x)))
-            assert flow.paired()(0.0, np.stack((rho, x))).tobytes() == want.tobytes()
-            assert flow.paired().pair and not flow.pair and not hole.pair
+            assert pair(0.0, np.stack((rho, x))).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("equation, d, basis", [
         # each member's float view has 200 entries, within AFFINE_MAX_ENTRIES,
@@ -493,12 +497,20 @@ class TestPairedFlows:
         maps, build = [], qme.integrator._increment_map
         monkeypatch.setattr(qme.integrator, "_increment_map",
                             lambda gen, tau: maps.append(gen.shape) or build(gen, tau))
+        calls, call = [], qme.dynamics.Flow.__call__
+        monkeypatch.setattr(qme.dynamics.Flow, "__call__",
+                            lambda self, t, rho: calls.append(self) or call(self, t, rho))
         inst = rand_instance(np.random.default_rng(d), d, FERMION, basis)
         flow, start = build_flow(equation, FERMION, inst), DensityMatrix(inst["rho"], FERMION)
         # four intervals of five steps and a last one of three
         spec = EvolutionSpec(rhs=flow.paired(), t0=0.0, t1=0.23, dt=0.01, record_every=5)
         pair = evolve(spec, start)
         paired_maps = maps[:]
+        # the probe of the affine pair makes n + 1 = 201 calls of each member
+        # flow, 402 in all; the other pairs take 23 RK4 steps of four calls a member
+        per_member = 201 if equation == "general" else 4 * 23
+        assert [calls.count(member) for member in spec.rhs.members] == [per_member] * 2
+        assert len(calls) == 2 * per_member
         particle = evolve(dataclasses.replace(spec, rhs=flow), start)
         hole = evolve(dataclasses.replace(spec, rhs=flow.hole()), hole_transform(start))
         assert [a.tobytes() for a in pair.stored] == [a.tobytes() for a in particle.stored]
@@ -511,14 +523,15 @@ class TestPairedFlows:
         assert paired_maps == ([(201, 201)] * 4 if equation == "general" else [])
 
     def test_a_pair_is_fermionic_and_has_no_pair_or_hole_flow(self):
+        """A pair answers only what a run asks of it; the rest of a flow's
+        questions are for its members."""
         inst = rand_instance(np.random.default_rng(2), 3, FERMION, "computational")
-        with pytest.raises(ValueError, match="fermions only"):
-            build_flow("generalized_jumps", BOSON, inst).paired()
-        pair = build_flow("generalized_jumps", FERMION, inst).paired()
-        with pytest.raises(ValueError, match="a pair already"):
-            pair.paired()
-        with pytest.raises(ValueError, match="the flow is a pair"):
-            pair.hole()
+        for equation in HOLE_EQUATIONS:
+            with pytest.raises(ValueError, match="fermions only"):
+                build_flow(equation, BOSON, inst).paired()
+            pair = build_flow(equation, FERMION, inst).paired()
+            for name in ("evaluate", "relaxation_operators", "occupation_flow", "hole", "paired"):
+                assert not hasattr(pair, name), (equation, name)
 
 
 def test_occupation_flow_declined_where_a_diagonal_state_can_leave_the_diagonal():
