@@ -480,8 +480,10 @@ class OccupationFlow:
 
     @property
     def affine(self) -> bool:
-        """True in the linear limit s = 0, which has no hole rows."""
-        return self.sign == 0
+        """True in the linear limit s = 0 of a lone flow.  A pair of rows is
+        stepped by RK4: only a ``FlowPair`` is split into members for the
+        affine probe."""
+        return self.sign == 0 and not self.pair
 
     @property
     def pair(self) -> bool:

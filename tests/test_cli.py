@@ -647,7 +647,8 @@ class TestMemoryBounds:
                 scenario_from_dict(raw)
             return
         scenario = scenario_from_dict(raw)
-        assert scenario.dual and scenario.occupation_run[1].nbytes == 8 * d
+        flow, start = scenario.occupation_run
+        assert scenario.dual and start.nbytes == 8 * d and flow is scenario.occupation_run[0]
         traj, _ = cli._run_matrix(scenario)
         assert len(traj) == len(traj.duality) == 65 and traj.states[0].shape == (d,)
 
