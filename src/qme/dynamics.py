@@ -480,9 +480,8 @@ class OccupationFlow:
 
     @property
     def affine(self) -> bool:
-        """True in the linear limit s = 0 of a lone flow.  A pair of rows is
-        stepped by RK4: only a ``FlowPair`` is split into members for the
-        affine probe."""
+        """True in the linear limit s = 0 of a lone flow (the affine probe
+        splits only a ``FlowPair`` into members)."""
         return self.sign == 0 and not self.pair
 
     @property

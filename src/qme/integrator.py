@@ -342,11 +342,9 @@ def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarr
 
 
 def _generators(rhs: RHSCallable, t: float, rho: np.ndarray) -> list[np.ndarray] | None:
-    """The augmented generator (:func:`_affine_parts`) of each member of the
-    state ``rho``: of ``rhs`` alone, or of each member flow of a pair, probed
-    alone; None unless ``rhs.affine`` is true and every generator exists.
-    An affine pair is a ``FlowPair``, since a paired ``OccupationFlow`` is
-    never affine."""
+    """The augmented generator (:func:`_affine_parts`) of ``rhs`` alone, or
+    of each member flow of an affine pair (a ``FlowPair``) probed alone; None
+    unless ``rhs.affine`` is true and every generator exists."""
     if not getattr(rhs, "affine", False):
         return None
     probes = zip(rhs.members, rho) if _is_pair(rhs) else [(rhs, rho)]
