@@ -63,8 +63,8 @@ from .fock_oracle import (
     rhs_fock_lindblad,
     start_sectors,
 )
-from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory, _layout,
-                         check_snapshot_budget, check_window, evolve, spectrum)
+from .integrator import (EvolutionSpec, IntegrationDivergedError, Trajectory,
+                         check_snapshot_budget, check_window, evolve, float_cells)
 from .operators import DEFAULT_TOL, DensityMatrix, require_hermitian
 
 OUT_DIR_ENV = "QME_OUT_DIR"
@@ -597,9 +597,9 @@ def parse_scenario(path) -> Scenario:
 
 
 def _write_csv(path: Path, header: str, lines) -> None:
-    """Write ``header`` and then each of ``lines``, bytes-like objects that
-    each end with a newline, streamed to a buffered binary handle: only the
-    current line is held, never the file's text."""
+    """Write ``header`` and then each of ``lines``, bytes-like pieces of
+    the file's text, streamed to a buffered binary handle: a piece need not
+    be a whole line, and only the current one is held, never the text."""
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\n")
         fh.writelines(lines)
@@ -759,7 +759,9 @@ def _texts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _csv_row(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The ``states.csv`` row of the texts ``cells`` of the 1-D float array
     ``x``, as uint8 bytes ending in a newline.  Cell c holds the text
-    cells[c] of the 2 len(x) texts: those of x, then those of 0.0 - x.
+    cells[c] of the 2 len(x) texts: those of x, then those of 0.0 - x; the
+    cells of a matrix (:func:`~qme.integrator.float_cells`) are read row by
+    row.
 
     Each cell is cut from its value's slot (:func:`_texts`), with the ``-``
     when its text is signed and the ``,`` after it."""
@@ -785,21 +787,6 @@ def _cell_masks(x: np.ndarray, unsigned: np.ndarray, cells: np.ndarray) -> np.nd
     return _text_tables().masks.take(pattern.take(cells)).view(bool)
 
 
-@lru_cache(maxsize=8)
-def _packed_cells(dim: int) -> np.ndarray:
-    """The cells of :func:`_csv_row` for a packed hermitian state of
-    ``dim``, formatted as x = [t, its dim^2 packed reals, +0.0]: the t cell,
-    then the re and im cells of each entry in row-major order, read from
-    the pack's own layout (``qme.integrator._layout``)."""
-    n = dim * dim
-    index = _layout(dim)[1].ravel()
-    # index < n: a packed real; < 2n: 0.0 minus one; 2n: +0.0
-    cells = np.where(index < n, 1 + index, np.where(index < 2 * n, 3 + index, n + 1))
-    cells = np.concatenate(([0], cells))
-    cells.flags.writeable = False
-    return cells
-
-
 #: From this dimension on, a ``states.csv`` row of a matrix state is built
 #: by :func:`_csv_row`.  Below it, one ``%`` call over all of the row's
 #: numbers is faster than its fixed cost of about sixty numpy calls.  On
@@ -818,17 +805,6 @@ def _diagonal_row(dim: int) -> str:
     return ",".join(cells)
 
 
-def _matrix_row(t: float, state: np.ndarray) -> np.ndarray:
-    """The :func:`_csv_row` of a matrix state at time ``t``, as a
-    trajectory stores it: packed, from its d^2 reals, or whole."""
-    if state.ndim == 3:
-        x = np.concatenate(((t,), state.reshape(-1), (0.0,)))
-        return _csv_row(x, _packed_cells(state.shape[-1]))
-    # a C-ordered complex matrix viewed as floats is row-major re, im pairs
-    x = np.concatenate(((t,), np.ascontiguousarray(state, dtype=complex).view(float).ravel()))
-    return _csv_row(x, np.arange(len(x)))
-
-
 def _write_states_csv(path: Path, traj: Trajectory) -> None:
     stored = traj.stored
     dim = stored[0].shape[-1]
@@ -842,12 +818,13 @@ def _write_states_csv(path: Path, traj: Trajectory) -> None:
         row = "%.17g," + _diagonal_row(dim) + "\n"
         lines = ((row % (t, *z.tolist())).encode() for t, z in zip(times, stored))
     elif dim >= _VECTOR_MIN_DIM:
-        lines = (_matrix_row(t, state) for t, state in zip(times, stored))
+        # the text of t, then the rest of its row
+        lines = (piece for t, state in zip(times, stored)
+                 for piece in (b"%.17g," % t, _csv_row(*float_cells(state))))
     else:
         row = ",".join(["%.17g"] * (2 * dim * dim + 1)) + "\n"
-        # a C-ordered complex matrix viewed as floats is row-major re, im pairs
-        floats = (np.ascontiguousarray(m, dtype=complex).view(float).ravel() for m in traj.states)
-        lines = ((row % (t, *x.tolist())).encode() for t, x in zip(times, floats))
+        floats = (np.concatenate((x, 0.0 - x))[cells] for x, cells in map(float_cells, stored))
+        lines = ((row % (t, *x.ravel().tolist())).encode() for t, x in zip(times, floats))
     _write_csv(path, header, lines)
 
 
@@ -950,13 +927,12 @@ def run(path, overrides=(), out_dir: str | None = None, quiet: bool = False) -> 
         return 1
 
     violations = bounds_monitor(traj, scenario.statistics)
-    final_spectrum = spectrum(traj.final_state)
     summary = {
         "name": scenario.name,
         "equation": scenario.equation,
         "statistics": scenario.statistics.value,
         "t_final": float(traj.times[-1]),
-        "final_spectrum": [float(v) for v in final_spectrum],
+        "final_spectrum": [float(v) for v in traj.final_spectrum],
         "min_eig_final": float(traj.min_eig[-1]),
         "max_eig_final": float(traj.max_eig[-1]),
         "trace_drift_max": float(np.abs(traj.trace - traj.trace[0]).max()),
@@ -1028,7 +1004,7 @@ def _run_fock(scenario: Scenario):
     traj = evolve(_spec(scenario, flow), p0)
 
     # the many-body trace is the plain float sum of the populations
-    totals = np.array([p.sum() for p in traj.states])
+    totals = np.array([p.sum() for p in traj.stored])
     extra = {
         "closure_residual_t0": closure,
         "many_body_trace_drift": float(np.abs(totals - totals[0]).max()),
@@ -1036,7 +1012,8 @@ def _run_fock(scenario: Scenario):
     # the d occupations of each snapshot, the diagonal of its diagonal
     # one-particle state; a real diagonal is hermitian, so the population
     # run's defects, all 0.0, hold
-    reduced = ((t, reduce_one_particle(model, p), defect) for t, p, defect in traj)
+    reduced = ((t, reduce_one_particle(model, p), defect)
+               for t, p, defect in zip(traj.times, traj.stored, traj.herm_defect))
     return Trajectory(reduced), extra
 
 

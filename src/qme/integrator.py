@@ -159,7 +159,8 @@ class Trajectory:
     bytes where it takes 16 d^2, and a 1-D state, the diagonal of a diagonal
     density matrix, as given.  ``states`` returns a fresh array on every
     read: each packed state rebuilt bit for bit, each other one a copy;
-    ``stored`` returns them as kept.
+    ``stored`` returns them as kept.  ``final_spectrum`` is the spectrum
+    taken of the last state, None when there is none.
 
     With ``pair`` true the states are the pairs [x, I - x] of a pair flow's
     run, stacked: member 0 is recorded as a lone state would be, and
@@ -169,6 +170,7 @@ class Trajectory:
     def __init__(self, snapshots, pair: bool = False):
         # the diagnostics of each snapshot as five doubles, not five objects
         rows, self._stored, residuals = array("d"), [], array("d")
+        e = None
         for t, state, defect in snapshots:
             if pair:
                 state, hole = state
@@ -186,6 +188,9 @@ class Trajectory:
         self.times, self.trace, self.min_eig, self.max_eig, self.herm_defect = (
             np.frombuffer(rows).reshape(-1, 5).T.copy())
         self.duality = np.frombuffer(residuals).copy() if pair else None
+        # the entries of a 1-D state are sorted for the last one alone
+        last = self._stored[-1] if self._stored else None
+        self.final_spectrum = spectrum(last) if last is not None and last.ndim == 1 else e
 
     @property
     def states(self) -> _States:
@@ -196,8 +201,9 @@ class Trajectory:
     def stored(self) -> tuple[np.ndarray, ...]:
         """The recorded states as the trajectory keeps them, not rebuilt: a
         packed hermitian matrix as its (1, d, d) reals (:func:`_packed`),
-        every other state as given.  The arrays are the trajectory's own, to
-        be read and never written."""
+        every other state as given.  A matrix is read through
+        :func:`float_cells`, which knows both forms.  The arrays are the
+        trajectory's own, to be read and never written."""
         return tuple(self._stored)
 
     def __len__(self) -> int:
@@ -234,18 +240,35 @@ class _States(Sequence):
 def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     """How a d x d hermitian matrix is packed: the (1, d, d) mask of the
     entries whose real part is kept (on and above the diagonal; below it the
-    imaginary part is), and the (d, 2d) index that gathers the matrix's
-    float view, re and im of each entry in turn, from the d^2 packed reals
-    followed by 0.0 minus each of them and one +0.0."""
+    imaginary part is), and the cells of :func:`float_cells` for a packed
+    state: the (d, 2d) index that gathers its float view, re and im of each
+    entry in turn, from its d^2 packed reals and one +0.0 followed by 0.0
+    minus each of them."""
     i, j = np.indices((d, d))
     upper = i <= j
     own, mirror, n = i * d + j, j * d + i, d * d
     real = np.where(upper, own, mirror)
-    imag = np.where(upper, np.where(i < j, n + mirror, 2 * n), own)
+    imag = np.where(upper, np.where(i < j, n + 1 + mirror, n), own)
     index = np.stack((real, imag), axis=-1).reshape(d, 2 * d)
     upper = upper[np.newaxis]
     upper.flags.writeable = index.flags.writeable = False
     return upper, index
+
+
+def float_cells(stored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, cells) of a d x d matrix as a :class:`Trajectory` stores it,
+    such that ``np.concatenate((x, 0.0 - x))[cells]`` is the matrix's
+    (d, 2d) float view, re and im of each entry in turn: for a packed
+    matrix (:func:`_packed`) x is its d^2 reals and one +0.0, and cells is
+    its :func:`_layout`, shared and read-only; for a matrix kept whole x is
+    its flat float view and cells ``np.arange``, shaped (d, 2d)."""
+    if stored.ndim == 3:
+        x = np.zeros(stored.size + 1)
+        x[:-1] = stored.ravel()
+        return x, _layout(stored.shape[-1])[1]
+    # a C-ordered complex matrix viewed as floats is row-major re, im pairs
+    x = np.ascontiguousarray(stored, dtype=complex).view(float).ravel()
+    return x, np.arange(len(x)).reshape(len(stored), -1)
 
 
 def spectrum(state: np.ndarray, hermitian: bool = False) -> np.ndarray:
@@ -268,10 +291,6 @@ def duality_residual(particle: np.ndarray, hole: np.ndarray) -> float:
 def _is_pair(rhs: RHSCallable) -> bool:
     """Whether ``rhs`` is a pair flow, whose state is a stack of two."""
     return getattr(rhs, "pair", False)
-
-
-_PLUS_ZERO = np.zeros(1)
-_PLUS_ZERO.flags.writeable = False
 
 
 def _packed(state: np.ndarray) -> np.ndarray:
@@ -298,14 +317,13 @@ def _packed(state: np.ndarray) -> np.ndarray:
 
 def _unpacked(stored: np.ndarray) -> np.ndarray:
     """A fresh array of the state ``stored`` holds: a packed matrix
-    (:func:`_packed`) rebuilt by one gather, or a copy of a state kept as
-    given.  The rebuild only copies and subtracts from 0.0, so every bit of
-    a packed state comes back."""
+    (:func:`_packed`) rebuilt from its :func:`float_cells` by one gather, or
+    a copy of a state kept as given.  The rebuild only copies and subtracts
+    from 0.0, so every bit of a packed state comes back."""
     if stored.ndim != 3:
         return stored.copy()
-    reals = stored.reshape(-1)
-    source = np.concatenate((reals, 0.0 - reals, _PLUS_ZERO))
-    return source[_layout(stored.shape[-1])[1]].view(complex)
+    x, cells = float_cells(stored)
+    return np.concatenate((x, 0.0 - x))[cells].view(complex)
 
 
 def _rk4_raw(rho: np.ndarray, rhs: RHSCallable, t: float, dt: float) -> np.ndarray:

@@ -1101,19 +1101,41 @@ def test_fermion_run_peak_memory_stays_below_two_trajectories(tmp_path):
     assert peak < STREAMED_DUAL_RUN_PEAK + 16 * d**2
 
 
-def test_a_dual_run_rebuilds_each_packed_snapshot_once(tmp_path, monkeypatch):
-    """A dense fermion run (d=32) rebuilds each recorded matrix once, in the
-    check that packs it, and the last once more, for the summary's final
-    spectrum: its duality residual is read from the live pair and its
-    states.csv row from the packed reals."""
-    calls, unpacked = [], integrator._unpacked
-    monkeypatch.setattr(integrator, "_unpacked", lambda s: calls.append(s.ndim) or unpacked(s))
-    path = write_scenario(tmp_path, _dense_jumps_raw(t1=0.02))
+#: (scenario, snapshots, rebuilds) of each run whose rebuilds are counted.
+_REBUILD_CASES = {
+    "dense_jumps_d32": (lambda: _dense_jumps_raw(t1=0.02), 11, 11),
+    "appendix_d": (lambda: _bundled_raw("appendix_d", "t1=1"), 21, 21),
+    "fock_closure_2mode": (lambda: _bundled_raw("fock_closure_2mode"), 101, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_REBUILD_CASES))
+def test_a_run_rebuilds_each_packed_snapshot_once(tmp_path, monkeypatch, name):
+    """A matrix run (the d=32 dense fermion run, and appendix_d, whose rows
+    are formatted by one % call) rebuilds each recorded matrix once, in the
+    check that packs it, and no more: the summary's final spectrum is the
+    one its trajectory took, a duality residual is read from the live pair,
+    and both states.csv formatters read the stored reals.  An oracle run
+    reads its stored populations and copies none."""
+    raw, snapshots_, rebuilds = _REBUILD_CASES[name]
+    calls, packing = [], []
+    packed, unpacked = integrator._packed, integrator._unpacked
+
+    def counted_packed(state):
+        packing.append(state)
+        try:
+            return packed(state)
+        finally:
+            packing.pop()
+
+    monkeypatch.setattr(integrator, "_packed", counted_packed)
+    monkeypatch.setattr(integrator, "_unpacked",
+                        lambda s: calls.append((s.ndim, bool(packing))) or unpacked(s))
+    path = write_scenario(tmp_path, raw())
     assert run(path, out_dir=str(tmp_path / "o"), quiet=True) == 0
-    k = len(read_csv(tmp_path / "o" / "diagnostics.csv")[1])
-    # every state checked and every one read back is packed
-    assert k == 11 and set(calls) == {3}
-    assert len(calls) == k + 1
+    assert len(read_csv(tmp_path / "o" / "diagnostics.csv")[1]) == snapshots_
+    # each rebuild is of a packed state, inside the check that packs it
+    assert calls == [(3, True)] * rebuilds
 
 
 def test_a_diverging_dual_run_names_the_step_of_its_particle_run(tmp_path, capsys):
@@ -1599,8 +1621,10 @@ def _writer_case(name):
     if name == "edge_values_vector":  # whole rows long enough to be formatted by numpy
         d = cli._VECTOR_MIN_DIM
         return _synthetic_trajectory([_edge_state(d), _edge_state(d, 7)], [np.nan, -np.inf])
-    if name == "edge_values_packed":  # rows cut from the packed reals
-        d = cli._VECTOR_MIN_DIM
+    if name in ("edge_values_packed", "edge_values_packed_d3"):
+        # rows cut from the packed reals, or formatted from them by one % call:
+        # signed zeros, subnormals and each imaginary part 0.0 minus its mirror
+        d = cli._VECTOR_MIN_DIM if name == "edge_values_packed" else 3
         states = [_hermitian_edge_state(d), _hermitian_edge_state(d, 4)]
         assert all(state.ndim == 3 for state in _Recorded(None, states).stored)
         return _synthetic_trajectory(states, [0.5, 1e-5])
@@ -1623,8 +1647,8 @@ _NO_DUALITY = {"appendix_d", "fock_closure_2mode", "two_state_boson"}
 
 class TestCsvWriters:
     @pytest.mark.parametrize("name", ["edge_values", "edge_values_vector", "edge_values_packed",
-                                      "fortran_ordered", "strided_view", "d1", "dense_jumps_d32",
-                                      *GALLERY])
+                                      "edge_values_packed_d3", "fortran_ordered", "strided_view",
+                                      "d1", "dense_jumps_d32", *GALLERY])
     def test_bytes_equal_the_per_entry_writers(self, tmp_path, name):
         traj = _writer_case(name)
         assert (traj.duality is None) == (name in _NO_DUALITY)
@@ -1675,7 +1699,7 @@ class TestCsvWriters:
         path = tmp_path / "states.csv"
         cli._write_states_csv(path, traj)  # numpy's dispatch caches warmed
         cli._text_tables.cache_clear()
-        cli._packed_cells.cache_clear()
+        integrator._layout.cache_clear()
         tracemalloc.start()
         try:
             cli._write_states_csv(path, traj)

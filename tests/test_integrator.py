@@ -25,6 +25,7 @@ from qme.integrator import (
     check_snapshot_budget,
     evolve,
     snapshots,
+    spectrum,
 )
 from qme.operators import DensityMatrix
 from test_flows import build_flow, rand_homogeneous, rand_instance, rand_state
@@ -993,6 +994,31 @@ class TestPackedStates:
             assert _hermitian_bits(m)
             assert _packed(m).shape == (1, *m.shape)
             assert got.dtype == m.dtype and got.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("kind", ["packed_matrix", "whole_start", "occupations", "pair"])
+    def test_the_final_spectrum_is_that_of_the_final_state(self, kind):
+        """A trajectory keeps the spectrum it took of its last snapshot, with
+        the bits of ``spectrum(final_state)``: of a packed matrix, of a lone
+        start kept whole, of 1-D occupations (their sorted entries) and of
+        member 0 of a pair run."""
+        flow, x, dt = packing_case("nonlinear_master")
+        spec = EvolutionSpec(rhs=flow, t0=0.0, t1=5 * dt, dt=dt)
+        if kind == "packed_matrix":
+            traj = evolve(spec, x)
+        elif kind == "whole_start":
+            m = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+            m[1, 0] += 1e-15  # hermitian within tolerance, not bitwise
+            traj = Trajectory([(0.0, m, 0.0)])
+        elif kind == "occupations":
+            particle, n = rand_homogeneous(np.random.default_rng(4), 3, FERMION)
+            traj = evolve(dataclasses.replace(spec, rhs=particle.occupation_flow()), n)
+        else:
+            traj = evolve(dataclasses.replace(spec, rhs=flow.paired()), x)
+        assert traj.stored[-1].ndim == {"whole_start": 2, "occupations": 1}.get(kind, 3)
+        assert traj.final_spectrum.tobytes() == spectrum(traj.final_state).tobytes()
+
+    def test_an_empty_trajectory_has_no_final_spectrum(self):
+        assert Trajectory([]).final_spectrum is None
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_pack_then_unpack_keeps_every_bit(self, d):
