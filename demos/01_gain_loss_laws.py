@@ -68,9 +68,10 @@ def main():
         2.0,
     )
 
-    print()
     worst = max(err_loss, err_fermion, err_boson)
-    print(f"GAIN/LOSS LAWS: {'PASS' if worst <= 1e-10 else 'FAIL'} (worst error {worst:.2e})")
+    print(f"  worst error {worst:.2e}")
+    print()
+    print(f"GAIN/LOSS LAWS: {'PASS' if worst <= 1e-10 else 'FAIL'}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .dynamics import (
     OperatorFlow,
     TransitionNetwork,
     build_relaxation_operators,
-    hole_transform,
     rank_one_jumps,
     rhs_quasiclassical,
 )
@@ -45,7 +44,6 @@ from .fock_oracle import (
 from .analysis import (
     appendix_d_scenario,
     bounds_monitor,
-    duality_residuals,
     first_crossing_time,
     low_density_slope,
 )

@@ -1,10 +1,12 @@
-"""Trajectory-level verification: positivity and bound monitoring, particle-hole
-duality residuals, limit-behavior fits, and the bundled dephasing
-counterexample."""
+"""Trajectory-level verification: positivity and bound monitoring,
+limit-behavior fits, and the bundled dephasing counterexample.
+
+The particle-hole duality is checked on the run itself: a pair flow
+(``flow.paired()``) gives the residual of each of its states, which
+:func:`~qme.integrator.evolve` keeps in the trajectory's ``duality``."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +17,7 @@ from .dynamics import (
     Statistics,
     TransitionNetwork,
 )
-from .integrator import Trajectory, duality_residual
+from .integrator import Trajectory
 from .operators import DensityMatrix
 
 #: Bound-violation threshold: looser than the integrator tolerance so that
@@ -24,27 +26,6 @@ VIOLATION_TOL = 1e-8
 
 #: State tolerance of the Appendix-D start, whose canonical matrix is indefinite.
 APPENDIX_D_TOLERANCE = 0.1
-
-
-def duality_residuals(particle: Iterable, hole: Iterable) -> Iterator[float]:
-    """||rho_p(t) + x(t) - I||_max at each snapshot, one at a time.
-
-    Both are streams of ``(t, state, herm_defect)`` snapshots, as
-    :func:`~qme.integrator.snapshots` yields them and a ``Trajectory``
-    iterates, so a streamed hole state does not outlive its residual.  Their
-    times must match to 1e-12 and their lengths agree; a ValueError says
-    otherwise.  The states are matrices or, on both sides, 1-D occupations,
-    whose identity is 1.  A hole run of ``flow.hole()`` stays at roundoff.
-    A pair run (``flow.paired()``) keeps the same residuals, bit for bit, in
-    its trajectory's ``duality``.
-    """
-    try:
-        for (t, rho, _), (t_hole, x, _) in zip(particle, hole, strict=True):
-            if abs(t - t_hole) > 1e-12:
-                raise ValueError(f"t = {t:.17g} against {t_hole:.17g}")
-            yield duality_residual(rho, x)
-    except ValueError as exc:  # the check above, or zip's: a stream of another length
-        raise ValueError(f"time grids of the particle and hole trajectories do not match: {exc}") from None
 
 
 def bounds_monitor(traj: Trajectory, statistics: Statistics) -> list[tuple[float, float]]:

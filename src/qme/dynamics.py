@@ -29,7 +29,10 @@ of such a flow by its exact exponential map (:mod:`qme.integrator`).
 A fermionic flow's :meth:`~Flow.paired` is a :class:`FlowPair`, the flow and
 its :meth:`~Flow.hole` flow side by side on one pair [rho, I - rho] (a stack
 of two), each member with the bits of its flow alone, so one integrator loop
-runs both sides of the duality check.
+runs both sides of the duality check.  The pair lifts a particle start to
+its pair (:meth:`FlowPair.start`) and gives the duality residual of each
+pair (:meth:`FlowPair.residual`), as a paired :class:`OccupationFlow` does
+for occupations.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ __all__ = [
     "JumpFlow",
     "OccupationFlow",
     "rank_one_jumps",
-    "hole_transform",
     "build_relaxation_operators",
     "rhs_quasiclassical",
 ]
@@ -250,8 +252,9 @@ class FlowPair:
     """A fermionic flow and its hole flow side by side, on the pair [rho, x]
     stacked as a (2, d, d) array: member 0 of a call has the bits of the
     particle flow at rho, member 1 those of the hole flow at x.  A pair
-    answers only what a run asks of it: ``pair``, ``affine`` and the call;
-    ``members`` are the two flows, each to be asked the rest."""
+    answers only what a run asks of it: ``pair``, ``affine``, the call, the
+    :meth:`start` of its run and the :meth:`residual` of each pair; ``members``
+    are the two flows, each to be asked the rest."""
 
     pair = True
 
@@ -266,6 +269,20 @@ class FlowPair:
         for member, flow, x in zip(out, self.members, rho):
             member[...] = flow(t, x)
         return out
+
+    @staticmethod
+    def start(rho: np.ndarray) -> np.ndarray:
+        """The pair [rho, I - rho] of a particle state rho, stacked."""
+        return np.stack((rho, np.eye(len(rho), dtype=complex) - rho))
+
+    @staticmethod
+    def residual(pair: np.ndarray) -> float:
+        """The duality residual ||rho + x - I||_max of a pair [rho, x]."""
+        rho, x = pair
+        return float(np.abs(rho + x - np.eye(len(rho))).max())
+
+    def paired(self):
+        raise ValueError("paired: a pair has no pair of its own")
 
 
 class OperatorFlow(Flow):
@@ -454,25 +471,24 @@ class OccupationFlow:
     bit: within 8 eps of the size of its largest terms,
     (W n)(1 + n) + n (W^T (1 + n)).
 
-    ``hole`` holds one flag per row: the state is that many vectors of d
-    occupations laid end to end, and a flagged row holds hole occupations.
-    A stage is one product of each row with its (2d x d) operator [L; A], so
-    every row gets the bits it gets alone, and :meth:`paired` steps a
-    fermion run's particle and hole occupations as one vector [n, x].
+    With ``pair`` true the state is the particle and hole occupations
+    [n, x] laid end to end, as :meth:`paired` makes it, with W on the
+    first row and W^T on the second.  A stage is one product of each row with
+    its (2d x d) operator [L; A], so every row gets the bits it gets alone.
     """
 
-    def __init__(self, w: np.ndarray, sign: int, hole: tuple[bool, ...] = (False,)):
-        if any(hole) and sign != Statistics.FERMION.sign:
+    def __init__(self, w: np.ndarray, sign: int, pair: bool = False):
+        if pair and sign != Statistics.FERMION.sign:
             raise ValueError("hole flow: defined for fermions only")
-        self._w, self.sign, self._hole, self._d = w, sign, tuple(hole), w.shape[0]
+        self._w, self.sign, self.pair, self._d = w, sign, pair, w.shape[0]
         # huge rates overflow the out-rates to inf, which the run reports as
         # a divergence
         with np.errstate(over="ignore", invalid="ignore"):
             self._ops = np.stack([np.vstack((m - np.diag(m.sum(axis=0)), sign * (m - m.T)))
-                                  for m in (w.T if h else w for h in self._hole)])
+                                  for m in ((w, w.T) if pair else (w,))])
 
     def __call__(self, t: float, n: np.ndarray) -> np.ndarray:
-        rows = n.reshape(len(self._hole), self._d, 1)
+        rows = n.reshape(len(self._ops), self._d, 1)
         u = self._ops @ rows
         out = u[:, self._d:] * rows
         out += u[:, :self._d]
@@ -480,33 +496,34 @@ class OccupationFlow:
 
     @property
     def affine(self) -> bool:
-        """True in the linear limit s = 0 of a lone flow (the affine probe
-        splits only a ``FlowPair`` into members)."""
-        return self.sign == 0 and not self.pair
-
-    @property
-    def pair(self) -> bool:
-        """Whether the state is a pair of rows, as :meth:`paired` makes it."""
-        return len(self._hole) == 2
+        """True in the linear limit s = 0, which has no pair."""
+        return self.sign == 0
 
     def hole(self) -> "OccupationFlow":
         """The same fermionic flow, written for the complementary occupations
-        1 - n (the hole flow of a hole flow is the particle flow)."""
-        return OccupationFlow(self._w, self.sign, tuple(not h for h in self._hole))
+        1 - n, the network with W -> W^T (the hole flow of a hole flow is the
+        particle flow; of a pair, the pair in the other order)."""
+        if self.sign != Statistics.FERMION.sign:
+            raise ValueError("hole flow: defined for fermions only")
+        return OccupationFlow(self._w.T, self.sign, self.pair)
 
     def paired(self) -> "OccupationFlow":
         """This flow and its hole flow side by side, on the vector [n, 1 - n]
         of twice the length."""
-        return OccupationFlow(self._w, self.sign, self._hole + tuple(not h for h in self._hole))
+        if self.pair:
+            raise ValueError("paired: a pair has no pair of its own")
+        return OccupationFlow(self._w, self.sign, pair=True)
 
+    @staticmethod
+    def start(n: np.ndarray) -> np.ndarray:
+        """The pair [n, 1 - n] of particle occupations n, stacked."""
+        return np.stack((n, 1.0 - n))
 
-def hole_transform(rho: DensityMatrix) -> DensityMatrix:
-    """Complement a fermionic state: occupied orbitals become vacancies,
-    rho -> I - rho.  An involution."""
-    if rho.statistics is not Statistics.FERMION:
-        raise ValueError("hole transform is defined for fermions only")
-    eye = np.eye(rho.dim, dtype=complex)
-    return DensityMatrix(eye - rho.matrix, Statistics.FERMION, rho.tolerance)
+    @staticmethod
+    def residual(pair: np.ndarray) -> float:
+        """The duality residual ||n + x - 1||_max of a pair [n, x]."""
+        n, x = pair
+        return float(np.abs(n + x - 1.0).max())
 
 
 def build_relaxation_operators(

@@ -16,12 +16,12 @@ steps of dt.
 each state once, as it arrives, for its diagnostics.
 
 A pair flow (one whose ``pair`` attribute is true, as
-:meth:`~qme.dynamics.Flow.paired` makes it) steps the pair [x, I - x] of its
-start x, stacked as one array, with one RK4 loop, one hermitization and one
-finiteness check a step; an affine pair crosses each interval by one exact
-map per member, each built from a probe of its member flow alone.  Its
-trajectory keeps member 0, and the duality residual ||x + (I - x)(t) - I||
-of each snapshot.
+:meth:`~qme.dynamics.Flow.paired` makes it) steps a stack of two members,
+which its ``start`` makes from the start state, with one RK4 loop, one
+hermitization and one finiteness check a step; an affine pair crosses each
+interval by one exact map per member, each built from a probe of its member
+flow alone.  Its trajectory keeps member 0, and the pair flow's
+``residual`` of each snapshot, its duality residual.
 
 Positivity is never projected: a state drifting out of the positive cone is a
 signal the diagnostics must show, not an artifact to erase.  The only
@@ -162,19 +162,19 @@ class Trajectory:
     ``stored`` returns them as kept.  ``final_spectrum`` is the spectrum
     taken of the last state, None when there is none.
 
-    With ``pair`` true the states are the pairs [x, I - x] of a pair flow's
-    run, stacked: member 0 is recorded as a lone state would be, and
-    ``duality`` holds the :func:`duality_residual` of each pair; it is None
-    for lone states."""
+    With ``pair``, the pair flow of the run, the states are its stacked
+    pairs: member 0 is recorded as a lone state would be, and ``duality``
+    holds the pair flow's ``residual`` of each pair; it is None for lone
+    states."""
 
-    def __init__(self, snapshots, pair: bool = False):
+    def __init__(self, snapshots, pair=None):
         # the diagnostics of each snapshot as five doubles, not five objects
         rows, self._stored, residuals = array("d"), [], array("d")
         e = None
         for t, state, defect in snapshots:
-            if pair:
-                state, hole = state
-                residuals.append(duality_residual(state, hole))
+            if pair is not None:
+                residuals.append(pair.residual(state))
+                state = state[0]
             stored = _packed(state)
             if state.ndim == 1:
                 # summed as the complex diagonal of its matrix, for the bits of
@@ -184,10 +184,10 @@ class Trajectory:
                 e = spectrum(state, hermitian=stored is not state)
                 rows.extend((t, np.trace(state).real, e[0], e[-1], defect))
             # a member kept as given is copied, so that its pair is freed
-            self._stored.append(state.copy() if pair and stored is state else stored)
+            self._stored.append(state.copy() if pair is not None and stored is state else stored)
         self.times, self.trace, self.min_eig, self.max_eig, self.herm_defect = (
             np.frombuffer(rows).reshape(-1, 5).T.copy())
-        self.duality = np.frombuffer(residuals).copy() if pair else None
+        self.duality = np.frombuffer(residuals).copy() if pair is not None else None
         # the entries of a 1-D state are sorted for the last one alone
         last = self._stored[-1] if self._stored else None
         self.final_spectrum = spectrum(last) if last is not None and last.ndim == 1 else e
@@ -279,13 +279,6 @@ def spectrum(state: np.ndarray, hermitian: bool = False) -> np.ndarray:
     if state.ndim == 1:
         return np.sort(state)
     return np.linalg.eigvalsh(state if hermitian else 0.5 * (state + state.conj().T))
-
-
-def duality_residual(particle: np.ndarray, hole: np.ndarray) -> float:
-    """||rho + x - I||_max of a particle state rho and a hole state x:
-    matrices, or 1-D occupations, whose identity is 1."""
-    eye = np.eye(len(particle)) if particle.ndim == 2 else 1.0
-    return float(np.abs(particle + hole - eye).max())
 
 
 def _is_pair(rhs: RHSCallable) -> bool:
@@ -503,16 +496,15 @@ def snapshots(spec: EvolutionSpec,
     ``initial`` is a :class:`DensityMatrix`, or a 1-D array of populations:
     the diagonal of a diagonal density matrix, for a flow that keeps it
     diagonal (hermitization leaves such a state unchanged).  A pair flow
-    (``spec.rhs.pair``) steps the pair [x, I - x] of the start x (for
-    populations [n, 1 - n]), which each snapshot yields whole, stacked, with
-    the defect of member 0.  Its members have the bits of lone runs of the
-    member flows, with two exceptions: an interval where one member's exact
-    map is not finite takes RK4 steps for both, and the pair diverges at the
-    first step where either member does.  In exact arithmetic the hole
-    member is I minus the particle member at every RK4 step, so only
-    rounding can make the hole diverge first.  The loop lands
-    exactly on ``spec.t1`` (a final partial step is taken when the window is
-    not a multiple of dt).  ``herm_defect`` is the hermiticity defect of the
+    (``spec.rhs.pair``) steps the pair ``spec.rhs.start(x)`` of the start x,
+    which each snapshot yields whole, stacked, with the defect of member 0.
+    Its members have the bits of lone runs of the member flows, with two
+    exceptions: an interval where one member's exact map is not finite takes
+    RK4 steps for both, and the pair diverges at the first step where either
+    member does.  In exact arithmetic a fermion pair's hole member is I
+    minus its particle member at every RK4 step, so only rounding can make
+    the hole diverge first.  The loop lands exactly on ``spec.t1`` (a final
+    partial step is taken when the window is not a multiple of dt).  ``herm_defect`` is the hermiticity defect of the
     raw update, of the last RK4 step or of the mapped interval, before
     hygiene.  Each snapshot interval's result is checked once
     (:func:`_finite`); an RK4 interval that diverged is replayed from its
@@ -530,11 +522,10 @@ def snapshots(spec: EvolutionSpec,
     pair = _is_pair(spec.rhs)
     if populations:
         start = initial
-        rho = _checked_populations(np.stack((initial, 1.0 - initial)) if pair else initial)
+        rho = _checked_populations(spec.rhs.start(initial) if pair else initial)
     else:
         start = initial.matrix
-        # the hole start has the bits of hole_transform's I - rho
-        rho = np.stack((start, np.eye(len(start), dtype=complex) - start)) if pair else start.copy()
+        rho = spec.rhs.start(start) if pair else start.copy()
     check_snapshot_budget((spec.t1 - spec.t0) / spec.dt, spec.record_every, start.nbytes)
     return _steps(spec, rho)
 
@@ -639,4 +630,4 @@ def evolve(spec: EvolutionSpec, initial: DensityMatrix | np.ndarray) -> Trajecto
     :func:`snapshots` in a :class:`Trajectory`, which reads each state as it
     arrives, so the states of a hermitian run are never held at full size;
     of a pair flow's run it keeps member 0 and the duality residuals."""
-    return Trajectory(snapshots(spec, initial), pair=_is_pair(spec.rhs))
+    return Trajectory(snapshots(spec, initial), pair=spec.rhs if _is_pair(spec.rhs) else None)

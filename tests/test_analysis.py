@@ -6,12 +6,11 @@ from qme.analysis import (
     bounds_monitor,
     dephasing_counterexample_matrix,
     dephasing_limit_spectrum,
-    duality_residuals,
     first_crossing_time,
     low_density_slope,
 )
-from qme.dynamics import NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
-from qme.integrator import EvolutionSpec, Trajectory, evolve
+from qme.dynamics import FlowPair, NetworkFlow, OccupationFlow, OperatorFlow, Statistics, TransitionNetwork
+from qme.integrator import EvolutionSpec, evolve
 from qme.operators import DensityMatrix, positivity_report
 
 FERMION = Statistics.FERMION
@@ -25,20 +24,15 @@ def evolve_counterexample(gamma=1.0, t1=15.0, coupling=10.0 / 27.0, h_diag=None,
 
 
 def two_state_pair(t1=3.0, dt=2e-3, record_every=25, swap_ops=False):
-    """Matched particle and hole evolutions of the two-state transfer; with
-    ``swap_ops`` the hole start runs under the particle flow itself, its loss
-    and gain not exchanged, as a broken hole flow."""
+    """The two-state transfer with its particle and hole states stepped as
+    one pair (``flow.paired()``); with ``swap_ops`` the hole start runs
+    under the particle flow itself, its loss and gain not exchanged, as a
+    broken hole flow."""
     net = TransitionNetwork.computational(2, {(1, 0): 1.0})
     flow = NetworkFlow(np.zeros((2, 2)), net, FERMION)
     initial = DensityMatrix(np.diag([1.0, 0.0]), FERMION)
-    spec = EvolutionSpec(rhs=flow, t0=0.0, t1=t1, dt=dt, record_every=record_every)
-    traj = evolve(spec, initial)
-
-    eye = np.eye(2, dtype=complex)
-    hole_rhs = flow if swap_ops else flow.hole()
-    hole_spec = EvolutionSpec(rhs=hole_rhs, t0=0.0, t1=t1, dt=dt, record_every=record_every)
-    hole_traj = evolve(hole_spec, DensityMatrix(eye - initial.matrix, FERMION))
-    return traj, hole_traj
+    pair = FlowPair(flow, flow) if swap_ops else flow.paired()
+    return evolve(EvolutionSpec(rhs=pair, t0=0.0, t1=t1, dt=dt, record_every=record_every), initial)
 
 
 class TestCounterexampleScenario:
@@ -86,55 +80,28 @@ class TestCounterexampleScenario:
 
 class TestDualityCheck:
     def test_matched_evolutions_stay_complementary(self):
-        traj, hole_traj = two_state_pair()
-        assert max(duality_residuals(traj, hole_traj)) <= 1e-10
+        assert two_state_pair().duality.max() <= 1e-10
 
     def test_unitary_case(self):
         h = np.array([[0.0, 0.4], [0.4, 0.3]], dtype=complex)
         net = TransitionNetwork.computational(2, {})
         initial = DensityMatrix(np.diag([0.8, 0.1]), FERMION)
+        hole = OperatorFlow(h, np.zeros((2, 2)), np.zeros((2, 2)), FERMION).hole()
         spec = EvolutionSpec(
-            rhs=NetworkFlow(h, net, FERMION),
+            rhs=FlowPair(NetworkFlow(h, net, FERMION), hole),
             t0=0.0, t1=2.0, dt=1e-3, record_every=50,
         )
-        traj = evolve(spec, initial)
-        eye = np.eye(2, dtype=complex)
-        hole_spec = EvolutionSpec(
-            rhs=OperatorFlow(h, np.zeros((2, 2)), np.zeros((2, 2)), FERMION).hole(),
-            t0=0.0, t1=2.0, dt=1e-3, record_every=50,
-        )
-        hole_traj = evolve(hole_spec, DensityMatrix(eye - initial.matrix, FERMION))
-        assert max(duality_residuals(traj, hole_traj)) <= 1e-12
+        assert evolve(spec, initial).duality.max() <= 1e-12
 
     def test_swapped_operators_detected(self):
-        traj, broken = two_state_pair(swap_ops=True)
-        assert max(duality_residuals(traj, broken)) > 1e-3
-
-    def test_time_grid_mismatch_rejected(self):
-        traj, hole_traj = two_state_pair(t1=3.0)
-        other, _ = two_state_pair(t1=2.0)
-        with pytest.raises(ValueError, match="time grids"):
-            max(duality_residuals(traj, other))
-
-    @pytest.mark.parametrize("case", ["one_short", "one_long", "shifted"])
-    def test_mismatched_stream_rejected(self, case):
-        traj, hole_traj = two_state_pair()
-        hole = list(hole_traj)
-        if case == "one_short":
-            hole = hole[:-1]
-        elif case == "one_long":
-            hole.append(hole[-1])
-        else:
-            hole = [(t + 1e-9, x, defect) for t, x, defect in hole]
-        with pytest.raises(ValueError, match="time grids of the particle and hole trajectories do not match"):
-            list(duality_residuals(traj, iter(hole)))
+        assert two_state_pair(swap_ops=True).duality.max() > 1e-3
 
     def test_occupation_states_take_a_scalar_identity(self):
         # exact complements of 1-D states have no residual; an eye(d) broadcast
         # against them would report 1
-        particle = Trajectory([(0.0, np.array([0.25, 0.75]), 0.0), (1.0, np.array([0.5, 0.5]), 0.0)])
-        hole = [(0.0, np.array([0.75, 0.25]), 0.0), (1.0, np.array([0.5, 0.625]), 0.0)]
-        assert list(duality_residuals(particle, iter(hole))) == [0.0, 0.125]
+        residual = OccupationFlow(np.zeros((2, 2)), FERMION.sign).paired().residual
+        assert residual(np.array([[0.25, 0.75], [0.75, 0.25]])) == 0.0
+        assert residual(np.array([[0.5, 0.5], [0.5, 0.625]])) == 0.125
 
 
 class TestLowDensitySlope:
@@ -211,7 +178,7 @@ class TestCrossingDetection:
 
 class TestTrajectoryDiagnostics:
     def test_trace_drift_and_duality_on_the_snapshot_grid(self):
-        traj, hole_traj = two_state_pair(t1=1.0, record_every=100)
-        assert len(traj.trace) == len(traj.times)
+        traj = two_state_pair(t1=1.0, record_every=100)
+        assert len(traj.trace) == len(traj.times) == len(traj.duality)
         assert np.abs(traj.trace - traj.trace[0]).max() <= 1e-12
-        assert max(duality_residuals(traj, hole_traj)) <= 1e-10
+        assert traj.duality.max() <= 1e-10

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qme import cli, integrator, operators
-from qme.analysis import duality_residuals
 from qme.cli import (
     Scenario,
     ScenarioError,
@@ -35,8 +34,8 @@ from qme.fock_oracle import (
     closure_residual_at_t0,
     reduce_one_particle,
 )
-from qme.dynamics import (JumpFlow, NetworkFlow, OccupationFlow, Statistics, TransitionNetwork,
-                          hole_transform)
+from qme.dynamics import JumpFlow, NetworkFlow, OccupationFlow, Statistics, TransitionNetwork
+from duality_reference import duality_residuals, hole_start
 from fock_reference import population_generator
 from occupation_reference import occupation_row
 from qme.integrator import Trajectory, evolve, snapshots, spectrum
@@ -865,7 +864,7 @@ def test_occupation_fermion_run_takes_one_flow_call_a_stage(monkeypatch, tmp_pat
     hole = snapshots(cli._spec(scenario, flow.hole()), 1.0 - n)
     header, rows = read_csv(tmp_path / "diagnostics.csv")
     assert header[-1] == "duality_residual"
-    assert rows[:, -1].tolist() == list(duality_residuals(particle, hole))
+    assert rows[:, -1].tolist() == duality_residuals(particle, hole)
 
 
 @pytest.mark.parametrize("name", ["homogeneous_chain", "low_density_sweep", "two_state_fermion"])
@@ -883,13 +882,13 @@ def test_streamed_duality_equals_the_stored_check(name):
     flow = cli._EQUATIONS[scenario.equation].build(scenario)
     if traj.states[0].ndim == 1:
         n = scenario.start.matrix.diagonal().real
-        flow, start, hole_start = flow.occupation_flow(), n, 1.0 - n
+        flow, start, complement = flow.occupation_flow(), n, 1.0 - n
     else:
-        start, hole_start = scenario.start, hole_transform(scenario.start)
+        start, complement = scenario.start, hole_start(scenario.start)
     particle = evolve(cli._spec(scenario, flow), start)
-    hole = evolve(cli._spec(scenario, flow.hole()), hole_start)
-    assert streamed.tolist() == list(duality_residuals(traj, hole))
-    assert streamed.tolist() == list(duality_residuals(particle, hole))
+    hole = evolve(cli._spec(scenario, flow.hole()), complement)
+    assert streamed.tolist() == duality_residuals(traj, hole)
+    assert streamed.tolist() == duality_residuals(particle, hole)
     assert [a.tobytes() for a in traj.stored] == [a.tobytes() for a in particle.stored]
 
 

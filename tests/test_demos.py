@@ -1,6 +1,6 @@
 """Smoke tests of the demo scripts: each runs as a fresh process against the
 package sources, under the suite's own warning filters, and must exit cleanly
-with a report on stdout."""
+with its verdict, ``: PASS``, at the end of its last line."""
 
 import os
 import subprocess
@@ -25,4 +25,4 @@ def test_demo_runs(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    assert result.stdout.strip().splitlines()[-1].endswith(": PASS"), result.stdout

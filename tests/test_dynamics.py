@@ -4,13 +4,14 @@ import pytest
 import qme.dynamics
 from qme.dynamics import (
     DephasingRates,
+    FlowPair,
     JumpFlow,
     NetworkFlow,
+    OccupationFlow,
     OperatorFlow,
     Statistics,
     TransitionNetwork,
     build_relaxation_operators,
-    hole_transform,
     rank_one_jumps,
     rhs_quasiclassical,
 )
@@ -133,25 +134,36 @@ class TestGeneralForm:
 
 class TestHoleRepresentation:
     def test_complement_of_empty_and_full(self):
-        empty = DensityMatrix(np.zeros((3, 3)), FERMION)
-        assert np.allclose(hole_transform(empty).matrix, np.eye(3))
-        full = DensityMatrix(np.eye(3), FERMION)
-        assert np.allclose(hole_transform(full).matrix, 0)
+        # a pair's start is the particle state and its hole state I - rho
+        empty, full = np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)
+        assert np.array_equal(FlowPair.start(empty), np.stack((empty, full)))
+        assert np.array_equal(FlowPair.start(full), np.stack((full, empty)))
 
     def test_per_orbital_complement(self):
-        rho = DensityMatrix(np.diag([0.3, 0.9]), FERMION)
-        assert np.allclose(hole_transform(rho).matrix, np.diag([0.7, 0.1]))
+        rho = np.diag([0.3, 0.9]).astype(complex)
+        assert np.allclose(FlowPair.start(rho)[1], np.diag([0.7, 0.1]))
+        n = np.array([0.3, 0.9])
+        assert np.allclose(OccupationFlow.start(n), [[0.3, 0.9], [0.7, 0.1]])
 
     def test_involution(self):
+        # the start of the hole state is the particle state again, and a
+        # start's residual is at rounding
         rng = np.random.default_rng(13)
-        rho = DensityMatrix(rand_fermion_state(rng, 4), FERMION)
-        again = hole_transform(hole_transform(rho))
-        assert np.allclose(again.matrix, rho.matrix)
+        rho = rand_fermion_state(rng, 4)
+        pair = FlowPair.start(rho)
+        assert np.allclose(FlowPair.start(pair[1])[1], rho)
+        assert FlowPair.residual(pair) <= 1e-15
+        n = rng.uniform(0.0, 1.0, 4)
+        assert np.allclose(OccupationFlow.start(OccupationFlow.start(n)[1])[1], n)
+        assert OccupationFlow.residual(OccupationFlow.start(n)) <= 1e-15
 
     def test_rejects_bosons(self):
-        rho = DensityMatrix(np.diag([2.0, 0.0]), BOSON)
+        # only a fermion flow has a pair to lift a start to
+        z = np.zeros((2, 2))
         with pytest.raises(ValueError, match="fermions only"):
-            hole_transform(rho)
+            OperatorFlow(z, z, z, BOSON).paired()
+        with pytest.raises(ValueError, match="fermions only"):
+            OccupationFlow(z, BOSON.sign).paired()
 
     def test_hole_gain_from_particle_loss(self):
         # particle loss operator -(gamma/2)|phi><phi| feeds holes at gamma*(1 - n_hole)

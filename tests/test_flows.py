@@ -25,12 +25,11 @@ from qme.dynamics import (
     OperatorFlow,
     Statistics,
     TransitionNetwork,
-    hole_transform,
     rank_one_jumps,
 )
-from qme.analysis import duality_residuals
-from qme.integrator import EvolutionSpec, evolve, snapshots
+from qme.integrator import EvolutionSpec, evolve
 from qme.operators import DensityMatrix
+from duality_reference import duality_residuals, hole_start
 from occupation_reference import occupation_row, occupation_rows
 
 FERMION = Statistics.FERMION
@@ -279,13 +278,10 @@ class GainSandwichedAsLoss(JumpFlow):
 
 
 def duality_residual(flow, initial: DensityMatrix) -> float:
-    """Max residual of the particle run of ``flow`` against the streamed run
-    of ``flow.hole()`` from the complementary start, as ``qme run`` takes it."""
-    def spec(rhs):
-        return EvolutionSpec(rhs=rhs, t0=0.0, t1=1.0, dt=1e-2, record_every=10)
-
-    particle = evolve(spec(flow), initial)
-    return max(duality_residuals(particle, snapshots(spec(flow.hole()), hole_transform(initial))))
+    """Max duality residual of the run of ``flow.paired()``, the flow and
+    ``flow.hole()`` side by side, as ``qme run`` takes it."""
+    spec = EvolutionSpec(rhs=flow.paired(), t0=0.0, t1=1.0, dt=1e-2, record_every=10)
+    return float(evolve(spec, initial).duality.max())
 
 
 @pytest.mark.parametrize("basis", ["computational", "unitary"])
@@ -465,6 +461,19 @@ def test_paired_occupation_flow_is_the_particle_and_hole_flows_bit_for_bit():
                                       np.concatenate((hole, particle)))
 
 
+@pytest.mark.parametrize("pairing", ["paired", "hole_paired", "paired_hole"])
+def test_an_occupation_pair_has_no_pair_of_its_own(pairing):
+    """Pairing a paired occupation flow, in either row order, is refused:
+    the rows of the pair of a pair would be neither a pair nor a lone flow."""
+    flow, _ = rand_dense_network_flow(np.random.default_rng(9), 3, FERMION)
+    occupations = flow.occupation_flow()
+    pair = {"paired": occupations.paired(), "hole_paired": occupations.hole().paired(),
+            "paired_hole": occupations.paired().hole()}[pairing]
+    assert pair.pair
+    with pytest.raises(ValueError, match="a pair has no pair of its own"):
+        pair.paired()
+
+
 class TestPairedFlows:
     """A fermionic flow's ``paired()`` flow is a :class:`FlowPair` of the flow
     and its hole flow, which steps [rho, x] with the bits of the flow at rho
@@ -512,11 +521,11 @@ class TestPairedFlows:
         assert [calls.count(member) for member in spec.rhs.members] == [per_member] * 2
         assert len(calls) == 2 * per_member
         particle = evolve(dataclasses.replace(spec, rhs=flow), start)
-        hole = evolve(dataclasses.replace(spec, rhs=flow.hole()), hole_transform(start))
+        hole = evolve(dataclasses.replace(spec, rhs=flow.hole()), hole_start(start))
         assert [a.tobytes() for a in pair.stored] == [a.tobytes() for a in particle.stored]
         for column in ("times", "trace", "min_eig", "max_eig", "herm_defect"):
             assert getattr(pair, column).tobytes() == getattr(particle, column).tobytes(), column
-        assert pair.duality.tolist() == list(duality_residuals(particle, hole))
+        assert pair.duality.tolist() == duality_residuals(particle, hole)
         assert particle.duality is None and len(pair.duality) == 6
         # a map for the full intervals and one for the last, of each member
         assert sorted(paired_maps) == sorted(maps[len(paired_maps):])
@@ -524,14 +533,49 @@ class TestPairedFlows:
 
     def test_a_pair_is_fermionic_and_has_no_pair_or_hole_flow(self):
         """A pair answers only what a run asks of it; the rest of a flow's
-        questions are for its members."""
+        questions are for its members, and it has no pair of its own."""
         inst = rand_instance(np.random.default_rng(2), 3, FERMION, "computational")
         for equation in HOLE_EQUATIONS:
             with pytest.raises(ValueError, match="fermions only"):
                 build_flow(equation, BOSON, inst).paired()
             pair = build_flow(equation, FERMION, inst).paired()
-            for name in ("evaluate", "relaxation_operators", "occupation_flow", "hole", "paired"):
+            for name in ("evaluate", "relaxation_operators", "occupation_flow", "hole"):
                 assert not hasattr(pair, name), (equation, name)
+            with pytest.raises(ValueError, match="a pair has no pair of its own"):
+                pair.paired()
+
+    @pytest.mark.parametrize("state", ["matrix", "occupations"])
+    def test_a_run_takes_its_start_and_residuals_from_the_pair(self, state):
+        """The integrator lifts the start and reads each snapshot's residual
+        through the pair flow: a pair of one flow twice, started as two
+        copies of the state, keeps them equal, so each residual, the largest
+        gap between the members, is exactly 0.  The fermion lift and
+        residual of the same two flows would read far from 0."""
+
+        class Copies(FlowPair):
+            @staticmethod
+            def start(x):
+                return np.stack((x, x))
+
+            @staticmethod
+            def residual(pair):
+                return float(np.abs(pair[0] - pair[1]).max())
+
+        rng = np.random.default_rng(5)
+        if state == "matrix":
+            inst = rand_instance(rng, 3, FERMION, "computational")
+            flow, start = build_flow("nonlinear_master", FERMION, inst), DensityMatrix(inst["rho"], FERMION)
+        else:
+            particle, start = rand_homogeneous(rng, 3, FERMION)
+            flow = particle.occupation_flow()
+        spec = EvolutionSpec(rhs=Copies(flow, flow), t0=0.0, t1=0.2, dt=0.01, record_every=5)
+        traj = evolve(spec, start)
+        assert traj.duality.tolist() == [0.0] * 5
+        lone = evolve(dataclasses.replace(spec, rhs=flow), start)
+        assert [a.tobytes() for a in traj.stored] == [a.tobytes() for a in lone.stored]
+        if state == "matrix":
+            fermion = evolve(dataclasses.replace(spec, rhs=FlowPair(flow, flow)), start)
+            assert fermion.duality.max() > 1e-3
 
 
 def test_occupation_flow_declined_where_a_diagonal_state_can_leave_the_diagonal():

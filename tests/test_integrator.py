@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qme.dynamics import JumpFlow, NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
+from qme.dynamics import FlowPair, JumpFlow, NetworkFlow, OperatorFlow, Statistics, TransitionNetwork
 from qme.fock_oracle import FockModel, product_populations
 from qme.integrator import (
     AFFINE_MAX_ENTRIES,
@@ -909,6 +909,7 @@ class TestRK4Intervals:
 
         class HoleRunaway:
             pair = True
+            start = staticmethod(FlowPair.start)
 
             def __call__(self, t, rho):
                 out = np.zeros_like(rho)
