@@ -15,7 +15,7 @@ from qme.dynamics import (
     rank_one_jumps,
     rhs_quasiclassical,
 )
-from qme.operators import DensityMatrix, hermiticity_defect
+from qme.operators import hermiticity_defect
 
 FERMION = Statistics.FERMION
 BOSON = Statistics.BOSON
