@@ -11,7 +11,7 @@ with s = -1 for fermions (Pauli blocking, factor 1 - n), s = +1 for bosons
 loss operator acts on particles; the gain operator is the loss operator of
 holes.  Transition networks, jump-operator sets and the linear
 (Markoff/Lindblad) limits differ only in how the relaxation operators follow
-from the state.
+from the state (:class:`Flow` evaluates each as K rho + (K rho)^dag + Q).
 
 Each equation is a *flow*: an object built once from validated parts, whose
 ``__call__(t, rho)`` does arithmetic only, so it can sit in an integrator's
@@ -50,6 +50,7 @@ from .operators import (
     DensityMatrix,
     Statistics,
     as_square_matrix,
+    require_hermitian,
 )
 
 __all__ = [
@@ -170,13 +171,14 @@ class Flow:
 
     with s from ``statistics`` (None is the linear limit s = 0): gain through
     a negative-definite A_gain is blocked by 1 - n for fermions (s = -1) and
-    enhanced by 1 + n for bosons (s = +1).  Loss and gain merge into one
-    operator A' = A_loss - s*A_gain, and the flow is identically
+    enhanced by 1 + n for bosons (s = +1).  With the nonhermitian generator
+    K = A_loss - s*A_gain - iH and the gain Q = -2*A_gain it is identically
 
-        (1/i)[H, rho] + {rho, A'} - 2*A_gain.
+        K rho + rho K^dag + Q = Y + Y^dag + Q,   Y = K rho,
 
-    Subclasses supply :meth:`relaxation_operators`; everything they use is
-    validated and cached at construction.
+    the second form, one product, for hermitian rho only: every state a run
+    integrates, and what :meth:`evaluate` takes.  Subclasses supply (K, Q) at
+    rho (:meth:`_terms`) from parts validated and cached at construction.
     """
 
     def __init__(self, h, statistics: Statistics | None):
@@ -184,11 +186,16 @@ class Flow:
         self.dim = h.shape[0]
         self.sign = 0 if statistics is None else statistics.sign
         self._minus_ih = -1j * h
-        self._plus_ih = 1j * h
+
+    def _terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, Q)`` at the hermitian ``rho``, read-only: maybe the flow's own arrays."""
+        raise NotImplementedError
 
     def relaxation_operators(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(A_loss, A_gain)`` at the state ``rho``."""
-        raise NotImplementedError
+        """``(A_loss, A_gain)`` at the state ``rho``, derived from (K, Q):
+        A_gain = -Q/2 and A_loss = K + iH + s*A_gain, to rounding."""
+        k, q = self._terms(rho)
+        return k - self._minus_ih - (0.5 * self.sign) * q, -0.5 * q
 
     @property
     def affine(self) -> bool:
@@ -198,23 +205,21 @@ class Flow:
         return False
 
     def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
-        # {rho, A_loss} - {I + s*rho, A_gain} = {rho, M} - 2*A_gain with
-        # M = A_loss - s*A_gain, so the flow is (M - iH) rho + rho (M + iH) - 2*A_gain
-        loss, gain = self.relaxation_operators(rho)
-        merged = loss - self.sign * gain
-        del loss
-        out = (merged + self._minus_ih) @ rho
-        out += rho @ (merged + self._plus_ih)
-        out -= 2.0 * gain
+        k, q = self._terms(rho)
+        y = k @ rho
+        out = y + y.conj().T
+        out += q
         return out
 
     def evaluate(self, rho) -> np.ndarray:
         """drho/dt at t = 0 for one state, an array or a DensityMatrix, checked
-        to be a square, finite matrix of the flow's dimension."""
+        to be a square, finite matrix of the flow's dimension, hermitian within
+        DEFAULT_TOL, at its hermitian part (a DensityMatrix is its own)."""
         return self(0.0, self._checked(rho))
 
     def _checked(self, rho) -> np.ndarray:
-        rho = rho.matrix if isinstance(rho, DensityMatrix) else as_square_matrix(rho, "rho")
+        rho = rho.matrix if isinstance(rho, DensityMatrix) else require_hermitian(rho, name="rho")
+        rho = 0.5 * (rho + rho.conj().T)
         if rho.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: flow dimension {self.dim} vs rho {rho.shape}")
         return rho
@@ -223,8 +228,8 @@ class Flow:
         """The same fermionic flow, written for the hole state x = I - rho:
         a flow of the same class whose loss and gain are exchanged, as the
         gain operator is the loss operator of holes.  Its arrays are the
-        particle flow's, not copies; the hole flow of a hole flow is the
-        particle flow."""
+        particle flow's, not copies, but for the fixed K parts it builds; the
+        hole flow of a hole flow is the particle flow."""
         if self.sign != Statistics.FERMION.sign:
             raise ValueError("hole flow: defined for fermions only")
         hole = copy.copy(self)
@@ -290,7 +295,8 @@ class OperatorFlow(Flow):
     None this is the mean-field flow (1/i)[H, rho] + {rho, A_loss} of a
     Hamiltonian extended by an antihermitian part: a negative-definite A_loss
     drains occupation, and no choice of H, A_loss can feed an empty orbital
-    (the gain rate from an unoccupied orbital is exactly zero)."""
+    (the gain rate from an unoccupied orbital is exactly zero).  K and Q are
+    built once, and again when the hole flow exchanges the operators."""
 
     def __init__(self, h, loss_op, gain_op, statistics: Statistics | None):
         super().__init__(h, statistics)
@@ -301,12 +307,17 @@ class OperatorFlow(Flow):
                 f"dimension mismatch: H {(self.dim, self.dim)}, loss {self._loss.shape}, "
                 f"gain {self._gain.shape}"
             )
+        self._set_terms()
 
-    def relaxation_operators(self, rho):
-        return self._loss, self._gain
+    def _set_terms(self):
+        self._k, self._q = (self._loss - self.sign * self._gain) + self._minus_ih, -2.0 * self._gain
+
+    def _terms(self, rho):
+        return self._k, self._q
 
     def _exchange_loss_and_gain(self):
         self._loss, self._gain = self._gain, self._loss
+        self._set_terms()
 
     @property
     def affine(self) -> bool:
@@ -323,7 +334,8 @@ class NetworkFlow(Flow):
 
     so each transition src -> dest moves occupation at rate
     w * n_src * (1 + s*n_dest).  The flow is traceless, and fermionic
-    transitions into a full orbital are exactly forbidden.
+    transitions into a full orbital are exactly forbidden.  Its (K, Q) is
+    (kets diag(m) kets^dag - iH, -2 A_gain) with m = -1/2 W^T (1 + s*n) + (s/2) W n.
 
     With ``statistics`` None this is the linear (low-density) Markoff
     equation, the only one that accepts pure dephasing
@@ -371,10 +383,11 @@ class NetworkFlow(Flow):
     def _from_kets(self, m: np.ndarray) -> np.ndarray:
         return m if self._kets is None else self._kets @ m @ self._kets_dag
 
-    def relaxation_operators(self, rho):
+    def _terms(self, rho):
         n = self._to_kets(rho).diagonal().real
-        loss, gain = self._half_w.T @ (1.0 + self.sign * n), self._half_w @ n
-        return self._from_kets(self._eye * loss), self._from_kets(self._eye * gain)
+        gain = self._half_w @ n
+        m = self._half_w.T @ (1.0 + self.sign * n) - self.sign * gain
+        return self._from_kets(self._eye * m) + self._minus_ih, self._from_kets(self._eye * (-2.0 * gain))
 
     def occupation_flow(self):
         """The flow on diagonal states, or None unless the kets are the
@@ -411,9 +424,10 @@ class JumpFlow(Flow):
     in the linear limit; at low density the flow approaches its linear limit
     with a remainder quadratic in the state.
 
-    The jumps are stored side by side, [W_1 ... W_R] and
-    [W_1^dag ... W_R^dag] (D x RD), so each sum over them is one matrix
-    product (:func:`_sandwich`).
+    With G = sum_l W_l^dag rho W_l and L = sum_l W_l rho W_l^dag, K is
+    K0 + (s/2)(G - L), K0 = -1/2 sum_l W_l W_l^dag - iH, and Q = G.  The jumps
+    are stored side by side, [W_1 ... W_R] and [W_1^dag ... W_R^dag] (D x RD),
+    so each sandwich is one matrix product (:func:`_sandwich`).
     """
 
     def __init__(self, h, jumps, statistics: Statistics | None):
@@ -425,12 +439,13 @@ class JumpFlow(Flow):
         self._set_drain("W_l W_l^dag")
 
     def _set_drain(self, product: str):
-        """The fixed part -1/2 sum_l W_l W_l^dag of A_loss, checked to be
-        finite; ``product`` names it in terms of the given jumps."""
+        """K0, its drain -1/2 sum_l W_l W_l^dag checked to be finite;
+        ``product`` names the drain in terms of the given jumps."""
         with np.errstate(over="ignore", invalid="ignore"):
-            self._drain = -0.5 * _sandwich(self._wide, self._wide_dag, np.eye(self.dim))
-        if not np.isfinite(self._drain).all():
+            drain = -0.5 * _sandwich(self._wide, self._wide_dag, np.eye(self.dim))
+        if not np.isfinite(drain).all():
             raise ValueError(f"jump_operators: too large, sum_l {product} overflows")
+        self._k0 = drain + self._minus_ih
 
     def _exchange_loss_and_gain(self):
         # the hole flow is this flow with every W_l replaced by W_l^dag
@@ -443,11 +458,15 @@ class JumpFlow(Flow):
     def affine(self) -> bool:
         return self.sign == 0
 
-    def relaxation_operators(self, rho):
-        gain = -0.5 * _sandwich(self._wide_dag, self._wide, rho)
+    def _terms(self, rho):
+        g = _sandwich(self._wide_dag, self._wide, rho)
         if self.sign == 0:
-            return self._drain, gain
-        return self._drain - (0.5 * self.sign) * _sandwich(self._wide, self._wide_dag, rho), gain
+            return self._k0, g
+        k = _sandwich(self._wide, self._wide_dag, rho)
+        np.subtract(g, k, out=k)
+        k *= 0.5 * self.sign
+        k += self._k0
+        return k, g
 
 
 def _sandwich(left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -288,8 +288,8 @@ def _is_pair(rhs: RHSCallable) -> bool:
 
 def _packed(state: np.ndarray) -> np.ndarray:
     """``state`` as a :class:`Trajectory` stores it: packed when it is a
-    complex d x d matrix m that is hermitian by bit pattern, as hygiene
-    leaves every state after t0, and otherwise ``state`` itself.
+    complex d x d matrix m that is hermitian by bit pattern, as every start
+    and hygiene leave it, and otherwise ``state`` itself.
 
     The packed form is one real array of shape (1, d, d): the real part of m
     on and above the diagonal, its imaginary part below it.  No state has
@@ -300,8 +300,8 @@ def _packed(state: np.ndarray) -> np.ndarray:
     is 0.0 minus its mirror below it, which is the negation of a nonzero
     value and +0.0 for a zero of either sign, as hermitization makes it.
     The test is that rebuild, so signed zeros, NaN payloads and subnormals
-    decide it; a matrix that fails it (a start that is hermitian only within
-    tolerance) is kept whole."""
+    decide it; a matrix that fails it (one made neither by hygiene nor by
+    :class:`~qme.operators.DensityMatrix`) is kept whole."""
     if state.ndim != 2 or state.dtype != complex:
         return state
     packed = np.where(_layout(len(state))[0], state.real, state.imag)

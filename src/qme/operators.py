@@ -99,7 +99,8 @@ class DensityMatrix:
     Invariants checked once, at construction: hermitian, positive
     semidefinite, real nonnegative trace (the particle number), and for
     fermions all eigenvalues <= 1, each within ``tolerance``.  ``matrix`` is
-    a read-only copy of the matrix given, so the invariants hold for the
+    the hermitian part 1/2 (m + m^dag) of the matrix m given, hermitian by bit
+    pattern (as a flow needs) and read-only, so the invariants hold for the
     object's life and no reader checks them again.
     """
 
@@ -108,9 +109,7 @@ class DensityMatrix:
     tolerance: float = field(default=DEFAULT_TOL)
 
     def __post_init__(self):
-        m = as_square_matrix(np.array(self.matrix, dtype=complex), "density matrix")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        m = as_square_matrix(self.matrix, "density matrix")
         tol = self.tolerance
         require_hermitian(m, tol, "density matrix")
         # entries near the float limit overflow in these sums, and every
@@ -120,6 +119,8 @@ class DensityMatrix:
             hermitized = 0.5 * (m + m.conj().T)
         if not (np.isfinite(tr) and np.isfinite(hermitized).all()):
             raise ValueError("density matrix: entries too large, the trace or m + m^+ overflows")
+        hermitized.flags.writeable = False
+        object.__setattr__(self, "matrix", hermitized)
         if abs(tr.imag) > tol:
             raise ValueError(f"density matrix: trace has imaginary part {tr.imag:.3e}")
         if tr.real < -tol:

@@ -4,7 +4,9 @@ The references below evaluate every equation term by term: one projector
 outer product per rate, one sandwich per jump operator, and the hole flows
 with hand-derived relaxation operators.  Each flow must agree with them to
 1e-14 on random admissible states, for both statistics, in the computational
-basis and in a random unitary basis.
+basis and in a random unitary basis.  The one-product form each flow is
+evaluated in, K rho + (K rho)^dag + Q, is held to the two-product form
+before it on hermitian states up to d = 39, and in runs.
 """
 
 import dataclasses
@@ -92,9 +94,13 @@ def ref_markoff(h, kets, rates, gamma, rho):
         n_src = (kets[:, src].conj() @ rho @ kets[:, src]).real
         out -= (0.5 * w) * (rho @ p_src + p_src @ rho)
         out += (w * n_src) * np.outer(kets[:, dest], kets[:, dest].conj())
+    return out + ref_dephasing(kets, gamma, rho)
+
+
+def ref_dephasing(kets, gamma, rho):
+    out = np.zeros(rho.shape, dtype=complex)
     for (a, b), g in gamma.items():
-        elem = kets[:, b].conj() @ rho @ kets[:, a]
-        out -= g * elem * np.outer(kets[:, b], kets[:, a].conj())
+        out -= g * (kets[:, b].conj() @ rho @ kets[:, a]) * np.outer(kets[:, b], kets[:, a].conj())
     return out
 
 
@@ -245,8 +251,13 @@ def test_evaluate_checks_the_state():
     rho = np.diag([0.7, 0.2]).astype(complex)
     assert np.array_equal(flow.evaluate(DensityMatrix(rho, FERMION)), flow(0.0, rho))
     assert np.array_equal(flow.hole().evaluate(rho), flow.hole()(0.0, rho))
+    # a state hermitian within DEFAULT_TOL is taken at its hermitian part
+    skew = np.array([[0.0, 1j], [0.0, 0.0]])
+    near = rho + 1e-12 * skew
+    assert flow.evaluate(near).tobytes() == flow(0.0, 0.5 * (near + near.conj().T)).tobytes()
     for bad, match in ((np.zeros((3, 3)), "dimension mismatch"), (np.zeros((2, 3)), "square"),
-                       (np.full((2, 2), np.nan), "finite")):
+                       (np.full((2, 2), np.nan), "finite"),
+                       (rho + 1e-9 * skew, r"^rho: hermiticity defect .* exceeds tolerance 1\.0e-10")):
         with pytest.raises(ValueError, match=match):
             flow.evaluate(bad)
 
@@ -256,25 +267,188 @@ def test_hole_flow_rejects_bosons():
         OperatorFlow(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), BOSON).hole()
 
 
+# -- the one-product form K rho + (K rho)^dag + Q on hermitian states ---------
+
+
+def two_product(h, s, ops, extra=None):
+    """The flow in the form it had before the one-product form,
+    (M - iH) rho + rho (M + iH) - 2 A_gain with M = A_loss - s A_gain: two
+    products, at any square rho, ``ops(rho)`` its (A_loss, A_gain) and
+    ``extra(rho)`` a term added to it (dephasing)."""
+    def flow(rho):
+        loss, gain = ops(rho)
+        merged = loss - s * gain
+        out = (merged - 1j * h) @ rho + rho @ (merged + 1j * h) - 2.0 * gain
+        return out if extra is None else out + extra(rho)
+    return flow
+
+
+class TwoProduct:
+    """A test-local flow object: the reference ``f(rho)`` of :func:`two_product`
+    with the ``affine`` flag of the flow it stands for."""
+
+    def __init__(self, f, affine):
+        self.f, self.affine = f, affine
+
+    def __call__(self, t, rho):
+        return self.f(rho)
+
+
+def one_product_case(rng, kind, stats, basis, dephasing, d):
+    """(flow, reference) of one flow class at dimension d, with operators of
+    norm about 1 at every d: a dense complex H, about three rates out of each
+    orbital, two dense jumps besides the rank-one ones; and, for fermions,
+    (hole flow, reference) with loss and gain exchanged by hand."""
+    s = 0 if stats is None else stats.sign
+    h = rand_hermitian(rng, d, 1.0 / np.sqrt(d))
+    kets = np.eye(d, dtype=complex) if basis == "computational" else rand_unitary(rng, d)
+    rates = {(a, b): float(rng.uniform(0.1, 1.0))
+             for a in range(d) for b in range(d) if a != b and rng.uniform() < min(0.6, 3.0 / d)}
+    net = TransitionNetwork(kets=kets, rates=rates)
+    flipped = {(b, a): w for (a, b), w in rates.items()}  # the holes' network: W^T
+    cases = []
+    if kind == "operator":
+        loss, gain = rand_hermitian(rng, d, 1.0 / np.sqrt(d)), rand_hermitian(rng, d, 1.0 / np.sqrt(d))
+        flow = OperatorFlow(h, loss, gain, stats)
+        cases.append((flow, two_product(h, s, lambda rho: (loss, gain))))
+        if stats is FERMION:
+            cases.append((flow.hole(), two_product(h, s, lambda rho: (gain, loss))))
+    elif kind == "network":
+        rates_of_pairs, extra = None, None
+        if dephasing:
+            a, b = rng.choice(d, 2, replace=False)
+            rates_of_pairs = DephasingRates({(int(a), int(b)): float(rng.uniform(0.1, 1.0))})
+            extra = lambda rho: ref_dephasing(kets, rates_of_pairs.gamma, rho)  # noqa: E731
+        flow = NetworkFlow(h, net, stats, rates_of_pairs)
+        cases.append((flow, two_product(h, s, lambda rho: ref_relaxation(kets, rates, rho, s), extra)))
+        if stats is FERMION:
+            cases.append((flow.hole(), two_product(h, s, lambda rho: ref_relaxation(kets, flipped, rho, s))))
+    else:
+        jumps = rank_one_jumps(net) + [
+            (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2 * d)
+            for _ in range(2)]
+        flow = JumpFlow(h, jumps, stats)
+        cases.append((flow, two_product(h, s, lambda rho: ref_jump_relaxation(jumps, rho, s))))
+        if stats is FERMION:
+            adjoints = [w.conj().T for w in jumps]
+            cases.append((flow.hole(), two_product(h, s, lambda rho: ref_jump_relaxation(adjoints, rho, s))))
+    return cases
+
+
+def hermitian_state(rng, d, stats):
+    """A random admissible state, hermitian by bit pattern, as every state
+    a run integrates is."""
+    rho = rand_state(rng, d, FERMION if stats is None else stats)
+    return 0.5 * (rho + rho.conj().T)
+
+
+ONE_PRODUCT_CASES = [
+    pytest.param(kind, stats, basis, dephasing,
+                 id=f"{kind}-{'linear' if stats is None else stats.value}-{basis}"
+                    + ("-dephasing" if dephasing else ""))
+    for kind in ("operator", "network", "jumps")
+    for stats in (FERMION, BOSON, None)
+    for basis in (("computational",) if kind == "operator" else ("computational", "unitary"))
+    for dephasing in ((False, True) if kind == "network" and stats is None else (False,))
+]
+
+
+@pytest.mark.parametrize("kind, stats, basis, dephasing", ONE_PRODUCT_CASES)
+def test_one_product_flow_is_the_two_product_flow_on_hermitian_states(kind, stats, basis, dephasing):
+    """For hermitian rho, rho K^dag = (K rho)^dag, so each flow class's one
+    product K rho + (K rho)^dag + Q is the two-product form with its
+    relaxation operators built term by term, to TOL relative to max(1, |f|),
+    at every d from 2 to 39, and so are the fermionic hole flows at I - rho.
+    The value is hermitian by bit pattern when Q is: for fixed operators
+    and on the computational basis."""
+    rng = np.random.default_rng([19, len(kind), 0 if stats is None else stats.sign + 2, len(basis),
+                                 dephasing])
+    for d in range(2, 40):
+        rho = hermitian_state(rng, d, stats)
+        cases = one_product_case(rng, kind, stats, basis, dephasing, d)
+        for (flow, ref), state in zip(cases, (rho, np.eye(d) - rho)):
+            got, want = flow(0.0, state), ref(state)
+            assert close(got, want), (d, np.abs(got - want).max())
+            if kind == "operator" or (kind == "network" and basis == "computational"):
+                assert qme.integrator._packed(got).ndim == 3, d  # hermitian by bit pattern
+
+
+@pytest.mark.parametrize("equation", ["markoff", "lindblad", "general"])
+def test_a_mapped_run_is_the_two_product_flow_s_run(equation):
+    """An affine flow's exact map is probed on non-hermitian unit vectors,
+    where the one-product form is not the two-product one; both forms map
+    hermitian states alike, so a coherent start at d <= 11 (each member
+    mapped: 2 d^2 <= AFFINE_MAX_ENTRIES) runs as under the two-product flow,
+    to TOL relative to max(1, |rho|) at every snapshot.  ``general`` runs as
+    a fermion pair, each member mapped on its own."""
+    stats = {"markoff": None, "lindblad": None, "general": FERMION}[equation]
+    kind = {"markoff": "network", "lindblad": "jumps", "general": "operator"}[equation]
+    rng = np.random.default_rng([23, len(equation)])
+    for d in (2, 5, 8, 11):
+        start = DensityMatrix(hermitian_state(rng, d, FERMION), FERMION)
+        cases = one_product_case(rng, kind, stats, "unitary", equation == "markoff", d)
+        refs = [TwoProduct(ref, True) for _, ref in cases]
+        if stats is FERMION:
+            rhs, ref_rhs = cases[0][0].paired(), FlowPair(*refs)
+        else:
+            rhs, ref_rhs = cases[0][0], refs[0]
+        spec = EvolutionSpec(rhs=rhs, t0=0.0, t1=0.5, dt=0.01, record_every=10)
+        lift = rhs.start(start.matrix) if stats is FERMION else start.matrix
+        assert qme.integrator._generators(rhs, 0.0, lift) is not None
+        got = evolve(spec, start)
+        want = evolve(dataclasses.replace(spec, rhs=ref_rhs), start)
+        assert len(got) == 6
+        for a, b in zip(got.states, want.states):
+            assert close(a, b), (d, np.abs(a - b).max())
+
+
+@pytest.mark.parametrize("equation", ["generalized_jumps", "lindblad"])
+def test_a_start_hermitian_within_tolerance_is_stepped_from_its_hermitian_part(equation):
+    """A start with a 1e-11 antihermitian part runs from its hermitian part
+    (the DensityMatrix keeps it), as the two-product flow ran from the
+    matrix as given: the snapshots after t0 agree to TOL relative to
+    max(1, |rho|), by RK4 steps and by the exact map.  Only the t0 row moves,
+    to the hermitian part, by the antihermitian part, and its defect is 0."""
+    stats = None if equation == "lindblad" else FERMION
+    rng = np.random.default_rng([29, len(equation)])
+    d = 6
+    (flow, ref), *_ = one_product_case(rng, "jumps", stats, "unitary", False, d)
+    rho = hermitian_state(rng, d, FERMION)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    raw = rho + 0.5e-11 * (g - g.conj().T)
+    start = DensityMatrix(raw, FERMION)
+    spec = EvolutionSpec(rhs=flow, t0=0.0, t1=0.3, dt=0.01, record_every=10)
+    got = evolve(spec, start)
+    # the run as it was: the matrix as given, stepped by the two-product flow
+    want = list(qme.integrator._steps(dataclasses.replace(spec, rhs=TwoProduct(ref, flow.affine)),
+                                      raw.copy()))
+    assert got.states[0].tobytes() == (0.5 * (raw + raw.conj().T)).tobytes()
+    assert got.herm_defect[0] == 0.0 and want[0][2] > 1e-12
+    assert np.abs(got.states[0] - raw).max() <= 1e-10
+    assert len(got) == len(want) == 4
+    for a, (_, b, _) in zip(got.states[1:], want[1:]):
+        assert close(a, b), np.abs(a - b).max()
+
+
 # -- the hole flow is each equation's own particle-hole form ------------------
 
 
 class LossReadsW(NetworkFlow):
     """A broken network flow: its loss reads W where the equation has W^T."""
 
-    def relaxation_operators(self, rho):
+    def _terms(self, rho):
         n = self._to_kets(rho).diagonal().real
-        loss, gain = self._half_w @ (1.0 + self.sign * n), self._half_w @ n
-        return self._from_kets(self._eye * loss), self._from_kets(self._eye * gain)
+        gain = self._half_w @ n
+        m = self._half_w @ (1.0 + self.sign * n) - self.sign * gain
+        return self._from_kets(self._eye * m) + self._minus_ih, self._from_kets(self._eye * (-2.0 * gain))
 
 
 class GainSandwichedAsLoss(JumpFlow):
     """A broken jump flow: its gain is sandwiched as W rho W^dag, where the
-    equation has W^dag rho W."""
+    equation has W^dag rho W, so G = L and K = K0 + (s/2)(G - L) is K0."""
 
-    def relaxation_operators(self, rho):
-        loss, _ = super().relaxation_operators(rho)
-        return loss, -0.5 * qme.dynamics._sandwich(self._wide, self._wide_dag, rho)
+    def _terms(self, rho):
+        return self._k0, qme.dynamics._sandwich(self._wide, self._wide_dag, rho)
 
 
 def duality_residual(flow, initial: DensityMatrix) -> float:

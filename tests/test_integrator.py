@@ -1059,16 +1059,18 @@ class TestPackedStates:
         for m in (structured, free):
             assert _unpacked(_packed(m)).tobytes() == m.tobytes()
 
-    def test_a_start_hermitian_within_tolerance_is_stored_as_given(self):
+    def test_a_start_hermitian_within_tolerance_is_stepped_from_its_hermitian_part(self):
         m = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
         m[1, 0] += 1e-15  # within DEFAULT_TOL of hermitian, not bitwise
         x = DensityMatrix(m, FERMION)
-        assert not _hermitian_bits(x.matrix) and _packed(x.matrix) is x.matrix
+        hermitian = 0.5 * (m + m.conj().T)
+        assert not _hermitian_bits(m) and _hermitian_bits(x.matrix)
+        assert x.matrix.tobytes() == hermitian.tobytes()
         spec = EvolutionSpec(rhs=lambda t, r: np.zeros_like(r), t0=0.0, t1=0.2, dt=0.1)
         traj = evolve(spec, x)
-        assert traj.states[0].tobytes() == m.tobytes()
-        # hygiene makes the next snapshots exactly hermitian, and they are packed
-        assert _hermitian_bits(traj.states[1]) and _packed(traj.states[1]).ndim == 3
+        # every snapshot, the start too, is hermitian by bit pattern and packed
+        assert traj.states[0].tobytes() == hermitian.tobytes() and traj.herm_defect[0] == 0.0
+        assert all(state.ndim == 3 for state in traj.stored)
 
     def test_each_read_is_a_fresh_array(self):
         m = _hermitian_of(np.array([[0.5, 0.25], [0.0, 0.5]]), np.array([[0.0, 0.0], [0.125, 0.0]]))
