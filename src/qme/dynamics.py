@@ -490,28 +490,35 @@ class OccupationFlow:
     bit: within 8 eps of the size of its largest terms,
     (W n)(1 + n) + n (W^T (1 + n)).
 
-    With ``pair`` true the state is the particle and hole occupations
-    [n, x] laid end to end, as :meth:`paired` makes it, with W on the
-    first row and W^T on the second.  A stage is one product of each row with
-    its (2d x d) operator [L; A], so every row gets the bits it gets alone.
+    A call is one product of the state with the (2d x d) operator [L; A],
+    one multiply and one add, on the state's own layout.  With ``pair`` true
+    the state is the particle and hole occupations [n, x] stacked as the
+    rows of a (2, d) array, as :meth:`start` makes it, with W on the first
+    row and W^T on the second, and the operator is the (2, 2d, d) stack of
+    the two rows' operators, so every row gets the bits it gets alone.  The
+    two rows laid end to end, a (2d,) vector, are also accepted.
     """
 
     def __init__(self, w: np.ndarray, sign: int, pair: bool = False):
         if pair and sign != Statistics.FERMION.sign:
             raise ValueError("hole flow: defined for fermions only")
         self._w, self.sign, self.pair, self._d = w, sign, pair, w.shape[0]
+        self._rows = (2, self._d) if pair else (self._d,)
         # huge rates overflow the out-rates to inf, which the run reports as
         # a divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            self._ops = np.stack([np.vstack((m - np.diag(m.sum(axis=0)), sign * (m - m.T)))
-                                  for m in ((w, w.T) if pair else (w,))])
+            ops = [np.vstack((m - np.diag(m.sum(axis=0)), sign * (m - m.T)))
+                   for m in ((w, w.T) if pair else (w,))]
+        self._ops = np.stack(ops) if pair else ops[0]
 
     def __call__(self, t: float, n: np.ndarray) -> np.ndarray:
-        rows = n.reshape(len(self._ops), self._d, 1)
-        u = self._ops @ rows
-        out = u[:, self._d:] * rows
-        out += u[:, :self._d]
-        return out.reshape(n.shape)
+        if n.shape != self._rows:
+            return self(t, n.reshape(self._rows)).reshape(n.shape)
+        d = self._d
+        u = (self._ops @ n[..., None])[..., 0]
+        out = u[..., d:] * n
+        out += u[..., :d]
+        return out
 
     @property
     def affine(self) -> bool:

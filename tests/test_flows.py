@@ -24,6 +24,7 @@ from qme.dynamics import (
     FlowPair,
     JumpFlow,
     NetworkFlow,
+    OccupationFlow,
     OperatorFlow,
     Statistics,
     TransitionNetwork,
@@ -633,6 +634,52 @@ def test_paired_occupation_flow_is_the_particle_and_hole_flows_bit_for_bit():
                 # rows in the other order: the hole flow of the pair
                 assert np.array_equal(paired.hole()(0.0, np.concatenate((x, n))),
                                       np.concatenate((hole, particle)))
+
+
+def reshape_form(w, sign, rows, state):
+    """The occupation flow's call in its reshape form, the reference for
+    every layout: the stack of each row's (2d x d) operator [L; A], rows
+    ``(w, w.T)`` of a pair and ``(w,)`` of a lone flow, times the state
+    reshaped to (k, d, 1), reshaped back."""
+    d = len(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = np.stack([np.vstack((m - np.diag(m.sum(axis=0)), sign * (m - m.T))) for m in rows])
+    x = state.reshape(len(ops), d, 1)
+    u = ops @ x
+    out = u[:, d:] * x
+    out += u[:, :d]
+    return out.reshape(state.shape)
+
+
+@pytest.mark.parametrize("stats", [FERMION, BOSON, None], ids=["fermion", "boson", "linear"])
+def test_occupation_flow_bytes_do_not_depend_on_the_layout(stats):
+    """On every layout it takes (a lone flow's (d,) state; a pair's stacked
+    (2, d) rows and the same rows laid end to end, (2d,)) the occupation
+    flow gives the bytes of its reshape form, in the state's shape, and never
+    writes its argument."""
+    rng = np.random.default_rng([19, 0 if stats is None else stats.sign + 2])
+    sign = 0 if stats is None else stats.sign
+    for d in range(1, 41):
+        for _ in range(3):
+            flow, n = rand_dense_network_flow(rng, d, stats)
+            w = -2.0 * flow._half_w
+            x = rng.uniform(0.0, 1.0, d)
+            lone = flow.occupation_flow()
+            cases = [(lone, (w,), n)]
+            if stats is FERMION:
+                cases += [(lone.hole(), (w.T,), x),
+                          (lone.paired(), (w, w.T), np.stack((n, x))),
+                          (lone.paired(), (w, w.T), np.concatenate((n, x))),
+                          (lone.paired().hole(), (w.T, w), np.stack((x, n))),
+                          (lone.hole().paired(), (w.T, w), np.concatenate((x, n)))]
+            for occupations, rows, state in cases:
+                assert isinstance(occupations, OccupationFlow)
+                before = state.copy()
+                state.flags.writeable = False
+                got = occupations(0.0, state)
+                want = reshape_form(w, sign, rows, state)
+                assert got.shape == state.shape and got.tobytes() == want.tobytes()
+                assert state.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("pairing", ["paired", "hole_paired", "paired_hole"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qme import integrator
-from qme.dynamics import NetworkFlow, Statistics, TransitionNetwork
+from qme.dynamics import NetworkFlow, OccupationFlow, Statistics, TransitionNetwork
 from qme.operators import DensityMatrix
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -32,6 +32,10 @@ def test_traced_name_resolves(module_name, attr):
     # 23 steps, whatever the snapshots, and the start
     ("nonlinear_master", 1, 23 + 1),
     ("nonlinear_master", 5, 23 + 1),
+    # the benchmark's chain workload: a fermion network's occupations and
+    # their holes, stepped as one paired occupation flow
+    ("paired_occupation", 1, 23 + 1),
+    ("paired_occupation", 5, 23 + 1),
     # a mapped run crosses its 5 intervals by one map each
     ("markoff", 5, 5 + 1),
 ])
@@ -44,9 +48,13 @@ def test_the_step_count_is_one_defect_a_step_or_mapped_interval(monkeypatch, equ
     defect = integrator.hermiticity_defect
     monkeypatch.setattr(integrator, "hermiticity_defect", lambda m: calls.append(1) or defect(m))
     net = TransitionNetwork.computational(3, {(1, 0): 0.8, (2, 1): 0.5, (0, 2): 0.3})
-    stats = Statistics.FERMION if equation == "nonlinear_master" else None
+    stats = None if equation == "markoff" else Statistics.FERMION
     flow = NetworkFlow(np.diag([0.0, 0.7, 1.3]).astype(complex), net, stats)
+    start = DensityMatrix(np.diag([0.6, 0.3, 0.1]), Statistics.FERMION)
+    if equation == "paired_occupation":
+        flow, start = flow.occupation_flow().paired(), np.array([0.6, 0.3, 0.1])
+        assert isinstance(flow, OccupationFlow) and flow.pair
     assert flow.affine == (stats is None)
     spec = integrator.EvolutionSpec(rhs=flow, t0=0.0, t1=0.23, dt=0.01, record_every=record_every)
-    integrator.evolve(spec, DensityMatrix(np.diag([0.6, 0.3, 0.1]), Statistics.FERMION))
+    integrator.evolve(spec, start)
     assert len(calls) == defects
